@@ -67,7 +67,10 @@ let create mem (p : Pq_intf.params) =
     done;
     let pri = !n - nleaves in
     if pri >= p.npriorities then None
-    else Pqfunnel.Fstack.pop stacks.(pri) |> Option.map (fun e -> (pri, e))
+    else
+      match Pqfunnel.Fstack.pop stacks.(pri) with
+      | Some e -> Some (pri, e)
+      | None -> None
   in
   let drain_now mem =
     List.concat_map

@@ -31,6 +31,16 @@ let fifo_bin ~elim ~name mem (p : Pq_intf.params) pool =
     fb_drain = (fun mem -> Pqfunnel.Fqueue.drain_now mem q);
   }
 
+(* the first nonempty bin from [i] on, scanned at top level so a
+   delete-min allocates no closure *)
+let rec scan bins ~precheck i =
+  if i >= Array.length bins then None
+  else if precheck && bins.(i).fb_is_empty () then scan bins ~precheck (i + 1)
+  else
+    match bins.(i).fb_pop () with
+    | Some e -> Some (i, e)
+    | None -> scan bins ~precheck (i + 1)
+
 let create_gen ~precheck ~name ~mk_bin mem (p : Pq_intf.params) =
   let pool =
     Pqfunnel.Pool.create mem ~nprocs:p.nprocs ~pushes_per_proc:p.ops_per_proc
@@ -43,17 +53,7 @@ let create_gen ~precheck ~name ~mk_bin mem (p : Pq_intf.params) =
     bins.(pri).fb_push payload;
     true
   in
-  let delete_min () =
-    let rec scan i =
-      if i >= p.npriorities then None
-      else if precheck && bins.(i).fb_is_empty () then scan (i + 1)
-      else
-        match bins.(i).fb_pop () with
-        | Some e -> Some (i, e)
-        | None -> scan (i + 1)
-    in
-    scan 0
-  in
+  let delete_min () = scan bins ~precheck 0 in
   let drain_now mem =
     List.concat_map
       (fun pri -> List.map (fun e -> (pri, e)) (bins.(pri).fb_drain mem))

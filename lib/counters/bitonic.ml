@@ -74,28 +74,20 @@ let create mem ~width =
   let wire_counters = Array.init width (fun _ -> Mem.alloc mem 1) in
   (* the machine has no fetch-and-add: balancers toggle with a CAS loop *)
   let toggle addr =
-    let b = Pqsync.Backoff.make () in
-    let rec go () =
+    let rec go window =
       let v = Api.read addr in
       if Api.cas addr ~expected:v ~desired:(1 - v) then v
-      else begin
-        Pqsync.Backoff.once b;
-        go ()
-      end
+      else go (Pqsync.Backoff.pause window)
     in
-    go ()
+    go Pqsync.Backoff.first
   in
   let cas_faa addr =
-    let b = Pqsync.Backoff.make () in
-    let rec go () =
+    let rec go window =
       let v = Api.read addr in
       if Api.cas addr ~expected:v ~desired:(v + 1) then v
-      else begin
-        Pqsync.Backoff.once b;
-        go ()
-      end
+      else go (Pqsync.Backoff.pause window)
     in
-    go ()
+    go Pqsync.Backoff.first
   in
   let inc () =
     let wire = ref (Api.rand width) in

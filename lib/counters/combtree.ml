@@ -46,16 +46,12 @@ let create ?name mem ~nprocs ?(wait = 64) ?central ?solo () =
   | Some n -> Mem.label mem ~addr:central ~len:1 (n ^ ".central")
   | None -> ());
   let cas_add addr d =
-    let b = Pqsync.Backoff.make () in
-    let rec go () =
+    let rec go window =
       let v = Api.read addr in
       if Api.cas addr ~expected:v ~desired:(v + d) then v
-      else begin
-        Pqsync.Backoff.once b;
-        go ()
-      end
+      else go (Pqsync.Backoff.pause window)
     in
-    go ()
+    go Pqsync.Backoff.first
   in
   let inc () =
     let me = Api.self () in

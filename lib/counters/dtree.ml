@@ -38,28 +38,20 @@ let create mem ~nprocs ?depth ?(attempts = 2) ?(spin = 12) () =
   done;
   let loc pid = locations + pid in
   let cas_faa addr =
-    let b = Pqsync.Backoff.make () in
-    let rec go () =
+    let rec go window =
       let v = Api.read addr in
       if Api.cas addr ~expected:v ~desired:(v + 1) then v
-      else begin
-        Pqsync.Backoff.once b;
-        go ()
-      end
+      else go (Pqsync.Backoff.pause window)
     in
-    go ()
+    go Pqsync.Backoff.first
   in
   let toggle addr =
-    let b = Pqsync.Backoff.make () in
-    let rec go () =
+    let rec go window =
       let v = Api.read addr in
       if Api.cas addr ~expected:v ~desired:(1 - v) then v
-      else begin
-        Pqsync.Backoff.once b;
-        go ()
-      end
+      else go (Pqsync.Backoff.pause window)
     in
-    go ()
+    go Pqsync.Backoff.first
   in
   (* Pass one balancer: returns the direction (0 = left, 1 = right).
      Either we diffract a partner (we go left, it goes right), we are

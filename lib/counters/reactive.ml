@@ -19,30 +19,25 @@ let create mem ~nprocs ?(up_after = 1) ?(down_after = 8) () =
   let busy_streak = Array.make nprocs 0 in
   let tree = Combtree.create ~name:"reactive.tree" mem ~nprocs ~central ~solo () in
   let cas_faa addr =
-    let b = Pqsync.Backoff.make () in
-    let rec go () =
+    let rec go window =
       let v = Api.read addr in
       if Api.cas addr ~expected:v ~desired:(v + 1) then v
-      else begin
-        Pqsync.Backoff.once b;
-        go ()
-      end
+      else go (Pqsync.Backoff.pause window)
     in
-    go ()
+    go Pqsync.Backoff.first
   in
   let inc () =
     let me = Api.self () in
     if Api.read mode = 0 then begin
       (* lock path; count failed acquisition attempts as a load signal *)
-      let fails = ref 0 in
-      let b = Pqsync.Backoff.make () in
-      while not (Pqsync.Tas.try_acquire lock) do
-        incr fails;
-        Pqsync.Backoff.once b
-      done;
+      let rec acquire fails window =
+        if Pqsync.Tas.try_acquire lock then fails
+        else acquire (fails + 1) (Pqsync.Backoff.pause window)
+      in
+      let fails = acquire 0 Pqsync.Backoff.first in
       let v = cas_faa central in
       Pqsync.Tas.release lock;
-      if !fails >= 2 then begin
+      if fails >= 2 then begin
         busy_streak.(me) <- busy_streak.(me) + 1;
         if busy_streak.(me) >= up_after then begin
           Api.write mode 1;

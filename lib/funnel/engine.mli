@@ -82,36 +82,76 @@ val create : ?name:string -> Pqsim.Mem.t -> nprocs:int -> config:config -> t
 
 val config : t -> config
 
-(** {1 Record accessors (processor-side, for central/distribute callbacks)} *)
+val max_children : t -> int
+(** the most children one processor's record can hold: the bound on the
+    [nkids] a client's [distribute] receives and on any child list read
+    with {!read_children}.  During [distribute] the engine keeps the
+    processor's own child list in the first [max_children] slots of its
+    {!Pqsim.Api.scratch}; clients use the slots after them. *)
+
+(** {1 Record accessors (processor-side, for client callbacks)} *)
 
 val sum_of : t -> int -> int
 (** [sum_of t pid] — costed read of pid's current subtree sum *)
 
 val opval_of : t -> int -> int
-val children_of : t -> int -> int list
+
+val read_children : t -> int -> int array -> int -> int
+(** [read_children t pid buf off] — costed reads of [pid]'s child list
+    (its length, then each child in combining order) into
+    [buf.(off) ..]; returns the number of children.  [buf] must have
+    room for {!max_children} entries from [off]. *)
+
+val child : t -> int -> int
+(** [child t i] — the [i]th child of the calling processor's finished
+    operation, as handed to its client's [distribute] (read from the
+    processor's scratch; no memory traffic) *)
+
 val set_result : t -> int -> flag:int -> value:int -> unit
 (** write a waiting processor's result word (flag written last) *)
 
-type outcome = { flag : int; value : int }
+(** {1 Operations} *)
+
+type client = {
+  eliminate : me:int -> partner:int -> sign:int -> unit;
+      (** invoked on the winning root of an elimination; must set
+          {e both} roots' results *)
+  try_central : me:int -> sign:int -> sum:int -> int;
+      (** apply the combined operation of weight [sum] at the central
+          object; return its result, or {!retry} under contention *)
+  distribute : me:int -> sign:int -> flag:int -> value:int -> nkids:int -> int;
+      (** after [me]'s own result ([flag], [value]) is known, release its
+          [nkids] children ({!child}); the return value becomes
+          {!operate}'s *)
+}
+(** The central-object semantics of one funnel object.  A client is
+    built once, when its object is created, and every operation passes
+    the same record, so an operation allocates nothing.  [sign] is the
+    operation's own weight as passed to {!operate}; clients that serve
+    two operation kinds (push/pop, inc/dec) dispatch on it. *)
+
+val retry : int
+(** [try_central]'s answer when the central object was contended
+    ([min_int], never a legitimate result) *)
 
 val operate :
   t ->
+  client ->
   sign:int ->
   opval:int ->
   homogeneous:bool ->
   allow_elim:bool ->
-  eliminate:(partner:int -> unit) ->
-  try_central:(sum:int -> int option) ->
-  distribute:(flag:int -> value:int -> children:int list -> unit) ->
-  outcome
-(** [operate t ~sign ~opval ...] runs one operation of the calling
-    processor through the funnel.
+  int
+(** [operate t c ~sign ~opval ...] runs one operation of the calling
+    processor through the funnel and returns [c.distribute]'s result.
 
     [sign] is +1/-1 weight of the operation; [opval] is an auxiliary word
-    stored in the record (e.g. the value a stack push carries).  With
+    stored in the record (e.g. the node a stack push carries).  With
     [homogeneous] only same-sum trees combine; [allow_elim] enables
-    elimination of opposite same-size trees, invoking [eliminate
-    ~partner] on the winning root, which must set {e both} roots' results.
-    [try_central ~sum] applies the combined operation, returning [None]
-    to retry under contention.  After the processor's own result is known,
-    [distribute] is invoked with its children (may be empty). *)
+    elimination of opposite same-size trees, invoking [c.eliminate] on
+    the winning root.  [c.try_central] applies the combined operation;
+    the engine backs off and retries when it answers {!retry}.  After the
+    processor's own result is known, [c.distribute] is invoked with its
+    children (possibly none).  Nothing here allocates: the phases are
+    first-order loops over processor-local registers, and the child list
+    is read into the processor's {!Pqsim.Api.scratch}. *)

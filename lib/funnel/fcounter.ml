@@ -6,7 +6,60 @@ type t = {
   elim : bool;
   floor : int option;
   ceil : int option;
+  client : Engine.client;
 }
+
+(* Elimination short-cut (Fig. 10 lines 12-17): pretend the increment tree
+   lands just before the decrement tree, so the counter never moves.  With
+   a floor the starting point is clamped so the decrement is the one that
+   "succeeds" at the boundary. *)
+let eliminate f ~main ~floor ~ceil ~me ~partner ~sign =
+  let v = Api.read main in
+  let v = match floor with Some b when v <= b -> b + 1 | Some _ | None -> v in
+  let v = match ceil with Some b when v >= b -> b - 1 | Some _ | None -> v in
+  let dec_result = v and inc_result = v - 1 in
+  let mine = if sign < 0 then dec_result else inc_result in
+  let theirs = if sign < 0 then inc_result else dec_result in
+  Engine.set_result f partner ~flag:Engine.flag_elim ~value:theirs;
+  Engine.set_result f me ~flag:Engine.flag_elim ~value:mine
+
+(* Prefix-sum distribution (Fig. 10 lines 41-47): in the assumed
+   serialization the root goes first, then each child subtree in combining
+   order. *)
+let rec hand_down f ~value ~nkids i total =
+  if i < nkids then begin
+    let c = Engine.child f i in
+    (* read the child's subtree sum before releasing it *)
+    let csum = Engine.sum_of f c in
+    Engine.set_result f c ~flag:Engine.flag_count ~value:(value + total);
+    hand_down f ~value ~nkids (i + 1) (total + csum)
+  end
+
+let distribute f ~sign ~flag ~value ~nkids =
+  if flag = Engine.flag_elim then
+    for i = 0 to nkids - 1 do
+      Engine.set_result f (Engine.child f i) ~flag:Engine.flag_elim ~value
+    done
+  else hand_down f ~value ~nkids 0 sign;
+  value
+
+(* The paper's machine offers only swap and compare-and-swap, so even the
+   unbounded counter applies its combined sum with a CAS (the engine
+   retries on failure).  A bounded operation clamps its target at the
+   bound on its side: increments at [ceil], decrements at [floor]. *)
+let try_central ~main ~floor ~ceil ~sign ~sum =
+  let v = Api.read main in
+  match if sign > 0 then ceil else floor with
+  | None ->
+      if Api.cas main ~expected:v ~desired:(v + sum) then v else Engine.retry
+  | Some b ->
+      let s = v + sum in
+      let target =
+        if sign > 0 then if s > b then b else s else if s < b then b else s
+      in
+      if target = v then v (* nothing applies; no write needed *)
+      else if Api.cas main ~expected:v ~desired:target then v
+      else Engine.retry
 
 let create ?name mem ~nprocs ?config ?(elim = true) ?floor ?ceil ~init () =
   let config =
@@ -19,102 +72,38 @@ let create ?name mem ~nprocs ?config ?(elim = true) ?floor ?ceil ~init () =
   (match name with
   | Some n -> Mem.label mem ~addr:main ~len:1 (n ^ ".central")
   | None -> ());
-  { f = Engine.create ?name mem ~nprocs ~config; main; elim; floor; ceil }
+  let f = Engine.create ?name mem ~nprocs ~config in
+  let client =
+    {
+      Engine.eliminate =
+        (fun ~me ~partner ~sign ->
+          eliminate f ~main ~floor ~ceil ~me ~partner ~sign);
+      try_central =
+        (fun ~me:_ ~sign ~sum -> try_central ~main ~floor ~ceil ~sign ~sum);
+      distribute =
+        (fun ~me:_ ~sign ~flag ~value ~nkids ->
+          distribute f ~sign ~flag ~value ~nkids);
+    }
+  in
+  { f; main; elim; floor; ceil; client }
 
 let get t = Api.read t.main
 let peek mem t = Mem.peek mem t.main
 
-(* Elimination short-cut (Fig. 10 lines 12-17): pretend the increment tree
-   lands just before the decrement tree, so the counter never moves.  With
-   a floor the starting point is clamped so the decrement is the one that
-   "succeeds" at the boundary. *)
-let eliminate t ~my_sign ~me ~partner =
-  let v = Api.read t.main in
-  let v =
-    match t.floor with Some b when v <= b -> b + 1 | Some _ | None -> v
-  in
-  let v =
-    match t.ceil with Some b when v >= b -> b - 1 | Some _ | None -> v
-  in
-  let dec_result = v and inc_result = v - 1 in
-  let mine, theirs =
-    if my_sign < 0 then (dec_result, inc_result) else (inc_result, dec_result)
-  in
-  Engine.set_result t.f partner ~flag:Engine.flag_elim ~value:theirs;
-  Engine.set_result t.f me ~flag:Engine.flag_elim ~value:mine
-
-(* Prefix-sum distribution (Fig. 10 lines 41-47): in the assumed
-   serialization the root goes first, then each child subtree in combining
-   order. *)
-let distribute t ~my_sign ~flag ~value ~children =
-  if flag = Engine.flag_elim then
-    List.iter
-      (fun c -> Engine.set_result t.f c ~flag:Engine.flag_elim ~value)
-      children
-  else begin
-    let total = ref my_sign in
-    List.iter
-      (fun c ->
-        (* read the child's subtree sum before releasing it *)
-        let csum = Engine.sum_of t.f c in
-        Engine.set_result t.f c ~flag:Engine.flag_count ~value:(value + !total);
-        total := !total + csum)
-      children
-  end
-
-(* The paper's machine offers only swap and compare-and-swap, so even the
-   unbounded counter applies its combined sum with a CAS (the engine
-   retries on failure). *)
-let central_unbounded t ~sum =
-  let v = Api.read t.main in
-  if Api.cas t.main ~expected:v ~desired:(v + sum) then Some v else None
-
-let central_bounded t ~clamp ~sum =
-  let v = Api.read t.main in
-  let target = clamp (v + sum) in
-  if target = v then Some v (* nothing applies; no write needed *)
-  else if Api.cas t.main ~expected:v ~desired:target then Some v
-  else None
-
-let run t ~sign ~homogeneous ~try_central =
-  let me = Api.self () in
-  let outcome =
-    Engine.operate t.f ~sign ~opval:0 ~homogeneous ~allow_elim:t.elim
-      ~eliminate:(fun ~partner -> eliminate t ~my_sign:sign ~me ~partner)
-      ~try_central
-      ~distribute:(fun ~flag ~value ~children ->
-        distribute t ~my_sign:sign ~flag ~value ~children)
-  in
-  outcome.Engine.value
-
 let inc t =
-  match t.ceil with
-  | None -> run t ~sign:1 ~homogeneous:true ~try_central:(central_unbounded t)
-  | Some b ->
-      let clamp v = if v > b then b else v in
-      run t ~sign:1 ~homogeneous:true ~try_central:(central_bounded t ~clamp)
+  Engine.operate t.f t.client ~sign:1 ~opval:0 ~homogeneous:true
+    ~allow_elim:t.elim
 
 let dec t =
-  match t.floor with
-  | None ->
-      run t ~sign:(-1) ~homogeneous:true ~try_central:(central_unbounded t)
-  | Some b ->
-      let clamp v = if v < b then b else v in
-      run t ~sign:(-1) ~homogeneous:true
-        ~try_central:(central_bounded t ~clamp)
+  Engine.operate t.f t.client ~sign:(-1) ~opval:0 ~homogeneous:true
+    ~allow_elim:t.elim
 
+(* unbounded additions commute, so their trees need not be homogeneous *)
 let add t delta =
   if delta = 0 then Api.read t.main
   else begin
     if t.floor <> None || t.ceil <> None then
       invalid_arg "Fcounter.add: bounded counters need inc/dec";
-    let outcome =
-      Engine.operate t.f ~sign:delta ~opval:0 ~homogeneous:false
-        ~allow_elim:false
-        ~eliminate:(fun ~partner:_ -> assert false)
-        ~try_central:(central_unbounded t)
-        ~distribute:(fun ~flag ~value ~children ->
-          distribute t ~my_sign:delta ~flag ~value ~children)
-    in
-    outcome.Engine.value
+    Engine.operate t.f t.client ~sign:delta ~opval:0 ~homogeneous:false
+      ~allow_elim:false
   end

@@ -1,16 +1,75 @@
 open Pqsim
 
-(* node layout: [value][next]; central FIFO = head + tail words behind a
-   test-and-set lock (the funnel keeps arrivals rare) *)
+(* node layout: [value][next]; the central FIFO is a head and a tail word
+   behind a test-and-set lock (the funnel keeps arrivals rare) *)
+type central = { head : int; tail : int; lock : Pqsync.Tas.t }
 
 type t = {
   f : Engine.t;
-  head : int;
-  tail : int;
-  lock : Pqsync.Tas.t;
+  c : central;
   pool : Pool.t;
   elim : bool;
+  found : bool array;
+  client : Engine.client;
 }
+
+let value_of = Chain.value_of
+let next_of = Chain.next_of
+let is_empty t = Api.read t.c.head = 0
+
+(* Preorder: root's element first, then each child subtree in combining
+   order — the same serialization the dequeue distribution assumes.  Each
+   member's child list is read first, then its subtrees, then its own
+   node, which lands in the slot reserved before the subtrees.  Returns
+   the next free node slot. *)
+let rec preorder f buf pid n stack =
+  let k = Engine.read_children f pid buf stack in
+  let stop = preorder_kids f buf (n + 1) stack k 0 in
+  buf.(n) <- Engine.opval_of f pid;
+  stop
+
+and preorder_kids f buf n stack k i =
+  if i = k then n
+  else
+    preorder_kids f buf
+      (preorder f buf buf.(stack + i) n (stack + k))
+      stack k (i + 1)
+
+let try_central_enq f c ~cap ~me ~sum =
+  assert (sum > 0 && sum <= cap);
+  let buf = Chain.scratch f ~cap and base = Chain.region f in
+  let stop = preorder f buf me base (base + cap) in
+  for i = base to stop - 2 do
+    Api.write (next_of buf.(i)) buf.(i + 1)
+  done;
+  Api.write (next_of buf.(stop - 1)) 0;
+  Pqsync.Tas.acquire c.lock;
+  let tl = Api.read c.tail in
+  if tl = 0 then Api.write c.head buf.(base)
+  else Api.write (next_of tl) buf.(base);
+  Api.write c.tail buf.(stop - 1);
+  Pqsync.Tas.release c.lock;
+  0
+
+let try_central_deq c ~sum =
+  let k = -sum in
+  assert (k > 0);
+  Pqsync.Tas.acquire c.lock;
+  let h = Api.read c.head in
+  let r =
+    if h = 0 then 0
+    else begin
+      let last = Chain.walk h 1 k in
+      let new_head = Api.read (next_of last) in
+      Api.write c.head new_head;
+      if new_head = 0 then Api.write c.tail 0;
+      (* detach, so drains and stale readers never run past the slice *)
+      Api.write (next_of last) 0;
+      h
+    end
+  in
+  Pqsync.Tas.release c.lock;
+  r
 
 let create ?name mem ~nprocs ?config ?(elim = false) ?pool
     ?(max_pushes_per_proc = 0) () =
@@ -34,90 +93,20 @@ let create ?name mem ~nprocs ?config ?(elim = false) ?pool
   | None -> ());
   (* [head] backs the lock-free emptiness test; [tail] stays lock-guarded *)
   Mem.declare_sync mem ~addr:head ~len:1;
-  {
-    f = Engine.create ?name mem ~nprocs ~config;
-    head;
-    tail;
-    lock =
-      Pqsync.Tas.create ?name:(Option.map (fun n -> n ^ ".lock") name) mem;
-    pool;
-    elim;
-  }
-
-let value_of node = node
-let next_of node = node + 1
-let is_empty t = Api.read t.head = 0
-
-(* preorder: root's element first, then each child subtree in combining
-   order — the same serialization the dequeue distribution assumes *)
-let rec preorder t pid =
-  Engine.opval_of t.f pid
-  :: List.concat_map (preorder t) (Engine.children_of t.f pid)
-
-let try_central_enq t me ~sum =
-  assert (sum > 0);
-  let nodes = preorder t me in
-  let rec link = function
-    | a :: (b :: _ as rest) ->
-        Api.write (next_of a) b;
-        link rest
-    | [ last ] -> Api.write (next_of last) 0
-    | [] -> ()
+  (* the lock word is allocated before the funnel, as the simulated
+     memory layout has always had it *)
+  let lock =
+    Pqsync.Tas.create ?name:(Option.map (fun n -> n ^ ".lock") name) mem
   in
-  link nodes;
-  match nodes with
-  | [] -> Some 0
-  | first :: _ ->
-      let last = List.nth nodes (List.length nodes - 1) in
-      Pqsync.Tas.acquire t.lock;
-      let tl = Api.read t.tail in
-      if tl = 0 then Api.write t.head first
-      else Api.write (next_of tl) first;
-      Api.write t.tail last;
-      Pqsync.Tas.release t.lock;
-      Some 0
-
-let try_central_deq t ~sum =
-  let k = -sum in
-  assert (k > 0);
-  Pqsync.Tas.acquire t.lock;
-  let h = Api.read t.head in
-  let r =
-    if h = 0 then Some 0
-    else begin
-      let rec walk last j =
-        if j >= k then last
-        else
-          let nxt = Api.read (next_of last) in
-          if nxt = 0 then last else walk nxt (j + 1)
-      in
-      let last = walk h 1 in
-      let new_head = Api.read (next_of last) in
-      Api.write t.head new_head;
-      if new_head = 0 then Api.write t.tail 0;
-      (* detach, so drains and stale readers never run past the slice *)
-      Api.write (next_of last) 0;
-      Some h
-    end
+  let f = Engine.create ?name mem ~nprocs ~config in
+  let c = { head; tail; lock } in
+  let cap = Chain.cap f and found = Array.make nprocs false in
+  let client =
+    Chain.client f ~cap ~found
+      ~push:(fun ~me ~sum -> try_central_enq f c ~cap ~me ~sum)
+      ~pop:(fun ~sum -> try_central_deq c ~sum)
   in
-  Pqsync.Tas.release t.lock;
-  r
-
-let advance chain n =
-  let rec go c i =
-    if c = 0 || i = 0 then c else go (Api.read (next_of c)) (i - 1)
-  in
-  go chain n
-
-let consume_partner t ~my_children ~partner =
-  let v = Api.read (value_of (Engine.opval_of t.f partner)) in
-  let pkids = Engine.children_of t.f partner in
-  List.iter2
-    (fun mine theirs ->
-      Engine.set_result t.f mine ~flag:Engine.flag_elim_match ~value:theirs)
-    my_children pkids;
-  Engine.set_result t.f partner ~flag:Engine.flag_elim_done ~value:0;
-  v
+  { f; c; pool; elim; found; client }
 
 let enqueue t v =
   let me = Api.self () in
@@ -125,49 +114,23 @@ let enqueue t v =
   Api.write (value_of node) v;
   Api.write (next_of node) 0;
   ignore
-    (Engine.operate t.f ~sign:1 ~opval:node ~homogeneous:true
-       ~allow_elim:t.elim
-       ~eliminate:(fun ~partner ->
-         Engine.set_result t.f partner ~flag:Engine.flag_elim_match ~value:me)
-       ~try_central:(fun ~sum -> try_central_enq t me ~sum)
-       ~distribute:(fun ~flag ~value ~children ->
-         ignore value;
-         if flag = Engine.flag_count then
-           List.iter
-             (fun c -> Engine.set_result t.f c ~flag:Engine.flag_count ~value:0)
-             children))
+    (Engine.operate t.f t.client ~sign:1 ~opval:node ~homogeneous:true
+       ~allow_elim:t.elim)
 
 let dequeue t =
-  let me = Api.self () in
-  let got = ref None in
-  ignore
-    (Engine.operate t.f ~sign:(-1) ~opval:0 ~homogeneous:true
-       ~allow_elim:t.elim
-       ~eliminate:(fun ~partner ->
-         Engine.set_result t.f me ~flag:Engine.flag_elim_match ~value:partner)
-       ~try_central:(fun ~sum -> try_central_deq t ~sum)
-       ~distribute:(fun ~flag ~value ~children ->
-         if flag = Engine.flag_elim_match then
-           got := Some (consume_partner t ~my_children:children ~partner:value)
-         else begin
-           (if value <> 0 then got := Some (Api.read (value_of value)));
-           let chain = ref (if value = 0 then 0 else advance value 1) in
-           List.iter
-             (fun c ->
-               let csize = -Engine.sum_of t.f c in
-               Engine.set_result t.f c ~flag:Engine.flag_count ~value:!chain;
-               chain := advance !chain csize)
-             children
-         end));
-  !got
+  let v =
+    Engine.operate t.f t.client ~sign:(-1) ~opval:0 ~homogeneous:true
+      ~allow_elim:t.elim
+  in
+  if t.found.(Api.self ()) then Some v else None
 
 let size_now mem t =
   let rec go c n = if c = 0 then n else go (Mem.peek mem (next_of c)) (n + 1) in
-  go (Mem.peek mem t.head) 0
+  go (Mem.peek mem t.c.head) 0
 
 let drain_now mem t =
   let rec go c acc =
     if c = 0 then List.rev acc
     else go (Mem.peek mem (next_of c)) (Mem.peek mem (value_of c) :: acc)
   in
-  go (Mem.peek mem t.head) []
+  go (Mem.peek mem t.c.head) []

@@ -2,7 +2,60 @@ open Pqsim
 
 (* node layout: [value][next] *)
 
-type t = { f : Engine.t; top : int; pool : Pool.t; elim : bool }
+type t = {
+  f : Engine.t;
+  top : int;
+  pool : Pool.t;
+  elim : bool;
+  found : bool array;
+  client : Engine.client;
+}
+
+let value_of = Chain.value_of
+let next_of = Chain.next_of
+let alloc_node t pid = Pool.alloc t.pool ~pid
+let is_empty t = Api.read t.top = 0
+
+(* Collect the node of every member of the combining tree rooted at [pid]
+   into [buf.(n) ..] in preorder (records are stable while members wait
+   for their results); the member's children are staged at
+   [buf.(stack) ..].  Returns the next free node slot. *)
+let rec collect f buf pid n stack =
+  buf.(n) <- Engine.opval_of f pid;
+  let k = Engine.read_children f pid buf stack in
+  collect_kids f buf (n + 1) stack k 0
+
+and collect_kids f buf n stack k i =
+  if i = k then n
+  else
+    collect_kids f buf
+      (collect f buf buf.(stack + i) n (stack + k))
+      stack k (i + 1)
+
+(* the chain links each member's node to the one collected before it:
+   the last-collected node heads the chain, the root's node ends it *)
+let try_central_push f ~top ~cap ~me ~sum =
+  assert (sum > 0 && sum <= cap);
+  let buf = Chain.scratch f ~cap and base = Chain.region f in
+  let stop = collect f buf me base (base + cap) in
+  for i = stop - 1 downto base + 1 do
+    Api.write (next_of buf.(i)) buf.(i - 1)
+  done;
+  let t0 = Api.read top in
+  Api.write (next_of buf.(base)) t0;
+  if Api.cas top ~expected:t0 ~desired:buf.(stop - 1) then 0
+  else Engine.retry
+
+let try_central_pop ~top ~sum =
+  let k = -sum in
+  assert (k > 0);
+  let t0 = Api.read top in
+  if t0 = 0 then 0 (* empty: the whole tree receives null chains *)
+  else begin
+    let last = Chain.walk t0 1 k in
+    let new_top = Api.read (next_of last) in
+    if Api.cas top ~expected:t0 ~desired:new_top then t0 else Engine.retry
+  end
 
 let create ?name mem ~nprocs ?config ?(elim = true) ?pool
     ?(max_pushes_per_proc = 0) () =
@@ -23,125 +76,30 @@ let create ?name mem ~nprocs ?config ?(elim = true) ?pool
   | None -> ());
   (* lock-free emptiness test + read-then-CAS publication point *)
   Mem.declare_sync mem ~addr:top ~len:1;
-  { f = Engine.create ?name mem ~nprocs ~config; top; pool; elim }
-
-let value_of node = node
-let next_of node = node + 1
-
-let alloc_node t pid = Pool.alloc t.pool ~pid
-
-let is_empty t = Api.read t.top = 0
-
-(* Collect the node of every member of the combining tree rooted at [pid]
-   (records are stable while members wait for their results). *)
-let rec collect_nodes t pid acc =
-  let node = Engine.opval_of t.f pid in
-  let kids = Engine.children_of t.f pid in
-  List.fold_left (fun acc k -> collect_nodes t k acc) (node :: acc) kids
-
-let try_central_push t me ~sum =
-  assert (sum > 0);
-  let nodes = collect_nodes t me [] in
-  let rec link = function
-    | a :: (b :: _ as rest) ->
-        Api.write (next_of a) b;
-        link rest
-    | [ _ ] | [] -> ()
+  let f = Engine.create ?name mem ~nprocs ~config in
+  let cap = Chain.cap f and found = Array.make nprocs false in
+  let client =
+    Chain.client f ~cap ~found
+      ~push:(fun ~me ~sum -> try_central_push f ~top ~cap ~me ~sum)
+      ~pop:(fun ~sum -> try_central_pop ~top ~sum)
   in
-  link nodes;
-  match nodes with
-  | [] -> Some 0
-  | first :: _ ->
-      let last = List.nth nodes (List.length nodes - 1) in
-      let t0 = Api.read t.top in
-      Api.write (next_of last) t0;
-      if Api.cas t.top ~expected:t0 ~desired:first then Some 0 else None
-
-let try_central_pop t ~sum =
-  let k = -sum in
-  assert (k > 0);
-  let t0 = Api.read t.top in
-  if t0 = 0 then Some 0 (* empty: the whole tree receives null chains *)
-  else begin
-    let rec walk last j =
-      if j >= k then last
-      else
-        let nxt = Api.read (next_of last) in
-        if nxt = 0 then last else walk nxt (j + 1)
-    in
-    let last = walk t0 1 in
-    let new_top = Api.read (next_of last) in
-    if Api.cas t.top ~expected:t0 ~desired:new_top then Some t0 else None
-  end
-
-(* Walk [n] nodes down a detached (immutable) chain; returns 0 when the
-   chain runs dry. *)
-let advance chain n =
-  let rec go c i =
-    if c = 0 || i = 0 then c else go (Api.read (next_of c)) (i - 1)
-  in
-  go chain n
-
-(* Pop-side consumption of a matched push member: read everything from the
-   partner, pair the children, then (and only then) release the partner. *)
-let consume_partner t ~my_children ~partner =
-  let v = Api.read (value_of (Engine.opval_of t.f partner)) in
-  let pkids = Engine.children_of t.f partner in
-  List.iter2
-    (fun mine theirs ->
-      Engine.set_result t.f mine ~flag:Engine.flag_elim_match ~value:theirs)
-    my_children pkids;
-  Engine.set_result t.f partner ~flag:Engine.flag_elim_done ~value:0;
-  v
+  { f; top; pool; elim; found; client }
 
 let push t v =
   let me = Api.self () in
   let node = alloc_node t me in
   Api.write (value_of node) v;
   Api.write (next_of node) 0;
-  let outcome =
-    Engine.operate t.f ~sign:1 ~opval:node ~homogeneous:true
-      ~allow_elim:t.elim
-      ~eliminate:(fun ~partner ->
-        (* I am the push root: hand myself to the pop root, which will
-           extract my tree's values and release us *)
-        Engine.set_result t.f partner ~flag:Engine.flag_elim_match ~value:me)
-      ~try_central:(fun ~sum -> try_central_push t me ~sum)
-      ~distribute:(fun ~flag ~value ~children ->
-        ignore value;
-        if flag = Engine.flag_count then
-          List.iter
-            (fun c -> Engine.set_result t.f c ~flag:Engine.flag_count ~value:0)
-            children
-        (* flag_elim_done: the matched pop tree handles our children *))
-  in
-  ignore outcome
+  ignore
+    (Engine.operate t.f t.client ~sign:1 ~opval:node ~homogeneous:true
+       ~allow_elim:t.elim)
 
 let pop t =
-  let me = Api.self () in
-  let popped = ref None in
-  let _ =
-    Engine.operate t.f ~sign:(-1) ~opval:0 ~homogeneous:true
+  let v =
+    Engine.operate t.f t.client ~sign:(-1) ~opval:0 ~homogeneous:true
       ~allow_elim:t.elim
-      ~eliminate:(fun ~partner ->
-        Engine.set_result t.f me ~flag:Engine.flag_elim_match ~value:partner)
-      ~try_central:(fun ~sum -> try_central_pop t ~sum)
-      ~distribute:(fun ~flag ~value ~children ->
-        if flag = Engine.flag_elim_match then
-          popped := Some (consume_partner t ~my_children:children ~partner:value)
-        else begin
-          (* flag_count: [value] heads my sub-chain (0 = dry) *)
-          (if value <> 0 then popped := Some (Api.read (value_of value)));
-          let chain = ref (if value = 0 then 0 else advance value 1) in
-          List.iter
-            (fun c ->
-              let csize = -Engine.sum_of t.f c in
-              Engine.set_result t.f c ~flag:Engine.flag_count ~value:!chain;
-              chain := advance !chain csize)
-            children
-        end)
   in
-  !popped
+  if t.found.(Api.self ()) then Some v else None
 
 let size_now mem t =
   let rec go c n = if c = 0 then n else go (Mem.peek mem (next_of c)) (n + 1) in

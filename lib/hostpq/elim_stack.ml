@@ -31,13 +31,16 @@ and push_attempt b t v =
   let cur = Atomic.get t.top in
   if Atomic.compare_and_set t.top cur (v :: cur) then ()
   else begin
-    (* park in the elimination array and wait briefly for a pop *)
+    (* park in the elimination array and wait briefly for a pop; every
+       later CAS on the slot compares against this very cell, since
+       [compare_and_set] is physical equality *)
     let s = t.slots.(pick t) in
-    if Atomic.compare_and_set s Empty (Parked v) then begin
+    let cell = Parked v in
+    if Atomic.compare_and_set s Empty cell then begin
       let rec wait i =
-        if Atomic.get s = Taken then Atomic.set s Empty (* consumed *)
+        if Atomic.get s == Taken then Atomic.set s Empty (* consumed *)
         else if i = 0 then
-          if Atomic.compare_and_set s (Parked v) Empty then push_retry b t v
+          if Atomic.compare_and_set s cell Empty then push_retry b t v
             (* withdrew unconsumed: retry on the stack *)
           else Atomic.set s Empty (* a pop took it at the last moment *)
         else begin
@@ -58,7 +61,7 @@ let push t v =
 let try_steal t =
   let s = t.slots.(pick t) in
   match Atomic.get s with
-  | Parked v when Atomic.compare_and_set s (Parked v) Taken -> Some v
+  | Parked v as cell when Atomic.compare_and_set s cell Taken -> Some v
   | Parked _ | Empty | Taken -> None
 
 let rec pop_attempt b t =

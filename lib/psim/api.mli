@@ -1,12 +1,18 @@
 (** Processor-side view of the machine.
 
     These functions may only be called from code running inside
-    {!Sim.run}'s [program]; each one performs the corresponding engine
-    effect.  They are the entire instruction set available to algorithm
-    implementations: reads, writes, register-to-memory swap,
+    {!Sim.run}'s [program].  They are the entire instruction set available
+    to algorithm implementations: reads, writes, register-to-memory swap,
     compare-and-swap and fetch-and-add (the primitives the paper assumes),
     plus local work, time, processor id, per-processor randomness and
-    latency recording. *)
+    latency recording.
+
+    Only the scheduling calls ([read], [write], [swap], [cas], [faa],
+    [work], [wait_change]) perform an engine effect.  The queries ([now],
+    [self], [rand], [flip], [record], [progress] and the probe
+    annotations) are plain calls that read the running processor's
+    context ({!Sim.args}); outside any run they raise [Effect.Unhandled]
+    as the effects once did. *)
 
 val read : int -> int
 val write : int -> int -> unit
@@ -41,6 +47,17 @@ val progress : unit -> unit
 (** mark the completion of a high-level operation; feeds {!Sim.run}'s
     watchdog.  A no-op unless the run enables one. *)
 
+val scratch : int -> int array
+(** [scratch n] is the running processor's private scratch array, at
+    least [n] long.  It is host memory outside the simulated machine, as
+    free as a register file: using it costs no cycles, performs no
+    effect, and no other processor ever sees it.  One array per
+    processor per run, shared by every structure the processor operates
+    on, so code holding live data in it must not call into another
+    structure that uses it.  Asking for more than its current length
+    copies the contents into a larger array: re-fetch it after any call
+    that may grow it rather than holding it across one. *)
+
 val probing : unit -> bool
 (** whether the current run carries a probe ({!Sim.run}'s [?probe]).
     Instrumentation must guard any probe-only work (extra [now] calls,
@@ -48,7 +65,7 @@ val probing : unit -> bool
 
 val count : string -> int -> unit
 (** [count key v] records a sample into the probe's metrics registry;
-    free (not even an effect) when {!probing} is false.  Use the count
+    free when {!probing} is false.  Use the count
     of samples as a counter and their values as the distribution. *)
 
 val mark : string -> int -> unit
@@ -64,3 +81,9 @@ val note : int -> int -> int -> unit
 val timed : string -> (unit -> 'a) -> 'a
 (** [timed key f] runs [f] and records its latency in cycles under
     [key].  Under a probe, additionally emits a completed span event. *)
+
+val timed_since : string -> int -> unit
+(** [timed_since key t0] closes an interval opened at cycle [t0] (read
+    with {!now}) exactly as {!timed} closes its own: it records
+    [now () - t0] under [key] and, under a probe, emits the span.  For
+    hot loops, where [timed]'s closure would be allocated per call. *)

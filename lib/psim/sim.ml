@@ -1,6 +1,6 @@
 (* The effect protocol between Api and this engine is private to the
    two modules, and it is built for zero per-operation allocation: every
-   hot effect is a *constant* constructor (a constant constructor
+   scheduling effect is a *constant* constructor (a constant constructor
    performs without boxing a payload), with its operands passed through
    a domain-local slot record ([args]) that Api fills immediately before
    [Effect.perform] and the handler reads immediately after.  The
@@ -8,16 +8,49 @@
    the domain: nothing can run between the slot writes, the [effc]
    dispatch, and the handler closure reading the slots back.  Slots are
    domain-local (not global) because independent simulations run
-   concurrently on Pool worker domains. *)
+   concurrently on Pool worker domains.
+
+   Queries that need no scheduling decision (time, identity, randomness,
+   statistics, probe annotations) do not perform at all: the same slot
+   record carries the running processor's id and its run's context, which
+   the engine writes before every [continue] and [match_with], so Api
+   answers them with a plain call. *)
+
+type ctx = {
+  ptime : int array;
+  rngs : Rng.t array;
+  stats : Stats.t;
+  metrics : Stats.t option;
+  sink : Probe.sink option;
+  notes : Probe.note option;
+  scratch : int array array;
+  mutable last_progress : int;
+}
 
 type args = {
   mutable a : int;
   mutable b : int;
   mutable c : int;
-  mutable key : string;
+  mutable pid : int;
+  mutable ctx : ctx;
 }
 
-let args_key = Domain.DLS.new_key (fun () -> { a = 0; b = 0; c = 0; key = "" })
+let no_ctx =
+  {
+    ptime = [||];
+    rngs = [||];
+    stats = Stats.create ();
+    metrics = None;
+    sink = None;
+    notes = None;
+    scratch = [||];
+    last_progress = 0;
+  }
+
+let args_key =
+  Domain.DLS.new_key (fun () ->
+      { a = 0; b = 0; c = 0; pid = -1; ctx = no_ctx })
+
 let args () = Domain.DLS.get args_key
 
 type _ Effect.t +=
@@ -30,14 +63,10 @@ type _ Effect.t +=
   | Wait_change : int Effect.t  (** addr in [a], stale value in [b] *)
   | Now : int Effect.t
   | Self : int Effect.t
-  | Rand : int Effect.t  (** exclusive bound in [a] *)
+  | Rand : int Effect.t
   | Flip : bool Effect.t
-  | Record : unit Effect.t  (** stat key in [key], sample in [a] *)
+  | Record : unit Effect.t
   | Progress : unit Effect.t
-  | Count : unit Effect.t  (** metrics key in [key], sample in [a] *)
-  | Mark : unit Effect.t  (** name in [key], argument in [a] *)
-  | Span : unit Effect.t  (** name in [key], start cycle in [a] *)
-  | Note : unit Effect.t  (** tag in [a], payload in [b] and [c] *)
 
 exception Deadlock of string
 exception Cycle_limit of int
@@ -153,11 +182,22 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
   let wait_t = Array.make nprocs 0 in
   let wait_wakeups = Array.make nprocs 0 in
   let slots = Domain.DLS.get args_key in
+  let ctx =
+    {
+      ptime;
+      rngs;
+      stats;
+      metrics;
+      sink;
+      notes;
+      scratch = Array.make nprocs [||];
+      last_progress = 0;
+    }
+  in
   let running = ref nprocs in
   let faulted = ref 0 in
   let clock = ref 0 in
   let step = ref 0 in
-  let last_progress = ref 0 in
   let faulted_list () =
     List.filteri (fun p _ -> state.(p) = Crashed) (List.init nprocs Fun.id)
   in
@@ -184,7 +224,7 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
     in
     {
       at_cycle = !clock;
-      stalled_for = !clock - !last_progress;
+      stalled_for = !clock - ctx.last_progress;
       reason;
       faulted = faulted_list ();
       parked = List.rev !parked;
@@ -225,6 +265,7 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
       | Some s -> s.Probe.emit ~proc:pid ~time:t (Probe.Wake { addr })
       | None -> ());
       state.(pid) <- Running;
+      slots.pid <- pid;
       let k : (int, unit) Effect.Deep.continuation = Obj.obj konts.(pid) in
       Effect.Deep.continue k current
     end
@@ -311,11 +352,13 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
             | _ -> ());
             Evq.push q ~time:until (fun () ->
                 ptime.(pid) <- until;
+                slots.pid <- pid;
                 continue k v)
         | Sched.Run d ->
             let time = time + max 0 d.Sched.delay in
             Evq.push q ~time ~weight:d.Sched.weight (fun () ->
                 ptime.(pid) <- time;
+                slots.pid <- pid;
                 continue k v)
     in
     (* one preallocated closure (and [Some] cell) per effect kind per
@@ -385,7 +428,10 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
     let k_work =
      fun (k : (unit, unit) continuation) ->
       let n = slots.a in
-      if n <= 0 then continue k ()
+      if n <= 0 then begin
+        slots.pid <- pid;
+        continue k ()
+      end
       else resume_at Sched.Work (ptime.(pid) + n) k ()
     in
     let some_work = Some k_work in
@@ -401,69 +447,6 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
       wait_attempt pid ptime.(pid)
     in
     let some_wait = Some k_wait in
-    let k_now = fun (k : (int, unit) continuation) -> continue k ptime.(pid) in
-    let some_now = Some k_now in
-    let k_self = fun (k : (int, unit) continuation) -> continue k pid in
-    let some_self = Some k_self in
-    let k_rand =
-     fun (k : (int, unit) continuation) ->
-      continue k (Rng.int rngs.(pid) slots.a)
-    in
-    let some_rand = Some k_rand in
-    let k_flip =
-     fun (k : (bool, unit) continuation) -> continue k (Rng.bool rngs.(pid))
-    in
-    let some_flip = Some k_flip in
-    let k_record =
-     fun (k : (unit, unit) continuation) ->
-      Stats.record stats slots.key slots.a;
-      continue k ()
-    in
-    let some_record = Some k_record in
-    let k_progress =
-     fun (k : (unit, unit) continuation) ->
-      last_progress := max !last_progress ptime.(pid);
-      continue k ()
-    in
-    let some_progress = Some k_progress in
-    let k_count =
-     fun (k : (unit, unit) continuation) ->
-      (match metrics with
-      | Some m -> Stats.record m slots.key slots.a
-      | None -> ());
-      continue k ()
-    in
-    let some_count = Some k_count in
-    let k_mark =
-     fun (k : (unit, unit) continuation) ->
-      (match sink with
-      | Some s ->
-          s.Probe.emit ~proc:pid ~time:ptime.(pid)
-            (Probe.Mark { name = slots.key; arg = slots.a })
-      | None -> ());
-      continue k ()
-    in
-    let some_mark = Some k_mark in
-    let k_span =
-     fun (k : (unit, unit) continuation) ->
-      (match sink with
-      | Some s ->
-          s.Probe.emit ~proc:pid ~time:ptime.(pid)
-            (Probe.Span { name = slots.key; start = slots.a })
-      | None -> ());
-      continue k ()
-    in
-    let some_span = Some k_span in
-    let k_note =
-     fun (k : (unit, unit) continuation) ->
-      (match notes with
-      | Some n ->
-          n.Probe.note ~proc:pid ~time:ptime.(pid) ~tag:slots.a ~a:slots.b
-            ~b:slots.c
-      | None -> ());
-      continue k ()
-    in
-    let some_note = Some k_note in
     let effc : type b. b Effect.t -> ((b, unit) continuation -> unit) option =
       function
       | Read -> some_read
@@ -473,16 +456,6 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
       | Faa -> some_faa
       | Work -> some_work
       | Wait_change -> some_wait
-      | Now -> some_now
-      | Self -> some_self
-      | Rand -> some_rand
-      | Flip -> some_flip
-      | Record -> some_record
-      | Progress -> some_progress
-      | Count -> some_count
-      | Mark -> some_mark
-      | Span -> some_span
-      | Note -> some_note
       | _ -> None
     in
     {
@@ -498,9 +471,18 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
   Probe.set_active (probe <> None);
   Mem.set_probing mem (probe <> None);
   Mem.set_metrics mem metrics;
-  Fun.protect ~finally:(fun () -> Probe.set_active prev_active) @@ fun () ->
+  (* a run nested inside another run's processor (or any host callback)
+     hands the slot back exactly as it found it *)
+  let outer_pid = slots.pid and outer_ctx = slots.ctx in
+  Fun.protect ~finally:(fun () ->
+      Probe.set_active prev_active;
+      slots.pid <- outer_pid;
+      slots.ctx <- outer_ctx)
+  @@ fun () ->
+  slots.ctx <- ctx;
   let minor0 = Gc.minor_words () in
   for pid = 0 to nprocs - 1 do
+    slots.pid <- pid;
     Effect.Deep.match_with (fun () -> program shared pid) () (handler pid)
   done;
   let rec loop () =
@@ -519,12 +501,13 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
         if t > max_cycles then raise (Cycle_limit t);
         clock := t;
         (match watchdog with
-        | Some k when t - !last_progress > k ->
+        | Some k when t - ctx.last_progress > k ->
             raise (Progress_failure (diagnose "watchdog expired"))
         | _ -> ());
         let pid = e.Evq.pid in
         if pid >= 0 then begin
           ptime.(pid) <- t;
+          slots.pid <- pid;
           let k : (int, unit) Effect.Deep.continuation = Obj.obj konts.(pid) in
           Effect.Deep.continue k (Obj.magic e.Evq.v : int)
         end

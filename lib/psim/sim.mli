@@ -12,24 +12,49 @@
     {!Progress_failure} once no event remains), or is crash-stopped by a
     fault-injecting policy ({!Sched.Stall_forever}). *)
 
+type ctx = {
+  ptime : int array;  (** each processor's local clock *)
+  rngs : Rng.t array;  (** each processor's private random stream *)
+  stats : Stats.t;  (** the run's {!Api.record} samples *)
+  metrics : Stats.t option;  (** the probe's metrics registry *)
+  sink : Probe.sink option;  (** the probe's event sink *)
+  notes : Probe.note option;  (** the probe's note receiver *)
+  scratch : int array array;  (** each processor's {!Api.scratch} *)
+  mutable last_progress : int;  (** latest {!Api.progress} cycle *)
+}
+(** One run's processor-side context: what the direct-call queries of
+    {!Api} ([now], [self], [rand], [flip], [record], [progress],
+    [scratch] and the probe annotations) read instead of performing an
+    effect. *)
+
 type args = {
   mutable a : int;
   mutable b : int;
   mutable c : int;
-  mutable key : string;
+  mutable pid : int;
+      (** the running processor, or [-1] outside any run *)
+  mutable ctx : ctx;  (** the running processor's run *)
 }
-(** Operand slots for the effect protocol.  Every payload-bearing
-    request is a {e constant} effect constructor (performing one
-    allocates nothing) whose operands travel through the calling
-    domain's slot record: {!Api} writes the slots and performs; the
-    engine reads them back inside the same synchronous dispatch.  The
-    record is domain-local because independent simulations run
-    concurrently on {!Pqworkload.Pool} worker domains; within a domain
-    nothing can intervene between the write, the perform and the
-    handler's read.  Only {!Api} should touch this. *)
+(** The domain-local slot record shared by {!Api} and the engine.
+
+    [a], [b] and [c] carry the operands of the scheduling effects.  Every
+    one of them is a {e constant} effect constructor (performing one
+    allocates nothing): {!Api} writes the slots and performs; the engine
+    reads them back inside the same synchronous dispatch.
+
+    [pid] and [ctx] name the processor whose code is running.  The
+    engine writes [pid] before every [continue] and [match_with], and
+    [ctx] once per run; a run saves both on entry and restores them on
+    exit, so a run nested inside another run's processor (or inside any
+    host callback) leaves the outer context as it found it.  Nothing
+    else can run between a write and the processor code that reads it.
+
+    The record is domain-local because independent simulations run
+    concurrently on {!Pqworkload.Pool} worker domains.  Only {!Api}
+    should touch this. *)
 
 val args : unit -> args
-(** this domain's operand slots *)
+(** this domain's slot record *)
 
 type _ Effect.t +=
   | Read : int Effect.t  (** addr in [a]; returns the value read *)
@@ -45,28 +70,14 @@ type _ Effect.t +=
           copy. *)
   | Now : int Effect.t
   | Self : int Effect.t
-  | Rand : int Effect.t  (** exclusive bound in [a] *)
+  | Rand : int Effect.t
   | Flip : bool Effect.t
-  | Record : unit Effect.t  (** stat key in [key], sample in [a] *)
+  | Record : unit Effect.t
   | Progress : unit Effect.t
-      (** operation-completion marker: feeds the watchdog.  Workloads
-          perform it after every finished high-level operation. *)
-  | Count : unit Effect.t
-      (** key in [key], sample in [a]: record into the attached probe's
-          metrics registry; dropped when the run carries no probe.
-          Perform via {!Api.count}, which guards on {!Api.probing}. *)
-  | Mark : unit Effect.t
-      (** instant trace annotation (name in [key], argument in [a]) at
-          the current cycle *)
-  | Span : unit Effect.t
-      (** completed interval (name in [key], start cycle in [a]) ending
-          now *)
-  | Note : unit Effect.t
-      (** all-integer annotation (tag in [a], payload in [b], [c])
-          delivered to the attached probe's [notes] receiver; dropped
-          when the run carries none.  The allocation-free channel the
-          streaming invariant monitors consume.  Perform via
-          {!Api.note}, which guards on {!Api.probing}. *)
+      (** The queries' effects.  No handler exists for them: {!Api}
+          answers the queries by direct calls inside a run, and performs
+          these only outside any run, where they raise
+          [Effect.Unhandled]. *)
 
 exception Deadlock of string
 (** raised when runnable processors remain but no event is pending and no
@@ -105,7 +116,7 @@ val pp_diagnosis : Format.formatter -> diagnosis -> unit
 type result = {
   cycles : int;  (** cycle count when the last live processor finished *)
   events : int;  (** engine events executed (event-queue pops) *)
-  stats : Stats.t;  (** samples recorded via the [Record] effect *)
+  stats : Stats.t;  (** samples recorded via {!Api.record} *)
   mem : Mem.t;  (** final memory, for post-run verification *)
   hits : int;
   misses : int;
@@ -158,7 +169,7 @@ val run :
     probe work at all.
 
     [watchdog] (off by default) aborts the run with {!Progress_failure}
-    when no operation completes (no {!Progress} effect is performed) for
+    when no operation completes (no {!Api.progress} call) for
     that many cycles — turning a global deadlock or livelock into a
     structured verdict.  [max_wait_wakeups] (default 1e6) bounds the
     wakeups of any single [Wait_change] ({!Spin_limit} beyond it). *)

@@ -25,11 +25,13 @@ let create () = Hashtbl.create 16
 let fresh () =
   { n = 0; sum = 0; min = max_int; max = min_int; samples = Array.make 64 0; len = 0 }
 
+(* [Hashtbl.find] rather than [find_opt]: recording into an existing key
+   allocates nothing *)
 let record t key v =
   let acc =
-    match Hashtbl.find_opt t key with
-    | Some a -> a
-    | None ->
+    match Hashtbl.find t key with
+    | a -> a
+    | exception Not_found ->
         let a = fresh () in
         Hashtbl.add t key a;
         a

@@ -111,8 +111,7 @@ let rec insert_scan t key i n =
 
 let insert t key =
   let pid = Api.self () in
-  let b = Pqsync.Backoff.make () in
-  let rec go attempts s =
+  let rec go attempts s window =
     if Pqsync.Tas.try_acquire t.slots.(s).lock then begin
       let ok = Slot.insert t.slots.(s).pq key in
       Pqsync.Tas.release t.slots.(s).lock;
@@ -133,12 +132,12 @@ let insert t key =
         if ok then true else insert_scan t key 0 (s + 1)
       end
       else begin
-        Pqsync.Backoff.once b;
-        go (attempts + 1) (Api.rand t.nslots)
+        let window = Pqsync.Backoff.pause window in
+        go (attempts + 1) (Api.rand t.nslots) window
       end
     end
   in
-  go 0 (pick_ins_slot t pid)
+  go 0 (pick_ins_slot t pid) Pqsync.Backoff.first
 
 (* ------------------------------------------------------------------ *)
 (* delete_min *)
@@ -191,8 +190,7 @@ let rec delete_scan t i start =
 
 let delete_min t =
   let pid = Api.self () in
-  let b = Pqsync.Backoff.make () in
-  let rec go attempts =
+  let rec go attempts window =
     if attempts >= t.pick_attempts then begin
       Api.count "mq.scan" 1;
       delete_scan t 0 (Api.rand t.nslots)
@@ -203,7 +201,7 @@ let delete_min t =
       let tb = Api.read (Slot.top_addr t.slots.(bs).pq) in
       if ta = Slot.empty_top && tb = Slot.empty_top then begin
         reset_del_sticky t pid;
-        go (attempts + 1)
+        go (attempts + 1) window
       end
       else begin
         let s = if ta <= tb then a else bs in
@@ -215,18 +213,17 @@ let delete_min t =
           | None ->
               (* raced with another deleter; the pick is stale *)
               reset_del_sticky t pid;
-              go (attempts + 1)
+              go (attempts + 1) window
         end
         else begin
           reset_del_sticky t pid;
           Api.count "mq.lock_fail" 1;
-          Pqsync.Backoff.once b;
-          go (attempts + 1)
+          go (attempts + 1) (Pqsync.Backoff.pause window)
         end
       end
     end
   in
-  go 0
+  go 0 Pqsync.Backoff.first
 
 (* ------------------------------------------------------------------ *)
 (* host-side *)

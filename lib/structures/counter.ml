@@ -16,17 +16,13 @@ let fai t = Api.faa t 1
 let fad t = Api.faa t (-1)
 
 let bounded t ~stop ~delta =
-  let b = Pqsync.Backoff.make () in
-  let rec go () =
+  let rec go window =
     let old = Api.read t in
     if stop old then old
     else if Api.cas t ~expected:old ~desired:(old + delta) then old
-    else begin
-      Pqsync.Backoff.once b;
-      go ()
-    end
+    else go (Pqsync.Backoff.pause window)
   in
-  go ()
+  go Pqsync.Backoff.first
 
 let bfai t ~bound = bounded t ~stop:(fun v -> v >= bound) ~delta:1
 let bfad t ~bound = bounded t ~stop:(fun v -> v <= bound) ~delta:(-1)

@@ -1,12 +1,7 @@
-type t = { init : int; limit : int; mutable window : int }
+let first = 4
+let limit = 512
 
-let make ?(init = 4) ?(max = 512) () =
-  if init <= 0 || max < init then invalid_arg "Backoff.make";
-  { init; limit = max; window = init }
-
-let once t =
-  Pqsim.Api.work (1 + Pqsim.Api.rand t.window);
-  let doubled = 2 * t.window in
-  t.window <- (if doubled > t.limit then t.limit else doubled)
-
-let reset t = t.window <- t.init
+let pause window =
+  Pqsim.Api.work (1 + Pqsim.Api.rand window);
+  let doubled = 2 * window in
+  if doubled > limit then limit else doubled

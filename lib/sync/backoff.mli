@@ -1,14 +1,17 @@
 (** Randomised exponential backoff for retry loops on the simulated
-    machine.  Processor-local: create one per operation attempt. *)
+    machine.  The window is a plain value threaded through the retry
+    loop, so backing off allocates nothing:
 
-type t
+    {[
+      let rec go window =
+        if attempt () then ... else go (Backoff.pause window)
+      in
+      go Backoff.first
+    ]} *)
 
-val make : ?init:int -> ?max:int -> unit -> t
-(** [make ()] starts with a window of [init] cycles (default 4) doubling up
-    to [max] (default 512). *)
+val first : int
+(** the initial window, 4 cycles *)
 
-val once : t -> unit
-(** [once t] spins locally for a random duration within the current window
-    and widens the window. *)
-
-val reset : t -> unit
+val pause : int -> int
+(** [pause window] spins locally for a random duration within [window]
+    and returns the widened window (doubling, capped at 512 cycles). *)

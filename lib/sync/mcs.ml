@@ -20,6 +20,8 @@ let create ?name mem ~nprocs =
 let id t = t.tail
 
 let node t pid = t.nodes + (2 * pid)
+let is_zero v = v = 0
+let is_set v = v <> 0
 let locked_of node = node
 let next_of node = node + 1
 
@@ -32,7 +34,7 @@ let acquire t =
   let pred = Api.swap t.tail me in
   if pred <> 0 then begin
     Api.write (next_of pred) me;
-    ignore (Api.await (locked_of me) ~until:(fun v -> v = 0))
+    ignore (Api.await (locked_of me) ~until:is_zero)
   end;
   if probing then begin
     let acquired = Api.now () in
@@ -73,6 +75,6 @@ let release t =
   if succ <> 0 then Api.write (locked_of succ) 0
   else if not (Api.cas t.tail ~expected:me ~desired:0) then begin
     (* a successor is in the middle of linking itself in *)
-    let succ = Api.await (next_of me) ~until:(fun v -> v <> 0) in
+    let succ = Api.await (next_of me) ~until:is_set in
     Api.write (locked_of succ) 0
   end

@@ -35,27 +35,26 @@ let try_acquire t =
      end);
   ok
 
+let is_free v = v = 0
+
+(* the contended path: test loop on the cached copy until the lock looks
+   free, back off, retry; the window is threaded through, not boxed *)
+let rec contend t window =
+  ignore (Api.await t.word ~until:is_free);
+  let window = Backoff.pause window in
+  if not (try_raw t) then contend t window
+
 let acquire t =
   let probing = Api.probing () in
   let t0 = if probing then Api.now () else 0 in
-  let contended = ref false in
-  let b = Backoff.make () in
-  let rec go () =
-    if not (try_raw t) then begin
-      contended := true;
-      (* test loop on the cached copy until the lock looks free *)
-      ignore (Api.await t.word ~until:(fun v -> v = 0));
-      Backoff.once b;
-      go ()
-    end
-  in
-  go ();
+  let contended = not (try_raw t) in
+  if contended then contend t Backoff.first;
   if probing then begin
     let acquired = Api.now () in
     Api.count "lock.acquire" 1;
     Api.count "lock.wait" (acquired - t0);
-    if !contended then Api.count "lock.contend" 1;
-    Api.note Probe.Lock_tag.acquire t.word (if !contended then 1 else 0);
+    if contended then Api.count "lock.contend" 1;
+    Api.note Probe.Lock_tag.acquire t.word (if contended then 1 else 0);
     t.acq_at.(Api.self ()) <- acquired
   end
 

@@ -98,18 +98,17 @@ let run ?ops_per_proc ?probe ?policy ?watchdog (s : spec) =
           if Api.rand 100 < s.insert_bias then begin
             let pri = Api.rand s.npriorities in
             let payload = (pid * 100_000) + op in
-            let ok =
-              Api.timed "insert" (fun () ->
-                  q.Pqcore.Pq_intf.insert ~pri ~payload)
-            in
+            let t0 = Api.now () in
+            let ok = q.Pqcore.Pq_intf.insert ~pri ~payload in
+            Api.timed_since "insert" t0;
             if ok then inserted.(pid) <- (pri, payload) :: inserted.(pid)
           end
           else begin
-            match
-              Api.timed "delete" (fun () -> q.Pqcore.Pq_intf.delete_min ())
-            with
-            | Some (pri, payload) ->
-                deleted.(pid) <- (pri, payload) :: deleted.(pid)
+            let t0 = Api.now () in
+            let got = q.Pqcore.Pq_intf.delete_min () in
+            Api.timed_since "delete" t0;
+            match got with
+            | Some entry -> deleted.(pid) <- entry :: deleted.(pid)
             | None -> incr empty_deletes
           end
         done)

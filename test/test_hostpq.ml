@@ -272,6 +272,50 @@ let test_stack_randomized_pause_stress () =
     "conservation under randomized pauses" (sorted pushed)
     (sorted (popped @ drain []))
 
+let test_stack_two_domain_reps () =
+  (* two domains, 50/50 push/pop, one elimination slot, 20 fresh stacks:
+     every push that parks is either stolen by a pop or withdrawn back to
+     the stack, so nothing may be lost or duplicated in any rep *)
+  for rep = 1 to 20 do
+    let s = Hostpq.Elim_stack.create ~slots:1 () in
+    let iters = 20_000 in
+    let ready = Atomic.make 0 in
+    let worker d () =
+      let rng = Random.State.make [| d; rep |] in
+      let pushed = ref [] and popped = ref [] in
+      (* start together, so the two domains really contend *)
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      for i = 1 to iters do
+        if Random.State.bool rng then begin
+          let v = (d * 1_000_000) + i in
+          Hostpq.Elim_stack.push s v;
+          pushed := v :: !pushed
+        end
+        else
+          match Hostpq.Elim_stack.pop s with
+          | Some v -> popped := v :: !popped
+          | None -> ()
+      done;
+      (!pushed, !popped)
+    in
+    let results =
+      List.init 2 (fun d -> Domain.spawn (worker d)) |> List.map Domain.join
+    in
+    let rec drain acc =
+      match Hostpq.Elim_stack.pop s with
+      | Some v -> drain (v :: acc)
+      | None -> acc
+    in
+    let sorted = List.sort compare in
+    Alcotest.(check (list int))
+      (Printf.sprintf "conservation, rep %d" rep)
+      (sorted (List.concat_map fst results))
+      (sorted (List.concat_map snd results @ drain []))
+  done
+
 (* ------------------------------------------------------------------ *)
 (* retry budget *)
 
@@ -412,6 +456,8 @@ let () =
               test_stack_concurrent_conservation;
             Alcotest.test_case "randomized-pause stress" `Quick
               test_stack_randomized_pause_stress;
+            Alcotest.test_case "two-domain conservation x20" `Quick
+              test_stack_two_domain_reps;
           ] );
         ( "retry",
           [

@@ -689,6 +689,142 @@ let test_sim_hot_line_slower_than_spread () =
   check_bool "hot spot is slower" true (run true > 2 * run false)
 
 (* ------------------------------------------------------------------ *)
+(* Direct-call queries: the running processor's context slot *)
+
+let raises_unhandled f =
+  match f () with _ -> false | exception Effect.Unhandled _ -> true
+
+let test_queries_outside_run () =
+  let outside what =
+    check_bool (what ^ ": now") true (raises_unhandled Pqsim.Api.now);
+    check_bool (what ^ ": self") true (raises_unhandled Pqsim.Api.self);
+    check_bool (what ^ ": rand") true
+      (raises_unhandled (fun () -> Pqsim.Api.rand 4))
+  in
+  outside "before any run";
+  ignore
+    (Pqsim.Sim.run ~nprocs:2
+       ~setup:(fun _ -> ())
+       ~program:(fun () _ -> Pqsim.Api.work (1 + Pqsim.Api.rand 9))
+       ());
+  outside "after a run";
+  (try
+     ignore
+       (Pqsim.Sim.run ~nprocs:1
+          ~setup:(fun mem -> Pqsim.Mem.alloc mem 1)
+          ~program:(fun a _ -> ignore (Pqsim.Api.wait_change a 0))
+          ())
+   with Pqsim.Sim.Deadlock _ -> ());
+  outside "after a run that raised"
+
+(* Each processor logs (self, now, a fresh draw) three times; with [nest]
+   a whole inner simulation runs inside one processor's step between
+   draws.  The inner run must hand back the outer processor's identity,
+   clock and random stream exactly as it found them. *)
+let outer_log ~nest =
+  let log = Array.make 4 [] in
+  ignore
+    (Pqsim.Sim.run ~nprocs:4 ~seed:21
+       ~setup:(fun _ -> ())
+       ~program:(fun () pid ->
+         for i = 1 to 3 do
+           Pqsim.Api.work (1 + Pqsim.Api.rand 10);
+           if nest && pid = i then begin
+             let _, inner =
+               Pqsim.Sim.run ~nprocs:3 ~seed:5
+                 ~setup:(fun _ -> ())
+                 ~program:(fun () q ->
+                   Pqsim.Api.work (100 * (q + 1) + Pqsim.Api.rand 7))
+                 ()
+             in
+             assert (inner.Pqsim.Sim.cycles >= 300)
+           end;
+           log.(pid) <-
+             (Pqsim.Api.self (), Pqsim.Api.now (), Pqsim.Api.rand 1000)
+             :: log.(pid)
+         done)
+       ());
+  log
+
+let test_nested_run_restores_context () =
+  let flat = outer_log ~nest:false and nested = outer_log ~nest:true in
+  Array.iteri
+    (fun pid entries ->
+      List.iter (fun (s, _, _) -> check_int "self after nesting" pid s) entries)
+    nested;
+  check_bool "clocks and draws unchanged by the inner runs" true
+    (flat = nested)
+
+let test_pool_jobs_identical () =
+  let points =
+    [ ("FunnelTree", 16, 1); ("LinearFunnels", 16, 2); ("SimpleTree", 8, 3);
+      ("FunnelTree", 32, 4); ("SimpleLinear", 16, 5) ]
+  in
+  let run (queue, nprocs, seed) =
+    let r =
+      Pqbenchlib.Workload.run
+        {
+          (Pqbenchlib.Workload.spec ~queue ~nprocs ~npriorities:16) with
+          seed;
+          ops_per_proc = 20;
+        }
+    in
+    (r.cycles, r.latency_all, r.empty_deletes)
+  in
+  check_bool "--jobs 4 = --jobs 1" true
+    (Pqbenchlib.Pool.map ~jobs:1 run points
+    = Pqbenchlib.Pool.map ~jobs:4 run points)
+
+(* the probe's annotation stream for one probed run: every Mark and Span
+   from the sink and every note, with processor and timestamp *)
+let annotation_digest queue =
+  let buf = Buffer.create 4096 in
+  let sink =
+    {
+      Pqsim.Probe.emit =
+        (fun ~proc ~time ev ->
+          match ev with
+          | Pqsim.Probe.Mark { name; arg } ->
+              Printf.bprintf buf "M %d %d %s %d\n" proc time name arg
+          | Pqsim.Probe.Span { name; start } ->
+              Printf.bprintf buf "S %d %d %s %d\n" proc time name start
+          | _ -> ());
+    }
+  in
+  let notes =
+    {
+      Pqsim.Probe.note =
+        (fun ~proc ~time ~tag ~a ~b ->
+          Printf.bprintf buf "N %d %d %d %d %d\n" proc time tag a b);
+    }
+  in
+  let probe =
+    Pqsim.Probe.make ~sink ~notes ~metrics:(Pqsim.Stats.create ()) ()
+  in
+  ignore
+    (Pqbenchlib.Workload.run ~probe
+       {
+         (Pqbenchlib.Workload.spec ~queue ~nprocs:16 ~npriorities:8) with
+         seed = 3;
+       });
+  Pqtrace.Sha256.digest_string (Buffer.contents buf)
+
+(* digests of the streams the effect-based queries produced, recorded
+   with the engine that performed them *)
+let test_annotation_stream_pinned () =
+  List.iter
+    (fun (queue, want) ->
+      Alcotest.(check string) queue want (annotation_digest queue))
+    [
+      ("FunnelTree",
+       "487c09b84fb748fef41ad706257e1d0fad8b948a71c05ec87713a3d2f889b6aa");
+      ("LinearFunnelsHybrid",
+       "bb2e349e0cb03759df08163bb23f69037613295e07b3de8bdd6fbdffbb35d9bb");
+      ("SimpleTree",
+       "036d4829fbf0df0412b5cc158f553b1137044a375871682c2c05f3976be18c61");
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Stats *)
 
 let test_stats_summary () =
@@ -780,6 +916,17 @@ let () =
           Alcotest.test_case "stats recorded" `Quick test_sim_stats_recorded;
           Alcotest.test_case "hot line slower" `Quick
             test_sim_hot_line_slower_than_spread;
+        ] );
+      ( "context",
+        [
+          Alcotest.test_case "queries outside a run are unhandled" `Quick
+            test_queries_outside_run;
+          Alcotest.test_case "nested run restores the outer context" `Quick
+            test_nested_run_restores_context;
+          Alcotest.test_case "pool jobs 4 = jobs 1" `Quick
+            test_pool_jobs_identical;
+          Alcotest.test_case "annotation stream pinned" `Quick
+            test_annotation_stream_pinned;
         ] );
       ( "stats",
         [

@@ -138,11 +138,12 @@ let test_backoff_widens_then_resets () =
     Sim.run ~nprocs:1
       ~setup:(fun _ -> ())
       ~program:(fun () _ ->
-        let b = Pqsync.Backoff.make ~init:4 ~max:16 () in
-        Pqsync.Backoff.once b;
-        Pqsync.Backoff.once b;
-        Pqsync.Backoff.reset b;
-        Pqsync.Backoff.once b)
+        let w = Pqsync.Backoff.pause Pqsync.Backoff.first in
+        check_int "doubles" 8 w;
+        check_int "widens" 16 (Pqsync.Backoff.pause w);
+        check_int "capped" 512 (Pqsync.Backoff.pause 512);
+        (* a fresh retry loop starts over from [first] *)
+        check_int "restarts" 8 (Pqsync.Backoff.pause Pqsync.Backoff.first))
       ()
   in
   check_bool "some local work happened" true (result.Sim.cycles > 0)
