@@ -23,27 +23,25 @@ let insert t ~pri v =
   Atomic.incr b.size;
   Hlock.unlock b.lock
 
-let delete_min t =
-  let n = Array.length t.bins in
-  let rec scan i =
-    if i >= n then None
-    else
-      let b = t.bins.(i) in
-      if Atomic.get b.size = 0 then scan (i + 1)
-      else begin
-        Hlock.lock b.lock;
-        match b.items with
-        | v :: rest ->
-            b.items <- rest;
-            Atomic.decr b.size;
-            Hlock.unlock b.lock;
-            Some (i, v)
-        | [] ->
-            Hlock.unlock b.lock;
-            scan (i + 1)
-      end
-  in
-  scan 0
+let rec scan bins i =
+  if i >= Array.length bins then None
+  else
+    let b = bins.(i) in
+    if Atomic.get b.size = 0 then scan bins (i + 1)
+    else begin
+      Hlock.lock b.lock;
+      match b.items with
+      | v :: rest ->
+          b.items <- rest;
+          Atomic.decr b.size;
+          Hlock.unlock b.lock;
+          Some (i, v)
+      | [] ->
+          Hlock.unlock b.lock;
+          scan bins (i + 1)
+    end
+
+let delete_min t = scan t.bins 0
 
 let length t =
   Array.fold_left (fun acc b -> acc + Atomic.get b.size) 0 t.bins

@@ -13,30 +13,25 @@ let create ?floor ?ceil ?(max_attempts = max_int) init =
 
 let get t = Atomic.get t.v
 
-let bounded t ~op ~stop ~delta =
-  let b = Retry.start ~max_attempts:t.max_attempts op in
-  let rec go () =
-    let old = Atomic.get t.v in
-    if stop old then old
-    else if Atomic.compare_and_set t.v old (old + delta) then old
-    else begin
-      Retry.once b;
-      go ()
-    end
-  in
-  go ()
+(* the CAS loop of a bounded step: [delta] is 1 (no-op at or above [b])
+   or -1 (no-op at or below [b]); [retry] is [None] until a CAS fails *)
+let rec step t ~op ~b ~delta retry =
+  let old = Atomic.get t.v in
+  if (if delta > 0 then old >= b else old <= b) then old
+  else if Atomic.compare_and_set t.v old (old + delta) then old
+  else
+    step t ~op ~b ~delta
+      (Retry.failed ~max_attempts:t.max_attempts op retry)
 
 let inc t =
   match t.ceil with
   | None -> Atomic.fetch_and_add t.v 1
-  | Some b ->
-      bounded t ~op:"Bounded_counter.inc" ~stop:(fun v -> v >= b) ~delta:1
+  | Some b -> step t ~op:"Bounded_counter.inc" ~b ~delta:1 None
 
 let dec t =
   match t.floor with
   | None -> Atomic.fetch_and_add t.v (-1)
-  | Some b ->
-      bounded t ~op:"Bounded_counter.dec" ~stop:(fun v -> v <= b) ~delta:(-1)
+  | Some b -> step t ~op:"Bounded_counter.dec" ~b ~delta:(-1) None
 
 let add t d =
   if t.floor <> None || t.ceil <> None then

@@ -23,9 +23,11 @@ let pick t =
 
 let spins = 64
 
+(* [b] is the operation's retry state, [None] until an attempt fails *)
 let rec push_retry b t v =
-  Retry.once b;
-  push_attempt b t v
+  push_attempt
+    (Retry.failed ~max_attempts:t.max_attempts "Elim_stack.push" b)
+    t v
 
 and push_attempt b t v =
   let cur = Atomic.get t.top in
@@ -53,10 +55,7 @@ and push_attempt b t v =
     else push_retry b t v
   end
 
-let push t v =
-  push_attempt
-    (Retry.start ~max_attempts:t.max_attempts "Elim_stack.push")
-    t v
+let push t v = push_attempt None t v
 
 let try_steal t =
   let s = t.slots.(pick t) in
@@ -73,12 +72,12 @@ let rec pop_attempt b t =
         match try_steal t with
         | Some _ as r -> r
         | None ->
-            Retry.once b;
-            pop_attempt b t
+            pop_attempt
+              (Retry.failed ~max_attempts:t.max_attempts "Elim_stack.pop" b)
+              t
       end
 
-let pop t =
-  pop_attempt (Retry.start ~max_attempts:t.max_attempts "Elim_stack.pop") t
+let pop t = pop_attempt None t
 
 let is_empty t = Atomic.get t.top = []
 let length t = List.length (Atomic.get t.top)

@@ -22,14 +22,18 @@ val tag_release : int
 val tag_try_fail : int
 
 val create : ?name:string -> unit -> t
-(** [name] registers a symbol for {!label_of} *)
+(** [name] is the symbol {!label_of} resolves the lock's {!id} to once
+    the lock has emitted a traced event *)
 
 val id : t -> int
 val name : t -> string option
 
 val label_of : int -> string option
-(** resolve a lock {!id} back to its registered name — the [?label]
-    argument for [Lockdep.analyze] over a host trace *)
+(** resolve a lock {!id} back to its name — the [?label] argument for
+    [Lockdep.analyze] over a host trace.  Only locks that emitted an
+    event under the current (or last) tracer resolve: names are recorded
+    by traced events, so untraced code keeps no table that grows with
+    every lock it creates. *)
 
 val lock : t -> unit
 val try_lock : t -> bool
@@ -47,5 +51,6 @@ type tracer = {
 
 val set_tracer : tracer option -> unit
 (** install (or clear, with [None]) the process-global tracer and
-    reset the tick.  Tracing perturbs timing: it is a verification
-    mode, not a benchmark mode. *)
+    reset the tick; installing one also forgets the previous trace's
+    names.  Tracing perturbs timing: it is a verification mode, not a
+    benchmark mode. *)

@@ -1,91 +1,25 @@
 let name = "locked-heap"
 
-type 'a t = {
-  lock : Hlock.t;
-  mutable keys : int array;
-  mutable vals : 'a option array;
-  mutable size : int;
-  npriorities : int;
-}
+type 'a t = { lock : Hlock.t; heap : 'a Heap.t; npriorities : int }
 
 let create ~npriorities () =
   if npriorities <= 0 then invalid_arg "Locked_heap.create";
-  {
-    lock = Hlock.create ~name:(name ^ ".lock") ();
-    keys = Array.make 16 0;
-    vals = Array.make 16 None;
-    size = 0;
-    npriorities;
-  }
-
-let grow t =
-  let cap = 2 * Array.length t.keys in
-  let keys = Array.make cap 0 and vals = Array.make cap None in
-  Array.blit t.keys 0 keys 0 t.size;
-  Array.blit t.vals 0 vals 0 t.size;
-  t.keys <- keys;
-  t.vals <- vals
+  { lock = Hlock.create ~name:(name ^ ".lock") (); heap = Heap.create (); npriorities }
 
 let insert t ~pri v =
   if pri < 0 || pri >= t.npriorities then invalid_arg "Locked_heap.insert";
   Hlock.lock t.lock;
-  if t.size = Array.length t.keys then grow t;
-  (* sift up *)
-  let rec up i =
-    if i = 0 then i
-    else
-      let p = (i - 1) / 2 in
-      if t.keys.(p) <= pri then i
-      else begin
-        t.keys.(i) <- t.keys.(p);
-        t.vals.(i) <- t.vals.(p);
-        up p
-      end
-  in
-  let i = up t.size in
-  t.size <- t.size + 1;
-  t.keys.(i) <- pri;
-  t.vals.(i) <- Some v;
+  Heap.push t.heap pri v;
   Hlock.unlock t.lock
 
 let delete_min t =
   Hlock.lock t.lock;
-  let r =
-    if t.size = 0 then None
-    else begin
-      let pri = t.keys.(0) and v = t.vals.(0) in
-      t.size <- t.size - 1;
-      let lk = t.keys.(t.size) and lv = t.vals.(t.size) in
-      t.vals.(t.size) <- None;
-      if t.size > 0 then begin
-        let rec down i =
-          let l = (2 * i) + 1 and r = (2 * i) + 2 in
-          if l >= t.size then i
-          else
-            let c =
-              if r < t.size && t.keys.(r) < t.keys.(l) then r else l
-            in
-            if t.keys.(c) >= lk then i
-            else begin
-              t.keys.(i) <- t.keys.(c);
-              t.vals.(i) <- t.vals.(c);
-              down c
-            end
-        in
-        let i = down 0 in
-        t.keys.(i) <- lk;
-        t.vals.(i) <- lv
-      end;
-      match v with
-      | Some v -> Some (pri, v)
-      | None -> assert false
-    end
-  in
+  let r = Heap.pop t.heap in
   Hlock.unlock t.lock;
   r
 
 let length t =
   Hlock.lock t.lock;
-  let n = t.size in
+  let n = Heap.size t.heap in
   Hlock.unlock t.lock;
   n

@@ -5,16 +5,10 @@ let name = "multiqueue"
 type 'a slot = {
   lock : Hlock.t;
   top : int Atomic.t;  (* min priority present, or max_int *)
-  mutable keys : int array;
-  mutable vals : 'a option array;
-  mutable size : int;
+  heap : 'a Heap.t;
 }
 
-type 'a t = {
-  slot_arr : 'a slot array;
-  npriorities : int;
-  ticket : int Atomic.t;  (* pick stream state *)
-}
+type 'a t = { slot_arr : 'a slot array; npriorities : int }
 
 let slots t = Array.length t.slot_arr
 
@@ -22,172 +16,96 @@ let make_slot i =
   {
     lock = Hlock.create ~name:(Printf.sprintf "%s.slot[%d]" name i) ();
     top = Atomic.make max_int;
-    keys = Array.make 16 0;
-    vals = Array.make 16 None;
-    size = 0;
+    heap = Heap.create ();
   }
 
 let create_sized ~npriorities ~slots () =
   if npriorities <= 0 || slots <= 0 then invalid_arg "Multi_pq.create_sized";
-  {
-    slot_arr = Array.init slots make_slot;
-    npriorities;
-    ticket = Atomic.make 0;
-  }
+  { slot_arr = Array.init slots make_slot; npriorities }
 
 let create ~npriorities () =
   create_sized ~npriorities
     ~slots:(max 2 (2 * Domain.recommended_domain_count ()))
     ()
 
-(* well-mixed pick stream: splitmix-style hash of a shared ticket, so
-   concurrent pickers spread over the slots without thread-local state *)
-let pick t =
-  let z = Atomic.fetch_and_add t.ticket 0x2545F4914F6CDD1D in
-  let z = (z lxor (z lsr 30)) * 0x106689D45497235B in
-  let z = (z lxor (z lsr 27)) * 0x1D8E4E27C47D124F in
-  (z lxor (z lsr 31)) land max_int mod Array.length t.slot_arr
+(* each domain picks from its own stream, so concurrent pickers spread
+   over the slots without writing a shared word *)
+let pick t = t.slot_arr.(Local_rand.next () mod Array.length t.slot_arr)
 
-(* sequential heap ops; caller holds [s.lock] *)
+(* sequential heap ops under [s.lock], which they release *)
 
-let publish s =
-  Atomic.set s.top (if s.size = 0 then max_int else s.keys.(0))
+let publish s = Atomic.set s.top (Heap.min_key s.heap)
 
-let grow s =
-  let cap = 2 * Array.length s.keys in
-  let keys = Array.make cap 0 and vals = Array.make cap None in
-  Array.blit s.keys 0 keys 0 s.size;
-  Array.blit s.vals 0 vals 0 s.size;
-  s.keys <- keys;
-  s.vals <- vals
+let locked_insert s ~pri v =
+  Heap.push s.heap pri v;
+  publish s;
+  Hlock.unlock s.lock
 
-let heap_insert s ~pri v =
-  if s.size = Array.length s.keys then grow s;
-  let rec up i =
-    if i = 0 then i
-    else
-      let p = (i - 1) / 2 in
-      if s.keys.(p) <= pri then i
-      else begin
-        s.keys.(i) <- s.keys.(p);
-        s.vals.(i) <- s.vals.(p);
-        up p
-      end
-  in
-  let i = up s.size in
-  s.size <- s.size + 1;
-  s.keys.(i) <- pri;
-  s.vals.(i) <- Some v;
-  publish s
-
-let heap_extract s =
-  if s.size = 0 then None
-  else begin
-    let pri = s.keys.(0) and v = s.vals.(0) in
-    s.size <- s.size - 1;
-    let lk = s.keys.(s.size) and lv = s.vals.(s.size) in
-    s.vals.(s.size) <- None;
-    if s.size > 0 then begin
-      let rec down i =
-        let l = (2 * i) + 1 and r = (2 * i) + 2 in
-        if l >= s.size then i
-        else
-          let c = if r < s.size && s.keys.(r) < s.keys.(l) then r else l in
-          if s.keys.(c) >= lk then i
-          else begin
-            s.keys.(i) <- s.keys.(c);
-            s.vals.(i) <- s.vals.(c);
-            down c
-          end
-      in
-      let i = down 0 in
-      s.keys.(i) <- lk;
-      s.vals.(i) <- lv
-    end;
-    publish s;
-    match v with Some v -> Some (pri, v) | None -> assert false
-  end
+let locked_extract s =
+  let r = Heap.pop s.heap in
+  publish s;
+  Hlock.unlock s.lock;
+  r
 
 let pick_attempts = 8
 
+(* attempt [n] of an insert; [retry] is [None] until an attempt fails *)
+let rec insert_from t ~pri v retry n =
+  let s = pick t in
+  if Hlock.try_lock s.lock then locked_insert s ~pri v
+  else if n >= pick_attempts then begin
+    (* contended enough that waiting beats re-picking *)
+    Hlock.lock s.lock;
+    locked_insert s ~pri v
+  end
+  else insert_from t ~pri v (Retry.failed "Multi_pq.insert" retry) (n + 1)
+
 let insert t ~pri v =
   if pri < 0 || pri >= t.npriorities then invalid_arg "Multi_pq.insert";
-  let retry = Retry.start "Multi_pq.insert" in
-  let rec go n =
-    let s = t.slot_arr.(pick t) in
-    if Hlock.try_lock s.lock then begin
-      heap_insert s ~pri v;
-      Hlock.unlock s.lock
-    end
-    else if n >= pick_attempts then begin
-      (* contended enough that waiting beats re-picking *)
-      Hlock.lock s.lock;
-      heap_insert s ~pri v;
-      Hlock.unlock s.lock
-    end
-    else begin
-      Retry.once retry;
-      go (n + 1)
-    end
-  in
-  go 0
+  insert_from t ~pri v None 0
 
-let delete_min t =
+(* exhaustive fallback: only a blocking pass over every slot may answer
+   None *)
+let rec scan t start i =
   let nslots = Array.length t.slot_arr in
-  let retry = Retry.start "Multi_pq.delete_min" in
-  (* exhaustive fallback: only a blocking pass over every slot may
-     answer None *)
-  let scan () =
-    let start = pick t in
-    let rec go i =
-      if i >= nslots then None
-      else begin
-        let s = t.slot_arr.((start + i) mod nslots) in
-        if Atomic.get s.top = max_int then go (i + 1)
-        else begin
-          Hlock.lock s.lock;
-          let r = heap_extract s in
-          Hlock.unlock s.lock;
-          match r with Some _ -> r | None -> go (i + 1)
-        end
-      end
-    in
-    go 0
-  in
-  let rec go n =
-    if n >= pick_attempts then scan ()
+  if i >= nslots then None
+  else
+    let s = t.slot_arr.((start + i) mod nslots) in
+    if Atomic.get s.top = max_int then scan t start (i + 1)
     else begin
-      let a = t.slot_arr.(pick t) and b = t.slot_arr.(pick t) in
-      let ta = Atomic.get a.top and tb = Atomic.get b.top in
-      if ta = max_int && tb = max_int then begin
-        Retry.once retry;
-        go (n + 1)
-      end
-      else begin
-        let s = if ta <= tb then a else b in
-        if Hlock.try_lock s.lock then begin
-          let r = heap_extract s in
-          Hlock.unlock s.lock;
-          match r with
-          | Some _ -> r
-          | None ->
-              (* raced with another deleter; the pick is stale *)
-              go (n + 1)
-        end
-        else begin
-          Retry.once retry;
-          go (n + 1)
-        end
-      end
+      Hlock.lock s.lock;
+      match locked_extract s with
+      | Some _ as r -> r
+      | None -> scan t start (i + 1)
     end
-  in
-  go 0
+
+(* attempt [n] of a pick-2 delete; [retry] is [None] until an attempt
+   fails *)
+let rec delete_from t retry n =
+  if n >= pick_attempts then
+    scan t (Local_rand.next () mod Array.length t.slot_arr) 0
+  else
+    let a = pick t and b = pick t in
+    let ta = Atomic.get a.top and tb = Atomic.get b.top in
+    if ta = max_int && tb = max_int then
+      delete_from t (Retry.failed "Multi_pq.delete_min" retry) (n + 1)
+    else
+      let s = if ta <= tb then a else b in
+      if Hlock.try_lock s.lock then
+        match locked_extract s with
+        | Some _ as r -> r
+        | None ->
+            (* raced with another deleter; the pick is stale *)
+            delete_from t retry (n + 1)
+      else delete_from t (Retry.failed "Multi_pq.delete_min" retry) (n + 1)
+
+let delete_min t = delete_from t None 0
 
 let length t =
   Array.fold_left
     (fun acc s ->
       Hlock.lock s.lock;
-      let n = s.size in
+      let n = Heap.size s.heap in
       Hlock.unlock s.lock;
       acc + n)
     0 t.slot_arr

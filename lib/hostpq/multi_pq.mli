@@ -8,7 +8,11 @@
     acquisition is optimistic with {!Retry}-style bounded backoff: a
     contended slot is abandoned for a fresh pick rather than waited on,
     and only the exhaustive fallback (needed before [insert] may grow a
-    waiting budget or [delete_min] may answer [None]) blocks. *)
+    waiting budget or [delete_min] may answer [None]) blocks.
+
+    Each domain draws its picks from its own stream ({!Local_rand}), so
+    an uncontended operation writes nothing but the slot it locks, and
+    allocates nothing beyond [delete_min]'s result. *)
 
 include Host_intf.S
 

@@ -5,45 +5,13 @@ type t = {
   max_attempts : int;
   mutable attempts : int;
   mutable spin : int;
-  mutable rng : int64;
 }
 
 let base_spin = 1
 let max_spin = 1 lsl 10
 
-(* splitmix64: per-operation stream, no shared state on the hot path *)
-let mix64 z =
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xbf58476d1ce4e5b9L
-  in
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94d049bb133111ebL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let next_rand t =
-  t.rng <- Int64.add t.rng 0x9e3779b97f4a7c15L;
-  Int64.to_int (mix64 t.rng) land max_int
-
-(* each started operation gets its own stream, seeded off a global
-   counter and the domain id so concurrent loops never share a
-   sequence *)
-let seed_ctr = Atomic.make 1
-
 let start ?(max_attempts = max_int) op =
-  let tag = Atomic.fetch_and_add seed_ctr 1 in
-  let did = (Domain.self () :> int) in
-  {
-    op;
-    max_attempts;
-    attempts = 0;
-    spin = base_spin;
-    rng = Int64.of_int (tag lxor (did lsl 40));
-  }
+  { op; max_attempts; attempts = 0; spin = base_spin }
 
 let once t =
   t.attempts <- t.attempts + 1;
@@ -56,9 +24,20 @@ let once t =
      (capped).  Plain doubling keeps losers of one collision in
      lockstep — they re-collide on every subsequent attempt; sampling
      each wait from a range that still grows ~1.5x per attempt in
-     expectation spreads them out while keeping the backoff bounded. *)
+     expectation spreads them out while keeping the backoff bounded.
+     Draws come from the calling domain's own stream, so operations on
+     different domains never share a sequence. *)
   let hi = min max_spin (3 * t.spin) in
-  t.spin <- base_spin + (next_rand t mod (hi - base_spin + 1))
+  t.spin <- base_spin + (Local_rand.next () mod (hi - base_spin + 1))
+
+let failed ?max_attempts op = function
+  | Some t as r ->
+      once t;
+      r
+  | None ->
+      let t = start ?max_attempts op in
+      once t;
+      Some t
 
 let attempts t = t.attempts
 let spin t = t.spin

@@ -180,6 +180,57 @@ let implementations : (string * (module QUEUE)) list =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* payload storage: the heaps keep payloads in a plain ['a array] whose
+   vacated slots hold an immediate filler, the bins in lists *)
+
+let stores : (string * (module QUEUE)) list =
+  [
+    ("locked-heap", (module Hostpq.Locked_heap));
+    ("bin-pq", (module Hostpq.Bin_pq));
+    ("multiqueue", (module Hostpq.Multi_pq));
+  ]
+
+(* a drained queue keeps no removed payload reachable *)
+let space_safety (module Q : QUEUE) () =
+  let n = 300 and npriorities = 16 in
+  let q = Q.create ~npriorities () in
+  let tracked = Weak.create n in
+  (* boxed payloads, made in a frame of their own so that no local of
+     this one keeps one alive *)
+  let fill () =
+    for i = 0 to n - 1 do
+      let payload = ref i in
+      Weak.set tracked i (Some payload);
+      Q.insert q ~pri:(i mod npriorities) payload
+    done
+  in
+  fill ();
+  let rec drain k =
+    match Q.delete_min q with Some _ -> drain (k + 1) | None -> k
+  in
+  check_int "drained" n (drain 0);
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    if Weak.check tracked i then
+      Alcotest.failf "payload %d is still reachable from the drained queue" i
+  done;
+  (* the queue itself must outlive the check *)
+  check_int "empty" 0 (Q.length q)
+
+(* a float payload is stored boxed in the filler-initialised array and
+   comes back intact *)
+let float_payloads (module Q : QUEUE) () =
+  let q = Q.create ~npriorities:8 () in
+  let input = List.init 64 (fun i -> (i mod 8, float_of_int i +. 0.5)) in
+  List.iter (fun (pri, x) -> Q.insert q ~pri x) input;
+  let rec drain acc =
+    match Q.delete_min q with Some e -> drain (e :: acc) | None -> acc
+  in
+  Alcotest.(check (list (pair int (float 0.))))
+    "same multiset" (List.sort compare input)
+    (List.sort compare (drain []))
+
+(* ------------------------------------------------------------------ *)
 (* elimination stack *)
 
 let test_stack_sequential () =
@@ -373,6 +424,48 @@ let test_retry_jitter_caps () =
   done;
   check_bool "wait never exceeds the cap" true (Hostpq.Retry.spin b <= 1024)
 
+let test_retry_domains_differ () =
+  (* waits are drawn from the domain's own stream: the first operations
+     of two domains must not back off in lockstep *)
+  let waits () =
+    let b = Hostpq.Retry.start "per-domain" in
+    List.init 8 (fun _ ->
+        Hostpq.Retry.once b;
+        Hostpq.Retry.spin b)
+  in
+  let first = Domain.join (Domain.spawn waits) in
+  let second = Domain.join (Domain.spawn waits) in
+  check_bool "different waits" true (first <> second)
+
+(* ------------------------------------------------------------------ *)
+(* lock names *)
+
+let test_hlock_names_follow_traces () =
+  (* names are recorded by traced events, so a program that creates
+     locks untraced keeps no table that grows with them *)
+  let open Hostpq.Hlock in
+  let quiet = create ~name:"quiet" () in
+  lock quiet;
+  unlock quiet;
+  let traced = create ~name:"traced" () in
+  set_tracer (Some { trace = (fun ~proc:_ ~time:_ ~tag:_ ~a:_ ~b:_ -> ()) });
+  lock traced;
+  unlock traced;
+  set_tracer None;
+  Alcotest.(check (option string))
+    "a traced lock resolves" (Some "traced") (label_of (id traced));
+  Alcotest.(check (option string))
+    "an untraced lock keeps no name" None (label_of (id quiet));
+  (* a new trace starts with no names and records its own locks *)
+  set_tracer (Some { trace = (fun ~proc:_ ~time:_ ~tag:_ ~a:_ ~b:_ -> ()) });
+  lock quiet;
+  unlock quiet;
+  set_tracer None;
+  Alcotest.(check (option string))
+    "the earlier trace's lock is forgotten" None (label_of (id traced));
+  Alcotest.(check (option string))
+    "this trace's lock resolves" (Some "quiet") (label_of (id quiet))
+
 (* ------------------------------------------------------------------ *)
 (* bounded counter *)
 
@@ -449,6 +542,16 @@ let () =
     @ [
         qsuite "props"
           (List.map (fun (_, m) -> prop_sorted m) implementations);
+        ( "space-safety",
+          List.map
+            (fun (iname, m) ->
+              Alcotest.test_case iname `Quick (space_safety m))
+            stores );
+        ( "float-payloads",
+          List.map
+            (fun (iname, m) ->
+              Alcotest.test_case iname `Quick (float_payloads m))
+            stores );
         ( "elim-stack",
           [
             Alcotest.test_case "sequential" `Quick test_stack_sequential;
@@ -469,6 +572,13 @@ let () =
               test_retry_jitter_decorrelates;
             Alcotest.test_case "jitter respects the cap" `Quick
               test_retry_jitter_caps;
+            Alcotest.test_case "streams differ across domains" `Quick
+              test_retry_domains_differ;
+          ] );
+        ( "hlock",
+          [
+            Alcotest.test_case "names follow traces" `Quick
+              test_hlock_names_follow_traces;
           ] );
         ( "bounded-counter",
           [
