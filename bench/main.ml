@@ -6,9 +6,9 @@
    plots.  Expected shapes versus the paper are catalogued in
    EXPERIMENTS.md.
 
-   Part 2 runs Bechamel micro-benchmarks: one Test.make per paper
-   artifact (a representative point of that experiment, measured in host
-   time), plus the host multicore library's primitive operations.
+   Part 2 runs Bechamel micro-benchmarks of the host multicore library's
+   primitive operations.  The figures' own host time is recorded per
+   experiment in BENCH.json's `harness` section.
 
    `dune exec bench/main.exe` runs everything at paper scale;
    pass `quick` to cap the sweeps at 64 processors.  Every Figure 5-9
@@ -78,66 +78,23 @@ let () =
               Pqtrace.Metrics.to_json r.Pqbenchlib.Profiler.derived ))
           [ "SingleLock"; "HuntEtAl"; "SimpleTree"; "FunnelTree" ])
   in
-  (* the rank-error verification section: the same gate `pqbench rank`
-     enforces, at its fixed configuration (independent of --scale so the
-     section is comparable across quick and full documents) *)
-  let rank =
-    timed "rank" (fun () ->
-        let reports =
-          Pqbenchlib.Pool.map ~jobs
-            (fun q -> Pqexplore.Rank_driver.measure_queue q)
-            Pqexplore.Rank_driver.default_queues
+  (* the analyzer audit section: the `pqbench audit` matrix, which has
+     one fixed shape (independent of --scale, so the section is
+     comparable across quick and full documents) *)
+  let audit =
+    timed "audit" (fun () ->
+        let reports = Pqanalysis.Audit.run ~jobs in
+        let failing =
+          List.filter (fun r -> Pqanalysis.Audit.findings r <> []) reports
         in
-        let queues =
-          List.map
-            (fun (r : Pqexplore.Rank_driver.report) ->
-              {
-                Pqtrace.Bench_out.queue = r.queue;
-                bound = r.bound;
-                relaxed = r.relaxed;
-                worst_rank = r.worst_rank;
-                worst_delay = r.worst_delay;
-                pass = r.pass;
-                runs =
-                  List.map
-                    (fun (run : Pqexplore.Rank_driver.run) ->
-                      let s = run.stats in
-                      {
-                        Pqtrace.Bench_out.schedule = run.schedule;
-                        run_seed = run.seed;
-                        deletes = s.Pqcheck.Rank.deletes;
-                        empties = s.empties;
-                        max_rank = s.max_rank;
-                        mean_rank = s.mean_rank;
-                        p99_rank = s.p99_rank;
-                        max_delay = s.max_delay;
-                        mean_delay = s.mean_delay;
-                        p99_delay = s.p99_delay;
-                      })
-                    r.runs;
-              })
-            reports
-        in
-        Printf.printf
-          "\nRank-error verification (P=8, N=16, 30 ops/proc, seeds 42/1/7):\n\
-           %-22s %7s %10s %11s %6s\n"
-          "queue" "bound" "worst-rank" "worst-delay" "gate";
-        List.iter
-          (fun (r : Pqexplore.Rank_driver.report) ->
-            Printf.printf "%-22s %7d %10d %11d %6s\n" r.queue r.bound
-              r.worst_rank r.worst_delay
-              (if r.pass then "pass" else "FAIL"))
-          reports;
-        {
-          Pqtrace.Bench_out.rank_nprocs = 8;
-          rank_npriorities = 16;
-          rank_ops_per_proc = 30;
-          queues;
-        })
+        Printf.printf "\nAnalyzer audit (races, lock order, rank): %s\n"
+          (if failing = [] then "pass" else "FAIL");
+        Format.printf "%a@." Pqanalysis.Audit.pp reports;
+        Pqanalysis.Audit.to_bench reports)
   in
   (* the chaos-matrix section: the `pqbench chaos` verdict table at its
      quick configuration, seed 42 only (a fixed shape independent of
-     --scale, like the rank section, so documents stay comparable) *)
+     --scale, like the audit section, so documents stay comparable) *)
   let chaos =
     timed "chaos" (fun () ->
         let cfg = { Pqchaos.Driver.quick with seeds = [ 42 ] } in
@@ -179,7 +136,7 @@ let () =
   in
   (* the adaptive meta-queue gate: the `pqbench adapt` verdict at its
      quick configuration (fixed shape independent of --scale, like the
-     rank and chaos sections) *)
+     audit and chaos sections) *)
   let adapt =
     timed "adapt" (fun () ->
         let r = Pqadapt.Driver.run ~jobs Pqadapt.Driver.quick in
@@ -187,60 +144,6 @@ let () =
           (if Pqadapt.Driver.passed r then "pass" else "FAIL")
           (Pqadapt.Driver.report_to_string r);
         Pqadapt.Driver.to_bench r)
-  in
-  (* the lock-order audit: the `pqbench lockdep` verdict at a fixed
-     quick shape (like the rank/chaos/adapt sections, independent of
-     --scale so documents stay comparable) *)
-  let lockdep =
-    timed "lockdep" (fun () ->
-        let nprocs = 8 and npriorities = 16 and ops_per_proc = 24 in
-        let seeds = [ 42; 1; 7 ] in
-        let audits =
-          Pqbenchlib.Pool.map ~jobs
-            (fun q ->
-              Pqanalysis.Lockdep.audit_queue ~nprocs ~npriorities ~ops_per_proc
-                ~seeds ~queue:q ())
-            Pqanalysis.Lockdep.queues_all
-        in
-        let pass =
-          List.for_all
-            (fun (a : Pqanalysis.Lockdep.audit) ->
-              a.violations = [] && a.aborted = [])
-            audits
-        in
-        Printf.printf "\nLock-order audit (quick): %s\n"
-          (if pass then "pass" else "FAIL");
-        List.iter
-          (fun (a : Pqanalysis.Lockdep.audit) ->
-            Printf.printf "  %-20s locks %2d edges %3d cycles %d discipline %d\n"
-              a.queue
-              (List.length a.analysis.Pqanalysis.Lockdep.locks)
-              (List.length a.analysis.Pqanalysis.Lockdep.edges)
-              (List.length a.cycles)
-              (List.length a.analysis.Pqanalysis.Lockdep.disc))
-          audits;
-        {
-          Pqtrace.Bench_out.lockdep_nprocs = nprocs;
-          lockdep_npriorities = npriorities;
-          lockdep_ops_per_proc = ops_per_proc;
-          lockdep_seeds = seeds;
-          lockdep_pass = pass;
-          lockdep_queues =
-            List.map
-              (fun (a : Pqanalysis.Lockdep.audit) ->
-                {
-                  Pqtrace.Bench_out.ld_queue = a.queue;
-                  ld_events = a.analysis.Pqanalysis.Lockdep.events_seen;
-                  ld_try_fails = a.analysis.Pqanalysis.Lockdep.try_fails;
-                  ld_locks = List.length a.analysis.Pqanalysis.Lockdep.locks;
-                  ld_edges = List.length a.analysis.Pqanalysis.Lockdep.edges;
-                  ld_cycles = List.length a.cycles;
-                  ld_discipline =
-                    List.length a.analysis.Pqanalysis.Lockdep.disc;
-                  ld_violations = List.length a.violations;
-                })
-              audits;
-        })
   in
   let wall = Unix.gettimeofday () -. t0 in
   (* the allocation-discipline gauge: engine events and minor-heap words
@@ -277,7 +180,7 @@ let () =
   let doc =
     Pqtrace.Bench_out.make ~seed:42
       ~scale:(if quick then "quick" else "full")
-      ~metrics ~rank ~chaos ~adapt ~lockdep ~harness figures
+      ~metrics ~audit ~chaos ~adapt ~harness figures
   in
   let text = Pqtrace.Bench_out.to_string doc in
   (match Pqtrace.Bench_out.validate_string text with
@@ -295,38 +198,6 @@ let () =
 
 open Bechamel
 open Toolkit
-
-(* one representative point per paper artifact, measured in host time *)
-let sim_point ~queue ~nprocs ~npriorities () =
-  ignore
-    (Pqbenchlib.Workload.run ~ops_per_proc:5
-       (Pqbenchlib.Workload.spec ~queue ~nprocs ~npriorities))
-
-let counter_point ~mode ~nprocs () =
-  ignore
-    (Pqbenchlib.Counterbench.run ~mode ~nprocs ~dec_percent:50
-       ~ops_per_proc:5 ())
-
-let figure_tests =
-  let p = if quick then 32 else 128 in
-  [
-    Test.make ~name:"fig5L:bfad-elim-128p"
-      (Staged.stage
-         (counter_point ~mode:(Pqbenchlib.Counterbench.Bounded { elim = true })
-            ~nprocs:p));
-    Test.make ~name:"fig5R:faa-128p"
-      (Staged.stage (counter_point ~mode:Pqbenchlib.Counterbench.Faa ~nprocs:p));
-    Test.make ~name:"fig6:SimpleLinear-16p"
-      (Staged.stage
-         (sim_point ~queue:"SimpleLinear" ~nprocs:16 ~npriorities:16));
-    Test.make ~name:"fig7:FunnelTree-128p"
-      (Staged.stage (sim_point ~queue:"FunnelTree" ~nprocs:p ~npriorities:16));
-    Test.make ~name:"fig8:SimpleTree-64p"
-      (Staged.stage (sim_point ~queue:"SimpleTree" ~nprocs:64 ~npriorities:128));
-    Test.make ~name:"fig9:LinearFunnels-64p-N256"
-      (Staged.stage
-         (sim_point ~queue:"LinearFunnels" ~nprocs:64 ~npriorities:256));
-  ]
 
 (* host multicore library primitives (single-domain costs) *)
 let host_tests =
@@ -364,7 +235,7 @@ let () =
      =====================================================================\n\
      %!";
   let tests =
-    Test.make_grouped ~name:"pq" ~fmt:"%s %s" (figure_tests @ host_tests)
+    Test.make_grouped ~name:"pq" ~fmt:"%s %s" host_tests
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg =

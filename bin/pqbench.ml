@@ -451,22 +451,11 @@ let faults_cmd =
       value & flag
       & info [ "verbose"; "v" ] ~doc:"Print every round's outcome.")
   in
-  let parse_plans s =
-    if s = "all" then Ok Pqfault.Plan.all
-    else
-      String.split_on_char ',' s
-      |> List.map String.trim
-      |> List.filter (fun p -> p <> "")
-      |> List.fold_left
-           (fun acc p ->
-             match (acc, Pqfault.Plan.of_string p) with
-             | Error e, _ -> Error e
-             | _, Error e -> Error e
-             | Ok ps, Ok p -> Ok (ps @ [ p ]))
-           (Ok [])
-  in
   let run queue plans procs priorities ops seed rounds verbose jobs =
-    match parse_plans plans with
+    match
+      Terms.parse_list ~all:Pqfault.Plan.all ~of_string:Pqfault.Plan.of_string
+        plans
+    with
     | Error e -> `Error (false, e)
     | Ok plans -> (
         match Terms.resolve_queues queue with
@@ -528,343 +517,34 @@ let faults_cmd =
         $ plans $ Terms.procs ~default:4 $ Terms.priorities ~default:8
         $ Terms.ops ~default:6 $ Terms.seed $ rounds $ verbose $ Terms.jobs))
 
-let races_cmd =
-  let no_adversarial =
-    Arg.(
-      value & flag
-      & info [ "no-adversarial" ]
-          ~doc:"Audit only the default schedule (skip pqexplore policies).")
-  in
-  let report =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE" ~doc:"Also write the audit to $(docv).")
-  in
-  let run queue procs priorities ops seed no_adversarial report jobs =
-    match Terms.resolve_queues queue with
-    | Error e -> `Error (false, e)
-    | Ok queues ->
-        (* a run that hangs or fails verification under an adversarial
-           schedule is itself an audit finding, not an internal error;
-           per-queue audits are independent, so they fan out across
-           domains and report in queue order *)
-        let audits =
-          Pqbenchlib.Pool.map ~jobs
-            (fun q ->
-              ( q,
-                try
-                  Ok
-                    (Pqanalysis.Races.audit_queue ~nprocs:procs
-                       ~npriorities:priorities ~ops_per_proc:ops ~seed
-                       ~adversarial:(not no_adversarial) ~queue:q ())
-                with
-                | ( Pqsim.Sim.Deadlock _ | Pqsim.Sim.Progress_failure _
-                  | Pqbenchlib.Workload.Verification_failure _
-                  | Pqsim.Sim.Spin_limit _ ) as e ->
-                  Error (Printexc.to_string e) ))
-            queues
-        in
-        let buf = Buffer.create 4096 in
-        let ppf = Format.formatter_of_buffer buf in
-        List.iter
-          (fun (q, a) ->
-            match a with
-            | Ok a -> Format.fprintf ppf "%a@." Pqanalysis.Races.pp_audit a
-            | Error e ->
-                Format.fprintf ppf
-                  "== %s: AUDIT ABORTED — a schedule failed to complete@,   \
-                   %s@.@."
-                  q e)
-          audits;
-        Format.fprintf ppf "@[<v>%-22s %8s %6s %11s %10s@," "queue" "events"
-          "races" "allowlisted" "violations";
-        List.iter
-          (fun (q, a) ->
-            match a with
-            | Ok (a : Pqanalysis.Races.audit) ->
-                Format.fprintf ppf "%-22s %8d %6d %11d %10d@,"
-                  a.Pqanalysis.Races.queue a.Pqanalysis.Races.events_seen
-                  (List.length a.Pqanalysis.Races.races)
-                  (List.length a.Pqanalysis.Races.allowlisted)
-                  (List.length a.Pqanalysis.Races.violations)
-            | Error _ -> Format.fprintf ppf "%-22s %8s@," q "ABORTED")
-          audits;
-        Format.fprintf ppf "@]@.";
-        Format.pp_print_flush ppf ();
-        print_string (Buffer.contents buf);
-        (match report with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Buffer.contents buf);
-            close_out oc;
-            Printf.printf "wrote %s\n" path
-        | None -> ());
-        let bad =
-          List.filter_map
-            (fun (q, a) ->
-              match a with
-              | Ok (a : Pqanalysis.Races.audit) ->
-                  if a.Pqanalysis.Races.violations <> [] then Some q else None
-              | Error _ -> Some q)
-            audits
-        in
-        if bad = [] then `Ok ()
-        else
-          `Error
-            ( false,
-              "non-allowlisted data races or aborted audits in: "
-              ^ String.concat ", " bad )
+let audit_cmd =
+  let run report jobs =
+    let reports = Pqanalysis.Audit.run ~jobs in
+    let text = Format.asprintf "%a" Pqanalysis.Audit.pp reports in
+    print_string text;
+    Terms.write_report report text;
+    match
+      List.filter (fun r -> Pqanalysis.Audit.findings r <> []) reports
+    with
+    | [] -> `Ok ()
+    | bad ->
+        `Error
+          ( false,
+            "audit findings in: "
+            ^ String.concat ", "
+                (List.map (fun (r : Pqanalysis.Audit.report) -> r.queue) bad) )
   in
   Cmd.v
-    (Cmd.info "races"
+    (Cmd.info "audit"
        ~doc:
-         "Audit queues for data races with the happens-before sanitizer: \
-          each queue runs under the default workload plus adversarial \
-          schedules, and any race outside the queue's benign-race \
-          allowlist fails the command.")
-    Term.(
-      ret
-        (const run
-        $ Terms.queue ~default:"all"
-            ~doc:"Queue algorithm, or $(b,all) for the paper's seven."
-        $ Terms.procs ~default:16 $ Terms.priorities ~default:16
-        $ Terms.ops ~default:40 $ Terms.seed $ no_adversarial $ report
-        $ Terms.jobs))
-
-let lockdep_cmd =
-  let seeds =
-    Arg.(
-      value & opt string "42,1,7"
-      & info [ "seeds" ] ~docv:"S1,S2,.."
-          ~doc:"Comma-separated workload seeds, each run under every schedule.")
-  in
-  let no_adversarial =
-    Arg.(
-      value & flag
-      & info [ "no-adversarial" ]
-          ~doc:"Audit only the default schedule (skip pqexplore policies).")
-  in
-  let report =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE" ~doc:"Also write the audit to $(docv).")
-  in
-  let parse_seeds s =
-    try
-      Ok
-        (String.split_on_char ',' s
-        |> List.map String.trim
-        |> List.filter (fun x -> x <> "")
-        |> List.map int_of_string)
-    with Failure _ -> Error (Printf.sprintf "bad --seeds %S" s)
-  in
-  (* unlike the other gates, "all" here means every queue the analyzer
-     audits: the paper's seven, the relaxed family and the meta-queue *)
-  let resolve name =
-    if name = "all" then Ok Pqanalysis.Lockdep.queues_all
-    else if List.mem name Pqanalysis.Lockdep.queues_all then Ok [ name ]
-    else Error (Printf.sprintf "unknown queue %S; try `pqbench list'" name)
-  in
-  let run queue procs priorities ops seeds no_adversarial report jobs =
-    match (resolve queue, parse_seeds seeds) with
-    | Error e, _ | _, Error e -> `Error (false, e)
-    | Ok queues, Ok seeds ->
-        (* per-queue audits are independent deterministic runs: fan out
-           across domains, merge in queue order — byte-identical for any
-           --jobs.  A run that hangs IS a finding (a manifested deadlock
-           outranks a potential one), so engine aborts are caught both
-           inside audit_queue (per run) and here (construction). *)
-        let audits =
-          Pqbenchlib.Pool.map ~jobs
-            (fun q ->
-              ( q,
-                try
-                  Ok
-                    (Pqanalysis.Lockdep.audit_queue ~nprocs:procs
-                       ~npriorities:priorities ~ops_per_proc:ops ~seeds
-                       ~adversarial:(not no_adversarial) ~queue:q ())
-                with
-                | ( Pqsim.Sim.Deadlock _ | Pqsim.Sim.Progress_failure _
-                  | Pqbenchlib.Workload.Verification_failure _
-                  | Pqsim.Sim.Spin_limit _ ) as e ->
-                  Error (Printexc.to_string e) ))
-            queues
-        in
-        let buf = Buffer.create 4096 in
-        let ppf = Format.formatter_of_buffer buf in
-        List.iter
-          (fun (q, a) ->
-            match a with
-            | Ok a -> Format.fprintf ppf "%a@." Pqanalysis.Lockdep.pp_audit a
-            | Error e ->
-                Format.fprintf ppf
-                  "== %s: AUDIT ABORTED — a schedule failed to complete@,   \
-                   %s@.@."
-                  q e)
-          audits;
-        Format.fprintf ppf "@[<v>%-22s %8s %6s %6s %7s %11s %10s@," "queue"
-          "events" "locks" "edges" "cycles" "discipline" "violations";
-        List.iter
-          (fun (q, a) ->
-            match a with
-            | Ok (a : Pqanalysis.Lockdep.audit) ->
-                Format.fprintf ppf "%-22s %8d %6d %6d %7d %11d %10d@," a.queue
-                  a.analysis.Pqanalysis.Lockdep.events_seen
-                  (List.length a.analysis.Pqanalysis.Lockdep.locks)
-                  (List.length a.analysis.Pqanalysis.Lockdep.edges)
-                  (List.length a.cycles)
-                  (List.length a.analysis.Pqanalysis.Lockdep.disc)
-                  (List.length a.violations)
-            | Error _ -> Format.fprintf ppf "%-22s %8s@," q "ABORTED")
-          audits;
-        Format.fprintf ppf "@]@.";
-        Format.pp_print_flush ppf ();
-        print_string (Buffer.contents buf);
-        (match report with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Buffer.contents buf);
-            close_out oc;
-            Printf.printf "wrote %s\n" path
-        | None -> ());
-        let bad =
-          List.filter_map
-            (fun (q, a) ->
-              match a with
-              | Ok (a : Pqanalysis.Lockdep.audit) ->
-                  if a.violations <> [] || a.aborted <> [] then Some q else None
-              | Error _ -> Some q)
-            audits
-        in
-        if bad = [] then `Ok ()
-        else
-          `Error
-            ( false,
-              "lock-order cycles, discipline violations or aborted audits in: "
-              ^ String.concat ", " bad )
-  in
-  Cmd.v
-    (Cmd.info "lockdep"
-       ~doc:
-         "Audit every queue's locking: infer the lock-order graph from \
-          probe notes across seeds and adversarial schedules, report \
-          potential deadlock cycles (even when no schedule hung) and \
-          lock-discipline violations (double release, release without \
-          hold, locks held at quiescence); any finding outside the \
-          (empty) allowlist fails the command.")
-    Term.(
-      ret
-        (const run
-        $ Terms.queue ~default:"all"
-            ~doc:
-              "Queue algorithm, or $(b,all) for every audited queue \
-               (paper + relaxed + Adaptive)."
-        $ Terms.procs ~default:8 $ Terms.priorities ~default:16
-        $ Terms.ops ~default:24 $ seeds $ no_adversarial $ report $ Terms.jobs))
-
-let rank_cmd =
-  let seeds =
-    Arg.(
-      value & opt string "42,1,7"
-      & info [ "seeds" ] ~docv:"S1,S2,.."
-          ~doc:"Comma-separated workload seeds, each run under every schedule.")
-  in
-  let no_adversarial =
-    Arg.(
-      value & flag
-      & info [ "no-adversarial" ]
-          ~doc:"Measure only the default schedule (skip pqexplore policies).")
-  in
-  let report =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE" ~doc:"Also write the report to $(docv).")
-  in
-  let parse_seeds s =
-    try
-      Ok
-        (String.split_on_char ',' s
-        |> List.map String.trim
-        |> List.filter (fun x -> x <> "")
-        |> List.map int_of_string)
-    with Failure _ -> Error (Printf.sprintf "bad --seeds %S" s)
-  in
-  let run queue procs priorities ops seeds no_adversarial report jobs =
-    match parse_seeds seeds with
-    | Error e -> `Error (false, e)
-    | Ok seeds -> (
-        let queues =
-          if queue = "all" then Ok Pqexplore.Rank_driver.default_queues
-          else Terms.resolve_queues queue
-        in
-        match queues with
-        | Error e -> `Error (false, e)
-        | Ok queues ->
-            (* per-queue measurements are independent deterministic runs:
-               fan out, report in queue order *)
-            let reports =
-              Pqbenchlib.Pool.map ~jobs
-                (fun q ->
-                  Pqexplore.Rank_driver.measure_queue ~nprocs:procs
-                    ~npriorities:priorities ~ops_per_proc:ops ~seeds
-                    ~adversarial:(not no_adversarial) q)
-                queues
-            in
-            let buf = Buffer.create 4096 in
-            let ppf = Format.formatter_of_buffer buf in
-            List.iter
-              (Format.fprintf ppf "%a@." Pqexplore.Rank_driver.pp_report)
-              reports;
-            Format.fprintf ppf "@[<v>%-22s %7s %10s %11s %6s@," "queue" "bound"
-              "worst-rank" "worst-delay" "gate";
-            List.iter
-              (fun (r : Pqexplore.Rank_driver.report) ->
-                Format.fprintf ppf "%-22s %7d %10d %11d %6s@," r.queue r.bound
-                  r.worst_rank r.worst_delay
-                  (if r.pass then "pass" else "FAIL"))
-              reports;
-            Format.fprintf ppf "@]@.";
-            Format.pp_print_flush ppf ();
-            print_string (Buffer.contents buf);
-            (match report with
-            | Some path ->
-                let oc = open_out path in
-                output_string oc (Buffer.contents buf);
-                close_out oc;
-                Printf.printf "wrote %s\n" path
-            | None -> ());
-            let bad =
-              List.filter_map
-                (fun (r : Pqexplore.Rank_driver.report) ->
-                  if r.pass then None else Some r.queue)
-                reports
-            in
-            if bad = [] then `Ok ()
-            else
-              `Error
-                ( false,
-                  "rank-error bound exceeded by: " ^ String.concat ", " bad ))
-  in
-  Cmd.v
-    (Cmd.info "rank"
-       ~doc:
-         "Measure each queue's rank error (how far delete-min strays from \
-          the true minimum) under default, random-preemption and PCT \
-          schedules, and gate it: strict queues must measure exactly 0, \
-          MultiQueue variants must stay under their configured bound.")
-    Term.(
-      ret
-        (const run
-        $ Terms.queue ~default:"all"
-            ~doc:
-              "Queue algorithm, or $(b,all) for the paper's seven plus every \
-               MultiQueue variant."
-        $ Terms.procs ~default:8 $ Terms.priorities ~default:16
-        $ Terms.ops ~default:30 $ seeds $ no_adversarial $ report
-        $ Terms.jobs))
+         "Audit every registry queue plus Adaptive under default, \
+          random-preemption and PCT schedules x seeds 42, 1, 7 (coin-flip \
+          scenario, 16 processors, 40 ops each), running each cell once \
+          with one probe that feeds the race detector, the lock-order \
+          analyzer and the streaming rank/conservation monitor.  Any data \
+          race, lock-order cycle, discipline finding, aborted run, failed \
+          check or rank error over the queue's bound fails the command.")
+    Term.(ret (const run $ Terms.report $ Terms.jobs))
 
 let chaos_cmd =
   let scenarios =
@@ -941,37 +621,8 @@ let chaos_cmd =
   let verbose =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print every cell.")
   in
-  let report =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE" ~doc:"Also write the report to $(docv).")
-  in
-  let parse_seeds s =
-    try
-      Ok
-        (String.split_on_char ',' s
-        |> List.map String.trim
-        |> List.filter (fun x -> x <> "")
-        |> List.map int_of_string)
-    with Failure _ -> Error (Printf.sprintf "bad --seeds %S" s)
-  in
-  let parse_csv ~alls ~of_string s =
-    if s = "all" then Ok alls
-    else
-      String.split_on_char ',' s
-      |> List.map String.trim
-      |> List.filter (fun x -> x <> "")
-      |> List.fold_left
-           (fun acc x ->
-             match (acc, of_string x) with
-             | (Error _ as e), _ -> e
-             | _, (Error _ as e) -> e
-             | Ok xs, Ok x -> Ok (xs @ [ x ]))
-           (Ok [])
-  in
   let parse_scenarios =
-    parse_csv ~alls:Pqbenchlib.Scenario.names ~of_string:(fun x ->
+    Terms.parse_list ~all:Pqbenchlib.Scenario.names ~of_string:(fun x ->
         if List.mem x Pqbenchlib.Scenario.names then Ok x
         else
           Error
@@ -989,16 +640,20 @@ let chaos_cmd =
     in
     let* scenarios = parse_scenarios scenarios in
     let* plans =
-      parse_csv
-        ~alls:(None :: List.map Option.some Pqfault.Plan.all)
+      Terms.parse_list
+        ~all:(None :: List.map Option.some Pqfault.Plan.all)
         ~of_string:Pqchaos.Driver.plan_of_string plans
     in
     let* scheds =
-      parse_csv
-        ~alls:[ Pqchaos.Driver.Default; Pqchaos.Driver.Pct ]
+      Terms.parse_list
+        ~all:[ Pqchaos.Driver.Default; Pqchaos.Driver.Pct ]
         ~of_string:Pqchaos.Driver.schedule_of_string scheds
     in
-    let* seeds = parse_seeds seeds in
+    let* seeds =
+      Terms.parse_list seeds ~of_string:(fun x ->
+          Option.to_result ~none:(Printf.sprintf "bad --seeds %S" seeds)
+            (int_of_string_opt x))
+    in
     let base =
       if quick then Pqchaos.Driver.quick else Pqchaos.Driver.default
     in
@@ -1071,13 +726,7 @@ let chaos_cmd =
     in
     Format.pp_print_flush ppf ();
     print_string (Buffer.contents buf);
-    (match report with
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Buffer.contents buf);
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-    | None -> ());
+    Terms.write_report report (Buffer.contents buf);
     match Pqchaos.Driver.gate cells @ host_failures with
     | [] ->
         Printf.printf "chaos: %d cells, worst verdict %s\n" (List.length cells)
@@ -1102,7 +751,7 @@ let chaos_cmd =
                MultiQueue variant."
         $ scenarios $ plans $ scheds $ Terms.procs ~default:4
         $ Terms.priorities ~default:16 $ ops $ seeds $ soak $ quick $ host
-        $ verbose $ report $ Terms.jobs))
+        $ verbose $ Terms.report $ Terms.jobs))
 
 let adapt_cmd =
   let quick =
@@ -1132,12 +781,6 @@ let adapt_cmd =
       & opt (some float) None
       & info [ "factor" ] ~docv:"F"
           ~doc:"Allowed per-phase latency ratio to the best static backend.")
-  in
-  let report =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE" ~doc:"Also write the report to $(docv).")
   in
   let run quick backends procs priorities ops seed factor report jobs =
     let base =
@@ -1170,13 +813,7 @@ let adapt_cmd =
         let r = Pqadapt.Driver.run ~jobs cfg in
         let text = Pqadapt.Driver.report_to_string r in
         print_string text;
-        (match report with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc text;
-            close_out oc;
-            Printf.printf "wrote %s\n" path
-        | None -> ());
+        Terms.write_report report text;
         if Pqadapt.Driver.passed r then `Ok ()
         else `Error (false, String.concat "\n" r.Pqadapt.Driver.errors)
   in
@@ -1191,8 +828,8 @@ let adapt_cmd =
     Term.(
       ret
         (const run $ quick $ backends $ Terms.procs ~default:16
-        $ Terms.priorities ~default:256 $ ops $ Terms.seed $ factor $ report
-        $ Terms.jobs))
+        $ Terms.priorities ~default:256 $ ops $ Terms.seed $ factor
+        $ Terms.report $ Terms.jobs))
 
 let lint_cmd =
   let root =
@@ -1251,6 +888,6 @@ let () =
           (Cmd.info "pqbench" ~doc)
           [
             list_cmd; run_cmd; bench_cmd; profile_cmd; trace_cmd; validate_cmd;
-            perfcmp_cmd; explore_cmd; faults_cmd; races_cmd; lockdep_cmd;
-            rank_cmd; chaos_cmd; adapt_cmd; lint_cmd;
+            perfcmp_cmd; explore_cmd; faults_cmd; audit_cmd; chaos_cmd;
+            adapt_cmd; lint_cmd;
           ]))

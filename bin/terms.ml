@@ -55,3 +55,36 @@ let resolve_queues name =
   with
   | [] -> Ok queues
   | q :: _ -> Error (Printf.sprintf "unknown queue %S; try `pqbench list'" q)
+
+let report =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "report" ] ~docv:"FILE" ~doc:"Also write the report to $(docv).")
+
+(* write a command's report text to --report FILE, if given *)
+let write_report path text =
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc text;
+      close_out oc;
+      Printf.printf "wrote %s\n" path)
+    path
+
+(* a comma-separated list, each item through [of_string] (first error
+   wins); [all], when given, is what the word "all" expands to *)
+let parse_list ?all ~of_string s =
+  match all with
+  | Some all when s = "all" -> Ok all
+  | _ ->
+      String.split_on_char ',' s
+      |> List.map String.trim
+      |> List.filter (fun x -> x <> "")
+      |> List.fold_left
+           (fun acc x ->
+             match (acc, of_string x) with
+             | (Error _ as e), _ -> e
+             | _, (Error _ as e) -> e
+             | Ok xs, Ok x -> Ok (xs @ [ x ]))
+           (Ok [])

@@ -94,11 +94,20 @@ let disc_compare a b =
   compare (a.kind, a.lock, a.proc, a.time) (b.kind, b.lock, b.proc, b.time)
 
 let analyze ?(sched = "default") ?label ?(quiescent = true) obs =
+  (* memoized: labels resolve by a scan of every registration
+     (Mem.name_of), and every acquire keys each lock already held *)
+  let keys = Hashtbl.create 64 in
   let key addr =
-    match label with
-    | Some f -> (
-        match f addr with Some l -> l | None -> Printf.sprintf "addr:%d" addr)
-    | None -> Printf.sprintf "addr:%d" addr
+    match Hashtbl.find_opt keys addr with
+    | Some k -> k
+    | None ->
+        let k =
+          match Option.bind label (fun f -> f addr) with
+          | Some l -> l
+          | None -> Printf.sprintf "addr:%d" addr
+        in
+        Hashtbl.add keys addr k;
+        k
   in
   let nprocs =
     let m = ref 0 in
@@ -298,7 +307,7 @@ let signature = function
 
 (* Per-queue allowlists of finding-signature patterns ('*' matches a
    maximal digit run, as in Races.expect).  Every list ships empty by
-   hard requirement: all twelve queues must order their locks acyclically
+   hard requirement: every audited queue must order its locks acyclically
    and balance every acquire — the audit table in EXPERIMENTS.md is the
    evidence.  The machinery stays as the gate for future relaxations. *)
 let expect (_queue : string) : string list = []
@@ -311,92 +320,6 @@ let split findings ~expects =
       | Some pat -> Left (pat, f)
       | None -> Right f)
     findings
-
-(* ------------------------------------------------------------------ *)
-(* The audit driver: run a queue across schedules and seeds, analyze
-   every run, merge, and judge against the allowlist.                  *)
-
-let queues_all =
-  Pqcore.Registry.names_paper @ Pqcore.Registry.names_relaxed @ [ "Adaptive" ]
-
-type audit = {
-  queue : string;
-  runs : string list;
-  analysis : analysis;
-  cycles : string list list;
-  findings : finding list;
-  allowlisted : (string * finding) list;
-  violations : finding list;
-  aborted : (string * string) list;
-}
-
-let audit_queue ?(nprocs = 8) ?(npriorities = 16) ?(ops_per_proc = 24)
-    ?(seeds = [ 42; 1; 7 ]) ?(adversarial = true) ~queue () =
-  let create =
-    (* the meta-queue is not in the registry; build it over the same
-       memory via run_sim's construction hook, label unchanged *)
-    if String.equal queue "Adaptive" then
-      Some
-        (fun mem params ->
-          fst (Pqadapt.Meta.create Pqadapt.Meta.default mem params))
-    else None
-  in
-  let runs =
-    List.concat_map
-      (fun seed ->
-        ("default", seed, None)
-        ::
-        (if adversarial then
-           [
-             ("random-preemption", seed, Some (Pqexplore.Policy.random ~seed ()));
-             ("pct", seed, Some (Pqexplore.Policy.pct ~seed ~nprocs ()));
-           ]
-         else []))
-      seeds
-  in
-  let aborted = ref [] in
-  let analyses =
-    List.map
-      (fun (name, seed, policy) ->
-        let label = Printf.sprintf "%s/s%d" name seed in
-        let obs = observer () in
-        let outcome =
-          Pqbenchlib.Scenario.run_sim ~probe:(probe obs) ?policy ?create ~queue
-            ~nprocs ~npriorities ~ops_per_proc ~seed Pqbenchlib.Scenario.coinflip
-        in
-        (match outcome.Pqbenchlib.Scenario.aborted with
-        | Some exn -> aborted := (label, Printexc.to_string exn) :: !aborted
-        | None -> ());
-        let name_of =
-          match outcome.Pqbenchlib.Scenario.mem with
-          | Some mem -> Some (Mem.name_of mem)
-          | None -> None
-        in
-        (* an aborted run ends mid-flight: leftover holds are the
-           abort's symptom, not a leak — judge quiescence only on
-           completed runs *)
-        analyze ~sched:label ?label:name_of
-          ~quiescent:(outcome.Pqbenchlib.Scenario.aborted = None)
-          obs)
-      runs
-  in
-  let analysis = merge analyses in
-  let cycles = cycles analysis in
-  let findings =
-    List.map (fun c -> Cycle c) cycles
-    @ List.map (fun d -> Discipline d) analysis.disc
-  in
-  let allowlisted, violations = split findings ~expects:(expect queue) in
-  {
-    queue;
-    runs = List.map (fun (n, s, _) -> Printf.sprintf "%s/s%d" n s) runs;
-    analysis;
-    cycles;
-    findings;
-    allowlisted;
-    violations;
-    aborted = List.rev !aborted;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Reporting.                                                          *)
@@ -414,24 +337,3 @@ let pp_finding ppf f =
       Format.fprintf ppf "%s first @@%d, %d occurrence%s" (signature f) d.time
         d.occurrences
         (if d.occurrences = 1 then "" else "s")
-
-let pp_audit ppf a =
-  Format.fprintf ppf "@[<v>== %s: %d runs, %d lock events (%d try-fails) ==@,"
-    a.queue (List.length a.runs) a.analysis.events_seen a.analysis.try_fails;
-  Format.fprintf ppf "locks %d, order edges %d, cycles %d, discipline %d@,"
-    (List.length a.analysis.locks)
-    (List.length a.analysis.edges)
-    (List.length a.cycles)
-    (List.length a.analysis.disc);
-  List.iter (fun e -> Format.fprintf ppf "  %a@," pp_edge e) a.analysis.edges;
-  List.iter
-    (fun (lbl, err) -> Format.fprintf ppf "ABORTED %s: %s@," lbl err)
-    a.aborted;
-  List.iter
-    (fun (pat, f) ->
-      Format.fprintf ppf "allowlisted (%s): %a@," pat pp_finding f)
-    a.allowlisted;
-  List.iter
-    (fun f -> Format.fprintf ppf "VIOLATION %a@," pp_finding f)
-    a.violations;
-  Format.fprintf ppf "@]"

@@ -22,7 +22,7 @@
     witnessed by a real acquisition history, so some interleaving of
     those histories blocks forever — reported even when every explored
     schedule completed.  Acyclicity of the witnessed order is the
-    discipline the audit gate enforces over all twelve queues. *)
+    discipline {!Audit} enforces over every audited queue. *)
 
 (** {1 Event capture} *)
 
@@ -115,8 +115,8 @@ val expect : string -> string list
 (** [expect queue] is the queue's allowlist of finding-signature
     patterns (['*'] matches a maximal digit run, as
     {!Races.pattern_matches}).  {b Every list ships empty} by hard
-    requirement: all twelve queues order their locks acyclically and
-    balance every acquire.  The machinery stays as the gate for future
+    requirement: every {!Audit.queues} entry orders its locks
+    acyclically and balances every acquire.  The machinery stays as the gate for future
     relaxations. *)
 
 val split :
@@ -124,44 +124,7 @@ val split :
 (** partition into (allowlisted, violations) by exact pattern match on
     {!signature} *)
 
-(** {1 Audit driver} *)
-
-val queues_all : string list
-(** every audited queue: the paper's seven, the relaxed MultiQueue
-    family, and the [Pqadapt] meta-queue (["Adaptive"]) *)
-
-type audit = {
-  queue : string;
-  runs : string list;  (** ["<schedule>/s<seed>"] labels *)
-  analysis : analysis;  (** merged across all runs *)
-  cycles : string list list;
-  findings : finding list;
-  allowlisted : (string * finding) list;
-  violations : finding list;
-  aborted : (string * string) list;
-      (** runs the engine ended early, with the exception — any entry
-          is an audit failure in the CLI gate *)
-}
-
-val audit_queue :
-  ?nprocs:int ->
-  ?npriorities:int ->
-  ?ops_per_proc:int ->
-  ?seeds:int list ->
-  ?adversarial:bool ->
-  queue:string ->
-  unit ->
-  audit
-(** Run [queue] under the coin-flip scenario for every seed (default
-    [42; 1; 7]) under the default schedule and (unless
-    [~adversarial:false]) the two pqexplore adversarial schedules
-    (random preemption, PCT), analyze every run, merge.  Defaults:
-    8 processors, 16 priorities, 24 ops per processor.  ["Adaptive"]
-    is built via {!Pqadapt.Meta.create} through [run_sim]'s
-    construction hook; everything else through the registry. *)
-
 (** {1 Reporting} *)
 
 val pp_edge : Format.formatter -> edge -> unit
 val pp_finding : Format.formatter -> finding -> unit
-val pp_audit : Format.formatter -> audit -> unit

@@ -59,7 +59,7 @@ type obs = {
 
 let observer () = { events = Array.make 1024 (0, 0, Probe.Crash); len = 0 }
 
-let probe ?metrics obs =
+let sink obs =
   let emit ~proc ~time ev =
     if obs.len = Array.length obs.events then begin
       let bigger = Array.make (2 * obs.len) (0, 0, Probe.Crash) in
@@ -69,7 +69,9 @@ let probe ?metrics obs =
     obs.events.(obs.len) <- (proc, time, ev);
     obs.len <- obs.len + 1
   in
-  Probe.make ~sink:{ Probe.emit } ?metrics ()
+  { Probe.emit }
+
+let probe ?metrics obs = Probe.make ~sink:(sink obs) ?metrics ()
 
 let events obs = obs.len
 
@@ -237,77 +239,6 @@ let split races ~expects =
   (allowlisted, violations)
 
 (* ------------------------------------------------------------------ *)
-(* The audit driver: run a queue under the default fig-8-style workload
-   and under adversarial schedules, sanitize every run.                *)
-
-type audit = {
-  queue : string;
-  schedules : string list;
-  events_seen : int;
-  races : race list;
-  allowlisted : (expect * race) list;
-  violations : race list;
-}
-
-let run_one ~spec ~policy =
-  let obs = observer () in
-  let r = Pqbenchlib.Workload.run ~probe:(probe obs) ?policy spec in
-  (obs, r.Pqbenchlib.Workload.mem)
-
-let audit_queue ?(nprocs = 16) ?(npriorities = 16) ?(ops_per_proc = 40)
-    ?(seed = 42) ?(adversarial = true) ~queue () =
-  let spec =
-    { (Pqbenchlib.Workload.spec ~queue ~nprocs ~npriorities) with
-      Pqbenchlib.Workload.ops_per_proc;
-      seed;
-    }
-  in
-  let schedules =
-    ("default", None)
-    ::
-    (if adversarial then
-       [
-         ("random-preemption", Some (Pqexplore.Policy.random ~seed ()));
-         ("pct", Some (Pqexplore.Policy.pct ~seed ~nprocs ()));
-       ]
-     else [])
-  in
-  let results =
-    List.map
-      (fun (name, policy) ->
-        let obs, mem = run_one ~spec ~policy in
-        (name, obs, analyze ~mem obs))
-      schedules
-  in
-  (* merge across schedules; allocation order is per-run deterministic,
-     so a line's address and label agree between runs *)
-  let merged : (int * dir * dir, race) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (_, _, races) ->
-      List.iter
-        (fun r ->
-          let key = (r.addr, dir_of r.first.kind, dir_of r.second.kind) in
-          match Hashtbl.find_opt merged key with
-          | Some r0 ->
-              Hashtbl.replace merged key { r0 with count = r0.count + r.count }
-          | None -> Hashtbl.add merged key r)
-        races)
-    results;
-  let races =
-    Hashtbl.fold (fun _ r acc -> r :: acc) merged []
-    |> List.sort (fun a b -> compare a.addr b.addr)
-  in
-  let allowlisted, violations = split races ~expects:(expect queue) in
-  {
-    queue;
-    schedules = List.map (fun (n, _, _) -> n) results;
-    events_seen = List.fold_left (fun a (_, o, _) -> a + events o) 0 results;
-    races;
-    allowlisted;
-    violations;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Reporting.                                                          *)
 
 let pp_access ppf a =
@@ -326,20 +257,3 @@ let pp_race ppf r =
     r.addr r.count
     (if r.count = 1 then "" else "s")
     pp_access r.first pp_access r.second pp_clock r.second_clock r.first_epoch
-
-let pp_audit ppf a =
-  Format.fprintf ppf "@[<v>== %s: %d schedule%s (%s), %d events ==@," a.queue
-    (List.length a.schedules)
-    (if List.length a.schedules = 1 then "" else "s")
-    (String.concat ", " a.schedules)
-    a.events_seen;
-  Format.fprintf ppf "races found %d, allowlisted %d, violations %d@,"
-    (List.length a.races)
-    (List.length a.allowlisted)
-    (List.length a.violations);
-  List.iter
-    (fun (e, r) ->
-      Format.fprintf ppf "@[<v2>allowlisted (%s): %a@]@," e.reason pp_race r)
-    a.allowlisted;
-  List.iter (fun r -> Format.fprintf ppf "VIOLATION %a@," pp_race r) a.violations;
-  Format.fprintf ppf "@]"

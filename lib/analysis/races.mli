@@ -57,8 +57,13 @@ type obs
 
 val observer : unit -> obs
 
+val sink : obs -> Pqsim.Probe.sink
+(** the buffering event sink, for composing with other analyzers in one
+    probe ({!Audit}) *)
+
 val probe : ?metrics:Pqsim.Stats.t -> obs -> Pqsim.Probe.t
-(** the probe to pass to {!Pqsim.Sim.run} / {!Pqbenchlib.Workload.run} *)
+(** a probe with just {!sink}, for {!Pqsim.Sim.run} /
+    {!Pqbenchlib.Workload.run} *)
 
 val events : obs -> int
 
@@ -92,33 +97,6 @@ val expect : string -> expect list
 val split : race list -> expects:expect list -> (expect * race) list * race list
 (** partition into (allowlisted, violations) *)
 
-(** {1 Audit driver} *)
-
-type audit = {
-  queue : string;
-  schedules : string list;
-  events_seen : int;
-  races : race list;
-  allowlisted : (expect * race) list;
-  violations : race list;
-}
-
-val audit_queue :
-  ?nprocs:int ->
-  ?npriorities:int ->
-  ?ops_per_proc:int ->
-  ?seed:int ->
-  ?adversarial:bool ->
-  queue:string ->
-  unit ->
-  audit
-(** Run [queue] under the default fig-8-style workload and (unless
-    [~adversarial:false]) two pqexplore adversarial schedules
-    (random preemption and PCT), sanitize every run, and merge the
-    reports.  The workload's own conservation and structural checks
-    still run, so an audit doubles as a stress test. *)
-
 (** {1 Reporting} *)
 
 val pp_race : Format.formatter -> race -> unit
-val pp_audit : Format.formatter -> audit -> unit

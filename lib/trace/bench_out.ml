@@ -19,36 +19,6 @@ type harness = {
   speedup : float option;
 }
 
-type rank_run = {
-  schedule : string;
-  run_seed : int;
-  deletes : int;
-  empties : int;
-  max_rank : int;
-  mean_rank : float;
-  p99_rank : int;
-  max_delay : int;
-  mean_delay : float;
-  p99_delay : int;
-}
-
-type rank_queue = {
-  queue : string;
-  bound : int;
-  relaxed : bool;
-  worst_rank : int;
-  worst_delay : int;
-  pass : bool;
-  runs : rank_run list;
-}
-
-type rank = {
-  rank_nprocs : int;
-  rank_npriorities : int;
-  rank_ops_per_proc : int;
-  queues : rank_queue list;
-}
-
 let chaos_verdicts = [ "healthy"; "degraded"; "blocked"; "safety-violation" ]
 
 type chaos_cell = {
@@ -103,24 +73,19 @@ type adapt = {
   adapt_switches : adapt_switch list;
 }
 
-type lockdep_queue = {
-  ld_queue : string;
-  ld_events : int;
-  ld_try_fails : int;
-  ld_locks : int;
-  ld_edges : int;
-  ld_cycles : int;
-  ld_discipline : int;
-  ld_violations : int;
+type audit_row = {
+  queue : string;
+  findings : string list;
+  counts : (string * int) list;
 }
 
-type lockdep = {
-  lockdep_nprocs : int;
-  lockdep_npriorities : int;
-  lockdep_ops_per_proc : int;
-  lockdep_seeds : int list;
-  lockdep_pass : bool;
-  lockdep_queues : lockdep_queue list;
+type audit = {
+  audit_nprocs : int;
+  audit_npriorities : int;
+  audit_ops_per_proc : int;
+  audit_schedules : string list;
+  audit_seeds : int list;
+  audit_rows : audit_row list;
 }
 
 type t = {
@@ -129,16 +94,15 @@ type t = {
   scale : string;
   figures : figure list;
   metrics : (string * Json.t) list; (* free-form extras, e.g. per-queue derived metrics *)
-  rank : rank option; (* rank-error verification results (pqbench rank) *)
+  audit : audit option; (* races, lock order and rank (pqbench audit) *)
   chaos : chaos option; (* chaos-matrix verdicts (pqbench chaos) *)
   adapt : adapt option; (* adaptive meta-queue gate (pqbench adapt) *)
-  lockdep : lockdep option; (* lock-order audit (pqbench lockdep) *)
   harness : harness option; (* wall-clock measurements: the one run-dependent section *)
 }
 
-let make ?(paper = "shavit-zemach-podc99") ?(metrics = []) ?rank ?chaos ?adapt
-    ?lockdep ?harness ~seed ~scale figures =
-  { paper; seed; scale; figures; metrics; rank; chaos; adapt; lockdep; harness }
+let make ?(paper = "shavit-zemach-podc99") ?(metrics = []) ?audit ?chaos
+    ?adapt ?harness ~seed ~scale figures =
+  { paper; seed; scale; figures; metrics; audit; chaos; adapt; harness }
 
 let series_to_json s =
   Json.Obj
@@ -183,40 +147,27 @@ let harness_to_json h =
     | Some s -> [ ("speedup", Json.Float s) ]
     | None -> [])
 
-let rank_run_to_json r =
+let audit_row_to_json r =
   Json.Obj
     [
-      ("schedule", Json.String r.schedule);
-      ("seed", Json.Int r.run_seed);
-      ("deletes", Json.Int r.deletes);
-      ("empties", Json.Int r.empties);
-      ("max_rank", Json.Int r.max_rank);
-      ("mean_rank", Json.Float r.mean_rank);
-      ("p99_rank", Json.Int r.p99_rank);
-      ("max_delay", Json.Int r.max_delay);
-      ("mean_delay", Json.Float r.mean_delay);
-      ("p99_delay", Json.Int r.p99_delay);
+      ("queue", Json.String r.queue);
+      ("pass", Json.Bool (r.findings = []));
+      ("findings", Json.List (List.map (fun f -> Json.String f) r.findings));
+      ("counts", Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) r.counts));
     ]
 
-let rank_queue_to_json q =
+let audit_to_json a =
   Json.Obj
     [
-      ("queue", Json.String q.queue);
-      ("bound", Json.Int q.bound);
-      ("relaxed", Json.Bool q.relaxed);
-      ("worst_rank", Json.Int q.worst_rank);
-      ("worst_delay", Json.Int q.worst_delay);
-      ("pass", Json.Bool q.pass);
-      ("runs", Json.List (List.map rank_run_to_json q.runs));
-    ]
-
-let rank_to_json r =
-  Json.Obj
-    [
-      ("nprocs", Json.Int r.rank_nprocs);
-      ("npriorities", Json.Int r.rank_npriorities);
-      ("ops_per_proc", Json.Int r.rank_ops_per_proc);
-      ("queues", Json.List (List.map rank_queue_to_json r.queues));
+      ("nprocs", Json.Int a.audit_nprocs);
+      ("npriorities", Json.Int a.audit_npriorities);
+      ("ops_per_proc", Json.Int a.audit_ops_per_proc);
+      ( "schedules",
+        Json.List (List.map (fun s -> Json.String s) a.audit_schedules) );
+      ("seeds", Json.List (List.map (fun s -> Json.Int s) a.audit_seeds));
+      ( "pass",
+        Json.Bool (List.for_all (fun r -> r.findings = []) a.audit_rows) );
+      ("queues", Json.List (List.map audit_row_to_json a.audit_rows));
     ]
 
 let chaos_cell_to_json c =
@@ -281,30 +232,6 @@ let adapt_to_json a =
       ("switches", Json.List (List.map adapt_switch_to_json a.adapt_switches));
     ]
 
-let lockdep_queue_to_json q =
-  Json.Obj
-    [
-      ("queue", Json.String q.ld_queue);
-      ("events", Json.Int q.ld_events);
-      ("try_fails", Json.Int q.ld_try_fails);
-      ("locks", Json.Int q.ld_locks);
-      ("edges", Json.Int q.ld_edges);
-      ("cycles", Json.Int q.ld_cycles);
-      ("discipline", Json.Int q.ld_discipline);
-      ("violations", Json.Int q.ld_violations);
-    ]
-
-let lockdep_to_json l =
-  Json.Obj
-    [
-      ("nprocs", Json.Int l.lockdep_nprocs);
-      ("npriorities", Json.Int l.lockdep_npriorities);
-      ("ops_per_proc", Json.Int l.lockdep_ops_per_proc);
-      ("seeds", Json.List (List.map (fun s -> Json.Int s) l.lockdep_seeds));
-      ("pass", Json.Bool l.lockdep_pass);
-      ("queues", Json.List (List.map lockdep_queue_to_json l.lockdep_queues));
-    ]
-
 let to_json t =
   Json.Obj
     ([
@@ -315,17 +242,14 @@ let to_json t =
        ("figures", Json.List (List.map figure_to_json t.figures));
      ]
     @ (if t.metrics = [] then [] else [ ("metrics", Json.Obj t.metrics) ])
-    @ (match t.rank with
-      | Some r -> [ ("rank", rank_to_json r) ]
+    @ (match t.audit with
+      | Some a -> [ ("audit", audit_to_json a) ]
       | None -> [])
     @ (match t.chaos with
       | Some c -> [ ("chaos", chaos_to_json c) ]
       | None -> [])
     @ (match t.adapt with
       | Some a -> [ ("adapt", adapt_to_json a) ]
-      | None -> [])
-    @ (match t.lockdep with
-      | Some l -> [ ("lockdep", lockdep_to_json l) ]
       | None -> [])
     @
     match t.harness with
@@ -443,39 +367,53 @@ let v_bool ctx key j =
   | Some (Json.Bool b) -> Ok b
   | _ -> Error (Printf.sprintf "%s: missing or mistyped boolean field %S" ctx key)
 
-let validate_rank_run ctx j =
-  let* schedule = v_string ctx "schedule" j in
-  let ctx = Printf.sprintf "%s(%s)" ctx schedule in
-  let* _ = v_int ctx "seed" j in
-  let* _ = v_int ctx "deletes" j in
-  let* _ = v_int ctx "empties" j in
-  let* _ = v_int ctx "max_rank" j in
-  let* _ = v_float ctx "mean_rank" j in
-  let* _ = v_int ctx "p99_rank" j in
-  let* _ = v_int ctx "max_delay" j in
-  let* _ = v_float ctx "mean_delay" j in
-  let* _ = v_int ctx "p99_delay" j in
-  Ok ()
-
-let validate_rank_queue ctx j =
+let validate_audit_row ctx j =
   let* queue = v_string ctx "queue" j in
   let ctx = Printf.sprintf "%s(%s)" ctx queue in
-  let* bound = v_int ctx "bound" j in
-  let* relaxed = v_bool ctx "relaxed" j in
-  let* worst = v_int ctx "worst_rank" j in
-  let* _ = v_int ctx "worst_delay" j in
   let* pass = v_bool ctx "pass" j in
-  let* runs = v_list ctx "runs" j in
-  if runs = [] then Error (ctx ^ ": empty runs list")
+  let* findings = v_list ctx "findings" j in
+  if not (List.for_all (fun f -> Json.to_str f <> None) findings) then
+    Error (ctx ^ ": non-string finding")
+  else if pass <> (findings = []) then
+    Error (ctx ^ ": pass flag contradicts the recorded findings")
   else
-    let* () = all (ctx ^ ".runs") validate_rank_run 0 runs in
-    (* the gate's own consistency: a strict queue's bound is 0 and the
-       recorded verdict matches the recorded numbers *)
-    if (not relaxed) && bound <> 0 then
-      Error (ctx ^ ": strict queue with nonzero bound")
-    else if pass <> (worst <= bound) then
-      Error (ctx ^ ": pass flag contradicts worst_rank vs bound")
-    else Ok ()
+    match Json.member "counts" j with
+    | Some (Json.Obj counts) ->
+        if
+          List.for_all
+            (fun (_, n) ->
+              match Json.to_int n with Some n -> n >= 0 | None -> false)
+            counts
+        then Ok ()
+        else Error (ctx ^ ": counts must be non-negative integers")
+    | _ -> Error (ctx ^ ": missing or mistyped object field \"counts\"")
+
+let validate_audit ctx j =
+  let* nprocs = v_int ctx "nprocs" j in
+  if nprocs < 1 then Error (ctx ^ ": nprocs must be >= 1")
+  else
+    let* _ = v_int ctx "npriorities" j in
+    let* _ = v_int ctx "ops_per_proc" j in
+    let* schedules = v_list ctx "schedules" j in
+    let* seeds = v_list ctx "seeds" j in
+    if schedules = [] || seeds = [] then
+      Error (ctx ^ ": empty schedules or seeds list")
+    else if
+      not
+        (List.for_all (fun s -> Json.to_str s <> None) schedules
+        && List.for_all (fun s -> Json.to_int s <> None) seeds)
+    then Error (ctx ^ ": mistyped schedule or seed")
+    else
+      let* pass = v_bool ctx "pass" j in
+      let* rows = v_list ctx "queues" j in
+      if rows = [] then Error (ctx ^ ": empty queues list")
+      else
+        let* () = all (ctx ^ ".queues") validate_audit_row 0 rows in
+        let rows_pass =
+          List.for_all (fun r -> Json.member "pass" r = Some (Json.Bool true)) rows
+        in
+        if pass = rows_pass then Ok ()
+        else Error (ctx ^ ": pass flag contradicts the recorded rows")
 
 let validate_chaos_cell ctx j =
   let* queue = v_string ctx "queue" j in
@@ -593,65 +531,6 @@ let validate_adapt ctx j =
           Error (ctx ^ ": pass flag contradicts the recorded phases/switches")
         else Ok ()
 
-let validate_lockdep_queue ctx j =
-  let* queue = v_string ctx "queue" j in
-  let ctx = Printf.sprintf "%s(%s)" ctx queue in
-  let* events = v_int ctx "events" j in
-  let* try_fails = v_int ctx "try_fails" j in
-  let* locks = v_int ctx "locks" j in
-  let* edges = v_int ctx "edges" j in
-  let* cycles = v_int ctx "cycles" j in
-  let* discipline = v_int ctx "discipline" j in
-  let* violations = v_int ctx "violations" j in
-  if
-    events < 0 || try_fails < 0 || locks < 0 || edges < 0 || cycles < 0
-    || discipline < 0 || violations < 0
-  then Error (ctx ^ ": negative count")
-  else if try_fails > events then Error (ctx ^ ": try_fails exceed events")
-  else if violations > cycles + discipline then
-    Error (ctx ^ ": more violations than findings")
-  else Ok ()
-
-let validate_lockdep ctx j =
-  let* nprocs = v_int ctx "nprocs" j in
-  if nprocs < 1 then Error (ctx ^ ": nprocs must be >= 1")
-  else
-    let* _ = v_int ctx "npriorities" j in
-    let* _ = v_int ctx "ops_per_proc" j in
-    let* seeds = v_list ctx "seeds" j in
-    if seeds = [] then Error (ctx ^ ": empty seeds list")
-    else if not (List.for_all (fun s -> Json.to_int s <> None) seeds) then
-      Error (ctx ^ ": non-integer seed")
-    else
-      let* pass = v_bool ctx "pass" j in
-      let* queues = v_list ctx "queues" j in
-      if queues = [] then Error (ctx ^ ": empty queues list")
-      else
-        let* () = all (ctx ^ ".queues") validate_lockdep_queue 0 queues in
-        (* the gate's own consistency, one-sided like adapt's: a recorded
-           pass must not coexist with recorded violations *)
-        let violated =
-          List.exists
-            (fun q ->
-              match Option.bind (Json.member "violations" q) Json.to_int with
-              | Some v -> v > 0
-              | None -> false)
-            queues
-        in
-        if pass && violated then
-          Error (ctx ^ ": pass flag contradicts the recorded violations")
-        else Ok ()
-
-let validate_rank ctx j =
-  let* nprocs = v_int ctx "nprocs" j in
-  if nprocs < 1 then Error (ctx ^ ": nprocs must be >= 1")
-  else
-    let* _ = v_int ctx "npriorities" j in
-    let* _ = v_int ctx "ops_per_proc" j in
-    let* queues = v_list ctx "queues" j in
-    if queues = [] then Error (ctx ^ ": empty queues list")
-    else all (ctx ^ ".queues") validate_rank_queue 0 queues
-
 let validate j =
   let ctx = "BENCH" in
   let* v = v_int ctx "schema_version" j in
@@ -668,9 +547,9 @@ let validate j =
     else
       let* () = all (ctx ^ ".figures") validate_figure 0 figures in
       let* () =
-        match Json.member "rank" j with
+        match Json.member "audit" j with
         | None -> Ok ()
-        | Some r -> validate_rank (ctx ^ ".rank") r
+        | Some a -> validate_audit (ctx ^ ".audit") a
       in
       let* () =
         match Json.member "chaos" j with
@@ -681,11 +560,6 @@ let validate j =
         match Json.member "adapt" j with
         | None -> Ok ()
         | Some a -> validate_adapt (ctx ^ ".adapt") a
-      in
-      let* () =
-        match Json.member "lockdep" j with
-        | None -> Ok ()
-        | Some l -> validate_lockdep (ctx ^ ".lockdep") l
       in
       (match Json.member "harness" j with
       | None -> Ok ()

@@ -43,39 +43,6 @@ type harness = {
     legitimately vary between runs; determinism comparisons must strip
     it (everything else is byte-stable per seed). *)
 
-type rank_run = {
-  schedule : string;  (** "default" | "random-preemption" | "pct" *)
-  run_seed : int;
-  deletes : int;
-  empties : int;
-  max_rank : int;
-  mean_rank : float;
-  p99_rank : int;
-  max_delay : int;
-  mean_delay : float;
-  p99_delay : int;
-}
-(** one (schedule, seed) measurement of {!Pqcheck.Rank} statistics *)
-
-type rank_queue = {
-  queue : string;
-  bound : int;  (** 0 for strict queues *)
-  relaxed : bool;
-  worst_rank : int;
-  worst_delay : int;
-  pass : bool;  (** [worst_rank <= bound] *)
-  runs : rank_run list;
-}
-
-type rank = {
-  rank_nprocs : int;
-  rank_npriorities : int;
-  rank_ops_per_proc : int;
-  queues : rank_queue list;
-}
-(** the rank-error verification section: deterministic per seed, so it
-    participates in byte-stability comparisons (unlike [harness]) *)
-
 val chaos_verdicts : string list
 (** the verdict taxonomy as stable strings: healthy, degraded, blocked,
     safety-violation *)
@@ -138,28 +105,26 @@ type adapt = {
     [Pqadapt.Driver]): deterministic per seed, so it participates in
     byte-stability comparisons *)
 
-type lockdep_queue = {
-  ld_queue : string;
-  ld_events : int;  (** lock notes consumed across all runs *)
-  ld_try_fails : int;
-  ld_locks : int;  (** lock-order graph nodes *)
-  ld_edges : int;
-  ld_cycles : int;  (** potential-deadlock cycles *)
-  ld_discipline : int;  (** discipline findings (double release etc.) *)
-  ld_violations : int;  (** findings outside the allowlist *)
+type audit_row = {
+  queue : string;
+  findings : string list;  (** empty iff the queue passes *)
+  counts : (string * int) list;
+      (** named non-negative tallies, the evidence behind the verdict
+          (events, races, locks, cycles, worst rank, bound, ...) *)
 }
 
-type lockdep = {
-  lockdep_nprocs : int;
-  lockdep_npriorities : int;
-  lockdep_ops_per_proc : int;
-  lockdep_seeds : int list;
-  lockdep_pass : bool;  (** no queue has violations or aborted runs *)
-  lockdep_queues : lockdep_queue list;
+type audit = {
+  audit_nprocs : int;
+  audit_npriorities : int;
+  audit_ops_per_proc : int;
+  audit_schedules : string list;
+  audit_seeds : int list;
+  audit_rows : audit_row list;
 }
-(** the lock-order audit section (pqbench lockdep /
-    [Pqanalysis.Lockdep]): deterministic per seed, so it participates
-    in byte-stability comparisons *)
+(** the analyzer audit section ([pqbench audit] / [Pqanalysis.Audit]):
+    one row per queue, its pass flag derived from its findings.
+    Deterministic per seed, so it participates in byte-stability
+    comparisons *)
 
 type t = {
   paper : string;
@@ -167,20 +132,18 @@ type t = {
   scale : string;  (** "quick" | "full" | "tiny" — informational *)
   figures : figure list;
   metrics : (string * Json.t) list;  (** free-form extras *)
-  rank : rank option;
+  audit : audit option;
   chaos : chaos option;
   adapt : adapt option;
-  lockdep : lockdep option;
   harness : harness option;
 }
 
 val make :
   ?paper:string ->
   ?metrics:(string * Json.t) list ->
-  ?rank:rank ->
+  ?audit:audit ->
   ?chaos:chaos ->
   ?adapt:adapt ->
-  ?lockdep:lockdep ->
   ?harness:harness ->
   seed:int ->
   scale:string ->
@@ -193,9 +156,10 @@ val to_string : t -> string
 val validate : Json.t -> (unit, string) result
 (** structural validation of a parsed document: required fields, types,
     non-empty figures, each with non-empty series of (x:int, y:number)
-    points; an optional [rank] section (non-empty queues each with
-    non-empty runs, strict queues bound to 0, pass flags consistent
-    with the recorded numbers); an optional [chaos] section (non-empty
+    points; an optional [audit] section (non-empty schedules, seeds
+    and rows, every count a non-negative integer, each row's pass flag
+    equal to its findings being empty and the section's pass flag to
+    every row passing); an optional [chaos] section (non-empty
     cells, verdicts drawn from {!chaos_verdicts}, non-violating cells
     inside their recorded bound, safe flag consistent with the cells);
     an optional [adapt] section (non-empty phases each with
@@ -204,11 +168,8 @@ val validate : Json.t -> (unit, string) result
     recorded per-phase means and switch directions; a false flag with
     passing numbers is accepted, since the gate also judges aborts and
     conservation failures the section doesn't record); an optional
-    [lockdep] section (non-empty seeds and queues, counts non-negative
-    and internally consistent, and — one-sided like [adapt], since
-    aborted runs aren't recorded — no pass flag set while a queue
-    records violations); an optional [harness] section with
-    jobs/wall_s/experiments; rejects other [schema_version]s *)
+    [harness] section with jobs/wall_s/experiments; rejects other
+    [schema_version]s *)
 
 val validate_string : string -> (unit, string) result
 (** parse + validate *)

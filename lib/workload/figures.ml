@@ -486,8 +486,25 @@ let rank_error scale =
       ~points:(fun _ -> procs)
       ~run:(fun queue p ->
         progress "[bench] rank_error %s P=%d" queue p;
-        let r = Pqexplore.Rank_driver.measure_queue ~nprocs:p queue in
-        (p, float_of_int r.Pqexplore.Rank_driver.worst_rank))
+        let worst =
+          List.fold_left
+            (fun worst seed ->
+              List.fold_left
+                (fun worst policy ->
+                  let h =
+                    Pqcheck.History.record ~queue ~nprocs:p ~npriorities:16
+                      ~ops_per_proc:30 ~seed ?policy ()
+                  in
+                  max worst (Pqcheck.Rank.measure h).Pqcheck.Rank.max_rank)
+                worst
+                [
+                  None;
+                  Some (Pqexplore.Policy.random ~seed ());
+                  Some (Pqexplore.Policy.pct ~seed ~nprocs:p ());
+                ])
+            0 [ 42; 1; 7 ]
+        in
+        (p, float_of_int worst))
       ~mk:(fun queue points -> { Table.label = queue; points })
   in
   Table.print

@@ -1,8 +1,9 @@
 (* Tests for the pqlint subsystem: known-answer cases for the
    vector-clock race detector (racy program detected; CAS-, lock- and
    wake-synchronized programs not), the benign-race allowlist matching,
-   and the memory-discipline lint's accept/reject verdicts on pinned
-   source fragments. *)
+   the memory-discipline lint's accept/reject verdicts on pinned
+   source fragments, the lock-order analyzer, and the audit's coverage,
+   probe passivity and exit rule. *)
 
 open Pqanalysis
 
@@ -453,11 +454,10 @@ let test_lockdep_allowlist_matching () =
   let _, violations = Lockdep.split findings ~expects:[ "cycle: Q.a" ] in
   check_int "prefix does not match (anchored)" 2 (List.length violations);
   (* hard requirement: every shipped allowlist is empty *)
-  check_int "twelve audited queues" 12 (List.length Lockdep.queues_all);
   List.iter
     (fun q ->
       check_int (q ^ " allowlist empty") 0 (List.length (Lockdep.expect q)))
-    Lockdep.queues_all
+    Audit.queues
 
 (* interpret (flag, lock) pairs into a well-formed per-proc history:
    release the innermost hold when flagged, else acquire when not held
@@ -616,19 +616,149 @@ let test_lockdep_hunt_double_release_flagged () =
   check_int "flagged" 1 (List.length violations)
 
 let test_lockdep_head_audits_clean () =
-  (* current HEAD must audit clean — small scale here; the full 12-queue
-     x 3-seed x 3-schedule matrix is the `pqbench lockdep` CI gate *)
+  (* current HEAD must audit clean — the seed-42 cells here; the full
+     matrix is the `pqbench audit` CI gate *)
   List.iter
     (fun queue ->
-      let a =
-        Lockdep.audit_queue ~nprocs:4 ~npriorities:8 ~ops_per_proc:8
-          ~seeds:[ 42 ] ~queue ()
+      let r =
+        Audit.merge queue
+          (List.filter_map
+             (fun (c : Audit.cell) ->
+               if c.queue = queue && c.seed = 42 then Some (Audit.run_cell c)
+               else None)
+             Audit.cells)
       in
       check_bool (queue ^ " saw lock traffic") true
-        (queue = "Adaptive" || a.Lockdep.analysis.Lockdep.events_seen > 0);
-      check_int (queue ^ " violations") 0 (List.length a.Lockdep.violations);
-      check_int (queue ^ " aborted runs") 0 (List.length a.Lockdep.aborted))
+        (r.locks.Lockdep.events_seen > 0);
+      Alcotest.(check (list string)) (queue ^ " findings") []
+        (Audit.findings r))
     [ "HuntEtAl"; "SkipList"; "MultiQueue"; "Adaptive" ]
+
+(* ------------------------------------------------------------------ *)
+(* the audit: coverage, probe passivity, exit rule *)
+
+let test_audit_covers_registry () =
+  (* by construction: a queue added to the registry is audited *)
+  List.iter
+    (fun q -> check_bool (q ^ " audited") true (List.mem q Audit.queues))
+    (Pqcore.Registry.names @ [ "Adaptive" ]);
+  List.iter
+    (fun q ->
+      check_int (q ^ " cells") 9
+        (List.length
+           (List.filter (fun (c : Audit.cell) -> c.queue = q) Audit.cells)))
+    Audit.queues
+
+let test_audit_probe_passive () =
+  (* the composed probe observes exactly what each analyzer's solo probe
+     does, and none of them perturbs the run *)
+  List.iter
+    (fun queue ->
+      let cell = { Audit.queue; schedule = "pct"; seed = 7 } in
+      let composed = Audit.run_cell cell in
+      let solo what probe =
+        let o = Audit.run_sim ~probe cell in
+        check_int (queue ^ " cycles under " ^ what) composed.cycles o.cycles;
+        o
+      in
+      check_int (queue ^ " cycles unprobed") composed.cycles
+        (Audit.run_sim cell).cycles;
+      let races = Races.observer () in
+      let o = solo "races" (Races.probe races) in
+      check_int (queue ^ " race events") composed.events (Races.events races);
+      check_bool (queue ^ " races") true
+        (Races.analyze ~mem:(Option.get o.mem) races = composed.races);
+      let locks = Lockdep.observer () in
+      let o = solo "lockdep" (Lockdep.probe locks) in
+      check_bool (queue ^ " lock analysis") true
+        (Lockdep.analyze ~sched:(Audit.label cell)
+           ~label:(Pqsim.Mem.name_of (Option.get o.mem))
+           locks
+        = composed.locks);
+      let m =
+        Pqchaos.Monitor.create ~npriorities:Audit.npriorities
+          ~nprocs:Audit.nprocs
+      in
+      let o =
+        solo "monitor" (Pqsim.Probe.make ~notes:(Pqchaos.Monitor.notes m) ())
+      in
+      check_bool (queue ^ " monitor report") true
+        (Pqchaos.Monitor.finalize m ~leftover:o.leftover = composed.monitor))
+    [ "SimpleTree"; "HuntEtAl"; "MultiQueue" ]
+
+let test_audit_exit_rule () =
+  (* each kind of finding on its own fails the queue *)
+  let clean =
+    Audit.merge "SingleLock"
+      [
+        Audit.run_cell
+          { Audit.queue = "SingleLock"; schedule = "default"; seed = 42 };
+      ]
+  in
+  Alcotest.(check (list string)) "clean" [] (Audit.findings clean);
+  let access proc kind time = { Races.proc; kind; time; sync = false } in
+  let race =
+    {
+      Races.addr = 7;
+      label = Some "Q.data";
+      first = access 0 Pqsim.Probe.Write 1;
+      second = access 1 Pqsim.Probe.Read 2;
+      second_clock = [| 0; 1 |];
+      first_epoch = 1;
+      count = 1;
+    }
+  in
+  let edge src dst =
+    {
+      Lockdep.src;
+      dst;
+      count = 1;
+      witness =
+        { Lockdep.proc = 0; held_since = 0; time = 1; sched = "default/s42" };
+    }
+  in
+  let locks = clean.locks in
+  let cases =
+    [
+      ("race", { clean with races = [ race ] });
+      ( "lock-order cycle",
+        {
+          clean with
+          locks =
+            {
+              locks with
+              locks = List.sort_uniq compare ("Q.a" :: "Q.b" :: locks.locks);
+              edges = [ edge "Q.a" "Q.b"; edge "Q.b" "Q.a" ];
+            };
+        } );
+      ( "discipline",
+        {
+          clean with
+          locks =
+            {
+              locks with
+              disc =
+                [
+                  {
+                    Lockdep.kind = Lockdep.Double_release;
+                    proc = 0;
+                    lock = "Q.a";
+                    time = 1;
+                    occurrences = 1;
+                  };
+                ];
+            };
+        } );
+      ("aborted run", { clean with aborted = [ ("pct/s7", "Deadlock") ] });
+      ( "failed check",
+        { clean with failed_checks = [ ("default/s1", "conservation") ] } );
+      ("rank over bound", { clean with worst_rank = clean.bound + 1 });
+    ]
+  in
+  List.iter
+    (fun (what, r) ->
+      check_int (what ^ " alone fails") 1 (List.length (Audit.findings r)))
+    cases
 
 let test_hlock_tags_pinned_and_trace_clean () =
   (* hostpq depends on nothing, so Hlock restates the tag values; this
@@ -727,6 +857,15 @@ let () =
             test_lockdep_head_audits_clean;
           Alcotest.test_case "Hlock tags + host trace" `Quick
             test_hlock_tags_pinned_and_trace_clean;
+        ] );
+      ( "audit",
+        [
+          Alcotest.test_case "every registry queue audited" `Quick
+            test_audit_covers_registry;
+          Alcotest.test_case "composed probe passive" `Quick
+            test_audit_probe_passive;
+          Alcotest.test_case "each finding fails alone" `Quick
+            test_audit_exit_rule;
         ] );
       ( "lockdep-prop",
         List.map QCheck_alcotest.to_alcotest

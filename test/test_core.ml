@@ -18,7 +18,7 @@ let all_names = Pqcore.Registry.names
    relaxed MultiQueue family shares the registry face and the
    conservation/invariant tests, but not the exact-semantics ones
    (sorted drains, quiescent min) — its ordering contract is the
-   rank-error bound, gated by `pqbench rank` and test_relaxed.ml *)
+   rank-error bound, gated by `pqbench audit` and test_relaxed.ml *)
 let strict_names =
   List.filter
     (fun n -> not (List.mem n Pqcore.Registry.names_relaxed))

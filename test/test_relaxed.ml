@@ -137,15 +137,28 @@ let mq_delete_only_none_when_empty (name, cfg) () =
     (List.sort compare !got);
   check_bool "then empty" true (!after = None)
 
-let mq_race_audit (name, _) seed () =
-  (* the ISSUE's gate: default + random-preemption + PCT schedules, no
-     data races at all — the allowlist must stay hard-empty *)
-  let a =
-    Pqanalysis.Races.audit_queue ~nprocs:6 ~ops_per_proc:10 ~seed ~queue:name
-      ()
+(* one queue's audit report over its cells of the audit matrix, optionally
+   for one seed only *)
+let audit ?seed queue =
+  let cells =
+    List.filter
+      (fun (c : Pqanalysis.Audit.cell) ->
+        c.queue = queue && Option.fold ~none:true ~some:(( = ) c.seed) seed)
+      Pqanalysis.Audit.cells
   in
-  check_int "no allowlisted races" 0 (List.length a.Pqanalysis.Races.allowlisted);
-  check_int "no violations" 0 (List.length a.Pqanalysis.Races.violations)
+  Pqanalysis.Audit.merge queue (List.map Pqanalysis.Audit.run_cell cells)
+
+let check_clean (r : Pqanalysis.Audit.report) =
+  Alcotest.(check (list string)) "no findings" [] (Pqanalysis.Audit.findings r)
+
+let mq_race_audit (name, _) seed () =
+  (* the variant's audit cells for one seed — default, random-preemption
+     and PCT schedules: no data races at all (the allowlist must stay
+     hard-empty) and no other finding *)
+  let r = audit ~seed name in
+  check_int "three schedules" 3 r.cells;
+  check_int "no races" 0 (List.length r.races);
+  check_clean r
 
 (* ------------------------------------------------------------------ *)
 (* the rank-error oracle on hand-built histories *)
@@ -209,26 +222,24 @@ let test_rank_conservative_overlap () =
   check_int "max rank" 0 s.max_rank
 
 let test_rank_strict_queues_zero () =
-  (* one representative strict queue under all three schedules: the gate
+  (* one representative strict queue over its audit cells: the gate
      property itself (every nonzero would be a real ordering violation) *)
-  let r = Pqexplore.Rank_driver.measure_queue ~nprocs:4 ~ops_per_proc:12 "SkipList" in
-  check_bool "strict" true (not r.Pqexplore.Rank_driver.relaxed);
+  let r = audit "SkipList" in
   check_int "bound 0" 0 r.bound;
   check_int "rank 0" 0 r.worst_rank;
-  check_bool "pass" true r.pass
+  check_clean r
 
 let test_rank_multiqueue_bounded () =
-  let r = Pqexplore.Rank_driver.measure_queue ~nprocs:4 ~ops_per_proc:12 "MultiQueue" in
-  check_bool "relaxed" true r.Pqexplore.Rank_driver.relaxed;
+  let r = audit "MultiQueue" in
   check_bool "finite bound" true (r.bound > 0);
   check_bool "within bound" true (r.worst_rank <= r.bound);
-  check_bool "pass" true r.pass;
+  check_clean r;
   (* three seeds x three schedules *)
-  check_int "runs" 9 (List.length r.runs)
+  check_int "cells" 9 r.cells
 
 let test_rank_deterministic () =
-  let r1 = Pqexplore.Rank_driver.measure_queue ~nprocs:4 ~ops_per_proc:10 "MultiQueueC4" in
-  let r2 = Pqexplore.Rank_driver.measure_queue ~nprocs:4 ~ops_per_proc:10 "MultiQueueC4" in
+  let r1 = audit ~seed:42 "MultiQueueC4" in
+  let r2 = audit ~seed:42 "MultiQueueC4" in
   check_bool "byte-stable report" true (r1 = r2)
 
 (* ------------------------------------------------------------------ *)

@@ -405,98 +405,89 @@ let test_bench_out_rejects_tampered () =
   | Ok () -> Alcotest.fail "validator accepted garbage"
   | Error _ -> ()
 
-let sample_rank () =
-  let run schedule run_seed max_rank =
-    {
-      Pqtrace.Bench_out.schedule;
-      run_seed;
-      deletes = 10;
-      empties = 1;
-      max_rank;
-      mean_rank = 0.5;
-      p99_rank = max_rank;
-      max_delay = max_rank;
-      mean_delay = 0.25;
-      p99_delay = max_rank;
-    }
-  in
-  let queue ~queue ~bound ~relaxed ~worst ~pass =
+let sample_audit () =
+  let row queue findings =
     {
       Pqtrace.Bench_out.queue;
-      bound;
-      relaxed;
-      worst_rank = worst;
-      worst_delay = worst;
-      pass;
-      runs = [ run "default" 42 worst; run "pct" 42 0 ];
+      findings;
+      counts = [ ("cells", 9); ("races", 0); ("worst_rank", 9); ("bound", 320) ];
     }
   in
   {
-    Pqtrace.Bench_out.rank_nprocs = 8;
-    rank_npriorities = 16;
-    rank_ops_per_proc = 30;
-    queues =
-      [
-        queue ~queue:"SingleLock" ~bound:0 ~relaxed:false ~worst:0 ~pass:true;
-        queue ~queue:"MultiQueue" ~bound:192 ~relaxed:true ~worst:9 ~pass:true;
-      ];
+    Pqtrace.Bench_out.audit_nprocs = 16;
+    audit_npriorities = 16;
+    audit_ops_per_proc = 40;
+    audit_schedules = [ "default"; "pct" ];
+    audit_seeds = [ 42; 1 ];
+    audit_rows = [ row "SingleLock" []; row "MultiQueue" [] ];
   }
 
-let with_rank rank =
+let with_audit audit =
   match sample_doc () with
   | { Pqtrace.Bench_out.figures; _ } ->
-      Pqtrace.Bench_out.make ~seed:42 ~scale:"tiny" ~rank figures
+      Pqtrace.Bench_out.make ~seed:42 ~scale:"tiny" ~audit figures
 
-let test_bench_out_rank_valid () =
-  let text = Pqtrace.Bench_out.to_string (with_rank (sample_rank ())) in
+let test_bench_out_audit_valid () =
+  let text = Pqtrace.Bench_out.to_string (with_audit (sample_audit ())) in
   (match Pqtrace.Bench_out.validate_string text with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "rank section rejected: %s" e);
+  | Error e -> Alcotest.failf "audit section rejected: %s" e);
   check_string "deterministic bytes" text
-    (Pqtrace.Bench_out.to_string (with_rank (sample_rank ())))
-
-let test_bench_out_rank_rejects () =
-  (* the gate's own consistency rules, as enforced by the validator *)
-  let map_first f r =
+    (Pqtrace.Bench_out.to_string (with_audit (sample_audit ())));
+  (* a failing row is representable: its findings clear both pass flags *)
+  let failing =
     {
-      r with
-      Pqtrace.Bench_out.queues =
-        (match r.Pqtrace.Bench_out.queues with
-        | q :: rest -> f q :: rest
-        | [] -> []);
+      (sample_audit ()) with
+      Pqtrace.Bench_out.audit_rows =
+        [
+          {
+            Pqtrace.Bench_out.queue = "HuntEtAl";
+            findings = [ "lock cycle: A -> B" ];
+            counts = [];
+          };
+        ];
     }
   in
+  match Pqtrace.Bench_out.validate (Pqtrace.Bench_out.to_json (with_audit failing)) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "failing audit rejected: %s" e
+
+(* rewrite one field of the encoded section, at [path] below "audit" *)
+let tamper_audit path v =
+  let open Pqtrace.Json in
+  let rec set path j =
+    match (path, j) with
+    | [], _ -> v
+    | `Key k :: rest, Obj fields ->
+        Obj (List.map (fun (k', x) -> if k' = k then (k', set rest x) else (k', x)) fields)
+    | `First :: rest, List (x :: xs) -> List (set rest x :: xs)
+    | _ -> j
+  in
+  set (`Key "audit" :: path)
+    (Pqtrace.Bench_out.to_json (with_audit (sample_audit ())))
+
+let test_bench_out_audit_rejects () =
+  (* the section's own consistency rules, as enforced by the validator *)
+  let open Pqtrace.Json in
+  let row = [ `Key "queues"; `First ] in
   let cases =
     [
-      ( "strict queue with nonzero bound",
-        map_first
-          (fun q -> { q with Pqtrace.Bench_out.bound = 1; pass = true })
-          (sample_rank ()) );
-      ( "pass flag contradicting the numbers",
-        map_first
-          (fun q -> { q with Pqtrace.Bench_out.pass = false })
-          (sample_rank ()) );
-      ( "relaxed queue over its bound marked pass",
-        {
-          (sample_rank ()) with
-          Pqtrace.Bench_out.queues =
-            (match (sample_rank ()).Pqtrace.Bench_out.queues with
-            | [ strict; mq ] ->
-                [ strict; { mq with Pqtrace.Bench_out.worst_rank = 500 } ]
-            | qs -> qs);
-        } );
-      ( "empty runs",
-        map_first
-          (fun q -> { q with Pqtrace.Bench_out.runs = [] })
-          (sample_rank ()) );
-      ("empty queues", { (sample_rank ()) with Pqtrace.Bench_out.queues = [] });
-      ( "nprocs 0",
-        { (sample_rank ()) with Pqtrace.Bench_out.rank_nprocs = 0 } );
+      ("section pass contradicting rows", tamper_audit [ `Key "pass" ] (Bool false));
+      ("row pass with findings",
+        tamper_audit (row @ [ `Key "findings" ]) (List [ String "race X" ]));
+      ("row fail without findings", tamper_audit (row @ [ `Key "pass" ]) (Bool false));
+      ("negative count",
+        tamper_audit (row @ [ `Key "counts" ]) (Obj [ ("races", Int (-1)) ]));
+      ("non-integer count",
+        tamper_audit (row @ [ `Key "counts" ]) (Obj [ ("races", String "0") ]));
+      ("empty queues", tamper_audit [ `Key "queues" ] (List []));
+      ("empty seeds", tamper_audit [ `Key "seeds" ] (List []));
+      ("nprocs 0", tamper_audit [ `Key "nprocs" ] (Int 0));
     ]
   in
   List.iter
-    (fun (what, rank) ->
-      match Pqtrace.Bench_out.validate (Pqtrace.Bench_out.to_json (with_rank rank)) with
+    (fun (what, doc) ->
+      match Pqtrace.Bench_out.validate doc with
       | Ok () -> Alcotest.failf "validator accepted %s" what
       | Error _ -> ())
     cases
@@ -589,10 +580,10 @@ let () =
           Alcotest.test_case "valid" `Quick test_bench_out_valid;
           Alcotest.test_case "rejects tampered" `Quick
             test_bench_out_rejects_tampered;
-          Alcotest.test_case "rank section valid" `Quick
-            test_bench_out_rank_valid;
-          Alcotest.test_case "rank section rejects" `Quick
-            test_bench_out_rank_rejects;
+          Alcotest.test_case "audit section valid" `Quick
+            test_bench_out_audit_valid;
+          Alcotest.test_case "audit section rejects" `Quick
+            test_bench_out_audit_rejects;
         ] );
       ( "profile",
         [
