@@ -10,10 +10,10 @@
      lives in bucket [t land mask]; since the window spans exactly
      [window] ticks, a bucket holds a single time value (plus clamped
      stragglers, below).  Buckets are intrusive singly-linked lists of
-     event records kept sorted by the full (time, weight, seq) key —
-     the engine's weight-0 FIFO stream always appends at the tail in
-     O(1), while adversarial same-cycle weights from the schedule
-     explorer fall back to an insertion walk.
+     event ids kept sorted by the full (time, weight, seq) key — the
+     engine's weight-0 FIFO stream always appends at the tail in O(1),
+     while adversarial same-cycle weights from the schedule explorer
+     fall back to an insertion walk.
    - a two-level occupancy bitmap over the buckets (32 slots per word)
      so [pop] finds the next nonempty bucket with word tests + a
      count-trailing-zeros, not a slot-by-slot scan of sparse windows.
@@ -22,13 +22,20 @@
      are drained into their buckets, so each event moves through the
      far heap at most once.
 
-   Event records are mutable and arena-recycled through an intrusive
-   freelist: [pop_exn] hands back the record itself and reclaims it on
-   the *next* pop, so the caller (the engine loop, or [drain]'s
-   callback) may read the record — and push new events, which allocate
-   from the freelist — while it is still live.  The [run] slot is reset
-   to a static thunk on recycle so a retired record never pins a
-   closure.
+   Events live in an arena of parallel arrays indexed by event id:
+   [etime], [eweight], [eseq], [epid], [ev] and the bucket/freelist
+   link [enext] are int arrays, and the bucket heads and tails and the
+   far heap hold ids, so scheduling an event stores only immediates —
+   no pointer store, hence no GC write barrier.  The one pointer array,
+   [erun], is written only when a closure event is pushed.  Ids recycle
+   through the [enext] freelist the moment they pop: [pop_exn] copies
+   the event into the queue's single view record, so the caller may
+   read it — and push new events, which reuse the freed id — until the
+   next pop.  A freed id's [erun] slot keeps its thunk until a later
+   closure event reuses the slot or the queue dies.  The arena and the
+   far heap start empty and double from [first_capacity] on demand, so
+   a queue holds slots for about as many events as were ever pending at
+   once (the engine keeps at most one per processor).
 
    The pop order is the same strict total order (time, then weight,
    then seq; seq is unique) the old binary heap used, so any run
@@ -43,7 +50,6 @@ type event = {
   mutable pid : int;
   mutable v : int;
   mutable run : unit -> unit;
-  mutable next : event;
 }
 
 (* window parameters: [window] must be a power of two, and [slot_words]
@@ -52,50 +58,74 @@ let window = 4096
 let mask = window - 1
 let slot_words = window / 32
 
-let rec nil =
-  { time = 0; weight = 0; seq = 0; pid = -1; v = 0; run = ignore; next = nil }
+(* the null event id: empty bucket, end of a chain or of the freelist *)
+let nil = -1
+
+let first_capacity = 8
+
+let noop () = ()
 
 type t = {
-  bhead : event array; (* bucket heads, [nil] when empty *)
-  btail : event array;
+  (* the arena: event [id]'s fields at index [id] *)
+  mutable etime : int array;
+  mutable eweight : int array;
+  mutable eseq : int array;
+  mutable epid : int array;
+  mutable ev : int array;
+  mutable enext : int array;
+  mutable erun : (unit -> unit) array;
+  mutable fresh : int; (* ids below [fresh] have been handed out *)
+  mutable free : int; (* freelist head, threaded through [enext] *)
+  bhead : int array; (* bucket heads, [nil] when empty *)
+  btail : int array;
   occ : int array; (* occupancy bitmap: bit (s land 31) of word (s lsr 5) *)
   occ_sum : int array; (* summary: bit w set iff occ.(w) <> 0 *)
   mutable cur : int; (* absolute-time cursor; never decreases while nonempty *)
   mutable in_window : int;
-  mutable far : event array; (* binary heap of events at time >= cur + window *)
+  mutable far : int array; (* binary heap of events at time >= cur + window *)
   mutable far_size : int;
   mutable size : int;
   mutable next_seq : int;
-  mutable free : event; (* freelist of retired records, [nil]-terminated *)
-  mutable last : event; (* record returned by the previous pop, or [nil] *)
   mutable pops : int;
+  view : event; (* the record [pop_exn] fills and returns *)
 }
 
 let create () =
   {
+    etime = [||];
+    eweight = [||];
+    eseq = [||];
+    epid = [||];
+    ev = [||];
+    enext = [||];
+    erun = [||];
+    fresh = 0;
+    free = nil;
     bhead = Array.make window nil;
     btail = Array.make window nil;
     occ = Array.make slot_words 0;
     occ_sum = Array.make ((slot_words + 31) / 32) 0;
     cur = 0;
     in_window = 0;
-    far = Array.make 64 nil;
+    far = [||];
     far_size = 0;
     size = 0;
     next_seq = 0;
-    free = nil;
-    last = nil;
     pops = 0;
+    view = { time = 0; weight = 0; seq = 0; pid = -1; v = 0; run = noop };
   }
 
 let is_empty t = t.size = 0
 let length t = t.size
 let pops t = t.pops
 
-let before a b =
-  a.time < b.time
-  || (a.time = b.time
-     && (a.weight < b.weight || (a.weight = b.weight && a.seq < b.seq)))
+let before t a b =
+  let ta = t.etime.(a) and tb = t.etime.(b) in
+  ta < tb
+  || ta = tb
+     &&
+     let wa = t.eweight.(a) and wb = t.eweight.(b) in
+     wa < wb || (wa = wb && t.eseq.(a) < t.eseq.(b))
 
 (* count trailing zeros of a nonzero 32-bit value, by de Bruijn multiply *)
 let ctz_table =
@@ -143,84 +173,93 @@ let next_occupied t s0 =
     block (w0 lsr 5) (-1 lsl ((w0 land 31) + 1)) (nsum + 1)
   end
 
-(* recycle the record handed out by the previous pop *)
-let retire t =
-  let e = t.last in
-  if e != nil then begin
-    t.last <- nil;
-    e.run <- ignore;
-    e.next <- t.free;
-    t.free <- e
-  end
+let grow_array a fill =
+  let b = Array.make (max first_capacity (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let alloc t ~time ~weight ~pid ~v run =
+(* double every arena array; ids keep their indices *)
+let grow t =
+  t.etime <- grow_array t.etime 0;
+  t.eweight <- grow_array t.eweight 0;
+  t.eseq <- grow_array t.eseq 0;
+  t.epid <- grow_array t.epid 0;
+  t.ev <- grow_array t.ev 0;
+  t.enext <- grow_array t.enext nil;
+  t.erun <- grow_array t.erun noop
+
+(* a free event id with its key and payload set and its link cleared *)
+let alloc t ~time ~weight ~pid ~v =
+  let id = t.free in
+  let id =
+    if id <> nil then begin
+      t.free <- t.enext.(id);
+      id
+    end
+    else begin
+      let id = t.fresh in
+      if id = Array.length t.etime then grow t;
+      t.fresh <- id + 1;
+      id
+    end
+  in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let e = t.free in
-  if e != nil then begin
-    t.free <- e.next;
-    e.time <- time;
-    e.weight <- weight;
-    e.seq <- seq;
-    e.pid <- pid;
-    e.v <- v;
-    e.run <- run;
-    e.next <- nil;
-    e
-  end
-  else { time; weight; seq; pid; v; run; next = nil }
+  t.etime.(id) <- time;
+  t.eweight.(id) <- weight;
+  t.eseq.(id) <- seq;
+  t.epid.(id) <- pid;
+  t.ev.(id) <- v;
+  t.enext.(id) <- nil;
+  id
 
-(* insert [e] into its window bucket, keeping the chain sorted by the
-   full key.  The hot case — the engine's monotonically-sequenced
+(* insert event [e] into its window bucket, keeping the chain sorted by
+   the full key.  The hot case — the engine's monotonically-sequenced
    weight-0 stream, and far-heap drains (popped in key order) — appends
    at the tail in O(1). *)
 let bucket_insert t e =
   (* events from the past (QCheck drives these; the engine never does)
      clamp into the cursor bucket, where the full-key walk still yields
      them first *)
-  let s = (if e.time < t.cur then t.cur else e.time) land mask in
+  let time = t.etime.(e) in
+  let s = (if time < t.cur then t.cur else time) land mask in
   let head = t.bhead.(s) in
-  if head == nil then begin
+  if head = nil then begin
     t.bhead.(s) <- e;
     t.btail.(s) <- e;
     set_occ t s
   end
   else begin
     let tail = t.btail.(s) in
-    if before tail e then begin
-      tail.next <- e;
+    if before t tail e then begin
+      t.enext.(tail) <- e;
       t.btail.(s) <- e
     end
-    else if before e head then begin
-      e.next <- head;
+    else if before t e head then begin
+      t.enext.(e) <- head;
       t.bhead.(s) <- e
     end
     else begin
       (* insertion walk; terminates before the tail by the checks above *)
       let p = ref head in
-      while before !p.next e do
-        p := !p.next
+      while before t t.enext.(!p) e do
+        p := t.enext.(!p)
       done;
-      e.next <- !p.next;
-      !p.next <- e
+      t.enext.(e) <- t.enext.(!p);
+      t.enext.(!p) <- e
     end
   end;
   t.in_window <- t.in_window + 1
 
-(* far heap: plain binary min-heap on the full key *)
-
-let far_grow t =
-  let far = Array.make (2 * Array.length t.far) nil in
-  Array.blit t.far 0 far 0 t.far_size;
-  t.far <- far
+(* far heap: plain binary min-heap of ids on the full key *)
 
 let far_push t e =
-  if t.far_size = Array.length t.far then far_grow t;
+  if t.far_size = Array.length t.far then t.far <- grow_array t.far nil;
   let rec up i =
     if i = 0 then t.far.(0) <- e
     else
       let parent = (i - 1) / 2 in
-      if before e t.far.(parent) then begin
+      if before t e t.far.(parent) then begin
         t.far.(i) <- t.far.(parent);
         up parent
       end
@@ -238,10 +277,10 @@ let far_pop t =
     let rec down i =
       let l = (2 * i) + 1 and r = (2 * i) + 2 in
       let smallest = ref i in
-      if l < t.far_size && before t.far.(l) last then smallest := l;
+      if l < t.far_size && before t t.far.(l) last then smallest := l;
       if
         r < t.far_size
-        && before t.far.(r) (if !smallest = i then last else t.far.(l))
+        && before t t.far.(r) (if !smallest = i then last else t.far.(l))
       then smallest := r;
       if !smallest = i then t.far.(i) <- last
       else begin
@@ -254,44 +293,57 @@ let far_pop t =
   top
 
 let insert t e =
-  if t.size = 0 then t.cur <- e.time;
+  let time = t.etime.(e) in
+  if t.size = 0 then t.cur <- time;
   t.size <- t.size + 1;
-  if e.time >= t.cur + window then far_push t e else bucket_insert t e
+  if time >= t.cur + window then far_push t e else bucket_insert t e
 
 let push t ~time ?(weight = 0) run =
-  insert t (alloc t ~time ~weight ~pid:(-1) ~v:0 run)
+  let e = alloc t ~time ~weight ~pid:(-1) ~v:0 in
+  t.erun.(e) <- run;
+  insert t e
 
-let push_resume t ~time ~pid ~v =
-  insert t (alloc t ~time ~weight:0 ~pid ~v ignore)
+let push_resume t ~time ~pid ~v = insert t (alloc t ~time ~weight:0 ~pid ~v)
 
 exception Empty
 
 let pop_exn t =
   if t.size = 0 then raise Empty;
-  retire t;
   if t.in_window = 0 then
     (* everything pending is in the far heap: jump the cursor there *)
-    t.cur <- t.far.(0).time;
+    t.cur <- t.etime.(t.far.(0));
   (* slide due far events into the window they now belong to *)
-  while t.far_size > 0 && t.far.(0).time < t.cur + window do
-    let e = far_pop t in
-    bucket_insert t e
+  while t.far_size > 0 && t.etime.(t.far.(0)) < t.cur + window do
+    bucket_insert t (far_pop t)
   done;
   let s = next_occupied t (t.cur land mask) in
   (* absolute time of slot [s] in the window starting at [cur] *)
   t.cur <- t.cur + ((s - t.cur) land mask);
   let e = t.bhead.(s) in
-  t.bhead.(s) <- e.next;
-  if e.next == nil then begin
+  let next = t.enext.(e) in
+  t.bhead.(s) <- next;
+  if next = nil then begin
     t.btail.(s) <- nil;
     clear_occ t s
   end;
-  e.next <- nil;
   t.in_window <- t.in_window - 1;
   t.size <- t.size - 1;
   t.pops <- t.pops + 1;
-  t.last <- e;
-  e
+  let view = t.view in
+  let pid = t.epid.(e) in
+  view.time <- t.etime.(e);
+  view.weight <- t.eweight.(e);
+  view.seq <- t.eseq.(e);
+  view.pid <- pid;
+  view.v <- t.ev.(e);
+  (* the one pointer store: made for a closure event, and for a resume
+     event only when a closure event's thunk must be dropped *)
+  if pid < 0 then view.run <- t.erun.(e)
+  else if view.run != noop then view.run <- noop;
+  (* the view holds the event now: its id is free for the next push *)
+  t.enext.(e) <- t.free;
+  t.free <- e;
+  view
 
 let pop t = if t.size = 0 then None else Some (pop_exn t)
 

@@ -2,13 +2,13 @@
 
     A ladder/calendar queue: a sliding window of time-indexed buckets
     (amortized O(1) for the engine's near-monotone event stream) backed
-    by a binary heap for far-future events, over an arena of recycled
-    mutable event records.  Events pop in the same strict total order
-    the original binary heap used — (time, weight, sequence-number) —
-    so the two structures are observably identical.  The weight is a
-    scheduling-policy tie-break rank among same-cycle events (see
-    {!Sched}); the sequence number makes the remaining ordering
-    deterministic: events scheduled earlier run earlier. *)
+    by a binary heap for far-future events, over an arena of parallel
+    arrays indexed by event id.  Events pop in the same strict total
+    order the original binary heap used — (time, weight,
+    sequence-number) — so the two structures are observably identical.
+    The weight is a scheduling-policy tie-break rank among same-cycle
+    events (see {!Sched}); the sequence number makes the remaining
+    ordering deterministic: events scheduled earlier run earlier. *)
 
 type event = private {
   mutable time : int;
@@ -19,15 +19,15 @@ type event = private {
           [-1] for a closure event pushed by {!push} *)
   mutable v : int;  (** immediate resume value for a {!push_resume} event *)
   mutable run : unit -> unit;
-  mutable next : event;  (** intrusive bucket/freelist link; do not touch *)
+      (** the thunk of a closure event; a no-op for a resume event *)
 }
-(** An enqueued event.  Exposed read-only so {!pop_exn} can hand the
-    arena's own record back without boxing anything per pop.
+(** A popped event.  Each queue owns one such record: {!pop_exn} copies
+    the earliest event into it and returns it, without allocating.
 
-    Lifetime: a record returned by {!pop_exn}/{!pop}/{!drain} is valid
-    only until the next pop on the same queue, at which point it is
-    recycled into the arena.  Read its fields (or copy them) before
-    popping again. *)
+    Lifetime: the record returned by {!pop_exn}/{!pop}/{!drain} holds
+    the popped event only until the next pop on the same queue, which
+    overwrites it.  Read its fields (or copy them) before popping
+    again. *)
 
 type t
 
@@ -40,7 +40,7 @@ val push : t -> time:int -> ?weight:int -> (unit -> unit) -> unit
 val push_resume : t -> time:int -> pid:int -> v:int -> unit
 (** [push_resume t ~time ~pid ~v] schedules (at weight 0, without
     allocating a closure) the engine's resumption of processor [pid]
-    with immediate value [v]: the engine loop dispatches on
+    with immediate value [v]: the engine's dispatch tests
     [event.pid >= 0] and continues the processor's saved continuation
     itself instead of calling [event.run]. *)
 
@@ -50,7 +50,7 @@ val pop_exn : t -> event
 (** [pop_exn t] removes and returns the earliest event without
     allocating; raises {!Empty} if the queue is empty.  The engine's hot
     path — callers test {!is_empty} first rather than handling the
-    exception.  The returned record is recycled on the next pop (see
+    exception.  The returned record is overwritten by the next pop (see
     {!event}). *)
 
 val pop : t -> event option
@@ -60,8 +60,8 @@ val pop : t -> event option
 
 val drain : t -> (event -> unit) -> unit
 (** [drain t f] pops every queued event in order, applying [f] to each
-    ([f] may {!push} more; draining continues until truly empty).  Each
-    record passed to [f] is recycled when the next one pops. *)
+    ([f] may {!push} more; draining continues until truly empty).  The
+    record passed to [f] is overwritten when the next one pops. *)
 
 val is_empty : t -> bool
 val length : t -> int

@@ -101,12 +101,31 @@ type t = {
          variants return only the completion time and park the payload
          here so the engine's hot path never boxes a tuple per access. *)
   node_factor : int array; (* per memory module service-time multiplier *)
+  home_mask : int; (* [mem_modules - 1] when a power of two, else -1 *)
+  proc_loc : int array; (* per processor: packed mesh x, y and socket *)
+  module_loc : int array; (* per memory module: the same *)
   (* observability: symbolic names for allocated ranges (host-side
      metadata, registration order preserved) *)
   mutable labels : (int * int * string) list;
 }
 
 let no_words : words = W.create Bigarray.Int Bigarray.c_layout 0
+
+(* A location word packs a mesh node's x and y (21 bits each) and its
+   socket (the bits above), as [Machine.hops] and [Machine.socket_of]
+   place processor or module [i]: computed once per run, so a miss
+   prices its hops and hop cost with no division. *)
+let loc_bits = 21
+let loc_mask = (1 lsl loc_bits) - 1
+let loc_socket l = l lsr (2 * loc_bits)
+
+let locations m n =
+  let w = m.Machine.mesh_width in
+  Array.init n (fun i ->
+      let c = i mod (w * w) in
+      (c mod w)
+      lor ((c / w) lsl loc_bits)
+      lor (Machine.socket_of m i lsl (2 * loc_bits)))
 
 let create machine =
   let nprocs = machine.Machine.nprocs in
@@ -139,6 +158,11 @@ let create machine =
     queue_wait = 0;
     out = 0;
     node_factor = Array.make machine.Machine.mem_modules 1;
+    home_mask =
+      (let m = machine.Machine.mem_modules in
+       if m land (m - 1) = 0 then m - 1 else -1);
+    proc_loc = locations machine nprocs;
+    module_loc = locations machine machine.Machine.mem_modules;
     labels = [];
   }
 
@@ -158,12 +182,13 @@ let set_waker t w = t.waker <- w
    inter-socket for the metrics registry (the adaptive classifier's
    remote-traffic-share signal).  Flat-socket machines report all
    traffic local. *)
-let count_locality t ~proc ~addr =
+let count_locality t ~proc ~home =
   match t.metrics with
   | None -> ()
   | Some s ->
       Stats.record s
-        (if Machine.same_socket t.machine ~proc ~line:addr then "mem.local"
+        (if loc_socket t.proc_loc.(proc) = loc_socket t.module_loc.(home) then
+           "mem.local"
          else "mem.remote")
         1
 
@@ -326,20 +351,29 @@ let degrade_node t ~node ~factor =
   if factor < 1 then invalid_arg "Mem.degrade_node: factor must be >= 1";
   t.node_factor.(node mod Array.length t.node_factor) <- factor
 
-let node_factor t addr = t.node_factor.(Machine.home_module t.machine addr)
+(* [Machine.home_module], found once per access and passed down *)
+let home_of t addr =
+  if t.home_mask >= 0 then addr land t.home_mask
+  else addr mod Array.length t.module_loc
 
-let miss_latency t ~proc ~addr =
-  let m = t.machine in
-  node_factor t addr
-  * (m.Machine.miss_base
-    + (Machine.hop_cost_of m ~proc ~line:addr * Machine.hops m ~proc ~line:addr)
-    )
+let latency t ~proc ~home =
+  let m = t.machine and a = t.proc_loc.(proc) and b = t.module_loc.(home) in
+  let dx = (a land loc_mask) - (b land loc_mask)
+  and dy = ((a lsr loc_bits) land loc_mask) - ((b lsr loc_bits) land loc_mask) in
+  let hops = (if dx < 0 then -dx else dx) + if dy < 0 then -dy else dy in
+  let hop_cost =
+    if loc_socket a = loc_socket b then m.Machine.hop_cost
+    else m.Machine.remote_hop_cost
+  in
+  t.node_factor.(home) * (m.Machine.miss_base + (hop_cost * hops))
+
+let miss_latency t ~proc ~addr = latency t ~proc ~home:(home_of t addr)
 
 (* Begin service of an op needing the line's directory: queue behind any
    in-flight exclusive service, then occupy it for [occ] cycles.  Returns the
    time service ends. *)
-let serve t ~now ~addr ~occ =
-  let occ = occ * node_factor t addr in
+let serve t ~now ~addr ~home ~occ =
+  let occ = occ * t.node_factor.(home) in
   let b = W.get t.busy addr in
   let start = if b > now then b else now in
   let waited = start - now in
@@ -360,14 +394,17 @@ let read_t t ~proc ~now addr =
   end
   else begin
     t.misses <- t.misses + 1;
+    let home = home_of t addr in
     if t.probing then begin
       W.set t.traffic_by_line addr (W.get t.traffic_by_line addr + 1);
-      count_locality t ~proc ~addr
+      count_locality t ~proc ~home
     end;
-    let served = serve t ~now ~addr ~occ:t.machine.Machine.read_occupancy in
+    let served =
+      serve t ~now ~addr ~home ~occ:t.machine.Machine.read_occupancy
+    in
     set_cached t ~proc addr;
     t.out <- W.get t.data addr;
-    served + miss_latency t ~proc ~addr
+    served + latency t ~proc ~home
   end
 
 let read t ~proc ~now addr =
@@ -378,16 +415,16 @@ let read t ~proc ~now addr =
    line's directory) and [rmw_commit] (store the new value, park the old
    one in [out], return the completion time) with the new value computed
    inline in between — no update closure per access *)
-let rmw_begin t ~proc ~now ~addr ~occ =
+let rmw_begin t ~proc ~now ~addr ~home ~occ =
   t.updates <- t.updates + 1;
   if t.probing then begin
     W.set t.traffic_by_line addr (W.get t.traffic_by_line addr + 1);
-    count_locality t ~proc ~addr
+    count_locality t ~proc ~home
   end;
   W.set t.writer_by_line addr (proc + 1);
-  serve t ~now ~addr ~occ
+  serve t ~now ~addr ~home ~occ
 
-let rmw_commit t ~proc ~addr ~served ~old v =
+let rmw_commit t ~proc ~addr ~home ~served ~old v =
   if v <> old then begin
     W.set t.data addr v;
     invalidate t addr
@@ -396,20 +433,22 @@ let rmw_commit t ~proc ~addr ~served ~old v =
   notify t addr ~change_time:served;
   set_cached t ~proc addr;
   t.out <- old;
-  served + miss_latency t ~proc ~addr
+  served + latency t ~proc ~home
 
 let write t ~proc ~now addr v =
   ensure t (addr + 1);
   let occ = t.machine.Machine.write_occupancy in
-  let served = rmw_begin t ~proc ~now ~addr ~occ in
+  let home = home_of t addr in
+  let served = rmw_begin t ~proc ~now ~addr ~home ~occ in
   let old = W.get t.data addr in
-  rmw_commit t ~proc ~addr ~served ~old v
+  rmw_commit t ~proc ~addr ~home ~served ~old v
 
 let swap_t t ~proc ~now addr v =
   let occ = t.machine.Machine.atomic_occupancy in
-  let served = rmw_begin t ~proc ~now ~addr ~occ in
+  let home = home_of t addr in
+  let served = rmw_begin t ~proc ~now ~addr ~home ~occ in
   let old = W.get t.data addr in
-  rmw_commit t ~proc ~addr ~served ~old v
+  rmw_commit t ~proc ~addr ~home ~served ~old v
 
 let swap t ~proc ~now addr v =
   let completion = swap_t t ~proc ~now addr v in
@@ -417,10 +456,11 @@ let swap t ~proc ~now addr v =
 
 let cas_t t ~proc ~now addr ~expected ~desired =
   let occ = t.machine.Machine.atomic_occupancy in
-  let served = rmw_begin t ~proc ~now ~addr ~occ in
+  let home = home_of t addr in
+  let served = rmw_begin t ~proc ~now ~addr ~home ~occ in
   let old = W.get t.data addr in
   let v = if old = expected then desired else old in
-  let completion = rmw_commit t ~proc ~addr ~served ~old v in
+  let completion = rmw_commit t ~proc ~addr ~home ~served ~old v in
   t.out <- (if old = expected then 1 else 0);
   completion
 
@@ -430,9 +470,10 @@ let cas t ~proc ~now addr ~expected ~desired =
 
 let faa_t t ~proc ~now addr delta =
   let occ = t.machine.Machine.atomic_occupancy in
-  let served = rmw_begin t ~proc ~now ~addr ~occ in
+  let home = home_of t addr in
+  let served = rmw_begin t ~proc ~now ~addr ~home ~occ in
   let old = W.get t.data addr in
-  rmw_commit t ~proc ~addr ~served ~old (old + delta)
+  rmw_commit t ~proc ~addr ~home ~served ~old (old + delta)
 
 let faa t ~proc ~now addr delta =
   let completion = faa_t t ~proc ~now addr delta in

@@ -94,6 +94,14 @@ val degrade_node : t -> node:int -> factor:int -> unit
     a fault-injection knob modelling a failing or thermally throttled
     node.  Lines homed on other modules are unaffected. *)
 
+val miss_latency : t -> proc:int -> addr:int -> int
+(** [miss_latency t ~proc ~addr] is the transfer latency a miss or an
+    update by processor [proc] on line [addr] pays after directory
+    service: the home module's node factor times
+    [miss_base + Machine.hop_cost_of * Machine.hops].  It reads tables
+    of mesh coordinates and sockets built by {!create}, and does no
+    division. *)
+
 (** {1 Costed operations (engine only)}
 
     Each operation comes in two shapes.  The [_t] variant returns only

@@ -170,7 +170,7 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
      default-policy fast path it is stashed here and the matching
      [Evq.push_resume] event carries only (pid, value) — no closure.
      The [Obj.repr] is sound: slot [pid] is only ever [Obj.obj]'d back
-     at the continuation type it was stored at (the loop's [continue]
+     at the continuation type it was stored at ([dispatch]'s [continue]
      type-pretends [int], and every resumed value is an immediate). *)
   let konts : Obj.t array = Array.make nprocs (Obj.repr 0) in
   (* per-processor wait-in-progress registers: the [Wait_change] state
@@ -237,6 +237,46 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
     state.(pid) <- Crashed;
     incr faulted
   in
+  (* Direct-handoff dispatch.  [dispatch] pops the next event and
+     tail-calls its continuation (a resume event) or its thunk (a
+     closure event); every handler, [retc], and every thunk ends by
+     tail-calling [dispatch] in turn, so control passes from processor
+     to processor without unwinding to a loop and the host stack stays
+     flat however long the run.  While [spawned] is false (the
+     processors are still being started, in pid order) it returns at
+     once, so each processor's first effect only schedules; [run] then
+     calls it once.  It returns when every processor has finished or
+     crashed. *)
+  let spawned = ref false in
+  let dispatch () =
+    if !spawned && !running > !faulted then
+      if Evq.is_empty q then
+        if watchdog <> None || !faulted > 0 then
+          raise (Progress_failure (diagnose "event queue drained"))
+        else
+          raise
+            (Deadlock
+               (Printf.sprintf "%d processors blocked at cycle %d" !running
+                  !clock))
+      else begin
+        let e = Evq.pop_exn q in
+        let t = e.Evq.time in
+        if t > max_cycles then raise (Cycle_limit t);
+        clock := t;
+        (match watchdog with
+        | Some k when t - ctx.last_progress > k ->
+            raise (Progress_failure (diagnose "watchdog expired"))
+        | _ -> ());
+        let pid = e.Evq.pid in
+        if pid >= 0 then begin
+          ptime.(pid) <- t;
+          slots.pid <- pid;
+          let k : (int, unit) Effect.Deep.continuation = Obj.obj konts.(pid) in
+          (Effect.Deep.continue [@tailcall]) k (Obj.magic e.Evq.v : int)
+        end
+        else (e.Evq.run [@tailcall]) ()
+      end
+  in
   let emit_mem pid kind addr ~issued ~finish =
     match sink with
     | None -> ()
@@ -267,7 +307,7 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
       state.(pid) <- Running;
       slots.pid <- pid;
       let k : (int, unit) Effect.Deep.continuation = Obj.obj konts.(pid) in
-      Effect.Deep.continue k current
+      (Effect.Deep.continue [@tailcall]) k current
     end
     else begin
       (match (sink, state.(pid)) with
@@ -277,10 +317,13 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
           s.Probe.emit ~proc:pid ~time:t (Probe.Park { addr })
       | _ -> ());
       state.(pid) <- Parked addr;
-      Mem.watch mem ~addr ~pid
+      Mem.watch mem ~addr ~pid;
+      (dispatch [@tailcall]) ()
     end
   in
   let checks = Array.init nprocs (fun pid () -> wait_check pid) in
+  (* schedules the next check; never dispatches, as the waker calls it
+     from inside another processor's memory operation *)
   let wait_attempt pid now =
     if wait_wakeups.(pid) > max_wait_wakeups then
       raise
@@ -319,23 +362,26 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
   in
   Mem.set_waker mem (fun pid change ->
       wait_attempt pid (if change > wait_t.(pid) then change else wait_t.(pid)));
-  let handler pid : (unit, unit) Effect.Deep.handler =
+  (* one handler serves every processor: an effect is always performed by
+     the processor named in [slots.pid], which the engine wrote before
+     resuming it *)
+  let handler : (unit, unit) Effect.Deep.handler =
     let open Effect.Deep in
     let resume_at : type a.
-        Sched.op -> int -> (a, unit) continuation -> a -> unit =
-     fun op time k v ->
+        Sched.op -> int -> int -> (a, unit) continuation -> a -> unit =
+     fun op pid time k v ->
       if policy == Sched.fifo then begin
         (* the default policy ignores its input and always answers
            [Run { delay = 0; weight = 0 }]: skip building the info
            record and matching the verdict — and skip the resume
            closure altogether.  The continuation parks in [konts] and
-           the event carries (pid, value); the loop reconnects them.
+           the event carries (pid, value); [dispatch] reconnects them.
            Sound because every effect's answer is an immediate. *)
         incr step;
         konts.(pid) <- Obj.repr k;
         Evq.push_resume q ~time ~pid ~v:(Obj.magic v : int)
       end
-      else
+      else begin
         let verdict = policy { Sched.proc = pid; time; step = !step; op } in
         incr step;
         match verdict with
@@ -353,53 +399,56 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
             Evq.push q ~time:until (fun () ->
                 ptime.(pid) <- until;
                 slots.pid <- pid;
-                continue k v)
+                (continue [@tailcall]) k v)
         | Sched.Run d ->
             let time = time + max 0 d.Sched.delay in
             Evq.push q ~time ~weight:d.Sched.weight (fun () ->
                 ptime.(pid) <- time;
                 slots.pid <- pid;
-                continue k v)
+                (continue [@tailcall]) k v)
+      end;
+      (dispatch [@tailcall]) ()
     in
     (* one preallocated closure (and [Some] cell) per effect kind per
-       processor: [effc] only ever returns these, so dispatching an
-       effect allocates nothing beyond the runtime's continuation *)
+       run: [effc] only ever returns these, so dispatching an effect
+       allocates nothing beyond the runtime's continuation *)
     let k_read =
      fun (k : (int, unit) continuation) ->
-      let addr = slots.a in
+      let pid = slots.pid and addr = slots.a in
       last_op.(pid) <- Sched.Read;
       last_addr.(pid) <- addr;
       let issued = ptime.(pid) in
       let t = Mem.read_t mem ~proc:pid ~now:issued addr in
       emit_mem pid Probe.Read addr ~issued ~finish:t;
-      resume_at Sched.Read t k (Mem.out mem)
+      resume_at Sched.Read pid t k (Mem.out mem)
     in
     let some_read = Some k_read in
     let k_write =
      fun (k : (unit, unit) continuation) ->
-      let addr = slots.a and v = slots.b in
+      let pid = slots.pid and addr = slots.a and v = slots.b in
       last_op.(pid) <- Sched.Write;
       last_addr.(pid) <- addr;
       let issued = ptime.(pid) in
       let t = Mem.write mem ~proc:pid ~now:issued addr v in
       emit_mem pid Probe.Write addr ~issued ~finish:t;
-      resume_at Sched.Write t k ()
+      resume_at Sched.Write pid t k ()
     in
     let some_write = Some k_write in
     let k_swap =
      fun (k : (int, unit) continuation) ->
-      let addr = slots.a and v = slots.b in
+      let pid = slots.pid and addr = slots.a and v = slots.b in
       last_op.(pid) <- Sched.Swap;
       last_addr.(pid) <- addr;
       let issued = ptime.(pid) in
       let t = Mem.swap_t mem ~proc:pid ~now:issued addr v in
       emit_mem pid Probe.Swap addr ~issued ~finish:t;
-      resume_at Sched.Swap t k (Mem.out mem)
+      resume_at Sched.Swap pid t k (Mem.out mem)
     in
     let some_swap = Some k_swap in
     let k_cas =
      fun (k : (bool, unit) continuation) ->
-      let addr = slots.a and expected = slots.b and desired = slots.c in
+      let pid = slots.pid and addr = slots.a in
+      let expected = slots.b and desired = slots.c in
       last_op.(pid) <- Sched.Cas;
       last_addr.(pid) <- addr;
       let issued = ptime.(pid) in
@@ -411,40 +460,40 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
       emit_mem pid
         (if ok then Probe.Cas_ok else Probe.Cas_fail)
         addr ~issued ~finish:t;
-      resume_at Sched.Cas t k ok
+      resume_at Sched.Cas pid t k ok
     in
     let some_cas = Some k_cas in
     let k_faa =
      fun (k : (int, unit) continuation) ->
-      let addr = slots.a and d = slots.b in
+      let pid = slots.pid and addr = slots.a and d = slots.b in
       last_op.(pid) <- Sched.Faa;
       last_addr.(pid) <- addr;
       let issued = ptime.(pid) in
       let t = Mem.faa_t mem ~proc:pid ~now:issued addr d in
       emit_mem pid Probe.Faa addr ~issued ~finish:t;
-      resume_at Sched.Faa t k (Mem.out mem)
+      resume_at Sched.Faa pid t k (Mem.out mem)
     in
     let some_faa = Some k_faa in
     let k_work =
      fun (k : (unit, unit) continuation) ->
       let n = slots.a in
-      if n <= 0 then begin
-        slots.pid <- pid;
-        continue k ()
-      end
-      else resume_at Sched.Work (ptime.(pid) + n) k ()
+      if n <= 0 then (continue [@tailcall]) k ()
+      else
+        let pid = slots.pid in
+        resume_at Sched.Work pid (ptime.(pid) + n) k ()
     in
     let some_work = Some k_work in
     let k_wait =
      fun (k : (int, unit) continuation) ->
-      let addr = slots.a and v0 = slots.b in
+      let pid = slots.pid and addr = slots.a and v0 = slots.b in
       last_op.(pid) <- Sched.Wait;
       last_addr.(pid) <- addr;
       konts.(pid) <- Obj.repr k;
       wait_addr.(pid) <- addr;
       wait_v0.(pid) <- v0;
       wait_wakeups.(pid) <- 0;
-      wait_attempt pid ptime.(pid)
+      wait_attempt pid ptime.(pid);
+      (dispatch [@tailcall]) ()
     in
     let some_wait = Some k_wait in
     let effc : type b. b Effect.t -> ((b, unit) continuation -> unit) option =
@@ -461,8 +510,9 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
     {
       retc =
         (fun () ->
-          state.(pid) <- Done;
-          decr running);
+          state.(slots.pid) <- Done;
+          decr running;
+          (dispatch [@tailcall]) ());
       exnc = raise;
       effc;
     }
@@ -483,39 +533,10 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
   let minor0 = Gc.minor_words () in
   for pid = 0 to nprocs - 1 do
     slots.pid <- pid;
-    Effect.Deep.match_with (fun () -> program shared pid) () (handler pid)
+    Effect.Deep.match_with (fun () -> program shared pid) () handler
   done;
-  let rec loop () =
-    if !running > !faulted then
-      if Evq.is_empty q then
-        if watchdog <> None || !faulted > 0 then
-          raise (Progress_failure (diagnose "event queue drained"))
-        else
-          raise
-            (Deadlock
-               (Printf.sprintf "%d processors blocked at cycle %d" !running
-                  !clock))
-      else begin
-        let e = Evq.pop_exn q in
-        let t = e.Evq.time in
-        if t > max_cycles then raise (Cycle_limit t);
-        clock := t;
-        (match watchdog with
-        | Some k when t - ctx.last_progress > k ->
-            raise (Progress_failure (diagnose "watchdog expired"))
-        | _ -> ());
-        let pid = e.Evq.pid in
-        if pid >= 0 then begin
-          ptime.(pid) <- t;
-          slots.pid <- pid;
-          let k : (int, unit) Effect.Deep.continuation = Obj.obj konts.(pid) in
-          Effect.Deep.continue k (Obj.magic e.Evq.v : int)
-        end
-        else e.Evq.run ();
-        loop ()
-      end
-  in
-  loop ();
+  spawned := true;
+  dispatch ();
   let events = Evq.pops q in
   ignore (Atomic.fetch_and_add total_events events);
   ignore

@@ -69,12 +69,87 @@ let params_of (s : spec) : Pqcore.Pq_intf.params =
     funnel_cutoff = s.cutoff;
   }
 
+module Ledger = struct
+  (* Processor [pid]'s [j]-th insert carries payload [pid * 100_000 + j],
+     [1 <= j <= stride].  The insert log is indexed by that payload:
+     [inserted.(pid).(j)] is [pri + 1] while the element is unaccounted
+     for, 0 otherwise.  Deleted elements go to per-processor arrays. *)
+  type t = {
+    stride : int;
+    inserted : int array array;
+    deleted_pri : int array array;
+    deleted_payload : int array array;
+    deleted : int array; (* per-processor count *)
+    mutable inserts : int;
+  }
+
+  let per_pid = 100_000
+  let payload ~pid ~j = (pid * per_pid) + j
+
+  let create ~nprocs ~stride =
+    let logs n = Array.init nprocs (fun _ -> Array.make n 0) in
+    {
+      stride;
+      inserted = logs (stride + 1);
+      deleted_pri = logs stride;
+      deleted_payload = logs stride;
+      deleted = Array.make nprocs 0;
+      inserts = 0;
+    }
+
+  let insert t ~pid ~j ~pri =
+    t.inserted.(pid).(j) <- pri + 1;
+    t.inserts <- t.inserts + 1
+
+  let delete t ~pid ~pri ~payload =
+    let k = t.deleted.(pid) in
+    t.deleted_pri.(pid).(k) <- pri;
+    t.deleted_payload.(pid).(k) <- payload;
+    t.deleted.(pid) <- k + 1
+
+  let inserts t = t.inserts
+  let deletes t = Array.fold_left ( + ) 0 t.deleted
+
+  (* take (pri, payload) out of the insert log, trying processor [pid]
+     and then lower ones: once [stride] reaches [per_pid] a payload names
+     several (pid, j) *)
+  let rec take t ~pri ~payload pid =
+    let j = payload - (pid * per_pid) in
+    pid >= 0 && j <= t.stride
+    && ((pid < Array.length t.inserted && j >= 1
+        && t.inserted.(pid).(j) = pri + 1
+        && begin
+             t.inserted.(pid).(j) <- 0;
+             true
+           end)
+       || take t ~pri ~payload (pid - 1))
+
+  (* Every deleted or remaining (pri, payload) takes its entry out of the
+     insert log — failing if none is there (a duplicated or invented
+     element) — and the log must end empty (no element lost).  O(n); it
+     consumes the log. *)
+  let balances t ~remaining =
+    let ok = ref true in
+    let take_out ~pri ~payload =
+      if not (take t ~pri ~payload (payload / per_pid)) then ok := false
+    in
+    Array.iteri
+      (fun pid n ->
+        for k = 0 to n - 1 do
+          take_out ~pri:t.deleted_pri.(pid).(k)
+            ~payload:t.deleted_payload.(pid).(k)
+        done)
+      t.deleted;
+    List.iter (fun (pri, payload) -> take_out ~pri ~payload) remaining;
+    !ok && Array.for_all (Array.for_all (fun x -> x = 0)) t.inserted
+end
+
 let run ?ops_per_proc ?probe ?policy ?watchdog (s : spec) =
   let s =
     match ops_per_proc with Some o -> { s with ops_per_proc = o } | None -> s
   in
-  let inserted = Array.make s.nprocs [] in
-  let deleted = Array.make s.nprocs [] in
+  let per = s.prefill / s.nprocs in
+  let ledger = Ledger.create ~nprocs:s.nprocs ~stride:(s.ops_per_proc + per) in
   let empty_deletes = ref 0 in
   let (q, _), result =
     Sim.run ?machine:s.machine ?probe ?policy ?watchdog ~nprocs:s.nprocs
@@ -85,48 +160,42 @@ let run ?ops_per_proc ?probe ?policy ?watchdog (s : spec) =
         (q, barrier))
       ~program:(fun (q, barrier) pid ->
         (* untimed prefill phase, ended by a barrier (quiescent point) *)
-        let per = s.prefill / s.nprocs in
         for k = 1 to per do
           let pri = Api.rand s.npriorities in
-          let payload = (pid * 100_000) + s.ops_per_proc + k in
-          if q.Pqcore.Pq_intf.insert ~pri ~payload then
-            inserted.(pid) <- (pri, payload) :: inserted.(pid)
+          let j = s.ops_per_proc + k in
+          if q.Pqcore.Pq_intf.insert ~pri ~payload:(Ledger.payload ~pid ~j)
+          then Ledger.insert ledger ~pid ~j ~pri
         done;
         if s.prefill > 0 then Pqsync.Barrier.wait barrier;
         for op = 1 to s.ops_per_proc do
           Api.work s.local_work;
           if Api.rand 100 < s.insert_bias then begin
             let pri = Api.rand s.npriorities in
-            let payload = (pid * 100_000) + op in
+            let payload = Ledger.payload ~pid ~j:op in
             let t0 = Api.now () in
             let ok = q.Pqcore.Pq_intf.insert ~pri ~payload in
             Api.timed_since "insert" t0;
-            if ok then inserted.(pid) <- (pri, payload) :: inserted.(pid)
+            if ok then Ledger.insert ledger ~pid ~j:op ~pri
           end
           else begin
             let t0 = Api.now () in
             let got = q.Pqcore.Pq_intf.delete_min () in
             Api.timed_since "delete" t0;
             match got with
-            | Some entry -> deleted.(pid) <- entry :: deleted.(pid)
+            | Some (pri, payload) -> Ledger.delete ledger ~pid ~pri ~payload
             | None -> incr empty_deletes
           end
         done)
       ()
   in
   (* conservation + invariants: a benchmark of a broken queue is worthless *)
-  let sorted l = List.sort compare l in
-  let all_inserted = sorted (Array.to_list inserted |> List.concat) in
-  let all_deleted = Array.to_list deleted |> List.concat in
+  let inserts = Ledger.inserts ledger and deletes = Ledger.deletes ledger in
   let remaining = q.Pqcore.Pq_intf.drain_now result.Sim.mem in
-  if all_inserted <> sorted (all_deleted @ remaining) then
+  if not (Ledger.balances ledger ~remaining) then
     raise
       (Verification_failure
          (Printf.sprintf "%s: conservation violated (%d in, %d out, %d left)"
-            s.queue
-            (List.length all_inserted)
-            (List.length all_deleted)
-            (List.length remaining)));
+            s.queue inserts deletes (List.length remaining)));
   (match q.Pqcore.Pq_intf.check_now result.Sim.mem with
   | Ok () -> ()
   | Error e ->
@@ -136,8 +205,8 @@ let run ?ops_per_proc ?probe ?policy ?watchdog (s : spec) =
     latency_all = Stats.merge_mean stats [ "insert"; "delete" ];
     latency_insert = Stats.mean stats "insert";
     latency_delete = Stats.mean stats "delete";
-    inserts = List.length all_inserted;
-    deletes = List.length all_deleted;
+    inserts;
+    deletes;
     empty_deletes = !empty_deletes;
     cycles = result.Sim.cycles;
     queue_wait = result.Sim.queue_wait;

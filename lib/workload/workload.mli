@@ -50,6 +50,36 @@ type result = {
 
 exception Verification_failure of string
 
+(** The conservation ledger {!run} keeps: which (priority, payload)
+    elements each processor inserted and deleted, in flat per-processor
+    int arrays. *)
+module Ledger : sig
+  type t
+
+  val create : nprocs:int -> stride:int -> t
+  (** room for [stride] inserts and deletes per processor *)
+
+  val payload : pid:int -> j:int -> int
+  (** the payload of processor [pid]'s [j]-th insert ([1 <= j <= stride]):
+      [pid * 100_000 + j] *)
+
+  val insert : t -> pid:int -> j:int -> pri:int -> unit
+  (** records that processor [pid]'s [j]-th insert, at priority [pri],
+      succeeded *)
+
+  val delete : t -> pid:int -> pri:int -> payload:int -> unit
+  (** records an element processor [pid]'s [delete_min] returned *)
+
+  val inserts : t -> int
+  val deletes : t -> int
+
+  val balances : t -> remaining:(int * int) list -> bool
+  (** [balances t ~remaining] is true iff the inserted elements are, as a
+      multiset, exactly the deleted ones plus [remaining]: none lost,
+      duplicated or invented.  O(n), without sorting; it consumes the
+      ledger, so ask once. *)
+end
+
 val run :
   ?ops_per_proc:int ->
   ?probe:Pqsim.Probe.t ->

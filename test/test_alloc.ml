@@ -26,7 +26,7 @@ let gate ~what ~unit ~bound measured =
 (* ------------------------------------------------------------------ *)
 (* whole queues: Workload.run at P=64.  The bound is the value measured
    when the gate was set, plus 10%; the workload's own bookkeeping
-   (latency samples, conservation lists, result options) is included. *)
+   (latency samples, result options) is included. *)
 
 let queue_gate queue ~measured () =
   Sim.reset_harness_totals ();
@@ -204,13 +204,13 @@ let () =
           ( "queues",
             [
               Alcotest.test_case "FunnelTree" `Quick
-                (queue_gate "FunnelTree" ~measured:2.210);
+                (queue_gate "FunnelTree" ~measured:2.121);
               Alcotest.test_case "LinearFunnels" `Quick
-                (queue_gate "LinearFunnels" ~measured:2.278);
+                (queue_gate "LinearFunnels" ~measured:2.155);
               Alcotest.test_case "SimpleTree" `Quick
-                (queue_gate "SimpleTree" ~measured:2.697);
+                (queue_gate "SimpleTree" ~measured:2.487);
               Alcotest.test_case "SimpleLinear" `Quick
-                (queue_gate "SimpleLinear" ~measured:2.716);
+                (queue_gate "SimpleLinear" ~measured:2.435);
             ] );
           ( "primitives",
             [

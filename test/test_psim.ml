@@ -470,10 +470,113 @@ let test_evq_seq_monotone_recycle () =
   Alcotest.(check int) "all events popped" 0 (Pqsim.Evq.length q);
   Alcotest.(check int) "pop counter" 1000 (Pqsim.Evq.pops q)
 
+let test_evq_arena_growth =
+  (* the arena starts small and doubles: scripts that keep dozens of
+     events pending, closure events and resume events mixed, must pop
+     exactly as the sorted-list model says — key, kind and payload —
+     across every growth *)
+  QCheck.Test.make ~name:"evq arena growth, closures and resumes mixed"
+    ~count:200
+    QCheck.(
+      list_of_size
+        Gen.(int_range 0 400)
+        (triple (int_bound 3) (int_bound 200) (int_bound 3)))
+    (fun script ->
+      (* forty pushes first: the arena must have grown before the script *)
+      let script = List.init 40 (fun i -> (1 + (i mod 2), 5 * i, i mod 3)) @ script in
+      let q = Pqsim.Evq.create () in
+      let model = ref [] and seq = ref 0 and ok = ref true in
+      let ran = ref (-1) in
+      let pending = ref 0 and peak = ref 0 in
+      let check_pop () =
+        match !model with
+        | [] -> ok := !ok && Pqsim.Evq.is_empty q
+        | ((time, weight, sq), kind) :: rest ->
+            model := rest;
+            decr pending;
+            let e = Pqsim.Evq.pop_exn q in
+            let key = (e.Pqsim.Evq.time, e.Pqsim.Evq.weight, e.Pqsim.Evq.seq) in
+            let payload_ok =
+              match kind with
+              | `Resume (pid, v) -> e.Pqsim.Evq.pid = pid && e.Pqsim.Evq.v = v
+              | `Closure ->
+                  e.Pqsim.Evq.pid = -1
+                  &&
+                  (e.Pqsim.Evq.run ();
+                   !ran = sq)
+            in
+            ok := !ok && key = (time, weight, sq) && payload_ok
+      in
+      let add key kind =
+        model := List.merge compare !model [ (key, kind) ];
+        incr seq;
+        incr pending;
+        peak := max !peak !pending
+      in
+      List.iter
+        (fun (op, time, weight) ->
+          match op with
+          | 0 -> check_pop ()
+          | 1 ->
+              let sq = !seq in
+              Pqsim.Evq.push q ~time ~weight (fun () -> ran := sq);
+              add (time, weight, sq) `Closure
+          | _ ->
+              let pid = weight and v = time * 7 in
+              Pqsim.Evq.push_resume q ~time ~pid ~v;
+              add (time, 0, !seq) (`Resume (pid, v)))
+        script;
+      while !model <> [] do
+        check_pop ()
+      done;
+      !ok && Pqsim.Evq.is_empty q && !peak >= 40)
+
 (* ------------------------------------------------------------------ *)
 (* Mem (host-side behaviour) *)
 
 let mk_mem nprocs = Pqsim.Mem.create (Pqsim.Machine.make ~nprocs ())
+
+let test_mem_miss_latency_table =
+  (* Mem prices a miss from per-run coordinate tables; it must agree
+     with the Machine functions it tabulates, on multi-socket machines
+     with power-of-two and other module counts and degraded nodes *)
+  QCheck.Test.make ~name:"miss latency = node factor x (base + hop cost x hops)"
+    ~count:200
+    QCheck.(
+      pair
+        (quad (int_range 1 80) (int_bound 1000) (int_range 1 70) bool)
+        (quad (int_bound 5) (int_bound 9) (int_bound 30)
+           (list_of_size Gen.(int_bound 4) (pair (int_bound 100) (int_range 1 4)))))
+    (fun ((nprocs, s, modules, pow2), (hop, remote, base, degraded)) ->
+      let sockets = 1 + (s mod nprocs) in
+      let mem_modules =
+        if pow2 then 1 lsl (modules mod 7) else modules
+      in
+      let m =
+        Pqsim.Machine.make ~nprocs ~sockets ~mem_modules ~hop_cost:hop
+          ~remote_hop_cost:remote ~miss_base:base ()
+      in
+      let mem = Pqsim.Mem.create m in
+      let factor = Array.make mem_modules 1 in
+      List.iter
+        (fun (node, f) ->
+          Pqsim.Mem.degrade_node mem ~node ~factor:f;
+          factor.(node mod mem_modules) <- f)
+        degraded;
+      let ok = ref true in
+      for proc = 0 to nprocs - 1 do
+        for line = 0 to 2 * mem_modules do
+          let expected =
+            factor.(Pqsim.Machine.home_module m line)
+            * (base
+              + Pqsim.Machine.hop_cost_of m ~proc ~line
+                * Pqsim.Machine.hops m ~proc ~line)
+          in
+          if Pqsim.Mem.miss_latency mem ~proc ~addr:line <> expected then
+            ok := false
+        done
+      done;
+      !ok)
 
 let test_mem_alloc_disjoint () =
   let m = mk_mem 4 in
@@ -886,6 +989,7 @@ let () =
           test_evq_total_stable_order;
           test_evq_model;
           test_evq_ladder_vs_heap;
+          test_evq_arena_growth;
         ];
       ( "mem",
         [
@@ -900,6 +1004,7 @@ let () =
           Alcotest.test_case "cas semantics" `Quick test_mem_cas_semantics;
           Alcotest.test_case "swap" `Quick test_mem_swap;
         ] );
+      qsuite "mem-props" [ test_mem_miss_latency_table ];
       ( "sim",
         [
           Alcotest.test_case "counter race exact" `Quick test_sim_counter_race;

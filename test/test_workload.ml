@@ -70,6 +70,71 @@ let test_insert_bias_extremes () =
   in
   check_int "all ops were (empty) deletes" 40 all_deletes.empty_deletes
 
+(* the conservation ledger against the sorted-list check it replaced:
+   for any inserts and any deleted/remaining elements — the inserted
+   ones, with one lost, duplicated, invented or re-prioritised — it
+   answers exactly what comparing the sorted multisets answers.  With
+   [stride] past 100_000, payloads of neighbouring processors collide. *)
+let ledger_case ~collide =
+  let open QCheck.Gen in
+  int_range 1 3 >>= fun nprocs ->
+  let stride = if collide then 100_006 else 6 in
+  let j = map2 (fun hi lo -> if collide && hi then 100_000 + lo else lo) bool (int_range 1 6) in
+  list_size (int_range 0 12) (triple (int_bound (nprocs - 1)) j (int_bound 3))
+  >>= fun ins ->
+  (* one successful insert per (pid, j) *)
+  let ins =
+    List.sort_uniq (fun (p, j, _) (p', j', _) -> compare (p, j) (p', j')) ins
+  in
+  let elements =
+    List.map
+      (fun (pid, j, pri) -> (pri, Pqbenchlib.Workload.Ledger.payload ~pid ~j))
+      ins
+  in
+  int_bound 4 >>= fun mutation ->
+  int_bound 20 >>= fun at ->
+  pair (int_bound 3) (int_range (-1) 300_010) >>= fun invented ->
+  let n = List.length elements in
+  let out =
+    match mutation with
+    | 1 when n > 0 -> List.filteri (fun i _ -> i <> at mod n) elements
+    | 2 when n > 0 -> List.nth elements (at mod n) :: elements
+    | 3 -> invented :: elements
+    | 4 when n > 0 ->
+        List.mapi
+          (fun i (pri, payload) ->
+            if i = at mod n then ((pri + 1) mod 4, payload) else (pri, payload))
+          elements
+    | _ -> elements
+  in
+  shuffle_l out >>= fun out ->
+  list_repeat (List.length out) (pair bool (int_bound (nprocs - 1)))
+  >>= fun routes ->
+  return (nprocs, stride, ins, List.combine out routes)
+
+let ledger_matches_sorted_check ~collide =
+  QCheck.Test.make ~count:(if collide then 60 else 500)
+    ~name:
+      (if collide then "ledger = sorted check, colliding payloads"
+       else "ledger = sorted check")
+    (QCheck.make (ledger_case ~collide))
+    (fun (nprocs, stride, ins, routed) ->
+      let module L = Pqbenchlib.Workload.Ledger in
+      let l = L.create ~nprocs ~stride in
+      List.iter (fun (pid, j, pri) -> L.insert l ~pid ~j ~pri) ins;
+      let remaining = ref [] in
+      List.iter
+        (fun ((pri, payload), (deleted, pid)) ->
+          if deleted then L.delete l ~pid ~pri ~payload
+          else remaining := (pri, payload) :: !remaining)
+        routed;
+      let inserted =
+        List.map (fun (pid, j, pri) -> (pri, L.payload ~pid ~j)) ins
+      in
+      let sorted = List.sort compare in
+      L.balances l ~remaining:!remaining
+      = (sorted inserted = sorted (List.map fst routed)))
+
 let test_contention_grows_with_procs () =
   let lat p =
     (Pqbenchlib.Workload.run ~ops_per_proc:15
@@ -185,6 +250,12 @@ let () =
           Alcotest.test_case "contention grows" `Quick
             test_contention_grows_with_procs;
         ] );
+      ( "ledger",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            ledger_matches_sorted_check ~collide:false;
+            ledger_matches_sorted_check ~collide:true;
+          ] );
       ( "counterbench",
         [
           Alcotest.test_case "runs" `Quick test_counterbench_runs;
