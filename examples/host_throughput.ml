@@ -68,10 +68,14 @@ let () =
     impls;
   print_newline ();
   print_endline
-    "The mutex heap serializes everything; the bin queue scales until its\n\
-     low bins contend; the tree queue (FunnelTree's design on atomics)\n\
-     spreads traffic across counters and elimination stacks; the\n\
-     multiqueue trades exact minima for independent slots.  A delete that\n\
-     finds an element allocates its 5-word Some (pri, v), so about 2.5\n\
-     words/op is the floor here; the bin and tree queues add a 3-word\n\
-     cons cell per insert, and the tree queue the stack's Some v."
+    "Every lock is the paper's test-and-test-and-set lock with randomized\n\
+     exponential backoff, parking in the kernel only after its spin\n\
+     rounds.  The locked heap serializes everything behind one of them;\n\
+     the bin queue finds its first non-empty bin a bitmap word (62 bins)\n\
+     at a time and scales until its low bins contend; the tree queue\n\
+     (FunnelTree's design on atomics) spreads traffic across counters\n\
+     and elimination stacks; the multiqueue trades exact minima for\n\
+     independent slots.  A delete that finds an element allocates its\n\
+     5-word Some (pri, v), so about 2.5 words/op is the floor here; the\n\
+     bin and tree queues add a 3-word cons cell per insert, and the tree\n\
+     queue the stack's Some v."

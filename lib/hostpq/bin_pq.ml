@@ -1,7 +1,15 @@
 let name = "bin-pq"
 
-type 'a bin = { lock : Hlock.t; mutable items : 'a list; size : int Atomic.t }
-type 'a t = { bins : 'a bin array }
+type 'a bin = { lock : Hlock.t; mutable items : 'a list }
+
+(* [occupied]: bit [i mod bits] of word [i / bits] is set exactly while
+   bin [i] is non-empty.  A bit changes only under its bin's lock, on
+   the empty <-> non-empty transition, so adding or subtracting it never
+   carries and needs no CAS loop.  62 bits a word keep the sign bit of
+   OCaml's 63-bit int clear. *)
+type 'a t = { bins : 'a bin array; occupied : int Atomic.t array }
+
+let bits = 62
 
 let create ~npriorities () =
   if npriorities <= 0 then invalid_arg "Bin_pq.create";
@@ -11,37 +19,66 @@ let create ~npriorities () =
           {
             lock = Hlock.create ~name:(Printf.sprintf "%s.bin[%d]" name i) ();
             items = [];
-            size = Atomic.make 0;
           });
+    occupied =
+      Array.init ((npriorities + bits - 1) / bits) (fun _ -> Atomic.make 0);
   }
+
+(* under bin [i]'s lock, as it turns non-empty ([d] = 1) or empty
+   ([d] = -1) *)
+let flip t i d =
+  ignore (Atomic.fetch_and_add t.occupied.(i / bits) (d * (1 lsl (i mod bits))))
 
 let insert t ~pri v =
   if pri < 0 || pri >= Array.length t.bins then invalid_arg "Bin_pq.insert";
   let b = t.bins.(pri) in
   Hlock.lock b.lock;
+  (match b.items with [] -> flip t pri 1 | _ :: _ -> ());
   b.items <- v :: b.items;
-  Atomic.incr b.size;
   Hlock.unlock b.lock
 
-let rec scan bins i =
-  if i >= Array.length bins then None
+(* the index of [x]'s lowest set bit, [x] <> 0, by binary search on the
+   bit isolated *)
+let ctz x =
+  let x = x land (-x) in
+  let n = if x land 0xFFFF_FFFF = 0 then 32 else 0 in
+  let n = if (x lsr n) land 0xFFFF = 0 then n + 16 else n in
+  let n = if (x lsr n) land 0xFF = 0 then n + 8 else n in
+  let n = if (x lsr n) land 0xF = 0 then n + 4 else n in
+  let n = if (x lsr n) land 0x3 = 0 then n + 2 else n in
+  if (x lsr n) land 0x1 = 0 then n + 1 else n
+
+(* the first occupied bin at or after [i]; a bin another domain emptied
+   first sends the scan on from the next bin, so [None] means one pass
+   saw every word from the cursor on zero *)
+let rec scan t i =
+  let w = i / bits in
+  if w >= Array.length t.occupied then None
   else
-    let b = bins.(i) in
-    if Atomic.get b.size = 0 then scan bins (i + 1)
-    else begin
+    let m = Atomic.get t.occupied.(w) lsr (i mod bits) in
+    if m = 0 then scan t ((w + 1) * bits)
+    else
+      let i = i + ctz m in
+      let b = t.bins.(i) in
       Hlock.lock b.lock;
       match b.items with
       | v :: rest ->
           b.items <- rest;
-          Atomic.decr b.size;
+          (match rest with [] -> flip t i (-1) | _ :: _ -> ());
           Hlock.unlock b.lock;
           Some (i, v)
       | [] ->
           Hlock.unlock b.lock;
-          scan bins (i + 1)
-    end
+          scan t (i + 1)
 
-let delete_min t = scan t.bins 0
+let delete_min t = scan t 0
 
+(* called only at quiescence *)
 let length t =
-  Array.fold_left (fun acc b -> acc + Atomic.get b.size) 0 t.bins
+  Array.fold_left
+    (fun acc b ->
+      Hlock.lock b.lock;
+      let n = List.length b.items in
+      Hlock.unlock b.lock;
+      acc + n)
+    0 t.bins

@@ -1,5 +1,7 @@
-(* A Mutex wrapper that mirrors the simulator's lock-note protocol on
-   real hardware, so host-queue lock traces feed the same analyzer. *)
+(* The paper's lock on real hardware: test-and-test-and-set with
+   randomized exponential backoff, parking in the kernel only after a
+   bounded spin, and speaking the simulator's lock-note protocol so
+   host-queue lock traces feed the same analyzer. *)
 
 (* Tag values pinned to Pqsim.Probe.Lock_tag by a unit test; hostpq
    deliberately depends on nothing, so they are restated here. *)
@@ -7,8 +9,20 @@ let tag_acquire = 32
 let tag_release = 33
 let tag_try_fail = 34
 
+(* Backoff window bounds, pinned to Pqsync.Backoff's by the same test. *)
+let backoff_first = 4
+let backoff_limit = 512
+
+(* backoff rounds before a contender parks *)
+let spin_rounds = 16
+
+(* [state]: 0 free, 1 held, 2 held with a domain possibly parked.
+   [park] and [wake] are touched only by parking contenders and by an
+   unlock that read 2, never on the fast path. *)
 type t = {
-  mutex : Mutex.t;
+  state : int Atomic.t;
+  park : Mutex.t;
+  wake : Condition.t;
   id : int;
   name : string option;
   mutable epoch : int;  (* the trace that last recorded [name] *)
@@ -27,7 +41,9 @@ let next_id = Atomic.make 1
 
 let create ?name () =
   {
-    mutex = Mutex.create ();
+    state = Atomic.make 0;
+    park = Mutex.create ();
+    wake = Condition.create ();
     id = Atomic.fetch_and_add next_id 1;
     name;
     epoch = 0;
@@ -88,18 +104,60 @@ let emit t tag b =
       | None -> ());
       Mutex.unlock trace_lock
 
-let lock t =
-  if Mutex.try_lock t.mutex then emit t tag_acquire 0
+(* test, then test-and-set: a held lock costs a load, not a write *)
+let try_raw t = Atomic.get t.state = 0 && Atomic.compare_and_set t.state 0 1
+
+(* Exchanging in 2 both tries the lock and tells the holder to wake
+   someone.  The exchange and the wait happen under [park], and an
+   unlock that reads 2 signals under [park] too, so its signal cannot
+   fall between a parker's failed exchange and its wait.  A woken
+   domain exchanges 2 in again before any further wait, so a domain
+   that took the lock by CAS while another slept leaves the state 2
+   when the sleeper goes back to waiting, and that holder's unlock
+   signals.  A domain that acquires here holds the lock in state 2:
+   others may still be parked. *)
+let park t =
+  Mutex.lock t.park;
+  while Atomic.exchange t.state 2 <> 0 do
+    Condition.wait t.wake t.park
+  done;
+  Mutex.unlock t.park
+
+let rec relax n =
+  if n > 0 then begin
+    Domain.cpu_relax ();
+    relax (n - 1)
+  end
+
+(* one round: pause for a uniform 1..window spins, then test and set;
+   the window doubles up to [backoff_limit] as in Pqsync.Backoff *)
+let rec contend t window rounds =
+  if rounds = 0 then park t
   else begin
-    Mutex.lock t.mutex;
+    relax (1 + (Local_rand.next () land (window - 1)));
+    if not (try_raw t) then
+      let window = 2 * window in
+      contend t
+        (if window > backoff_limit then backoff_limit else window)
+        (rounds - 1)
+  end
+
+let lock t =
+  if try_raw t then emit t tag_acquire 0
+  else begin
+    contend t backoff_first spin_rounds;
     emit t tag_acquire 1
   end
 
 let try_lock t =
-  let ok = Mutex.try_lock t.mutex in
+  let ok = try_raw t in
   if ok then emit t tag_acquire 0 else emit t tag_try_fail 0;
   ok
 
 let unlock t =
   emit t tag_release 0;
-  Mutex.unlock t.mutex
+  if Atomic.exchange t.state 0 = 2 then begin
+    Mutex.lock t.park;
+    Condition.signal t.wake;
+    Mutex.unlock t.park
+  end

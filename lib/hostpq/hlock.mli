@@ -1,25 +1,52 @@
-(** A [Mutex] wrapper speaking the simulator's lock-note protocol, so
-    the host queues' locking feeds the same lock-order analyzer
-    ([Pqanalysis.Lockdep]) as the simulated ones.
+(** The paper's lock on real hardware — test-and-test-and-set with
+    randomized exponential backoff — speaking the simulator's lock-note
+    protocol, so the host queues' locking feeds the same lock-order
+    analyzer ([Pqanalysis.Lockdep]) as the simulated ones.
 
-    Untraced (the default), an operation costs the underlying [Mutex]
-    call plus one load.  With a {!tracer} installed, every ownership
-    transition emits one event mirroring {!Pqsim.Probe.Lock_tag}:
-    [acquire] {e after} ownership (operand [b] 1 when the fast-path
-    try-lock failed first, i.e. contended), [release] at the {e start}
-    of the release (still owning), [try_fail] on a failed {!try_lock}
-    (never ownership).  Operand [a] is the lock's creation-ordered
-    {!id}, resolvable to a symbol via {!label_of} — the host analogue
-    of the simulator's labelled lock word.
+    The lock is one atomic word with three states: 0 free, 1 held, 2
+    held with a domain possibly parked.  {!try_lock} tests the word and
+    then compare-and-sets it from 0 to 1.  {!lock} tries once; if that
+    fails it runs test-and-test-and-set rounds, each pausing for a
+    uniform random 1..window [Domain.cpu_relax] calls drawn from
+    {!Local_rand}, the window doubling from {!backoff_first} to
+    {!backoff_limit} as in [Pqsync.Backoff].  After a fixed number of
+    rounds the contender parks: under a per-lock [Mutex] it exchanges
+    the word to 2 and waits on a [Condition] until that exchange
+    returns 0.  {!unlock} exchanges the word to 0 and, only if it read
+    2, signals under the same [Mutex].  No wake-up is lost: a parker's
+    exchange and its wait both happen under the [Mutex], so an unlock's
+    signal cannot fall between them, and a woken domain that finds the
+    lock taken exchanges 2 back in before waiting again, so the next
+    holder's unlock signals.  The [Mutex] and [Condition] are never on
+    the fast path: untraced, an uncontended [lock]/[unlock] pair costs
+    one load and one CAS plus one exchange, and allocates nothing.
+    The lock is not fair: a spinning domain may take it ahead of a
+    parked one.
 
-    Hostpq depends on nothing, so the tag values are restated locally;
-    a unit test pins them equal to {!Pqsim.Probe.Lock_tag}'s. *)
+    With a {!tracer} installed, every ownership transition emits one
+    event mirroring {!Pqsim.Probe.Lock_tag}: [acquire] {e after}
+    ownership (operand [b] 1 when the first try failed, i.e.
+    contended), [release] at the {e start} of the release (still
+    owning), [try_fail] on a failed {!try_lock} (never ownership).
+    Operand [a] is the lock's creation-ordered {!id}, resolvable to a
+    symbol via {!label_of} — the host analogue of the simulator's
+    labelled lock word.
+
+    Hostpq depends on nothing, so the tag values and the backoff window
+    bounds are restated locally; a unit test pins them equal to
+    {!Pqsim.Probe.Lock_tag}'s and [Pqsync.Backoff]'s. *)
 
 type t
 
 val tag_acquire : int
 val tag_release : int
 val tag_try_fail : int
+
+val backoff_first : int
+(** the first backoff window, 4 spins *)
+
+val backoff_limit : int
+(** the widest backoff window, 512 spins *)
 
 val create : ?name:string -> unit -> t
 (** [name] is the symbol {!label_of} resolves the lock's {!id} to once

@@ -1,5 +1,5 @@
 (** The SingleLock baseline on real hardware: a resizable array-based
-    binary min-heap behind one [Mutex].  Linearizable; the right choice at
+    binary min-heap behind one {!Hlock}.  Linearizable; the right choice at
     low contention. *)
 
 include Host_intf.S

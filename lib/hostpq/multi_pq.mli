@@ -1,5 +1,5 @@
 (** The MultiQueue on real hardware: [slots] sequential binary heaps,
-    each behind its own [Mutex], with pick-2 delete-min over per-slot
+    each behind its own {!Hlock}, with pick-2 delete-min over per-slot
     published minima ([Atomic] words read without locking).
 
     Relaxed: [delete_min] returns {e an} small element, not necessarily

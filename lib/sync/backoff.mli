@@ -12,6 +12,9 @@
 val first : int
 (** the initial window, 4 cycles *)
 
+val limit : int
+(** the widest window, 512 cycles *)
+
 val pause : int -> int
 (** [pause window] spins locally for a random duration within [window]
     and returns the widened window (doubling, capped at 512 cycles). *)

@@ -185,6 +185,19 @@ let host_helper_rows =
     row "Bounded_counter.dec (floor)" 0.
       ~prepare:(fun n -> Bounded_counter.create ~floor:0 (4 * n))
       ~op:(fun c _ -> ignore (Bounded_counter.dec c));
+    (* the lock's fast paths: one CAS and one exchange, or a failed
+       test of a held word *)
+    row "Hlock.lock + unlock (uncontended)" 0.
+      ~prepare:(fun _ -> Hlock.create ())
+      ~op:(fun l _ ->
+        Hlock.lock l;
+        Hlock.unlock l);
+    row "Hlock.try_lock (held, fails)" 0.
+      ~prepare:(fun _ ->
+        let l = Hlock.create () in
+        Hlock.lock l;
+        l)
+      ~op:(fun l _ -> ignore (Sys.opaque_identity (Hlock.try_lock l)));
     (* the pushed cons cell and the popped [Some v] *)
     row "Elim_stack.push + pop" 5.
       ~prepare:(fun _ -> Elim_stack.create ())

@@ -767,6 +767,11 @@ let test_hlock_tags_pinned_and_trace_clean () =
   check_int "release tag" Pqsim.Probe.Lock_tag.release Hostpq.Hlock.tag_release;
   check_int "try_fail tag" Pqsim.Probe.Lock_tag.try_fail
     Hostpq.Hlock.tag_try_fail;
+  (* and its backoff window bounds equal to the simulated locks' *)
+  check_int "first backoff window" Pqsync.Backoff.first
+    Hostpq.Hlock.backoff_first;
+  check_int "widest backoff window" Pqsync.Backoff.limit
+    Hostpq.Hlock.backoff_limit;
   (* a host-queue trace flows through the same analyzer and comes back
      clean: balanced, single-lock-at-a-time *)
   let obs = Lockdep.observer () in

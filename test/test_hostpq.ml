@@ -466,6 +466,200 @@ let test_hlock_names_follow_traces () =
   Alcotest.(check (option string))
     "this trace's lock resolves" (Some "quiet") (label_of (id quiet))
 
+(* the lock itself *)
+
+let test_hlock_mutual_exclusion () =
+  (* more domains than cores, so holders are preempted mid-section and
+     contenders exhaust their spin rounds and park; a plain counter
+     incremented under the lock must still come out exact *)
+  let open Hostpq.Hlock in
+  let l = create () in
+  let counter = ref 0 in
+  let ndomains = 6 and iters = 20_000 in
+  List.init ndomains (fun _ ->
+      Domain.spawn (fun () ->
+          for _ = 1 to iters do
+            lock l;
+            counter := !counter + 1;
+            unlock l
+          done))
+  |> List.iter Domain.join;
+  check_int "exact" (ndomains * iters) !counter
+
+let test_hlock_forced_parking () =
+  (* a holder sleeping far longer than the spin rounds last forces its
+     contenders to park; each then holds the lock a little while, so the
+     others wake to a taken lock and park again.  A lost wake-up hangs
+     here. *)
+  let open Hostpq.Hlock in
+  let l = create () in
+  let acquired = Atomic.make 0 in
+  lock l;
+  let contenders =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            lock l;
+            Atomic.incr acquired;
+            Unix.sleepf 0.002;
+            unlock l))
+  in
+  Unix.sleepf 0.02;
+  check_int "none acquired while held" 0 (Atomic.get acquired);
+  unlock l;
+  List.iter Domain.join contenders;
+  check_int "all acquired" 3 (Atomic.get acquired);
+  check_bool "free at the end" true (try_lock l);
+  unlock l
+
+let test_hlock_try_lock () =
+  let open Hostpq.Hlock in
+  let l = create () in
+  lock l;
+  check_bool "fails while held" false
+    (Domain.join (Domain.spawn (fun () -> try_lock l)));
+  unlock l;
+  check_bool "succeeds once free" true
+    (Domain.join (Domain.spawn (fun () ->
+         let ok = try_lock l in
+         if ok then unlock l;
+         ok)));
+  check_bool "free at the end" true (try_lock l);
+  unlock l
+
+let test_hlock_contended_flag () =
+  (* [acquire]'s operand [b] is 1 exactly when the first try failed:
+     0 for an uncontended lock, 1 for a domain that called [lock] while
+     another held it *)
+  let open Hostpq.Hlock in
+  let l = create () in
+  let events = ref [] in
+  set_tracer
+    (Some
+       {
+         trace =
+           (fun ~proc ~time:_ ~tag ~a ~b ->
+             if a = id l && tag = tag_acquire then
+               events := (proc, b) :: !events);
+       });
+  let main = (Domain.self () :> int) in
+  lock l;
+  let calling = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set calling true;
+        lock l;
+        unlock l;
+        (Domain.self () :> int))
+  in
+  while not (Atomic.get calling) do
+    Domain.cpu_relax ()
+  done;
+  Unix.sleepf 0.05;
+  unlock l;
+  let other = Domain.join d in
+  lock l;
+  unlock l;
+  set_tracer None;
+  Alcotest.(check (list (pair int int)))
+    "acquires in order, contended only for the waiting domain"
+    [ (main, 0); (other, 1); (main, 0) ]
+    (List.rev !events)
+
+(* ------------------------------------------------------------------ *)
+(* the bin queue's occupancy bitmap *)
+
+type bin_op = Insert of int | Delete
+
+(* priorities on and beside the bitmap's 62-bin word boundaries *)
+let bitmap_sizes = [ 1; 61; 62; 63; 64; 124; 125; 1000; 1024 ]
+
+let bin_ops_gen =
+  let open QCheck.Gen in
+  let* n = oneofl bitmap_sizes in
+  let pri =
+    oneof
+      [
+        int_bound (n - 1);
+        map (fun p -> min p (n - 1)) (oneofl [ 0; 60; 61; 62; 63; 123; 124 ]);
+        return (n - 1);
+      ]
+  in
+  let op = frequency [ (3, map (fun p -> Insert p) pri); (2, return Delete) ] in
+  let+ ops = list_size (int_range 0 300) op in
+  (n, ops)
+
+let bin_ops_print (n, ops) =
+  Printf.sprintf "npriorities %d: %s" n
+    (String.concat " "
+       (List.map
+          (function Insert p -> Printf.sprintf "+%d" p | Delete -> "-")
+          ops))
+
+(* against a sorted multiset: each delete_min returns the model's least
+   priority, None exactly when the model is empty, and length agrees at
+   the end *)
+let prop_bin_bitmap_model =
+  QCheck.Test.make ~name:"bin-pq bitmap vs sorted multiset" ~count:300
+    (QCheck.make ~print:bin_ops_print bin_ops_gen)
+    (fun (n, ops) ->
+      let module B = Hostpq.Bin_pq in
+      let q = B.create ~npriorities:n () in
+      let rec insert_sorted p = function
+        | x :: rest when x < p -> x :: insert_sorted p rest
+        | l -> p :: l
+      in
+      let step model op =
+        match (op, model) with
+        | Insert p, _ ->
+            B.insert q ~pri:p p;
+            insert_sorted p model
+        | Delete, [] ->
+            if B.delete_min q <> None then
+              QCheck.Test.fail_report "delete_min found an element in an empty queue";
+            []
+        | Delete, m :: rest -> (
+            match B.delete_min q with
+            | Some (p, v) when p = m && v = p -> rest
+            | Some (p, _) ->
+                QCheck.Test.fail_reportf "delete_min gave %d, model min %d" p m
+            | None -> QCheck.Test.fail_reportf "delete_min gave None, model min %d" m)
+      in
+      let model = List.fold_left step [] ops in
+      B.length q = List.length model)
+
+let test_bin_hold_stress () =
+  (* Scenario.hold's rule on two domains over a prefilled 1,024-priority
+     queue: every element deleted is reinserted, so the drain at the end
+     must give back exactly the prefill, by count and by payload sum *)
+  let module B = Hostpq.Bin_pq in
+  let npriorities = 1024 and prefill = 4096 and iters = 50_000 in
+  let q = B.create ~npriorities () in
+  let rng = Random.State.make [| 17 |] in
+  for v = 0 to prefill - 1 do
+    B.insert q ~pri:(Random.State.int rng npriorities) v
+  done;
+  let worker d () =
+    let rng = Random.State.make [| d; 29 |] in
+    for _ = 1 to iters do
+      match B.delete_min q with
+      | Some (p, v) ->
+          B.insert q ~pri:((p + 1 + Random.State.int rng 64) mod npriorities) v
+      | None -> Alcotest.fail "a prefilled hold queue ran empty"
+    done
+  in
+  List.init 2 (fun d -> Domain.spawn (worker d)) |> List.iter Domain.join;
+  check_int "length at quiescence" prefill (B.length q);
+  let rec drain count sum last =
+    match B.delete_min q with
+    | Some (p, v) ->
+        if p < last then Alcotest.failf "drain not sorted: %d after %d" p last;
+        drain (count + 1) (sum + v) p
+    | None -> (count, sum)
+  in
+  let count, sum = drain 0 0 0 in
+  check_int "count conserved" prefill count;
+  check_int "payload sum conserved" (prefill * (prefill - 1) / 2) sum
+
 (* ------------------------------------------------------------------ *)
 (* bounded counter *)
 
@@ -579,6 +773,19 @@ let () =
           [
             Alcotest.test_case "names follow traces" `Quick
               test_hlock_names_follow_traces;
+            Alcotest.test_case "mutual exclusion, 6 domains" `Quick
+              test_hlock_mutual_exclusion;
+            Alcotest.test_case "forced parking" `Quick
+              test_hlock_forced_parking;
+            Alcotest.test_case "try_lock" `Quick test_hlock_try_lock;
+            Alcotest.test_case "contended flag" `Quick
+              test_hlock_contended_flag;
+          ] );
+        qsuite "bin-pq-bitmap" [ prop_bin_bitmap_model ];
+        ( "bin-pq-hold",
+          [
+            Alcotest.test_case "two-domain hold stress" `Quick
+              test_bin_hold_stress;
           ] );
         ( "bounded-counter",
           [
