@@ -32,10 +32,15 @@
    the event into the queue's single view record, so the caller may
    read it — and push new events, which reuse the freed id — until the
    next pop.  A freed id's [erun] slot keeps its thunk until a later
-   closure event reuses the slot or the queue dies.  The arena and the
-   far heap start empty and double from [first_capacity] on demand, so
-   a queue holds slots for about as many events as were ever pending at
-   once (the engine keeps at most one per processor).
+   closure event reuses the slot or [reset] clears it.  The arena and
+   the far heap start empty and double from [first_capacity] on demand,
+   so a queue holds slots for about as many events as were ever pending
+   at once (the engine keeps at most one per processor).
+
+   A drained queue is reused rather than rebuilt: [reset] rewinds it to
+   the state [create] returns, keeping its arrays.  The two 4,096-word
+   bucket arrays go straight to the major heap, so a run that rebuilt
+   them would leave 8,192 words of major-heap garbage behind.
 
    The pop order is the same strict total order (time, then weight,
    then seq; seq is unique) the old binary heap used, so any run
@@ -346,6 +351,26 @@ let pop_exn t =
   view
 
 let pop t = if t.size = 0 then None else Some (pop_exn t)
+
+(* every bucket, bitmap word and far-heap slot is already [nil] or 0
+   once the queue is empty; what is left is the arena's ids, the
+   counters, and the thunks: a kept thunk would pin the finished run's
+   continuations for as long as the queue lives *)
+let reset t =
+  if t.size <> 0 then invalid_arg "Evq.reset: queue not empty";
+  Array.fill t.erun 0 t.fresh noop;
+  t.fresh <- 0;
+  t.free <- nil;
+  t.cur <- 0;
+  t.next_seq <- 0;
+  t.pops <- 0;
+  let view = t.view in
+  view.time <- 0;
+  view.weight <- 0;
+  view.seq <- 0;
+  view.pid <- -1;
+  view.v <- 0;
+  view.run <- noop
 
 let drain t f =
   while t.size > 0 do

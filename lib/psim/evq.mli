@@ -67,5 +67,17 @@ val is_empty : t -> bool
 val length : t -> int
 
 val pops : t -> int
-(** Total number of events this queue has popped (the engine's
-    events-executed counter). *)
+(** Number of events this queue has popped since {!create} or the last
+    {!reset} (the engine's events-executed counter). *)
+
+val reset : t -> unit
+(** [reset t] makes an empty queue behave exactly like a fresh
+    {!create}: sequence numbers restart at 0, {!pops} at 0, and event
+    ids are handed out again from the first.  It keeps the arrays the
+    queue has grown, so reusing a queue allocates nothing, and it
+    overwrites every thunk the queue still holds (in its arena and in
+    the popped-event record) with a no-op, so nothing a finished run
+    scheduled stays reachable through the queue.  {!Sim.run} resets its
+    queue after a normal finish and keeps it for the next run on the
+    same domain.  Raises [Invalid_argument] if the queue is not
+    empty. *)

@@ -11,12 +11,38 @@
    for the worst case puts hundreds of millions of words behind one
    1024-processor run — and with eager arrays such runs used to spend
    most of their wall clock zero-filling and re-zero-filling side tables
-   across capacity doublings.  A demand-zero reservation makes untouched
-   lines literally free: the kernel materializes a zeroed page the first
-   time a line's entry is written, there is no growth copy, and integer
-   stores into bigarrays skip the GC write barrier.  Only lines a run
-   actually touches ever cost host memory, so per-line footprint scales
-   with the touched working set, not with [words_allocated].
+   across capacity doublings.  In a demand-zero reservation untouched
+   lines cost no host memory: the kernel materializes a zeroed page the
+   first time a line's entry is written, there is no growth copy, and
+   integer stores into bigarrays skip the GC write barrier.
+
+   Reservations are reused.  Mapping six tables and faulting their pages
+   in again costs a short run more than it simulates, and the paper's
+   figures are sweeps of short runs.  So [create] takes the reservation
+   of a memory the GC has found dead before it maps a new one, and
+   zeroes that reservation's tables over [0, extent): the reservation's
+   {e extent} is one past the highest line any access path has written.
+   Every path that writes a table goes through [touch] or [extend],
+   which grow the extent or raise past the reservation, so no line
+   beyond the extent is ever non-zero and a reused table reads zero
+   wherever a fresh one would.  A memory whose extent passes
+   [pool_max_extent] words leaves the registry at once, so its
+   reservation goes back to the kernel when the memory dies: a structure
+   sized for scale-1k keeps its demand-zero behaviour, and no reuse
+   zeroes more than 2 MiB per table.
+
+   The registry pairs each reservation with a weak pointer to the memory
+   using it; a cleared pointer marks the reservation free.  The GC clears
+   the pointer without running any code, so nothing is added to the run
+   that happens to be in progress when a memory dies, and the registry
+   is touched only by [create] and [extend], under one lock, on any
+   domain.  (A
+   [Gc.finalise_last] callback costs two minor words per call in OCaml
+   5.1, which broke test_alloc's exact per-effect rows; [Gc.finalise]
+   would also keep every finished run reachable, through [waker]'s
+   closure, for one more major cycle.)  The registry never holds more
+   dead reservations than there were live memories at once, so it keeps
+   no more host memory than the runs before it used.
 
    Two further footprint tricks:
 
@@ -32,7 +58,8 @@
    - {b probe-gated side tables stay unmapped until probed}: the
      per-line traffic and invalidation counters are only consulted under
      a probe, so their reservations materialize on [set_probing true]
-     and default runs never pay the virtual mappings.
+     and default runs never pay the virtual mappings.  Once mapped they
+     stay with the reservation, and are zeroed with it.
 
    Spin-waiters are an intrusive per-line chain of processor ids
    (one word per line plus one link word per processor — a processor
@@ -64,10 +91,66 @@ let rec first_reserve = function
       try (n, map_words n) with Unix.Unix_error _ -> first_reserve rest)
   | [] -> invalid_arg "Mem: no viable reservation size"
 
+(* One memory's tables, kept apart from the memory so they can outlive
+   it in the pool.  The probe-gated tables and the sync-line flags are
+   mutable: a run maps or grows them, and the reservation keeps them. *)
+type reservation = {
+  size : int; (* virtual words per table: the hard address bound *)
+  r_data : words;
+  r_busy : words;
+  r_readers : words;
+  r_wait : words;
+  r_writer : words;
+  r_watchers : words;
+  mutable r_traffic : words; (* dimension 0 until a probed run maps it *)
+  mutable r_inval : words;
+  mutable r_sync : Bytes.t;
+  mutable r_extent : int; (* every line at or past it is zero in every table *)
+}
+
+(* 2^18 words: 2 MiB per table.  The largest benchmark run writes
+   180,307 lines (SimpleTree at P=256). *)
+let pool_max_extent = 1 lsl 18
+
+let no_words : words = W.create Bigarray.Int Bigarray.c_layout 0
+
+let reserve () =
+  let size, r_data = first_reserve reserve_candidates in
+  {
+    size;
+    r_data;
+    r_busy = map_words size;
+    r_readers = map_words size;
+    r_wait = map_words size;
+    r_writer = map_words size;
+    r_watchers = map_words size;
+    r_traffic = no_words;
+    r_inval = no_words;
+    r_sync = Bytes.make 4096 '\000';
+    r_extent = 0;
+  }
+
+let zero (a : words) n = if W.dim a > 0 then W.fill (W.sub a 0 n) 0
+
+let scrub r =
+  let n = r.r_extent in
+  if n > 0 then begin
+    List.iter
+      (fun a -> zero a n)
+      [
+        r.r_data; r.r_busy; r.r_readers; r.r_wait; r.r_writer; r.r_watchers;
+        r.r_traffic; r.r_inval;
+      ];
+    Bytes.fill r.r_sync 0 (min n (Bytes.length r.r_sync)) '\000';
+    r.r_extent <- 0
+  end
+
 type t = {
   machine : Machine.t;
   mask_words : int; (* words of reader-mask per block: ceil (nprocs / 63) *)
-  reserve : int; (* virtual words per table: the hard address bound *)
+  res : reservation;
+  reserve : int; (* [res.size], the hard address bound *)
+  mutable extent : int; (* [res.r_extent], read on every access *)
   mutable probing : bool; (* per-run copy of the probe flag (set by Sim) *)
   mutable metrics : Stats.t option; (* probe metrics registry (set by Sim) *)
   data : words;
@@ -83,7 +166,6 @@ type t = {
   writer_by_line : words; (* 0 = no simulated writer yet, else pid + 1 *)
   mutable traffic_by_line : words; (* unmapped (dim 0) until probing *)
   mutable inval_by_line : words; (* unmapped (dim 0) until probing *)
-  mutable sync_lines : Bytes.t;
   watchers : words;
       (* spin-waiter chain head per line: 0 = none, else [pid + 1] *)
   wnext : int array; (* per-processor chain link: 0 = end, else [pid + 1] *)
@@ -109,8 +191,6 @@ type t = {
   mutable labels : (int * int * string) list;
 }
 
-let no_words : words = W.create Bigarray.Int Bigarray.c_layout 0
-
 (* A location word packs a mesh node's x and y (21 bits each) and its
    socket (the bits above), as [Machine.hops] and [Machine.socket_of]
    place processor or module [i]: computed once per run, so a miss
@@ -127,28 +207,28 @@ let locations m n =
       lor ((c / w) lsl loc_bits)
       lor (Machine.socket_of m i lsl (2 * loc_bits)))
 
-let create machine =
+let make machine res =
   let nprocs = machine.Machine.nprocs in
-  let reserve, data = first_reserve reserve_candidates in
   {
     machine;
     mask_words = (nprocs + 62) / 63;
-    reserve;
+    res;
+    reserve = res.size;
+    extent = 0;
     probing = false;
     metrics = None;
-    data;
-    busy = map_words reserve;
-    readers = map_words reserve;
+    data = res.r_data;
+    busy = res.r_busy;
+    readers = res.r_readers;
     blocks = [||];
     free_blocks = [||];
     free_top = 0;
     next_block = 0;
-    wait_by_line = map_words reserve;
-    writer_by_line = map_words reserve;
+    wait_by_line = res.r_wait;
+    writer_by_line = res.r_writer;
     traffic_by_line = no_words;
     inval_by_line = no_words;
-    sync_lines = Bytes.make 4096 '\000';
-    watchers = map_words reserve;
+    watchers = res.r_watchers;
     wnext = Array.make nprocs 0;
     waker = (fun _ _ -> ());
     next_free = 1 (* address 0 reserved as null *);
@@ -166,13 +246,52 @@ let create machine =
     labels = [];
   }
 
+(* The registry: every reservation a live memory uses, and every free
+   one. *)
+type entry = { tables : reservation; owner : t Weak.t }
+
+let registry = ref []
+let registry_lock = Mutex.create ()
+
+let free e = not (Weak.check e.owner 0)
+
+let create machine =
+  let claimed =
+    Mutex.protect registry_lock (fun () ->
+        match List.find_opt free !registry with
+        | Some e ->
+            let t = make machine e.tables in
+            Weak.set e.owner 0 (Some t);
+            Some t
+        | None -> None)
+  in
+  match claimed with
+  | Some t ->
+      scrub t.res;
+      t
+  | None ->
+      let t = make machine (reserve ()) in
+      let owner = Weak.create 1 in
+      Weak.set owner 0 (Some t);
+      Mutex.protect registry_lock (fun () ->
+          registry := { tables = t.res; owner } :: !registry);
+      t
+
+let pooled () =
+  Mutex.protect registry_lock (fun () -> List.length (List.filter free !registry))
+
 let machine t = t.machine
 
 let set_probing t b =
   t.probing <- b;
   if b && W.dim t.traffic_by_line = 0 then begin
-    t.traffic_by_line <- map_words t.reserve;
-    t.inval_by_line <- map_words t.reserve
+    let r = t.res in
+    if W.dim r.r_traffic = 0 then begin
+      r.r_traffic <- map_words t.reserve;
+      r.r_inval <- map_words t.reserve
+    end;
+    t.traffic_by_line <- r.r_traffic;
+    t.inval_by_line <- r.r_inval
   end
 
 let set_metrics t m = t.metrics <- m
@@ -192,17 +311,28 @@ let count_locality t ~proc ~home =
          else "mem.remote")
         1
 
-let ensure t n =
-  if n > t.reserve then
-    invalid_arg
-      (Printf.sprintf "Mem.alloc: %d words exceeds the %d-word reservation" n
-         t.reserve)
+(* [extend t n]: lines below [n] may be written from now on *)
+let extend t n =
+  if n > t.extent then begin
+    if n > t.reserve then
+      invalid_arg
+        (Printf.sprintf "Mem: line %d is past the %d-word reservation" (n - 1)
+           t.reserve);
+    if n > pool_max_extent && t.extent <= pool_max_extent then
+      Mutex.protect registry_lock (fun () ->
+          registry := List.filter (fun e -> e.tables != t.res) !registry);
+    t.extent <- n;
+    t.res.r_extent <- n
+  end
+
+(* every costed access goes through here before it writes a table *)
+let touch t addr = if addr >= t.extent then extend t (addr + 1)
 
 let alloc t n =
   if n < 0 then invalid_arg "Mem.alloc: negative size";
   let addr = t.next_free in
+  extend t (addr + n);
   t.next_free <- addr + n;
-  ensure t t.next_free;
   addr
 
 let words_allocated t = t.next_free
@@ -223,20 +353,22 @@ let name_of t addr =
 
 let declare_sync t ~addr ~len =
   if len <= 0 then invalid_arg "Mem.declare_sync: len must be positive";
-  ensure t (addr + len);
-  if addr + len > Bytes.length t.sync_lines then begin
-    let cap = ref (Bytes.length t.sync_lines) in
+  extend t (addr + len);
+  let r = t.res in
+  if addr + len > Bytes.length r.r_sync then begin
+    let cap = ref (Bytes.length r.r_sync) in
     while !cap < addr + len do
       cap := !cap * 2
     done;
     let sync = Bytes.make !cap '\000' in
-    Bytes.blit t.sync_lines 0 sync 0 (Bytes.length t.sync_lines);
-    t.sync_lines <- sync
+    Bytes.blit r.r_sync 0 sync 0 (Bytes.length r.r_sync);
+    r.r_sync <- sync
   end;
-  Bytes.fill t.sync_lines addr len '\001'
+  Bytes.fill r.r_sync addr len '\001'
 
 let is_sync t addr =
-  addr < Bytes.length t.sync_lines && Bytes.unsafe_get t.sync_lines addr <> '\000'
+  let sync = t.res.r_sync in
+  addr >= 0 && addr < Bytes.length sync && Bytes.unsafe_get sync addr <> '\000'
 
 (* reader-set primitives: processor [proc] is in line [addr]'s set iff
    its cached copy is current *)
@@ -297,7 +429,11 @@ let set_cached t ~proc addr =
     let base = ((-1 - r) * t.mask_words) + (proc / 63) in
     t.blocks.(base) <- t.blocks.(base) lor (1 lsl (proc mod 63))
 
-let peek t addr = W.get t.data addr
+(* a read writes nothing: past the extent it reads a never-written zero,
+   and only the reservation bound is checked *)
+let peek t addr =
+  if addr >= t.reserve then extend t (addr + 1);
+  W.get t.data addr
 
 let invalidate t addr =
   let r = W.get t.readers addr in
@@ -338,12 +474,13 @@ let notify t addr ~change_time =
   end
 
 let poke t addr v =
-  ensure t (addr + 1);
+  touch t addr;
   W.set t.data addr v;
   invalidate t addr;
   notify t addr ~change_time:0
 
 let watch t ~addr ~pid =
+  touch t addr;
   t.wnext.(pid) <- W.get t.watchers addr;
   W.set t.watchers addr (pid + 1)
 
@@ -387,6 +524,7 @@ let serve t ~now ~addr ~home ~occ =
 let out t = t.out
 
 let read_t t ~proc ~now addr =
+  touch t addr;
   if cached t ~proc addr then begin
     t.hits <- t.hits + 1;
     t.out <- W.get t.data addr;
@@ -436,7 +574,7 @@ let rmw_commit t ~proc ~addr ~home ~served ~old v =
   served + latency t ~proc ~home
 
 let write t ~proc ~now addr v =
-  ensure t (addr + 1);
+  touch t addr;
   let occ = t.machine.Machine.write_occupancy in
   let home = home_of t addr in
   let served = rmw_begin t ~proc ~now ~addr ~home ~occ in
@@ -444,6 +582,7 @@ let write t ~proc ~now addr v =
   rmw_commit t ~proc ~addr ~home ~served ~old v
 
 let swap_t t ~proc ~now addr v =
+  touch t addr;
   let occ = t.machine.Machine.atomic_occupancy in
   let home = home_of t addr in
   let served = rmw_begin t ~proc ~now ~addr ~home ~occ in
@@ -455,6 +594,7 @@ let swap t ~proc ~now addr v =
   (completion, t.out)
 
 let cas_t t ~proc ~now addr ~expected ~desired =
+  touch t addr;
   let occ = t.machine.Machine.atomic_occupancy in
   let home = home_of t addr in
   let served = rmw_begin t ~proc ~now ~addr ~home ~occ in
@@ -469,6 +609,7 @@ let cas t ~proc ~now addr ~expected ~desired =
   (completion, t.out <> 0)
 
 let faa_t t ~proc ~now addr delta =
+  touch t addr;
   let occ = t.machine.Machine.atomic_occupancy in
   let home = home_of t addr in
   let served = rmw_begin t ~proc ~now ~addr ~home ~occ in

@@ -22,6 +22,19 @@
 type t
 
 val create : Machine.t -> t
+(** [create machine] is a fresh memory: every word zero, no line cached,
+    busy, queued on or written, no waiter parked.
+
+    Its per-line tables are those of a memory the GC has found
+    unreachable, when there is one, and are mapped anew otherwise.
+    [create] zeroes reused tables over the lines their last user wrote.
+    A memory that writes a line at or past 2{^18} gives up reuse: its
+    tables are unmapped when it dies.  Reuse is not observable: a reused
+    memory reads exactly as a newly mapped one. *)
+
+val pooled : unit -> int
+(** [pooled ()] is the number of reservations the next {!create}s can
+    reuse: those of memories the GC has found unreachable. *)
 
 val machine : t -> Machine.t
 
@@ -46,7 +59,13 @@ val set_metrics : t -> Stats.t option -> unit
 val alloc : t -> int -> int
 (** [alloc t n] reserves [n] fresh zero-initialised words and returns the
     address of the first.  Address 0 is never returned, so 0 can serve as a
-    null pointer. *)
+    null pointer.
+
+    Every word is addressable, allocated or not, up to the memory's
+    reservation (2{^28} words where the host allows it).  Every access
+    ({!alloc} itself, {!poke}, {!declare_sync}, {!peek}, {!watch} and
+    the costed operations) raises [Invalid_argument] naming the line and
+    the reservation when it reaches past that bound. *)
 
 val peek : t -> int -> int
 (** [peek t addr] reads a word without cost accounting (host-side). *)

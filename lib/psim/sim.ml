@@ -14,7 +14,12 @@
    statistics, probe annotations) do not perform at all: the same slot
    record carries the running processor's id and its run's context, which
    the engine writes before every [continue] and [match_with], so Api
-   answers them with a plain call. *)
+   answers them with a plain call.
+
+   The record also keeps the domain's spare event queues: a run takes one
+   (or builds one if none is spare) and hands it back reset after a
+   normal finish, so a sweep of short runs builds its queue once per
+   domain, not once per run. *)
 
 type ctx = {
   ptime : int array;
@@ -33,6 +38,7 @@ type args = {
   mutable c : int;
   mutable pid : int;
   mutable ctx : ctx;
+  mutable spare : Evq.t list;
 }
 
 let no_ctx =
@@ -49,7 +55,7 @@ let no_ctx =
 
 let args_key =
   Domain.DLS.new_key (fun () ->
-      { a = 0; b = 0; c = 0; pid = -1; ctx = no_ctx })
+      { a = 0; b = 0; c = 0; pid = -1; ctx = no_ctx; spare = [] })
 
 let args () = Domain.DLS.get args_key
 
@@ -156,7 +162,15 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
      draws, no engine events — a probed run is bit-identical to the same
      run without the probe *)
   let home addr = Machine.home_module machine addr in
-  let q = Evq.create () in
+  let slots = Domain.DLS.get args_key in
+  (* a nested run finds the outer run's queue taken and gets its own *)
+  let q =
+    match slots.spare with
+    | q :: rest ->
+        slots.spare <- rest;
+        q
+    | [] -> Evq.create ()
+  in
   let stats = Stats.create () in
   let master = Rng.make seed in
   let rngs = Array.init nprocs (Rng.split master) in
@@ -181,7 +195,6 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
   let wait_v0 = Array.make nprocs 0 in
   let wait_t = Array.make nprocs 0 in
   let wait_wakeups = Array.make nprocs 0 in
-  let slots = Domain.DLS.get args_key in
   let ctx =
     {
       ptime;
@@ -542,6 +555,10 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
   ignore
     (Atomic.fetch_and_add total_minor_words
        (int_of_float (Gc.minor_words () -. minor0)));
+  (* only a run that finished hands its queue on: one that raised may
+     leave events behind, and is dropped with them *)
+  Evq.reset q;
+  slots.spare <- q :: slots.spare;
   ( shared,
     {
       cycles = !clock;

@@ -34,6 +34,8 @@ type args = {
   mutable pid : int;
       (** the running processor, or [-1] outside any run *)
   mutable ctx : ctx;  (** the running processor's run *)
+  mutable spare : Evq.t list;
+      (** empty, reset event queues left by this domain's finished runs *)
 }
 (** The domain-local slot record shared by {!Api} and the engine.
 
@@ -48,6 +50,12 @@ type args = {
     exit, so a run nested inside another run's processor (or inside any
     host callback) leaves the outer context as it found it.  Nothing
     else can run between a write and the processor code that reads it.
+
+    [spare] holds event queues for reuse.  A run takes the first (or
+    creates one when none is spare), so a run nested inside another
+    run's processor gets a queue of its own.  After a normal finish, and
+    after its minor-word accounting, the run {!Evq.reset}s its queue and
+    puts it back; a run that raises drops its queue.
 
     The record is domain-local because independent simulations run
     concurrently on {!Pqworkload.Pool} worker domains.  Only {!Api}

@@ -220,33 +220,42 @@ let test_evq_model =
     QCheck.(list (pair bool (pair (int_bound 50) (int_bound 3))))
     (fun script ->
       let q = Pqsim.Evq.create () in
-      let model = ref [] in
-      let seq = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun (is_pop, (time, weight)) ->
-          if is_pop then
-            match (!model, Pqsim.Evq.is_empty q) with
-            | [], true -> (
-                match Pqsim.Evq.pop_exn q with
-                | _ -> ok := false
-                | exception Pqsim.Evq.Empty -> ())
-            | [], false | _ :: _, true -> ok := false
-            | m :: rest, false ->
-                model := rest;
-                let e = Pqsim.Evq.pop_exn q in
-                if (e.Pqsim.Evq.time, e.Pqsim.Evq.weight, e.Pqsim.Evq.seq) <> m
-                then ok := false
-          else begin
-            Pqsim.Evq.push q ~time ~weight ignore;
-            model := List.merge compare !model [ (time, weight, !seq) ];
-            incr seq
-          end)
-        script;
-      let rest = ref [] in
-      Pqsim.Evq.drain q (fun e ->
-          rest := (e.Pqsim.Evq.time, e.Pqsim.Evq.weight, e.Pqsim.Evq.seq) :: !rest);
-      !ok && List.rev !rest = !model)
+      (* the same script twice on one queue, reset in between: a reset
+         queue must behave like a fresh one, seq restarting at 0 *)
+      let pass () =
+        let model = ref [] in
+        let seq = ref 0 in
+        let ok = ref true in
+        List.iter
+          (fun (is_pop, (time, weight)) ->
+            if is_pop then begin
+              match (!model, Pqsim.Evq.is_empty q) with
+              | [], true -> (
+                  match Pqsim.Evq.pop_exn q with
+                  | _ -> ok := false
+                  | exception Pqsim.Evq.Empty -> ())
+              | [], false | _ :: _, true -> ok := false
+              | m :: rest, false ->
+                  model := rest;
+                  let e = Pqsim.Evq.pop_exn q in
+                  if (e.Pqsim.Evq.time, e.Pqsim.Evq.weight, e.Pqsim.Evq.seq) <> m
+                  then ok := false
+            end
+            else begin
+              Pqsim.Evq.push q ~time ~weight ignore;
+              model := List.merge compare !model [ (time, weight, !seq) ];
+              incr seq
+            end)
+          script;
+        let rest = ref [] in
+        Pqsim.Evq.drain q (fun e ->
+            rest := (e.Pqsim.Evq.time, e.Pqsim.Evq.weight, e.Pqsim.Evq.seq) :: !rest);
+        !ok && List.rev !rest = !model
+      in
+      pass ()
+      &&
+      (Pqsim.Evq.reset q;
+       Pqsim.Evq.pops q = 0 && pass ()))
 
 let test_evq_total_stable_order =
   (* the engine's determinism rests on this total order: (time, weight)
@@ -531,6 +540,26 @@ let test_evq_arena_growth =
       done;
       !ok && Pqsim.Evq.is_empty q && !peak >= 40)
 
+let test_evq_reset_drops_thunks () =
+  (* a popped closure's thunk stays in the arena and the view until
+     [reset]; after it, nothing the queue held keeps the thunk alive *)
+  let q = Pqsim.Evq.create () in
+  let w = Weak.create 1 in
+  (let payload = Bytes.make 64 'x' in
+   Weak.set w 0 (Some payload);
+   Pqsim.Evq.push q ~time:3 (fun () -> ignore (Sys.opaque_identity payload));
+   (Pqsim.Evq.pop_exn q).Pqsim.Evq.run ());
+  Gc.full_major ();
+  check_bool "held by the queue before reset" true (Weak.check w 0);
+  Pqsim.Evq.reset q;
+  Gc.full_major ();
+  check_bool "collectable after reset" false (Weak.check w 0);
+  Pqsim.Evq.push q ~time:1 ignore;
+  check_bool "reset refuses a queue with events pending" true
+    (match Pqsim.Evq.reset q with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Mem (host-side behaviour) *)
 
@@ -643,6 +672,110 @@ let test_mem_swap () =
   let _, old = Pqsim.Mem.swap m ~proc:0 ~now:0 a 9 in
   check_int "old" 3 old;
   check_int "new" 9 (Pqsim.Mem.peek m a)
+
+(* Reservation reuse.  A memory's tables go back to the registry when the
+   GC finds it dead, and the next [create] takes them: every line the
+   dead memory dirtied must read as fresh. *)
+
+let drain_free_reservations machine =
+  Gc.full_major ();
+  let keep = ref [] in
+  while Pqsim.Mem.pooled () > 0 do
+    keep := Pqsim.Mem.create machine :: !keep
+  done;
+  !keep
+
+let test_mem_reuse_reads_fresh () =
+  (* 70 processors: a reader set that spills needs a two-word mask block *)
+  let nprocs = 70 in
+  let machine = Pqsim.Machine.make ~nprocs () in
+  let lines = [ 1; 2; 63; 4_096; 77_777; 200_001 ] in
+  let keep = drain_free_reservations machine in
+  (let m = Pqsim.Mem.create machine in
+   Pqsim.Mem.set_probing m true;
+   Pqsim.Mem.set_waker m (fun _ _ -> ());
+   List.iter
+     (fun a ->
+       Pqsim.Mem.poke m a 5;
+       ignore (Pqsim.Mem.read m ~proc:0 ~now:0 a);
+       ignore (Pqsim.Mem.read m ~proc:65 ~now:0 a);
+       ignore (Pqsim.Mem.faa m ~proc:1 ~now:0 a 1);
+       ignore (Pqsim.Mem.faa m ~proc:2 ~now:0 a 1);
+       ignore (Pqsim.Mem.read m ~proc:3 ~now:0 a);
+       ignore (Pqsim.Mem.read m ~proc:66 ~now:0 a);
+       Pqsim.Mem.watch m ~addr:a ~pid:4;
+       Pqsim.Mem.declare_sync m ~addr:a ~len:1;
+       check_bool "dirty: queued" true (Pqsim.Mem.line_wait m a > 0);
+       check_bool "dirty: last writer" true (Pqsim.Mem.last_writer m a = Some 2);
+       check_bool "dirty: traffic" true (Pqsim.Mem.line_traffic m a > 0))
+     lines;
+   (* a swap, a CAS and a write on lines of their own *)
+   ignore (Pqsim.Mem.swap m ~proc:5 ~now:0 250_001 9);
+   ignore (Pqsim.Mem.cas m ~proc:5 ~now:0 250_002 ~expected:0 ~desired:9);
+   ignore (Pqsim.Mem.write m ~proc:5 ~now:0 250_003 9));
+  Gc.full_major ();
+  check_int "the dead memory's reservation is free" 1 (Pqsim.Mem.pooled ());
+  let m = Pqsim.Mem.create machine in
+  check_int "and the new memory took it" 0 (Pqsim.Mem.pooled ());
+  Pqsim.Mem.set_probing m true;
+  let woke = ref 0 in
+  Pqsim.Mem.set_waker m (fun _ _ -> incr woke);
+  List.iter
+    (fun a ->
+      check_int "value" 0 (Pqsim.Mem.peek m a);
+      check_bool "no last writer" true (Pqsim.Mem.last_writer m a = None);
+      check_int "no wait" 0 (Pqsim.Mem.line_wait m a);
+      check_int "no traffic" 0 (Pqsim.Mem.line_traffic m a);
+      check_int "no invalidations" 0 (Pqsim.Mem.line_invalidations m a);
+      check_bool "not a sync line" false (Pqsim.Mem.is_sync m a);
+      for proc = 0 to nprocs - 1 do
+        let before = Pqsim.Mem.misses m in
+        ignore (Pqsim.Mem.read m ~proc ~now:0 a);
+        check_int "first read misses" (before + 1) (Pqsim.Mem.misses m)
+      done;
+      ignore (Pqsim.Mem.write m ~proc:0 ~now:0 a 1);
+      check_int "a write wakes nobody" 0 !woke)
+    lines;
+  List.iter
+    (fun a -> check_int "value" 0 (Pqsim.Mem.peek m a))
+    [ 250_001; 250_002; 250_003 ];
+  (* a memory that wrote past 2^18 lines is not kept for reuse *)
+  (let big = Pqsim.Mem.create machine in
+   Pqsim.Mem.poke big (1 lsl 18) 1);
+  Gc.full_major ();
+  check_int "past 2^18 lines: unmapped, not kept" 0 (Pqsim.Mem.pooled ());
+  ignore (Sys.opaque_identity (m, keep))
+
+let test_mem_past_reservation () =
+  (* every access path names the line and the reservation past the
+     bound, instead of Bigarray's bare index error *)
+  let m = mk_mem 2 in
+  let far = 1 lsl 40 in
+  let descriptive what f =
+    match f () with
+    | _ -> Alcotest.failf "%s past the reservation did not raise" what
+    | exception Invalid_argument msg ->
+        let mentions s =
+          try
+            ignore (Str.search_forward (Str.regexp_string s) msg 0);
+            true
+          with Not_found -> false
+        in
+        check_bool (what ^ ": " ^ msg) true
+          (mentions (string_of_int far) && mentions "reservation")
+  in
+  descriptive "read" (fun () -> ignore (Pqsim.Mem.read_t m ~proc:0 ~now:0 far));
+  descriptive "write" (fun () -> ignore (Pqsim.Mem.write m ~proc:0 ~now:0 far 1));
+  descriptive "swap" (fun () -> ignore (Pqsim.Mem.swap_t m ~proc:0 ~now:0 far 1));
+  descriptive "cas" (fun () ->
+      ignore (Pqsim.Mem.cas_t m ~proc:0 ~now:0 far ~expected:0 ~desired:1));
+  descriptive "faa" (fun () -> ignore (Pqsim.Mem.faa_t m ~proc:0 ~now:0 far 1));
+  descriptive "watch" (fun () -> Pqsim.Mem.watch m ~addr:far ~pid:0);
+  descriptive "poke" (fun () -> Pqsim.Mem.poke m far 1);
+  descriptive "peek" (fun () -> ignore (Pqsim.Mem.peek m far));
+  descriptive "declare_sync" (fun () -> Pqsim.Mem.declare_sync m ~addr:far ~len:1);
+  descriptive "alloc" (fun () ->
+      ignore (Pqsim.Mem.alloc m (far + 1 - Pqsim.Mem.words_allocated m)))
 
 (* ------------------------------------------------------------------ *)
 (* Sim engine *)
@@ -858,6 +991,81 @@ let test_nested_run_restores_context () =
   check_bool "clocks and draws unchanged by the inner runs" true
     (flat = nested)
 
+(* ------------------------------------------------------------------ *)
+(* Warm engine: a run reuses its domain's spare event queue and a dead
+   memory's reservation; nothing it finds there may show. *)
+
+let test_warm_equals_cold () =
+  let run queue =
+    let r =
+      Pqbenchlib.Workload.run
+        {
+          (Pqbenchlib.Workload.spec ~queue ~nprocs:16 ~npriorities:16) with
+          seed = 11;
+          ops_per_proc = 12;
+        }
+    in
+    (r.cycles, r.latency_all, r.queue_wait, r.hot_lines)
+  in
+  List.iter
+    (fun (a, b) ->
+      let first = run a in
+      Gc.full_major ();
+      ignore (run b);
+      Gc.full_major ();
+      check_bool (a ^ " after " ^ b) true (run a = first))
+    [ ("SimpleTree", "FunnelTree"); ("SkipList", "LinearFunnels");
+      ("MultiQueue", "SingleLock") ]
+
+let small_run () =
+  let _, r =
+    Pqsim.Sim.run ~nprocs:4 ~seed:3
+      ~setup:(fun mem -> Pqsim.Mem.alloc mem 2)
+      ~program:(fun a pid ->
+        for _ = 1 to 5 do
+          ignore (Pqsim.Api.faa (a + (pid mod 2)) 1);
+          Pqsim.Api.work (Pqsim.Api.rand 5)
+        done)
+      ()
+  in
+  (r.cycles, r.events, r.hits, r.misses, r.updates, r.queue_wait)
+
+let test_run_after_raise () =
+  (* the cold reference: no spare queue, fresh pages *)
+  (Pqsim.Sim.args ()).spare <- [];
+  let cold = small_run () in
+  (* a deadlock leaves a parked watcher in its memory; a cycle limit
+     leaves events in its queue *)
+  (try
+     ignore
+       (Pqsim.Sim.run ~nprocs:1
+          ~setup:(fun mem -> Pqsim.Mem.alloc mem 2)
+          ~program:(fun a _ -> ignore (Pqsim.Api.wait_change (a + 1) 0))
+          ())
+   with Pqsim.Sim.Deadlock _ -> ());
+  Gc.full_major ();
+  check_bool "after Deadlock" true (small_run () = cold);
+  (try
+     ignore
+       (Pqsim.Sim.run ~nprocs:4 ~max_cycles:40
+          ~setup:(fun mem -> Pqsim.Mem.alloc mem 2)
+          ~program:(fun a _ ->
+            for _ = 1 to 20 do
+              ignore (Pqsim.Api.faa a 1)
+            done)
+          ())
+   with Pqsim.Sim.Cycle_limit _ -> ());
+  Gc.full_major ();
+  check_bool "after Cycle_limit" true (small_run () = cold)
+
+let test_nested_run_own_queue () =
+  (Pqsim.Sim.args ()).spare <- [];
+  ignore (outer_log ~nest:true);
+  match (Pqsim.Sim.args ()).spare with
+  | [ outer; inner ] ->
+      check_bool "the inner runs used a queue of their own" true (outer != inner)
+  | l -> Alcotest.failf "%d spare queues after a nested run, expected 2" (List.length l)
+
 let test_pool_jobs_identical () =
   let points =
     [ ("FunnelTree", 16, 1); ("LinearFunnels", 16, 2); ("SimpleTree", 8, 3);
@@ -982,6 +1190,8 @@ let () =
           Alcotest.test_case "rung rollover" `Quick test_evq_rung_rollover;
           Alcotest.test_case "seq monotone across recycling" `Quick
             test_evq_seq_monotone_recycle;
+          Alcotest.test_case "reset drops thunks" `Quick
+            test_evq_reset_drops_thunks;
         ] );
       qsuite "evq-props"
         [
@@ -1003,6 +1213,10 @@ let () =
             test_mem_contention_serializes;
           Alcotest.test_case "cas semantics" `Quick test_mem_cas_semantics;
           Alcotest.test_case "swap" `Quick test_mem_swap;
+          Alcotest.test_case "reused reservation reads fresh" `Quick
+            test_mem_reuse_reads_fresh;
+          Alcotest.test_case "past the reservation" `Quick
+            test_mem_past_reservation;
         ] );
       qsuite "mem-props" [ test_mem_miss_latency_table ];
       ( "sim",
@@ -1028,6 +1242,11 @@ let () =
             test_queries_outside_run;
           Alcotest.test_case "nested run restores the outer context" `Quick
             test_nested_run_restores_context;
+          Alcotest.test_case "nested run takes its own queue" `Quick
+            test_nested_run_own_queue;
+          Alcotest.test_case "warm run = cold run" `Quick test_warm_equals_cold;
+          Alcotest.test_case "run after a raise = cold run" `Quick
+            test_run_after_raise;
           Alcotest.test_case "pool jobs 4 = jobs 1" `Quick
             test_pool_jobs_identical;
           Alcotest.test_case "annotation stream pinned" `Quick
