@@ -16,12 +16,13 @@
    first time a line's entry is written, there is no growth copy, and
    integer stores into bigarrays skip the GC write barrier.
 
-   Reservations are reused.  Mapping six tables and faulting their pages
+   Reservations are reused.  Mapping seven tables and faulting their pages
    in again costs a short run more than it simulates, and the paper's
    figures are sweeps of short runs.  So [create] takes the reservation
    of a memory the GC has found dead before it maps a new one, and
    zeroes that reservation's tables over [0, extent): the reservation's
-   {e extent} is one past the highest line any access path has written.
+   {e extent} is one past the highest line any access path has written
+   (allocating a line does not write it).
    Every path that writes a table goes through [touch] or [extend],
    which grow the extent or raise past the reservation, so no line
    beyond the extent is ever non-zero and a reused table reads zero
@@ -31,8 +32,9 @@
    sized for scale-1k keeps its demand-zero behaviour, and no reuse
    zeroes more than 2 MiB per table.
 
-   The registry pairs each reservation with a weak pointer to the memory
-   using it; a cleared pointer marks the reservation free.  The GC clears
+   The registry pairs each reservation with a weak pointer to a block
+   only the memory using it points to; a cleared pointer marks the
+   reservation free.  The GC clears
    the pointer without running any code, so nothing is added to the run
    that happens to be in progress when a memory dies, and the registry
    is touched only by [create] and [extend], under one lock, on any
@@ -77,13 +79,18 @@ module W = Bigarray.Array1
    candidates keep restricted address spaces working. *)
 let reserve_candidates = [ 1 lsl 28; 1 lsl 26; 1 lsl 24; 1 lsl 21 ]
 
-let map_words n : words =
+(* one byte per line *)
+type flags = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) W.t
+
+let map kind n =
   let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR ] 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
       Bigarray.array1_of_genarray
-        (Unix.map_file fd Bigarray.Int Bigarray.c_layout false [| n |]))
+        (Unix.map_file fd kind Bigarray.c_layout false [| n |]))
+
+let map_words n : words = map Bigarray.Int n
 
 let rec first_reserve = function
   | [ n ] -> (n, map_words n)
@@ -92,8 +99,10 @@ let rec first_reserve = function
   | [] -> invalid_arg "Mem: no viable reservation size"
 
 (* One memory's tables, kept apart from the memory so they can outlive
-   it in the pool.  The probe-gated tables and the sync-line flags are
-   mutable: a run maps or grows them, and the reservation keeps them. *)
+   it in the registry.  The probe-gated tables are mutable: a probed run
+   maps them, and the reservation keeps them.  The sync-line flags are a
+   mapped table too, not an OCaml string, so a kept reservation holds no
+   words in the OCaml heap however high its structures declared. *)
 type reservation = {
   size : int; (* virtual words per table: the hard address bound *)
   r_data : words;
@@ -104,7 +113,7 @@ type reservation = {
   r_watchers : words;
   mutable r_traffic : words; (* dimension 0 until a probed run maps it *)
   mutable r_inval : words;
-  mutable r_sync : Bytes.t;
+  r_sync : flags;
   mutable r_extent : int; (* every line at or past it is zero in every table *)
 }
 
@@ -126,7 +135,7 @@ let reserve () =
     r_watchers = map_words size;
     r_traffic = no_words;
     r_inval = no_words;
-    r_sync = Bytes.make 4096 '\000';
+    r_sync = map Bigarray.Char size;
     r_extent = 0;
   }
 
@@ -141,7 +150,7 @@ let scrub r =
         r.r_data; r.r_busy; r.r_readers; r.r_wait; r.r_writer; r.r_watchers;
         r.r_traffic; r.r_inval;
       ];
-    Bytes.fill r.r_sync 0 (min n (Bytes.length r.r_sync)) '\000';
+    W.fill (W.sub r.r_sync 0 n) '\000';
     r.r_extent <- 0
   end
 
@@ -151,6 +160,11 @@ type t = {
   res : reservation;
   reserve : int; (* [res.size], the hard address bound *)
   mutable extent : int; (* [res.r_extent], read on every access *)
+  alive : unit ref;
+      (* a block nothing else points to: the registry's weak pointer
+         watches it rather than the memory, because a minor collection
+         promotes a young block a weak pointer names, and the memory
+         reaches the whole run through [waker] *)
   mutable probing : bool; (* per-run copy of the probe flag (set by Sim) *)
   mutable metrics : Stats.t option; (* probe metrics registry (set by Sim) *)
   data : words;
@@ -215,6 +229,7 @@ let make machine res =
     res;
     reserve = res.size;
     extent = 0;
+    alive = ref ();
     probing = false;
     metrics = None;
     data = res.r_data;
@@ -248,7 +263,7 @@ let make machine res =
 
 (* The registry: every reservation a live memory uses, and every free
    one. *)
-type entry = { tables : reservation; owner : t Weak.t }
+type entry = { tables : reservation; owner : unit ref Weak.t }
 
 let registry = ref []
 let registry_lock = Mutex.create ()
@@ -261,7 +276,7 @@ let create machine =
         match List.find_opt free !registry with
         | Some e ->
             let t = make machine e.tables in
-            Weak.set e.owner 0 (Some t);
+            Weak.set e.owner 0 (Some t.alive);
             Some t
         | None -> None)
   in
@@ -272,7 +287,7 @@ let create machine =
   | None ->
       let t = make machine (reserve ()) in
       let owner = Weak.create 1 in
-      Weak.set owner 0 (Some t);
+      Weak.set owner 0 (Some t.alive);
       Mutex.protect registry_lock (fun () ->
           registry := { tables = t.res; owner } :: !registry);
       t
@@ -311,13 +326,15 @@ let count_locality t ~proc ~home =
          else "mem.remote")
         1
 
+let past_reservation t n =
+  invalid_arg
+    (Printf.sprintf "Mem: line %d is past the %d-word reservation" (n - 1)
+       t.reserve)
+
 (* [extend t n]: lines below [n] may be written from now on *)
 let extend t n =
   if n > t.extent then begin
-    if n > t.reserve then
-      invalid_arg
-        (Printf.sprintf "Mem: line %d is past the %d-word reservation" (n - 1)
-           t.reserve);
+    if n > t.reserve then past_reservation t n;
     if n > pool_max_extent && t.extent <= pool_max_extent then
       Mutex.protect registry_lock (fun () ->
           registry := List.filter (fun e -> e.tables != t.res) !registry);
@@ -328,10 +345,12 @@ let extend t n =
 (* every costed access goes through here before it writes a table *)
 let touch t addr = if addr >= t.extent then extend t (addr + 1)
 
+(* allocating writes nothing, so it leaves the extent alone: a reuse
+   zeroes only the lines a run wrote, not every line it allocated *)
 let alloc t n =
   if n < 0 then invalid_arg "Mem.alloc: negative size";
   let addr = t.next_free in
-  extend t (addr + n);
+  if addr + n > t.reserve then past_reservation t (addr + n);
   t.next_free <- addr + n;
   addr
 
@@ -354,21 +373,12 @@ let name_of t addr =
 let declare_sync t ~addr ~len =
   if len <= 0 then invalid_arg "Mem.declare_sync: len must be positive";
   extend t (addr + len);
-  let r = t.res in
-  if addr + len > Bytes.length r.r_sync then begin
-    let cap = ref (Bytes.length r.r_sync) in
-    while !cap < addr + len do
-      cap := !cap * 2
-    done;
-    let sync = Bytes.make !cap '\000' in
-    Bytes.blit r.r_sync 0 sync 0 (Bytes.length r.r_sync);
-    r.r_sync <- sync
-  end;
-  Bytes.fill r.r_sync addr len '\001'
+  for a = addr to addr + len - 1 do
+    W.set t.res.r_sync a '\001'
+  done
 
 let is_sync t addr =
-  let sync = t.res.r_sync in
-  addr >= 0 && addr < Bytes.length sync && Bytes.unsafe_get sync addr <> '\000'
+  addr >= 0 && addr < t.extent && W.get t.res.r_sync addr <> '\000'
 
 (* reader-set primitives: processor [proc] is in line [addr]'s set iff
    its cached copy is current *)
@@ -432,7 +442,7 @@ let set_cached t ~proc addr =
 (* a read writes nothing: past the extent it reads a never-written zero,
    and only the reservation bound is checked *)
 let peek t addr =
-  if addr >= t.reserve then extend t (addr + 1);
+  if addr >= t.reserve then past_reservation t (addr + 1);
   W.get t.data addr
 
 let invalidate t addr =
