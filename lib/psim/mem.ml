@@ -16,35 +16,33 @@
    first time a line's entry is written, there is no growth copy, and
    integer stores into bigarrays skip the GC write barrier.
 
-   Reservations are reused.  Mapping seven tables and faulting their pages
-   in again costs a short run more than it simulates, and the paper's
-   figures are sweeps of short runs.  So [create] takes the reservation
-   of a memory the GC has found dead before it maps a new one, and
-   zeroes that reservation's tables over [0, extent): the reservation's
-   {e extent} is one past the highest line any access path has written
-   (allocating a line does not write it).
-   Every path that writes a table goes through [touch] or [extend],
-   which grow the extent or raise past the reservation, so no line
-   beyond the extent is ever non-zero and a reused table reads zero
-   wherever a fresh one would.  A memory whose extent passes
-   [pool_max_extent] words leaves the registry at once, so its
-   reservation goes back to the kernel when the memory dies: a structure
-   sized for scale-1k keeps its demand-zero behaviour, and no reuse
-   zeroes more than 2 MiB per table.
+   Reservations are reused.  Mapping seven tables and faulting their
+   pages in again costs a short run more than it simulates, and the
+   paper's figures are sweeps of short runs.  So [create] takes the
+   reservation of a memory the GC has found dead before it maps a new
+   one, and zeroes that reservation's tables over [0, extent): the
+   reservation's {e extent} is one past the highest line any access path
+   has written (allocating a line does not write it).  Every path that
+   writes a table goes through [touch] or [extend], which grow the
+   extent or raise past the reservation, so no line beyond the extent is
+   ever non-zero and a reused table reads zero wherever a fresh one
+   would.  A memory whose extent passes [pool_max_extent] lines leaves
+   the registry at once, so its reservation goes back to the kernel when
+   the memory dies: a structure sized for scale-1k keeps its demand-zero
+   behaviour, and no reuse zeroes more than 2 MiB per table.
 
    The registry pairs each reservation with a weak pointer to a block
    only the memory using it points to; a cleared pointer marks the
-   reservation free.  The GC clears
-   the pointer without running any code, so nothing is added to the run
-   that happens to be in progress when a memory dies, and the registry
-   is touched only by [create] and [extend], under one lock, on any
-   domain.  (A
-   [Gc.finalise_last] callback costs two minor words per call in OCaml
-   5.1, which broke test_alloc's exact per-effect rows; [Gc.finalise]
-   would also keep every finished run reachable, through [waker]'s
-   closure, for one more major cycle.)  The registry never holds more
-   dead reservations than there were live memories at once, so it keeps
-   no more host memory than the runs before it used.
+   reservation free.  The GC clears the pointer without running any
+   code, so nothing is added to the run that happens to be in progress
+   when a memory dies, and the registry is touched only by [create] and
+   [extend], under one lock, on any domain.  (A [Gc.finalise_last]
+   callback costs two minor words per call in OCaml 5.1, which broke
+   test_alloc's exact per-effect rows; [Gc.finalise] would also keep
+   every finished run reachable, through [waker]'s closure, for one more
+   major cycle.)  The registry never holds more dead reservations than
+   there were live memories at once, so it keeps no more host memory
+   than the runs before it used.
 
    Two further footprint tricks:
 
@@ -117,8 +115,9 @@ type reservation = {
   mutable r_extent : int; (* every line at or past it is zero in every table *)
 }
 
-(* 2^18 words: 2 MiB per table.  The largest benchmark run writes
-   180,307 lines (SimpleTree at P=256). *)
+(* 2^18 lines: 2 MiB per word table.  The largest benchmark run
+   allocates 180,307 words (SimpleTree at P=256), so every benchmark run
+   reuses its reservation. *)
 let pool_max_extent = 1 lsl 18
 
 let no_words : words = W.create Bigarray.Int Bigarray.c_layout 0
