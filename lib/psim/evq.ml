@@ -364,13 +364,7 @@ let reset t =
   t.cur <- 0;
   t.next_seq <- 0;
   t.pops <- 0;
-  let view = t.view in
-  view.time <- 0;
-  view.weight <- 0;
-  view.seq <- 0;
-  view.pid <- -1;
-  view.v <- 0;
-  view.run <- noop
+  t.view.run <- noop
 
 let drain t f =
   while t.size > 0 do

@@ -153,6 +153,8 @@ let scrub r =
     r.r_extent <- 0
   end
 
+(* [t] copies the reservation's tables it reads on every access, so the
+   hot paths pay no extra indirection *)
 type t = {
   machine : Machine.t;
   mask_words : int; (* words of reader-mask per block: ceil (nprocs / 63) *)
