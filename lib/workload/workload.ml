@@ -103,6 +103,13 @@ module Ledger = struct
 
   let delete t ~pid ~pri ~payload =
     let k = t.deleted.(pid) in
+    (* a processor returns at most [stride] elements unless its queue
+       duplicates or invents some: double its arrays then *)
+    if k = Array.length t.deleted_pri.(pid) then begin
+      let grow a = Array.append a (Array.make (max 1 k) 0) in
+      t.deleted_pri.(pid) <- grow t.deleted_pri.(pid);
+      t.deleted_payload.(pid) <- grow t.deleted_payload.(pid)
+    end;
     t.deleted_pri.(pid).(k) <- pri;
     t.deleted_payload.(pid).(k) <- payload;
     t.deleted.(pid) <- k + 1

@@ -57,7 +57,8 @@ module Ledger : sig
   type t
 
   val create : nprocs:int -> stride:int -> t
-  (** room for [stride] inserts and deletes per processor *)
+  (** room for [stride] inserts and deletes per processor; the delete
+      log grows past that *)
 
   val payload : pid:int -> j:int -> int
   (** the payload of processor [pid]'s [j]-th insert ([1 <= j <= stride]):

@@ -1242,15 +1242,15 @@ let () =
             test_queries_outside_run;
           Alcotest.test_case "nested run restores the outer context" `Quick
             test_nested_run_restores_context;
+          Alcotest.test_case "pool jobs 4 = jobs 1" `Quick
+            test_pool_jobs_identical;
+          Alcotest.test_case "annotation stream pinned" `Quick
+            test_annotation_stream_pinned;
           Alcotest.test_case "nested run takes its own queue" `Quick
             test_nested_run_own_queue;
           Alcotest.test_case "warm run = cold run" `Quick test_warm_equals_cold;
           Alcotest.test_case "run after a raise = cold run" `Quick
             test_run_after_raise;
-          Alcotest.test_case "pool jobs 4 = jobs 1" `Quick
-            test_pool_jobs_identical;
-          Alcotest.test_case "annotation stream pinned" `Quick
-            test_annotation_stream_pinned;
         ] );
       ( "stats",
         [
