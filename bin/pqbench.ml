@@ -101,9 +101,9 @@ let list_cmd =
     print_endline
       "\n\
        every experiment above is an independent-point sweep: `run', \
-       `races',\n\
-       `faults' and `profile' accept --jobs J (env PQBENCH_JOBS) to fan \
-       points\n\
+       `profile',\n\
+       `audit', `chaos' and `adapt' accept --jobs J (env PQBENCH_JOBS) to \
+       fan points\n\
        across J domains; output is byte-identical for any J."
   in
   Cmd.v (Cmd.info "list" ~doc:"List queues and experiments.")
@@ -427,96 +427,6 @@ let explore_cmd =
         $ Terms.priorities ~default:8 $ Terms.ops ~default:5 $ Terms.seed
         $ max_states))
 
-let faults_cmd =
-  let plans =
-    (* derive the documented arm list from Plan.names so the help text
-       can never drift from the parser *)
-    Arg.(
-      value & opt string "all"
-      & info [ "plans" ] ~docv:"PLANS"
-          ~doc:
-            (Printf.sprintf "Comma-separated fault plans (%s) or $(b,all)."
-               (String.concat ", "
-                  (List.map
-                     (Printf.sprintf "$(b,%s)")
-                     Pqfault.Plan.names))))
-  in
-  let rounds =
-    Arg.(
-      value & opt int 3
-      & info [ "rounds" ] ~docv:"R" ~doc:"Fault seeds per plan.")
-  in
-  let verbose =
-    Arg.(
-      value & flag
-      & info [ "verbose"; "v" ] ~doc:"Print every round's outcome.")
-  in
-  let run queue plans procs priorities ops seed rounds verbose jobs =
-    match
-      Terms.parse_list ~all:Pqfault.Plan.all ~of_string:Pqfault.Plan.of_string
-        plans
-    with
-    | Error e -> `Error (false, e)
-    | Ok plans -> (
-        match Terms.resolve_queues queue with
-        | Error e -> `Error (false, e)
-        | Ok queues -> (
-            (* per-queue fault matrices are independent deterministic
-               runs: fan them out, report in queue order *)
-            let reports =
-              Pqbenchlib.Pool.map ~jobs
-                (fun q ->
-                  Pqfault.Driver.run ~plans
-                    (Pqfault.Driver.config ~nprocs:procs
-                       ~npriorities:priorities ~ops_per_proc:ops ~seed ~rounds
-                       q))
-                queues
-            in
-            if verbose then
-              List.iter
-                (Format.printf "%a@." Pqfault.Driver.pp_report)
-                reports;
-            (* verdict matrix: queues x plans *)
-            Printf.printf "%-22s %9s" "queue" "baseline";
-            List.iter
-              (fun p -> Printf.printf " %12s" (Pqfault.Plan.name p))
-              plans;
-            Printf.printf "  safety\n";
-            List.iter
-              (fun (r : Pqfault.Driver.report) ->
-                Printf.printf "%-22s %9d" r.Pqfault.Driver.queue
-                  r.Pqfault.Driver.baseline_cycles;
-                List.iter
-                  (fun (pr : Pqfault.Driver.plan_report) ->
-                    Printf.printf " %12s"
-                      (Pqfault.Driver.verdict_to_string pr.Pqfault.Driver.verdict))
-                  r.Pqfault.Driver.plans;
-                Printf.printf "  %s\n"
-                  (if r.Pqfault.Driver.safe then "ok" else "VIOLATED"))
-              reports;
-            let failures =
-              List.concat_map
-                (fun r ->
-                  match Pqfault.Driver.gate r with Ok () -> [] | Error l -> l)
-                reports
-            in
-            match failures with
-            | [] -> `Ok ()
-            | l -> `Error (false, String.concat "\n" l)))
-  in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:
-         "Inject faults (crashes, pauses, slow memory) and report each \
-          queue's progress verdict and post-fault safety.")
-    Term.(
-      ret
-        (const run
-        $ Terms.queue ~default:"all"
-            ~doc:"Queue algorithm, or $(b,all) for the paper's seven."
-        $ plans $ Terms.procs ~default:4 $ Terms.priorities ~default:8
-        $ Terms.ops ~default:6 $ Terms.seed $ rounds $ verbose $ Terms.jobs))
-
 let audit_cmd =
   let run report jobs =
     let reports = Pqanalysis.Audit.run ~jobs in
@@ -577,7 +487,8 @@ let chaos_cmd =
       value & opt string "default,pct"
       & info [ "sched" ] ~docv:"P1,P2,.."
           ~doc:
-            (Printf.sprintf "Comma-separated schedule policies (%s)."
+            (Printf.sprintf
+               "Comma-separated schedule policies (%s) or $(b,all)."
                (String.concat ", "
                   (List.map
                      (Printf.sprintf "$(b,%s)")
@@ -631,8 +542,9 @@ let chaos_cmd =
   in
   let run queue scenarios plans scheds procs priorities ops seeds soak quick
       host verbose report jobs =
+    (* every error here is a bad option value: report it with usage *)
     let ( let* ) r f =
-      match r with Error e -> `Error (false, e) | Ok v -> f v
+      match r with Error e -> `Error (true, e) | Ok v -> f v
     in
     let* queues =
       if queue = "all" then Ok Pqchaos.Driver.default_queues
@@ -641,12 +553,12 @@ let chaos_cmd =
     let* scenarios = parse_scenarios scenarios in
     let* plans =
       Terms.parse_list
-        ~all:(None :: List.map Option.some Pqfault.Plan.all)
+        ~all:(None :: List.map Option.some Pqchaos.Plan.all)
         ~of_string:Pqchaos.Driver.plan_of_string plans
     in
     let* scheds =
       Terms.parse_list
-        ~all:[ Pqchaos.Driver.Default; Pqchaos.Driver.Pct ]
+        ~all:Pqchaos.Driver.schedules
         ~of_string:Pqchaos.Driver.schedule_of_string scheds
     in
     let* seeds =
@@ -672,7 +584,19 @@ let chaos_cmd =
         soak;
       }
     in
-    let cells = Pqchaos.Driver.run ~jobs cfg in
+    let* cells =
+      match Pqchaos.Driver.run ~jobs cfg with
+      | cells -> Ok cells
+      | exception Pqchaos.Driver.Invalid_config { field; reason } ->
+          let option =
+            match field with
+            | "nprocs" -> "procs"
+            | "npriorities" -> "priorities"
+            | "ops_per_proc" -> "ops"
+            | f -> f
+          in
+          Error (Printf.sprintf "--%s: %s" option reason)
+    in
     let buf = Buffer.create 4096 in
     let ppf = Format.formatter_of_buffer buf in
     if verbose then Format.fprintf ppf "%a@." Pqchaos.Driver.pp_cells cells;
@@ -888,6 +812,6 @@ let () =
           (Cmd.info "pqbench" ~doc)
           [
             list_cmd; run_cmd; bench_cmd; profile_cmd; trace_cmd; validate_cmd;
-            perfcmp_cmd; explore_cmd; faults_cmd; audit_cmd; chaos_cmd;
+            perfcmp_cmd; explore_cmd; audit_cmd; chaos_cmd;
             adapt_cmd; lint_cmd;
           ]))

@@ -6,9 +6,9 @@
    default-schedule cell — the baseline.  Probes are passive (the
    monitor changes no simulated result), so the baseline's cycle count
    is valid as the degradation yardstick for the group's other cells,
-   and its watchdog budgets scale from it exactly as in Pqfault.Driver.
+   and their watchdog budgets scale from it (see [watchdog_for]).
 
-   Verdict policy, mirroring the fault gate's philosophy:
+   Verdict policy:
    - a safety violation (conservation broken, phantom elements, rank
      above the widened bound, a failed scenario check) is always a gate
      error;
@@ -19,7 +19,6 @@
    - slowdown beyond [degraded_ratio] is reported as degraded-with-
      bound, never an error. *)
 
-module Plan = Pqfault.Plan
 module Scenario = Pqbenchlib.Scenario
 
 type schedule = Default | Pct | Random
@@ -142,7 +141,7 @@ let scenario_of cfg name =
     Scenario.sssp ~nodes:(min 96 (cfg.sssp_nodes * cfg.soak)) ()
   else Scenario.of_string name
 
-(* 5/4: the same degraded threshold Pqfault.Driver reports against *)
+(* a completed cell is degraded beyond 5/4 of its baseline's cycles *)
 let degraded ~baseline cycles = baseline > 0 && 4 * cycles > 5 * baseline
 
 (* idle-progress budget: generous multiples of the fault-free run, plus
@@ -312,7 +311,24 @@ let run_group cfg (queue, scn_name, seed) =
     cfg.plans;
   base :: List.rev !rest
 
+exception Invalid_config of { field : string; reason : string }
+
+(* reject a matrix that could pass vacuously (no cell, or cells with no
+   operation) or that the engine cannot build *)
+let validate cfg =
+  let check ok field reason =
+    if not ok then raise (Invalid_config { field; reason })
+  in
+  check (cfg.queues <> []) "queues" "no queue given";
+  check (cfg.scenarios <> []) "scenarios" "no scenario given";
+  check (cfg.seeds <> []) "seeds" "no seed given";
+  check (cfg.nprocs >= 1) "nprocs" "must be at least 1";
+  check (cfg.npriorities >= 1) "npriorities" "must be at least 1";
+  check (cfg.ops_per_proc >= 1) "ops_per_proc" "must be at least 1";
+  check (cfg.soak >= 1) "soak" "must be at least 1"
+
 let run ?(jobs = 1) cfg =
+  validate cfg;
   let groups =
     List.concat_map
       (fun queue ->
@@ -328,7 +344,8 @@ let plan_is_finite = function
   | s -> ( match Plan.of_string s with Ok p -> Plan.finite p | Error _ -> true)
 
 (* gate errors: safety violations anywhere; blockage wherever survival
-   is required (no fault, or a finite fault) *)
+   is required (no fault, or a finite fault).  A queue that claims
+   non-blocking progress must also gate its blockage under a crash here. *)
 let gate cells =
   List.filter_map
     (fun c ->

@@ -5,14 +5,17 @@
     Each (queue, scenario, seed) group runs its fault-free
     default-schedule baseline first; probes are passive, so the
     baseline's cycle count is the degradation yardstick and watchdog
-    scale for the group's other cells.  The {!gate} mirrors
-    [Pqfault.Driver]: safety violations always gate; blockage gates
-    only where survival is required (no fault, or a finite one) —
-    blocking algorithms dying under a crash is recorded, expected. *)
+    scale for the group's other cells.  {!gate} fails every safety
+    violation, and blockage only where survival is required (no fault,
+    or a finite one) — blocking algorithms dying under a crash is
+    recorded, expected. *)
 
 type schedule = Default | Pct | Random
 
 val schedule_name : schedule -> string
+val schedules : schedule list
+(** every schedule, in {!schedule_names} order *)
+
 val schedule_names : string list
 val schedule_of_string : string -> (schedule, string) result
 
@@ -36,7 +39,7 @@ val verdict_detail : verdict -> string
 type cell = {
   queue : string;
   scenario : string;
-  plan : string;  (** "none" or a [Pqfault.Plan.name] *)
+  plan : string;  (** "none" or a {!Plan.name} *)
   sched : string;
   seed : int;
   verdict : verdict;
@@ -62,7 +65,7 @@ type cell = {
 type config = {
   queues : string list;
   scenarios : string list;
-  plans : Pqfault.Plan.t option list;  (** [None] is the fault-free arm *)
+  plans : Plan.t option list;  (** [None] is the fault-free arm *)
   scheds : schedule list;
   seeds : int list;
   nprocs : int;
@@ -76,10 +79,10 @@ val default_queues : string list
 (** all registry queues: the paper's seven plus the relaxed family *)
 
 val plan_names : string list
-(** ["none"] plus every [Pqfault.Plan.name] *)
+(** ["none"] plus every {!Plan.name} *)
 
-val plan_of_string : string -> (Pqfault.Plan.t option, string) result
-(** accepts ["none"]; otherwise defers to [Pqfault.Plan.of_string] *)
+val plan_of_string : string -> (Plan.t option, string) result
+(** accepts ["none"]; otherwise defers to {!Plan.of_string} *)
 
 val default : config
 val quick : config
@@ -88,11 +91,20 @@ val scenario_of : config -> string -> Pqbenchlib.Scenario.t
 (** resolve a scenario name, applying the soak-scaled SSSP sizing.
     @raise Invalid_argument on an unknown name *)
 
-val watchdog_for : plan:Pqfault.Plan.t option -> baseline:int -> int
+val watchdog_for : plan:Plan.t option -> baseline:int -> int
+(** idle-progress budget of a faulted cell: [4 * baseline + 100_000]
+    plus the fault's own dead time (the pause length, or [factor *
+    baseline] for a slow module) *)
+
+exception Invalid_config of { field : string; reason : string }
+(** [field] names the rejected {!config} field *)
 
 val run : ?jobs:int -> config -> cell list
 (** the full cross product, domain-parallel over (queue, scenario,
-    seed) groups; output order and content are independent of [jobs] *)
+    seed) groups; output order and content are independent of [jobs].
+    @raise Invalid_config before running any cell when [queues],
+    [scenarios] or [seeds] is empty, or [nprocs], [npriorities],
+    [ops_per_proc] or [soak] is below 1 *)
 
 val gate : cell list -> string list
 (** gate errors (empty means pass): every safety violation, plus every

@@ -23,16 +23,6 @@ let name = function
   | Pause_resume _ -> "pause"
   | Slow_node _ -> "slow-node"
 
-let describe = function
-  | Crash_random -> "crash-stop one processor at a random effect boundary"
-  | Crash_lock_holder ->
-      "crash-stop one processor right after one of its first atomic ops \
-       (typically a lock acquisition)"
-  | Pause_resume { pause } ->
-      Printf.sprintf "pause one processor for %d cycles, then resume it" pause
-  | Slow_node { node; factor } ->
-      Printf.sprintf "serve memory module %d %dx slower" node factor
-
 let names = List.sort compare (List.map name all)
 
 let of_string s =

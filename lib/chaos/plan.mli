@@ -1,7 +1,7 @@
 (** Fault plans: descriptions of a single injected failure, compiled into
     engine scheduling policies (and memory degradation) for one run.
 
-    Every plan is a deterministic function of its seed, so a fault round
+    Every plan is a deterministic function of its seed, so a faulted run
     is reproducible bit-for-bit: the same (plan, seed, workload seed)
     picks the same victim and the same injection point. *)
 
@@ -27,8 +27,6 @@ val all : t list
 
 val name : t -> string
 (** short stable identifier: crash-one, crash-lock, pause, slow-node. *)
-
-val describe : t -> string
 
 val names : string list
 (** sorted names of {!all}; the valid input set of {!of_string} *)

@@ -25,7 +25,7 @@
     in a deterministic order, so a stateful policy still yields
     bit-for-bit reproducible runs.  {!Pqexplore} builds schedule
     exploration (fuzzing, PCT, bounded exhaustive search) on top of
-    this hook; {!Pqfault} builds crash/pause fault plans on it. *)
+    this hook; crash-stop and pause faults are policies too. *)
 
 (** the kind of operation whose completion is being scheduled *)
 type op = Read | Write | Swap | Cas | Faa | Work | Wait

@@ -164,9 +164,9 @@ val run :
     [policy] (default {!Sched.fifo}) is consulted at every effect
     boundary and may inject bounded stalls, re-rank same-cycle events,
     pause a processor for an unbounded stretch or crash-stop it — the
-    hooks {!Pqexplore} and {!Pqfault} build on.  With the default
-    policy, runs are bit-for-bit identical to the engine without the
-    hook.
+    hooks schedule exploration and fault injection build on.  With the
+    default policy, runs are bit-for-bit identical to the engine without
+    the hook.
 
     [probe] (off by default) attaches an observability probe
     ({!Probe.t}): the engine streams every memory effect, park/wake and

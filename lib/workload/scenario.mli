@@ -194,8 +194,9 @@ val run_sim :
     the exact conservation check; soak runs pass [~track:false] and
     rely on the streaming monitors, keeping host memory bounded by the
     live-element count.  Engine abort exceptions are caught and
-    returned in [aborted] with the queue drained regardless, mirroring
-    {!Pqfault.Driver}.
+    returned in [aborted] with the queue drained regardless, so the
+    survivors of a crashed or hung run are still checked for
+    conservation.
 
     [create] (default: {!Pqcore.Registry.create}[ queue]) overrides
     queue construction — how non-registry queues such as the

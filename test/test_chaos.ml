@@ -323,7 +323,7 @@ let test_driver_tiny_matrix_gates_clean () =
       D.quick with
       queues = [ "SkipList"; "MultiQueue" ];
       scenarios = [ "coinflip"; "hold" ];
-      plans = [ None; Some (Pqfault.Plan.Pause_resume { pause = 5_000 }) ];
+      plans = [ None; Some (Pqchaos.Plan.Pause_resume { pause = 5_000 }) ];
       scheds = [ D.Default; D.Pct ];
       seeds = [ 42 ];
       ops_per_proc = 8;
@@ -348,7 +348,7 @@ let test_driver_crash_blockage_not_gated () =
       D.quick with
       queues = [ "SingleLock" ];
       scenarios = [ "coinflip" ];
-      plans = [ None; Some Pqfault.Plan.Crash_lock_holder ];
+      plans = [ None; Some Pqchaos.Plan.Crash_lock_holder ];
       scheds = [ D.Default ];
       seeds = [ 42 ];
       ops_per_proc = 8;
@@ -368,7 +368,7 @@ let test_driver_jobs_invariant () =
       D.quick with
       queues = [ "SkipList"; "MultiQueueC4" ];
       scenarios = [ "hold"; "sssp" ];
-      plans = [ None; Some Pqfault.Plan.Crash_random ];
+      plans = [ None; Some Pqchaos.Plan.Crash_random ];
       scheds = [ D.Default ];
       seeds = [ 42; 7 ];
       ops_per_proc = 8;
@@ -431,6 +431,28 @@ let test_schedule_and_plan_parsing () =
            ignore (Str.search_forward (Str.regexp_string "none") e 0);
            true
          with Not_found -> false)
+
+(* a config that could pass vacuously, or that the engine cannot build,
+   is rejected before any cell runs, naming the field *)
+let config_rejection_cases =
+  List.map
+    (fun (field, cfg) ->
+      Alcotest.test_case ("rejects bad " ^ field) `Quick (fun () ->
+          match D.run cfg with
+          | exception D.Invalid_config { field = f; _ } ->
+              Alcotest.(check string) "rejected field" field f
+          | cells ->
+              Alcotest.fail
+                (Printf.sprintf "ran %d cells" (List.length cells))))
+    [
+      ("queues", { D.quick with queues = [] });
+      ("scenarios", { D.quick with scenarios = [] });
+      ("seeds", { D.quick with seeds = [] });
+      ("nprocs", { D.quick with nprocs = 0 });
+      ("npriorities", { D.quick with npriorities = 0 });
+      ("ops_per_proc", { D.quick with ops_per_proc = 0 });
+      ("soak", { D.quick with soak = 0 });
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* host-side soaks *)
@@ -503,7 +525,8 @@ let () =
             test_driver_soak_memory_bounded;
           Alcotest.test_case "schedule and plan parsing" `Quick
             test_schedule_and_plan_parsing;
-        ] );
+        ]
+        @ config_rejection_cases );
       ( "host",
         host_soak_cases
         @ [

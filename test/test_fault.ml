@@ -1,9 +1,9 @@
-(* Tests for the pqfault subsystem: the engine's fault primitives
-   (crash-stop, pause, watchdog, spin limit, degraded memory), the fault
-   plans, and the driver's progress verdicts and post-fault safety
-   checks over the registered queues. *)
+(* Tests for fault injection: the engine's fault primitives (crash-stop,
+   pause, watchdog, spin limit, degraded memory), the fault plans, and
+   the chaos driver's progress verdicts, post-fault safety and gate on
+   the coin-flip scenario. *)
 
-open Pqfault
+open Pqchaos
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -220,94 +220,124 @@ let test_arm_deterministic () =
     (match a.Plan.victim with Some v -> v >= 0 && v < 8 | None -> false)
 
 (* ------------------------------------------------------------------ *)
-(* driver verdicts *)
+(* progress verdicts of the chaos driver's coin-flip cells *)
+
+let coinflip ~queues ~plans ~seeds ~ops_per_proc =
+  Driver.run
+    {
+      Driver.quick with
+      queues;
+      scenarios = [ "coinflip" ];
+      plans = None :: List.map Option.some plans;
+      scheds = [ Driver.Default ];
+      seeds;
+      ops_per_proc;
+    }
 
 let test_single_lock_blocks_on_crashed_lock_holder () =
   (* the paper's baseline is blocking: kill the lock holder and every
-     other processor is stuck — and the engine proves it, with element
-     conservation intact among the survivors *)
-  let r =
-    Driver.run
-      ~plans:[ Plan.Crash_lock_holder ]
-      (Driver.config ~rounds:3 "SingleLock")
+     other processor is stuck — and the engine proves it, with no safety
+     violation among the survivors *)
+  let cells =
+    coinflip ~queues:[ "SingleLock" ] ~plans:[ Plan.Crash_lock_holder ]
+      ~seeds:[ 42; 1; 7 ] ~ops_per_proc:Driver.quick.ops_per_proc
   in
-  Alcotest.(check string) "verdict" "BLOCKED"
-    (Driver.verdict_to_string r.Driver.verdict);
-  check_bool "safety holds despite the hang" true r.Driver.safe;
-  check_bool "a blocking queue may block: gate passes" true
-    (Result.is_ok (Driver.gate r))
+  List.iter
+    (fun (c : Driver.cell) ->
+      if c.plan = "crash-lock" then
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d verdict" c.seed)
+          "blocked"
+          (Driver.verdict_label c.verdict))
+    cells;
+  Alcotest.(check (list string))
+    "a blocking queue may block under a crash: gate passes" []
+    (Driver.gate cells)
 
 let test_finite_faults_never_block () =
   (* pause and slow-node end by themselves: every queue must finish.
      This is the hang-proofing acceptance test for the funnel engine's
      bounded waiting loops. *)
+  let cells =
+    coinflip ~queues:Pqcore.Registry.names_paper
+      ~plans:
+        [
+          Plan.Pause_resume { pause = 2_000 };
+          Plan.Slow_node { node = 0; factor = 4 };
+        ]
+      ~seeds:[ 1; 2 ] ~ops_per_proc:5
+  in
   List.iter
-    (fun queue ->
-      let r =
-        Driver.run
-          ~plans:
-            [
-              Plan.Pause_resume { pause = 2_000 };
-              Plan.Slow_node { node = 0; factor = 4 };
-            ]
-          (Driver.config ~rounds:2 ~ops_per_proc:5 queue)
-      in
-      check_bool (queue ^ " survives finite faults") true
-        (r.Driver.verdict <> Driver.Blocked);
-      check_bool (queue ^ " conserves elements") true r.Driver.safe;
-      check_bool (queue ^ " passes the gate") true
-        (Result.is_ok (Driver.gate r)))
-    Pqcore.Registry.names_paper
+    (fun (c : Driver.cell) ->
+      check_bool
+        (Printf.sprintf "%s/%s seed %d not blocked" c.queue c.plan c.seed)
+        false
+        (match c.verdict with Driver.Blocked _ -> true | _ -> false))
+    cells;
+  Alcotest.(check (list string)) "gate passes" [] (Driver.gate cells)
 
 let test_crash_faults_preserve_safety () =
   (* whatever a crash does to progress, the surviving operations must
-     still form a conserved multiset *)
+     still conserve elements and stay within the rank bound *)
+  let cells =
+    coinflip ~queues:Pqcore.Registry.names_paper
+      ~plans:[ Plan.Crash_random; Plan.Crash_lock_holder ]
+      ~seeds:[ 1; 2 ] ~ops_per_proc:5
+  in
   List.iter
-    (fun queue ->
-      let r =
-        Driver.run
-          ~plans:[ Plan.Crash_random; Plan.Crash_lock_holder ]
-          (Driver.config ~rounds:2 ~ops_per_proc:5 queue)
-      in
-      check_bool (queue ^ " conserves elements under crashes") true
-        r.Driver.safe)
-    Pqcore.Registry.names_paper
+    (fun (c : Driver.cell) ->
+      check_bool
+        (Printf.sprintf "%s/%s seed %d safe (%s)" c.queue c.plan c.seed
+           (Driver.verdict_detail c.verdict))
+        false
+        (match c.verdict with Driver.Safety_violation _ -> true | _ -> false))
+    cells
 
 let test_gate_rejects_finite_plan_blockage () =
-  (* fabricate the verdict the gate exists to catch *)
-  let stuck_round =
-    {
-      Driver.trigger = "synthetic";
-      outcome = Driver.Stuck "synthetic hang";
-      faulted = [];
-      safety = Ok ();
-      verdict = Driver.Blocked;
-    }
-  in
-  let report =
+  (* fabricate the verdicts the gate exists to catch *)
+  let cell =
     {
       Driver.queue = "SingleLock";
+      scenario = "coinflip";
+      plan = "none";
+      sched = "default";
+      seed = 1;
+      verdict = Driver.Healthy;
+      cycles = 0;
       baseline_cycles = 1000;
-      plans =
-        [
-          {
-            Driver.plan = Plan.Pause_resume { pause = 10 };
-            rounds = [ stuck_round ];
-            verdict = Driver.Blocked;
-          };
-        ];
-      verdict = Driver.Blocked;
-      safe = true;
+      ops = 0;
+      empties = 0;
+      worst_rank = 0;
+      mean_rank = 0.;
+      bound = 0;
+      allowance = 0;
+      max_delay = 0;
+      settles = 0;
+      inversions = 0;
+      quiescent_points = 0;
+      live_high_water = 0;
+      pending_high_water = 0;
+      dangling = 0;
+      phantoms = 0;
+      trigger = "synthetic";
     }
   in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  match Driver.gate report with
-  | Error (msg :: _) -> check_bool "names the finite plan" true (contains msg "pause")
-  | _ -> Alcotest.fail "gate must reject blockage under a finite plan"
+  let gated plan verdict = Driver.gate [ { cell with plan; verdict } ] <> [] in
+  List.iter
+    (fun plan ->
+      check_bool (plan ^ ": blockage gated") true
+        (gated plan (Driver.Blocked "synthetic hang")))
+    [ "pause"; "slow-node"; "none" ];
+  List.iter
+    (fun plan ->
+      check_bool (plan ^ ": blockage recorded, not gated") false
+        (gated plan (Driver.Blocked "synthetic hang")))
+    [ "crash-one"; "crash-lock" ];
+  List.iter
+    (fun plan ->
+      check_bool (plan ^ ": safety violation gated") true
+        (gated plan (Driver.Safety_violation "synthetic loss")))
+    Driver.plan_names
 
 let () =
   Alcotest.run "pqfault"
