@@ -1,40 +1,41 @@
-(* The benchmark harness.
+(* The benchmark driver.
 
    Part 1 regenerates every table and figure of the paper's evaluation
    (Section 4) on the simulated 256-processor machine, printing one
    aligned text table per artifact — the same rows/series the paper
    plots.  Expected shapes versus the paper are catalogued in
-   EXPERIMENTS.md.
+   EXPERIMENTS.md.  Every Figure 5-9 series (plus the ablations and
+   extensions) and the audit, chaos and adapt gate sections are also
+   written as a schema-stable BENCH.json, byte-identical for any
+   --jobs.
 
    Part 2 runs Bechamel micro-benchmarks of the host multicore library's
-   primitive operations.  The figures' own host time is recorded per
-   experiment in BENCH.json's `harness` section.
+   primitive operations.  Wall-clock speed is otherwise measured by
+   pqperf (perf/, BENCHMARK.json), not here.
 
-   `dune exec bench/main.exe` runs everything at paper scale;
-   pass `quick` to cap the sweeps at 64 processors.  Every Figure 5-9
-   series (plus the ablations and extensions) is also written as a
-   schema-stable BENCH.json — `--json PATH` overrides the output path. *)
+   Usage: main.exe [quick] [--json PATH] [--jobs N].  `quick` caps the
+   sweeps at 64 processors (default: paper scale); `--json` overrides
+   the output path BENCH.json; `--jobs` defaults to PQBENCH_JOBS, else 1.
+   Anything else prints the usage line and exits 2. *)
 
-let quick = Array.exists (( = ) "quick") Sys.argv
+let usage () =
+  prerr_endline "usage: main.exe [quick] [--json PATH] [--jobs N (>= 1)]";
+  exit 2
 
-let json_path =
-  let rec find = function
-    | "--json" :: path :: _ -> path
-    | _ :: rest -> find rest
-    | [] -> "BENCH.json"
-  in
-  find (Array.to_list Sys.argv)
-
-let jobs =
-  let rec find = function
-    | "--jobs" :: n :: _ -> (
+let quick, json_path, jobs =
+  let rec parse ((quick, json, jobs) as acc) = function
+    | [] -> acc
+    | "quick" :: rest -> parse (true, json, jobs) rest
+    | "--json" :: path :: rest -> parse (quick, path, jobs) rest
+    | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
-        | Some j when j >= 1 -> j
-        | _ -> failwith "--jobs expects a positive integer")
-    | _ :: rest -> find rest
-    | [] -> Pqbenchlib.Pool.default_jobs ()
+        | Some j when j >= 1 -> parse (quick, json, j) rest
+        | _ -> usage ())
+    | _ -> usage ()
   in
-  find (Array.to_list Sys.argv)
+  parse
+    (false, "BENCH.json", Pqbenchlib.Pool.default_jobs ())
+    (List.tl (Array.to_list Sys.argv))
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: the paper's evaluation *)
@@ -51,136 +52,91 @@ let () =
      absolute values, are comparable with the paper)\n\
      =====================================================================\n"
     scale.Pqbenchlib.Figures.max_procs;
-  let timings = ref [] in
-  Pqsim.Sim.reset_harness_totals ();
-  let t0 = Unix.gettimeofday () in
-  let timed id f =
-    let s0 = Unix.gettimeofday () in
-    let r = f () in
-    timings := (id, Unix.gettimeofday () -. s0) :: !timings;
-    r
-  in
-  let figures = Pqbenchlib.Figures.collect ~timings scale in
-  ignore (timed "sensitivity" (fun () -> Pqbenchlib.Figures.sensitivity scale));
+  let figures = Pqbenchlib.Figures.collect scale in
+  ignore (Pqbenchlib.Figures.sensitivity scale);
   (* a couple of headline contention metrics ride along in the document's
      free-form metrics section, from probed re-runs of one Figure 8 point;
      independent probed runs, so they fan out like any other sweep *)
   let metrics =
-    timed "profiler" (fun () ->
-        let p = min 64 scale.Pqbenchlib.Figures.max_procs in
-        Pqbenchlib.Pool.map ~jobs
-          (fun queue ->
-            let r =
-              Pqbenchlib.Profiler.profile_queue ~queue ~nprocs:p
-                ~ops_per_proc:scale.Pqbenchlib.Figures.ops ()
-            in
-            ( Printf.sprintf "%s.P%d" queue p,
-              Pqtrace.Metrics.to_json r.Pqbenchlib.Profiler.derived ))
-          [ "SingleLock"; "HuntEtAl"; "SimpleTree"; "FunnelTree" ])
+    let p = min 64 scale.Pqbenchlib.Figures.max_procs in
+    Pqbenchlib.Pool.map ~jobs
+      (fun queue ->
+        let r =
+          Pqbenchlib.Profiler.profile_queue ~queue ~nprocs:p
+            ~ops_per_proc:scale.Pqbenchlib.Figures.ops ()
+        in
+        ( Printf.sprintf "%s.P%d" queue p,
+          Pqtrace.Metrics.to_json r.Pqbenchlib.Profiler.derived ))
+      [ "SingleLock"; "HuntEtAl"; "SimpleTree"; "FunnelTree" ]
   in
   (* the analyzer audit section: the `pqbench audit` matrix, which has
      one fixed shape (independent of --scale, so the section is
      comparable across quick and full documents) *)
   let audit =
-    timed "audit" (fun () ->
-        let reports = Pqanalysis.Audit.run ~jobs in
-        let failing =
-          List.filter (fun r -> Pqanalysis.Audit.findings r <> []) reports
-        in
-        Printf.printf "\nAnalyzer audit (races, lock order, rank): %s\n"
-          (if failing = [] then "pass" else "FAIL");
-        Format.printf "%a@." Pqanalysis.Audit.pp reports;
-        Pqanalysis.Audit.to_bench reports)
+    let reports = Pqanalysis.Audit.run ~jobs in
+    let failing =
+      List.filter (fun r -> Pqanalysis.Audit.findings r <> []) reports
+    in
+    Printf.printf "\nAnalyzer audit (races, lock order, rank): %s\n"
+      (if failing = [] then "pass" else "FAIL");
+    Format.printf "%a@." Pqanalysis.Audit.pp reports;
+    Pqanalysis.Audit.to_bench reports
   in
   (* the chaos-matrix section: the `pqbench chaos` verdict table at its
      quick configuration, seed 42 only (a fixed shape independent of
      --scale, like the audit section, so documents stay comparable) *)
   let chaos =
-    timed "chaos" (fun () ->
-        let cfg = { Pqchaos.Driver.quick with seeds = [ 42 ] } in
-        let cells = Pqchaos.Driver.run ~jobs cfg in
-        Printf.printf "\nChaos matrix (quick, seed 42): %d cells, worst %s\n"
-          (List.length cells)
-          (Pqchaos.Driver.verdict_label (Pqchaos.Driver.worst cells));
-        Format.printf "%a@." Pqchaos.Driver.pp_summary cells;
-        {
-          Pqtrace.Bench_out.chaos_nprocs = cfg.Pqchaos.Driver.nprocs;
-          chaos_npriorities = cfg.Pqchaos.Driver.npriorities;
-          chaos_ops_per_proc = cfg.Pqchaos.Driver.ops_per_proc;
-          chaos_safe =
-            not
-              (List.exists
-                 (fun (c : Pqchaos.Driver.cell) ->
-                   match c.verdict with
-                   | Pqchaos.Driver.Safety_violation _ -> true
-                   | _ -> false)
-                 cells);
-          cells =
-            List.map
-              (fun (c : Pqchaos.Driver.cell) ->
-                {
-                  Pqtrace.Bench_out.cc_queue = c.queue;
-                  cc_scenario = c.scenario;
-                  cc_plan = c.plan;
-                  cc_sched = c.sched;
-                  cc_seed = c.seed;
-                  cc_verdict = Pqchaos.Driver.verdict_label c.verdict;
-                  cc_cycles = c.cycles;
-                  cc_ops = c.ops;
-                  cc_worst_rank = c.worst_rank;
-                  cc_bound = c.bound;
-                  cc_dangling = c.dangling;
-                })
-              cells;
-        })
+    let cfg = { Pqchaos.Driver.quick with seeds = [ 42 ] } in
+    let cells = Pqchaos.Driver.run ~jobs cfg in
+    Printf.printf "\nChaos matrix (quick, seed 42): %d cells, worst %s\n"
+      (List.length cells)
+      (Pqchaos.Driver.verdict_label (Pqchaos.Driver.worst cells));
+    Format.printf "%a@." Pqchaos.Driver.pp_summary cells;
+    {
+      Pqtrace.Bench_out.chaos_nprocs = cfg.Pqchaos.Driver.nprocs;
+      chaos_npriorities = cfg.Pqchaos.Driver.npriorities;
+      chaos_ops_per_proc = cfg.Pqchaos.Driver.ops_per_proc;
+      chaos_safe =
+        not
+          (List.exists
+             (fun (c : Pqchaos.Driver.cell) ->
+               match c.verdict with
+               | Pqchaos.Driver.Safety_violation _ -> true
+               | _ -> false)
+             cells);
+      cells =
+        List.map
+          (fun (c : Pqchaos.Driver.cell) ->
+            {
+              Pqtrace.Bench_out.cc_queue = c.queue;
+              cc_scenario = c.scenario;
+              cc_plan = c.plan;
+              cc_sched = c.sched;
+              cc_seed = c.seed;
+              cc_verdict = Pqchaos.Driver.verdict_label c.verdict;
+              cc_cycles = c.cycles;
+              cc_ops = c.ops;
+              cc_worst_rank = c.worst_rank;
+              cc_bound = c.bound;
+              cc_dangling = c.dangling;
+            })
+          cells;
+    }
   in
   (* the adaptive meta-queue gate: the `pqbench adapt` verdict at its
      quick configuration (fixed shape independent of --scale, like the
      audit and chaos sections) *)
   let adapt =
-    timed "adapt" (fun () ->
-        let r = Pqadapt.Driver.run ~jobs Pqadapt.Driver.quick in
-        Printf.printf "\nAdaptive meta-queue gate (quick): %s\n%s"
-          (if Pqadapt.Driver.passed r then "pass" else "FAIL")
-          (Pqadapt.Driver.report_to_string r);
-        Pqadapt.Driver.to_bench r)
+    let r = Pqadapt.Driver.run ~jobs Pqadapt.Driver.quick in
+    Printf.printf "\nAdaptive meta-queue gate (quick): %s\n%s"
+      (if Pqadapt.Driver.passed r then "pass" else "FAIL")
+      (Pqadapt.Driver.report_to_string r);
+    Pqadapt.Driver.to_bench r
   in
-  let wall = Unix.gettimeofday () -. t0 in
-  (* the allocation-discipline gauge: engine events and minor-heap words
-     accumulated by every simulation above (including Pool workers) *)
-  let events, minor_words = Pqsim.Sim.harness_totals () in
-  let minor_words_per_mevents =
-    if events = 0 then 0.
-    else Float.round (float_of_int minor_words /. float_of_int events *. 1e6)
-  in
-  let r3 x = Float.round (x *. 1000.) /. 1000. in
-  let baseline_wall_s =
-    match Sys.getenv_opt "PQBENCH_BASELINE_S" with
-    | Some s -> float_of_string_opt (String.trim s)
-    | None -> if jobs = 1 then Some wall else None
-  in
-  let harness =
-    {
-      Pqtrace.Bench_out.jobs;
-      wall_s = r3 wall;
-      events;
-      minor_words_per_mevents;
-      experiments = List.rev_map (fun (id, s) -> (id, r3 s)) !timings;
-      baseline_wall_s = Option.map r3 baseline_wall_s;
-      speedup =
-        Option.map (fun b -> r3 (b /. (if wall > 0. then wall else 1.)))
-          baseline_wall_s;
-    }
-  in
-  Printf.eprintf
-    "[bench] harness: %.2fs wall at --jobs %d; %d events, %.0f minor \
-     words/Mevents\n\
-     %!"
-    wall jobs events minor_words_per_mevents;
   let doc =
     Pqtrace.Bench_out.make ~seed:42
       ~scale:(if quick then "quick" else "full")
-      ~metrics ~audit ~chaos ~adapt ~harness figures
+      ~metrics ~audit ~chaos ~adapt figures
   in
   let text = Pqtrace.Bench_out.to_string doc in
   (match Pqtrace.Bench_out.validate_string text with

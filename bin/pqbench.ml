@@ -272,100 +272,6 @@ let validate_cmd =
        ~doc:"Check a BENCH.json document against the benchmark schema.")
     Term.(ret (const run $ file))
 
-let perfcmp_cmd =
-  (* the perf-trajectory report: compare two BENCH.json harness sections
-     (committed BENCH_seed.json vs a fresh run).  Always informational —
-     wall clock depends on the host, so CI archives the report instead of
-     gating on it; only unreadable input is an error. *)
-  let baseline =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline BENCH.json (e.g. BENCH_seed.json).")
-  in
-  let current =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"CURRENT" ~doc:"Freshly generated BENCH.json.")
-  in
-  let read_doc file =
-    let ic = open_in_bin file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Pqtrace.Json.of_string text with
-    | Error e -> Error (Printf.sprintf "%s: not JSON: %s" file e)
-    | Ok j -> (
-        match Pqtrace.Json.member "harness" j with
-        | None -> Error (file ^ ": no harness section")
-        | Some h -> Ok h)
-  in
-  let num key h = Option.bind (Pqtrace.Json.member key h) Pqtrace.Json.to_float in
-  let experiments h =
-    match
-      Option.bind (Pqtrace.Json.member "experiments" h) Pqtrace.Json.to_list
-    with
-    | None -> []
-    | Some l ->
-        List.filter_map
-          (fun e ->
-            match
-              ( Option.bind (Pqtrace.Json.member "id" e) Pqtrace.Json.to_str,
-                Option.bind (Pqtrace.Json.member "wall_s" e)
-                  Pqtrace.Json.to_float )
-            with
-            | Some id, Some s -> Some (id, s)
-            | _ -> None)
-          l
-  in
-  let run bfile cfile =
-    match (read_doc bfile, read_doc cfile) with
-    | Error e, _ | _, Error e -> `Error (false, e)
-    | Ok b, Ok c ->
-        let bx = experiments b and cx = experiments c in
-        Printf.printf "perfcmp: %s -> %s (informational, never blocking)\n"
-          bfile cfile;
-        Printf.printf "%-18s %12s %12s %8s\n" "experiment" "baseline_s"
-          "current_s" "ratio";
-        List.iter
-          (fun (id, cs) ->
-            match List.assoc_opt id bx with
-            | Some bs when cs > 0. ->
-                Printf.printf "%-18s %12.3f %12.3f %7.2fx\n" id bs cs (bs /. cs)
-            | Some bs -> Printf.printf "%-18s %12.3f %12.3f %8s\n" id bs cs "-"
-            | None -> Printf.printf "%-18s %12s %12.3f %8s\n" id "(new)" cs "-")
-          cx;
-        List.iter
-          (fun (id, bs) ->
-            if not (List.mem_assoc id cx) then
-              Printf.printf "%-18s %12.3f %12s %8s\n" id bs "(gone)" "-")
-          bx;
-        (match (num "wall_s" b, num "wall_s" c) with
-        | Some bw, Some cw when cw > 0. ->
-            Printf.printf "%-18s %12.3f %12.3f %7.2fx\n" "TOTAL" bw cw (bw /. cw)
-        | _ -> ());
-        (match (num "minor_words_per_mevents" b, num "minor_words_per_mevents" c)
-         with
-        | Some bm, Some cm ->
-            Printf.printf "%-18s %12.0f %12.0f %s\n" "minor_w/Mevents" bm cm
-              (if cm > 0. then Printf.sprintf "%7.2fx" (bm /. cm) else "")
-        | _ -> ());
-        (match (num "events" b, num "events" c) with
-        | Some be, Some ce ->
-            Printf.printf "%-18s %12.0f %12.0f\n" "events" be ce
-        | _ -> ());
-        `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "perfcmp"
-       ~doc:
-         "Compare the harness (wall-clock / allocation) sections of two \
-          BENCH.json documents — the perf-trajectory report CI archives \
-          against the committed BENCH_seed.json baseline.  Informational: \
-          wall clock depends on the host, so the comparison never fails \
-          the command.")
-    Term.(ret (const run $ baseline $ current))
-
 let explore_cmd =
   let policy =
     Arg.(
@@ -375,7 +281,7 @@ let explore_cmd =
   in
   let budget =
     Arg.(
-      value & opt int 64
+      value & opt Terms.positive 64
       & info [ "budget" ] ~docv:"N" ~doc:"Schedules to explore per queue.")
   in
   let max_states =
@@ -588,13 +494,8 @@ let chaos_cmd =
       match Pqchaos.Driver.run ~jobs cfg with
       | cells -> Ok cells
       | exception Pqchaos.Driver.Invalid_config { field; reason } ->
-          let option =
-            match field with
-            | "nprocs" -> "procs"
-            | "npriorities" -> "priorities"
-            | "ops_per_proc" -> "ops"
-            | f -> f
-          in
+          (* --procs and --priorities are already positive (Terms) *)
+          let option = if field = "ops_per_proc" then "ops" else field in
           Error (Printf.sprintf "--%s: %s" option reason)
     in
     let buf = Buffer.create 4096 in
@@ -812,6 +713,6 @@ let () =
           (Cmd.info "pqbench" ~doc)
           [
             list_cmd; run_cmd; bench_cmd; profile_cmd; trace_cmd; validate_cmd;
-            perfcmp_cmd; explore_cmd; audit_cmd; chaos_cmd;
+            explore_cmd; audit_cmd; chaos_cmd;
             adapt_cmd; lint_cmd;
           ]))

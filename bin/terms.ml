@@ -16,19 +16,29 @@ let seed =
     value & opt int default_seed
     & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic simulation seed.")
 
+(* a count of things (processors, priorities, accesses, schedules): zero
+   or a negative value is a usage error that names the option *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let procs ~default =
   Arg.(
-    value & opt int default
+    value & opt positive default
     & info [ "procs"; "p" ] ~docv:"P" ~doc:"Simulated processors.")
 
 let priorities ~default =
   Arg.(
-    value & opt int default
+    value & opt positive default
     & info [ "priorities"; "n" ] ~docv:"N" ~doc:"Priority range.")
 
 let ops ~default =
   Arg.(
-    value & opt int default
+    value & opt positive default
     & info [ "ops" ] ~docv:"OPS" ~doc:"Queue accesses per processor.")
 
 let queue ~default ~doc =

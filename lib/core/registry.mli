@@ -1,5 +1,5 @@
 (** Name-indexed construction of every priority queue in the paper, for
-    the benchmark harness and CLI. *)
+    the benchmarks and CLI. *)
 
 val names : string list
 (** every constructible queue, including ablation variants *)

@@ -134,7 +134,7 @@ type result = {
 (* engine-side view of each processor, for the progress diagnosis *)
 type pstate = Running | Parked of int | Crashed | Done
 
-(* cross-run accumulators for the harness's allocation-discipline gauge:
+(* cross-run accumulators for allocation-per-event measurements:
    total events executed and minor words allocated between the start of
    the event loop and run completion, summed across every run in the
    process (atomically, so Pool worker domains contribute too) *)

@@ -137,9 +137,9 @@ val harness_totals : unit -> int * int
 (** [(events, minor_words)] accumulated across every completed run in
     the process since the last {!reset_harness_totals} — events executed
     and minor-heap words allocated between spawn and completion,
-    including runs on Pool worker domains.  The benchmark harness
-    divides them into its minor-words-per-million-events gauge, the
-    engine's allocation-discipline trend metric in BENCH.json. *)
+    including runs on Pool worker domains.  [test/test_alloc.ml]'s
+    blocking rows divide the two into words per event; pqperf's traced
+    sim workloads ([perf/simbench.ml]) read the event count. *)
 
 val reset_harness_totals : unit -> unit
 

@@ -1,7 +1,7 @@
 (** Latency statistics collected during a simulation run.
 
     Processors record samples under string keys (e.g. ["insert"],
-    ["delete_min"], ["access"]); after the run the harness extracts means
+    ["delete_min"], ["access"]); after the run the caller extracts means
     and distribution summaries per key. *)
 
 type t

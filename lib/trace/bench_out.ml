@@ -9,16 +9,6 @@ type figure = {
   series : series list;
 }
 
-type harness = {
-  jobs : int;
-  wall_s : float;
-  events : int;
-  minor_words_per_mevents : float;
-  experiments : (string * float) list;
-  baseline_wall_s : float option;
-  speedup : float option;
-}
-
 let chaos_verdicts = [ "healthy"; "degraded"; "blocked"; "safety-violation" ]
 
 type chaos_cell = {
@@ -97,12 +87,11 @@ type t = {
   audit : audit option; (* races, lock order and rank (pqbench audit) *)
   chaos : chaos option; (* chaos-matrix verdicts (pqbench chaos) *)
   adapt : adapt option; (* adaptive meta-queue gate (pqbench adapt) *)
-  harness : harness option; (* wall-clock measurements: the one run-dependent section *)
 }
 
 let make ?(paper = "shavit-zemach-podc99") ?(metrics = []) ?audit ?chaos
-    ?adapt ?harness ~seed ~scale figures =
-  { paper; seed; scale; figures; metrics; audit; chaos; adapt; harness }
+    ?adapt ~seed ~scale figures =
+  { paper; seed; scale; figures; metrics; audit; chaos; adapt }
 
 let series_to_json s =
   Json.Obj
@@ -124,28 +113,6 @@ let figure_to_json f =
       ("xlabel", Json.String f.xlabel);
       ("series", Json.List (List.map series_to_json f.series));
     ]
-
-let harness_to_json h =
-  Json.Obj
-    ([
-       ("jobs", Json.Int h.jobs);
-       ("wall_s", Json.Float h.wall_s);
-       ("events", Json.Int h.events);
-       ("minor_words_per_mevents", Json.Float h.minor_words_per_mevents);
-       ( "experiments",
-         Json.List
-           (List.map
-              (fun (id, s) ->
-                Json.Obj [ ("id", Json.String id); ("wall_s", Json.Float s) ])
-              h.experiments) );
-     ]
-    @ (match h.baseline_wall_s with
-      | Some s -> [ ("baseline_wall_s", Json.Float s) ]
-      | None -> [])
-    @
-    match h.speedup with
-    | Some s -> [ ("speedup", Json.Float s) ]
-    | None -> [])
 
 let audit_row_to_json r =
   Json.Obj
@@ -248,12 +215,9 @@ let to_json t =
     @ (match t.chaos with
       | Some c -> [ ("chaos", chaos_to_json c) ]
       | None -> [])
-    @ (match t.adapt with
-      | Some a -> [ ("adapt", adapt_to_json a) ]
-      | None -> [])
     @
-    match t.harness with
-    | Some h -> [ ("harness", harness_to_json h) ]
+    match t.adapt with
+    | Some a -> [ ("adapt", adapt_to_json a) ]
     | None -> [])
 
 let to_string t = Json.to_string (to_json t)
@@ -312,55 +276,6 @@ let v_float ctx key j =
   need ctx
     (Printf.sprintf "number field %S" key)
     (Option.bind (Json.member key j) Json.to_float)
-
-let validate_experiment ctx j =
-  let* _ = v_string ctx "id" j in
-  let* _ = v_float ctx "wall_s" j in
-  Ok ()
-
-let validate_harness ctx j =
-  let* jobs = v_int ctx "jobs" j in
-  if jobs < 1 then Error (ctx ^ ": jobs must be >= 1")
-  else
-    let* _ = v_float ctx "wall_s" j in
-    (* the allocation-discipline gauge (events + minor-words rate):
-       optional so pre-pqturbo documents still validate, checked for
-       sanity when present *)
-    let* () =
-      match Json.member "events" j with
-      | None -> Ok ()
-      | Some v -> (
-          match Json.to_int v with
-          | Some e when e >= 0 -> Ok ()
-          | Some _ -> Error (ctx ^ ": negative events count")
-          | None -> Error (ctx ^ ": mistyped integer field \"events\""))
-    in
-    let* () =
-      match Json.member "minor_words_per_mevents" j with
-      | None -> Ok ()
-      | Some v -> (
-          match Json.to_float v with
-          | Some m when m >= 0. -> Ok ()
-          | Some _ -> Error (ctx ^ ": negative minor_words_per_mevents")
-          | None ->
-              Error
-                (ctx ^ ": mistyped number field \"minor_words_per_mevents\""))
-    in
-    let* experiments = v_list ctx "experiments" j in
-    let* () = all (ctx ^ ".experiments") validate_experiment 0 experiments in
-    let opt_float key =
-      match Json.member key j with
-      | None -> Ok ()
-      | Some v ->
-          let* _ =
-            need ctx
-              (Printf.sprintf "number field %S" key)
-              (Json.to_float v)
-          in
-          Ok ()
-    in
-    let* () = opt_float "baseline_wall_s" in
-    opt_float "speedup"
 
 let v_bool ctx key j =
   match Json.member key j with
@@ -531,6 +446,12 @@ let validate_adapt ctx j =
           Error (ctx ^ ": pass flag contradicts the recorded phases/switches")
         else Ok ()
 
+(* the top-level keys the schema defines; any other key (a section
+   some older tool wrote, say) is rejected by name, not carried along *)
+let sections =
+  [ "schema_version"; "paper"; "seed"; "scale"; "figures"; "metrics";
+    "audit"; "chaos"; "adapt" ]
+
 let validate j =
   let ctx = "BENCH" in
   let* v = v_int ctx "schema_version" j in
@@ -539,6 +460,12 @@ let validate j =
       (Printf.sprintf "%s: schema_version %d, this tool understands %d" ctx v
          schema_version)
   else
+    let keys = match j with Json.Obj kvs -> List.map fst kvs | _ -> [] in
+    let* () =
+      match List.find_opt (fun k -> not (List.mem k sections)) keys with
+      | Some k -> Error (Printf.sprintf "%s: unknown top-level section %S" ctx k)
+      | None -> Ok ()
+    in
     let* _ = v_string ctx "paper" j in
     let* _ = v_int ctx "seed" j in
     let* _ = v_string ctx "scale" j in
@@ -556,14 +483,9 @@ let validate j =
         | None -> Ok ()
         | Some c -> validate_chaos (ctx ^ ".chaos") c
       in
-      let* () =
-        match Json.member "adapt" j with
-        | None -> Ok ()
-        | Some a -> validate_adapt (ctx ^ ".adapt") a
-      in
-      (match Json.member "harness" j with
+      match Json.member "adapt" j with
       | None -> Ok ()
-      | Some h -> validate_harness (ctx ^ ".harness") h)
+      | Some a -> validate_adapt (ctx ^ ".adapt") a
 
 let validate_string s =
   match Json.of_string s with

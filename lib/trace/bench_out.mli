@@ -1,6 +1,6 @@
 (** Machine-readable benchmark output (BENCH.json).
 
-    The figure harness renders human tables; this module captures the
+    The figure runner renders human tables; this module captures the
     same data points in a schema-stable JSON document so CI can archive
     them and downstream tooling can diff runs.  The contract is described
     by [schema/bench.schema.json] and enforced by {!validate} (the
@@ -8,7 +8,7 @@
     and kept in sync with the schema file).
 
     Serialization is deterministic: the same figures and seed produce the
-    same bytes. *)
+    same bytes, and every section is independent of [--jobs]. *)
 
 val schema_version : int
 
@@ -20,28 +20,6 @@ type figure = {
   xlabel : string;
   series : series list;
 }
-
-type harness = {
-  jobs : int;  (** domains used for the experiment sweep *)
-  wall_s : float;  (** total wall-clock of the figures phase, seconds *)
-  events : int;
-      (** engine events executed across every simulation of the run
-          ({!Pqsim.Sim.harness_totals}) *)
-  minor_words_per_mevents : float;
-      (** minor-heap words allocated per million engine events — the
-          arena engine's allocation-discipline gauge; trending up means
-          per-event allocation is creeping back in *)
-  experiments : (string * float) list;
-      (** per-experiment [(figure id, wall seconds)] *)
-  baseline_wall_s : float option;
-      (** reference wall-clock (e.g. the recorded [jobs = 1] baseline),
-          when known *)
-  speedup : float option;  (** [baseline_wall_s /. wall_s], when known *)
-}
-(** Wall-clock measurements of the harness itself — the perf trajectory
-    CI archives.  This is the {e one} section of BENCH.json whose bytes
-    legitimately vary between runs; determinism comparisons must strip
-    it (everything else is byte-stable per seed). *)
 
 val chaos_verdicts : string list
 (** the verdict taxonomy as stable strings: healthy, degraded, blocked,
@@ -69,8 +47,7 @@ type chaos = {
   chaos_safe : bool;  (** no cell carries a safety-violation verdict *)
   cells : chaos_cell list;
 }
-(** the chaos-matrix section (pqbench chaos): deterministic per seed,
-    so it participates in byte-stability comparisons *)
+(** the chaos-matrix section (pqbench chaos) *)
 
 type adapt_phase = {
   ad_phase : string;  (** phase name, e.g. "skewed-low" *)
@@ -102,8 +79,7 @@ type adapt = {
   adapt_switches : adapt_switch list;  (** chronological *)
 }
 (** the adaptive meta-queue gate section (pqbench adapt /
-    [Pqadapt.Driver]): deterministic per seed, so it participates in
-    byte-stability comparisons *)
+    [Pqadapt.Driver]) *)
 
 type audit_row = {
   queue : string;
@@ -122,9 +98,7 @@ type audit = {
   audit_rows : audit_row list;
 }
 (** the analyzer audit section ([pqbench audit] / [Pqanalysis.Audit]):
-    one row per queue, its pass flag derived from its findings.
-    Deterministic per seed, so it participates in byte-stability
-    comparisons *)
+    one row per queue, its pass flag derived from its findings *)
 
 type t = {
   paper : string;
@@ -135,7 +109,6 @@ type t = {
   audit : audit option;
   chaos : chaos option;
   adapt : adapt option;
-  harness : harness option;
 }
 
 val make :
@@ -144,7 +117,6 @@ val make :
   ?audit:audit ->
   ?chaos:chaos ->
   ?adapt:adapt ->
-  ?harness:harness ->
   seed:int ->
   scale:string ->
   figure list ->
@@ -167,8 +139,8 @@ val validate : Json.t -> (unit, string) result
     the pass flag is set — the gate verdict re-derivable from the
     recorded per-phase means and switch directions; a false flag with
     passing numbers is accepted, since the gate also judges aborts and
-    conservation failures the section doesn't record); an optional
-    [harness] section with jobs/wall_s/experiments; rejects other
+    conservation failures the section doesn't record); rejects any
+    top-level key the schema does not define, naming it, and other
     [schema_version]s *)
 
 val validate_string : string -> (unit, string) result

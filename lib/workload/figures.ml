@@ -708,16 +708,7 @@ let bench_series data =
     (fun s -> { Pqtrace.Bench_out.name = s.Table.label; points = s.points })
     data
 
-let collect ?timings scale =
-  let timed id f =
-    match timings with
-    | None -> f ()
-    | Some acc ->
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        acc := (id, Unix.gettimeofday () -. t0) :: !acc;
-        r
-  in
+let collect scale =
   let fig id title xlabel data =
     { Pqtrace.Bench_out.id; title; xlabel; series = bench_series data }
   in
@@ -729,45 +720,45 @@ let collect ?timings scale =
       "concurrent Dijkstra makespan, distances verified (cycles to \
        completion)"
       "P"
-      (timed "sssp" (fun () -> sssp_scaling scale))
+      (sssp_scaling scale)
   in
   let hold_f =
     fig "hold"
       "DES hold-model latency on a prefilled queue (cycles/access)" "P"
-      (timed "hold" (fun () -> hold_model scale))
+      (hold_model scale)
   in
   let scale1k_f =
     fig "scale1k"
       "scalable queues to 1024 processors, 1024 priorities (cycles/access)"
       "P"
-      (timed "scale1k" (fun () -> scale1k scale))
+      (scale1k scale)
   in
   let burst_phases_f =
     fig "burst_phases"
       "per-phase latency on the bursty-Zipf scenario (cycles/access)" "P"
-      (timed "burst_phases" (fun () -> burst_phases scale))
+      (burst_phases scale)
   in
   let rank_error_f =
     fig "rank_error"
       "worst rank error over adversarial schedules (elements per delete-min)"
       "P"
-      (timed "rank_error" (fun () -> rank_error scale))
+      (rank_error scale)
   in
   let relaxed_scale_f =
     fig "relaxed_scale"
       "MultiQueue vs the scalable queues, high concurrency (cycles/access)"
       "P"
-      (timed "relaxed_scale" (fun () -> relaxed_scale scale))
+      (relaxed_scale scale)
   in
   let relaxed_f =
     fig "relaxed"
       "MultiQueue family vs the paper's seven, low concurrency \
        (cycles/access)"
       "P"
-      (timed "relaxed" (fun () -> relaxed scale))
+      (relaxed scale)
   in
   let fig8_figure =
-    let data = timed "fig8" (fun () -> fig8 scale) in
+    let data = fig8 scale in
     let configs =
       List.sort_uniq compare
         (List.map (fun c -> (c.f8_priorities, c.f8_queue)) data)
@@ -804,58 +795,58 @@ let collect ?timings scale =
   in
   let mix_f =
     fig "mix" "delete-min latency vs insert share (cycles/delete)" "%ins"
-      (timed "mix" (fun () -> mix scale))
+      (mix scale)
   in
   let queue_depth_f =
     fig "queue_depth" "latency on a pre-filled queue (cycles/access)" "depth"
-      (timed "queue_depth" (fun () -> queue_depth scale))
+      (queue_depth scale)
   in
   let counter_shootout_f =
     fig "counter_shootout"
       "fetch-and-increment latency across counters (cycles/op)" "P"
-      (timed "counter_shootout" (fun () -> counter_shootout scale))
+      (counter_shootout scale)
   in
   let ablation_adaption_f =
     fig "ablation_adaption" "funnel layer-width adaption (cycles/access)" "P"
-      (timed "ablation_adaption" (fun () -> ablation_adaption scale))
+      (ablation_adaption scale)
   in
   let ablation_precheck_f =
     fig "ablation_precheck"
       "LinearFunnels delete-min emptiness pre-check (cycles/access)" "P"
-      (timed "ablation_precheck" (fun () -> ablation_precheck scale))
+      (ablation_precheck scale)
   in
   let ablation_cutoff_f =
     fig "ablation_cutoff" "FunnelTree funnel/MCS cut-off depth (cycles/access)"
       "P"
-      (timed "ablation_cutoff" (fun () -> ablation_cutoff scale))
+      (ablation_cutoff scale)
   in
   let fig9_right_f =
     fig "fig9_right" "latency vs priority range, 256 processors (cycles/access)"
       "N"
-      (timed "fig9_right" (fun () -> fig9_right scale))
+      (fig9_right scale)
   in
   let fig9_left_f =
     fig "fig9_left" "latency vs priority range, 64 processors (cycles/access)"
       "N"
-      (timed "fig9_left" (fun () -> fig9_left scale))
+      (fig9_left scale)
   in
   let fig7_f =
     fig "fig7" "scalable queues, 16 priorities, high concurrency (cycles/access)"
       "P"
-      (timed "fig7" (fun () -> fig7 scale))
+      (fig7 scale)
   in
   let fig6_f =
     fig "fig6" "all queues, 16 priorities, low concurrency (cycles/access)" "P"
-      (timed "fig6" (fun () -> fig6 scale))
+      (fig6 scale)
   in
   let fig5_right_f =
     fig "fig5_right" "funnel counter latency vs decrement share (cycles/op)"
       "%dec"
-      (timed "fig5_right" (fun () -> fig5_right scale))
+      (fig5_right scale)
   in
   let fig5_left_f =
     fig "fig5_left" "funnel counter latency, 50/50 inc/dec (cycles/op)" "P"
-      (timed "fig5_left" (fun () -> fig5_left scale))
+      (fig5_left scale)
   in
   [
     fig5_left_f;

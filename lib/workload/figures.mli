@@ -132,10 +132,7 @@ val sensitivity : scale -> string list list
 val run_all : scale -> unit
 (** print every figure, table and ablation *)
 
-val collect :
-  ?timings:(string * float) list ref -> scale -> Pqtrace.Bench_out.figure list
+val collect : scale -> Pqtrace.Bench_out.figure list
 (** run every Figure 5-9 experiment plus the ablations and extensions,
     printing each table as usual, and return the results as
-    schema-stable {!Pqtrace.Bench_out} figures for BENCH.json.
-    [timings] accumulates [(figure_id, wall_seconds)] per experiment for
-    the BENCH.json [harness] section. *)
+    schema-stable {!Pqtrace.Bench_out} figures for BENCH.json. *)

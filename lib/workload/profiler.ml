@@ -1,4 +1,4 @@
-(* Probed benchmark drivers: the bridge between the workload harness and
+(* Probed benchmark drivers: the bridge between the workload driver and
    the pqtrace observability subsystem.  Each run attaches a passive
    probe, so the numbers it reports are exactly those of the unprobed
    benchmark — plus the metrics and per-line traffic the probe collects. *)

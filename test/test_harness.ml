@@ -65,8 +65,7 @@ let capture_stdout f =
 
 let quick ~jobs = { Pqbenchlib.Figures.quick with jobs }
 
-(* quick-scale tables + the BENCH.json series built from them (no
-   harness section: that is the one legitimately run-dependent part) *)
+(* quick-scale tables + the BENCH.json series built from them *)
 let figures_digests ~jobs =
   let tables, figures =
     capture_stdout (fun () -> Pqbenchlib.Figures.collect (quick ~jobs))

@@ -392,6 +392,20 @@ let test_bench_out_rejects_tampered () =
                  (fun (k, v) ->
                    if k = "figures" then (k, Pqtrace.Json.List []) else (k, v))
                  fields) );
+          ( "unknown section",
+            Pqtrace.Json.Obj (fields @ [ ("rank", Pqtrace.Json.Obj []) ]) );
+          ( "harness section",
+            Pqtrace.Json.Obj
+              (fields
+              @ [
+                  ( "harness",
+                    Pqtrace.Json.Obj
+                      [
+                        ("jobs", Pqtrace.Json.Int 1);
+                        ("wall_s", Pqtrace.Json.Float 1.5);
+                        ("experiments", Pqtrace.Json.List []);
+                      ] );
+                ]) );
         ]
     | _ -> Alcotest.fail "document is not an object"
   in
