@@ -35,10 +35,8 @@ let make mem (p : Pq_intf.params) =
   let cap = p.capacity in
   let size_a = Mem.alloc mem 1 in
   let locks =
-    Array.init (cap + 1) (fun i ->
-        Pqsync.Mcs.create
-          ~name:(Printf.sprintf "HuntEtAl.node_lock[%d]" i)
-          mem ~nprocs:p.nprocs)
+    Pqsync.Mcs.create_array ~name:"HuntEtAl.node_lock" mem ~nprocs:p.nprocs
+      (cap + 1)
   in
   let tags = Mem.alloc mem (cap + 1) in
   let items = Mem.alloc mem (cap + 1) in
@@ -109,12 +107,75 @@ let insert h key =
     true
   end
 
+(* what [delete_min] answers for an empty heap: items are Elem-packed,
+   so never negative *)
+let none = -1
+
+(* Sift down from node [j], whose lock the caller holds, and release the
+   lock of the node the item settles in.  The three steps recurse at top
+   level with every operand an argument, so a sift allocates nothing:
+   [right] and [settle] carry the candidate child [c] (0 when there is
+   none) and its item [ci]. *)
+let rec sift_down h j =
+  let l = 2 * j in
+  if l > h.cap then node_release h j
+  else begin
+    node_acquire h l;
+    if Api.read (tag h l) = tag_empty then begin
+      node_release h l;
+      right h j 0 0
+    end
+    else right h j l (Api.read (item h l))
+  end
+
+and right h j c ci =
+  let r = (2 * j) + 1 in
+  if r > h.cap then settle h j c ci
+  else begin
+    node_acquire h r;
+    if Api.read (tag h r) = tag_empty then begin
+      node_release h r;
+      settle h j c ci
+    end
+    else begin
+      let ri = Api.read (item h r) in
+      if c <> 0 && ci <= ri then begin
+        node_release h r;
+        settle h j c ci
+      end
+      else begin
+        (* with no candidate, the left child's lock was already dropped
+           when its tag read empty; releasing it again would unlock a
+           later holder's acquisition and strand their successor *)
+        if c <> 0 then node_release h c;
+        settle h j r ri
+      end
+    end
+  end
+
+and settle h j c ci =
+  if c = 0 then node_release h j
+  else if Api.read (item h j) <= ci then begin
+    node_release h c;
+    node_release h j
+  end
+  else begin
+    (* our (available) item moves down; c's item and tag climb *)
+    let jt = Api.read (tag h j) and ji = Api.read (item h j) in
+    Api.write (item h j) ci;
+    set_tag h j (Api.read (tag h c));
+    Api.write (item h c) ji;
+    set_tag h c jt;
+    node_release h j;
+    sift_down h c
+  end
+
 let delete_min h =
   Pqsync.Mcs.acquire h.heap_lock;
   let sz = Api.read h.size_a in
   if sz = 0 then begin
     Pqsync.Mcs.release h.heap_lock;
-    None
+    none
   end
   else begin
     Api.write h.size_a (sz - 1);
@@ -124,7 +185,7 @@ let delete_min h =
       set_tag h 1 tag_empty;
       node_release h 1;
       Pqsync.Mcs.release h.heap_lock;
-      Some save
+      save
     end
     else begin
       let last = bitrev_slot sz in
@@ -134,69 +195,8 @@ let delete_min h =
       set_tag h last tag_empty;
       node_release h last;
       Pqsync.Mcs.release h.heap_lock;
-      (* sift down, holding the current node's lock *)
-      let j = ref 1 in
-      let continue = ref true in
-      while !continue do
-        let l = 2 * !j and r = (2 * !j) + 1 in
-        if l > h.cap then continue := false
-        else begin
-          node_acquire h l;
-          let candidate =
-            let lt = Api.read (tag h l) in
-            if lt = tag_empty then begin
-              node_release h l;
-              None
-            end
-            else Some (l, Api.read (item h l))
-          in
-          let candidate =
-            if r > h.cap then candidate
-            else begin
-              node_acquire h r;
-              let rt = Api.read (tag h r) in
-              if rt = tag_empty then begin
-                node_release h r;
-                candidate
-              end
-              else begin
-                let ri = Api.read (item h r) in
-                match candidate with
-                | Some (_, li) when li <= ri ->
-                    node_release h r;
-                    candidate
-                | Some (c, _) ->
-                    node_release h c;
-                    Some (r, ri)
-                | None ->
-                    (* l's lock was already dropped when its tag read
-                       empty; releasing it again would unlock a later
-                       holder's acquisition and strand their successor *)
-                    Some (r, ri)
-              end
-            end
-          in
-          match candidate with
-          | None -> continue := false
-          | Some (c, ci) ->
-              if Api.read (item h !j) <= ci then begin
-                node_release h c;
-                continue := false
-              end
-              else begin
-                (* our (available) item moves down; c's item and tag climb *)
-                let jt = Api.read (tag h !j) and ji = Api.read (item h !j) in
-                Api.write (item h !j) ci;
-                set_tag h !j (Api.read (tag h c));
-                Api.write (item h c) ji;
-                set_tag h c jt;
-                node_release h !j;
-                j := c
-              end
-        end
-      done;
-      node_release h !j;
-      Some save
+      sift_down h 1;
+      save
     end
   end
 
@@ -204,8 +204,9 @@ let create mem (p : Pq_intf.params) =
   let h = make mem p in
   let insert ~pri ~payload = insert h (Pqstruct.Elem.pack ~pri ~payload) in
   let delete_min () =
-    delete_min h
-    |> Option.map (fun e -> (Pqstruct.Elem.pri e, Pqstruct.Elem.payload e))
+    let e = delete_min h in
+    if e = none then None
+    else Some (Pqstruct.Elem.pri e, Pqstruct.Elem.payload e)
   in
   let drain_now mem =
     let out = ref [] in

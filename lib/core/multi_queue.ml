@@ -45,7 +45,9 @@ let create_named name cfg mem (p : Pq_intf.params) =
     insert =
       (fun ~pri ~payload -> Pqrelaxed.Multiqueue.insert q (pack ~pri ~payload));
     delete_min =
-      (fun () -> Option.map unpack (Pqrelaxed.Multiqueue.delete_min q));
+      (fun () ->
+        let e = Pqrelaxed.Multiqueue.delete_min q in
+        if e = Pqrelaxed.Multiqueue.empty then None else Some (unpack e));
     drain_now =
       (fun mem -> List.map unpack (Pqrelaxed.Multiqueue.drain_now mem q));
     check_now = (fun mem -> Pqrelaxed.Multiqueue.check_now mem q);

@@ -1,4 +1,13 @@
 
+(* the first nonempty bin from [i] on; top level, so a delete_min
+   allocates nothing but its result *)
+let rec scan bins i =
+  if i >= Array.length bins then None
+  else if Pqstruct.Bin.is_empty bins.(i) then scan bins (i + 1)
+  else
+    let e = Pqstruct.Bin.delete bins.(i) in
+    if e = Pqstruct.Bin.none then scan bins (i + 1) else Some (i, e)
+
 let create mem (p : Pq_intf.params) =
   let bins =
     Array.init p.npriorities (fun pri ->
@@ -7,17 +16,7 @@ let create mem (p : Pq_intf.params) =
           mem ~nprocs:p.nprocs ~cap:p.bin_capacity)
   in
   let insert ~pri ~payload = Pqstruct.Bin.insert bins.(pri) payload in
-  let delete_min () =
-    let rec scan i =
-      if i >= p.npriorities then None
-      else if Pqstruct.Bin.is_empty bins.(i) then scan (i + 1)
-      else
-        match Pqstruct.Bin.delete bins.(i) with
-        | Some e -> Some (i, e)
-        | None -> scan (i + 1)
-    in
-    scan 0
-  in
+  let delete_min () = scan bins 0 in
   let drain_now mem =
     List.concat_map
       (fun pri ->

@@ -37,7 +37,8 @@ let create mem (p : Pq_intf.params) =
     let pri = !n - nleaves in
     if pri >= p.npriorities then None
     else
-      Pqstruct.Bin.delete bins.(pri) |> Option.map (fun e -> (pri, e))
+      let e = Pqstruct.Bin.delete bins.(pri) in
+      if e = Pqstruct.Bin.none then None else Some (pri, e)
   in
   let drain_now mem =
     List.concat_map

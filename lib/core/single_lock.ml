@@ -13,9 +13,10 @@ let create mem (p : Pq_intf.params) =
   in
   let delete_min () =
     Pqsync.Mcs.acquire lock;
-    let r = Pqstruct.Seqheap.extract_min heap in
+    let e = Pqstruct.Seqheap.extract_min heap in
     Pqsync.Mcs.release lock;
-    Option.map (fun e -> (Pqstruct.Elem.pri e, Pqstruct.Elem.payload e)) r
+    if e = Pqstruct.Seqheap.none then None
+    else Some (Pqstruct.Elem.pri e, Pqstruct.Elem.payload e)
   in
   let drain_now mem =
     Pqstruct.Seqheap.peek_list mem heap

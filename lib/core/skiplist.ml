@@ -7,6 +7,79 @@ type s = {
   npriorities : int;
 }
 
+let bin_of s pri =
+  Pqstruct.Skipbase.bin (Pqstruct.Skipbase.node_of_pri s.base pri)
+
+(* delete_min's steps recurse at top level with every operand an
+   argument, so an operation allocates nothing but its result. *)
+
+(* walk the threaded nodes from priority [pri] below the buffer's
+   priority [db]; emptiness tests are single (usually cached) reads, as
+   in SimpleLinear *)
+let rec walk s db pri =
+  if pri <> Pqstruct.Skipbase.none && (db < 0 || pri < db) then begin
+    let b = bin_of s pri in
+    if Pqstruct.Bin.is_empty b then
+      walk s db (Pqstruct.Skipbase.next s.base pri)
+    else
+      let e = Pqstruct.Bin.delete b in
+      if e = Pqstruct.Bin.none then
+        walk s db (Pqstruct.Skipbase.next s.base pri)
+      else Some (pri, e)
+  end
+  else None
+
+(* Drain the delete buffer; when it runs dry, one processor advances it
+   to the (unthreaded) first node of the list.  An element of smaller
+   priority threaded after the buffer was detached is served first —
+   Figure 12 omits this check, but without it the queue is not
+   linearizable (a stale buffer would shadow a smaller arrival). *)
+let rec delete_min s =
+  let db = Api.read s.delbin in
+  match walk s db (Pqstruct.Skipbase.first s.base) with
+  | Some _ as r -> r
+  | None ->
+      let e =
+        if db < 0 then Pqstruct.Bin.none
+        else Pqstruct.Bin.delete (bin_of s db)
+      in
+      if e <> Pqstruct.Bin.none then Some (db, e) else advance s db
+
+and advance s db =
+  if Pqsync.Tas.try_acquire s.del_lock then begin
+    (* re-check under the lock: the buffer may have been refilled or
+       advanced meanwhile *)
+    let db' = Api.read s.delbin in
+    let refilled =
+      db' <> db || db' >= 0 && not (Pqstruct.Bin.is_empty (bin_of s db'))
+    in
+    if refilled then begin
+      Pqsync.Tas.release s.del_lock;
+      delete_min s
+    end
+    else begin
+      let pri = Pqstruct.Skipbase.unthread_first s.base in
+      if pri <> Pqstruct.Skipbase.none then begin
+        Api.write s.delbin pri;
+        Pqsync.Tas.release s.del_lock;
+        delete_min s
+      end
+      else begin
+        (* empty list, or first node's threading in flight *)
+        let inflight =
+          Pqstruct.Skipbase.first s.base <> Pqstruct.Skipbase.none
+        in
+        Pqsync.Tas.release s.del_lock;
+        if inflight then delete_min s else None
+      end
+    end
+  end
+  else begin
+    (* someone else is advancing the buffer *)
+    Api.work 8;
+    delete_min s
+  end
+
 let create mem (p : Pq_intf.params) =
   let base =
     Pqstruct.Skipbase.create ~name:"SkipList" mem ~nprocs:p.nprocs
@@ -26,86 +99,13 @@ let create mem (p : Pq_intf.params) =
   in
   Mem.poke mem s.delbin (-1);
   let insert ~pri ~payload =
-    let b = Pqstruct.Skipbase.bin (Pqstruct.Skipbase.node_of_pri s.base pri) in
-    if Pqstruct.Bin.insert b payload then begin
+    if Pqstruct.Bin.insert (bin_of s pri) payload then begin
       Pqstruct.Skipbase.ensure_threaded s.base pri;
       true
     end
     else false
   in
-  let delete_min () =
-    (* Drain the delete buffer; when it runs dry, one processor advances it
-       to the (unthreaded) first node of the list.  An element of smaller
-       priority threaded after the buffer was detached is served first —
-       Figure 12 omits this check, but without it the queue is not
-       linearizable (a stale buffer would shadow a smaller arrival). *)
-    let rec loop () =
-      let db = Api.read s.delbin in
-      (* walk the threaded nodes below the buffer's priority; emptiness
-         tests are single (usually cached) reads, as in SimpleLinear *)
-      let rec walk node =
-        match node with
-        | Some f when db < 0 || Pqstruct.Skipbase.pri f < db ->
-            let b = Pqstruct.Skipbase.bin f in
-            if Pqstruct.Bin.is_empty b then walk (Pqstruct.Skipbase.next s.base f)
-            else (
-              match Pqstruct.Bin.delete b with
-              | Some e -> Some (Pqstruct.Skipbase.pri f, e)
-              | None -> walk (Pqstruct.Skipbase.next s.base f))
-        | Some _ | None -> None
-      in
-      let from_list = walk (Pqstruct.Skipbase.first s.base) in
-      let grabbed =
-        match from_list with
-        | Some _ -> from_list
-        | None ->
-            if db < 0 then None
-            else
-              let node = Pqstruct.Skipbase.node_of_pri s.base db in
-              (match Pqstruct.Bin.delete (Pqstruct.Skipbase.bin node) with
-              | Some e -> Some (db, e)
-              | None -> None)
-      in
-      match grabbed with
-      | Some _ as r -> r
-      | None ->
-          if Pqsync.Tas.try_acquire s.del_lock then begin
-            (* re-check under the lock: the buffer may have been refilled
-               or advanced meanwhile *)
-            let db' = Api.read s.delbin in
-            let refilled =
-              db' <> db
-              || db' >= 0
-                 && not
-                      (Pqstruct.Bin.is_empty
-                         (Pqstruct.Skipbase.bin
-                            (Pqstruct.Skipbase.node_of_pri s.base db')))
-            in
-            if refilled then begin
-              Pqsync.Tas.release s.del_lock;
-              loop ()
-            end
-            else begin
-              match Pqstruct.Skipbase.unthread_first s.base with
-              | Some node ->
-                  Api.write s.delbin (Pqstruct.Skipbase.pri node);
-                  Pqsync.Tas.release s.del_lock;
-                  loop ()
-              | None ->
-                  (* empty list, or first node's threading in flight *)
-                  let inflight = Pqstruct.Skipbase.first s.base <> None in
-                  Pqsync.Tas.release s.del_lock;
-                  if inflight then loop () else None
-            end
-          end
-          else begin
-            (* someone else is advancing the buffer *)
-            Api.work 8;
-            loop ()
-          end
-    in
-    loop ()
-  in
+  let delete_min () = delete_min s in
   let drain_now mem =
     List.concat_map
       (fun pri ->

@@ -153,30 +153,32 @@ let clear_occ t s =
   if word = 0 then
     t.occ_sum.(w lsr 5) <- t.occ_sum.(w lsr 5) land lnot (1 lsl (w land 31))
 
+(* the summary-block scan of [next_occupied], from block [b] with the
+   bits below the start already [masked] off; fuel bounds the scan at one
+   full circle in case the nonempty-window precondition is ever violated.
+   Top level, like every loop on the pop path, so a pop allocates no
+   closure. *)
+let rec next_block t nsum b masked fuel =
+  if fuel < 0 then invalid_arg "Evq.next_occupied: empty window";
+  let bits = t.occ_sum.(b) land masked land 0xFFFFFFFF in
+  if bits <> 0 then begin
+    let w = (b lsl 5) lor ctz32 bits in
+    (w lsl 5) lor ctz32 t.occ.(w)
+  end
+  else
+    let b' = b + 1 in
+    next_block t nsum (if b' = nsum then 0 else b') (-1) (fuel - 1)
+
 (* index of the first nonempty bucket at or after slot [s0], scanning the
    circular window; the caller guarantees the window is nonempty *)
 let next_occupied t s0 =
   let w0 = s0 lsr 5 in
   let first = t.occ.(w0) land (-1 lsl (s0 land 31)) land 0xFFFFFFFF in
   if first <> 0 then (w0 lsl 5) lor ctz32 first
-  else begin
-    (* remaining words of this summary block, then whole blocks, wrapping;
-       fuel bounds the scan at one full circle in case the nonempty-window
-       precondition is ever violated *)
+  else
+    (* remaining words of this summary block, then whole blocks, wrapping *)
     let nsum = Array.length t.occ_sum in
-    let rec block b masked fuel =
-      if fuel < 0 then invalid_arg "Evq.next_occupied: empty window";
-      let bits = t.occ_sum.(b) land masked land 0xFFFFFFFF in
-      if bits <> 0 then begin
-        let w = (b lsl 5) lor ctz32 bits in
-        (w lsl 5) lor ctz32 t.occ.(w)
-      end
-      else
-        let b' = b + 1 in
-        block (if b' = nsum then 0 else b') (-1) (fuel - 1)
-    in
-    block (w0 lsr 5) (-1 lsl ((w0 land 31) + 1)) (nsum + 1)
-  end
+    next_block t nsum (w0 lsr 5) (-1 lsl ((w0 land 31) + 1)) (nsum + 1)
 
 let grow_array a fill =
   let b = Array.make (max first_capacity (2 * Array.length a)) fill in
@@ -258,43 +260,41 @@ let bucket_insert t e =
 
 (* far heap: plain binary min-heap of ids on the full key *)
 
+let rec far_up t e i =
+  if i = 0 then t.far.(0) <- e
+  else
+    let parent = (i - 1) / 2 in
+    if before t e t.far.(parent) then begin
+      t.far.(i) <- t.far.(parent);
+      far_up t e parent
+    end
+    else t.far.(i) <- e
+
 let far_push t e =
   if t.far_size = Array.length t.far then t.far <- grow_array t.far nil;
-  let rec up i =
-    if i = 0 then t.far.(0) <- e
-    else
-      let parent = (i - 1) / 2 in
-      if before t e t.far.(parent) then begin
-        t.far.(i) <- t.far.(parent);
-        up parent
-      end
-      else t.far.(i) <- e
-  in
   t.far_size <- t.far_size + 1;
-  up (t.far_size - 1)
+  far_up t e (t.far_size - 1)
+
+let rec far_down t last i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let smallest = ref i in
+  if l < t.far_size && before t t.far.(l) last then smallest := l;
+  if
+    r < t.far_size
+    && before t t.far.(r) (if !smallest = i then last else t.far.(l))
+  then smallest := r;
+  if !smallest = i then t.far.(i) <- last
+  else begin
+    t.far.(i) <- t.far.(!smallest);
+    far_down t last !smallest
+  end
 
 let far_pop t =
   let top = t.far.(0) in
   t.far_size <- t.far_size - 1;
   let last = t.far.(t.far_size) in
   t.far.(t.far_size) <- nil;
-  if t.far_size > 0 then begin
-    let rec down i =
-      let l = (2 * i) + 1 and r = (2 * i) + 2 in
-      let smallest = ref i in
-      if l < t.far_size && before t t.far.(l) last then smallest := l;
-      if
-        r < t.far_size
-        && before t t.far.(r) (if !smallest = i then last else t.far.(l))
-      then smallest := r;
-      if !smallest = i then t.far.(i) <- last
-      else begin
-        t.far.(i) <- t.far.(!smallest);
-        down !smallest
-      end
-    in
-    down 0
-  end;
+  if t.far_size > 0 then far_down t last 0;
   top
 
 let insert t e =

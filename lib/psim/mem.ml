@@ -204,6 +204,9 @@ type t = {
   (* observability: symbolic names for allocated ranges (host-side
      metadata, registration order preserved) *)
   mutable labels : (int * int * string) list;
+  mutable namers : (int * int * (int -> string)) list;
+      (* [label_with]'s functions with their ranges, most recent first;
+         each range is also in [labels], named [deferred] *)
 }
 
 (* A location word packs a mesh node's x and y (21 bits each) and its
@@ -260,6 +263,7 @@ let make machine res =
     proc_loc = locations machine nprocs;
     module_loc = locations machine machine.Machine.mem_modules;
     labels = [];
+    namers = [];
   }
 
 (* The registry: every reservation a live memory uses, and every free
@@ -361,13 +365,32 @@ let label t ~addr ~len name =
   if len <= 0 then invalid_arg "Mem.label: len must be positive";
   t.labels <- (addr, len, name) :: t.labels
 
+(* The name a [label_with] range carries in [labels]: compared by
+   physical equality, so no string a caller passes can be taken for it.
+   Its function waits in [namers] and formats a word's name only when
+   [name_of] asks, so a structure of hundreds of named locks registers
+   one closure and formats nothing per run.  Plain labels stay one
+   tuple each: a wrapper per label raised sim-fig7's peak heap. *)
+let deferred = "<deferred>"
+
+let label_with t ~addr ~len f =
+  if len <= 0 then invalid_arg "Mem.label_with: len must be positive";
+  t.labels <- (addr, len, deferred) :: t.labels;
+  t.namers <- (addr, len, f) :: t.namers
+
 let name_of t addr =
   (* most recent registration wins, so a structure may refine a name a
      lower layer gave its words *)
   List.find_map
     (fun (a, len, name) ->
       if addr >= a && addr < a + len then
-        Some (if addr = a then name else Printf.sprintf "%s+%d" name (addr - a))
+        if name == deferred then
+          List.find_map
+            (fun (a', len', f) ->
+              if a' = a && len' = len then Some (f (addr - a)) else None)
+            t.namers
+        else if addr = a then Some name
+        else Some (Printf.sprintf "%s+%d" name (addr - a))
       else None)
     t.labels
 
@@ -640,15 +663,32 @@ let misses t = t.misses
 let updates t = t.updates
 let queue_wait t = t.queue_wait
 
+(* A bounded top-k: [addrs]/[waits] hold the [n] hottest lines seen so
+   far, hottest first.  Lines are scanned by ascending address and a line
+   goes in only ahead of strictly cooler ones, so equal waits keep
+   ascending address order, as a stable sort by wait would. *)
 let hot_lines t k =
-  let acc = ref [] in
-  for addr = t.next_free - 1 downto 0 do
-    let w = W.get t.wait_by_line addr in
-    if w > 0 then acc := (addr, w) :: !acc
-  done;
-  (* hottest first; ties broken by ascending address (deterministic) *)
-  List.stable_sort (fun (_, a) (_, b) -> compare b a) !acc
-  |> List.filteri (fun i _ -> i < k)
+  let k = min k t.next_free in
+  if k <= 0 then []
+  else begin
+    let addrs = Array.make k 0 and waits = Array.make k 0 in
+    let n = ref 0 in
+    for addr = 0 to t.next_free - 1 do
+      let w = W.get t.wait_by_line addr in
+      if w > 0 && (!n < k || w > waits.(k - 1)) then begin
+        let i = ref (if !n < k then !n else k - 1) in
+        while !i > 0 && waits.(!i - 1) < w do
+          addrs.(!i) <- addrs.(!i - 1);
+          waits.(!i) <- waits.(!i - 1);
+          decr i
+        done;
+        addrs.(!i) <- addr;
+        waits.(!i) <- w;
+        if !n < k then incr n
+      end
+    done;
+    List.init !n (fun i -> (addrs.(i), waits.(i)))
+  end
 
 let line_traffic t addr =
   if addr < W.dim t.traffic_by_line then W.get t.traffic_by_line addr else 0

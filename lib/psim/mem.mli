@@ -87,6 +87,13 @@ val label : t -> addr:int -> len:int -> string -> unit
 (** [label t ~addr ~len name] names the [len] words starting at [addr].
     A later registration overrides an earlier one where they overlap. *)
 
+val label_with : t -> addr:int -> len:int -> (int -> string) -> unit
+(** [label_with t ~addr ~len f] names the [len] words starting at [addr]
+    lazily: {!name_of} answers [f k] for the [k]-th word, formatting
+    nothing until it is asked.  A structure with many named parts (a
+    heap's per-node locks) registers one function per run instead of a
+    string per part.  Overlaps resolve as for {!label}. *)
+
 val name_of : t -> int -> string option
 (** [name_of t addr] is the most recent label covering [addr], suffixed
     ["+k"] for the k-th word of a multi-word range. *)
@@ -194,7 +201,10 @@ val queue_wait : t -> int
 
 val hot_lines : t -> int -> (int * int) list
 (** [hot_lines t k]: the [k] addresses with the most accumulated queueing
-    delay, hottest first — a hot-spot profile of the run *)
+    delay, as [(addr, wait)], hottest first, ties by ascending address —
+    a hot-spot profile of the run.  It keeps only the [k] best while it
+    scans, so it allocates in proportion to [k], not to the number of
+    waited lines. *)
 
 (** {1 Per-line traffic (probe-gated)}
 

@@ -131,8 +131,10 @@ type result = {
   faulted : int list;
 }
 
-(* engine-side view of each processor, for the progress diagnosis *)
-type pstate = Running | Parked of int | Crashed | Done
+(* engine-side view of each processor, for the progress diagnosis; a
+   parked processor's line is its [wait_addr] register, so parking stores
+   a constant and allocates nothing *)
+type pstate = Running | Parked | Crashed | Done
 
 (* cross-run accumulators for allocation-per-event measurements:
    total events executed and minor words allocated between the start of
@@ -219,7 +221,7 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
     Array.iteri
       (fun p s ->
         match s with
-        | Parked addr -> parked := (p, addr) :: !parked
+        | Parked -> parked := (p, wait_addr.(p)) :: !parked
         | Running -> spinning := (p, last_op.(p), last_addr.(p)) :: !spinning
         | Crashed | Done -> ())
       state;
@@ -329,7 +331,7 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
              cached copy *)
           s.Probe.emit ~proc:pid ~time:t (Probe.Park { addr })
       | _ -> ());
-      state.(pid) <- Parked addr;
+      state.(pid) <- Parked;
       Mem.watch mem ~addr ~pid;
       (dispatch [@tailcall]) ()
     end

@@ -15,6 +15,8 @@ let default =
 
 type slot = { lock : Pqsync.Tas.t; pq : Slot.t }
 
+let empty = Slot.empty_top
+
 type t = {
   slots : slot array;  (* host-immutable after setup *)
   nslots : int;
@@ -109,59 +111,72 @@ let rec insert_scan t key i n =
     if ok then true else insert_scan t key (i + 1) n
   end
 
-let insert t key =
-  let pid = Api.self () in
-  let rec go attempts s window =
-    if Pqsync.Tas.try_acquire t.slots.(s).lock then begin
-      let ok = Slot.insert t.slots.(s).pq key in
-      Pqsync.Tas.release t.slots.(s).lock;
-      if ok then true
-      else begin
-        reset_ins_sticky t pid;
-        insert_scan t key 0 (s + 1)
-      end
-    end
+(* try-lock rounds from slot [s]; top level, with every operand an
+   argument, so an insert allocates no closure *)
+let rec insert_at t key pid attempts s window =
+  if Pqsync.Tas.try_acquire t.slots.(s).lock then begin
+    let ok = Slot.insert t.slots.(s).pq key in
+    Pqsync.Tas.release t.slots.(s).lock;
+    if ok then true
     else begin
       reset_ins_sticky t pid;
-      Api.count "mq.lock_fail" 1;
-      if attempts >= t.pick_attempts then begin
-        (* contended enough that waiting beats re-picking *)
-        Pqsync.Tas.acquire t.slots.(s).lock;
-        let ok = Slot.insert t.slots.(s).pq key in
-        Pqsync.Tas.release t.slots.(s).lock;
-        if ok then true else insert_scan t key 0 (s + 1)
-      end
-      else begin
-        let window = Pqsync.Backoff.pause window in
-        go (attempts + 1) (Api.rand t.nslots) window
-      end
+      insert_scan t key 0 (s + 1)
     end
-  in
-  go 0 (pick_ins_slot t pid) Pqsync.Backoff.first
+  end
+  else begin
+    reset_ins_sticky t pid;
+    Api.count "mq.lock_fail" 1;
+    if attempts >= t.pick_attempts then begin
+      (* contended enough that waiting beats re-picking *)
+      Pqsync.Tas.acquire t.slots.(s).lock;
+      let ok = Slot.insert t.slots.(s).pq key in
+      Pqsync.Tas.release t.slots.(s).lock;
+      if ok then true else insert_scan t key 0 (s + 1)
+    end
+    else begin
+      let window = Pqsync.Backoff.pause window in
+      insert_at t key pid (attempts + 1) (Api.rand t.nslots) window
+    end
+  end
+
+let insert t key =
+  let pid = Api.self () in
+  insert_at t key pid 0 (pick_ins_slot t pid) Pqsync.Backoff.first
 
 (* ------------------------------------------------------------------ *)
 (* delete_min *)
 
+(* A picked pair of slot indices travels packed in one immediate,
+   [a] above [b], so picking allocates no tuple. *)
+let pair_bits = 30
+let pair a b = (a lsl pair_bits) lor b
+let pair_a p = p lsr pair_bits
+let pair_b p = p land ((1 lsl pair_bits) - 1)
+
+let fresh_pair t =
+  let a = Api.rand t.nslots in
+  let b0 = if t.nslots < 2 then a else Api.rand (t.nslots - 1) in
+  let b = if t.nslots < 2 then a else if b0 >= a then b0 + 1 else b0 in
+  pair a b
+
 let pick_pair t pid =
-  let fresh () =
-    let a = Api.rand t.nslots in
-    let b0 = if t.nslots < 2 then a else Api.rand (t.nslots - 1) in
-    let b = if t.nslots < 2 then a else if b0 >= a then b0 + 1 else b0 in
-    (a, b)
-  in
-  if t.stickiness <= 1 then fresh ()
+  if t.stickiness <= 1 then fresh_pair t
   else begin
     let left = Api.read (t.del_left + pid) in
     if left > 0 then begin
       Api.write (t.del_left + pid) (left - 1);
-      (Api.read (t.del_a + pid), Api.read (t.del_b + pid))
+      (* [b]'s word is read before [a]'s: the order is part of the
+         simulated schedule *)
+      let b = Api.read (t.del_b + pid) in
+      let a = Api.read (t.del_a + pid) in
+      pair a b
     end
     else begin
-      let a, b = fresh () in
-      Api.write (t.del_a + pid) a;
-      Api.write (t.del_b + pid) b;
+      let p = fresh_pair t in
+      Api.write (t.del_a + pid) (pair_a p);
+      Api.write (t.del_b + pid) (pair_b p);
       Api.write (t.del_left + pid) (t.stickiness - 1);
-      (a, b)
+      p
     end
   end
 
@@ -173,7 +188,7 @@ let reset_del_sticky t pid =
 let rec delete_scan t i start =
   if i >= t.nslots then begin
     Api.count "mq.scan_empty" 1;
-    None
+    empty
   end
   else begin
     let s = t.slots.((start + i) mod t.nslots) in
@@ -181,49 +196,46 @@ let rec delete_scan t i start =
       Pqsync.Tas.acquire s.lock;
       let r = Slot.extract s.pq in
       Pqsync.Tas.release s.lock;
-      match r with
-      | Some _ -> r
-      | None -> delete_scan t (i + 1) start
+      if r <> empty then r else delete_scan t (i + 1) start
     end
     else delete_scan t (i + 1) start
   end
 
-let delete_min t =
-  let pid = Api.self () in
-  let rec go attempts window =
-    if attempts >= t.pick_attempts then begin
-      Api.count "mq.scan" 1;
-      delete_scan t 0 (Api.rand t.nslots)
+let rec delete_from t pid attempts window =
+  if attempts >= t.pick_attempts then begin
+    Api.count "mq.scan" 1;
+    delete_scan t 0 (Api.rand t.nslots)
+  end
+  else begin
+    let p = pick_pair t pid in
+    let a = pair_a p and bs = pair_b p in
+    let ta = Api.read (Slot.top_addr t.slots.(a).pq) in
+    let tb = Api.read (Slot.top_addr t.slots.(bs).pq) in
+    if ta = Slot.empty_top && tb = Slot.empty_top then begin
+      reset_del_sticky t pid;
+      delete_from t pid (attempts + 1) window
     end
     else begin
-      let a, bs = pick_pair t pid in
-      let ta = Api.read (Slot.top_addr t.slots.(a).pq) in
-      let tb = Api.read (Slot.top_addr t.slots.(bs).pq) in
-      if ta = Slot.empty_top && tb = Slot.empty_top then begin
-        reset_del_sticky t pid;
-        go (attempts + 1) window
+      let s = if ta <= tb then a else bs in
+      if Pqsync.Tas.try_acquire t.slots.(s).lock then begin
+        let r = Slot.extract t.slots.(s).pq in
+        Pqsync.Tas.release t.slots.(s).lock;
+        if r <> empty then r
+        else begin
+          (* raced with another deleter; the pick is stale *)
+          reset_del_sticky t pid;
+          delete_from t pid (attempts + 1) window
+        end
       end
       else begin
-        let s = if ta <= tb then a else bs in
-        if Pqsync.Tas.try_acquire t.slots.(s).lock then begin
-          let r = Slot.extract t.slots.(s).pq in
-          Pqsync.Tas.release t.slots.(s).lock;
-          match r with
-          | Some _ -> r
-          | None ->
-              (* raced with another deleter; the pick is stale *)
-              reset_del_sticky t pid;
-              go (attempts + 1) window
-        end
-        else begin
-          reset_del_sticky t pid;
-          Api.count "mq.lock_fail" 1;
-          go (attempts + 1) (Pqsync.Backoff.pause window)
-        end
+        reset_del_sticky t pid;
+        Api.count "mq.lock_fail" 1;
+        delete_from t pid (attempts + 1) (Pqsync.Backoff.pause window)
       end
     end
-  in
-  go 0 Pqsync.Backoff.first
+  end
+
+let delete_min t = delete_from t (Api.self ()) 0 Pqsync.Backoff.first
 
 (* ------------------------------------------------------------------ *)
 (* host-side *)

@@ -54,8 +54,12 @@ val rank_bound : config -> nprocs:int -> int
 val insert : t -> int -> bool
 (** processor context; false when every slot rejected the key (full) *)
 
-val delete_min : t -> int option
-(** processor context; [None] only after a full scan of every slot's
+val empty : int
+(** what {!delete_min} answers for an apparently empty queue:
+    {!Slot.empty_top}, greater than any key *)
+
+val delete_min : t -> int
+(** processor context; {!empty} only after a full scan of every slot's
     published minimum found the queue apparently empty *)
 
 val drain_now : Pqsim.Mem.t -> t -> int list

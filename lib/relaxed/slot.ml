@@ -106,6 +106,19 @@ let compact_del t =
     Api.write t.del_head 0
   end
 
+(* shift keys greater than [key] one place up, from index [i] down, and
+   drop [key] into the gap *)
+let rec shift t key i =
+  if i >= 0 then begin
+    let v = Api.read (t.del_buf + i) in
+    if v > key then begin
+      Api.write (t.del_buf + i + 1) v;
+      shift t key (i - 1)
+    end
+    else Api.write (t.del_buf + i + 1) key
+  end
+  else Api.write t.del_buf key
+
 (* sorted insert into the (compacted) deletion buffer; the largest
    element is evicted to the back queues when the buffer is full *)
 let del_buf_insert t key =
@@ -116,19 +129,12 @@ let del_buf_insert t key =
   (if evict then
      let last = Api.read (t.del_buf + dl - 1) in
      push_back t last);
-  let rec shift i =
-    if i >= 0 then begin
-      let v = Api.read (t.del_buf + i) in
-      if v > key then begin
-        Api.write (t.del_buf + i + 1) v;
-        shift (i - 1)
-      end
-      else Api.write (t.del_buf + i + 1) key
-    end
-    else Api.write t.del_buf key
-  in
-  shift stop;
+  shift t key stop;
   if not evict then Api.write t.del_len (dl + 1)
+
+(* the least of [m] and the insertion buffer's keys from [k] to [il] *)
+let rec ins_min t il k m =
+  if k >= il then m else ins_min t il (k + 1) (min m (Api.read (t.ins_buf + k)))
 
 let refresh_top t =
   let dl = if t.del_cap > 0 then Api.read t.del_len else 0 in
@@ -136,18 +142,10 @@ let refresh_top t =
     if dl > 0 then Api.read (t.del_buf + Api.read t.del_head)
     else begin
       let m0 =
-        match Pqstruct.Seqheap.peek_min t.heap with
-        | Some v -> v
-        | None -> empty_top
+        let v = Pqstruct.Seqheap.peek_min t.heap in
+        if v = Pqstruct.Seqheap.none then empty_top else v
       in
-      if t.ins_cap > 0 then begin
-        let il = Api.read t.ins_len in
-        let rec go k m =
-          if k >= il then m else go (k + 1) (min m (Api.read (t.ins_buf + k)))
-        in
-        go 0 m0
-      end
-      else m0
+      if t.ins_cap > 0 then ins_min t (Api.read t.ins_len) 0 m0 else m0
     end
   in
   Api.write t.top m
@@ -170,6 +168,18 @@ let insert t key =
     true
   end
 
+(* move the heap's smallest keys into the deletion buffer from index [k]
+   until it is full or the heap is empty; the count moved so far *)
+let rec refill t k =
+  if k >= t.del_cap then k
+  else
+    let v = Pqstruct.Seqheap.extract_min t.heap in
+    if v = Pqstruct.Seqheap.none then k
+    else begin
+      Api.write (t.del_buf + k) v;
+      refill t (k + 1)
+    end
+
 let extract t =
   let r =
     if t.del_cap > 0 then begin
@@ -180,35 +190,27 @@ let extract t =
         Api.write t.del_len (dl - 1);
         if dl = 1 then Api.write t.del_head 0
         else Api.write t.del_head (head + 1);
-        Some v
+        v
       end
       else begin
         (* refill: everything buffered joins the heap, then the heap's
            [del_cap] smallest move into the buffer *)
         flush_ins t;
-        let rec refill k =
-          if k >= t.del_cap then k
-          else
-            match Pqstruct.Seqheap.extract_min t.heap with
-            | Some v ->
-                Api.write (t.del_buf + k) v;
-                refill (k + 1)
-            | None -> k
-        in
-        let n = refill 0 in
-        if n = 0 then None
+        let n = refill t 0 in
+        if n = 0 then empty_top
         else begin
           let v = Api.read t.del_buf in
           Api.write t.del_head 1;
           Api.write t.del_len (n - 1);
           if n = 1 then Api.write t.del_head 0;
-          Some v
+          v
         end
       end
     end
     else begin
       flush_ins t;
-      Pqstruct.Seqheap.extract_min t.heap
+      let v = Pqstruct.Seqheap.extract_min t.heap in
+      if v = Pqstruct.Seqheap.none then empty_top else v
     end
   in
   refresh_top t;

@@ -20,7 +20,8 @@
 type t
 
 val empty_top : int
-(** the [top] sentinel of an empty slot (greater than any packed key) *)
+(** the [top] sentinel of an empty slot (greater than any packed key),
+    also what {!extract} answers for an empty slot *)
 
 val create :
   ?name:string -> Pqsim.Mem.t -> cap:int -> ins_cap:int -> del_cap:int -> t
@@ -36,9 +37,9 @@ val size : t -> int
 val insert : t -> int -> bool
 (** [insert t key] under the slot's lock; false when the slot is full. *)
 
-val extract : t -> int option
+val extract : t -> int
 (** [extract t] removes and returns the slot's minimum key, under the
-    slot's lock; [None] when the slot is empty. *)
+    slot's lock; {!empty_top} when the slot is empty. *)
 
 val peek_all : Pqsim.Mem.t -> t -> int list
 (** host-side: every key in the slot (heap + buffers), unordered *)

@@ -2,6 +2,8 @@ open Pqsim
 
 type t = { lock : Pqsync.Mcs.t; size : int; elems : int; cap : int }
 
+let none = min_int
+
 let create ?name mem ~nprocs ~cap =
   let lock =
     Pqsync.Mcs.create ?name:(Option.map (fun n -> n ^ ".lock") name) mem
@@ -20,6 +22,7 @@ let create ?name mem ~nprocs ~cap =
   { lock; size; elems; cap }
 
 let insert t e =
+  if e = none then invalid_arg "Bin.insert: the element is Bin.none";
   Pqsync.Mcs.acquire t.lock;
   let sz = Api.read t.size in
   let ok = sz < t.cap in
@@ -36,11 +39,11 @@ let delete t =
   Pqsync.Mcs.acquire t.lock;
   let sz = Api.read t.size in
   let r =
-    if sz = 0 then None
+    if sz = 0 then none
     else begin
       let e = Api.read (t.elems + sz - 1) in
       Api.write t.size (sz - 1);
-      Some e
+      e
     end
   in
   Pqsync.Mcs.release t.lock;

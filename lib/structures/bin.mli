@@ -8,15 +8,20 @@ val create : ?name:string -> Pqsim.Mem.t -> nprocs:int -> cap:int -> t
 (** [?name] labels the size word, element array and lock for the
     contention profiler *)
 
+val none : int
+(** [min_int]: what {!delete} answers for an empty bin, so a delete
+    allocates no option.  It is not a valid element. *)
+
 val insert : t -> int -> bool
-(** [insert b e] adds [e]; false when the bin is full. *)
+(** [insert b e] adds [e]; false when the bin is full.
+    @raise Invalid_argument if [e] is {!none} *)
 
 val is_empty : t -> bool
 (** one read, no lock *)
 
-val delete : t -> int option
+val delete : t -> int
 (** removes an unspecified element (LIFO order here, as in the paper's
-    array implementation) *)
+    array implementation), or answers {!none} when the bin is empty *)
 
 val size_now : Pqsim.Mem.t -> t -> int
 (** host-side size, for post-run verification *)

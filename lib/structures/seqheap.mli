@@ -14,13 +14,19 @@ val create : ?name:string -> Pqsim.Mem.t -> cap:int -> t
 val size : t -> int
 (** costed read *)
 
+val none : int
+(** [min_int]: what {!peek_min} and {!extract_min} answer for an empty
+    heap, so neither allocates an option.  It is not a valid key. *)
+
 val insert : t -> int -> bool
-(** [insert t key] sifts [key] up from the last slot; false when full. *)
+(** [insert t key] sifts [key] up from the last slot; false when full.
+    @raise Invalid_argument if [key] is {!none} *)
 
-val peek_min : t -> int option
-(** costed read of the minimum without removing it *)
+val peek_min : t -> int
+(** costed read of the minimum without removing it, or {!none} *)
 
-val extract_min : t -> int option
+val extract_min : t -> int
+(** removes and returns the minimum, or {!none} when the heap is empty *)
 
 val peek_list : Pqsim.Mem.t -> t -> int list
 (** host-side contents (unordered), for verification *)

@@ -66,50 +66,49 @@ let bin n =
   | Some b -> b
   | None -> invalid_arg "Skipbase.bin: head node"
 
-let pri n = n.npri
+let none = -1
 
-(* Walk level [l] starting from [from]: the returned node is the last one
+(* The walks below recurse at top level with every operand an argument,
+   and answer priorities rather than [Some node], so threading and
+   iterating allocate nothing. *)
+
+(* Walk level [l] starting from [cur]: the returned node is the last one
    whose priority is below [p].  Node priorities are host constants; only
    forward pointers cost memory accesses. *)
-let find_pred t ~from ~l ~p =
-  let rec walk cur =
-    let s = Api.read (cur.fwd + l) in
-    if s <> nil && t.nodes.(s).npri < p then walk t.nodes.(s) else cur
-  in
-  walk from
+let rec find_pred t ~l ~p cur =
+  let s = Api.read (cur.fwd + l) in
+  if s <> nil && t.nodes.(s).npri < p then find_pred t ~l ~p t.nodes.(s)
+  else cur
 
-let link_level t node l =
-  let rec attempt () =
-    (* descend from the top to approach the predecessor cheaply, then take
-       its lock and re-validate *)
-    let rec descend lvl from =
-      let pred = find_pred t ~from ~l:lvl ~p:node.npri in
-      if lvl = l then pred else descend (lvl - 1) pred
-    in
-    let pred = descend (t.max_level - 1) t.head in
-    Pqsync.Mcs.acquire pred.lock;
-    let valid_pred =
-      pred.id = 0 || Api.read pred.state = fully_threaded
-    in
-    if not valid_pred then begin
+(* descend from level [lvl] to level [l], approaching the predecessor of
+   priority [p] cheaply *)
+let rec descend t ~l ~p lvl from =
+  let pred = find_pred t ~l:lvl ~p from in
+  if lvl = l then pred else descend t ~l ~p (lvl - 1) pred
+
+let rec link_level t node l =
+  (* descend from the top to approach the predecessor cheaply, then take
+     its lock and re-validate *)
+  let pred = descend t ~l ~p:node.npri (t.max_level - 1) t.head in
+  Pqsync.Mcs.acquire pred.lock;
+  let valid_pred = pred.id = 0 || Api.read pred.state = fully_threaded in
+  if not valid_pred then begin
+    Pqsync.Mcs.release pred.lock;
+    link_level t node l
+  end
+  else begin
+    let succ = Api.read (pred.fwd + l) in
+    if succ <> nil && t.nodes.(succ).npri < node.npri then begin
+      (* someone linked a closer predecessor meanwhile *)
       Pqsync.Mcs.release pred.lock;
-      attempt ()
+      link_level t node l
     end
     else begin
-      let succ = Api.read (pred.fwd + l) in
-      if succ <> nil && t.nodes.(succ).npri < node.npri then begin
-        (* someone linked a closer predecessor meanwhile *)
-        Pqsync.Mcs.release pred.lock;
-        attempt ()
-      end
-      else begin
-        Api.write (node.fwd + l) succ;
-        Api.write (pred.fwd + l) node.id;
-        Pqsync.Mcs.release pred.lock
-      end
+      Api.write (node.fwd + l) succ;
+      Api.write (pred.fwd + l) node.id;
+      Pqsync.Mcs.release pred.lock
     end
-  in
-  attempt ()
+  end
 
 let ensure_threaded t p =
   let node = node_of_pri t p in
@@ -121,20 +120,18 @@ let ensure_threaded t p =
     Api.write node.state fully_threaded
   end
 
-let first t =
-  let s = Api.read (t.head.fwd + 0) in
-  if s = nil then None else Some t.nodes.(s)
+(* a forward word's node id as a priority *)
+let pri_of_id s = if s = nil then none else s - 1
 
-let next t n =
-  let s = Api.read (n.fwd + 0) in
-  if s = nil then None else Some t.nodes.(s)
+let first t = pri_of_id (Api.read (t.head.fwd + 0))
+let next t p = pri_of_id (Api.read ((node_of_pri t p).fwd + 0))
 
 let unthread_first t =
   Pqsync.Mcs.acquire t.head.lock;
   let s = Api.read (t.head.fwd + 0) in
   if s = nil then begin
     Pqsync.Mcs.release t.head.lock;
-    None
+    none
   end
   else begin
     let node = t.nodes.(s) in
@@ -143,7 +140,7 @@ let unthread_first t =
       (* threading still in flight; let it finish *)
       Pqsync.Mcs.release node.lock;
       Pqsync.Mcs.release t.head.lock;
-      None
+      none
     end
     else begin
       (* the minimum node's predecessor at each of its levels is the head *)
@@ -154,7 +151,7 @@ let unthread_first t =
       Api.write node.state 0;
       Pqsync.Mcs.release node.lock;
       Pqsync.Mcs.release t.head.lock;
-      Some node
+      node.npri
     end
   end
 

@@ -29,23 +29,28 @@ val create :
 
 val node_of_pri : t -> int -> node
 val bin : node -> Bin.t
-val pri : node -> int
 
 val ensure_threaded : t -> int -> unit
 (** [ensure_threaded t pri] threads priority [pri]'s node unless it is
     already threaded or being threaded by another processor.  Call after
     inserting into the node's bin. *)
 
-val first : t -> node option
-(** costed read of the lowest-priority threaded node *)
+val none : int
+(** [-1]: what {!first}, {!next} and {!unthread_first} answer in place of
+    a node, so iterating allocates no option *)
 
-val next : t -> node -> node option
-(** costed read of a node's bottom-level successor; together with
-    {!first} this iterates the threaded nodes in priority order *)
+val first : t -> int
+(** costed read: the priority of the lowest threaded node, or {!none} *)
 
-val unthread_first : t -> node option
-(** Unlinks and returns the first node if it is fully threaded; [None] if
-    the list is empty or the first node's threading is still in flight. *)
+val next : t -> int -> int
+(** [next t p] is a costed read of the bottom-level successor of priority
+    [p]'s node: its priority, or {!none}.  Together with {!first} this
+    iterates the threaded nodes in priority order. *)
+
+val unthread_first : t -> int
+(** Unlinks the first node if it is fully threaded and answers its
+    priority; {!none} if the list is empty or the first node's threading
+    is still in flight. *)
 
 val threaded_now : Pqsim.Mem.t -> node -> bool
 (** host-side, for verification *)

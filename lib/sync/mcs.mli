@@ -33,6 +33,15 @@ val create : ?name:string -> Pqsim.Mem.t -> nprocs:int -> t
     the lock-order analyzer can attribute them.  See the probe protocol
     above for the [lock.*] metrics and notes reported under a probe. *)
 
+val create_array : name:string -> Pqsim.Mem.t -> nprocs:int -> int -> t array
+(** [create_array ~name mem ~nprocs n] is [n] locks laid out one after
+    another, as [n] calls of {!create} would lay them out.  Lock [i]'s
+    words read [name[i].tail] and [name[i].nodes] in
+    {!Pqsim.Mem.name_of}, exactly as if each had been created with
+    [~name:(name[i])]; the names are formatted only when asked for
+    ({!Pqsim.Mem.label_with}), so a run of a heap with hundreds of node
+    locks builds no string. *)
+
 val id : t -> int
 (** the lock's identity in probe notes: the address of its tail word *)
 

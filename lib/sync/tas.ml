@@ -1,9 +1,10 @@
 open Pqsim
 
 (* The lock word: 0 free, 1 held.  [acq_at] is host-side probe bookkeeping
-   (acquisition cycle per processor) and is only touched under a probe. *)
+   (acquisition cycle per processor), made on the first probed
+   acquisition: an unprobed run never needs it. *)
 
-type t = { word : int; acq_at : int array }
+type t = { word : int; nprocs : int; mutable acq_at : int array }
 
 let create ?name mem =
   let word = Mem.alloc mem 1 in
@@ -11,9 +12,16 @@ let create ?name mem =
   | Some n -> Mem.label mem ~addr:word ~len:1 n
   | None -> ());
   Mem.declare_sync mem ~addr:word ~len:1;
-  { word; acq_at = Array.make (Mem.machine mem).Machine.nprocs 0 }
+  { word; nprocs = (Mem.machine mem).Machine.nprocs; acq_at = [||] }
 
 let id t = t.word
+
+let stamp t acquired =
+  if Array.length t.acq_at = 0 then t.acq_at <- Array.make t.nprocs 0;
+  t.acq_at.(Api.self ()) <- acquired
+
+let acquired_at t =
+  if Array.length t.acq_at = 0 then 0 else t.acq_at.(Api.self ())
 
 let try_raw t = Api.cas t.word ~expected:0 ~desired:1
 
@@ -24,7 +32,7 @@ let try_acquire t =
        Api.count "lock.acquire" 1;
        Api.count "lock.wait" 0;
        Api.note Probe.Lock_tag.acquire t.word 0;
-       t.acq_at.(Api.self ()) <- Api.now ()
+       stamp t (Api.now ())
      end
      else begin
        (* the CAS observed the word held: a contention event, counted
@@ -55,13 +63,13 @@ let acquire t =
     Api.count "lock.wait" (acquired - t0);
     if contended then Api.count "lock.contend" 1;
     Api.note Probe.Lock_tag.acquire t.word (if contended then 1 else 0);
-    t.acq_at.(Api.self ()) <- acquired
+    stamp t acquired
   end
 
 let release t =
   (if Api.probing () then begin
      Api.count "lock.release" 1;
-     Api.count "lock.hold" (Api.now () - t.acq_at.(Api.self ()));
+     Api.count "lock.hold" (Api.now () - acquired_at t);
      Api.note Probe.Lock_tag.release t.word 0
    end);
   Api.write t.word 0

@@ -4,8 +4,10 @@
    The engine allocates host memory only where the OCaml runtime must:
    one 2-word continuation per scheduling effect (read, write, swap, cas,
    faa, work, wait_change).  Queries (now, self, rand, record, ...) are
-   plain calls, and the funnel engine, its clients and the locks allocate
-   nothing per operation (DESIGN.md §20).  The host queues allocate only
+   plain calls; parking, waking and the event queue's scans allocate
+   nothing; and the funnel engine, its clients, the locks and the heap,
+   bin and skip-list structures allocate nothing per operation
+   (DESIGN.md §20).  The host queues allocate only
    what their results need (DESIGN.md §21).  Minor-heap words are
    deterministic for a given compiler and input, so this test pins them.
 
@@ -24,9 +26,10 @@ let gate ~what ~unit ~bound measured =
     Alcotest.failf "%s: %.3f %s, over the bound %.3f" what measured unit bound
 
 (* ------------------------------------------------------------------ *)
-(* whole queues: Workload.run at P=64.  The bound is the value measured
-   when the gate was set, plus 10%; the workload's own bookkeeping
-   (latency samples, result options) is included. *)
+(* whole queues: Workload.run at P=64, for every queue pqperf's sim-fig6
+   workload runs.  The bound is the value measured when the gate was
+   set, plus 10%; the workload's own bookkeeping (latency samples, result
+   options) is included. *)
 
 let queue_gate queue ~measured () =
   Sim.reset_harness_totals ();
@@ -38,6 +41,28 @@ let queue_gate queue ~measured () =
     ~what:(queue ^ " P=64")
     ~unit:"words/event" ~bound:(1.1 *. measured)
     (float_of_int words /. float_of_int events)
+
+(* ------------------------------------------------------------------ *)
+(* exact counts: engine events and memory operations (hits + misses +
+   updates) of one Workload.run of each of pqperf's sim-fig6 queues at
+   P=16, seed 42.  Both are exact for a given input, whatever the
+   compiler, so they are pinned to equality: a change that adds an event
+   or an access (a wait re-check, say) shows here even where it moves no
+   simulated cycle. *)
+
+let counts_gate queue ~events ~memops () =
+  Sim.reset_harness_totals ();
+  let s = Pqbenchlib.Workload.spec ~queue ~nprocs:16 ~npriorities:16 in
+  let r = Pqbenchlib.Workload.run s in
+  let measured_events, _ = Sim.harness_totals () in
+  let measured_memops = Mem.hits r.mem + Mem.misses r.mem + Mem.updates r.mem in
+  let ops = float_of_int (s.nprocs * s.ops_per_proc) in
+  Printf.bprintf table "%-40s %7.3f events/op, %7.3f accesses/op\n"
+    (queue ^ " P=16 seed 42")
+    (float_of_int measured_events /. ops)
+    (float_of_int measured_memops /. ops);
+  Alcotest.(check int) (queue ^ " events") events measured_events;
+  Alcotest.(check int) (queue ^ " memory operations") memops measured_memops
 
 (* ------------------------------------------------------------------ *)
 (* primitives at P=1: minor words per performed effect, as the marginal
@@ -64,6 +89,32 @@ let per_effect ?(results = 0) ~setup ~op () =
   (* [results] words per iteration are the operation's own return value,
      allocated for the caller *)
   float_of_int (w2 - w1 - (results * iterations)) /. float_of_int (e2 - e1)
+
+(* HuntEtAl's construction: minor words per heap node, as the marginal
+   rate between heaps of [n] and [2n] nodes at P=64, so the run's fixed
+   cost drops out.  A node costs its lock's record; the lock's names are
+   formatted only when a report asks for them (Mem.label_with), and its
+   probe-only timestamps only under a probe.  Naming every node lock
+   eagerly costs 80 words a node, and with eager timestamps it cost
+   141. *)
+let hunt_construction () =
+  let build capacity =
+    let p =
+      { (Pqcore.Pq_intf.default_params ~nprocs:64 ~npriorities:16) with
+        capacity }
+    in
+    let w0 = Gc.minor_words () in
+    ignore
+      (Sim.run ~nprocs:64
+         ~setup:(fun mem -> Pqcore.Registry.create "HuntEtAl" mem p)
+         ~program:(fun _ _ -> ())
+         ());
+    Gc.minor_words () -. w0
+  in
+  ignore (build iterations);
+  let w1 = build iterations in
+  let w2 = build (2 * iterations) in
+  (w2 -. w1) /. float_of_int iterations
 
 let primitive_gate ~what measure () =
   gate ~what:(what ^ " P=1") ~unit:"words/effect" ~bound:2.0 (measure ())
@@ -241,14 +292,40 @@ let () =
           ( "queues",
             [
               Alcotest.test_case "FunnelTree" `Quick
-                (queue_gate "FunnelTree" ~measured:2.121);
+                (queue_gate "FunnelTree" ~measured:2.058);
               Alcotest.test_case "LinearFunnels" `Quick
-                (queue_gate "LinearFunnels" ~measured:2.155);
+                (queue_gate "LinearFunnels" ~measured:2.074);
               Alcotest.test_case "SimpleTree" `Quick
-                (queue_gate "SimpleTree" ~measured:2.487);
+                (queue_gate "SimpleTree" ~measured:2.017);
               Alcotest.test_case "SimpleLinear" `Quick
-                (queue_gate "SimpleLinear" ~measured:2.435);
+                (queue_gate "SimpleLinear" ~measured:2.008);
+              Alcotest.test_case "SingleLock" `Quick
+                (queue_gate "SingleLock" ~measured:2.068);
+              Alcotest.test_case "HuntEtAl" `Quick
+                (queue_gate "HuntEtAl" ~measured:1.951);
+              Alcotest.test_case "SkipList" `Quick
+                (queue_gate "SkipList" ~measured:1.907);
+              Alcotest.test_case "MultiQueue" `Quick
+                (queue_gate "MultiQueue" ~measured:2.169);
+              Alcotest.test_case "HuntEtAl construction" `Quick (fun () ->
+                  gate ~what:"HuntEtAl construction P=64" ~unit:"words/node"
+                    ~bound:(1.1 *. 4.014) (hunt_construction ()));
             ] );
+          ( "counts",
+            List.map
+              (fun (queue, events, memops) ->
+                Alcotest.test_case queue `Quick
+                  (counts_gate queue ~events ~memops))
+              [
+                ("SingleLock", 10328, 9688);
+                ("HuntEtAl", 44034, 43394);
+                ("SkipList", 98296, 94050);
+                ("SimpleLinear", 14876, 14236);
+                ("SimpleTree", 22167, 21527);
+                ("LinearFunnels", 26715, 25410);
+                ("FunnelTree", 42810, 41652);
+                ("MultiQueue", 14095, 12887);
+              ] );
           ( "primitives",
             [
               Alcotest.test_case "Fcounter.inc" `Quick

@@ -607,6 +607,36 @@ let test_mem_miss_latency_table =
       done;
       !ok)
 
+let test_mem_hot_lines_top_k =
+  (* [hot_lines] keeps only the k hottest lines while it scans; it must
+     list exactly what a stable sort of every waited line by wait, cut to
+     k, lists: hottest first, equal waits by ascending address *)
+  QCheck.Test.make ~name:"hot_lines = first k of the sorted wait table"
+    ~count:300
+    QCheck.(
+      pair (int_range (-1) 40)
+        (list_of_size Gen.(int_bound 80)
+           (triple (int_bound 3) (int_bound 40) (int_bound 6))))
+    (fun (k, writes) ->
+      let mem = mk_mem 4 in
+      let base = Pqsim.Mem.alloc mem 32 in
+      (* writes that meet on a line at overlapping times queue behind each
+         other: a random wait table, rich in ties *)
+      List.iter
+        (fun (proc, l, now) ->
+          ignore (Pqsim.Mem.write mem ~proc ~now (base + (l mod 32)) 1))
+        writes;
+      let waited =
+        List.init (Pqsim.Mem.words_allocated mem) (fun a ->
+            (a, Pqsim.Mem.line_wait mem a))
+        |> List.filter (fun (_, w) -> w > 0)
+      in
+      let sorted =
+        List.stable_sort (fun (_, a) (_, b) -> compare b a) waited
+        |> List.filteri (fun i _ -> i < k)
+      in
+      Pqsim.Mem.hot_lines mem k = sorted)
+
 let test_mem_alloc_disjoint () =
   let m = mk_mem 4 in
   let a = Pqsim.Mem.alloc m 10 and b = Pqsim.Mem.alloc m 10 in
@@ -1218,7 +1248,8 @@ let () =
           Alcotest.test_case "past the reservation" `Quick
             test_mem_past_reservation;
         ] );
-      qsuite "mem-props" [ test_mem_miss_latency_table ];
+      qsuite "mem-props"
+        [ test_mem_miss_latency_table; test_mem_hot_lines_top_k ];
       ( "sim",
         [
           Alcotest.test_case "counter race exact" `Quick test_sim_counter_race;

@@ -6,6 +6,16 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* the slot's and the queue's empty answer is a sentinel key; the models
+   below compare options *)
+let extract slot =
+  let v = Pqrelaxed.Slot.extract slot in
+  if v = Pqrelaxed.Slot.empty_top then None else Some v
+
+let delete_min q =
+  let v = Pqrelaxed.Multiqueue.delete_min q in
+  if v = Pqrelaxed.Multiqueue.empty then None else Some v
+
 (* ------------------------------------------------------------------ *)
 (* the slot: an exact sequential priority queue on simulated memory *)
 
@@ -30,7 +40,7 @@ let test_slot_model =
             List.iter
               (fun (is_extract, key) ->
                 (if is_extract then
-                   results := `Ext (Pqrelaxed.Slot.extract slot) :: !results
+                   results := `Ext (extract slot) :: !results
                  else results := `Ins (Pqrelaxed.Slot.insert slot key) :: !results);
                 Pqsim.Api.progress ())
               script)
@@ -89,7 +99,7 @@ let mq_conservation (name, cfg) () =
             inserted.(pid) <- key :: inserted.(pid);
           Pqsim.Api.progress ();
           if i mod 3 = 2 then begin
-            (match Pqrelaxed.Multiqueue.delete_min q with
+            (match delete_min q with
             | Some k -> deleted.(pid) <- k :: deleted.(pid)
             | None -> ());
             Pqsim.Api.progress ()
@@ -122,12 +132,12 @@ let mq_delete_only_none_when_empty (name, cfg) () =
           Pqsim.Api.progress ()
         done;
         for _ = 1 to n do
-          (match Pqrelaxed.Multiqueue.delete_min q with
+          (match delete_min q with
           | Some k -> got := k :: !got
           | None -> ());
           Pqsim.Api.progress ()
         done;
-        after := Pqrelaxed.Multiqueue.delete_min q;
+        after := delete_min q;
         Pqsim.Api.progress ())
       ()
   in

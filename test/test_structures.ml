@@ -27,6 +27,11 @@ let test_elem_order =
 (* ------------------------------------------------------------------ *)
 (* Bin *)
 
+(* the bin answers [Bin.none] when empty; the tests compare options *)
+let bin_delete b =
+  let e = Pqstruct.Bin.delete b in
+  if e = Pqstruct.Bin.none then None else Some e
+
 let test_bin_fifo_lifo_semantics () =
   let _, result =
     Sim.run ~nprocs:1
@@ -37,9 +42,9 @@ let test_bin_fifo_lifo_semantics () =
         assert (Pqstruct.Bin.insert b 20);
         assert (not (Pqstruct.Bin.is_empty b));
         (* array bin deletes in LIFO order *)
-        assert (Pqstruct.Bin.delete b = Some 20);
-        assert (Pqstruct.Bin.delete b = Some 10);
-        assert (Pqstruct.Bin.delete b = None))
+        assert (bin_delete b = Some 20);
+        assert (bin_delete b = Some 10);
+        assert (bin_delete b = None))
       ()
   in
   check_bool "ran" true (result.Sim.cycles > 0)
@@ -75,7 +80,7 @@ let test_bin_concurrent_conservation () =
           done
         else
           for _ = 1 to per do
-            (match Pqstruct.Bin.delete b with
+            (match bin_delete b with
             | Some v -> deleted.(pid) <- v :: deleted.(pid)
             | None -> ());
             Api.work 3
@@ -170,6 +175,11 @@ let test_counter_mixed_never_below_bound () =
 (* ------------------------------------------------------------------ *)
 (* Seqheap *)
 
+(* the heap answers [Seqheap.none] when empty; the tests compare options *)
+let extract_min h =
+  let k = Pqstruct.Seqheap.extract_min h in
+  if k = Pqstruct.Seqheap.none then None else Some k
+
 let test_seqheap_sorted_output () =
   let input = [ 5; 3; 8; 1; 9; 2; 7; 4; 6; 0 ] in
   let out = ref [] in
@@ -179,7 +189,7 @@ let test_seqheap_sorted_output () =
       ~program:(fun h _ ->
         List.iter (fun k -> assert (Pqstruct.Seqheap.insert h k)) input;
         let rec drain () =
-          match Pqstruct.Seqheap.extract_min h with
+          match extract_min h with
           | Some k ->
               out := k :: !out;
               drain ()
@@ -202,7 +212,7 @@ let test_seqheap_prop =
           ~program:(fun h _ ->
             List.iter (fun k -> assert (Pqstruct.Seqheap.insert h k)) input;
             let rec drain () =
-              match Pqstruct.Seqheap.extract_min h with
+              match extract_min h with
               | Some k ->
                   out := k :: !out;
                   drain ()
@@ -220,11 +230,11 @@ let test_seqheap_interleaved () =
       ~program:(fun h _ ->
         assert (Pqstruct.Seqheap.insert h 5);
         assert (Pqstruct.Seqheap.insert h 1);
-        assert (Pqstruct.Seqheap.extract_min h = Some 1);
+        assert (extract_min h = Some 1);
         assert (Pqstruct.Seqheap.insert h 3);
-        assert (Pqstruct.Seqheap.extract_min h = Some 3);
-        assert (Pqstruct.Seqheap.extract_min h = Some 5);
-        assert (Pqstruct.Seqheap.extract_min h = None))
+        assert (extract_min h = Some 3);
+        assert (extract_min h = Some 5);
+        assert (extract_min h = None))
       ()
   in
   ()
@@ -244,6 +254,11 @@ let test_seqheap_capacity () =
 (* ------------------------------------------------------------------ *)
 (* Skipbase *)
 
+(* priorities, or [Skipbase.none]; the tests compare options *)
+let some_pri p = if p = Pqstruct.Skipbase.none then None else Some p
+let first t = some_pri (Pqstruct.Skipbase.first t)
+let unthread_first t = some_pri (Pqstruct.Skipbase.unthread_first t)
+
 let test_skip_thread_single () =
   let t, result =
     Sim.run ~nprocs:1
@@ -255,9 +270,7 @@ let test_skip_thread_single () =
         Pqstruct.Skipbase.ensure_threaded t 3;
         Pqstruct.Skipbase.ensure_threaded t 11;
         (* first must be the lowest threaded priority *)
-        match Pqstruct.Skipbase.first t with
-        | Some n -> assert (Pqstruct.Skipbase.pri n = 3)
-        | None -> assert false)
+        assert (first t = Some 3))
       ()
   in
   match Pqstruct.Skipbase.invariants_now result.Sim.mem t with
@@ -272,17 +285,11 @@ let test_skip_unthread_first () =
           ~seed:5)
       ~program:(fun t _ ->
         List.iter (Pqstruct.Skipbase.ensure_threaded t) [ 4; 9; 2 ];
-        (match Pqstruct.Skipbase.unthread_first t with
-        | Some n -> assert (Pqstruct.Skipbase.pri n = 2)
-        | None -> assert false);
-        (match Pqstruct.Skipbase.first t with
-        | Some n -> assert (Pqstruct.Skipbase.pri n = 4)
-        | None -> assert false);
+        assert (unthread_first t = Some 2);
+        assert (first t = Some 4);
         (* rethreading after unthread works *)
         Pqstruct.Skipbase.ensure_threaded t 2;
-        match Pqstruct.Skipbase.first t with
-        | Some n -> assert (Pqstruct.Skipbase.pri n = 2)
-        | None -> assert false)
+        assert (first t = Some 2))
       ()
   in
   match Pqstruct.Skipbase.invariants_now result.Sim.mem t with
@@ -296,8 +303,8 @@ let test_skip_unthread_empty () =
         Pqstruct.Skipbase.create mem ~nprocs:1 ~npriorities:8 ~bin_cap:4
           ~seed:1)
       ~program:(fun t _ ->
-        assert (Pqstruct.Skipbase.unthread_first t = None);
-        assert (Pqstruct.Skipbase.first t = None))
+        assert (unthread_first t = None);
+        assert (first t = None))
       ()
   in
   ()
@@ -341,7 +348,7 @@ let test_skip_concurrent_thread_unthread () =
         for i = 1 to 20 do
           if pid mod 2 = 0 then
             Pqstruct.Skipbase.ensure_threaded t (Api.rand npri)
-          else ignore (Pqstruct.Skipbase.unthread_first t);
+          else ignore (unthread_first t);
           Api.work (Api.rand (10 + i))
         done)
       ()
