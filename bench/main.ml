@@ -92,36 +92,7 @@ let () =
       (List.length cells)
       (Pqchaos.Driver.verdict_label (Pqchaos.Driver.worst cells));
     Format.printf "%a@." Pqchaos.Driver.pp_summary cells;
-    {
-      Pqtrace.Bench_out.chaos_nprocs = cfg.Pqchaos.Driver.nprocs;
-      chaos_npriorities = cfg.Pqchaos.Driver.npriorities;
-      chaos_ops_per_proc = cfg.Pqchaos.Driver.ops_per_proc;
-      chaos_safe =
-        not
-          (List.exists
-             (fun (c : Pqchaos.Driver.cell) ->
-               match c.verdict with
-               | Pqchaos.Driver.Safety_violation _ -> true
-               | _ -> false)
-             cells);
-      cells =
-        List.map
-          (fun (c : Pqchaos.Driver.cell) ->
-            {
-              Pqtrace.Bench_out.cc_queue = c.queue;
-              cc_scenario = c.scenario;
-              cc_plan = c.plan;
-              cc_sched = c.sched;
-              cc_seed = c.seed;
-              cc_verdict = Pqchaos.Driver.verdict_label c.verdict;
-              cc_cycles = c.cycles;
-              cc_ops = c.ops;
-              cc_worst_rank = c.worst_rank;
-              cc_bound = c.bound;
-              cc_dangling = c.dangling;
-            })
-          cells;
-    }
+    Pqchaos.Driver.to_bench cfg cells
   in
   (* the adaptive meta-queue gate: the `pqbench adapt` verdict at its
      quick configuration (fixed shape independent of --scale, like the

@@ -297,27 +297,28 @@ let explore_cmd =
         match Terms.resolve_queues queue with
         | Error e -> `Error (false, e)
         | Ok queues ->
-            let inconsistent = ref [] in
-            List.iter
-              (fun q ->
-                let cfg =
-                  Pqexplore.Driver.config ~nprocs:procs ~npriorities:priorities
-                    ~ops_per_proc:ops ~max_states q
-                in
-                let r =
-                  Pqexplore.Explore.run ~cfg ~seed ~queue:q ~policy ~budget ()
-                in
-                Format.printf "%a@." Pqexplore.Explore.pp_report r;
-                if r.Pqexplore.Explore.level = Pqexplore.Verdict.Inconsistent
-                then inconsistent := q :: !inconsistent)
-              queues;
-            (match !inconsistent with
-            | [] -> `Ok ()
-            | qs ->
-                `Error
-                  ( false,
-                    "quiescent-consistency violation found: "
-                    ^ String.concat ", " (List.rev qs) )))
+            let reports =
+              List.map
+                (fun q ->
+                  let cfg =
+                    Pqexplore.Driver.config ~nprocs:procs
+                      ~npriorities:priorities ~ops_per_proc:ops ~max_states q
+                  in
+                  Pqexplore.Explore.run ~cfg ~seed ~queue:q ~policy ~budget ())
+                queues
+            in
+            Terms.gate
+              (String.concat ""
+                 (List.map
+                    (Format.asprintf "%a@." Pqexplore.Explore.pp_report)
+                    reports))
+              (Terms.failing "quiescent-consistency violation found: "
+                 (List.filter_map
+                    (fun (r : Pqexplore.Explore.report) ->
+                      if r.level = Pqexplore.Verdict.Inconsistent then
+                        Some r.queue
+                      else None)
+                    reports)))
   in
   Cmd.v
     (Cmd.info "explore"
@@ -336,25 +337,19 @@ let explore_cmd =
 let audit_cmd =
   let run report jobs =
     let reports = Pqanalysis.Audit.run ~jobs in
-    let text = Format.asprintf "%a" Pqanalysis.Audit.pp reports in
-    print_string text;
-    Terms.write_report report text;
-    match
-      List.filter (fun r -> Pqanalysis.Audit.findings r <> []) reports
-    with
-    | [] -> `Ok ()
-    | bad ->
-        `Error
-          ( false,
-            "audit findings in: "
-            ^ String.concat ", "
-                (List.map (fun (r : Pqanalysis.Audit.report) -> r.queue) bad) )
+    Terms.gate ?report
+      (Format.asprintf "%a" Pqanalysis.Audit.pp reports)
+      (Terms.failing "audit findings in: "
+         (List.filter_map
+            (fun (r : Pqanalysis.Audit.report) ->
+              if Pqanalysis.Audit.findings r = [] then None else Some r.queue)
+            reports))
   in
   Cmd.v
     (Cmd.info "audit"
        ~doc:
-         "Audit every registry queue plus Adaptive under default, \
-          random-preemption and PCT schedules x seeds 42, 1, 7 (coin-flip \
+         "Audit every registry queue plus Adaptive under the default, \
+          random and PCT schedules x seeds 42, 1, 7 (coin-flip \
           scenario, 16 processors, 40 ops each), running each cell once \
           with one probe that feeds the race detector, the lock-order \
           analyzer and the streaming rank/conservation monitor.  Any data \
@@ -368,12 +363,8 @@ let chaos_cmd =
       value & opt string "all"
       & info [ "scenarios" ] ~docv:"S1,S2,.."
           ~doc:
-            (Printf.sprintf
-               "Comma-separated scenarios (%s) or $(b,all)."
-               (String.concat ", "
-                  (List.map
-                     (Printf.sprintf "$(b,%s)")
-                     Pqbenchlib.Scenario.names))))
+            (Printf.sprintf "Comma-separated scenarios (%s) or $(b,all)."
+               (Terms.bold_list Pqbenchlib.Scenario.names)))
   in
   let plans =
     Arg.(
@@ -383,10 +374,7 @@ let chaos_cmd =
             (Printf.sprintf
                "Comma-separated fault plans (%s) or $(b,all); $(b,none) is \
                 the fault-free arm."
-               (String.concat ", "
-                  (List.map
-                     (Printf.sprintf "$(b,%s)")
-                     Pqchaos.Driver.plan_names))))
+               (Terms.bold_list Pqchaos.Driver.plan_names)))
   in
   let scheds =
     Arg.(
@@ -395,10 +383,9 @@ let chaos_cmd =
           ~doc:
             (Printf.sprintf
                "Comma-separated schedule policies (%s) or $(b,all)."
-               (String.concat ", "
-                  (List.map
-                     (Printf.sprintf "$(b,%s)")
-                     Pqchaos.Driver.schedule_names))))
+               (Terms.bold_list
+                  (List.map Pqexplore.Policy.string_of_name
+                     Pqexplore.Policy.names))))
   in
   let seeds =
     Arg.(
@@ -463,9 +450,8 @@ let chaos_cmd =
         ~of_string:Pqchaos.Driver.plan_of_string plans
     in
     let* scheds =
-      Terms.parse_list
-        ~all:Pqchaos.Driver.schedules
-        ~of_string:Pqchaos.Driver.schedule_of_string scheds
+      Terms.parse_list ~all:Pqexplore.Policy.names
+        ~of_string:Pqexplore.Policy.name_of_string scheds
     in
     let* seeds =
       Terms.parse_list seeds ~of_string:(fun x ->
@@ -502,62 +488,14 @@ let chaos_cmd =
     let ppf = Format.formatter_of_buffer buf in
     if verbose then Format.fprintf ppf "%a@." Pqchaos.Driver.pp_cells cells;
     Format.fprintf ppf "%a@." Pqchaos.Driver.pp_summary cells;
-    let host_failures =
-      if not host then []
-      else begin
-        let host_scenarios =
-          List.filter
-            (fun s ->
-              not (Pqbenchlib.Scenario.sim_only (Pqchaos.Driver.scenario_of cfg s)))
-            scenarios
-        in
-        Format.fprintf ppf "@[<v>host soaks (%d domains):@,"
-          cfg.Pqchaos.Driver.nprocs;
-        let failures = ref [] in
-        List.iter
-          (fun (qname, _) ->
-            List.iter
-              (fun scn ->
-                List.iter
-                  (fun seed ->
-                    let o =
-                      Pqchaos.Host.soak ~queue:qname
-                        ~scenario:(Pqchaos.Driver.scenario_of cfg scn)
-                        ~nprocs:cfg.Pqchaos.Driver.nprocs
-                        ~npriorities:cfg.Pqchaos.Driver.npriorities
-                        ~ops_per_proc:
-                          (cfg.Pqchaos.Driver.ops_per_proc
-                          * cfg.Pqchaos.Driver.soak)
-                        ~seed
-                    in
-                    let ok = Result.is_ok o.Pqchaos.Host.conserved in
-                    Format.fprintf ppf
-                      "%-16s %-9s seed=%-4d ins=%-6d del=%-6d left=%-5d %s@,"
-                      qname scn seed o.Pqchaos.Host.inserts
-                      o.Pqchaos.Host.deletes o.Pqchaos.Host.leftover
-                      (if ok then "conserved" else "VIOLATED");
-                    if not ok then
-                      failures :=
-                        Printf.sprintf "%s/%s seed %d: %s" qname scn seed
-                          (Result.fold ~ok:(fun () -> "") ~error:Fun.id
-                             o.Pqchaos.Host.conserved)
-                        :: !failures)
-                  seeds)
-              host_scenarios)
-          Pqchaos.Host.queues;
-        Format.fprintf ppf "@]@.";
-        List.rev !failures
-      end
-    in
+    let host_failures = if host then Pqchaos.Host.run ppf cfg else [] in
     Format.pp_print_flush ppf ();
-    print_string (Buffer.contents buf);
-    Terms.write_report report (Buffer.contents buf);
-    match Pqchaos.Driver.gate cells @ host_failures with
-    | [] ->
-        Printf.printf "chaos: %d cells, worst verdict %s\n" (List.length cells)
-          (Pqchaos.Driver.verdict_label (Pqchaos.Driver.worst cells));
-        `Ok ()
-    | l -> `Error (false, String.concat "\n" l)
+    Terms.gate ?report (Buffer.contents buf)
+      (Pqchaos.Driver.gate cells @ host_failures)
+      ~pass_line:
+        (Printf.sprintf "chaos: %d cells, worst verdict %s\n"
+           (List.length cells)
+           (Pqchaos.Driver.verdict_label (Pqchaos.Driver.worst cells)))
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -636,11 +574,9 @@ let adapt_cmd =
             ~meta ()
         in
         let r = Pqadapt.Driver.run ~jobs cfg in
-        let text = Pqadapt.Driver.report_to_string r in
-        print_string text;
-        Terms.write_report report text;
-        if Pqadapt.Driver.passed r then `Ok ()
-        else `Error (false, String.concat "\n" r.Pqadapt.Driver.errors)
+        Terms.gate ?report
+          (Pqadapt.Driver.report_to_string r)
+          r.Pqadapt.Driver.errors
   in
   Cmd.v
     (Cmd.info "adapt"

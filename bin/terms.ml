@@ -72,15 +72,32 @@ let report =
     & opt (some string) None
     & info [ "report" ] ~docv:"FILE" ~doc:"Also write the report to $(docv).")
 
-(* write a command's report text to --report FILE, if given *)
-let write_report path text =
+(* the gate commands' one exit path: print the report, write it to
+   --report FILE if given, then pass (printing [pass_line]) or fail
+   with the gate errors, one per line *)
+let gate ?report ?(pass_line = "") text errors =
+  print_string text;
   Option.iter
     (fun path ->
       let oc = open_out path in
       output_string oc text;
       close_out oc;
       Printf.printf "wrote %s\n" path)
-    path
+    report;
+  match errors with
+  | [] ->
+      print_string pass_line;
+      `Ok ()
+  | errors -> `Error (false, String.concat "\n" errors)
+
+(* a gate error naming what failed, or none *)
+let failing prefix = function
+  | [] -> []
+  | names -> [ prefix ^ String.concat ", " names ]
+
+(* names as the bold, comma-separated list a --help text shows *)
+let bold_list names =
+  String.concat ", " (List.map (Printf.sprintf "$(b,%s)") names)
 
 (* a comma-separated list, each item through [of_string] (first error
    wins); [all], when given, is what the word "all" expands to *)

@@ -1,8 +1,9 @@
 module Scenario = Pqbenchlib.Scenario
-module Monitor = Pqchaos.Monitor
+module Monitor = Pqcheck.Monitor
+module Policy = Pqexplore.Policy
 
-(* The matrix.  Seed-major cell order (per seed: default,
-   random-preemption, pct) fixes which witness Lockdep.merge keeps. *)
+(* The matrix.  Seed-major cell order (per seed: default, random, pct)
+   fixes which witness Lockdep.merge keeps. *)
 
 let queues = Pqcore.Registry.names @ [ "Adaptive" ]
 let nprocs = 16
@@ -10,16 +11,9 @@ let npriorities = 16
 let ops_per_proc = 40
 let seeds = [ 42; 1; 7 ]
 
-let policies =
-  [
-    ("default", fun _ -> None);
-    ("random-preemption", fun seed -> Some (Pqexplore.Policy.random ~seed ()));
-    ("pct", fun seed -> Some (Pqexplore.Policy.pct ~seed ~nprocs ()));
-  ]
+let schedules = Policy.[ Default; Random; Pct ]
 
-let schedules = List.map fst policies
-
-type cell = { queue : string; schedule : string; seed : int }
+type cell = { queue : string; schedule : Policy.name; seed : int }
 
 let cells =
   List.concat_map
@@ -30,7 +24,7 @@ let cells =
         seeds)
     queues
 
-let label c = Printf.sprintf "%s/s%d" c.schedule c.seed
+let label c = Printf.sprintf "%s/s%d" (Policy.string_of_name c.schedule) c.seed
 
 let run_sim ?probe c =
   let create =
@@ -43,7 +37,7 @@ let run_sim ?probe c =
     else None
   in
   Scenario.run_sim ?probe
-    ?policy:((List.assoc c.schedule policies) c.seed)
+    ?policy:(Policy.named c.schedule ~seed:c.seed ~nprocs)
     ?create ~queue:c.queue ~nprocs ~npriorities ~ops_per_proc ~seed:c.seed
     Scenario.coinflip
 
@@ -171,21 +165,15 @@ let merge queue observed =
 let cycles r = Lockdep.cycles r.locks
 
 let findings r =
-  let _, races = Races.split r.races ~expects:(Races.expect r.queue) in
-  let _, locks =
-    Lockdep.split
-      (List.map (fun c -> Lockdep.Cycle c) (cycles r)
-      @ List.map (fun d -> Lockdep.Discipline d) r.locks.disc)
-      ~expects:(Lockdep.expect r.queue)
-  in
   List.map
     (fun (race : Races.race) ->
       Printf.sprintf "race %s %s/%s"
         (Option.value race.label ~default:"<unlabelled>")
         (Races.dir_name (Races.dir_of race.first.kind))
         (Races.dir_name (Races.dir_of race.second.kind)))
-    races
-  @ List.map (fun f -> "lock " ^ Lockdep.signature f) locks
+    r.races
+  @ List.map (fun c -> "lock " ^ Lockdep.signature (Cycle c)) (cycles r)
+  @ List.map (fun d -> "lock " ^ Lockdep.signature (Discipline d)) r.locks.disc
   @ List.map (fun (c, e) -> Printf.sprintf "aborted %s: %s" c e) r.aborted
   @ List.map (fun (c, e) -> Printf.sprintf "check %s: %s" c e) r.failed_checks
   @
@@ -247,7 +235,7 @@ let to_bench reports =
     Pqtrace.Bench_out.audit_nprocs = nprocs;
     audit_npriorities = npriorities;
     audit_ops_per_proc = ops_per_proc;
-    audit_schedules = schedules;
+    audit_schedules = List.map Policy.string_of_name schedules;
     audit_seeds = seeds;
     audit_rows =
       List.map

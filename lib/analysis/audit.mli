@@ -7,13 +7,12 @@
     {!seeds}.  Each cell runs once through
     {!Pqbenchlib.Scenario.run_sim} with one probe: its event sink feeds
     the {!Races} detector, and its note channel feeds both
-    {!Lockdep.feed} and the [Pqchaos.Monitor] streaming monitor.
+    {!Lockdep.feed} and the {!Pqcheck.Monitor} streaming monitor.
 
     A queue passes ({!findings} empty) when, over all its cells, there
-    are no data races outside {!Races.expect}, no lock-order cycles or
-    discipline findings outside {!Lockdep.expect}, no aborted run, the
-    scenario's own check and the monitor's conservation both hold, and
-    the worst rank error is within
+    are no data races, no lock-order cycles or discipline findings, no
+    aborted run, the scenario's own check and the monitor's
+    conservation both hold, and the worst rank error is within
     {!Pqcore.Multi_queue.rank_bound_for} (0 for strict queues and
     [Adaptive]).  Everything is deterministic per cell, so reports are
     byte-identical for any [jobs]. *)
@@ -21,8 +20,9 @@
 val queues : string list
 (** {!Pqcore.Registry.names} followed by ["Adaptive"] *)
 
-val schedules : string list
-(** ["default"; "random-preemption"; "pct"] *)
+val schedules : Pqexplore.Policy.name list
+(** [[Default; Random; Pct]]: every named schedule, in the cell order
+    that fixes which witness {!Lockdep.merge} keeps *)
 
 val seeds : int list
 (** [42; 1; 7] *)
@@ -31,7 +31,7 @@ val nprocs : int
 val npriorities : int
 val ops_per_proc : int
 
-type cell = { queue : string; schedule : string; seed : int }
+type cell = { queue : string; schedule : Pqexplore.Policy.name; seed : int }
 
 val cells : cell list
 (** the matrix: per queue (in {!queues} order), per seed, per schedule *)
@@ -49,7 +49,7 @@ type observed = {
   events : int;  (** probe events the race detector consumed *)
   races : Races.race list;
   locks : Lockdep.analysis;
-  monitor : Pqchaos.Monitor.report;
+  monitor : Pqcheck.Monitor.report;
   aborted : string option;
   check : (unit, string) result;  (** {!Pqbenchlib.Scenario.outcome.check} *)
 }

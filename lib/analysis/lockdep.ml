@@ -292,7 +292,7 @@ let cycles analysis =
   |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
-(* Findings, signatures and allowlists.                                *)
+(* Findings and signatures.                                           *)
 
 type finding = Cycle of string list | Discipline of disc
 
@@ -304,22 +304,6 @@ let disc_kind_name = function
 let signature = function
   | Cycle locks -> "cycle: " ^ String.concat " -> " locks
   | Discipline d -> Printf.sprintf "%s p%d %s" (disc_kind_name d.kind) d.proc d.lock
-
-(* Per-queue allowlists of finding-signature patterns ('*' matches a
-   maximal digit run, as in Races.expect).  Every list ships empty by
-   hard requirement: every audited queue must order its locks acyclically
-   and balance every acquire — the audit table in EXPERIMENTS.md is the
-   evidence.  The machinery stays as the gate for future relaxations. *)
-let expect (_queue : string) : string list = []
-
-let split findings ~expects =
-  List.partition_map
-    (fun f ->
-      let s = signature f in
-      match List.find_opt (fun pat -> Races.pattern_matches pat s) expects with
-      | Some pat -> Left (pat, f)
-      | None -> Right f)
-    findings
 
 (* ------------------------------------------------------------------ *)
 (* Reporting.                                                          *)

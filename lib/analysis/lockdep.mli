@@ -101,28 +101,16 @@ val cycles : analysis -> string list list
     two or more locks (plus self-loops, unproducible from a single
     well-formed stream), each as a sorted key list, sorted *)
 
-(** {1 Findings and allowlists} *)
+(** {1 Findings} *)
 
 type finding = Cycle of string list | Discipline of disc
 
 val disc_kind_name : disc_kind -> string
 
 val signature : finding -> string
-(** the allowlist-matchable rendering: ["cycle: A -> B"] or
-    ["double-release p2 HuntEtAl.heap_lock.tail"] *)
-
-val expect : string -> string list
-(** [expect queue] is the queue's allowlist of finding-signature
-    patterns (['*'] matches a maximal digit run, as
-    {!Races.pattern_matches}).  {b Every list ships empty} by hard
-    requirement: every {!Audit.queues} entry orders its locks
-    acyclically and balances every acquire.  The machinery stays as the gate for future
-    relaxations. *)
-
-val split :
-  finding list -> expects:string list -> (string * finding) list * finding list
-(** partition into (allowlisted, violations) by exact pattern match on
-    {!signature} *)
+(** the one-line rendering the audit reports: ["cycle: A -> B"] or
+    ["double-release p2 HuntEtAl.heap_lock.tail"].  Every cycle and
+    discipline finding is an {!Audit} finding; there is no allowlist. *)
 
 (** {1 Reporting} *)
 

@@ -189,56 +189,6 @@ let analyze ~mem obs =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Benign-race allowlists.                                             *)
-
-type expect = { pattern : string; first : dir; second : dir; reason : string }
-
-(* ['*'] matches a maximal nonempty run of decimal digits; everything
-   else is literal.  The whole label must match. *)
-let pattern_matches pat s =
-  let np = String.length pat and ns = String.length s in
-  let rec go i j =
-    if i = np then j = ns
-    else if pat.[i] = '*' then begin
-      let j' = ref j in
-      while !j' < ns && s.[!j'] >= '0' && s.[!j'] <= '9' do
-        incr j'
-      done;
-      !j' > j && go (i + 1) !j'
-    end
-    else j < ns && pat.[i] = s.[j] && go (i + 1) (j + 1)
-  in
-  go 0 0
-
-let expect_matches e (r : race) =
-  dir_of r.first.kind = e.first
-  && dir_of r.second.kind = e.second
-  && match r.label with Some l -> pattern_matches e.pattern l | None -> false
-
-(* Per-queue benign-race allowlists.  The four linearizable queues and
-   — as the audit in EXPERIMENTS.md shows — the three quiescent ones
-   are data-race free under the declared synchronization vocabulary, so
-   every list ships empty; the machinery stays, both as the gate for
-   future relaxations and because the audit table documents it. *)
-let expect = function
-  | "SingleLock" | "HuntEtAl" | "SkipList" | "SimpleLinear" ->
-      (* linearizable queues: the gate requires these stay empty *)
-      []
-  | "SimpleTree" | "LinearFunnels" | "FunnelTree" -> []
-  | _ -> []
-
-let split races ~expects =
-  let allowlisted, violations =
-    List.partition_map
-      (fun r ->
-        match List.find_opt (fun e -> expect_matches e r) expects with
-        | Some e -> Left (e, r)
-        | None -> Right r)
-      races
-  in
-  (allowlisted, violations)
-
-(* ------------------------------------------------------------------ *)
 (* Reporting.                                                          *)
 
 let pp_access ppf a =

@@ -23,10 +23,9 @@
     ({!Pqsim.Mem.name_of}), both access sites and the detecting
     processor's vector clock.
 
-    Races the design intends (quiescently consistent handoffs) are
-    declared per queue in {!expect} and matched {e exactly} by
-    (label pattern, first direction, second direction); the audit gate
-    fails on anything else. *)
+    There is no allowlist: every race {!Audit} sees is a finding.  The
+    three quiescently consistent queues keep their quiescence in
+    operation ordering, not in data races (DESIGN.md §13). *)
 
 type dir = R | W
 
@@ -73,29 +72,6 @@ val analyze : mem:Pqsim.Mem.t -> obs -> race list
     returned by the run that produced [obs].  Races are deduplicated by
     (line, direction signature) with an occurrence count, and sorted by
     address. *)
-
-(** {1 Benign-race allowlists} *)
-
-type expect = {
-  pattern : string;
-      (** label pattern; ['*'] matches a maximal nonempty digit run *)
-  first : dir;
-  second : dir;
-  reason : string;
-}
-
-val pattern_matches : string -> string -> bool
-val expect_matches : expect -> race -> bool
-
-val expect : string -> expect list
-(** [expect queue] is the queue's benign-race allowlist.  Empty for the
-    four linearizable queues by hard requirement — and, as the audit
-    shows, for the three quiescently consistent ones too: their
-    quiescence lives in operation ordering, not in data races (see
-    DESIGN.md §13). *)
-
-val split : race list -> expects:expect list -> (expect * race) list * race list
-(** partition into (allowlisted, violations) *)
 
 (** {1 Reporting} *)
 

@@ -20,26 +20,8 @@
      bound, never an error. *)
 
 module Scenario = Pqbenchlib.Scenario
-
-type schedule = Default | Pct | Random
-
-let schedule_name = function
-  | Default -> "default"
-  | Pct -> "pct"
-  | Random -> "random"
-
-let schedules = [ Default; Pct; Random ]
-let schedule_names = List.map schedule_name schedules
-
-let schedule_of_string s =
-  match s with
-  | "default" -> Ok Default
-  | "pct" -> Ok Pct
-  | "random" -> Ok Random
-  | _ ->
-      Error
-        (Printf.sprintf "unknown schedule %S (%s)" s
-           (String.concat "|" schedule_names))
+module Monitor = Pqcheck.Monitor
+module Policy = Pqexplore.Policy
 
 type verdict =
   | Healthy
@@ -73,29 +55,18 @@ type cell = {
   seed : int;
   verdict : verdict;
   cycles : int;
-  baseline_cycles : int;
   ops : int;
-  empties : int;
   worst_rank : int;
-  mean_rank : float;
   bound : int;
-  allowance : int;
-  max_delay : int;
-  settles : int;
-  inversions : int;
-  quiescent_points : int;
   live_high_water : int;
-  pending_high_water : int;
   dangling : int;
-  phantoms : int;
-  trigger : string;
 }
 
 type config = {
   queues : string list;
   scenarios : string list;
   plans : Plan.t option list;  (* [None] is the fault-free arm *)
-  scheds : schedule list;
+  scheds : Policy.name list;
   seeds : int list;
   nprocs : int;
   npriorities : int;
@@ -125,7 +96,7 @@ let default =
     queues = default_queues;
     scenarios = Scenario.names;
     plans = None :: List.map Option.some Plan.all;
-    scheds = [ Default; Pct ];
+    scheds = [ Policy.Default; Policy.Pct ];
     seeds = [ 42; 1; 7 ];
     nprocs = 4;
     npriorities = 16;
@@ -172,17 +143,11 @@ let compose fault sched : Pqsim.Sched.t =
   | (Pqsim.Sched.Stall_forever | Pqsim.Sched.Pause _) as v -> v
   | Pqsim.Sched.Run _ -> sched info
 
-let sched_policy sk ~seed ~nprocs =
-  match sk with
-  | Default -> None
-  | Pct -> Some (Pqexplore.Policy.pct ~seed ~nprocs ())
-  | Random -> Some (Pqexplore.Policy.random ~seed ())
-
 let run_cell cfg ~queue ~scn_name ~scn ~plan ~sched ~seed ~baseline =
   let nprocs = cfg.nprocs in
   let armed = Option.map (fun p -> Plan.arm p ~seed ~nprocs) plan in
   let policy =
-    match (armed, sched_policy sched ~seed ~nprocs) with
+    match (armed, Policy.named sched ~seed ~nprocs) with
     | None, None -> None
     | Some a, None -> Some a.Plan.policy
     | None, Some s -> Some s
@@ -217,13 +182,10 @@ let run_cell cfg ~queue ~scn_name ~scn ~plan ~sched ~seed ~baseline =
     | None -> 1
   in
   let m = Monitor.finalize ~slack_per_dangling monitor ~leftover:o.leftover in
-  let allowance = m.dangling in
-  let base_bound =
-    match Pqcore.Multi_queue.rank_bound_for queue ~nprocs with
-    | Some b -> b
-    | None -> 0
+  let bound =
+    Option.value ~default:0 (Pqcore.Multi_queue.rank_bound_for queue ~nprocs)
+    + m.dangling
   in
-  let bound = base_bound + allowance in
   let baseline_cycles = match baseline with Some b -> b | None -> o.cycles in
   let verdict =
     match o.aborted with
@@ -254,26 +216,15 @@ let run_cell cfg ~queue ~scn_name ~scn ~plan ~sched ~seed ~baseline =
     queue;
     scenario = scn_name;
     plan = (match plan with Some p -> Plan.name p | None -> "none");
-    sched = schedule_name sched;
+    sched = Policy.string_of_name sched;
     seed;
     verdict;
     cycles = o.cycles;
-    baseline_cycles;
     ops = m.inserts + m.rejects + m.rank.deletes + m.rank.empties;
-    empties = m.rank.empties;
     worst_rank = m.rank.max_rank;
-    mean_rank = m.rank.mean_rank;
     bound;
-    allowance;
-    max_delay = m.rank.max_delay;
-    settles = m.settles;
-    inversions = m.inversions;
-    quiescent_points = m.quiescent_points;
     live_high_water = m.live_high_water;
-    pending_high_water = m.pending_high_water;
     dangling = m.dangling;
-    phantoms = m.phantoms;
-    trigger = (match armed with Some a -> a.Plan.trigger | None -> "-");
   }
 
 (* one (queue, scenario, seed) group: baseline first, then every other
@@ -283,7 +234,7 @@ let run_cell cfg ~queue ~scn_name ~scn ~plan ~sched ~seed ~baseline =
 let run_group cfg (queue, scn_name, seed) =
   let scn = scenario_of cfg scn_name in
   let base =
-    run_cell cfg ~queue ~scn_name ~scn ~plan:None ~sched:Default ~seed
+    run_cell cfg ~queue ~scn_name ~scn ~plan:None ~sched:Policy.Default ~seed
       ~baseline:None
   in
   let rest = ref [] in
@@ -291,7 +242,7 @@ let run_group cfg (queue, scn_name, seed) =
     (fun plan ->
       List.iter
         (fun sched ->
-          if not (plan = None && sched = Default) then
+          if not (plan = None && sched = Policy.Default) then
             let cell =
               if base.verdict = Healthy then
                 run_cell cfg ~queue ~scn_name ~scn ~plan ~sched ~seed
@@ -300,10 +251,9 @@ let run_group cfg (queue, scn_name, seed) =
                 {
                   base with
                   plan = (match plan with Some p -> Plan.name p | None -> "none");
-                  sched = schedule_name sched;
+                  sched = Policy.string_of_name sched;
                   verdict = Blocked "baseline cell unhealthy";
                   cycles = 0;
-                  trigger = "-";
                 }
             in
             rest := cell :: !rest)
@@ -383,6 +333,36 @@ let summary_matrix cells =
             (plan, verdict_label (worst sub)))
           plans ))
     scenarios
+
+let to_bench cfg cells =
+  {
+    Pqtrace.Bench_out.chaos_nprocs = cfg.nprocs;
+    chaos_npriorities = cfg.npriorities;
+    chaos_ops_per_proc = cfg.ops_per_proc;
+    chaos_safe =
+      not
+        (List.exists
+           (fun c ->
+             match c.verdict with Safety_violation _ -> true | _ -> false)
+           cells);
+    cells =
+      List.map
+        (fun c ->
+          {
+            Pqtrace.Bench_out.cc_queue = c.queue;
+            cc_scenario = c.scenario;
+            cc_plan = c.plan;
+            cc_sched = c.sched;
+            cc_seed = c.seed;
+            cc_verdict = verdict_label c.verdict;
+            cc_cycles = c.cycles;
+            cc_ops = c.ops;
+            cc_worst_rank = c.worst_rank;
+            cc_bound = c.bound;
+            cc_dangling = c.dangling;
+          })
+        cells;
+  }
 
 let pp_cells ppf cells =
   Format.fprintf ppf

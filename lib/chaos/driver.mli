@@ -10,15 +10,6 @@
     or a finite one) — blocking algorithms dying under a crash is
     recorded, expected. *)
 
-type schedule = Default | Pct | Random
-
-val schedule_name : schedule -> string
-val schedules : schedule list
-(** every schedule, in {!schedule_names} order *)
-
-val schedule_names : string list
-val schedule_of_string : string -> (schedule, string) result
-
 (** the graceful-degradation taxonomy, ordered by {!severity} *)
 type verdict =
   | Healthy  (** completed, all invariants hold, within the time budget *)
@@ -40,33 +31,23 @@ type cell = {
   queue : string;
   scenario : string;
   plan : string;  (** "none" or a {!Plan.name} *)
-  sched : string;
+  sched : string;  (** a {!Pqexplore.Policy.string_of_name} *)
   seed : int;
   verdict : verdict;
   cycles : int;
-  baseline_cycles : int;
   ops : int;
-  empties : int;
   worst_rank : int;
-  mean_rank : float;
-  bound : int;  (** rank bound after dangling widening (0 for strict) *)
-  allowance : int;  (** the dangling widening applied to [bound] *)
-  max_delay : int;
-  settles : int;
-  inversions : int;
-  quiescent_points : int;
+  bound : int;
+      (** rank bound widened by one per [dangling] op (0 for strict) *)
   live_high_water : int;
-  pending_high_water : int;
   dangling : int;
-  phantoms : int;
-  trigger : string;
 }
 
 type config = {
   queues : string list;
   scenarios : string list;
   plans : Plan.t option list;  (** [None] is the fault-free arm *)
-  scheds : schedule list;
+  scheds : Pqexplore.Policy.name list;
   seeds : int list;
   nprocs : int;
   npriorities : int;
@@ -115,6 +96,9 @@ val worst : cell list -> verdict
 val summary_matrix : cell list -> (string * (string * string) list) list
 (** scenario -> (plan -> worst verdict label) across queues, seeds and
     schedules *)
+
+val to_bench : config -> cell list -> Pqtrace.Bench_out.chaos
+(** the cells of a run of [config] as BENCH.json's [chaos] section *)
 
 val pp_cells : Format.formatter -> cell list -> unit
 val pp_summary : Format.formatter -> cell list -> unit

@@ -148,3 +148,40 @@ let soak ~queue ~scenario:scn ~nprocs ~npriorities ~ops_per_proc ~seed =
     leftover = !leftover;
     conserved;
   }
+
+let run ppf (cfg : Driver.config) =
+  let scenarios =
+    List.filter_map
+      (fun name ->
+        let scn = Driver.scenario_of cfg name in
+        if Scenario.sim_only scn then None else Some (name, scn))
+      cfg.scenarios
+  in
+  Format.fprintf ppf "@[<v>host soaks (%d domains):@," cfg.nprocs;
+  let failures =
+    List.concat_map
+      (fun (queue, _) ->
+        List.concat_map
+          (fun (name, scenario) ->
+            List.filter_map
+              (fun seed ->
+                let o =
+                  soak ~queue ~scenario ~nprocs:cfg.nprocs
+                    ~npriorities:cfg.npriorities
+                    ~ops_per_proc:(cfg.ops_per_proc * cfg.soak) ~seed
+                in
+                let ok = Result.is_ok o.conserved in
+                Format.fprintf ppf
+                  "%-16s %-9s seed=%-4d ins=%-6d del=%-6d left=%-5d %s@,"
+                  queue name seed o.inserts o.deletes o.leftover
+                  (if ok then "conserved" else "VIOLATED");
+                match o.conserved with
+                | Ok () -> None
+                | Error e ->
+                    Some (Printf.sprintf "%s/%s seed %d: %s" queue name seed e))
+              cfg.seeds)
+          scenarios)
+      queues
+  in
+  Format.fprintf ppf "@]@.";
+  failures

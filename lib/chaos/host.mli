@@ -33,3 +33,9 @@ val soak :
     [nprocs - 1] spawned), then drain and check conservation.
     @raise Invalid_argument on a {!Pqbenchlib.Scenario.sim_only}
     scenario *)
+
+val run : Format.formatter -> Driver.config -> string list
+(** the chaos command's [--host] arm: {!soak} every host queue through
+    each of the config's phased scenarios x seeds on [nprocs] domains
+    ([ops_per_proc * soak] ops each), print one line per soak, and
+    return one gate error per soak that broke conservation *)

@@ -1,8 +1,9 @@
 (* Streaming invariant monitors over the probe note channel.
 
-   The rank monitor is an online reformulation of the post-hoc
-   quiescence-aware oracle in Pqcheck.Rank, engineered to use memory
-   bounded by O(npriorities + live elements) instead of O(ops):
+   The rank monitor is an online reformulation of the paper's
+   quiescence-aware rank oracle (Appendix B; the post-hoc reference
+   model lives in the test suite), engineered to use memory bounded by
+   O(npriorities + live elements) instead of O(ops):
 
    - Quiescent points are detected by in-flight counting: when a new
      invocation arrives at time [s] with nothing in flight and
@@ -24,14 +25,22 @@
    - Claims (delete responses) debit the settled copy first and erase
      empty entries, so the live table never outgrows the population.
 
-   Equivalence with Pqcheck.Rank.measure on complete histories is
+   Equivalence with the post-hoc oracle on complete histories is
    asserted by the test suite (same deletes/empties/max/mean/hist).
    Incomplete histories (crash faults leave dangling invocations)
    permanently suppress further quiescent points, so the streaming
    monitor under-measures — conservatively: strict queues still read
    0, and the driver widens relaxed bounds by the dangling-op count. *)
 
-module Tag = Pqbenchlib.Scenario.Tag
+module Tag = struct
+  let ins_invoke = 1
+  let ins_ok = 2
+  let ins_reject = 3
+  let del_invoke = 4
+  let del_some = 5
+  let del_none = 6
+  let settle = 7
+end
 
 type stream_stats = {
   mutable n : int;
@@ -385,3 +394,44 @@ let finalize ?(slack_per_dangling = 1) t ~leftover =
     pending_high_water = t.pending_hw;
     notes_seen = t.notes_seen;
   }
+
+(* a recorded history as the note stream its run would have emitted:
+   an invoke note at t0, a response note at t1, in cycle order with
+   responses first at equal cycles (an op may respond and its
+   processor invoke the next in one cycle) *)
+let of_history (h : History.t) =
+  let npriorities, nprocs =
+    List.fold_left
+      (fun (np, nc) (e : History.event) ->
+        let np =
+          match e.op with
+          | History.Insert { pri; _ } | History.Delete_min (Some (pri, _)) ->
+              max np (pri + 1)
+          | History.Delete_min None -> np
+        in
+        (np, max nc (e.proc + 1)))
+      (1, 1) h
+  in
+  let notes =
+    List.concat_map
+      (fun (e : History.event) ->
+        let invoke, response =
+          match e.op with
+          | History.Insert { pri; payload; accepted } ->
+              let ok = if accepted then Tag.ins_ok else Tag.ins_reject in
+              ((Tag.ins_invoke, pri, payload), (ok, pri, payload))
+          | History.Delete_min (Some (pri, payload)) ->
+              ((Tag.del_invoke, 0, 0), (Tag.del_some, pri, payload))
+          | History.Delete_min None ->
+              ((Tag.del_invoke, 0, 0), (Tag.del_none, 0, 0))
+        in
+        [ (e.t0, 1, e.proc, invoke); (e.t1, 0, e.proc, response) ])
+      h
+    |> List.stable_sort (fun (t, k, _, _) (t', k', _, _) ->
+           compare (t, k) (t', k'))
+  in
+  let m = create ~npriorities ~nprocs in
+  List.iter
+    (fun (time, _, proc, (tag, a, b)) -> note m ~proc ~time ~tag ~a ~b)
+    notes;
+  (finalize m ~leftover:[]).rank

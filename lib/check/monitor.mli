@@ -2,15 +2,16 @@
 
     One monitor attaches to one simulated run via
     [Pqsim.Probe.make ~notes:(Monitor.notes m) ()] and folds every
-    queue-op note into O(1)-amortised state as it arrives — no trace is
-    buffered, so soaks can run orders of magnitude longer than the
-    post-hoc {!Pqcheck} pipelines while the monitor's memory stays
+    queue-op note ({!Tag}) into O(1)-amortised state as it arrives — no
+    trace is buffered, so soaks can run orders of magnitude longer than
+    the post-hoc {!Lincheck} pipeline while the monitor's memory stays
     bounded by O(npriorities + live elements + nprocs).
 
     It maintains, online:
     - {e quiescence-aware rank error}, an incremental reformulation of
-      {!Pqcheck.Rank.measure} (equivalent on complete histories; see
-      the proof sketch in DESIGN.md §16): quiescent points are detected
+      the paper's Appendix B rank oracle (equivalent on complete
+      histories; see the proof sketch in DESIGN.md §16, and the test
+      suite's post-hoc reference model): quiescent points are detected
       by in-flight counting, insert candidates settle at quiescent
       points, and deletes pend as per-priority counts until the next
       quiescent point finalizes their prefix-sum ranks;
@@ -28,6 +29,25 @@
     (conservatively — strict queues still read 0) and reports the
     dangling count so the driver can widen relaxed bounds. *)
 
+(** Tags of the op-note protocol emitted by
+    [Pqbenchlib.Scenario.run_sim]'s instrumented queue wrapper.
+    Invocation notes carry the arguments; response notes the results;
+    [settle] is SSSP-specific (node, distance at which it was
+    settled). *)
+module Tag : sig
+  val ins_invoke : int  (** a = priority, b = payload *)
+
+  val ins_ok : int  (** a = priority, b = payload *)
+
+  val ins_reject : int  (** capacity rejection; a = priority, b = payload *)
+
+  val del_invoke : int
+  val del_some : int  (** a = priority, b = payload *)
+
+  val del_none : int
+  val settle : int  (** a = node, b = settled distance *)
+end
+
 type t
 
 val create : npriorities:int -> nprocs:int -> t
@@ -40,8 +60,9 @@ val note : t -> proc:int -> time:int -> tag:int -> a:int -> b:int -> unit
 (** feed one note directly (tests replay recorded histories this way) *)
 
 (** summary of the streaming rank/delay distributions; [rank_hist] and
-    [delay_hist] use the same power-of-two buckets as
-    {!Pqcheck.Rank.stats} *)
+    [delay_hist] are nonempty power-of-two buckets as (lower bound,
+    count): bucket 0 counts exact answers, bucket [2^k] counts values
+    in [2^k, 2^(k+1)) *)
 type rank_stats = {
   deletes : int;
   empties : int;
@@ -83,3 +104,8 @@ val finalize :
     [slack_per_dangling] (default 1) is the queue's in-hand bound: how
     many elements one crash-interrupted operation can strand in local
     state (1 plus any insertion/deletion buffering) *)
+
+val of_history : History.t -> rank_stats
+(** replay a recorded history as its note stream (an invoke note at
+    each op's [t0], a response note at its [t1], responses first at
+    equal cycles) and measure it: the rank figure's meter *)

@@ -9,16 +9,20 @@ let default_random = Random { freq = 4; max_delay = 300; max_weight = 4 }
 let default_pct = Pct { depth = 3; quantum = 50 }
 let default_dfs = Dfs { horizon = 6; branching = 2; quantum = 120 }
 
-let policy_kind_of_string = function
-  | "random" -> Ok default_random
-  | "pct" -> Ok default_pct
-  | "dfs" -> Ok default_dfs
-  | s -> Error (Printf.sprintf "unknown policy %S (random|pct|dfs)" s)
-
+(* the random and pct generators go by their Policy names *)
 let policy_kind_name = function
-  | Random _ -> "random"
-  | Pct _ -> "pct"
+  | Random _ -> Policy.string_of_name Policy.Random
+  | Pct _ -> Policy.string_of_name Policy.Pct
   | Dfs _ -> "dfs"
+
+let policy_kind_of_string s =
+  let kinds = [ default_random; default_pct; default_dfs ] in
+  match List.find_opt (fun k -> policy_kind_name k = s) kinds with
+  | Some k -> Ok k
+  | None ->
+      Error
+        (Printf.sprintf "unknown policy %S (%s)" s
+           (String.concat "|" (List.map policy_kind_name kinds)))
 
 type witness = {
   kind : [ `Lin | `Qc ];

@@ -63,3 +63,26 @@ let pct ~seed ~nprocs ?(depth = 3) ?(quantum = 50) ?(horizon = 256) () :
       if prio.(p) > prio.(info.proc) then incr rank
     done;
     Sched.Run { Sched.delay = quantum * !rank; weight = !rank }
+
+type name = Default | Pct | Random
+
+let names = [ Default; Pct; Random ]
+
+let string_of_name = function
+  | Default -> "default"
+  | Pct -> "pct"
+  | Random -> "random"
+
+let name_of_string s =
+  match List.find_opt (fun n -> string_of_name n = s) names with
+  | Some n -> Ok n
+  | None ->
+      Error
+        (Printf.sprintf "unknown schedule %S (%s)" s
+           (String.concat "|" (List.map string_of_name names)))
+
+let named name ~seed ~nprocs =
+  match name with
+  | Default -> None
+  | Pct -> Some (pct ~seed ~nprocs ())
+  | Random -> Some (random ~seed ())

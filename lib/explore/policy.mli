@@ -36,3 +36,24 @@ val pct :
     points within the first [horizon] (default 256) steps, the processor
     scheduling at that step is demoted below everyone — the priority
     inversions that catch bugs of preemption depth [depth]. *)
+
+(** {1 The named schedules}
+
+    The one schedule vocabulary of the gates: the engine's own order
+    plus the two generators above at their defaults.  The audit, the
+    chaos matrix and the rank-error figure all draw from it. *)
+
+type name = Default | Pct | Random
+
+val names : name list
+(** [[Default; Pct; Random]] *)
+
+val string_of_name : name -> string
+(** ["default"], ["pct"], ["random"] *)
+
+val name_of_string : string -> (name, string) result
+(** the inverse of {!string_of_name}; the error lists the valid set *)
+
+val named : name -> seed:int -> nprocs:int -> Pqsim.Sched.t option
+(** [None] (the engine's FIFO order) for [Default], else {!pct} or
+    {!random} at [seed] with their default parameters *)

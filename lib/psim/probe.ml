@@ -19,7 +19,7 @@ type ev =
 
 (* Tags of the lock-event note protocol (Api.note) emitted by the
    Pqsync locks.  Offset well above the workload op-note tags (1..7,
-   Pqbenchlib.Scenario.Tag) so the two vocabularies share the one note
+   Pqcheck.Monitor.Tag) so the two vocabularies share the one note
    channel; any consumer dispatching on tags must ignore unknown ones. *)
 module Lock_tag = struct
   let acquire = 32

@@ -48,7 +48,7 @@ type ev =
     non-blocking attempt — which therefore never implies ownership, the
     distinction the lock-order analyzer ({!Pqanalysis.Lockdep}) relies
     on.  The namespace is disjoint from the workload op-note tags
-    (1..7, [Pqbenchlib.Scenario.Tag]): the two protocols share the one
+    (1..7, [Pqcheck.Monitor.Tag]): the two protocols share the one
     allocation-free channel, so any note consumer dispatching on tags
     must ignore tags it does not know. *)
 module Lock_tag : sig

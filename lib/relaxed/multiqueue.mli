@@ -7,8 +7,8 @@
     minima and extracts from the smaller one ("pick-2").  No operation
     ever waits for a specific peer, so throughput scales with
     processors; in exchange delete-min returns {e an} small element, not
-    {e the} smallest — the rank error, measured by {!Pqcheck.Rank}, is a
-    random variable bounded in expectation by O(slots).
+    {e the} smallest — the rank error, measured by [Pqcheck.Monitor],
+    is a random variable bounded in expectation by O(slots).
 
     Variants (the registry's ablation surface):
     - {b stickiness}: a processor reuses its picked slots for

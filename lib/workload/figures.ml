@@ -475,10 +475,10 @@ let relaxed_scale scale =
   data
 
 let rank_error scale =
-  (* the quality side of the relaxation trade: worst measured rank error
-     across default / random-preemption / PCT schedules (seeds 42, 1, 7)
-     per concurrency.  FunnelTree rides along as the strict baseline —
-     the oracle holds every strict queue to exactly 0. *)
+  (* the quality side of the relaxation trade: worst rank error the
+     streaming monitor measures across the named schedules (seeds 42,
+     1, 7) per concurrency.  FunnelTree rides along as the strict
+     baseline — the monitor holds every strict queue to exactly 0. *)
   let procs = concurrencies scale [ 2; 4; 8; 16 ] in
   let data =
     grid scale
@@ -490,18 +490,15 @@ let rank_error scale =
           List.fold_left
             (fun worst seed ->
               List.fold_left
-                (fun worst policy ->
+                (fun worst name ->
                   let h =
                     Pqcheck.History.record ~queue ~nprocs:p ~npriorities:16
-                      ~ops_per_proc:30 ~seed ?policy ()
+                      ~ops_per_proc:30 ~seed
+                      ?policy:(Pqexplore.Policy.named name ~seed ~nprocs:p)
+                      ()
                   in
-                  max worst (Pqcheck.Rank.measure h).Pqcheck.Rank.max_rank)
-                worst
-                [
-                  None;
-                  Some (Pqexplore.Policy.random ~seed ());
-                  Some (Pqexplore.Policy.pct ~seed ~nprocs:p ());
-                ])
+                  max worst (Pqcheck.Monitor.of_history h).max_rank)
+                worst Pqexplore.Policy.names)
             0 [ 42; 1; 7 ]
         in
         (p, float_of_int worst))

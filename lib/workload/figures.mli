@@ -96,9 +96,10 @@ val relaxed_scale : scale -> Table.series list
     paper's full 2-256 processor sweep *)
 
 val rank_error : scale -> Table.series list
-(** pqrelax: worst measured rank error per concurrency for every
-    MultiQueue variant (FunnelTree rides along as the strict zero
-    baseline), over default/random-preemption/PCT schedules *)
+(** pqrelax: worst rank error per concurrency for every MultiQueue
+    variant (FunnelTree rides along as the strict zero baseline), over
+    the {!Pqexplore.Policy.names} schedules, as
+    {!Pqcheck.Monitor.of_history} measures each recorded history *)
 
 val burst_phases : scale -> Table.series list
 (** the bursty-Zipf scenario as a figure family: per-phase mean latency

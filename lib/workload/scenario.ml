@@ -1,15 +1,5 @@
 open Pqsim
 
-module Tag = struct
-  let ins_invoke = 1
-  let ins_ok = 2
-  let ins_reject = 3
-  let del_invoke = 4
-  let del_some = 5
-  let del_none = 6
-  let settle = 7
-end
-
 type phase =
   | Mixed of { ops : int; bias : int }
   | Produce of { ops : int; skew : float }
@@ -309,31 +299,31 @@ let run_sim ?probe ?policy ?watchdog ?machine ?(track = true)
      feed the watchdog, or a crashed worker spins the run forever) *)
   let noted_ops ~progress_on_empty (q : Pqcore.Pq_intf.t) pid =
     let insert ~pri ~payload =
-      Api.note Tag.ins_invoke pri payload;
+      Api.note Pqcheck.Monitor.Tag.ins_invoke pri payload;
       let ok = q.Pqcore.Pq_intf.insert ~pri ~payload in
       if ok then begin
-        Api.note Tag.ins_ok pri payload;
+        Api.note Pqcheck.Monitor.Tag.ins_ok pri payload;
         ins_n.(pid) <- ins_n.(pid) + 1;
         if track then inserted.(pid) <- (pri, payload) :: inserted.(pid)
       end
       else begin
-        Api.note Tag.ins_reject pri payload;
+        Api.note Pqcheck.Monitor.Tag.ins_reject pri payload;
         rej_n.(pid) <- rej_n.(pid) + 1
       end;
       Api.progress ();
       ok
     in
     let delete_min () =
-      Api.note Tag.del_invoke 0 0;
+      Api.note Pqcheck.Monitor.Tag.del_invoke 0 0;
       match q.Pqcore.Pq_intf.delete_min () with
       | Some (pri, payload) as r ->
-          Api.note Tag.del_some pri payload;
+          Api.note Pqcheck.Monitor.Tag.del_some pri payload;
           del_n.(pid) <- del_n.(pid) + 1;
           if track then deleted.(pid) <- (pri, payload) :: deleted.(pid);
           Api.progress ();
           r
       | None ->
-          Api.note Tag.del_none 0 0;
+          Api.note Pqcheck.Monitor.Tag.del_none 0 0;
           empty_n.(pid) <- empty_n.(pid) + 1;
           if progress_on_empty then Api.progress ();
           None
@@ -399,7 +389,7 @@ let run_sim ?probe ?policy ?watchdog ?machine ?(track = true)
           | Some (d, u) ->
               let du = Api.read (dist + u) in
               if d <= du then begin
-                Api.note Tag.settle u d;
+                Api.note Pqcheck.Monitor.Tag.settle u d;
                 Array.iter
                   (fun (v, w) ->
                     let nd = d + w in

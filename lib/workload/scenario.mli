@@ -15,26 +15,9 @@
     simulated shared memory and is {!sim_only}.
 
     Under a probe, every queue access additionally streams an
-    all-integer {!Pqsim.Api.note} record ({!Tag}) that the {!Pqchaos}
-    streaming monitors fold online — no trace buffering. *)
-
-(** Tags of the op-note protocol emitted by {!run_sim}'s instrumented
-    queue wrapper (and consumed by [Pqchaos.Monitor]).  Invocation
-    notes carry the arguments; response notes the results; [settle]
-    is SSSP-specific (node, distance at which it was settled). *)
-module Tag : sig
-  val ins_invoke : int  (** a = priority, b = payload *)
-
-  val ins_ok : int  (** a = priority, b = payload *)
-
-  val ins_reject : int  (** capacity rejection; a = priority, b = payload *)
-
-  val del_invoke : int
-  val del_some : int  (** a = priority, b = payload *)
-
-  val del_none : int
-  val settle : int  (** a = node, b = settled distance *)
-end
+    all-integer {!Pqsim.Api.note} record ({!Pqcheck.Monitor.Tag}) that
+    the streaming {!Pqcheck.Monitor} folds online — no trace
+    buffering. *)
 
 (** One phase of a processor's life. *)
 type phase =

@@ -1,3 +1,5 @@
+open Pqcheck
+
 type stats = {
   deletes : int;
   empties : int;

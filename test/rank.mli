@@ -1,9 +1,10 @@
-(** Quantitative rank-error verification of priority-queue histories.
+(** The post-hoc rank-error oracle: the reference model the test suite
+    holds {!Pqcheck.Monitor}'s streaming rank measurement to.
 
-    Where {!Lincheck} gives a yes/no consistency verdict, this oracle
-    measures {e how far} from exact a queue's delete-min answers are —
-    the quality metric of the relaxed-queue literature (MultiQueues,
-    k-LSM).  It replays a recorded history against the multiset of
+    Where {!Pqcheck.Lincheck} gives a yes/no consistency verdict, this
+    oracle measures {e how far} from exact a queue's delete-min answers
+    are — the quality metric of the relaxed-queue literature
+    (MultiQueues, k-LSM).  It replays a recorded history against the multiset of
     elements that are {e definitely live} at each delete.
 
     "Definitely" is judged against the weakest guarantee any strict
@@ -49,6 +50,6 @@ type stats = {
   delay_hist : (int * int) list;
 }
 
-val measure : History.t -> stats
+val measure : Pqcheck.History.t -> stats
 
 val pp : Format.formatter -> stats -> unit

@@ -184,65 +184,6 @@ let test_wake_edge_no_race () =
   check_int "no races" 0 (List.length races)
 
 (* ------------------------------------------------------------------ *)
-(* allowlist matching *)
-
-let mk_race ?(label = Some "Q.counter[3].rec[12]+3") ~first ~second () =
-  let acc kind proc =
-    { Races.proc; kind; time = 0; sync = false }
-  in
-  let k = function Races.R -> Pqsim.Probe.Read | Races.W -> Pqsim.Probe.Write in
-  {
-    Races.addr = 0;
-    label;
-    first = acc (k first) 0;
-    second = acc (k second) 1;
-    second_clock = [| 0; 0 |];
-    first_epoch = 0;
-    count = 1;
-  }
-
-let test_pattern_matches () =
-  let yes p s = check_bool (p ^ " ~ " ^ s) true (Races.pattern_matches p s) in
-  let no p s = check_bool (p ^ " !~ " ^ s) false (Races.pattern_matches p s) in
-  yes "Q.counter[*].rec[*]+3" "Q.counter[3].rec[12]+3";
-  yes "Q.bin[*]" "Q.bin[0]";
-  no "Q.counter[*].rec[*]+3" "Q.counter[3].rec[12]+4";
-  no "Q.counter[*]" "Q.counter[]" (* '*' needs a nonempty digit run *);
-  no "Q.counter[*]" "Q.counter[x]";
-  no "Q.counter[*]" "Q.counter[3].lock" (* anchored: no trailing slack *);
-  no "Q.bin" "Q.bin[0]"
-
-let test_expect_exactness () =
-  let e =
-    {
-      Races.pattern = "Q.counter[*].rec[*]+3";
-      first = Races.W;
-      second = Races.W;
-      reason = "test";
-    }
-  in
-  check_bool "matching race" true
-    (Races.expect_matches e (mk_race ~first:Races.W ~second:Races.W ()));
-  check_bool "direction mismatch rejected" false
-    (Races.expect_matches e (mk_race ~first:Races.R ~second:Races.W ()));
-  check_bool "unlabeled race never allowlisted" false
-    (Races.expect_matches e (mk_race ~label:None ~first:Races.W ~second:Races.W ()));
-  let allowlisted, violations =
-    Races.split
-      [ mk_race ~first:Races.W ~second:Races.W ();
-        mk_race ~first:Races.R ~second:Races.W () ]
-      ~expects:[ e ]
-  in
-  check_int "one allowlisted" 1 (List.length allowlisted);
-  check_int "one violation" 1 (List.length violations)
-
-let test_linearizable_allowlists_empty () =
-  (* hard requirement: the four linearizable queues carry no allowlist *)
-  List.iter
-    (fun q -> check_int (q ^ " allowlist empty") 0 (List.length (Races.expect q)))
-    [ "SingleLock"; "HuntEtAl"; "SkipList"; "SimpleLinear" ]
-
-(* ------------------------------------------------------------------ *)
 (* lint: pinned accept/reject fragments *)
 
 let rules vs = List.map (fun v -> v.Lint.rule) vs
@@ -425,40 +366,6 @@ let test_lockdep_held_at_quiescence () =
   let a = Lockdep.analyze ~quiescent:false (feed_history evs) in
   check_int "not judged when not quiescent" 0 (List.length a.Lockdep.disc)
 
-let test_lockdep_allowlist_matching () =
-  let d =
-    {
-      Lockdep.kind = Lockdep.Double_release;
-      proc = 2;
-      lock = "Q.bin[3]";
-      time = 9;
-      occurrences = 1;
-    }
-  in
-  let findings =
-    [ Lockdep.Cycle [ "Q.a"; "Q.b" ]; Lockdep.Discipline d ]
-  in
-  Alcotest.(check string) "cycle signature" "cycle: Q.a -> Q.b"
-    (Lockdep.signature (List.hd findings));
-  (* exact-match semantics: the whole signature, digit runs via '*' *)
-  let allowlisted, violations =
-    Lockdep.split findings ~expects:[ "cycle: Q.a -> Q.b" ]
-  in
-  check_int "cycle allowlisted" 1 (List.length allowlisted);
-  check_int "discipline still violates" 1 (List.length violations);
-  let allowlisted, violations =
-    Lockdep.split findings ~expects:[ "double-release p* Q.bin[*]" ]
-  in
-  check_int "digit-run pattern matches" 1 (List.length allowlisted);
-  check_int "cycle still violates" 1 (List.length violations);
-  let _, violations = Lockdep.split findings ~expects:[ "cycle: Q.a" ] in
-  check_int "prefix does not match (anchored)" 2 (List.length violations);
-  (* hard requirement: every shipped allowlist is empty *)
-  List.iter
-    (fun q ->
-      check_int (q ^ " allowlist empty") 0 (List.length (Lockdep.expect q)))
-    Audit.queues
-
 (* interpret (flag, lock) pairs into a well-formed per-proc history:
    release the innermost hold when flagged, else acquire when not held
    (a held re-request becomes a failed try); balance everything at the
@@ -564,13 +471,9 @@ let test_lockdep_abba_cycle_without_deadlock () =
   check_int "one potential-deadlock cycle" 1 (List.length cycles);
   check_bool "A and B form it" true (List.mem [ "toy.A"; "toy.B" ] cycles);
   check_int "discipline clean" 0 (List.length analysis.Lockdep.disc);
-  (* and it is a gate violation under the (empty) allowlist *)
-  let _, violations =
-    Lockdep.split
-      (List.map (fun c -> Lockdep.Cycle c) cycles)
-      ~expects:(Lockdep.expect "toy")
-  in
-  check_int "flagged" 1 (List.length violations)
+  Alcotest.(check (list string))
+    "reported as" [ "cycle: toy.A -> toy.B" ]
+    (List.map (fun c -> Lockdep.signature (Lockdep.Cycle c)) cycles)
 
 let test_lockdep_hunt_double_release_flagged () =
   (* re-introduce the PR 5 bug shape: a HuntEtAl-style sift-down that
@@ -602,18 +505,15 @@ let test_lockdep_hunt_double_release_flagged () =
     Lockdep.analyze ~label:(Pqsim.Mem.name_of (Option.get !mem_ref)) obs
   in
   check_int "no cycles" 0 (List.length (Lockdep.cycles analysis));
-  (match analysis.Lockdep.disc with
+  match analysis.Lockdep.disc with
   | [ d ] ->
       check_bool "double release" true (d.Lockdep.kind = Lockdep.Double_release);
       Alcotest.(check string) "on the child lock" "HuntFixture.node[2]"
-        d.Lockdep.lock
-  | _ -> Alcotest.fail "expected exactly the double-release finding");
-  let _, violations =
-    Lockdep.split
-      (List.map (fun d -> Lockdep.Discipline d) analysis.Lockdep.disc)
-      ~expects:(Lockdep.expect "HuntEtAl")
-  in
-  check_int "flagged" 1 (List.length violations)
+        d.Lockdep.lock;
+      Alcotest.(check string) "reported as"
+        "double-release p0 HuntFixture.node[2]"
+        (Lockdep.signature (Lockdep.Discipline d))
+  | _ -> Alcotest.fail "expected exactly the double-release finding"
 
 let test_lockdep_head_audits_clean () =
   (* current HEAD must audit clean — the seed-42 cells here; the full
@@ -654,7 +554,7 @@ let test_audit_probe_passive () =
      does, and none of them perturbs the run *)
   List.iter
     (fun queue ->
-      let cell = { Audit.queue; schedule = "pct"; seed = 7 } in
+      let cell = { Audit.queue; schedule = Pqexplore.Policy.Pct; seed = 7 } in
       let composed = Audit.run_cell cell in
       let solo what probe =
         let o = Audit.run_sim ~probe cell in
@@ -676,14 +576,14 @@ let test_audit_probe_passive () =
            locks
         = composed.locks);
       let m =
-        Pqchaos.Monitor.create ~npriorities:Audit.npriorities
+        Pqcheck.Monitor.create ~npriorities:Audit.npriorities
           ~nprocs:Audit.nprocs
       in
       let o =
-        solo "monitor" (Pqsim.Probe.make ~notes:(Pqchaos.Monitor.notes m) ())
+        solo "monitor" (Pqsim.Probe.make ~notes:(Pqcheck.Monitor.notes m) ())
       in
       check_bool (queue ^ " monitor report") true
-        (Pqchaos.Monitor.finalize m ~leftover:o.leftover = composed.monitor))
+        (Pqcheck.Monitor.finalize m ~leftover:o.leftover = composed.monitor))
     [ "SimpleTree"; "HuntEtAl"; "MultiQueue" ]
 
 let test_audit_exit_rule () =
@@ -692,7 +592,11 @@ let test_audit_exit_rule () =
     Audit.merge "SingleLock"
       [
         Audit.run_cell
-          { Audit.queue = "SingleLock"; schedule = "default"; seed = 42 };
+          {
+            Audit.queue = "SingleLock";
+            schedule = Pqexplore.Policy.Default;
+            seed = 42;
+          };
       ]
   in
   Alcotest.(check (list string)) "clean" [] (Audit.findings clean);
@@ -816,13 +720,6 @@ let () =
           Alcotest.test_case "TAS handoff clean" `Quick test_tas_handoff_no_race;
           Alcotest.test_case "wake edge clean" `Quick test_wake_edge_no_race;
         ] );
-      ( "allowlist",
-        [
-          Alcotest.test_case "pattern matching" `Quick test_pattern_matches;
-          Alcotest.test_case "expect exactness" `Quick test_expect_exactness;
-          Alcotest.test_case "linearizable queues: empty" `Quick
-            test_linearizable_allowlists_empty;
-        ] );
       ( "lint",
         [
           Alcotest.test_case "module ref rejected" `Quick
@@ -852,8 +749,6 @@ let () =
           Alcotest.test_case "double release" `Quick test_lockdep_double_release;
           Alcotest.test_case "held at quiescence" `Quick
             test_lockdep_held_at_quiescence;
-          Alcotest.test_case "allowlist matching" `Quick
-            test_lockdep_allowlist_matching;
           Alcotest.test_case "AB/BA cycle w/o deadlock" `Quick
             test_lockdep_abba_cycle_without_deadlock;
           Alcotest.test_case "Hunt double release flagged" `Quick

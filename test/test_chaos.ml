@@ -5,7 +5,7 @@
    soaks, and the host-side scenario soaks. *)
 
 module S = Pqbenchlib.Scenario
-module M = Pqchaos.Monitor
+module M = Pqcheck.Monitor
 module D = Pqchaos.Driver
 
 let check_int = Alcotest.(check int)
@@ -156,7 +156,7 @@ let prop_hold_conserves_on_model =
 (* ------------------------------------------------------------------ *)
 (* streaming monitor: unit cases via direct note feeding *)
 
-let tag = (S.Tag.ins_invoke, S.Tag.ins_ok, S.Tag.del_invoke, S.Tag.del_some)
+let tag = (M.Tag.ins_invoke, M.Tag.ins_ok, M.Tag.del_invoke, M.Tag.del_some)
 
 let test_monitor_phantom_delete () =
   let ins_invoke, ins_ok, del_invoke, del_some = tag in
@@ -216,7 +216,7 @@ let test_monitor_rank_out_of_order () =
 
 (* run a scenario under a recording probe, then replay the same note
    stream through a fresh monitor and reconstruct the operation history
-   for Pqcheck.Rank.measure: the streaming reformulation must agree *)
+   for the post-hoc oracle (Rank): the streaming reformulation must agree *)
 let record ~queue ~scenario ~seed ~policy =
   let notes = ref [] in
   let probe =
@@ -240,7 +240,7 @@ let history_of_notes notes =
   let pending = Hashtbl.create 8 in
   List.filter_map
     (fun (proc, time, tg, a, b) ->
-      if tg = S.Tag.ins_invoke || tg = S.Tag.del_invoke then begin
+      if tg = M.Tag.ins_invoke || tg = M.Tag.del_invoke then begin
         Hashtbl.replace pending proc (a, b, time);
         None
       end
@@ -248,8 +248,8 @@ let history_of_notes notes =
         (* the channel multiplexes protocols: only op-response tags
            close an invocation (lock notes etc. must be ignored) *)
         not
-          (tg = S.Tag.ins_ok || tg = S.Tag.ins_reject || tg = S.Tag.del_some
-         || tg = S.Tag.del_none)
+          (tg = M.Tag.ins_ok || tg = M.Tag.ins_reject || tg = M.Tag.del_some
+         || tg = M.Tag.del_none)
       then None
       else
         match Hashtbl.find_opt pending proc with
@@ -257,18 +257,26 @@ let history_of_notes notes =
         | Some (ia, ib, t0) ->
             Hashtbl.remove pending proc;
             let op =
-              if tg = S.Tag.ins_ok then
+              if tg = M.Tag.ins_ok then
                 Pqcheck.History.Insert
                   { pri = ia; payload = ib; accepted = true }
-              else if tg = S.Tag.ins_reject then
+              else if tg = M.Tag.ins_reject then
                 Pqcheck.History.Insert
                   { pri = ia; payload = ib; accepted = false }
-              else if tg = S.Tag.del_some then
+              else if tg = M.Tag.del_some then
                 Pqcheck.History.Delete_min (Some (a, b))
               else Pqcheck.History.Delete_min None
             in
             Some { Pqcheck.History.proc; op; t0; t1 = time })
     notes
+
+let check_same_rank (s : Rank.stats) (r : M.rank_stats) =
+  check_int "same deletes" s.deletes r.deletes;
+  check_int "same empties" s.empties r.empties;
+  check_int "same max rank" s.max_rank r.max_rank;
+  Alcotest.(check (float 1e-9)) "same mean rank" s.mean_rank r.mean_rank;
+  check_int "same max delay" s.max_delay r.max_delay;
+  Alcotest.(check (float 1e-9)) "same mean delay" s.mean_delay r.mean_delay
 
 let equivalence_case ~queue ~scenario ~seed ~policy () =
   let notes, o = record ~queue ~scenario ~seed ~policy in
@@ -281,16 +289,8 @@ let equivalence_case ~queue ~scenario ~seed ~policy () =
     (fun (proc, time, tag, a, b) -> M.note m ~proc ~time ~tag ~a ~b)
     notes;
   let r = M.finalize m ~leftover:o.S.leftover in
-  let s = Pqcheck.Rank.measure (history_of_notes notes) in
   check_bool "stream conserved" true (Result.is_ok r.M.conservation);
-  check_int "same deletes" s.Pqcheck.Rank.deletes r.M.rank.M.deletes;
-  check_int "same empties" s.Pqcheck.Rank.empties r.M.rank.M.empties;
-  check_int "same max rank" s.Pqcheck.Rank.max_rank r.M.rank.M.max_rank;
-  Alcotest.(check (float 1e-9))
-    "same mean rank" s.Pqcheck.Rank.mean_rank r.M.rank.M.mean_rank;
-  check_int "same max delay" s.Pqcheck.Rank.max_delay r.M.rank.M.max_delay;
-  Alcotest.(check (float 1e-9))
-    "same mean delay" s.Pqcheck.Rank.mean_delay r.M.rank.M.mean_delay
+  check_same_rank (Rank.measure (history_of_notes notes)) r.M.rank
 
 let equivalence_cases =
   List.concat_map
@@ -314,6 +314,32 @@ let equivalence_cases =
         [ ("coinflip", S.coinflip); ("hold", S.hold); ("burst", S.burst) ])
     [ "SkipList"; "MultiQueue" ]
 
+(* the other direction: a History.record history replayed as notes by
+   Monitor.of_history (the rank figure's meter) against the oracle, for
+   a relaxed and a strict queue under every named schedule *)
+let of_history_cases =
+  List.concat_map
+    (fun queue ->
+      List.concat_map
+        (fun seed ->
+          List.map
+            (fun name ->
+              Alcotest.test_case
+                (Printf.sprintf "of_history %s seed %d %s" queue seed
+                   (Pqexplore.Policy.string_of_name name))
+                `Quick
+                (fun () ->
+                  let h =
+                    Pqcheck.History.record ~queue ~nprocs:8 ~npriorities:16
+                      ~ops_per_proc:30 ~seed
+                      ?policy:(Pqexplore.Policy.named name ~seed ~nprocs:8)
+                      ()
+                  in
+                  check_same_rank (Rank.measure h) (M.of_history h)))
+            Pqexplore.Policy.names)
+        [ 42; 7 ])
+    [ "MultiQueue"; "FunnelTree" ]
+
 (* ------------------------------------------------------------------ *)
 (* the chaos driver *)
 
@@ -324,7 +350,7 @@ let test_driver_tiny_matrix_gates_clean () =
       queues = [ "SkipList"; "MultiQueue" ];
       scenarios = [ "coinflip"; "hold" ];
       plans = [ None; Some (Pqchaos.Plan.Pause_resume { pause = 5_000 }) ];
-      scheds = [ D.Default; D.Pct ];
+      scheds = [ Pqexplore.Policy.Default; Pqexplore.Policy.Pct ];
       seeds = [ 42 ];
       ops_per_proc = 8;
     }
@@ -349,7 +375,7 @@ let test_driver_crash_blockage_not_gated () =
       queues = [ "SingleLock" ];
       scenarios = [ "coinflip" ];
       plans = [ None; Some Pqchaos.Plan.Crash_lock_holder ];
-      scheds = [ D.Default ];
+      scheds = [ Pqexplore.Policy.Default ];
       seeds = [ 42 ];
       ops_per_proc = 8;
     }
@@ -369,7 +395,7 @@ let test_driver_jobs_invariant () =
       queues = [ "SkipList"; "MultiQueueC4" ];
       scenarios = [ "hold"; "sssp" ];
       plans = [ None; Some Pqchaos.Plan.Crash_random ];
-      scheds = [ D.Default ];
+      scheds = [ Pqexplore.Policy.Default ];
       seeds = [ 42; 7 ];
       ops_per_proc = 8;
     }
@@ -387,7 +413,7 @@ let test_driver_soak_memory_bounded () =
       queues = [ "SkipList" ];
       scenarios = [ "hold" ];
       plans = [ None ];
-      scheds = [ D.Default ];
+      scheds = [ Pqexplore.Policy.Default ];
       seeds = [ 42 ];
       ops_per_proc = 30;
       soak = 10;
@@ -411,12 +437,12 @@ let test_driver_soak_memory_bounded () =
 let test_schedule_and_plan_parsing () =
   List.iter
     (fun n ->
-      match D.schedule_of_string n with
-      | Ok s -> Alcotest.(check string) "roundtrip" n (D.schedule_name s)
-      | Error e -> Alcotest.fail e)
-    D.schedule_names;
+      let s = Pqexplore.Policy.string_of_name n in
+      check_bool ("roundtrip " ^ s) true
+        (Pqexplore.Policy.name_of_string s = Ok n))
+    Pqexplore.Policy.names;
   check_bool "unknown schedule rejected" true
-    (Result.is_error (D.schedule_of_string "fair"));
+    (Result.is_error (Pqexplore.Policy.name_of_string "fair"));
   (match D.plan_of_string "none" with
   | Ok None -> ()
   | _ -> Alcotest.fail "none must parse as the fault-free arm");
@@ -512,7 +538,7 @@ let () =
           Alcotest.test_case "rank error measured" `Quick
             test_monitor_rank_out_of_order;
         ] );
-      ("monitor=oracle", equivalence_cases);
+      ("monitor=oracle", equivalence_cases @ of_history_cases);
       ( "driver",
         [
           Alcotest.test_case "tiny matrix gates clean" `Quick

@@ -241,6 +241,44 @@ let test_pct_explores () =
   check_bool "no quiescent violation" true
     (r.Explore.level <> Verdict.Inconsistent)
 
+(* ------------------------------------------------------------------ *)
+(* the named schedules are the generators, not copies of them *)
+
+let test_named_schedules () =
+  let cfg = Driver.config ~nprocs:4 "SkipList" in
+  let seed = 9 in
+  let decisions policy =
+    let r = Policy.record ~seed policy in
+    ignore (Driver.history cfg ~policy:r.Policy.policy ~seed);
+    (r.Policy.schedule ()).Schedule.decisions
+  in
+  let named n = Policy.named n ~seed ~nprocs:4 in
+  check_bool "default is the engine's order" true (named Policy.Default = None);
+  check_bool "pct decides as Policy.pct" true
+    (decisions (Option.get (named Policy.Pct))
+    = decisions (Policy.pct ~seed ~nprocs:4 ()));
+  check_bool "random decides as Policy.random" true
+    (decisions (Option.get (named Policy.Random))
+    = decisions (Policy.random ~seed ()));
+  check_bool "pct and random differ" false
+    (decisions (Option.get (named Policy.Pct))
+    = decisions (Option.get (named Policy.Random)));
+  Alcotest.(check (list string))
+    "names" [ "default"; "pct"; "random" ]
+    (List.map Policy.string_of_name Policy.names);
+  match Policy.name_of_string "fair" with
+  | Ok _ -> Alcotest.fail "parsed an unknown schedule"
+  | Error e ->
+      List.iter
+        (fun n ->
+          let n = Policy.string_of_name n in
+          check_bool ("error lists " ^ n) true
+            (try
+               ignore (Str.search_forward (Str.regexp_string n) e 0);
+               true
+             with Not_found -> false))
+        Policy.names
+
 let () =
   Alcotest.run "pqexplore"
     [
@@ -258,6 +296,7 @@ let () =
           Alcotest.test_case "policies deterministic" `Quick
             test_policies_deterministic;
           Alcotest.test_case "pct ranks processors" `Quick test_pct_ranks_procs;
+          Alcotest.test_case "named schedules" `Quick test_named_schedules;
         ] );
       ( "verdict",
         [ Alcotest.test_case "levels" `Quick test_verdict_levels ] );

@@ -229,7 +229,7 @@ let coinflip ~queues ~plans ~seeds ~ops_per_proc =
       queues;
       scenarios = [ "coinflip" ];
       plans = None :: List.map Option.some plans;
-      scheds = [ Driver.Default ];
+      scheds = [ Pqexplore.Policy.Default ];
       seeds;
       ops_per_proc;
     }
@@ -304,22 +304,11 @@ let test_gate_rejects_finite_plan_blockage () =
       seed = 1;
       verdict = Driver.Healthy;
       cycles = 0;
-      baseline_cycles = 1000;
       ops = 0;
-      empties = 0;
       worst_rank = 0;
-      mean_rank = 0.;
       bound = 0;
-      allowance = 0;
-      max_delay = 0;
-      settles = 0;
-      inversions = 0;
-      quiescent_points = 0;
       live_high_water = 0;
-      pending_high_water = 0;
       dangling = 0;
-      phantoms = 0;
-      trigger = "synthetic";
     }
   in
   let gated plan verdict = Driver.gate [ { cell with plan; verdict } ] <> [] in

@@ -162,9 +162,9 @@ let check_clean (r : Pqanalysis.Audit.report) =
   Alcotest.(check (list string)) "no findings" [] (Pqanalysis.Audit.findings r)
 
 let mq_race_audit (name, _) seed () =
-  (* the variant's audit cells for one seed — default, random-preemption
-     and PCT schedules: no data races at all (the allowlist must stay
-     hard-empty) and no other finding *)
+  (* the variant's audit cells for one seed — default, random and PCT
+     schedules: no data races at all (every race is a finding) and no
+     other finding *)
   let r = audit ~seed name in
   check_int "three schedules" 3 r.cells;
   check_int "no races" 0 (List.length r.races);
@@ -189,8 +189,8 @@ let test_rank_exact_history () =
       del (Some (5, 2)) 20 22;
     ]
   in
-  let s = Pqcheck.Rank.measure h in
-  check_int "deletes" 2 s.Pqcheck.Rank.deletes;
+  let s = Rank.measure h in
+  check_int "deletes" 2 s.Rank.deletes;
   check_int "empties" 0 s.empties;
   check_int "max rank" 0 s.max_rank;
   check_int "max delay" 0 s.max_delay
@@ -207,8 +207,8 @@ let test_rank_certain_overtake () =
       del (Some (0, 1)) 20 22;
     ]
   in
-  let s = Pqcheck.Rank.measure h in
-  check_int "max rank" 1 s.Pqcheck.Rank.max_rank;
+  let s = Rank.measure h in
+  check_int "max rank" 1 s.Rank.max_rank;
   Alcotest.(check (float 1e-9)) "mean rank" 0.5 s.mean_rank;
   check_int "max delay" 1 s.max_delay;
   check_int "p99 rank" 1 s.p99_rank
@@ -217,8 +217,8 @@ let test_rank_false_empty () =
   (* None returned while an element is definitely live: counted against
      the empty answer *)
   let h = [ ins ~pri:0 ~payload:1 0 1; del None 10 12 ] in
-  let s = Pqcheck.Rank.measure h in
-  check_int "empties" 1 s.Pqcheck.Rank.empties;
+  let s = Rank.measure h in
+  check_int "empties" 1 s.Rank.empties;
   check_int "max rank" 1 s.max_rank
 
 let test_rank_conservative_overlap () =
@@ -227,8 +227,8 @@ let test_rank_conservative_overlap () =
      live, so the oracle must not charge the empty answer — this is the
      conservatism that keeps quiescently consistent queues at zero *)
   let h = [ ins ~pri:0 ~payload:1 0 4; del None 5 8 ] in
-  let s = Pqcheck.Rank.measure h in
-  check_int "empties" 1 s.Pqcheck.Rank.empties;
+  let s = Rank.measure h in
+  check_int "empties" 1 s.Rank.empties;
   check_int "max rank" 0 s.max_rank
 
 let test_rank_strict_queues_zero () =
