@@ -423,7 +423,12 @@ let chaos_cmd =
              phased scenarios and gate their conservation.")
   in
   let verbose =
-    Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print every cell.")
+    Arg.(
+      value & flag
+      & info [ "verbose"; "v" ]
+          ~doc:
+            "Print every cell, and each host soak's operation counts \
+             (these vary with the domains' interleaving).")
   in
   let parse_scenarios =
     Terms.parse_list ~all:Pqbenchlib.Scenario.names ~of_string:(fun x ->
@@ -488,7 +493,9 @@ let chaos_cmd =
     let ppf = Format.formatter_of_buffer buf in
     if verbose then Format.fprintf ppf "%a@." Pqchaos.Driver.pp_cells cells;
     Format.fprintf ppf "%a@." Pqchaos.Driver.pp_summary cells;
-    let host_failures = if host then Pqchaos.Host.run ppf cfg else [] in
+    let host_failures =
+      if host then Pqchaos.Host.run ~verbose ppf cfg else []
+    in
     Format.pp_print_flush ppf ();
     Terms.gate ?report (Buffer.contents buf)
       (Pqchaos.Driver.gate cells @ host_failures)

@@ -90,8 +90,8 @@ let create ?metrics config mem (params : Pqcore.Pq_intf.params) =
   let cur = Mem.alloc mem 1 in
   let mig = Mem.alloc mem 1 in
   Mem.poke mem cur (regime_index config.initial);
-  Mem.label mem ~addr:cur ~len:1 "adapt.cur";
-  Mem.label mem ~addr:mig ~len:1 "adapt.mig";
+  Mem.label mem ~addr:cur ~len:1 (Root "adapt.cur");
+  Mem.label mem ~addr:mig ~len:1 (Root "adapt.mig");
   Mem.declare_sync mem ~addr:cur ~len:1;
   Mem.declare_sync mem ~addr:mig ~len:1;
   let st =

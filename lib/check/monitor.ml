@@ -97,7 +97,6 @@ type t = {
   mutable inflight : int;
   mutable last_end : int;
   mutable started : bool;
-  mutable quiescent_points : int;
   mutable phantoms : int;
   rank_st : stream_stats;
   delay_st : stream_stats;
@@ -106,11 +105,7 @@ type t = {
   mutable inserts : int;
   mutable rejects : int;
   mutable unfinalized : int;
-  mutable settles : int;
-  mutable max_settled_dist : int;
-  mutable inversions : int;
   mutable live_hw : int;
-  mutable pending_hw : int;
   mutable notes_seen : int;
 }
 
@@ -130,7 +125,6 @@ let create ~npriorities ~nprocs =
     inflight = 0;
     last_end = 0;
     started = false;
-    quiescent_points = 0;
     phantoms = 0;
     rank_st = stats_create ();
     delay_st = stats_create ();
@@ -139,11 +133,7 @@ let create ~npriorities ~nprocs =
     inserts = 0;
     rejects = 0;
     unfinalized = 0;
-    settles = 0;
-    max_settled_dist = 0;
-    inversions = 0;
     live_hw = 0;
-    pending_hw = 0;
     notes_seen = 0;
   }
 
@@ -182,8 +172,7 @@ let quiesce t =
         st.settled <- st.settled + st.unsettled;
         st.unsettled <- 0
       end)
-    t.live;
-  t.quiescent_points <- t.quiescent_points + 1
+    t.live
 
 (* registered at the insert's INVOCATION, not its response: a concurrent
    delete may return the element before the inserter's response note
@@ -271,21 +260,14 @@ let note t ~proc ~time ~tag ~a ~b =
     t.deletes <- t.deletes + 1;
     claim t ~pri:a ~payload:b;
     t.pending.(a) <- t.pending.(a) + 1;
-    t.pending_n <- t.pending_n + 1;
-    if t.pending_n > t.pending_hw then t.pending_hw <- t.pending_n
+    t.pending_n <- t.pending_n + 1
   end
   else if tag = Tag.del_none then begin
     on_response t ~proc ~time;
     t.deletes <- t.deletes + 1;
     t.empties <- t.empties + 1;
     t.pending_empty <- t.pending_empty + 1;
-    t.pending_n <- t.pending_n + 1;
-    if t.pending_n > t.pending_hw then t.pending_hw <- t.pending_n
-  end
-  else if tag = Tag.settle then begin
-    t.settles <- t.settles + 1;
-    if b < t.max_settled_dist then t.inversions <- t.inversions + 1
-    else t.max_settled_dist <- b
+    t.pending_n <- t.pending_n + 1
   end
 
 let notes t : Pqsim.Probe.note =
@@ -312,11 +294,7 @@ type report = {
   unfinalized : int;
   inserts : int;
   rejects : int;
-  quiescent_points : int;
-  settles : int;
-  inversions : int;
   live_high_water : int;
-  pending_high_water : int;
   notes_seen : int;
 }
 
@@ -387,11 +365,7 @@ let finalize ?(slack_per_dangling = 1) t ~leftover =
     unfinalized = t.unfinalized;
     inserts = t.inserts;
     rejects = t.rejects;
-    quiescent_points = t.quiescent_points;
-    settles = t.settles;
-    inversions = t.inversions;
     live_high_water = t.live_hw;
-    pending_high_water = t.pending_hw;
     notes_seen = t.notes_seen;
   }
 

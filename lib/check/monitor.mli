@@ -19,10 +19,8 @@
       debited by delete responses, with phantom deletes (elements never
       inserted) flagged immediately and the final multiset compared to
       the drained leftover under a dangling-operation slack;
-    - {e SSSP settle monotonicity}: settled-distance inversions as a
-      relaxation-quality metric;
-    - memory high-water marks, the boundedness evidence the chaos gate
-      reports.
+    - the live table's high-water mark, the boundedness evidence the
+      chaos gate reports.
 
     Crash faults leave dangling invocations that permanently suppress
     quiescent points; the monitor then under-measures rank
@@ -32,8 +30,8 @@
 (** Tags of the op-note protocol emitted by
     [Pqbenchlib.Scenario.run_sim]'s instrumented queue wrapper.
     Invocation notes carry the arguments; response notes the results;
-    [settle] is SSSP-specific (node, distance at which it was
-    settled). *)
+    [settle] is SSSP-specific (node, distance at which it was settled):
+    traces carry it, and the monitor does not read it. *)
 module Tag : sig
   val ins_invoke : int  (** a = priority, b = payload *)
 
@@ -87,13 +85,7 @@ type report = {
           suppressed the final quiescent point *)
   inserts : int;
   rejects : int;
-  quiescent_points : int;
-  settles : int;  (** SSSP settle notes seen *)
-  inversions : int;  (** settles below the running max distance *)
   live_high_water : int;  (** max live-table size: boundedness evidence *)
-  pending_high_water : int;
-      (** most deletes pending between two quiescent points — a count,
-          not memory: they fold into a fixed npriorities-sized array *)
   notes_seen : int;
 }
 

@@ -19,14 +19,14 @@ let create mem (p : Pq_intf.params) =
           in
           Funnel
             (Pqfunnel.Fcounter.create
-               ~name:(Printf.sprintf "FunnelTree.counter[%d]" n)
+               ~name:(Index (Root "FunnelTree.counter", n))
                mem ~nprocs:p.nprocs ~config ~elim:p.funnel_elim ~floor:0
                ~init:0 ())
         end
         else
           Locked
             (Pqstruct.Lcounter.create
-               ~name:(Printf.sprintf "FunnelTree.counter[%d]" n)
+               ~name:(Index (Root "FunnelTree.counter", n))
                mem ~nprocs:p.nprocs ~init:0))
   in
   let pool =
@@ -35,7 +35,7 @@ let create mem (p : Pq_intf.params) =
   let stacks =
     Array.init p.npriorities (fun pri ->
         Pqfunnel.Fstack.create
-          ~name:(Printf.sprintf "FunnelTree.stack[%d]" pri)
+          ~name:(Index (Root "FunnelTree.stack", pri))
           mem ~nprocs:p.nprocs ?config:p.funnel_config ~elim:p.funnel_elim
           ~pool ())
   in

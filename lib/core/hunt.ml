@@ -35,16 +35,18 @@ let make mem (p : Pq_intf.params) =
   let cap = p.capacity in
   let size_a = Mem.alloc mem 1 in
   let locks =
-    Pqsync.Mcs.create_array ~name:"HuntEtAl.node_lock" mem ~nprocs:p.nprocs
-      (cap + 1)
+    Pqsync.Mcs.create_array ~name:(Root "HuntEtAl.node_lock") mem
+      ~nprocs:p.nprocs (cap + 1)
   in
   let tags = Mem.alloc mem (cap + 1) in
   let items = Mem.alloc mem (cap + 1) in
-  Mem.label mem ~addr:size_a ~len:1 "HuntEtAl.size";
-  Mem.label mem ~addr:tags ~len:(cap + 1) "HuntEtAl.tags";
-  Mem.label mem ~addr:items ~len:(cap + 1) "HuntEtAl.items";
+  Mem.label mem ~addr:size_a ~len:1 (Root "HuntEtAl.size");
+  Mem.label mem ~addr:tags ~len:(cap + 1) (Root "HuntEtAl.tags");
+  Mem.label mem ~addr:items ~len:(cap + 1) (Root "HuntEtAl.items");
   {
-    heap_lock = Pqsync.Mcs.create ~name:"HuntEtAl.heap_lock" mem ~nprocs:p.nprocs;
+    heap_lock =
+      Pqsync.Mcs.create ~name:(Root "HuntEtAl.heap_lock") mem
+        ~nprocs:p.nprocs;
     size_a;
     locks;
     tags;

@@ -45,9 +45,10 @@ let create_gen ~precheck ~name ~mk_bin mem (p : Pq_intf.params) =
   let pool =
     Pqfunnel.Pool.create mem ~nprocs:p.nprocs ~pushes_per_proc:p.ops_per_proc
   in
+  let bin = Pqsim.Mem.Field (Root name, "bin") in
   let bins =
     Array.init p.npriorities (fun pri ->
-        mk_bin ~name:(Printf.sprintf "%s.bin[%d]" name pri) mem p pool)
+        mk_bin ~name:(Pqsim.Mem.Index (bin, pri)) mem p pool)
   in
   let insert ~pri ~payload =
     bins.(pri).fb_push payload;

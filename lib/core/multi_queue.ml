@@ -36,7 +36,8 @@ let unpack e = (e lsr payload_bits, e land (max_payload - 1))
 
 let create_named name cfg mem (p : Pq_intf.params) =
   let q =
-    Pqrelaxed.Multiqueue.create ~name mem ~nprocs:p.nprocs ~capacity:p.capacity
+    Pqrelaxed.Multiqueue.create ~name:(Root name) mem ~nprocs:p.nprocs
+      ~capacity:p.capacity
       cfg
   in
   {

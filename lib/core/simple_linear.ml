@@ -12,7 +12,7 @@ let create mem (p : Pq_intf.params) =
   let bins =
     Array.init p.npriorities (fun pri ->
         Pqstruct.Bin.create
-          ~name:(Printf.sprintf "SimpleLinear.bin[%d]" pri)
+          ~name:(Index (Root "SimpleLinear.bin", pri))
           mem ~nprocs:p.nprocs ~cap:p.bin_capacity)
   in
   let insert ~pri ~payload = Pqstruct.Bin.insert bins.(pri) payload in

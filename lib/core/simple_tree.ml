@@ -6,13 +6,13 @@ let create mem (p : Pq_intf.params) =
   let counters =
     Array.init nleaves (fun i ->
         Pqstruct.Lcounter.create
-          ~name:(Printf.sprintf "SimpleTree.counter[%d]" i)
+          ~name:(Index (Root "SimpleTree.counter", i))
           mem ~nprocs:p.nprocs ~init:0)
   in
   let bins =
     Array.init p.npriorities (fun pri ->
         Pqstruct.Bin.create
-          ~name:(Printf.sprintf "SimpleTree.bin[%d]" pri)
+          ~name:(Index (Root "SimpleTree.bin", pri))
           mem ~nprocs:p.nprocs ~cap:p.bin_capacity)
   in
   let insert ~pri ~payload =

@@ -1,8 +1,10 @@
 
 let create mem (p : Pq_intf.params) =
-  let lock = Pqsync.Mcs.create ~name:"SingleLock.lock" mem ~nprocs:p.nprocs in
+  let lock =
+    Pqsync.Mcs.create ~name:(Root "SingleLock.lock") mem ~nprocs:p.nprocs
+  in
   let heap =
-    Pqstruct.Seqheap.create ~name:"SingleLock.heap" mem ~cap:p.capacity
+    Pqstruct.Seqheap.create ~name:(Root "SingleLock.heap") mem ~cap:p.capacity
   in
   let insert ~pri ~payload =
     let key = Pqstruct.Elem.pack ~pri ~payload in

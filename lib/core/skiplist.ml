@@ -82,18 +82,18 @@ and advance s db =
 
 let create mem (p : Pq_intf.params) =
   let base =
-    Pqstruct.Skipbase.create ~name:"SkipList" mem ~nprocs:p.nprocs
+    Pqstruct.Skipbase.create ~name:(Root "SkipList") mem ~nprocs:p.nprocs
       ~npriorities:p.npriorities ~bin_cap:p.bin_capacity ~seed:p.seed
   in
   let delbin = Mem.alloc mem 1 in
-  Mem.label mem ~addr:delbin ~len:1 "SkipList.delbin";
+  Mem.label mem ~addr:delbin ~len:1 (Root "SkipList.delbin");
   (* read optimistically outside [del_lock] and re-checked under it *)
   Mem.declare_sync mem ~addr:delbin ~len:1;
   let s =
     {
       base;
       delbin;
-      del_lock = Pqsync.Tas.create ~name:"SkipList.del_lock" mem;
+      del_lock = Pqsync.Tas.create ~name:(Root "SkipList.del_lock") mem;
       npriorities = p.npriorities;
     }
   in

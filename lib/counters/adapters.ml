@@ -7,7 +7,9 @@ let cas mem =
   }
 
 let mcs mem ~nprocs =
-  let c = Pqstruct.Lcounter.create ~name:"mcs.counter" mem ~nprocs ~init:0 in
+  let c =
+    Pqstruct.Lcounter.create ~name:(Root "mcs.counter") mem ~nprocs ~init:0
+  in
   {
     Ctr_intf.name = "mcs";
     inc = (fun () -> Pqstruct.Lcounter.fai c);
@@ -15,7 +17,10 @@ let mcs mem ~nprocs =
   }
 
 let funnel mem ~nprocs =
-  let c = Pqfunnel.Fcounter.create ~name:"funnel.counter" mem ~nprocs ~init:0 () in
+  let c =
+    Pqfunnel.Fcounter.create ~name:(Root "funnel.counter") mem ~nprocs
+      ~init:0 ()
+  in
   {
     Ctr_intf.name = "funnel";
     inc = (fun () -> Pqfunnel.Fcounter.inc c);

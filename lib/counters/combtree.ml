@@ -25,13 +25,15 @@ let create ?name mem ~nprocs ?(wait = 64) ?central ?solo () =
     go nleaves 0
   in
   (* internal nodes in heap order 1 .. nleaves-1 *)
+  let bases = Mem.alloc mem (3 * nleaves) in
+  (match name with
+  | Some n ->
+      Mem.label_records mem ~addr:bases ~count:nleaves ~stride:3 ~len:3
+        (Field (n, "node"))
+  | None -> ());
   let nodes =
     Array.init nleaves (fun i ->
-        let base = Mem.alloc mem 3 in
-        (match name with
-        | Some n ->
-            Mem.label mem ~addr:base ~len:3 (Printf.sprintf "%s.node[%d]" n i)
-        | None -> ());
+        let base = bases + (3 * i) in
         (* state carries the deposit/absorb CAS protocol; flag the
            result handshake; result itself is data ordered by them *)
         Mem.declare_sync mem ~addr:base ~len:1;
@@ -43,7 +45,7 @@ let create ?name mem ~nprocs ?(wait = 64) ?central ?solo () =
   in
   Mem.declare_sync mem ~addr:central ~len:1;
   (match name with
-  | Some n -> Mem.label mem ~addr:central ~len:1 (n ^ ".central")
+  | Some n -> Mem.label mem ~addr:central ~len:1 (Field (n, "central"))
   | None -> ());
   let cas_add addr d =
     let rec go window =

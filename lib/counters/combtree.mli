@@ -10,7 +10,7 @@
     is why funnels win under irregular load (paper footnote 4). *)
 
 val create :
-  ?name:string ->
+  ?name:Pqsim.Mem.name ->
   Pqsim.Mem.t ->
   nprocs:int ->
   ?wait:int ->

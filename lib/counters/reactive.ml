@@ -8,16 +8,18 @@ let name_prefix = "reactive@"
 let create mem ~nprocs ?(up_after = 1) ?(down_after = 8) () =
   let central = Mem.alloc mem 1 in
   let mode = Mem.alloc mem 1 in
-  Mem.label mem ~addr:central ~len:1 "reactive.central";
-  Mem.label mem ~addr:mode ~len:1 "reactive.mode";
+  Mem.label mem ~addr:central ~len:1 (Root "reactive.central");
+  Mem.label mem ~addr:mode ~len:1 (Root "reactive.mode");
   (* central is a read-then-CAS target; mode is the racy adaptivity hint
      every operation consults without synchronization *)
   Mem.declare_sync mem ~addr:central ~len:1;
   Mem.declare_sync mem ~addr:mode ~len:1;
-  let lock = Pqsync.Tas.create ~name:"reactive.lock" mem in
+  let lock = Pqsync.Tas.create ~name:(Root "reactive.lock") mem in
   let solo = Array.make nprocs 0 in
   let busy_streak = Array.make nprocs 0 in
-  let tree = Combtree.create ~name:"reactive.tree" mem ~nprocs ~central ~solo () in
+  let tree =
+    Combtree.create ~name:(Root "reactive.tree") mem ~nprocs ~central ~solo ()
+  in
   let cas_faa addr =
     let rec go window =
       let v = Api.read addr in

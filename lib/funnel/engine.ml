@@ -96,7 +96,7 @@ let create ?name mem ~nprocs ~config =
           Mem.poke mem (a + i) (-1) (* NOBODY *)
         done;
         (match name with
-        | Some n -> Mem.label mem ~addr:a ~len:w (Printf.sprintf "%s.layer[%d]" n d)
+        | Some n -> Mem.label mem ~addr:a ~len:w (Index (Field (n, "layer"), d))
         | None -> ());
         Mem.declare_sync mem ~addr:a ~len:w;
         a)
@@ -109,15 +109,13 @@ let create ?name mem ~nprocs ~config =
        (lock, claim, release-through-result); the rest of the record —
        sum, rval, opval, children — is plain data ordered by them *)
     Mem.declare_sync mem ~addr:(recs + (p * rec_size) + off_loc) ~len:1;
-    Mem.declare_sync mem ~addr:(recs + (p * rec_size) + off_flag) ~len:1;
-    match name with
-    | Some n ->
-        Mem.label mem
-          ~addr:(recs + (p * rec_size))
-          ~len:rec_size
-          (Printf.sprintf "%s.rec[%d]" n p)
-    | None -> ()
+    Mem.declare_sync mem ~addr:(recs + (p * rec_size) + off_flag) ~len:1
   done;
+  (match name with
+  | Some n ->
+      Mem.label_records mem ~addr:recs ~count:nprocs ~stride:rec_size
+        ~len:rec_size (Field (n, "rec"))
+  | None -> ());
   (* adaption starts narrow: a lightly loaded funnel behaves like its
      central object alone, and central contention widens it within a few
      operations *)

@@ -69,7 +69,8 @@ val default_config : nprocs:int -> config
     gain a fourth combining layer so per-layer fan-in stays bounded on
     the 512/1024-processor sweeps *)
 
-val create : ?name:string -> Pqsim.Mem.t -> nprocs:int -> config:config -> t
+val create :
+  ?name:Pqsim.Mem.name -> Pqsim.Mem.t -> nprocs:int -> config:config -> t
 (** [?name] labels the funnel's layers ([name.layer[d]]) and per-processor
     records ([name.rec[p]]) for the contention profiler.  Under a probe,
     [operate] reports [funnel.ops] (calls), [funnel.combine] (children

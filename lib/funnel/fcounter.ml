@@ -70,7 +70,7 @@ let create ?name mem ~nprocs ?config ?(elim = true) ?floor ?ceil ~init () =
   Mem.declare_sync mem ~addr:main ~len:1;
   Mem.poke mem main init;
   (match name with
-  | Some n -> Mem.label mem ~addr:main ~len:1 (n ^ ".central")
+  | Some n -> Mem.label mem ~addr:main ~len:1 (Field (n, "central"))
   | None -> ());
   let f = Engine.create ?name mem ~nprocs ~config in
   let client =

@@ -18,7 +18,7 @@
 type t
 
 val create :
-  ?name:string ->
+  ?name:Pqsim.Mem.name ->
   Pqsim.Mem.t ->
   nprocs:int ->
   ?config:Engine.config ->

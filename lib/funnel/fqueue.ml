@@ -88,15 +88,17 @@ let create ?name mem ~nprocs ?config ?(elim = false) ?pool
   let tail = Mem.alloc mem 1 in
   (match name with
   | Some n ->
-      Mem.label mem ~addr:head ~len:1 (n ^ ".head");
-      Mem.label mem ~addr:tail ~len:1 (n ^ ".tail")
+      Mem.label mem ~addr:head ~len:1 (Field (n, "head"));
+      Mem.label mem ~addr:tail ~len:1 (Field (n, "tail"))
   | None -> ());
   (* [head] backs the lock-free emptiness test; [tail] stays lock-guarded *)
   Mem.declare_sync mem ~addr:head ~len:1;
   (* the lock word is allocated before the funnel, as the simulated
      memory layout has always had it *)
   let lock =
-    Pqsync.Tas.create ?name:(Option.map (fun n -> n ^ ".lock") name) mem
+    Pqsync.Tas.create
+      ?name:(Option.map (fun n -> Mem.Field (n, "lock")) name)
+      mem
   in
   let f = Engine.create ?name mem ~nprocs ~config in
   let c = { head; tail; lock } in

@@ -72,7 +72,7 @@ let create ?name mem ~nprocs ?config ?(elim = true) ?pool
   in
   let top = Mem.alloc mem 1 in
   (match name with
-  | Some n -> Mem.label mem ~addr:top ~len:1 (n ^ ".top")
+  | Some n -> Mem.label mem ~addr:top ~len:1 (Field (n, "top"))
   | None -> ());
   (* lock-free emptiness test + read-then-CAS publication point *)
   Mem.declare_sync mem ~addr:top ~len:1;

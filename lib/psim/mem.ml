@@ -153,6 +153,30 @@ let scrub r =
     r.r_extent <- 0
   end
 
+type name =
+  | Root of string
+  | Field of name * string
+  | Index of name * int
+  | Numbered of name * string * int
+
+(* Label registrations, most recent first.  Each is its own list cell
+   and holds its name unformatted: registering a label allocates one
+   block, whatever the name.  [Records] names [count] records of
+   [stride] words in one registration, record [i]'s first [len] words
+   reading [name[i]] (or [name[i].field]). *)
+type labels =
+  | No_label
+  | Range of { addr : int; len : int; name : name; next : labels }
+  | Records of {
+      addr : int;
+      count : int;
+      stride : int;
+      len : int;
+      field : string option;
+      name : name;
+      next : labels;
+    }
+
 (* [t] copies the reservation's tables it reads on every access, so the
    hot paths pay no extra indirection *)
 type t = {
@@ -202,11 +226,8 @@ type t = {
   proc_loc : int array; (* per processor: packed mesh x, y and socket *)
   module_loc : int array; (* per memory module: the same *)
   (* observability: symbolic names for allocated ranges (host-side
-     metadata, registration order preserved) *)
-  mutable labels : (int * int * string) list;
-  mutable namers : (int * int * (int -> string)) list;
-      (* [label_with]'s functions with their ranges, most recent first;
-         each range is also in [labels], named [deferred] *)
+     metadata) *)
+  mutable labels : labels;
 }
 
 (* A location word packs a mesh node's x and y (21 bits each) and its
@@ -262,8 +283,7 @@ let make machine res =
        if m land (m - 1) = 0 then m - 1 else -1);
     proc_loc = locations machine nprocs;
     module_loc = locations machine machine.Machine.mem_modules;
-    labels = [];
-    namers = [];
+    labels = No_label;
   }
 
 (* The registry: every reservation a live memory uses, and every free
@@ -361,38 +381,62 @@ let alloc t n =
 
 let words_allocated t = t.next_free
 
+let rec add_name b = function
+  | Root s -> Buffer.add_string b s
+  | Field (n, f) ->
+      add_name b n;
+      Buffer.add_char b '.';
+      Buffer.add_string b f
+  | Index (n, i) ->
+      add_name b n;
+      Buffer.add_char b '[';
+      Buffer.add_string b (Int.to_string i);
+      Buffer.add_char b ']'
+  | Numbered (n, f, i) ->
+      add_name b n;
+      Buffer.add_char b '.';
+      Buffer.add_string b f;
+      Buffer.add_string b (Int.to_string i)
+
+(* [name], suffixed "+k" for the k-th word of its range *)
+let render_at name k =
+  let b = Buffer.create 32 in
+  add_name b name;
+  if k > 0 then begin
+    Buffer.add_char b '+';
+    Buffer.add_string b (Int.to_string k)
+  end;
+  Buffer.contents b
+
 let label t ~addr ~len name =
   if len <= 0 then invalid_arg "Mem.label: len must be positive";
-  t.labels <- (addr, len, name) :: t.labels
+  t.labels <- Range { addr; len; name; next = t.labels }
 
-(* The name a [label_with] range carries in [labels]: compared by
-   physical equality, so no string a caller passes can be taken for it.
-   Its function waits in [namers] and formats a word's name only when
-   [name_of] asks, so a structure of hundreds of named locks registers
-   one closure and formats nothing per run.  Plain labels stay one
-   tuple each: a wrapper per label raised sim-fig7's peak heap. *)
-let deferred = "<deferred>"
-
-let label_with t ~addr ~len f =
-  if len <= 0 then invalid_arg "Mem.label_with: len must be positive";
-  t.labels <- (addr, len, deferred) :: t.labels;
-  t.namers <- (addr, len, f) :: t.namers
+let label_records t ~addr ~count ~stride ~len ?field name =
+  if len <= 0 || stride < len then
+    invalid_arg "Mem.label_records: need 0 < len <= stride";
+  if count > 0 then
+    t.labels <-
+      Records { addr; count; stride; len; field; name; next = t.labels }
 
 let name_of t addr =
   (* most recent registration wins, so a structure may refine a name a
      lower layer gave its words *)
-  List.find_map
-    (fun (a, len, name) ->
-      if addr >= a && addr < a + len then
-        if name == deferred then
-          List.find_map
-            (fun (a', len', f) ->
-              if a' = a && len' = len then Some (f (addr - a)) else None)
-            t.namers
-        else if addr = a then Some name
-        else Some (Printf.sprintf "%s+%d" name (addr - a))
-      else None)
-    t.labels
+  let rec find = function
+    | No_label -> None
+    | Range r ->
+        let k = addr - r.addr in
+        if k >= 0 && k < r.len then Some (render_at r.name k) else find r.next
+    | Records r ->
+        let off = addr - r.addr in
+        let k = off mod r.stride in
+        if off >= 0 && off < r.count * r.stride && k < r.len then
+          let n = Index (r.name, off / r.stride) in
+          let n = match r.field with Some f -> Field (n, f) | None -> n in
+          Some (render_at n k)
+        else find r.next
+  in
+  find t.labels
 
 let declare_sync t ~addr ~len =
   if len <= 0 then invalid_arg "Mem.declare_sync: len must be positive";

@@ -83,16 +83,28 @@ val words_allocated : t -> int
     of SimpleTree's root counter instead of a bare address).  Labels are
     host-side metadata with no effect on simulation. *)
 
-val label : t -> addr:int -> len:int -> string -> unit
+(** A symbolic name, kept as the steps that build it and formatted only
+    when {!name_of} asks: constructing a structure formats nothing, and
+    a constant root is a static value. *)
+type name =
+  | Root of string  (** rendered as given *)
+  | Field of name * string  (** [n.f] *)
+  | Index of name * int  (** [n[i]] *)
+  | Numbered of name * string * int
+      (** [n.fi]: a field numbered without brackets, as in [lock3] *)
+
+val label : t -> addr:int -> len:int -> name -> unit
 (** [label t ~addr ~len name] names the [len] words starting at [addr].
     A later registration overrides an earlier one where they overlap. *)
 
-val label_with : t -> addr:int -> len:int -> (int -> string) -> unit
-(** [label_with t ~addr ~len f] names the [len] words starting at [addr]
-    lazily: {!name_of} answers [f k] for the [k]-th word, formatting
-    nothing until it is asked.  A structure with many named parts (a
-    heap's per-node locks) registers one function per run instead of a
-    string per part.  Overlaps resolve as for {!label}. *)
+val label_records :
+  t -> addr:int -> count:int -> stride:int -> len:int -> ?field:string ->
+  name -> unit
+(** [label_records t ~addr ~count ~stride ~len ?field name] names an
+    array of [count] records of [stride] words from [addr]: the [len]
+    words at the start of record [i] read [name[i]], or [name[i].field]
+    with [?field], exactly as [count] calls of {!label} would name them,
+    in one registration.  Overlaps resolve as for {!label}. *)
 
 val name_of : t -> int -> string option
 (** [name_of t addr] is the most recent label covering [addr], suffixed

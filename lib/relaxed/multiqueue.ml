@@ -37,7 +37,7 @@ let rank_bound cfg ~nprocs =
   let slots = max cfg.min_slots (cfg.c * nprocs) in
   (slots * 8 * max 1 cfg.stickiness) + 64
 
-let create ?(name = "MultiQueue") mem ~nprocs ~capacity cfg =
+let create ?(name = Mem.Root "MultiQueue") mem ~nprocs ~capacity cfg =
   if cfg.c < 1 || cfg.min_slots < 1 || cfg.stickiness < 1
      || cfg.pick_attempts < 1 || cfg.ins_buf < 0 || cfg.del_buf < 0
   then invalid_arg "Multiqueue.create: bad config";
@@ -51,15 +51,15 @@ let create ?(name = "MultiQueue") mem ~nprocs ~capacity cfg =
   let slots =
     Array.init nslots (fun i ->
         {
-          lock = Pqsync.Tas.create ~name:(Printf.sprintf "%s.lock%d" name i) mem;
+          lock = Pqsync.Tas.create ~name:(Numbered (name, "lock", i)) mem;
           pq =
-            Slot.create ~name:(Printf.sprintf "%s.slot%d" name i) mem
+            Slot.create ~name:(Numbered (name, "slot", i)) mem
               ~cap:per_slot ~ins_cap:cfg.ins_buf ~del_cap:cfg.del_buf;
         })
   in
   let priv label =
     let a = Mem.alloc mem nprocs in
-    Mem.label mem ~addr:a ~len:nprocs (name ^ "." ^ label);
+    Mem.label mem ~addr:a ~len:nprocs (Field (name, label));
     a
   in
   {

@@ -38,10 +38,17 @@ val default : config
 type t
 
 val create :
-  ?name:string -> Pqsim.Mem.t -> nprocs:int -> capacity:int -> config -> t
+  ?name:Pqsim.Mem.name ->
+  Pqsim.Mem.t ->
+  nprocs:int ->
+  capacity:int ->
+  config ->
+  t
 (** [capacity] bounds the queue's total simultaneous elements; each slot
     gets a proportional share (with generous slack, so random imbalance
-    does not cause spurious rejections). *)
+    does not cause spurious rejections).  [?name] (default
+    [Root "MultiQueue"]) labels slot [i]'s lock [name.lock<i>] and its
+    heap [name.slot<i>], and the sticky per-processor words. *)
 
 val nslots : t -> int
 

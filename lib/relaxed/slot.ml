@@ -31,7 +31,7 @@ let create ?name mem ~cap ~ins_cap ~del_cap =
      of it are synchronization, like the other queues' emptiness tests *)
   Mem.declare_sync mem ~addr:top ~len:1;
   (match name with
-  | Some n -> Mem.label mem ~addr:top ~len:1 (n ^ ".top")
+  | Some n -> Mem.label mem ~addr:top ~len:1 (Field (n, "top"))
   | None -> ());
   let ins_buf = if ins_cap > 0 then Mem.alloc mem ins_cap else 0 in
   let ins_len = if ins_cap > 0 then Mem.alloc mem 1 else 0 in
@@ -41,13 +41,13 @@ let create ?name mem ~cap ~ins_cap ~del_cap =
   (match name with
   | Some n ->
       if ins_cap > 0 then begin
-        Mem.label mem ~addr:ins_buf ~len:ins_cap (n ^ ".insbuf");
-        Mem.label mem ~addr:ins_len ~len:1 (n ^ ".inslen")
+        Mem.label mem ~addr:ins_buf ~len:ins_cap (Field (n, "insbuf"));
+        Mem.label mem ~addr:ins_len ~len:1 (Field (n, "inslen"))
       end;
       if del_cap > 0 then begin
-        Mem.label mem ~addr:del_buf ~len:del_cap (n ^ ".delbuf");
-        Mem.label mem ~addr:del_head ~len:1 (n ^ ".delhead");
-        Mem.label mem ~addr:del_len ~len:1 (n ^ ".dellen")
+        Mem.label mem ~addr:del_buf ~len:del_cap (Field (n, "delbuf"));
+        Mem.label mem ~addr:del_head ~len:1 (Field (n, "delhead"));
+        Mem.label mem ~addr:del_len ~len:1 (Field (n, "dellen"))
       end
   | None -> ());
   { heap; top; cap; ins_buf; ins_len; ins_cap; del_buf; del_head; del_len;

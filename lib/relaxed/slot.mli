@@ -24,7 +24,12 @@ val empty_top : int
     also what {!extract} answers for an empty slot *)
 
 val create :
-  ?name:string -> Pqsim.Mem.t -> cap:int -> ins_cap:int -> del_cap:int -> t
+  ?name:Pqsim.Mem.name ->
+  Pqsim.Mem.t ->
+  cap:int ->
+  ins_cap:int ->
+  del_cap:int ->
+  t
 (** [cap] bounds the elements simultaneously in the slot (across heap and
     both buffers); [ins_cap]/[del_cap] of 0 disable that buffer. *)
 

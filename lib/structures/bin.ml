@@ -6,15 +6,17 @@ let none = min_int
 
 let create ?name mem ~nprocs ~cap =
   let lock =
-    Pqsync.Mcs.create ?name:(Option.map (fun n -> n ^ ".lock") name) mem
+    Pqsync.Mcs.create
+      ?name:(Option.map (fun n -> Mem.Field (n, "lock")) name)
+      mem
       ~nprocs
   in
   let size = Mem.alloc mem 1 in
   let elems = Mem.alloc mem cap in
   (match name with
   | Some n ->
-      Mem.label mem ~addr:size ~len:1 (n ^ ".size");
-      Mem.label mem ~addr:elems ~len:cap (n ^ ".elems")
+      Mem.label mem ~addr:size ~len:1 (Field (n, "size"));
+      Mem.label mem ~addr:elems ~len:cap (Field (n, "elems"))
   | None -> ());
   (* [size] is read by the lock-free emptiness test, so it doubles as a
      synchronization word; [elems] is plain data guarded by the lock *)

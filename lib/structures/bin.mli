@@ -4,7 +4,7 @@
 
 type t
 
-val create : ?name:string -> Pqsim.Mem.t -> nprocs:int -> cap:int -> t
+val create : ?name:Pqsim.Mem.name -> Pqsim.Mem.t -> nprocs:int -> cap:int -> t
 (** [?name] labels the size word, element array and lock for the
     contention profiler *)
 

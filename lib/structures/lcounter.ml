@@ -4,7 +4,9 @@ type t = { lock : Pqsync.Mcs.t; value : int }
 
 let create ?name mem ~nprocs ~init =
   let lock =
-    Pqsync.Mcs.create ?name:(Option.map (fun n -> n ^ ".lock") name) mem
+    Pqsync.Mcs.create
+      ?name:(Option.map (fun n -> Mem.Field (n, "lock")) name)
+      mem
       ~nprocs
   in
   let value = Mem.alloc mem 1 in
@@ -12,7 +14,7 @@ let create ?name mem ~nprocs ~init =
   Mem.declare_sync mem ~addr:value ~len:1;
   Mem.poke mem value init;
   (match name with
-  | Some n -> Mem.label mem ~addr:value ~len:1 (n ^ ".value")
+  | Some n -> Mem.label mem ~addr:value ~len:1 (Field (n, "value"))
   | None -> ());
   { lock; value }
 

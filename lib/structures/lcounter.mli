@@ -6,7 +6,7 @@
 
 type t
 
-val create : ?name:string -> Pqsim.Mem.t -> nprocs:int -> init:int -> t
+val create : ?name:Pqsim.Mem.name -> Pqsim.Mem.t -> nprocs:int -> init:int -> t
 (** [?name] labels the value word ([name.value]) and the lock's words for
     the contention profiler *)
 

@@ -9,8 +9,8 @@ let create ?name mem ~cap =
   let data = Mem.alloc mem cap in
   (match name with
   | Some n ->
-      Mem.label mem ~addr:size_a ~len:1 (n ^ ".size");
-      Mem.label mem ~addr:data ~len:cap (n ^ ".data")
+      Mem.label mem ~addr:size_a ~len:1 (Field (n, "size"));
+      Mem.label mem ~addr:data ~len:cap (Field (n, "data"))
   | None -> ());
   { size_a; data; cap }
 

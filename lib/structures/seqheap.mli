@@ -7,7 +7,7 @@
 
 type t
 
-val create : ?name:string -> Pqsim.Mem.t -> cap:int -> t
+val create : ?name:Pqsim.Mem.name -> Pqsim.Mem.t -> cap:int -> t
 (** [?name] labels the size word and backing array for the contention
     profiler *)
 

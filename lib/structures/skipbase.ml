@@ -20,19 +20,25 @@ let create ?name mem ~nprocs ~npriorities ~bin_cap ~seed =
   let rec levels_for n acc = if n <= 1 then acc else levels_for (n / 2) (acc + 1) in
   let max_level = max 2 (levels_for npriorities 1) in
   let rng = Rng.make (seed lxor 0x5caff01d) in
+  (* [name.part[id]]: each part's prefix is built once, a node adds only
+     its index *)
+  let part p = Option.map (fun n -> Mem.Field (n, p)) name in
+  let lock_part = part "node_lock" and state_part = part "state"
+  and fwd_part = part "fwd" and bin_part = part "bin" in
   let sub part id =
-    Option.map (fun n -> Printf.sprintf "%s.%s[%d]" n part id) name
+    match part with Some p -> Some (Mem.Index (p, id)) | None -> None
+  in
+  let label part id ~addr ~len =
+    match part with
+    | Some p -> Mem.label mem ~addr ~len (Index (p, id))
+    | None -> ()
   in
   let mk_node ~id ~npri ~level ~with_bin =
-    let lock = Pqsync.Mcs.create ?name:(sub "node_lock" id) mem ~nprocs in
+    let lock = Pqsync.Mcs.create ?name:(sub lock_part id) mem ~nprocs in
     let state = Mem.alloc mem 1 in
     let fwd = Mem.alloc mem level in
-    (match name with
-    | Some n ->
-        Mem.label mem ~addr:state ~len:1
-          (Printf.sprintf "%s.state[%d]" n id);
-        Mem.label mem ~addr:fwd ~len:level (Printf.sprintf "%s.fwd[%d]" n id)
-    | None -> ());
+    label state_part id ~addr:state ~len:1;
+    label fwd_part id ~addr:fwd ~len:level;
     (* forward pointers and the threading-state word are read optimistically
        (lock-free traversal, threaded test) and re-validated under locks *)
     Mem.declare_sync mem ~addr:state ~len:1;
@@ -42,7 +48,7 @@ let create ?name mem ~nprocs ~npriorities ~bin_cap ~seed =
     done;
     let nbin =
       if with_bin then
-        Some (Bin.create ?name:(sub "bin" npri) mem ~nprocs ~cap:bin_cap)
+        Some (Bin.create ?name:(sub bin_part npri) mem ~nprocs ~cap:bin_cap)
       else None
     in
     { id; npri; level; lock; state; fwd; nbin }

@@ -17,7 +17,7 @@ type t
 type node
 
 val create :
-  ?name:string ->
+  ?name:Pqsim.Mem.name ->
   Pqsim.Mem.t ->
   nprocs:int ->
   npriorities:int ->

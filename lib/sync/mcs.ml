@@ -19,23 +19,20 @@ let create ?name mem ~nprocs =
   let t = make mem ~nprocs in
   (match name with
   | Some n ->
-      Mem.label mem ~addr:t.tail ~len:1 (n ^ ".tail");
-      Mem.label mem ~addr:(t.tail + 1) ~len:(2 * nprocs) (n ^ ".nodes")
+      Mem.label mem ~addr:t.tail ~len:1 (Field (n, "tail"));
+      Mem.label mem ~addr:(t.tail + 1) ~len:(2 * nprocs) (Field (n, "nodes"))
   | None -> ());
   t
 
 (* lock [i] of an array is named [name[i]], its words [name[i].tail] and
-   [name[i].nodes(+k)], as {!create} would name them, but formatted only
-   when asked *)
+   [name[i].nodes(+k)], as {!create} would name them *)
 let create_array ~name mem ~nprocs n =
   let locks = Array.init n (fun _ -> make mem ~nprocs) in
   (if n > 0 then
-     let w = words ~nprocs in
-     Mem.label_with mem ~addr:locks.(0).tail ~len:(n * w) (fun off ->
-         let i = off / w and k = off mod w in
-         if k = 0 then Printf.sprintf "%s[%d].tail" name i
-         else if k = 1 then Printf.sprintf "%s[%d].nodes" name i
-         else Printf.sprintf "%s[%d].nodes+%d" name i (k - 1)));
+     let addr = locks.(0).tail and stride = words ~nprocs in
+     Mem.label_records mem ~addr ~count:n ~stride ~len:1 ~field:"tail" name;
+     Mem.label_records mem ~addr:(addr + 1) ~count:n ~stride
+       ~len:(2 * nprocs) ~field:"nodes" name);
   locks
 
 let id t = t.tail

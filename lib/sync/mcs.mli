@@ -27,20 +27,21 @@
 
 type t
 
-val create : ?name:string -> Pqsim.Mem.t -> nprocs:int -> t
+val create : ?name:Pqsim.Mem.name -> Pqsim.Mem.t -> nprocs:int -> t
 (** [?name] registers symbolic labels ([name.tail], [name.nodes]) for the
     lock's words with {!Pqsim.Mem.label}, so the contention profiler and
     the lock-order analyzer can attribute them.  See the probe protocol
     above for the [lock.*] metrics and notes reported under a probe. *)
 
-val create_array : name:string -> Pqsim.Mem.t -> nprocs:int -> int -> t array
+val create_array :
+  name:Pqsim.Mem.name -> Pqsim.Mem.t -> nprocs:int -> int -> t array
 (** [create_array ~name mem ~nprocs n] is [n] locks laid out one after
     another, as [n] calls of {!create} would lay them out.  Lock [i]'s
     words read [name[i].tail] and [name[i].nodes] in
     {!Pqsim.Mem.name_of}, exactly as if each had been created with
-    [~name:(name[i])]; the names are formatted only when asked for
-    ({!Pqsim.Mem.label_with}), so a run of a heap with hundreds of node
-    locks builds no string. *)
+    [~name:(Index (name, i))]; two {!Pqsim.Mem.label_records}
+    registrations name them all, so a heap with hundreds of node locks
+    registers two labels a run. *)
 
 val id : t -> int
 (** the lock's identity in probe notes: the address of its tail word *)

@@ -28,7 +28,7 @@
 
 type t
 
-val create : ?name:string -> Pqsim.Mem.t -> t
+val create : ?name:Pqsim.Mem.name -> Pqsim.Mem.t -> t
 (** [?name] labels the lock word for the contention profiler and the
     lock-order analyzer.  Under a probe, the same [lock.*] metrics as
     {!Mcs} are reported (see the probe protocol above). *)

@@ -431,9 +431,9 @@ let run_sim ?probe ?policy ?watchdog ?machine ?(track = true)
               Mem.poke mem (dist + i) sssp_inf
             done;
             Mem.poke mem dist 0;
-            Mem.label mem ~addr:dist ~len:n "sssp.dist";
+            Mem.label mem ~addr:dist ~len:n (Root "sssp.dist");
             let outstanding = Mem.alloc mem 1 in
-            Mem.label mem ~addr:outstanding ~len:1 "sssp.todo";
+            Mem.label mem ~addr:outstanding ~len:1 (Root "sssp.todo");
             sssp_state := Some (g, dist, outstanding));
         (q, barrier))
       ~program ()

@@ -73,14 +73,20 @@ module Ledger = struct
   (* Processor [pid]'s [j]-th insert carries payload [pid * 100_000 + j],
      [1 <= j <= stride].  The insert log is indexed by that payload:
      [inserted.(pid).(j)] is [pri + 1] while the element is unaccounted
-     for, 0 otherwise.  Deleted elements go to per-processor arrays. *)
+     for, 0 otherwise.  Deleted elements go to per-processor arrays.
+
+     A reused ledger keeps its arrays, which may be larger than its
+     current [nprocs] and [stride]: every access stays within those two,
+     and its insert log is all zero when it is handed back. *)
   type t = {
-    stride : int;
+    mutable nprocs : int;
+    mutable stride : int;
     inserted : int array array;
     deleted_pri : int array array;
     deleted_payload : int array array;
     deleted : int array; (* per-processor count *)
     mutable inserts : int;
+    mutable balanced : bool; (* the last [balances] answered true *)
   }
 
   let per_pid = 100_000
@@ -89,15 +95,42 @@ module Ledger = struct
   let create ~nprocs ~stride =
     let logs n = Array.init nprocs (fun _ -> Array.make n 0) in
     {
+      nprocs;
       stride;
       inserted = logs (stride + 1);
       deleted_pri = logs stride;
       deleted_payload = logs stride;
       deleted = Array.make nprocs 0;
       inserts = 0;
+      balanced = false;
     }
 
+  (* the domain's spare: a ledger whose last run balanced *)
+  let spare = Domain.DLS.new_key (fun () -> ref None)
+
+  let take ~nprocs ~stride =
+    let slot = Domain.DLS.get spare in
+    match !slot with
+    | Some t
+      when Array.length t.inserted >= nprocs
+           && Array.for_all (fun log -> Array.length log > stride) t.inserted
+      ->
+        slot := None;
+        t.nprocs <- nprocs;
+        t.stride <- stride;
+        Array.fill t.deleted 0 (Array.length t.deleted) 0;
+        t.inserts <- 0;
+        t.balanced <- false;
+        t
+    | _ ->
+        slot := None;
+        create ~nprocs ~stride
+
+  let give_back t = if t.balanced then Domain.DLS.get spare := Some t
+
   let insert t ~pid ~j ~pri =
+    if pid >= t.nprocs || j > t.stride then
+      invalid_arg "Workload.Ledger.insert: past nprocs or stride";
     t.inserted.(pid).(j) <- pri + 1;
     t.inserts <- t.inserts + 1
 
@@ -120,16 +153,22 @@ module Ledger = struct
   (* take (pri, payload) out of the insert log, trying processor [pid]
      and then lower ones: once [stride] reaches [per_pid] a payload names
      several (pid, j) *)
-  let rec take t ~pri ~payload pid =
+  let rec remove t ~pri ~payload pid =
     let j = payload - (pid * per_pid) in
     pid >= 0 && j <= t.stride
-    && ((pid < Array.length t.inserted && j >= 1
+    && ((pid < t.nprocs && j >= 1
         && t.inserted.(pid).(j) = pri + 1
         && begin
              t.inserted.(pid).(j) <- 0;
              true
            end)
-       || take t ~pri ~payload (pid - 1))
+       || remove t ~pri ~payload (pid - 1))
+
+  (* no entry of the insert log is left from processor [pid]'s [j]-th on *)
+  let rec log_empty t pid j =
+    pid = t.nprocs
+    || (j > t.stride && log_empty t (pid + 1) 0)
+    || (j <= t.stride && t.inserted.(pid).(j) = 0 && log_empty t pid (j + 1))
 
   (* Every deleted or remaining (pri, payload) takes its entry out of the
      insert log — failing if none is there (a duplicated or invented
@@ -138,17 +177,17 @@ module Ledger = struct
   let balances t ~remaining =
     let ok = ref true in
     let take_out ~pri ~payload =
-      if not (take t ~pri ~payload (payload / per_pid)) then ok := false
+      if not (remove t ~pri ~payload (payload / per_pid)) then ok := false
     in
-    Array.iteri
-      (fun pid n ->
-        for k = 0 to n - 1 do
-          take_out ~pri:t.deleted_pri.(pid).(k)
-            ~payload:t.deleted_payload.(pid).(k)
-        done)
-      t.deleted;
+    for pid = 0 to t.nprocs - 1 do
+      for k = 0 to t.deleted.(pid) - 1 do
+        take_out ~pri:t.deleted_pri.(pid).(k)
+          ~payload:t.deleted_payload.(pid).(k)
+      done
+    done;
     List.iter (fun (pri, payload) -> take_out ~pri ~payload) remaining;
-    !ok && Array.for_all (Array.for_all (fun x -> x = 0)) t.inserted
+    t.balanced <- !ok && log_empty t 0 0;
+    t.balanced
 end
 
 let run ?ops_per_proc ?probe ?policy ?watchdog (s : spec) =
@@ -156,7 +195,7 @@ let run ?ops_per_proc ?probe ?policy ?watchdog (s : spec) =
     match ops_per_proc with Some o -> { s with ops_per_proc = o } | None -> s
   in
   let per = s.prefill / s.nprocs in
-  let ledger = Ledger.create ~nprocs:s.nprocs ~stride:(s.ops_per_proc + per) in
+  let ledger = Ledger.take ~nprocs:s.nprocs ~stride:(s.ops_per_proc + per) in
   let empty_deletes = ref 0 in
   let (q, _), result =
     Sim.run ?machine:s.machine ?probe ?policy ?watchdog ~nprocs:s.nprocs
@@ -207,6 +246,8 @@ let run ?ops_per_proc ?probe ?policy ?watchdog (s : spec) =
   | Ok () -> ()
   | Error e ->
       raise (Verification_failure (Printf.sprintf "%s: %s" s.queue e)));
+  (* only a run that verified hands its ledger on, its insert log empty *)
+  Ledger.give_back ledger;
   let stats = result.Sim.stats in
   {
     latency_all = Stats.merge_mean stats [ "insert"; "delete" ];

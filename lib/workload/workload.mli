@@ -50,6 +50,9 @@ type result = {
 
 exception Verification_failure of string
 
+val params_of : spec -> Pqcore.Pq_intf.params
+(** the construction parameters {!run} builds [spec]'s queue with *)
+
 (** The conservation ledger {!run} keeps: which (priority, payload)
     elements each processor inserted and deleted, in flat per-processor
     int arrays. *)
@@ -60,13 +63,26 @@ module Ledger : sig
   (** room for [stride] inserts and deletes per processor; the delete
       log grows past that *)
 
+  val take : nprocs:int -> stride:int -> t
+  (** [take ~nprocs ~stride] is this domain's spare ledger, emptied and
+      sized to [nprocs] and [stride], when it has room for them, and
+      {!create}'s otherwise.  Either way the domain has no spare
+      afterwards. *)
+
+  val give_back : t -> unit
+  (** [give_back t] makes [t] its domain's spare if its last {!balances}
+      answered [true], which leaves its insert log all zero; any other
+      ledger is dropped.  {!run} hands its ledger back only after the
+      run verified. *)
+
   val payload : pid:int -> j:int -> int
   (** the payload of processor [pid]'s [j]-th insert ([1 <= j <= stride]):
       [pid * 100_000 + j] *)
 
   val insert : t -> pid:int -> j:int -> pri:int -> unit
   (** records that processor [pid]'s [j]-th insert, at priority [pri],
-      succeeded *)
+      succeeded.
+      @raise Invalid_argument past the ledger's [nprocs] or [stride] *)
 
   val delete : t -> pid:int -> pri:int -> payload:int -> unit
   (** records an element processor [pid]'s [delete_min] returned *)

@@ -43,6 +43,34 @@ let queue_gate queue ~measured () =
     (float_of_int words /. float_of_int events)
 
 (* ------------------------------------------------------------------ *)
+(* construction: the minor words Registry.create allocates for each
+   sim-fig6 queue at pqperf's parameters (P=16, Workload.params_of), as
+   a run that builds the queue and does nothing else minus a run that
+   builds nothing.  Each run follows a full major collection, so both
+   reuse a dead memory's tables and a spare event queue.  Names cost
+   only their unformatted steps (Mem.name), so formatting them again at
+   construction (about 40,800 words a run for FunnelTree, 22,100 for
+   LinearFunnels, 6,500 for SkipList) fails these rows. *)
+
+let construction_gate queue ~measured () =
+  let p =
+    Pqbenchlib.Workload.params_of
+      (Pqbenchlib.Workload.spec ~queue ~nprocs:16 ~npriorities:16)
+  in
+  let run setup =
+    Gc.full_major ();
+    let w0 = Gc.minor_words () in
+    ignore (Sim.run ~nprocs:16 ~setup ~program:(fun _ _ -> ()) ());
+    Gc.minor_words () -. w0
+  in
+  let build mem = ignore (Pqcore.Registry.create queue mem p) in
+  ignore (run build);
+  let built = run build and bare = run ignore in
+  gate
+    ~what:(queue ^ " construction P=16")
+    ~unit:"words/run" ~bound:(1.1 *. measured) (built -. bare)
+
+(* ------------------------------------------------------------------ *)
 (* exact counts: engine events and memory operations (hits + misses +
    updates) of one Workload.run of each of pqperf's sim-fig6 queues at
    P=16, seed 42.  Both are exact for a given input, whatever the
@@ -92,8 +120,8 @@ let per_effect ?(results = 0) ~setup ~op () =
 
 (* HuntEtAl's construction: minor words per heap node, as the marginal
    rate between heaps of [n] and [2n] nodes at P=64, so the run's fixed
-   cost drops out.  A node costs its lock's record; the lock's names are
-   formatted only when a report asks for them (Mem.label_with), and its
+   cost drops out.  A node costs its lock's record; all the locks share
+   two label registrations (Mem.label_records), and a lock makes its
    probe-only timestamps only under a probe.  Naming every node lock
    eagerly costs 80 words a node, and with eager timestamps it cost
    141. *)
@@ -311,6 +339,21 @@ let () =
                   gate ~what:"HuntEtAl construction P=64" ~unit:"words/node"
                     ~bound:(1.1 *. 4.014) (hunt_construction ()));
             ] );
+          ( "construction",
+            List.map
+              (fun (queue, measured) ->
+                Alcotest.test_case queue `Quick
+                  (construction_gate queue ~measured))
+              [
+                ("SingleLock", 75.);
+                ("HuntEtAl", 2664.);
+                ("SkipList", 1899.);
+                ("SimpleLinear", 872.);
+                ("SimpleTree", 1562.);
+                ("LinearFunnels", 3234.);
+                ("FunnelTree", 5082.);
+                ("MultiQueue", 2151.);
+              ] );
           ( "counts",
             List.map
               (fun (queue, events, memops) ->

@@ -444,8 +444,8 @@ let test_lockdep_abba_cycle_without_deadlock () =
     Pqsim.Sim.run ~nprocs:2 ~probe:(Lockdep.probe obs)
       ~setup:(fun mem ->
         mem_ref := Some mem;
-        let a = Pqsync.Tas.create ~name:"toy.A" mem in
-        let b = Pqsync.Tas.create ~name:"toy.B" mem in
+        let a = Pqsync.Tas.create ~name:(Root "toy.A") mem in
+        let b = Pqsync.Tas.create ~name:(Root "toy.B") mem in
         (a, b))
       ~program:(fun (a, b) pid ->
         if pid = 0 then begin
@@ -486,7 +486,7 @@ let test_lockdep_hunt_double_release_flagged () =
     Pqsim.Sim.run ~nprocs:1 ~probe:(Lockdep.probe obs)
       ~setup:(fun mem ->
         mem_ref := Some mem;
-        let l n = Pqsync.Tas.create ~name:n mem in
+        let l n = Pqsync.Tas.create ~name:(Root n) mem in
         (l "HuntFixture.heap_lock", l "HuntFixture.node[1]",
          l "HuntFixture.node[2]"))
       ~program:(fun (heap, n1, n2) _ ->

@@ -429,9 +429,6 @@ let test_driver_soak_memory_bounded () =
         (Printf.sprintf "live high-water bounded (%d)" c.live_high_water)
         true
         (c.live_high_water <= 64)
-      (* pending_high_water is a *count* of deletes folded between
-         quiescent points, not a memory figure: they accumulate into a
-         fixed npriorities-sized array, so no bound is asserted here *)
   | cells -> Alcotest.fail (Printf.sprintf "expected 1 cell, got %d" (List.length cells))
 
 let test_schedule_and_plan_parsing () =

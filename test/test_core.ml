@@ -351,6 +351,77 @@ let test_hunt_random_preemption_seed123 () =
   in
   Alcotest.(check bool) "run completed" true (r.Pqbenchlib.Workload.cycles > 0)
 
+(* ------------------------------------------------------------------ *)
+(* symbolic names: every queue's construction registers its labels
+   unformatted and Mem.name_of renders them on demand.  The digest of
+   name_of over every allocated word (one line a word, "-" where no
+   label covers it) is pinned to the value measured when each name was
+   still formatted at construction, so deferred names read exactly as
+   the eager ones did, "+k" offsets included. *)
+
+let name_digests =
+  [
+    ("SingleLock", 3, "27f2692a97d2668fcf9dc43dac9e1191");
+    ("HuntEtAl", 3, "137ebed389c9fb7d8ee3b4384d2a80b5");
+    ("SkipList", 3, "f2e9a10fdc9414994867cb3458d67ca0");
+    ("SimpleLinear", 3, "3597a91b22007cae271cd42ec743c68e");
+    ("SimpleTree", 3, "6eb8c19ac4693156c3f7baaea6899d11");
+    ("LinearFunnels", 3, "6e6d2bc952a06ff4ebd7a77cbd0149b6");
+    ("FunnelTree", 3, "ddc4f73afdb95ec268e97bb80428d0e0");
+    ("LinearFunnelsNoCheck", 3, "74bcf5a6b2e8a26efa1c4c1bb5db53bc");
+    ("LinearFunnelsFifo", 3, "274006abc4b23a007da669593052c742");
+    ("LinearFunnelsHybrid", 3, "1788bd5560b09018848fb0c9d8c5b859");
+    ("MultiQueue", 3, "a85c7fb84b587ecc0ca1e9e973406b7c");
+    ("MultiQueueC4", 3, "00567acab6f4efeb698161d119f54b11");
+    ("MultiQueueSticky", 3, "4460db4dd06649b8f13bc874b923b6a7");
+    ("MultiQueueBuffered", 3, "2ab5c3991a9963fe6cd5a24aba63e897");
+    ("SingleLock", 16, "769d07b2f6075eea8c6af551fd8d9033");
+    ("HuntEtAl", 16, "d9f0c4323c0f3cb5ffa01d3071c56d32");
+    ("SkipList", 16, "0d1e10167315cee8f6a1aabd8be15966");
+    ("SimpleLinear", 16, "62f50697819c30e0e4399fc344443e61");
+    ("SimpleTree", 16, "ee4fd06d2933fbed97792c5f79fdfc4d");
+    ("LinearFunnels", 16, "89b00855bab5fa96b7288d1b03731d5c");
+    ("FunnelTree", 16, "4658bc773de7ac815c5b82581c5db3b7");
+    ("LinearFunnelsNoCheck", 16, "d6a6860a653daba35c34dc10e7c5d669");
+    ("LinearFunnelsFifo", 16, "b64d3287b60dee592e5b55a4735c464e");
+    ("LinearFunnelsHybrid", 16, "e55c54a658ae7d882fbc145446bfe9cc");
+    ("MultiQueue", 16, "d2de9e0cb0a69e95fc66320c9537c3f6");
+    ("MultiQueueC4", 16, "249209d3a4eb6b9b455d46715a07412d");
+    ("MultiQueueSticky", 16, "b98449a3968bed1b4ca6e27981a577ca");
+    ("MultiQueueBuffered", 16, "36a9800cf7d71e3eae7ca4d0d0d1fc4d")
+  ]
+
+let name_digest queue nprocs () =
+  let mem = Pqsim.Mem.create (Pqsim.Machine.make ~nprocs ()) in
+  ignore
+    (Pqcore.Registry.create queue mem
+       (Pqcore.Pq_intf.default_params ~nprocs ~npriorities:16));
+  let b = Buffer.create 4096 in
+  for addr = 0 to Pqsim.Mem.words_allocated mem - 1 do
+    Buffer.add_string b
+      (Option.value (Pqsim.Mem.name_of mem addr) ~default:"-");
+    Buffer.add_char b '\n'
+  done;
+  let _, _, pinned =
+    List.find (fun (q, p, _) -> q = queue && p = nprocs) name_digests
+  in
+  Alcotest.(check string)
+    (Printf.sprintf "%s P=%d" queue nprocs)
+    pinned
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let name_suite =
+  ( "names",
+    List.concat_map
+      (fun nprocs ->
+        List.map
+          (fun queue ->
+            Alcotest.test_case
+              (Printf.sprintf "%s P=%d" queue nprocs)
+              `Quick (name_digest queue nprocs))
+          all_names)
+      [ 3; 16 ] )
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let relaxed_suite name =
@@ -370,6 +441,7 @@ let () =
     @ List.map relaxed_suite Pqcore.Registry.names_relaxed
     @ List.map scalable_extra Pqcore.Registry.scalable_names
     @ [ qsuite "model-props" (List.map prop_matches_model strict_names) ]
+    @ [ name_suite ]
     @ [
         ( "details",
           [

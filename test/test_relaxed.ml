@@ -89,7 +89,7 @@ let mq_conservation (name, cfg) () =
     Pqsim.Sim.run ~nprocs ~seed:3
       ~setup:(fun mem ->
         ( mem,
-          Pqrelaxed.Multiqueue.create ~name mem ~nprocs
+          Pqrelaxed.Multiqueue.create ~name:(Root name) mem ~nprocs
             ~capacity:((nprocs * per) + 1)
             cfg ))
       ~program:(fun (_, q) pid ->
@@ -125,7 +125,8 @@ let mq_delete_only_none_when_empty (name, cfg) () =
   let _ =
     Pqsim.Sim.run ~nprocs:1 ~seed:9
       ~setup:(fun mem ->
-        Pqrelaxed.Multiqueue.create ~name mem ~nprocs:1 ~capacity:(n + 1) cfg)
+        Pqrelaxed.Multiqueue.create ~name:(Root name) mem ~nprocs:1
+          ~capacity:(n + 1) cfg)
       ~program:(fun q _pid ->
         for i = 1 to n do
           ignore (Pqrelaxed.Multiqueue.insert q i);

@@ -512,7 +512,7 @@ let test_bench_out_audit_rejects () =
 let test_mem_labels () =
   let mem = Pqsim.Mem.create (Pqsim.Machine.make ~nprocs:2 ()) in
   let addr = Pqsim.Mem.alloc mem 4 in
-  Pqsim.Mem.label mem ~addr ~len:4 "thing";
+  Pqsim.Mem.label mem ~addr ~len:4 (Root "thing");
   check_bool "base word" true (Pqsim.Mem.name_of mem addr = Some "thing");
   check_bool "offset word" true
     (Pqsim.Mem.name_of mem (addr + 2) = Some "thing+2");

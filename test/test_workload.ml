@@ -112,28 +112,105 @@ let ledger_case ~collide =
   >>= fun routes ->
   return (nprocs, stride, ins, List.combine out routes)
 
+(* replay a generated case into [l]: its inserts, then each element
+   deleted by or left in the queue; whether the ledger balances *)
+let ledger_answer l (_, _, ins, routed) =
+  let module L = Pqbenchlib.Workload.Ledger in
+  List.iter (fun (pid, j, pri) -> L.insert l ~pid ~j ~pri) ins;
+  let remaining = ref [] in
+  List.iter
+    (fun ((pri, payload), (deleted, pid)) ->
+      if deleted then L.delete l ~pid ~pri ~payload
+      else remaining := (pri, payload) :: !remaining)
+    routed;
+  L.balances l ~remaining:!remaining
+
 let ledger_matches_sorted_check ~collide =
   QCheck.Test.make ~count:(if collide then 60 else 500)
     ~name:
       (if collide then "ledger = sorted check, colliding payloads"
        else "ledger = sorted check")
     (QCheck.make (ledger_case ~collide))
-    (fun (nprocs, stride, ins, routed) ->
+    (fun ((nprocs, stride, ins, routed) as case) ->
       let module L = Pqbenchlib.Workload.Ledger in
-      let l = L.create ~nprocs ~stride in
-      List.iter (fun (pid, j, pri) -> L.insert l ~pid ~j ~pri) ins;
-      let remaining = ref [] in
-      List.iter
-        (fun ((pri, payload), (deleted, pid)) ->
-          if deleted then L.delete l ~pid ~pri ~payload
-          else remaining := (pri, payload) :: !remaining)
-        routed;
       let inserted =
         List.map (fun (pid, j, pri) -> (pri, L.payload ~pid ~j)) ins
       in
       let sorted = List.sort compare in
-      L.balances l ~remaining:!remaining
+      ledger_answer (L.create ~nprocs ~stride) case
       = (sorted inserted = sorted (List.map fst routed)))
+
+(* a reused ledger answers as a fresh one: [before] runs on a ledger
+   that is then handed back, and [case] on what the next take returns —
+   the same ledger exactly when [before] balanced and the ledger has
+   room — and on a fresh one *)
+let reused_ledger_matches_fresh ~collide =
+  QCheck.Test.make ~count:(if collide then 60 else 500)
+    ~name:
+      (if collide then "reused ledger = fresh ledger, colliding payloads"
+       else "reused ledger = fresh ledger")
+    (QCheck.make
+       QCheck.Gen.(pair (ledger_case ~collide) (ledger_case ~collide)))
+    (fun (before, case) ->
+      let module L = Pqbenchlib.Workload.Ledger in
+      let nprocs0, stride0, _, _ = before and nprocs, stride, _, _ = case in
+      (* leave the domain without a spare, so [before] gets a new one *)
+      ignore (L.take ~nprocs:0 ~stride:0);
+      let l0 = L.take ~nprocs:nprocs0 ~stride:stride0 in
+      let balanced = ledger_answer l0 before in
+      L.give_back l0;
+      let l = L.take ~nprocs ~stride and fresh = L.create ~nprocs ~stride in
+      let reused = ledger_answer l case in
+      l == l0 = (balanced && nprocs <= nprocs0 && stride <= stride0)
+      && reused = ledger_answer fresh case
+      && L.inserts l = L.inserts fresh
+      && L.deletes l = L.deletes fresh)
+
+(* Workload.run hands its ledger back after a verified run and drops it
+   after a raising one.  Processor 0 crash-stops at its [k]-th
+   scheduling decision, for growing [k]: a crash just after an insert
+   took effect, before the ledger recorded it, fails verification; one
+   holding the lock blocks the other processor and raises from the
+   engine. *)
+let test_failed_run_drops_ledger () =
+  let module W = Pqbenchlib.Workload in
+  let spec =
+    {
+      (W.spec ~queue:"SingleLock" ~nprocs:2 ~npriorities:4) with
+      ops_per_proc = 4;
+      insert_bias = 100;
+    }
+  in
+  let spare () =
+    let l = W.Ledger.create ~nprocs:2 ~stride:4 in
+    check_bool "empty ledger balances" true (W.Ledger.balances l ~remaining:[]);
+    W.Ledger.give_back l;
+    l
+  in
+  let l = spare () in
+  ignore (W.run spec);
+  check_bool "a verified run hands its ledger back" true
+    (W.Ledger.take ~nprocs:2 ~stride:4 == l);
+  let rec crash k =
+    if k > 400 then Alcotest.fail "no crash point failed verification";
+    let l = spare () in
+    let policy (i : Pqsim.Sched.info) =
+      if i.proc = 0 && i.step = k then Pqsim.Sched.Stall_forever
+      else Pqsim.Sched.run_
+    in
+    let failed =
+      match W.run ~policy spec with _ -> None | exception e -> Some e
+    in
+    let next = W.Ledger.take ~nprocs:2 ~stride:4 in
+    (match failed with
+    | None -> check_bool "handed back" true (next == l)
+    | Some e ->
+        check_bool
+          ("dropped after " ^ Printexc.to_string e)
+          true (next != l));
+    match failed with Some (W.Verification_failure _) -> () | _ -> crash (k + 1)
+  in
+  crash 0
 
 let test_contention_grows_with_procs () =
   let lat p =
@@ -255,6 +332,12 @@ let () =
           [
             ledger_matches_sorted_check ~collide:false;
             ledger_matches_sorted_check ~collide:true;
+            reused_ledger_matches_fresh ~collide:false;
+            reused_ledger_matches_fresh ~collide:true;
+          ]
+        @ [
+            Alcotest.test_case "failed run drops its ledger" `Quick
+              test_failed_run_drops_ledger;
           ] );
       ( "counterbench",
         [
