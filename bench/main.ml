@@ -80,7 +80,7 @@ let () =
     Printf.printf "\nAnalyzer audit (races, lock order, rank): %s\n"
       (if failing = [] then "pass" else "FAIL");
     Format.printf "%a@." Pqanalysis.Audit.pp reports;
-    Pqanalysis.Audit.to_bench reports
+    Pqanalysis.Audit.to_json reports
   in
   (* the chaos-matrix section: the `pqbench chaos` verdict table at its
      quick configuration, seed 42 only (a fixed shape independent of
@@ -92,7 +92,7 @@ let () =
       (List.length cells)
       (Pqchaos.Driver.verdict_label (Pqchaos.Driver.worst cells));
     Format.printf "%a@." Pqchaos.Driver.pp_summary cells;
-    Pqchaos.Driver.to_bench cfg cells
+    Pqchaos.Driver.to_json cfg cells
   in
   (* the adaptive meta-queue gate: the `pqbench adapt` verdict at its
      quick configuration (fixed shape independent of --scale, like the
@@ -102,7 +102,7 @@ let () =
     Printf.printf "\nAdaptive meta-queue gate (quick): %s\n%s"
       (if Pqadapt.Driver.passed r then "pass" else "FAIL")
       (Pqadapt.Driver.report_to_string r);
-    Pqadapt.Driver.to_bench r
+    Pqadapt.Driver.to_json r
   in
   let doc =
     Pqtrace.Bench_out.make ~seed:42

@@ -5,52 +5,18 @@
 
 open Cmdliner
 
+(* the figure catalogue, then the two experiments that make no
+   BENCH.json figure *)
 let experiments : (string * string * (Pqbenchlib.Figures.scale -> unit)) list =
-  [
-    ("fig5L", "funnel counter latency vs concurrency (Fig. 5 left)",
-     fun s -> ignore (Pqbenchlib.Figures.fig5_left s));
-    ("fig5R", "funnel counter latency vs op mix (Fig. 5 right)",
-     fun s -> ignore (Pqbenchlib.Figures.fig5_right s));
-    ("fig6", "all queues at low concurrency (Fig. 6)",
-     fun s -> ignore (Pqbenchlib.Figures.fig6 s));
-    ("fig7", "scalable queues, 2-256 processors (Fig. 7)",
-     fun s -> ignore (Pqbenchlib.Figures.fig7 s));
-    ("fig8", "insert/delete-min latency breakdown (Fig. 8)",
-     fun s -> ignore (Pqbenchlib.Figures.fig8 s));
-    ("fig9L", "latency vs priority range at 64 procs (Fig. 9 left)",
-     fun s -> ignore (Pqbenchlib.Figures.fig9_left s));
-    ("fig9R", "latency vs priority range at 256 procs (Fig. 9 right)",
-     fun s -> ignore (Pqbenchlib.Figures.fig9_right s));
-    ("cutoff", "ablation: FunnelTree funnel/MCS cut-off",
-     fun s -> ignore (Pqbenchlib.Figures.ablation_cutoff s));
-    ("precheck", "ablation: LinearFunnels emptiness pre-check",
-     fun s -> ignore (Pqbenchlib.Figures.ablation_precheck s));
-    ("adaption", "ablation: funnel width adaption",
-     fun s -> ignore (Pqbenchlib.Figures.ablation_adaption s));
-    ("counters", "counter shootout: cas/mcs/combtree/dtree/bitonic/funnel",
-     fun s -> ignore (Pqbenchlib.Figures.counter_shootout s));
-    ("sensitivity", "headline comparison under perturbed machine models",
-     fun s -> ignore (Pqbenchlib.Figures.sensitivity s));
-    ("depth", "latency on a pre-filled (deep) queue",
-     fun s -> ignore (Pqbenchlib.Figures.queue_depth s));
-    ("mix", "latency vs insert share of the access mix",
-     fun s -> ignore (Pqbenchlib.Figures.mix s));
-    ("relaxed", "MultiQueue family vs the paper's seven (pqrelax)",
-     fun s -> ignore (Pqbenchlib.Figures.relaxed s));
-    ("relaxedscale", "MultiQueue vs the scalable queues, 2-256 procs",
-     fun s -> ignore (Pqbenchlib.Figures.relaxed_scale s));
-    ("rankerror", "worst rank error per concurrency (pqrelax)",
-     fun s -> ignore (Pqbenchlib.Figures.rank_error s));
-    ("burst", "per-phase latency on the bursty-Zipf scenario",
-     fun s -> ignore (Pqbenchlib.Figures.burst_phases s));
-    ("scale1k", "scalable queues to 1024 processors (pqturbo; try --xl)",
-     fun s -> ignore (Pqbenchlib.Figures.scale1k s));
-    ("hold", "DES hold-model latency on a prefilled queue",
-     fun s -> ignore (Pqbenchlib.Figures.hold_model s));
-    ("sssp", "concurrent Dijkstra makespan, distances verified",
-     fun s -> ignore (Pqbenchlib.Figures.sssp_scaling s));
-    ("all", "every figure, table and ablation", Pqbenchlib.Figures.run_all);
-  ]
+  List.map
+    (fun (e : Pqbenchlib.Figures.experiment) ->
+      (e.name, e.doc, fun s -> ignore (e.run s)))
+    Pqbenchlib.Figures.catalogue
+  @ [
+      ("sensitivity", "headline comparison under perturbed machine models",
+       fun s -> ignore (Pqbenchlib.Figures.sensitivity s));
+      ("all", "every figure, table and ablation", Pqbenchlib.Figures.run_all);
+    ]
 
 let scale_term =
   let full =

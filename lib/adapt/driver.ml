@@ -195,50 +195,50 @@ let passed r = r.errors = []
 
 (* the BENCH.json section: same numbers the gate judged, in the
    schema-stable shape Bench_out validates *)
-let to_bench (r : report) =
-  let phases =
-    List.init nphases (fun i ->
-        let means =
-          List.map (fun s -> (s.r_queue, s.r_phases.(i).ph_mean)) r.statics
-        in
-        let by_mean = List.sort (fun (_, x) (_, y) -> compare x y) means in
-        let bq, best =
-          match by_mean with b :: _ -> b | [] -> ("none", 0.)
-        in
-        let wq, worst =
-          match List.rev by_mean with w :: _ -> w | [] -> ("none", 0.)
-        in
-        {
-          Pqtrace.Bench_out.ad_phase = phase_names.(i);
-          ad_adaptive = r.adaptive.r_phases.(i).ph_mean;
-          ad_best_queue = bq;
-          ad_best = best;
-          ad_worst_queue = wq;
-          ad_worst = worst;
-        })
+let to_json (r : report) =
+  let open Pqtrace.Json in
+  let phase i =
+    let by_mean =
+      List.map (fun s -> (s.r_queue, s.r_phases.(i).ph_mean)) r.statics
+      |> List.sort (fun (_, x) (_, y) -> compare x y)
+    in
+    let bq, best = match by_mean with b :: _ -> b | [] -> ("none", 0.) in
+    let wq, worst =
+      match List.rev by_mean with w :: _ -> w | [] -> ("none", 0.)
+    in
+    obj
+      [
+        ("phase", String phase_names.(i));
+        ("adaptive", Float r.adaptive.r_phases.(i).ph_mean);
+        ("best_queue", String bq);
+        ("best", Float best);
+        ("worst_queue", String wq);
+        ("worst", Float worst);
+      ]
   in
-  {
-    Pqtrace.Bench_out.adapt_nprocs = r.cfg.nprocs;
-    adapt_npriorities = r.cfg.npriorities;
-    adapt_ops_per_phase = r.cfg.phase_ops;
-    adapt_factor = r.cfg.factor;
-    adapt_light = r.cfg.meta.Meta.light;
-    adapt_heavy = r.cfg.meta.Meta.heavy;
-    adapt_windows = r.windows;
-    adapt_pass = passed r;
-    adapt_phases = phases;
-    adapt_switches =
-      List.map
-        (fun (s : Meta.switch) ->
-          {
-            Pqtrace.Bench_out.as_cycle = s.sw_at;
-            as_from = s.sw_from;
-            as_to = s.sw_to;
-            as_regime = s.sw_regime;
-            as_moved = s.sw_moved;
-          })
-        r.switches;
-  }
+  let switch (s : Meta.switch) =
+    obj
+      [
+        ("cycle", Int s.sw_at);
+        ("from", String s.sw_from);
+        ("to", String s.sw_to);
+        ("regime", String s.sw_regime);
+        ("moved", Int s.sw_moved);
+      ]
+  in
+  obj
+    [
+      ("nprocs", Int r.cfg.nprocs);
+      ("npriorities", Int r.cfg.npriorities);
+      ("ops_per_phase", Int r.cfg.phase_ops);
+      ("factor", Float r.cfg.factor);
+      ("light", String r.cfg.meta.Meta.light);
+      ("heavy", String r.cfg.meta.Meta.heavy);
+      ("windows", Int r.windows);
+      ("pass", Bool (passed r));
+      ("phases", List (List.init nphases phase));
+      ("switches", List (List.map switch r.switches));
+    ]
 
 let pp_report ppf (r : report) =
   let open Format in

@@ -91,7 +91,7 @@ val judge : report -> string list
 
 val passed : report -> bool
 
-val to_bench : report -> Pqtrace.Bench_out.adapt
+val to_json : report -> Pqtrace.Json.t
 (** the report as BENCH.json's [adapt] section (judged pass flag,
     per-phase best/worst statics, chronological switch timeline) *)
 

@@ -230,36 +230,44 @@ let pp ppf reports =
     reports;
   Format.fprintf ppf "@]@."
 
-let to_bench reports =
-  {
-    Pqtrace.Bench_out.audit_nprocs = nprocs;
-    audit_npriorities = npriorities;
-    audit_ops_per_proc = ops_per_proc;
-    audit_schedules = List.map Policy.string_of_name schedules;
-    audit_seeds = seeds;
-    audit_rows =
-      List.map
-        (fun r ->
-          {
-            Pqtrace.Bench_out.queue = r.queue;
-            findings = findings r;
-            counts =
-              [
-                ("cells", r.cells);
-                ("events", r.events);
-                ("races", List.length r.races);
-                ("lock_events", r.locks.events_seen);
-                ("try_fails", r.locks.try_fails);
-                ("locks", List.length r.locks.locks);
-                ("edges", List.length r.locks.edges);
-                ("cycles", List.length (cycles r));
-                ("discipline", List.length r.locks.disc);
-                ("aborted", List.length r.aborted);
-                ("failed_checks", List.length r.failed_checks);
-                ("bound", r.bound);
-                ("worst_rank", r.worst_rank);
-                ("worst_delay", r.worst_delay);
-              ];
-          })
-        reports;
-  }
+let to_json reports =
+  let open Pqtrace.Json in
+  let row r =
+    let f = findings r in
+    let counts =
+      [
+        ("cells", r.cells);
+        ("events", r.events);
+        ("races", List.length r.races);
+        ("lock_events", r.locks.events_seen);
+        ("try_fails", r.locks.try_fails);
+        ("locks", List.length r.locks.locks);
+        ("edges", List.length r.locks.edges);
+        ("cycles", List.length (cycles r));
+        ("discipline", List.length r.locks.disc);
+        ("aborted", List.length r.aborted);
+        ("failed_checks", List.length r.failed_checks);
+        ("bound", r.bound);
+        ("worst_rank", r.worst_rank);
+        ("worst_delay", r.worst_delay);
+      ]
+    in
+    Obj
+      [
+        ("queue", String r.queue);
+        ("pass", Bool (f = []));
+        ("findings", List (List.map (fun s -> String s) f));
+        ("counts", Obj (List.map (fun (k, n) -> (k, Int n)) counts));
+      ]
+  in
+  Obj
+    [
+      ("nprocs", Int nprocs);
+      ("npriorities", Int npriorities);
+      ("ops_per_proc", Int ops_per_proc);
+      ( "schedules",
+        List (List.map (fun s -> String (Policy.string_of_name s)) schedules) );
+      ("seeds", List (List.map (fun s -> Int s) seeds));
+      ("pass", Bool (List.for_all (fun r -> findings r = []) reports));
+      ("queues", List (List.map row reports));
+    ]

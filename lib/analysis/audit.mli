@@ -87,4 +87,7 @@ val run : jobs:int -> report list
 val pp : Format.formatter -> report list -> unit
 (** per-queue evidence blocks, then the summary table *)
 
-val to_bench : report list -> Pqtrace.Bench_out.audit
+val to_json : report list -> Pqtrace.Json.t
+(** the reports as BENCH.json's [audit] section: the matrix shape, then
+    one row per queue with its pass flag, {!findings} and the counts
+    behind them *)

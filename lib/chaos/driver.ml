@@ -334,35 +334,35 @@ let summary_matrix cells =
           plans ))
     scenarios
 
-let to_bench cfg cells =
-  {
-    Pqtrace.Bench_out.chaos_nprocs = cfg.nprocs;
-    chaos_npriorities = cfg.npriorities;
-    chaos_ops_per_proc = cfg.ops_per_proc;
-    chaos_safe =
-      not
-        (List.exists
-           (fun c ->
-             match c.verdict with Safety_violation _ -> true | _ -> false)
-           cells);
-    cells =
-      List.map
-        (fun c ->
-          {
-            Pqtrace.Bench_out.cc_queue = c.queue;
-            cc_scenario = c.scenario;
-            cc_plan = c.plan;
-            cc_sched = c.sched;
-            cc_seed = c.seed;
-            cc_verdict = verdict_label c.verdict;
-            cc_cycles = c.cycles;
-            cc_ops = c.ops;
-            cc_worst_rank = c.worst_rank;
-            cc_bound = c.bound;
-            cc_dangling = c.dangling;
-          })
-        cells;
-  }
+let to_json cfg cells =
+  let open Pqtrace.Json in
+  let cell c =
+    Obj
+      [
+        ("queue", String c.queue);
+        ("scenario", String c.scenario);
+        ("plan", String c.plan);
+        ("sched", String c.sched);
+        ("seed", Int c.seed);
+        ("verdict", String (verdict_label c.verdict));
+        ("cycles", Int c.cycles);
+        ("ops", Int c.ops);
+        ("worst_rank", Int c.worst_rank);
+        ("bound", Int c.bound);
+        ("dangling", Int c.dangling);
+      ]
+  in
+  let unsafe c =
+    match c.verdict with Safety_violation _ -> true | _ -> false
+  in
+  Obj
+    [
+      ("nprocs", Int cfg.nprocs);
+      ("npriorities", Int cfg.npriorities);
+      ("ops_per_proc", Int cfg.ops_per_proc);
+      ("safe", Bool (not (List.exists unsafe cells)));
+      ("cells", List (List.map cell cells));
+    ]
 
 let pp_cells ppf cells =
   Format.fprintf ppf

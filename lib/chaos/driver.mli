@@ -97,7 +97,7 @@ val summary_matrix : cell list -> (string * (string * string) list) list
 (** scenario -> (plan -> worst verdict label) across queues, seeds and
     schedules *)
 
-val to_bench : config -> cell list -> Pqtrace.Bench_out.chaos
+val to_json : config -> cell list -> Pqtrace.Json.t
 (** the cells of a run of [config] as BENCH.json's [chaos] section *)
 
 val pp_cells : Format.formatter -> cell list -> unit

@@ -11,87 +11,20 @@ type figure = {
 
 let chaos_verdicts = [ "healthy"; "degraded"; "blocked"; "safety-violation" ]
 
-type chaos_cell = {
-  cc_queue : string;
-  cc_scenario : string;
-  cc_plan : string;
-  cc_sched : string;
-  cc_seed : int;
-  cc_verdict : string;
-  cc_cycles : int;
-  cc_ops : int;
-  cc_worst_rank : int;
-  cc_bound : int;
-  cc_dangling : int;
-}
-
-type chaos = {
-  chaos_nprocs : int;
-  chaos_npriorities : int;
-  chaos_ops_per_proc : int;
-  chaos_safe : bool;
-  cells : chaos_cell list;
-}
-
-type adapt_phase = {
-  ad_phase : string;
-  ad_adaptive : float;
-  ad_best_queue : string;
-  ad_best : float;
-  ad_worst_queue : string;
-  ad_worst : float;
-}
-
-type adapt_switch = {
-  as_cycle : int;
-  as_from : string;
-  as_to : string;
-  as_regime : string;
-  as_moved : int;
-}
-
-type adapt = {
-  adapt_nprocs : int;
-  adapt_npriorities : int;
-  adapt_ops_per_phase : int;
-  adapt_factor : float;
-  adapt_light : string;
-  adapt_heavy : string;
-  adapt_windows : int;
-  adapt_pass : bool;
-  adapt_phases : adapt_phase list;
-  adapt_switches : adapt_switch list;
-}
-
-type audit_row = {
-  queue : string;
-  findings : string list;
-  counts : (string * int) list;
-}
-
-type audit = {
-  audit_nprocs : int;
-  audit_npriorities : int;
-  audit_ops_per_proc : int;
-  audit_schedules : string list;
-  audit_seeds : int list;
-  audit_rows : audit_row list;
-}
-
 type t = {
-  paper : string;
   seed : int;
   scale : string;
   figures : figure list;
   metrics : (string * Json.t) list; (* free-form extras, e.g. per-queue derived metrics *)
-  audit : audit option; (* races, lock order and rank (pqbench audit) *)
-  chaos : chaos option; (* chaos-matrix verdicts (pqbench chaos) *)
-  adapt : adapt option; (* adaptive meta-queue gate (pqbench adapt) *)
+  audit : Json.t option; (* races, lock order and rank (pqbench audit) *)
+  chaos : Json.t option; (* chaos-matrix verdicts (pqbench chaos) *)
+  adapt : Json.t option; (* adaptive meta-queue gate (pqbench adapt) *)
 }
 
-let make ?(paper = "shavit-zemach-podc99") ?(metrics = []) ?audit ?chaos
-    ?adapt ~seed ~scale figures =
-  { paper; seed; scale; figures; metrics; audit; chaos; adapt }
+let paper = "shavit-zemach-podc99"
+
+let make ?(metrics = []) ?audit ?chaos ?adapt ~seed ~scale figures =
+  { seed; scale; figures; metrics; audit; chaos; adapt }
 
 let series_to_json s =
   Json.Obj
@@ -114,111 +47,23 @@ let figure_to_json f =
       ("series", Json.List (List.map series_to_json f.series));
     ]
 
-let audit_row_to_json r =
-  Json.Obj
-    [
-      ("queue", Json.String r.queue);
-      ("pass", Json.Bool (r.findings = []));
-      ("findings", Json.List (List.map (fun f -> Json.String f) r.findings));
-      ("counts", Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) r.counts));
-    ]
-
-let audit_to_json a =
-  Json.Obj
-    [
-      ("nprocs", Json.Int a.audit_nprocs);
-      ("npriorities", Json.Int a.audit_npriorities);
-      ("ops_per_proc", Json.Int a.audit_ops_per_proc);
-      ( "schedules",
-        Json.List (List.map (fun s -> Json.String s) a.audit_schedules) );
-      ("seeds", Json.List (List.map (fun s -> Json.Int s) a.audit_seeds));
-      ( "pass",
-        Json.Bool (List.for_all (fun r -> r.findings = []) a.audit_rows) );
-      ("queues", Json.List (List.map audit_row_to_json a.audit_rows));
-    ]
-
-let chaos_cell_to_json c =
-  Json.Obj
-    [
-      ("queue", Json.String c.cc_queue);
-      ("scenario", Json.String c.cc_scenario);
-      ("plan", Json.String c.cc_plan);
-      ("sched", Json.String c.cc_sched);
-      ("seed", Json.Int c.cc_seed);
-      ("verdict", Json.String c.cc_verdict);
-      ("cycles", Json.Int c.cc_cycles);
-      ("ops", Json.Int c.cc_ops);
-      ("worst_rank", Json.Int c.cc_worst_rank);
-      ("bound", Json.Int c.cc_bound);
-      ("dangling", Json.Int c.cc_dangling);
-    ]
-
-let chaos_to_json c =
-  Json.Obj
-    [
-      ("nprocs", Json.Int c.chaos_nprocs);
-      ("npriorities", Json.Int c.chaos_npriorities);
-      ("ops_per_proc", Json.Int c.chaos_ops_per_proc);
-      ("safe", Json.Bool c.chaos_safe);
-      ("cells", Json.List (List.map chaos_cell_to_json c.cells));
-    ]
-
-let adapt_phase_to_json p =
-  Json.Obj
-    [
-      ("phase", Json.String p.ad_phase);
-      ("adaptive", Json.Float p.ad_adaptive);
-      ("best_queue", Json.String p.ad_best_queue);
-      ("best", Json.Float p.ad_best);
-      ("worst_queue", Json.String p.ad_worst_queue);
-      ("worst", Json.Float p.ad_worst);
-    ]
-
-let adapt_switch_to_json s =
-  Json.Obj
-    [
-      ("cycle", Json.Int s.as_cycle);
-      ("from", Json.String s.as_from);
-      ("to", Json.String s.as_to);
-      ("regime", Json.String s.as_regime);
-      ("moved", Json.Int s.as_moved);
-    ]
-
-let adapt_to_json a =
-  Json.Obj
-    [
-      ("nprocs", Json.Int a.adapt_nprocs);
-      ("npriorities", Json.Int a.adapt_npriorities);
-      ("ops_per_phase", Json.Int a.adapt_ops_per_phase);
-      ("factor", Json.Float a.adapt_factor);
-      ("light", Json.String a.adapt_light);
-      ("heavy", Json.String a.adapt_heavy);
-      ("windows", Json.Int a.adapt_windows);
-      ("pass", Json.Bool a.adapt_pass);
-      ("phases", Json.List (List.map adapt_phase_to_json a.adapt_phases));
-      ("switches", Json.List (List.map adapt_switch_to_json a.adapt_switches));
-    ]
-
 let to_json t =
+  let section key = Option.map (fun j -> (key, j)) in
   Json.Obj
     ([
        ("schema_version", Json.Int schema_version);
-       ("paper", Json.String t.paper);
+       ("paper", Json.String paper);
        ("seed", Json.Int t.seed);
        ("scale", Json.String t.scale);
        ("figures", Json.List (List.map figure_to_json t.figures));
      ]
-    @ (if t.metrics = [] then [] else [ ("metrics", Json.Obj t.metrics) ])
-    @ (match t.audit with
-      | Some a -> [ ("audit", audit_to_json a) ]
-      | None -> [])
-    @ (match t.chaos with
-      | Some c -> [ ("chaos", chaos_to_json c) ]
-      | None -> [])
-    @
-    match t.adapt with
-    | Some a -> [ ("adapt", adapt_to_json a) ]
-    | None -> [])
+    @ List.filter_map Fun.id
+        [
+          (if t.metrics = [] then None else Some ("metrics", Json.Obj t.metrics));
+          section "audit" t.audit;
+          section "chaos" t.chaos;
+          section "adapt" t.adapt;
+        ])
 
 let to_string t = Json.to_string (to_json t)
 
@@ -282,6 +127,22 @@ let v_bool ctx key j =
   | Some (Json.Bool b) -> Ok b
   | _ -> Error (Printf.sprintf "%s: missing or mistyped boolean field %S" ctx key)
 
+(* the counts behind [Audit.findings]: a row passes iff these are all
+   0 and its worst rank is within its bound *)
+let audit_terms = [ "races"; "cycles"; "discipline"; "aborted"; "failed_checks" ]
+
+let audit_pass ctx counts =
+  let keys = "worst_rank" :: "bound" :: audit_terms in
+  match
+    List.map (fun k -> Option.bind (List.assoc_opt k counts) Json.to_int) keys
+  with
+  | Some worst :: Some bound :: terms when List.for_all Option.is_some terms ->
+      Ok (worst <= bound && List.for_all (( = ) (Some 0)) terms)
+  | _ ->
+      Error
+        (Printf.sprintf "%s: counts lack one of %s" ctx
+           (String.concat ", " keys))
+
 let validate_audit_row ctx j =
   let* queue = v_string ctx "queue" j in
   let ctx = Printf.sprintf "%s(%s)" ctx queue in
@@ -295,12 +156,16 @@ let validate_audit_row ctx j =
     match Json.member "counts" j with
     | Some (Json.Obj counts) ->
         if
-          List.for_all
-            (fun (_, n) ->
-              match Json.to_int n with Some n -> n >= 0 | None -> false)
-            counts
-        then Ok ()
-        else Error (ctx ^ ": counts must be non-negative integers")
+          not
+            (List.for_all
+               (fun (_, n) ->
+                 match Json.to_int n with Some n -> n >= 0 | None -> false)
+               counts)
+        then Error (ctx ^ ": counts must be non-negative integers")
+        else
+          let* derived = audit_pass ctx counts in
+          if pass = derived then Ok ()
+          else Error (ctx ^ ": pass flag contradicts the recorded counts")
     | _ -> Error (ctx ^ ": missing or mistyped object field \"counts\"")
 
 let validate_audit ctx j =
@@ -452,8 +317,25 @@ let sections =
   [ "schema_version"; "paper"; "seed"; "scale"; "figures"; "metrics";
     "audit"; "chaos"; "adapt" ]
 
+(* every check here reads the first copy of a key, so a document that
+   repeats one could carry a second copy no check has seen *)
+let rec unique_keys ctx = function
+  | Json.Obj kvs ->
+      let rec go seen = function
+        | [] -> Ok ()
+        | (k, _) :: _ when List.mem k seen ->
+            Error (Printf.sprintf "%s: repeated key %S" ctx k)
+        | (k, v) :: rest ->
+            let* () = unique_keys (ctx ^ "." ^ k) v in
+            go (k :: seen) rest
+      in
+      go [] kvs
+  | Json.List xs -> all ctx unique_keys 0 xs
+  | _ -> Ok ()
+
 let validate j =
   let ctx = "BENCH" in
+  let* () = unique_keys ctx j in
   let* v = v_int ctx "schema_version" j in
   if v <> schema_version then
     Error

@@ -42,6 +42,8 @@ let grid scale ~series ~points ~run ~mk =
       mk s (take (List.length (points s))))
     series
 
+let series name points = { Pqtrace.Bench_out.name; points }
+
 let concurrencies scale procs = List.filter (fun p -> p <= scale.max_procs) procs
 
 let queue_series scale ~queues ~npriorities ~procs ?(tweak = Fun.id) () =
@@ -52,7 +54,7 @@ let queue_series scale ~queues ~npriorities ~procs ?(tweak = Fun.id) () =
       let s = tweak (Workload.spec ~queue ~nprocs ~npriorities) in
       let r = Workload.run ~ops_per_proc:scale.ops s in
       (nprocs, r.latency_all))
-    ~mk:(fun queue points -> { Table.label = queue; points })
+    ~mk:series
 
 (* ------------------------------------------------------------------ *)
 
@@ -73,13 +75,10 @@ let fig5_left scale =
         ( p,
           Counterbench.run ~mode ~nprocs:p ~dec_percent:50
             ~ops_per_proc:scale.ops () ))
-      ~mk:(fun (label, _) points -> { Table.label; points })
+      ~mk:(fun (name, _) -> series name)
   in
-  Table.print
-    ~title:
-      "Figure 5 (left): funnel counter latency, 50/50 inc/dec (cycles/op)"
-    ~xlabel:"P" data;
-  data
+  ( "Figure 5 (left): funnel counter latency, 50/50 inc/dec (cycles/op)",
+    data )
 
 let fig5_right scale =
   let p = min 256 scale.max_procs in
@@ -97,39 +96,30 @@ let fig5_right scale =
         ( pc,
           Counterbench.run ~mode ~nprocs:p ~dec_percent:pc
             ~ops_per_proc:scale.ops () ))
-      ~mk:(fun (label, _) points -> { Table.label; points })
+      ~mk:(fun (name, _) -> series name)
   in
-  Table.print
-    ~title:
-      (Printf.sprintf
-         "Figure 5 (right): funnel counter latency at %d processors \
-          (cycles/op)"
-         p)
-    ~xlabel:"%dec" data;
-  data
+  ( Printf.sprintf
+      "Figure 5 (right): funnel counter latency at %d processors \
+       (cycles/op)"
+      p,
+    data )
 
 let fig6 scale =
   let data =
     queue_series scale ~queues:Pqcore.Registry.names_paper ~npriorities:16
       ~procs:[ 2; 4; 6; 8; 10; 12; 14; 16 ] ()
   in
-  Table.print
-    ~title:
-      "Figure 6: all queues, 16 priorities, low concurrency (cycles/access)"
-    ~xlabel:"P" data;
-  data
+  ( "Figure 6: all queues, 16 priorities, low concurrency (cycles/access)",
+    data )
 
 let fig7 scale =
   let data =
     queue_series scale ~queues:Pqcore.Registry.scalable_names ~npriorities:16
       ~procs:[ 2; 4; 8; 16; 32; 64; 128; 256 ] ()
   in
-  Table.print
-    ~title:
-      "Figure 7: scalable queues, 16 priorities, high concurrency \
-       (cycles/access)"
-    ~xlabel:"P" data;
-  data
+  ( "Figure 7: scalable queues, 16 priorities, high concurrency \
+     (cycles/access)",
+    data )
 
 type fig8_cell = {
   f8_procs : int;
@@ -196,43 +186,57 @@ let fig8 scale =
       "Figure 8: insert / delete-min latency break-down (thousands of \
        cycles)"
     ~header rows;
-  data
+  (* BENCH.json keeps raw cycles: one series over P per (queue, N,
+     metric) *)
+  List.concat_map
+    (fun (n, queue) ->
+      let pick metric sel =
+        series
+          (Printf.sprintf "%s N=%d %s" queue n metric)
+          (List.filter_map
+             (fun c ->
+               if c.f8_priorities = n && c.f8_queue = queue then
+                 Some (c.f8_procs, sel c)
+               else None)
+             data)
+      in
+      [
+        pick "insert" (fun c -> c.f8_insert);
+        pick "delete" (fun c -> c.f8_delete);
+        pick "all" (fun c -> c.f8_all);
+      ])
+    (List.sort_uniq compare
+       (List.map (fun c -> (c.f8_priorities, c.f8_queue)) data))
 
-let fig9 scale ~nprocs ~queues ~title =
+let fig9 scale ~nprocs ~queues =
   let priorities = [ 2; 4; 8; 16; 32; 64; 128; 256; 512 ] in
-  let data =
-    grid scale ~series:queues
-      ~points:(fun _ -> priorities)
-      ~run:(fun queue n ->
-        progress "[bench] fig9 %s N=%d P=%d" queue n nprocs;
-        let r =
-          Workload.run ~ops_per_proc:scale.ops
-            (Workload.spec ~queue ~nprocs ~npriorities:n)
-        in
-        (n, r.latency_all))
-      ~mk:(fun queue points -> { Table.label = queue; points })
-  in
-  Table.print ~title ~xlabel:"N" data;
-  data
+  grid scale ~series:queues
+    ~points:(fun _ -> priorities)
+    ~run:(fun queue n ->
+      progress "[bench] fig9 %s N=%d P=%d" queue n nprocs;
+      let r =
+        Workload.run ~ops_per_proc:scale.ops
+          (Workload.spec ~queue ~nprocs ~npriorities:n)
+      in
+      (n, r.latency_all))
+    ~mk:series
 
 let fig9_left scale =
   let nprocs = min 64 scale.max_procs in
-  fig9 scale ~nprocs ~queues:Pqcore.Registry.scalable_names
-    ~title:
-      (Printf.sprintf
-         "Figure 9 (left): latency vs priority range at %d processors \
-          (cycles/access)"
-         nprocs)
+  ( Printf.sprintf
+      "Figure 9 (left): latency vs priority range at %d processors \
+       (cycles/access)"
+      nprocs,
+    fig9 scale ~nprocs ~queues:Pqcore.Registry.scalable_names )
 
 let fig9_right scale =
   let nprocs = min 256 scale.max_procs in
-  fig9 scale ~nprocs
-    ~queues:[ "SimpleLinear"; "LinearFunnels"; "FunnelTree"; "SimpleTree" ]
-    ~title:
-      (Printf.sprintf
-         "Figure 9 (right): latency vs priority range at %d processors \
-          (cycles/access; paper omits SimpleTree here)"
-         nprocs)
+  ( Printf.sprintf
+      "Figure 9 (right): latency vs priority range at %d processors \
+       (cycles/access; paper omits SimpleTree here)"
+      nprocs,
+    fig9 scale ~nprocs
+      ~queues:[ "SimpleLinear"; "LinearFunnels"; "FunnelTree"; "SimpleTree" ] )
 
 (* ------------------------------------------------------------------ *)
 (* ablations *)
@@ -252,16 +256,12 @@ let ablation_cutoff scale =
           }
         in
         (p, (Workload.run ~ops_per_proc:scale.ops s).latency_all))
-      ~mk:(fun cutoff points ->
-        { Table.label = Printf.sprintf "cutoff=%d" cutoff; points })
+      ~mk:(fun cutoff -> series (Printf.sprintf "cutoff=%d" cutoff))
   in
-  Table.print
-    ~title:
-      "Ablation: FunnelTree funnel/MCS cut-off depth, 64 priorities \
-       (cycles/access; cutoff=0 means MCS-locked counters everywhere, 99 \
-       funnels everywhere)"
-    ~xlabel:"P" data;
-  data
+  ( "Ablation: FunnelTree funnel/MCS cut-off depth, 64 priorities \
+     (cycles/access; cutoff=0 means MCS-locked counters everywhere, 99 \
+     funnels everywhere)",
+    data )
 
 let ablation_precheck scale =
   let data =
@@ -269,12 +269,9 @@ let ablation_precheck scale =
       ~queues:[ "LinearFunnels"; "LinearFunnelsNoCheck" ]
       ~npriorities:16 ~procs:sweep ()
   in
-  Table.print
-    ~title:
-      "Ablation: LinearFunnels delete-min emptiness pre-check \
-       (cycles/access)"
-    ~xlabel:"P" data;
-  data
+  ( "Ablation: LinearFunnels delete-min emptiness pre-check \
+     (cycles/access)",
+    data )
 
 let ablation_adaption scale =
   let data =
@@ -290,12 +287,10 @@ let ablation_adaption scale =
           }
         in
         (p, (Workload.run ~ops_per_proc:scale.ops s).latency_all))
-      ~mk:(fun (label, _) points -> { Table.label; points })
+      ~mk:(fun (name, _) -> series name)
   in
-  Table.print
-    ~title:"Ablation: funnel layer-width adaption (FunnelTree, 16 priorities)"
-    ~xlabel:"P" data;
-  data
+  ( "Ablation: funnel layer-width adaption (FunnelTree, 16 priorities)",
+    data )
 
 let counter_shootout scale =
   let makers =
@@ -333,14 +328,11 @@ let counter_shootout scale =
       ~run:(fun (label, maker) p ->
         progress "[bench] counters %s P=%d" label p;
         (p, latency maker p))
-      ~mk:(fun (label, _) points -> { Table.label; points })
+      ~mk:(fun (name, _) -> series name)
   in
-  Table.print
-    ~title:
-      "Counter shootout (Sec. 1/3.1 context): fetch-and-increment latency \
-       across implementations (cycles/op)"
-    ~xlabel:"P" data;
-  data
+  ( "Counter shootout (Sec. 1/3.1 context): fetch-and-increment latency \
+     across implementations (cycles/op)",
+    data )
 
 let mix scale =
   (* Figure 5 (right) varies the op mix for raw counters; this extension
@@ -364,16 +356,13 @@ let mix scale =
           }
         in
         (insert_bias, (Workload.run ~ops_per_proc:scale.ops s).latency_delete))
-      ~mk:(fun queue points -> { Table.label = queue; points })
+      ~mk:series
   in
-  Table.print
-    ~title:
-      (Printf.sprintf
-         "Workload mix (extension): delete-min latency at %d processors vs \
-          %% of accesses that insert (cycles/delete)"
-         nprocs)
-    ~xlabel:"%ins" data;
-  data
+  ( Printf.sprintf
+      "Workload mix (extension): delete-min latency at %d processors vs \
+       %% of accesses that insert (cycles/delete)"
+      nprocs,
+    data )
 
 let queue_depth scale =
   (* The paper's benchmark keeps queues nearly empty (50/50 mix from an
@@ -390,16 +379,13 @@ let queue_depth scale =
           { (Workload.spec ~queue ~nprocs ~npriorities:16) with prefill }
         in
         (prefill, (Workload.run ~ops_per_proc:scale.ops s).latency_all))
-      ~mk:(fun queue points -> { Table.label = queue; points })
+      ~mk:series
   in
-  Table.print
-    ~title:
-      (Printf.sprintf
-         "Queue depth (extension): latency at %d processors with a \
-          pre-filled queue (cycles/access)"
-         nprocs)
-    ~xlabel:"depth" data;
-  data
+  ( Printf.sprintf
+      "Queue depth (extension): latency at %d processors with a \
+       pre-filled queue (cycles/access)"
+      nprocs,
+    data )
 
 let sensitivity scale =
   (* The headline comparison (Fig. 7 at peak concurrency) re-run under
@@ -453,12 +439,9 @@ let relaxed scale =
       ~npriorities:16
       ~procs:[ 2; 4; 8; 16 ] ()
   in
-  Table.print
-    ~title:
-      "Relaxed (pqrelax): MultiQueue family vs the paper's seven, 16 \
-       priorities, low concurrency (cycles/access)"
-    ~xlabel:"P" data;
-  data
+  ( "Relaxed (pqrelax): MultiQueue family vs the paper's seven, 16 \
+     priorities, low concurrency (cycles/access)",
+    data )
 
 let relaxed_scale scale =
   let data =
@@ -467,12 +450,9 @@ let relaxed_scale scale =
       ~npriorities:16
       ~procs:[ 2; 4; 8; 16; 32; 64; 128; 256 ] ()
   in
-  Table.print
-    ~title:
-      "Relaxed (pqrelax): MultiQueue vs the scalable queues, 16 priorities, \
-       high concurrency (cycles/access)"
-    ~xlabel:"P" data;
-  data
+  ( "Relaxed (pqrelax): MultiQueue vs the scalable queues, 16 priorities, \
+     high concurrency (cycles/access)",
+    data )
 
 let rank_error scale =
   (* the quality side of the relaxation trade: worst rank error the
@@ -502,14 +482,11 @@ let rank_error scale =
             0 [ 42; 1; 7 ]
         in
         (p, float_of_int worst))
-      ~mk:(fun queue points -> { Table.label = queue; points })
+      ~mk:series
   in
-  Table.print
-    ~title:
-      "Rank error (pqrelax): worst rank error over adversarial schedules, \
-       30 ops/processor (elements certainly overtaken per delete-min)"
-    ~xlabel:"P" data;
-  data
+  ( "Rank error (pqrelax): worst rank error over adversarial schedules, \
+     30 ops/processor (elements certainly overtaken per delete-min)",
+    data )
 
 (* ------------------------------------------------------------------ *)
 (* the bursty-Zipf scenario as a figure family: per-phase latency on the
@@ -547,19 +524,14 @@ let burst_phases scale =
     List.concat_map
       (fun (queue, points) ->
         List.init (Array.length burst_phase_labels) (fun i ->
-            {
-              Table.label =
-                Printf.sprintf "%s %s" queue burst_phase_labels.(i);
-              points = List.map (fun (p, means) -> (p, means.(i))) points;
-            }))
+            series
+              (Printf.sprintf "%s %s" queue burst_phase_labels.(i))
+              (List.map (fun (p, means) -> (p, means.(i))) points)))
       rows
   in
-  Table.print
-    ~title:
-      "Burst (extension): per-phase latency on the bursty-Zipf scenario \
-       (cycles/access)"
-    ~xlabel:"P" data;
-  data
+  ( "Burst (extension): per-phase latency on the bursty-Zipf scenario \
+     (cycles/access)",
+    data )
 
 (* ------------------------------------------------------------------ *)
 (* pqturbo: the 1024-processor frontier.  Figure 7's axes extended past
@@ -589,17 +561,14 @@ let scale1k scale =
           }
         in
         (p, (Workload.run ~ops_per_proc:scale.ops s).latency_all))
-      ~mk:(fun queue points -> { Table.label = queue; points })
+      ~mk:series
   in
-  Table.print
-    ~title:
-      (Printf.sprintf
-         "Scale-1k (pqturbo): scalable queues to 1024 processors, %d \
-          priorities (tree height %d; sockets past 256 procs; \
-          cycles/access)"
-         scale1k_npriorities height)
-    ~xlabel:"P" data;
-  data
+  ( Printf.sprintf
+      "Scale-1k (pqturbo): scalable queues to 1024 processors, %d \
+       priorities (tree height %d; sockets past 256 procs; \
+       cycles/access)"
+      scale1k_npriorities height,
+    data )
 
 (* ------------------------------------------------------------------ *)
 (* the hold and SSSP scenarios as figure families: the remaining two
@@ -630,14 +599,11 @@ let hold_model scale =
           | None -> 0.
         in
         (p, mean))
-      ~mk:(fun queue points -> { Table.label = queue; points })
+      ~mk:series
   in
-  Table.print
-    ~title:
-      "Hold (scenario): DES hold-model latency, delete_min + reinsert on a \
-       prefilled queue (cycles/access)"
-    ~xlabel:"P" data;
-  data
+  ( "Hold (scenario): DES hold-model latency, delete_min + reinsert on a \
+     prefilled queue (cycles/access)",
+    data )
 
 let sssp_scaling scale =
   (* concurrent Dijkstra: the queue is the open set, so the figure's
@@ -662,208 +628,148 @@ let sssp_scaling scale =
         | Ok () -> ()
         | Error e -> failwith ("sssp figure: " ^ e));
         (p, float_of_int o.Scenario.cycles))
-      ~mk:(fun queue points -> { Table.label = queue; points })
+      ~mk:series
   in
-  Table.print
-    ~title:
-      "SSSP (scenario): concurrent Dijkstra makespan over a 96-node seeded \
-       graph, distances verified against the sequential reference (cycles \
-       to completion)"
-    ~xlabel:"P" data;
-  data
-
-let run_all scale =
-  ignore (fig5_left scale);
-  ignore (fig5_right scale);
-  ignore (fig6 scale);
-  ignore (fig7 scale);
-  ignore (fig8 scale);
-  ignore (fig9_left scale);
-  ignore (fig9_right scale);
-  ignore (ablation_cutoff scale);
-  ignore (ablation_precheck scale);
-  ignore (ablation_adaption scale);
-  ignore (counter_shootout scale);
-  ignore (queue_depth scale);
-  ignore (mix scale);
-  ignore (relaxed scale);
-  ignore (relaxed_scale scale);
-  ignore (rank_error scale);
-  ignore (burst_phases scale);
-  ignore (scale1k scale);
-  ignore (hold_model scale);
-  ignore (sssp_scaling scale);
-  ignore (sensitivity scale)
+  ( "SSSP (scenario): concurrent Dijkstra makespan over a 96-node seeded \
+     graph, distances verified against the sequential reference (cycles \
+     to completion)",
+    data )
 
 (* ------------------------------------------------------------------ *)
-(* BENCH.json: the same runs, captured in schema-stable form.  Each
-   figure executes once — the text table prints as a side effect while
-   the series are collected for the machine-readable document. *)
+(* the catalogue: every figure's CLI name, BENCH.json entry and runner,
+   in BENCH.json order *)
 
-let bench_series data =
-  List.map
-    (fun s -> { Pqtrace.Bench_out.name = s.Table.label; points = s.points })
+type experiment = {
+  name : string;
+  id : string;
+  doc : string;
+  title : string;
+  xlabel : string;
+  run : scale -> Pqtrace.Bench_out.series list;
+}
+
+(* an experiment whose table plots its series; [f] returns the table's
+   heading with them *)
+let plot name id ~doc ~title ~xlabel f =
+  let run scale =
+    let heading, data = f scale in
+    Table.print ~title:heading ~xlabel data;
     data
+  in
+  { name; id; doc; title; xlabel; run }
 
-let collect scale =
-  let fig id title xlabel data =
-    { Pqtrace.Bench_out.id; title; xlabel; series = bench_series data }
-  in
-  (* figures execute in this order — historically the right-to-left
-     evaluation of the result list literal, kept explicit so printed
-     tables stay in the established order *)
-  let sssp_f =
-    fig "sssp"
-      "concurrent Dijkstra makespan, distances verified (cycles to \
-       completion)"
-      "P"
-      (sssp_scaling scale)
-  in
-  let hold_f =
-    fig "hold"
-      "DES hold-model latency on a prefilled queue (cycles/access)" "P"
-      (hold_model scale)
-  in
-  let scale1k_f =
-    fig "scale1k"
-      "scalable queues to 1024 processors, 1024 priorities (cycles/access)"
-      "P"
-      (scale1k scale)
-  in
-  let burst_phases_f =
-    fig "burst_phases"
-      "per-phase latency on the bursty-Zipf scenario (cycles/access)" "P"
-      (burst_phases scale)
-  in
-  let rank_error_f =
-    fig "rank_error"
-      "worst rank error over adversarial schedules (elements per delete-min)"
-      "P"
-      (rank_error scale)
-  in
-  let relaxed_scale_f =
-    fig "relaxed_scale"
-      "MultiQueue vs the scalable queues, high concurrency (cycles/access)"
-      "P"
-      (relaxed_scale scale)
-  in
-  let relaxed_f =
-    fig "relaxed"
-      "MultiQueue family vs the paper's seven, low concurrency \
-       (cycles/access)"
-      "P"
-      (relaxed scale)
-  in
-  let fig8_figure =
-    let data = fig8 scale in
-    let configs =
-      List.sort_uniq compare
-        (List.map (fun c -> (c.f8_priorities, c.f8_queue)) data)
-    in
-    let series =
-      List.concat_map
-        (fun (n, queue) ->
-          let pick metric sel =
-            {
-              Pqtrace.Bench_out.name =
-                Printf.sprintf "%s N=%d %s" queue n metric;
-              points =
-                List.filter_map
-                  (fun c ->
-                    if c.f8_priorities = n && c.f8_queue = queue then
-                      Some (c.f8_procs, sel c)
-                    else None)
-                  data;
-            }
-          in
-          [
-            pick "insert" (fun c -> c.f8_insert);
-            pick "delete" (fun c -> c.f8_delete);
-            pick "all" (fun c -> c.f8_all);
-          ])
-        configs
-    in
+let catalogue =
+  [
+    plot "fig5L" "fig5_left"
+      ~doc:"funnel counter latency vs concurrency (Fig. 5 left)"
+      ~title:"funnel counter latency, 50/50 inc/dec (cycles/op)" ~xlabel:"P"
+      fig5_left;
+    plot "fig5R" "fig5_right"
+      ~doc:"funnel counter latency vs op mix (Fig. 5 right)"
+      ~title:"funnel counter latency vs decrement share (cycles/op)"
+      ~xlabel:"%dec" fig5_right;
+    plot "fig6" "fig6" ~doc:"all queues at low concurrency (Fig. 6)"
+      ~title:"all queues, 16 priorities, low concurrency (cycles/access)"
+      ~xlabel:"P" fig6;
+    plot "fig7" "fig7" ~doc:"scalable queues, 2-256 processors (Fig. 7)"
+      ~title:
+        "scalable queues, 16 priorities, high concurrency (cycles/access)"
+      ~xlabel:"P" fig7;
     {
-      Pqtrace.Bench_out.id = "fig8";
+      name = "fig8";
+      id = "fig8";
+      doc = "insert/delete-min latency breakdown (Fig. 8)";
       title = "insert / delete-min latency break-down (cycles)";
       xlabel = "P";
-      series;
-    }
-  in
-  let mix_f =
-    fig "mix" "delete-min latency vs insert share (cycles/delete)" "%ins"
-      (mix scale)
-  in
-  let queue_depth_f =
-    fig "queue_depth" "latency on a pre-filled queue (cycles/access)" "depth"
-      (queue_depth scale)
-  in
-  let counter_shootout_f =
-    fig "counter_shootout"
-      "fetch-and-increment latency across counters (cycles/op)" "P"
-      (counter_shootout scale)
-  in
-  let ablation_adaption_f =
-    fig "ablation_adaption" "funnel layer-width adaption (cycles/access)" "P"
-      (ablation_adaption scale)
-  in
-  let ablation_precheck_f =
-    fig "ablation_precheck"
-      "LinearFunnels delete-min emptiness pre-check (cycles/access)" "P"
-      (ablation_precheck scale)
-  in
-  let ablation_cutoff_f =
-    fig "ablation_cutoff" "FunnelTree funnel/MCS cut-off depth (cycles/access)"
-      "P"
-      (ablation_cutoff scale)
-  in
-  let fig9_right_f =
-    fig "fig9_right" "latency vs priority range, 256 processors (cycles/access)"
-      "N"
-      (fig9_right scale)
-  in
-  let fig9_left_f =
-    fig "fig9_left" "latency vs priority range, 64 processors (cycles/access)"
-      "N"
-      (fig9_left scale)
-  in
-  let fig7_f =
-    fig "fig7" "scalable queues, 16 priorities, high concurrency (cycles/access)"
-      "P"
-      (fig7 scale)
-  in
-  let fig6_f =
-    fig "fig6" "all queues, 16 priorities, low concurrency (cycles/access)" "P"
-      (fig6 scale)
-  in
-  let fig5_right_f =
-    fig "fig5_right" "funnel counter latency vs decrement share (cycles/op)"
-      "%dec"
-      (fig5_right scale)
-  in
-  let fig5_left_f =
-    fig "fig5_left" "funnel counter latency, 50/50 inc/dec (cycles/op)" "P"
-      (fig5_left scale)
-  in
-  [
-    fig5_left_f;
-    fig5_right_f;
-    fig6_f;
-    fig7_f;
-    fig8_figure;
-    fig9_left_f;
-    fig9_right_f;
-    ablation_cutoff_f;
-    ablation_precheck_f;
-    ablation_adaption_f;
-    counter_shootout_f;
-    queue_depth_f;
-    mix_f;
-    relaxed_f;
-    relaxed_scale_f;
-    rank_error_f;
-    burst_phases_f;
-    scale1k_f;
-    hold_f;
-    sssp_f;
+      run = fig8;
+    };
+    plot "fig9L" "fig9_left"
+      ~doc:"latency vs priority range at 64 procs (Fig. 9 left)"
+      ~title:"latency vs priority range, 64 processors (cycles/access)"
+      ~xlabel:"N" fig9_left;
+    plot "fig9R" "fig9_right"
+      ~doc:"latency vs priority range at 256 procs (Fig. 9 right)"
+      ~title:"latency vs priority range, 256 processors (cycles/access)"
+      ~xlabel:"N" fig9_right;
+    plot "cutoff" "ablation_cutoff"
+      ~doc:"ablation: FunnelTree funnel/MCS cut-off"
+      ~title:"FunnelTree funnel/MCS cut-off depth (cycles/access)"
+      ~xlabel:"P" ablation_cutoff;
+    plot "precheck" "ablation_precheck"
+      ~doc:"ablation: LinearFunnels emptiness pre-check"
+      ~title:"LinearFunnels delete-min emptiness pre-check (cycles/access)"
+      ~xlabel:"P" ablation_precheck;
+    plot "adaption" "ablation_adaption" ~doc:"ablation: funnel width adaption"
+      ~title:"funnel layer-width adaption (cycles/access)" ~xlabel:"P"
+      ablation_adaption;
+    plot "counters" "counter_shootout"
+      ~doc:"counter shootout: cas/mcs/combtree/dtree/bitonic/funnel"
+      ~title:"fetch-and-increment latency across counters (cycles/op)"
+      ~xlabel:"P" counter_shootout;
+    plot "depth" "queue_depth" ~doc:"latency on a pre-filled (deep) queue"
+      ~title:"latency on a pre-filled queue (cycles/access)" ~xlabel:"depth"
+      queue_depth;
+    plot "mix" "mix" ~doc:"latency vs insert share of the access mix"
+      ~title:"delete-min latency vs insert share (cycles/delete)"
+      ~xlabel:"%ins" mix;
+    plot "relaxed" "relaxed"
+      ~doc:"MultiQueue family vs the paper's seven (pqrelax)"
+      ~title:
+        "MultiQueue family vs the paper's seven, low concurrency \
+         (cycles/access)"
+      ~xlabel:"P" relaxed;
+    plot "relaxedscale" "relaxed_scale"
+      ~doc:"MultiQueue vs the scalable queues, 2-256 procs"
+      ~title:
+        "MultiQueue vs the scalable queues, high concurrency (cycles/access)"
+      ~xlabel:"P" relaxed_scale;
+    plot "rankerror" "rank_error"
+      ~doc:"worst rank error per concurrency (pqrelax)"
+      ~title:
+        "worst rank error over adversarial schedules (elements per \
+         delete-min)"
+      ~xlabel:"P" rank_error;
+    plot "burst" "burst_phases"
+      ~doc:"per-phase latency on the bursty-Zipf scenario"
+      ~title:"per-phase latency on the bursty-Zipf scenario (cycles/access)"
+      ~xlabel:"P" burst_phases;
+    plot "scale1k" "scale1k"
+      ~doc:"scalable queues to 1024 processors (pqturbo; try --xl)"
+      ~title:
+        "scalable queues to 1024 processors, 1024 priorities (cycles/access)"
+      ~xlabel:"P" scale1k;
+    plot "hold" "hold" ~doc:"DES hold-model latency on a prefilled queue"
+      ~title:"DES hold-model latency on a prefilled queue (cycles/access)"
+      ~xlabel:"P" hold_model;
+    plot "sssp" "sssp" ~doc:"concurrent Dijkstra makespan, distances verified"
+      ~title:
+        "concurrent Dijkstra makespan, distances verified (cycles to \
+         completion)"
+      ~xlabel:"P" sssp_scaling;
   ]
+
+let run_all scale =
+  List.iter (fun e -> ignore (e.run scale)) catalogue;
+  ignore (sensitivity scale)
+
+(* BENCH.json: the same runs, captured in schema-stable form.  Each
+   figure runs once; its table prints while its series are collected.
+   Tables print last entry first, except that fig8 prints right after
+   relaxed: the order the golden table digest pins. *)
+let collect scale =
+  let fig8, rest =
+    List.partition (fun e -> e.id = "fig8") (List.rev catalogue)
+  in
+  let order =
+    List.concat_map (fun e -> if e.id = "relaxed" then e :: fig8 else [ e ]) rest
+  in
+  let ran = List.map (fun e -> (e.id, e.run scale)) order in
+  List.map
+    (fun e ->
+      {
+        Pqtrace.Bench_out.id = e.id;
+        title = e.title;
+        xlabel = e.xlabel;
+        series = List.assoc e.id ran;
+      })
+    catalogue

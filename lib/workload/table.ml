@@ -1,5 +1,3 @@
-type series = { label : string; points : (int * float) list }
-
 let render_rows ~title ~header rows =
   let all = header :: rows in
   let ncols = List.fold_left (fun m r -> max m (List.length r)) 0 all in
@@ -34,11 +32,12 @@ let print_rows ~title ~header rows =
   print_newline ()
 
 let render ~title ~xlabel series =
+  let open Pqtrace.Bench_out in
   let xs =
     List.concat_map (fun s -> List.map fst s.points) series
     |> List.sort_uniq compare
   in
-  let header = xlabel :: List.map (fun s -> s.label) series in
+  let header = xlabel :: List.map (fun s -> s.name) series in
   let rows =
     List.map
       (fun x ->

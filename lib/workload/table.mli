@@ -2,12 +2,13 @@
     figure, x values down the rows and one column per series — the same
     rows/series the paper plots. *)
 
-type series = { label : string; points : (int * float) list }
+val render :
+  title:string -> xlabel:string -> Pqtrace.Bench_out.series list -> string
+(** one column per series, headed by its name; missing (x, series)
+    combinations render as "-" *)
 
-val render : title:string -> xlabel:string -> series list -> string
-(** missing (x, series) combinations render as "-" *)
-
-val print : title:string -> xlabel:string -> series list -> unit
+val print :
+  title:string -> xlabel:string -> Pqtrace.Bench_out.series list -> unit
 
 val render_rows :
   title:string -> header:string list -> string list list -> string

@@ -232,7 +232,6 @@ let test_driver_gate_and_jobs_invariance () =
 
 let test_bench_out_round_trip () =
   let r = D.run ~jobs:2 D.quick in
-  let a = D.to_bench r in
   let fig =
     {
       Pqtrace.Bench_out.id = "fig6";
@@ -241,27 +240,40 @@ let test_bench_out_round_trip () =
       series = [ { Pqtrace.Bench_out.name = "s"; points = [ (2, 1.0) ] } ];
     }
   in
-  let doc = Pqtrace.Bench_out.make ~adapt:a ~seed:42 ~scale:"test" [ fig ] in
-  (match Pqtrace.Bench_out.validate_string (Pqtrace.Bench_out.to_string doc) with
+  let doc adapt =
+    Pqtrace.Bench_out.to_string
+      (Pqtrace.Bench_out.make ~adapt ~seed:42 ~scale:"test" [ fig ])
+  in
+  (match Pqtrace.Bench_out.validate_string (doc (D.to_json r)) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "adapt section rejected by validator: %s" e);
   (* a corrupted section must be rejected: a phase whose best static
      beats its worst is internally inconsistent *)
   let bad_phase =
-    {
-      Pqtrace.Bench_out.ad_phase = "p";
-      ad_adaptive = 1.0;
-      ad_best_queue = "a";
-      ad_best = 5.0;
-      ad_worst_queue = "b";
-      ad_worst = 2.0;
-    }
+    Pqtrace.Json.(
+      Obj
+        [
+          ("phase", String "p");
+          ("adaptive", Float 1.0);
+          ("best_queue", String "a");
+          ("best", Float 5.0);
+          ("worst_queue", String "b");
+          ("worst", Float 2.0);
+        ])
   in
-  let bad = { a with Pqtrace.Bench_out.adapt_phases = [ bad_phase ] } in
-  let doc = Pqtrace.Bench_out.make ~adapt:bad ~seed:42 ~scale:"test" [ fig ] in
+  let bad =
+    match D.to_json r with
+    | Pqtrace.Json.Obj kvs ->
+        Pqtrace.Json.Obj
+          (List.map
+             (fun (k, v) ->
+               if k = "phases" then (k, Pqtrace.Json.List [ bad_phase ])
+               else (k, v))
+             kvs)
+    | j -> j
+  in
   check_bool "inconsistent phase rejected" true
-    (Result.is_error
-       (Pqtrace.Bench_out.validate_string (Pqtrace.Bench_out.to_string doc)))
+    (Result.is_error (Pqtrace.Bench_out.validate_string (doc bad)))
 
 let () =
   Alcotest.run "pqadapt"

@@ -394,6 +394,8 @@ let test_bench_out_rejects_tampered () =
                  fields) );
           ( "unknown section",
             Pqtrace.Json.Obj (fields @ [ ("rank", Pqtrace.Json.Obj []) ]) );
+          ( "repeated figures key",
+            Pqtrace.Json.Obj (fields @ [ ("figures", Pqtrace.Json.List []) ]) );
           ( "harness section",
             Pqtrace.Json.Obj
               (fields
@@ -415,56 +417,52 @@ let test_bench_out_rejects_tampered () =
       | Ok () -> Alcotest.failf "validator accepted %s" what
       | Error _ -> ())
     tampered;
+  (* a repeated key is named with its path, at any depth *)
+  (match
+     Pqtrace.Bench_out.validate_string
+       {|{"schema_version":1,"paper":"p","seed":1,"scale":"s","figures":[{"id":"a","title":"t","xlabel":"P","series":[{"name":"n","name":"m","points":[]}]}]}|}
+   with
+  | Error e ->
+      check_string "repeated key error" e
+        "BENCH.figures[0].series[0]: repeated key \"name\""
+  | Ok () -> Alcotest.fail "validator accepted a repeated nested key");
   match Pqtrace.Bench_out.validate_string "{not json" with
   | Ok () -> Alcotest.fail "validator accepted garbage"
   | Error _ -> ()
 
-let sample_audit () =
-  let row queue findings =
-    {
-      Pqtrace.Bench_out.queue;
-      findings;
-      counts = [ ("cells", 9); ("races", 0); ("worst_rank", 9); ("bound", 320) ];
-    }
-  in
-  {
-    Pqtrace.Bench_out.audit_nprocs = 16;
-    audit_npriorities = 16;
-    audit_ops_per_proc = 40;
-    audit_schedules = [ "default"; "pct" ];
-    audit_seeds = [ 42; 1 ];
-    audit_rows = [ row "SingleLock" []; row "MultiQueue" [] ];
-  }
+(* one audit cell, merged into a one-row report *)
+let audit_report =
+  lazy
+    (let cell = List.hd Pqanalysis.Audit.cells in
+     Pqanalysis.Audit.merge cell.queue [ Pqanalysis.Audit.run_cell cell ])
 
-let with_audit audit =
+let with_audit report =
   match sample_doc () with
   | { Pqtrace.Bench_out.figures; _ } ->
-      Pqtrace.Bench_out.make ~seed:42 ~scale:"tiny" ~audit figures
+      Pqtrace.Bench_out.make ~seed:42 ~scale:"tiny"
+        ~audit:(Pqanalysis.Audit.to_json [ report ])
+        figures
 
 let test_bench_out_audit_valid () =
-  let text = Pqtrace.Bench_out.to_string (with_audit (sample_audit ())) in
+  let r = Lazy.force audit_report in
+  let text = Pqtrace.Bench_out.to_string (with_audit r) in
   (match Pqtrace.Bench_out.validate_string text with
   | Ok () -> ()
   | Error e -> Alcotest.failf "audit section rejected: %s" e);
   check_string "deterministic bytes" text
-    (Pqtrace.Bench_out.to_string (with_audit (sample_audit ())));
-  (* a failing row is representable: its findings clear both pass flags *)
+    (Pqtrace.Bench_out.to_string (with_audit r));
+  (* a failing row is representable: its finding clears both pass flags *)
   let failing =
-    {
-      (sample_audit ()) with
-      Pqtrace.Bench_out.audit_rows =
-        [
-          {
-            Pqtrace.Bench_out.queue = "HuntEtAl";
-            findings = [ "lock cycle: A -> B" ];
-            counts = [];
-          };
-        ];
-    }
+    Pqtrace.Bench_out.to_json
+      (with_audit { r with aborted = [ ("default/s42", "Exit") ] })
   in
-  match Pqtrace.Bench_out.validate (Pqtrace.Bench_out.to_json (with_audit failing)) with
+  (match Pqtrace.Bench_out.validate failing with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "failing audit rejected: %s" e
+  | Error e -> Alcotest.failf "failing audit rejected: %s" e);
+  check_bool "section fails" true
+    (Option.bind (Pqtrace.Json.member "audit" failing)
+       (Pqtrace.Json.member "pass")
+    = Some (Pqtrace.Json.Bool false))
 
 (* rewrite one field of the encoded section, at [path] below "audit" *)
 let tamper_audit path v =
@@ -478,7 +476,7 @@ let tamper_audit path v =
     | _ -> j
   in
   set (`Key "audit" :: path)
-    (Pqtrace.Bench_out.to_json (with_audit (sample_audit ())))
+    (Pqtrace.Bench_out.to_json (with_audit (Lazy.force audit_report)))
 
 let test_bench_out_audit_rejects () =
   (* the section's own consistency rules, as enforced by the validator *)
@@ -490,6 +488,12 @@ let test_bench_out_audit_rejects () =
       ("row pass with findings",
         tamper_audit (row @ [ `Key "findings" ]) (List [ String "race X" ]));
       ("row fail without findings", tamper_audit (row @ [ `Key "pass" ]) (Bool false));
+      ("passing row carrying a race",
+        tamper_audit (row @ [ `Key "counts"; `Key "races" ]) (Int 1));
+      ("passing row over its rank bound",
+        tamper_audit (row @ [ `Key "counts"; `Key "worst_rank" ]) (Int 1_000_000));
+      ("counts without the verdict's terms",
+        tamper_audit (row @ [ `Key "counts" ]) (Obj [ ("cells", Int 9) ]));
       ("negative count",
         tamper_audit (row @ [ `Key "counts" ]) (Obj [ ("races", Int (-1)) ]));
       ("non-integer count",
@@ -505,6 +509,83 @@ let test_bench_out_audit_rejects () =
       | Ok () -> Alcotest.failf "validator accepted %s" what
       | Error _ -> ())
     cases
+
+(* The hand-kept schema file against the three drivers' encoders: in a
+   document carrying every section, each object the schema describes
+   with [properties] must carry exactly those keys, all of them
+   [required]; the top level carries exactly {!Bench_out.sections}. *)
+let test_schema_matches_encoders () =
+  let open Pqtrace.Json in
+  let schema =
+    let ic = open_in_bin "../schema/bench.schema.json" in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    match of_string text with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "schema does not parse: %s" e
+  in
+  let chaos_cfg =
+    {
+      Pqchaos.Driver.quick with
+      queues = [ "SingleLock" ];
+      scenarios = [ "coinflip" ];
+      plans = [ None ];
+      scheds = [ Pqexplore.Policy.Default ];
+      seeds = [ 1 ];
+    }
+  in
+  let adapt = Pqadapt.Driver.run ~jobs:1 Pqadapt.Driver.quick in
+  check_bool "adapt switched (its switch objects are checked)" true
+    (adapt.Pqadapt.Driver.switches <> []);
+  let doc =
+    match sample_doc () with
+    | { Pqtrace.Bench_out.figures; _ } ->
+        Pqtrace.Bench_out.to_json
+          (Pqtrace.Bench_out.make ~seed:42 ~scale:"tiny"
+             ~metrics:[ ("m", Int 1) ]
+             ~audit:(Pqanalysis.Audit.to_json [ Lazy.force audit_report ])
+             ~chaos:
+               (Pqchaos.Driver.to_json chaos_cfg
+                  (Pqchaos.Driver.run ~jobs:1 chaos_cfg))
+             ~adapt:(Pqadapt.Driver.to_json adapt)
+             figures)
+  in
+  let keys = function Obj kvs -> List.map fst kvs | _ -> [] in
+  let sorted l = List.sort compare l in
+  let strings j =
+    Option.value ~default:[]
+      (Option.map (List.filter_map to_str) (Option.bind j to_list))
+  in
+  check_bool "top-level properties are the sections" true
+    (sorted (keys (Option.get (member "properties" schema)))
+    = sorted Pqtrace.Bench_out.sections);
+  check_bool "the document carries every section" true
+    (keys doc = Pqtrace.Bench_out.sections);
+  let rec walk path schema j =
+    match (member "properties" schema, j) with
+    | Some props, Obj kvs ->
+        if path <> "BENCH" then begin
+          check_bool (path ^ ": properties = emitted keys") true
+            (sorted (keys props) = sorted (List.map fst kvs));
+          check_bool (path ^ ": required = emitted keys") true
+            (sorted (strings (member "required" schema))
+            = sorted (List.map fst kvs))
+        end;
+        List.iter
+          (fun (k, sub) ->
+            match List.assoc_opt k kvs with
+            | Some v -> walk (path ^ "." ^ k) sub v
+            | None -> ())
+          (match props with Obj p -> p | _ -> [])
+    | None, List items -> (
+        match (member "items" schema, items) with
+        | Some item, x :: _ -> walk (path ^ "[0]") item x
+        | Some item, [] when member "properties" item <> None ->
+            Alcotest.failf "%s: empty in the test document" path
+        | _ -> ())
+    | _ -> ()
+  in
+  walk "BENCH" schema doc
 
 (* ------------------------------------------------------------------ *)
 (* contention profiler: symbolic attribution and ranking *)
@@ -598,6 +679,8 @@ let () =
             test_bench_out_audit_valid;
           Alcotest.test_case "audit section rejects" `Quick
             test_bench_out_audit_rejects;
+          Alcotest.test_case "schema = encoders" `Quick
+            test_schema_matches_encoders;
         ] );
       ( "profile",
         [

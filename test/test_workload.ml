@@ -245,8 +245,8 @@ let test_table_render () =
   let s =
     Pqbenchlib.Table.render ~title:"t" ~xlabel:"x"
       [
-        { Pqbenchlib.Table.label = "a"; points = [ (1, 10.); (2, 20.) ] };
-        { Pqbenchlib.Table.label = "b"; points = [ (1, 30.) ] };
+        { Pqtrace.Bench_out.name = "a"; points = [ (1, 10.); (2, 20.) ] };
+        { Pqtrace.Bench_out.name = "b"; points = [ (1, 30.) ] };
       ]
   in
   check_bool "has title" true
@@ -261,8 +261,8 @@ let test_table_missing_cells () =
   let s =
     Pqbenchlib.Table.render ~title:"t" ~xlabel:"x"
       [
-        { Pqbenchlib.Table.label = "a"; points = [ (1, 10.) ] };
-        { Pqbenchlib.Table.label = "b"; points = [ (2, 20.) ] };
+        { Pqtrace.Bench_out.name = "a"; points = [ (1, 10.) ] };
+        { Pqtrace.Bench_out.name = "b"; points = [ (2, 20.) ] };
       ]
   in
   (* the (2, "a") cell must render as "-" *)
@@ -294,9 +294,8 @@ let test_table_rows_alignment () =
 
 let tiny = { Pqbenchlib.Figures.ops = 6; max_procs = 8; jobs = 1 }
 
-let test_figures_smoke () =
-  (* suppress the tables; we only care that every experiment runs and
-     verifies *)
+(* run [f] with the tables sent to /dev/null *)
+let quietly f =
   let dev_null = open_out "/dev/null" in
   let saved = Unix.dup Unix.stdout in
   flush stdout;
@@ -306,10 +305,37 @@ let test_figures_smoke () =
       flush stdout;
       Unix.dup2 saved Unix.stdout;
       close_out dev_null)
-    (fun () ->
-      ignore (Pqbenchlib.Figures.fig6 tiny);
-      ignore (Pqbenchlib.Figures.fig7 tiny);
-      ignore (Pqbenchlib.Figures.ablation_precheck tiny))
+    f
+
+let experiment name =
+  match
+    List.find_opt
+      (fun (e : Pqbenchlib.Figures.experiment) -> e.name = name)
+      Pqbenchlib.Figures.catalogue
+  with
+  | Some e -> e
+  | None -> Alcotest.failf "no experiment %S in the catalogue" name
+
+let test_figures_smoke () =
+  (* we only care that every experiment runs and verifies *)
+  quietly (fun () ->
+      List.iter
+        (fun name -> ignore ((experiment name).run tiny))
+        [ "fig6"; "fig7"; "precheck" ])
+
+let test_catalogue () =
+  let unique what xs =
+    check_int (what ^ " are unique") (List.length xs)
+      (List.length (List.sort_uniq compare xs))
+  in
+  let cat = Pqbenchlib.Figures.catalogue in
+  unique "CLI names" (List.map (fun (e : Pqbenchlib.Figures.experiment) -> e.name) cat);
+  let ids = List.map (fun (e : Pqbenchlib.Figures.experiment) -> e.id) cat in
+  unique "BENCH ids" ids;
+  let figures = quietly (fun () -> Pqbenchlib.Figures.collect tiny) in
+  Alcotest.(check (list string))
+    "collect returns the ids in catalogue order" ids
+    (List.map (fun (f : Pqtrace.Bench_out.figure) -> f.id) figures)
 
 let () =
   Alcotest.run "pqbenchlib"
@@ -352,5 +378,8 @@ let () =
           Alcotest.test_case "alignment" `Quick test_table_rows_alignment;
         ] );
       ( "figures",
-        [ Alcotest.test_case "tiny smoke" `Quick test_figures_smoke ] );
+        [
+          Alcotest.test_case "tiny smoke" `Quick test_figures_smoke;
+          Alcotest.test_case "catalogue" `Quick test_catalogue;
+        ] );
     ]
