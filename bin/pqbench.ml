@@ -113,7 +113,7 @@ let bench_cmd =
       queue procs priorities ops seed r.latency_all r.latency_insert
       r.latency_delete r.inserts r.deletes r.empty_deletes r.cycles
       r.queue_wait;
-    match r.hot_lines with
+    match Pqsim.Mem.hot_lines r.mem 5 with
     | [] -> ()
     | hot ->
         Printf.printf "hottest lines (addr: queued cycles):";

@@ -9,6 +9,7 @@ module Stats = Pqsim.Stats
 module Probe = Pqsim.Probe
 module Scenario = Pqbenchlib.Scenario
 module Pool = Pqbenchlib.Pool
+module Json = Pqtrace.Json
 
 type config = {
   nprocs : int;
@@ -196,7 +197,7 @@ let passed r = r.errors = []
 (* the BENCH.json section: same numbers the gate judged, in the
    schema-stable shape Bench_out validates *)
 let to_json (r : report) =
-  let open Pqtrace.Json in
+  let open Json in
   let phase i =
     let by_mean =
       List.map (fun s -> (s.r_queue, s.r_phases.(i).ph_mean)) r.statics
@@ -206,7 +207,7 @@ let to_json (r : report) =
     let wq, worst =
       match List.rev by_mean with w :: _ -> w | [] -> ("none", 0.)
     in
-    obj
+    Json.Obj
       [
         ("phase", String phase_names.(i));
         ("adaptive", Float r.adaptive.r_phases.(i).ph_mean);
@@ -217,7 +218,7 @@ let to_json (r : report) =
       ]
   in
   let switch (s : Meta.switch) =
-    obj
+    Json.Obj
       [
         ("cycle", Int s.sw_at);
         ("from", String s.sw_from);
@@ -226,7 +227,7 @@ let to_json (r : report) =
         ("moved", Int s.sw_moved);
       ]
   in
-  obj
+  Json.Obj
     [
       ("nprocs", Int r.cfg.nprocs);
       ("npriorities", Int r.cfg.npriorities);

@@ -132,6 +132,10 @@ let banned_modules =
     "Thread"; "Obj"; "Unix"; "Sys"; "Random"; "Effect"; "Weak"; "Ephemeron";
   ]
 
+(* a banned name under one of these is still the host module; under any
+   other module it is something else, a constructor such as [Json.Obj] *)
+let stdlib_paths = [ "Stdlib"; "StdLabels"; "MoreLabels" ]
+
 let escape_words = [ "raise"; "failwith"; "invalid_arg"; "assert"; "progress" ]
 
 let scan_string ?(file = "<string>") ?(allow = []) src =
@@ -143,9 +147,16 @@ let scan_string ?(file = "<string>") ?(allow = []) src =
     List.exists (fun (f, id) -> f = file && id = ident) allow
   in
   (* pass 1: banned modules and the external keyword *)
-  Array.iter
-    (fun tk ->
-      if List.mem tk.t banned_modules then
+  let under_other_module k =
+    k >= 2
+    && toks.(k - 1).t = "."
+    &&
+    let m = toks.(k - 2).t in
+    m.[0] >= 'A' && m.[0] <= 'Z' && not (List.mem m stdlib_paths)
+  in
+  Array.iteri
+    (fun k tk ->
+      if List.mem tk.t banned_modules && not (under_other_module k) then
         add tk.line "host-effect"
           (Printf.sprintf
              "host-level module %s is off-limits in simulated code (use \

@@ -26,10 +26,14 @@
    writes a table goes through [touch] or [extend], which grow the
    extent or raise past the reservation, so no line beyond the extent is
    ever non-zero and a reused table reads zero wherever a fresh one
-   would.  A memory whose extent passes [pool_max_extent] lines leaves
-   the registry at once, so its reservation goes back to the kernel when
-   the memory dies: a structure sized for scale-1k keeps its demand-zero
-   behaviour, and no reuse zeroes more than 2 MiB per table.
+   would.  The reader-mask block pool (below) is two more tables of the
+   reservation, with a high-water mark of its own: a reuse zeroes the
+   pool over [0, high-water), which holds every block a reader set still
+   occupied when the run ended.  A memory whose extent or block
+   high-water mark passes [pool_max_extent] leaves the registry at once,
+   so its reservation goes back to the kernel when the memory dies: a
+   structure sized for scale-1k keeps its demand-zero behaviour, and no
+   reuse zeroes more than 2 MiB per table.
 
    The registry pairs each reservation with a weak pointer to a block
    only the memory using it points to; a cleared pointer marks the
@@ -53,7 +57,10 @@
      pool stays proportional to the number of concurrently multi-read
      lines, not to memory size or processor count.  Observably identical
      to a full per-line bitmask: a processor hits iff it has read the
-     line since the last invalidation.
+     line since the last invalidation.  The pool and its free stack are
+     mapped tables of the reservation, not OCaml arrays, so a warm run
+     neither grows nor copies them, and leaves no garbage in the major
+     heap.
 
    - {b probe-gated side tables stay unmapped until probed}: the
      per-line traffic and invalidation counters are only consulted under
@@ -106,6 +113,8 @@ type reservation = {
   r_data : words;
   r_busy : words;
   r_readers : words;
+  r_blocks : words; (* the reader-mask block pool *)
+  r_free_blocks : words; (* stack of recycled block indices *)
   r_wait : words;
   r_writer : words;
   r_watchers : words;
@@ -113,6 +122,9 @@ type reservation = {
   mutable r_inval : words;
   r_sync : flags;
   mutable r_extent : int; (* every line at or past it is zero in every table *)
+  mutable r_blocks_used : int;
+      (* the block pool's high-water mark, in words: every word of
+         [r_blocks] at or past it is zero *)
 }
 
 (* 2^18 lines: 2 MiB per word table.  The largest benchmark run
@@ -129,6 +141,8 @@ let reserve () =
     r_data;
     r_busy = map_words size;
     r_readers = map_words size;
+    r_blocks = map_words size;
+    r_free_blocks = map_words size;
     r_wait = map_words size;
     r_writer = map_words size;
     r_watchers = map_words size;
@@ -136,6 +150,7 @@ let reserve () =
     r_inval = no_words;
     r_sync = map Bigarray.Char size;
     r_extent = 0;
+    r_blocks_used = 0;
   }
 
 let zero (a : words) n = if W.dim a > 0 then W.fill (W.sub a 0 n) 0
@@ -151,6 +166,13 @@ let scrub r =
       ];
     W.fill (W.sub r.r_sync 0 n) '\000';
     r.r_extent <- 0
+  end;
+  (* recycled blocks are zeroed as they are freed, but the blocks still
+     holding a reader set when the run ended are not; the free stack is
+     read only below its top, so it needs no scrub *)
+  if r.r_blocks_used > 0 then begin
+    zero r.r_blocks r.r_blocks_used;
+    r.r_blocks_used <- 0
   end
 
 type name =
@@ -197,8 +219,8 @@ type t = {
   readers : words;
       (* current-copy set per line: 0 = none, [p+1] = only processor
          [p], [-(b+1)] = bitmask block [b] in [blocks] *)
-  mutable blocks : int array; (* block pool: [mask_words] words each *)
-  mutable free_blocks : int array; (* stack of recycled block indices *)
+  blocks : words; (* block pool: [mask_words] words each *)
+  free_blocks : words; (* stack of recycled block indices *)
   mutable free_top : int;
   mutable next_block : int; (* blocks handed out so far *)
   wait_by_line : words;
@@ -260,8 +282,8 @@ let make machine res =
     data = res.r_data;
     busy = res.r_busy;
     readers = res.r_readers;
-    blocks = [||];
-    free_blocks = [||];
+    blocks = res.r_blocks;
+    free_blocks = res.r_free_blocks;
     free_top = 0;
     next_block = 0;
     wait_by_line = res.r_wait;
@@ -356,13 +378,17 @@ let past_reservation t n =
     (Printf.sprintf "Mem: line %d is past the %d-word reservation" (n - 1)
        t.reserve)
 
+(* a reservation whose extent or block high-water mark passes
+   [pool_max_extent] is never reused *)
+let leave_pool t =
+  Mutex.protect registry_lock (fun () ->
+      registry := List.filter (fun e -> e.tables != t.res) !registry)
+
 (* [extend t n]: lines below [n] may be written from now on *)
 let extend t n =
   if n > t.extent then begin
     if n > t.reserve then past_reservation t n;
-    if n > pool_max_extent && t.extent <= pool_max_extent then
-      Mutex.protect registry_lock (fun () ->
-          registry := List.filter (fun e -> e.tables != t.res) !registry);
+    if n > pool_max_extent && t.extent <= pool_max_extent then leave_pool t;
     t.extent <- n;
     t.res.r_extent <- n
   end
@@ -454,30 +480,28 @@ let is_sync t addr =
 let alloc_block t =
   if t.free_top > 0 then begin
     t.free_top <- t.free_top - 1;
-    t.free_blocks.(t.free_top)
+    W.get t.free_blocks t.free_top
   end
   else begin
     let b = t.next_block in
+    let used = (b + 1) * t.mask_words in
+    if used > t.reserve then
+      invalid_arg "Mem: the reader-mask block pool is past the reservation";
+    if used > pool_max_extent && b * t.mask_words <= pool_max_extent then
+      leave_pool t;
     t.next_block <- b + 1;
-    if (b + 1) * t.mask_words > Array.length t.blocks then begin
-      let cap = max (8 * t.mask_words) (2 * Array.length t.blocks) in
-      let blocks = Array.make cap 0 in
-      Array.blit t.blocks 0 blocks 0 (Array.length t.blocks);
-      t.blocks <- blocks
-    end;
+    t.res.r_blocks_used <- used;
     b
   end
 
+(* a loop of stores: a mask is a few words, and a [W.sub] proxy for
+   [W.fill] would allocate on every call *)
 let free_block t b =
   let base = b * t.mask_words in
-  Array.fill t.blocks base t.mask_words 0;
-  if t.free_top >= Array.length t.free_blocks then begin
-    let cap = max 8 (2 * Array.length t.free_blocks) in
-    let fb = Array.make cap 0 in
-    Array.blit t.free_blocks 0 fb 0 (Array.length t.free_blocks);
-    t.free_blocks <- fb
-  end;
-  t.free_blocks.(t.free_top) <- b;
+  for i = base to base + t.mask_words - 1 do
+    W.set t.blocks i 0
+  done;
+  W.set t.free_blocks t.free_top b;
   t.free_top <- t.free_top + 1
 
 let cached t ~proc addr =
@@ -485,7 +509,12 @@ let cached t ~proc addr =
   if r >= 0 then r = proc + 1
   else
     let base = ((-1 - r) * t.mask_words) + (proc / 63) in
-    t.blocks.(base) land (1 lsl (proc mod 63)) <> 0
+    W.get t.blocks base land (1 lsl (proc mod 63)) <> 0
+
+(* set processor [proc]'s bit in the block at [base] *)
+let add_reader t base proc =
+  let i = base + (proc / 63) in
+  W.set t.blocks i (W.get t.blocks i lor (1 lsl (proc mod 63)))
 
 let set_cached t ~proc addr =
   let r = W.get t.readers addr in
@@ -495,17 +524,12 @@ let set_cached t ~proc addr =
       (* second concurrent sharer: spill to a pool block *)
       let b = alloc_block t in
       let base = b * t.mask_words in
-      let q = r - 1 in
-      t.blocks.(base + (q / 63)) <-
-        t.blocks.(base + (q / 63)) lor (1 lsl (q mod 63));
-      t.blocks.(base + (proc / 63)) <-
-        t.blocks.(base + (proc / 63)) lor (1 lsl (proc mod 63));
+      add_reader t base (r - 1);
+      add_reader t base proc;
       W.set t.readers addr (-1 - b)
     end
   end
-  else
-    let base = ((-1 - r) * t.mask_words) + (proc / 63) in
-    t.blocks.(base) <- t.blocks.(base) lor (1 lsl (proc mod 63))
+  else add_reader t ((-1 - r) * t.mask_words) proc
 
 (* a read writes nothing: past the extent it reads a never-written zero,
    and only the reservation bound is checked *)

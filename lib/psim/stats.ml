@@ -1,11 +1,18 @@
+(* Samples are kept in chunks of [chunk_words] words, well under the
+   256 words the OCaml runtime still allocates in the minor heap:
+   recording never copies a sample, and no block it allocates is large
+   enough for the major heap. *)
 type acc = {
-  mutable n : int;
+  mutable n : int; (* samples recorded *)
   mutable sum : int;
   mutable min : int;
   mutable max : int;
-  mutable samples : int array;
-  mutable len : int;
+  mutable full : int array list; (* filled chunks, newest first *)
+  mutable chunk : int array; (* the chunk being filled *)
+  mutable len : int; (* samples in [chunk] *)
 }
+
+let chunk_words = 64
 
 type t = (string, acc) Hashtbl.t
 
@@ -23,7 +30,15 @@ type summary = {
 let create () = Hashtbl.create 16
 
 let fresh () =
-  { n = 0; sum = 0; min = max_int; max = min_int; samples = Array.make 64 0; len = 0 }
+  {
+    n = 0;
+    sum = 0;
+    min = max_int;
+    max = min_int;
+    full = [];
+    chunk = Array.make chunk_words 0;
+    len = 0;
+  }
 
 (* [Hashtbl.find] rather than [find_opt]: recording into an existing key
    allocates nothing *)
@@ -40,13 +55,20 @@ let record t key v =
   acc.sum <- acc.sum + v;
   if v < acc.min then acc.min <- v;
   if v > acc.max then acc.max <- v;
-  if acc.len = Array.length acc.samples then begin
-    let b = Array.make (2 * acc.len) 0 in
-    Array.blit acc.samples 0 b 0 acc.len;
-    acc.samples <- b
+  if acc.len = chunk_words then begin
+    acc.full <- acc.chunk :: acc.full;
+    acc.chunk <- Array.make chunk_words 0;
+    acc.len <- 0
   end;
-  acc.samples.(acc.len) <- v;
+  acc.chunk.(acc.len) <- v;
   acc.len <- acc.len + 1
+
+(* every sample of [a], chunk by chunk *)
+let iter_samples f a =
+  List.iter (Array.iter f) a.full;
+  for k = 0 to a.len - 1 do
+    f a.chunk.(k)
+  done
 
 let count t key =
   match Hashtbl.find_opt t key with Some a -> a.n | None -> 0
@@ -67,7 +89,12 @@ let percentile_sorted sorted p =
     sorted.(i)
 
 let sorted_samples a =
-  let sorted = Array.sub a.samples 0 a.len in
+  let sorted = Array.make a.n 0 and k = ref 0 in
+  iter_samples
+    (fun v ->
+      sorted.(!k) <- v;
+      incr k)
+    a;
   Array.sort compare sorted;
   sorted
 
@@ -112,11 +139,12 @@ let histogram t key =
   | None -> []
   | Some a ->
       let counts = Hashtbl.create 16 in
-      for k = 0 to a.len - 1 do
-        let i = bucket_index a.samples.(k) in
-        Hashtbl.replace counts i
-          (1 + Option.value (Hashtbl.find_opt counts i) ~default:0)
-      done;
+      iter_samples
+        (fun v ->
+          let i = bucket_index v in
+          Hashtbl.replace counts i
+            (1 + Option.value (Hashtbl.find_opt counts i) ~default:0))
+        a;
       Hashtbl.fold (fun i c acc -> (i, c) :: acc) counts []
       |> List.sort compare
       |> List.map (fun (i, c) -> (bucket_bound i, c))

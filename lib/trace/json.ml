@@ -7,8 +7,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let obj fields = Obj fields
-
 (* Deterministic serialization: fields print in the order given, floats
    through a fixed format, no whitespace dependence on the environment —
    the same value always yields the same bytes. *)

@@ -16,10 +16,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val obj : (string * t) list -> t
-(** [Obj fields], for encoders inside [pqbench lint]'s tree, where the
-    lint reads any [Obj] token as the host module it bans *)
-
 val to_string : t -> string
 (** compact (no insignificant whitespace), deterministic *)
 

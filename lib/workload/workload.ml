@@ -40,7 +40,6 @@ type result = {
   empty_deletes : int;
   cycles : int;
   queue_wait : int;
-  hot_lines : (int * int) list;
   mem : Pqsim.Mem.t;  (* final memory: labels and per-line profiles *)
 }
 
@@ -258,6 +257,5 @@ let run ?ops_per_proc ?probe ?policy ?watchdog (s : spec) =
     empty_deletes = !empty_deletes;
     cycles = result.Sim.cycles;
     queue_wait = result.Sim.queue_wait;
-    hot_lines = Mem.hot_lines result.Sim.mem 5;
     mem = result.Sim.mem;
   }

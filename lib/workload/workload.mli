@@ -40,12 +40,10 @@ type result = {
   empty_deletes : int;  (** delete_min calls that found nothing *)
   cycles : int;  (** makespan of the whole run *)
   queue_wait : int;  (** total cycles spent queued at busy lines *)
-  hot_lines : (int * int) list;
-      (** the five most contended addresses and their accumulated
-          queueing delay — the hot-spot profile *)
   mem : Pqsim.Mem.t;
-      (** the run's final memory — carries the symbolic labels and
-          (under a probe) per-line traffic for the contention profiler *)
+      (** the run's final memory — carries the symbolic labels, the
+          per-line queueing delay ({!Pqsim.Mem.hot_lines}) and (under a
+          probe) per-line traffic for the contention profiler *)
 }
 
 exception Verification_failure of string

@@ -171,28 +171,37 @@ let tas_acquire_release =
       Pqsync.Tas.release l)
 
 (* ------------------------------------------------------------------ *)
-(* one warm run: the major-heap words a Sim.run at P=16 allocates
-   directly (not promoted from the minor heap), one read per processor,
-   after a first run and a full major collection.  A warm run takes its
-   domain's spare event queue and the dead first run's memory
-   reservation, so nothing it builds is large enough for the major heap;
-   a run that built its queue afresh would allocate the two 4,096-word
-   bucket arrays there. *)
+(* warm runs: the major-heap words a run allocates directly (not
+   promoted from the minor heap), after a first run and a full major
+   collection.  A warm run takes its domain's spare event queue and the
+   dead first run's memory reservation, so nothing it builds is large
+   enough for the major heap.  A run that built its event queue afresh
+   would allocate the two 4,096-word bucket arrays there; a reader-mask
+   block pool kept in OCaml arrays, or latency samples grown by
+   doubling, would put 72,401 (SimpleTree) to 359,124 (LinearFunnels)
+   words a run there at P=256. *)
 
-let warm_run_major_words () =
-  let run () =
-    ignore
-      (Sim.run ~nprocs:16
-         ~setup:(fun mem -> Mem.alloc mem 1)
-         ~program:(fun a _ -> ignore (Api.read a))
-         ())
-  in
+let warm_major_words run =
   run ();
   Gc.full_major ();
   let _, promoted0, major0 = Gc.counters () in
   run ();
   let _, promoted1, major1 = Gc.counters () in
   major1 -. major0 -. (promoted1 -. promoted0)
+
+(* a Sim.run at P=16, one read per processor *)
+let warm_sim_run () =
+  ignore
+    (Sim.run ~nprocs:16
+       ~setup:(fun mem -> Mem.alloc mem 1)
+       ~program:(fun a _ -> ignore (Api.read a))
+       ())
+
+(* a Workload.run of a sim-fig7 queue at its P=256, 40 ops per processor *)
+let warm_workload_run queue () =
+  ignore
+    (Pqbenchlib.Workload.run
+       (Pqbenchlib.Workload.spec ~queue ~nprocs:256 ~npriorities:16))
 
 (* ------------------------------------------------------------------ *)
 (* host queues and their helpers on one domain: minor words per call, as
@@ -384,8 +393,17 @@ let () =
               Alcotest.test_case "warm Sim.run major words" `Quick
                 (fun () ->
                   gate ~what:"warm Sim.run P=16 (major heap)"
-                    ~unit:"words/run" ~bound:0. (warm_run_major_words ()));
-            ] );
+                    ~unit:"words/run" ~bound:0. (warm_major_words warm_sim_run));
+            ]
+            @ List.map
+                (fun queue ->
+                  Alcotest.test_case (queue ^ " warm run major words") `Quick
+                    (fun () ->
+                      gate
+                        ~what:(queue ^ " warm P=256 (major heap)")
+                        ~unit:"words/run" ~bound:0.
+                        (warm_major_words (warm_workload_run queue))))
+                Pqcore.Registry.scalable_names );
           ( "host",
             (let module R = Host_rows (Hostpq.Locked_heap) in
              R.rows ~name:"Locked_heap" ~insert:0. ~delete:5. ~empty:0.)

@@ -207,6 +207,22 @@ let test_lint_hashtbl_rejected () =
   let vs = Lint.scan_string "let t = Hashtbl.create 16\n" in
   check_bool "host-effect" true (List.mem "host-effect" (rules vs))
 
+(* a banned name is the host module only unqualified or under the
+   standard library: another module's constructor of that name is fine *)
+let test_lint_qualified_names () =
+  let host_effect src =
+    List.mem "host-effect" (rules (Lint.scan_string src))
+  in
+  check_bool "Json.Obj accepted" false
+    (host_effect "let v = Json.Obj []\n");
+  check_bool "Pqtrace.Json.Obj accepted" false
+    (host_effect "let v = Pqtrace.Json.Obj []\n");
+  check_bool "Obj.magic rejected" true (host_effect "let f x = Obj.magic x\n");
+  check_bool "Stdlib.Obj.magic rejected" true
+    (host_effect "let f x = Stdlib.Obj.magic x\n");
+  check_bool "MoreLabels.Hashtbl.create rejected" true
+    (host_effect "let t = MoreLabels.Hashtbl.create 16\n")
+
 let test_lint_external_rejected () =
   let vs = Lint.scan_string "external id : 'a -> 'a = \"%identity\"\n" in
   check_bool "host-effect" true (List.mem "host-effect" (rules vs))
@@ -729,6 +745,7 @@ let () =
           Alcotest.test_case "ref field rejected" `Quick
             test_lint_ref_field_rejected;
           Alcotest.test_case "Hashtbl rejected" `Quick test_lint_hashtbl_rejected;
+          Alcotest.test_case "qualified names" `Quick test_lint_qualified_names;
           Alcotest.test_case "external rejected" `Quick
             test_lint_external_rejected;
           Alcotest.test_case "comments/strings immune" `Quick

@@ -776,6 +776,33 @@ let test_mem_reuse_reads_fresh () =
   check_int "past 2^18 lines: unmapped, not kept" 0 (Pqsim.Mem.pooled ());
   ignore (Sys.opaque_identity (m, keep))
 
+(* A funnel run ends with reader-mask blocks still in use; a run that
+   reuses its reservation must find the block pool as a fresh one has
+   it.  B runs once on the reservation of a dead run A, and once on a
+   fresh reservation while A's memory is alive. *)
+let test_mem_reuse_after_sharing () =
+  let run queue =
+    Pqbenchlib.Workload.run
+      (Pqbenchlib.Workload.spec ~queue ~nprocs:64 ~npriorities:16)
+  in
+  let observed (r : Pqbenchlib.Workload.result) =
+    let m = r.mem in
+    Pqsim.Mem.
+      [ r.cycles; hits m; misses m; updates m; queue_wait m; r.queue_wait ]
+  in
+  let keep = drain_free_reservations (Pqsim.Machine.make ~nprocs:64 ()) in
+  let a = run "LinearFunnels" in
+  let fresh = run "FunnelTree" in
+  let fresh_obs = observed fresh in
+  ignore (Sys.opaque_identity a);
+  Gc.full_major ();
+  check_int "A's reservation is the one free" 1 (Pqsim.Mem.pooled ());
+  let reused = run "FunnelTree" in
+  check_int "and B took it" 0 (Pqsim.Mem.pooled ());
+  Alcotest.(check (list int))
+    "cycles, hits, misses, updates, queue_wait" fresh_obs (observed reused);
+  ignore (Sys.opaque_identity (keep, fresh, reused))
+
 let test_mem_past_reservation () =
   (* every access path names the line and the reservation past the
      bound, instead of Bigarray's bare index error *)
@@ -1035,7 +1062,7 @@ let test_warm_equals_cold () =
           ops_per_proc = 12;
         }
     in
-    (r.cycles, r.latency_all, r.queue_wait, r.hot_lines)
+    (r.cycles, r.latency_all, r.queue_wait, Pqsim.Mem.hot_lines r.mem 5)
   in
   List.iter
     (fun (a, b) ->
@@ -1186,6 +1213,52 @@ let test_stats_merge_mean () =
   Alcotest.(check (float 0.01)) "merge" 15.0
     (Pqsim.Stats.merge_mean s [ "a"; "b" ])
 
+(* Samples are stored in chunks; every query must read as if they were
+   one sorted list, for counts on both sides of a chunk edge *)
+let test_stats_chunked_model =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 63; 64; 255; 256; 257; 513; 5_000 ] >>= fun n ->
+      pair (list_repeat n (int_range (-3) 70_000)) (float_bound_inclusive 1.0))
+  in
+  let print (l, p) = Printf.sprintf "%d samples, p = %g" (List.length l) p in
+  QCheck.Test.make ~name:"chunked samples = sorted-list model" ~count:40
+    (QCheck.make ~print gen) (fun (samples, p) ->
+      let s = Pqsim.Stats.create () in
+      List.iter (Pqsim.Stats.record s "k") samples;
+      let sorted = Array.of_list (List.sort compare samples) in
+      let n = Array.length sorted in
+      let at p = sorted.(int_of_float (p *. float_of_int (n - 1))) in
+      let bucket v =
+        let rec up b = if b >= v then b else up ((2 * b) + 1) in
+        if v <= 0 then 0 else up 1
+      in
+      let histogram =
+        List.fold_left
+          (fun acc v ->
+            let b = bucket v in
+            match List.assoc_opt b acc with
+            | Some c -> (b, c + 1) :: List.remove_assoc b acc
+            | None -> (b, 1) :: acc)
+          [] samples
+        |> List.sort compare
+      in
+      let sum = List.fold_left ( + ) 0 samples in
+      Pqsim.Stats.percentile s "k" p = at p
+      && Pqsim.Stats.summary s "k"
+         = Some
+             {
+               Pqsim.Stats.key = "k";
+               count = n;
+               mean = float_of_int sum /. float_of_int n;
+               min = sorted.(0);
+               max = sorted.(n - 1);
+               p50 = at 0.5;
+               p95 = at 0.95;
+               p99 = at 0.99;
+             }
+      && Pqsim.Stats.histogram s "k" = histogram)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1245,6 +1318,8 @@ let () =
           Alcotest.test_case "swap" `Quick test_mem_swap;
           Alcotest.test_case "reused reservation reads fresh" `Quick
             test_mem_reuse_reads_fresh;
+          Alcotest.test_case "reused reservation after a sharing-heavy run"
+            `Quick test_mem_reuse_after_sharing;
           Alcotest.test_case "past the reservation" `Quick
             test_mem_past_reservation;
         ] );
@@ -1288,4 +1363,5 @@ let () =
           Alcotest.test_case "summary" `Quick test_stats_summary;
           Alcotest.test_case "merge mean" `Quick test_stats_merge_mean;
         ] );
+      qsuite "stats-props" [ test_stats_chunked_model ];
     ]
