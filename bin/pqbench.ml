@@ -254,7 +254,9 @@ let explore_cmd =
     Arg.(
       value & opt int 300_000
       & info [ "max-states" ] ~docv:"M"
-          ~doc:"Search bound for each consistency check.")
+          ~doc:
+            "State bound for each linearizability search (quiescent \
+             consistency is decided without a search).")
   in
   let run queue policy budget procs priorities ops seed max_states =
     match Pqexplore.Explore.policy_kind_of_string policy with

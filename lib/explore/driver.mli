@@ -1,7 +1,8 @@
 (** Running one schedule against one queue and checking the result.
 
     The driver fixes the exploration workload shape (the paper's
-    coin-flip op mix, sized small enough for the Wing & Gong checker)
+    coin-flip op mix, sized small enough for the Wing & Gong
+    linearizability search)
     and turns a {!Schedule.t} into a verdict: build the queue from the
     registry, run the workload under the schedule's policy, capture the
     invoke/response history, and classify it. *)
@@ -11,7 +12,7 @@ type config = {
   nprocs : int;
   npriorities : int;
   ops_per_proc : int;
-  max_states : int;  (** search bound for the consistency checks *)
+  max_states : int;  (** search bound for the linearizability check *)
 }
 
 val config :

@@ -45,20 +45,17 @@ type report = {
   qc_witness : witness option;
 }
 
-(* violation predicates for the shrinker: one simulator run + the single
-   relevant consistency check *)
+(* violation predicates for the shrinker: one simulator run + the check
+   that decides the condition, as in {!Verdict.classify} *)
 let violates cfg kind (s : Schedule.t) =
   let h =
     Driver.history cfg ~policy:(Schedule.replay s) ~seed:s.Schedule.seed
   in
-  let check =
-    match kind with
-    | `Lin -> Pqcheck.Lincheck.linearizable ~max_states:cfg.Driver.max_states
-    | `Qc ->
-        Pqcheck.Lincheck.quiescently_consistent
-          ~max_states:cfg.Driver.max_states
-  in
-  check h = Pqcheck.Lincheck.Not_linearizable
+  match kind with
+  | `Lin ->
+      Verdict.lin_violated
+        (Verdict.classify ~max_states:cfg.Driver.max_states h)
+  | `Qc -> not (Pqcheck.Lincheck.quiescently_consistent h)
 
 let make_witness cfg ~shrink_budget kind original =
   let schedule, shrink_runs =
@@ -134,9 +131,7 @@ let run ?cfg ?(seed = 1) ?(shrink_budget = 400) ~queue ~policy ~budget () =
     let h = Driver.history cfg ~policy:engine_policy ~seed:wseed in
     let v = Verdict.classify ~max_states:cfg.Driver.max_states h in
     incr runs;
-    if v.Verdict.lin = Pqcheck.Lincheck.Gave_up
-       || v.Verdict.qc = Pqcheck.Lincheck.Gave_up
-    then incr gave_up;
+    if v.Verdict.lin = Pqcheck.Lincheck.Gave_up then incr gave_up;
     if Verdict.lin_violated v then begin
       incr lin_violations;
       if !lin_witness = None then

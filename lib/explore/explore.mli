@@ -43,7 +43,8 @@ type report = {
   runs : int;  (** schedules executed (= budget unless DFS exhausted) *)
   lin_violations : int;  (** runs whose history refuted linearizability *)
   qc_violations : int;  (** runs refuting quiescent consistency *)
-  gave_up : int;  (** runs where the bounded check was inconclusive *)
+  gave_up : int;
+      (** runs where the bounded linearizability search was inconclusive *)
   level : Verdict.level;  (** strongest level consistent with all runs *)
   lin_witness : witness option;  (** first linearizability violation *)
   qc_witness : witness option;  (** first quiescent-consistency violation *)

@@ -3,8 +3,7 @@
 
 type t = {
   lin : Pqcheck.Lincheck.verdict;  (** linearizability check result *)
-  qc : Pqcheck.Lincheck.verdict;
-      (** quiescent-consistency check result *)
+  qc : bool;  (** the history is quiescently consistent *)
 }
 
 (** the strongest consistency level a set of observations supports *)
@@ -15,16 +14,19 @@ type level =
   | Inconsistent  (** quiescent consistency refuted: a real ordering bug *)
 
 val classify : ?max_states:int -> Pqcheck.History.t -> t
-(** run both checks on one history.  The quiescent-consistency check is
-    skipped (trivially [Linearizable]) when the linearizability check
-    already accepted: linearizability implies quiescent consistency. *)
+(** decide quiescent consistency first, then search for a linearization
+    ([max_states] bounds that search) only if it holds.  Linearizability
+    implies quiescent consistency, so a history that is not quiescently
+    consistent reads [lin = Not_linearizable] without a search: at most
+    one search runs per history. *)
 
 val lin_violated : t -> bool
 val qc_violated : t -> bool
 
 val level : t -> level
-(** level supported by this single history; [Gave_up] counts as
-    not-refuted (the check is inconclusive, never a violation). *)
+(** level supported by this single history; a linearizability search
+    that gave up counts as not-refuted (inconclusive, never a
+    violation). *)
 
 val level_to_string : level -> string
 val pp_level : Format.formatter -> level -> unit

@@ -86,15 +86,37 @@ let test_qc_weaker_than_linearizability () =
   in
   check_verdict "not linearizable" Pqcheck.Lincheck.Not_linearizable
     (Pqcheck.Lincheck.linearizable h);
-  check_verdict "but quiescently consistent" Pqcheck.Lincheck.Linearizable
+  Alcotest.(check bool) "but quiescently consistent" true
     (Pqcheck.Lincheck.quiescently_consistent h)
 
 let test_qc_rejects_cross_quiescence () =
   (* with a quiescent gap between the insert and the delete, even
      quiescent consistency forbids losing the element *)
   let h = [ ev 0 (ins 5 1) 0 1; ev 1 (del None) 10 11 ] in
-  check_verdict "quiescent point enforced" Pqcheck.Lincheck.Not_linearizable
+  Alcotest.(check bool) "quiescent point enforced" false
     (Pqcheck.Lincheck.quiescently_consistent h)
+
+let test_repeated_element () =
+  (* the queue is a multiset: a second insert of the same (priority,
+     payload) makes a second copy, which a second delete may return *)
+  let h =
+    [
+      ev 0 (ins 3 7) 0 1;
+      ev 0 (ins 3 7) 2 3;
+      ev 0 (del (Some (3, 7))) 4 5;
+      ev 0 (del (Some (3, 7))) 6 7;
+    ]
+  in
+  check_verdict "both copies linearizable" Pqcheck.Lincheck.Linearizable
+    (Pqcheck.Lincheck.linearizable h);
+  Alcotest.(check bool) "both copies quiescently consistent" true
+    (Pqcheck.Lincheck.quiescently_consistent h);
+  (* but a third delete of it finds no copy left *)
+  let h3 = h @ [ ev 0 (del (Some (3, 7))) 8 9 ] in
+  check_verdict "no third copy" Pqcheck.Lincheck.Not_linearizable
+    (Pqcheck.Lincheck.linearizable h3);
+  Alcotest.(check bool) "no third copy, even quiescently" false
+    (Pqcheck.Lincheck.quiescently_consistent h3)
 
 let test_empty_history () =
   check_verdict "empty" Pqcheck.Lincheck.Linearizable
@@ -163,6 +185,52 @@ let prop_corrupted_histories_refuted =
       QCheck.assume !corrupted;
       Pqcheck.Lincheck.linearizable h' = Pqcheck.Lincheck.Not_linearizable)
 
+(* small arbitrary histories, for comparison with the brute-force
+   reference: intervals overlap, so an epoch holds several operations;
+   three priorities and two payloads, so priorities tie and elements
+   repeat; some inserts are rejected; a delete returns [None] or any
+   element, so it can find a non-empty queue empty or return an element
+   before its insert's epoch *)
+let gen_small_history =
+  QCheck.Gen.(
+    let elem = pair (int_bound 2) (int_bound 1) in
+    let op =
+      frequency
+        [
+          ( 4,
+            map2
+              (fun (pri, payload) accepted -> ins ~accepted pri payload)
+              elem
+              (map (fun k -> k > 0) (int_bound 4)) );
+          (1, return (del None));
+          (3, map (fun x -> del (Some x)) elem);
+        ]
+    in
+    let event proc =
+      map3 (fun op t0 len -> ev proc op t0 (t0 + len)) op (int_bound 12)
+        (int_bound 4)
+    in
+    int_range 1 8 >>= fun n -> flatten_l (List.init n event))
+
+let arb_small_history =
+  QCheck.make
+    ~print:(Format.asprintf "%a" Pqcheck.History.pp)
+    gen_small_history
+
+let prop_qc_matches_reference =
+  QCheck.Test.make
+    ~name:"per-epoch QC decision = brute force over epoch orders"
+    ~count:3000 arb_small_history (fun h ->
+      Pqcheck.Lincheck.quiescently_consistent h
+      = Brute.legal ~precedes:(Brute.quiescent h) h)
+
+let prop_lin_matches_reference =
+  QCheck.Test.make
+    ~name:"linearizability search = brute force over real-time orders"
+    ~count:3000 arb_small_history (fun h ->
+      Pqcheck.Lincheck.linearizable h = Pqcheck.Lincheck.Linearizable
+      = Brute.legal ~precedes:Brute.real_time h)
+
 (* ------------------------------------------------------------------ *)
 (* the paper's claims, on recorded histories *)
 
@@ -177,16 +245,14 @@ let recorded_claim ~expect_lin queue () =
         (Printf.sprintf "%s history (seed %d) linearizable" queue seed)
         Pqcheck.Lincheck.Linearizable
         (Pqcheck.Lincheck.linearizable h)
-    else begin
+    else
       (* quiescently consistent queues may or may not produce linearizable
-         histories; the QC check must never refute (a bounded search may
-         give up on the densest histories, which is inconclusive) *)
-      match Pqcheck.Lincheck.quiescently_consistent ~max_states:200_000 h with
-      | Pqcheck.Lincheck.Linearizable | Pqcheck.Lincheck.Gave_up -> ()
-      | Pqcheck.Lincheck.Not_linearizable ->
-          Alcotest.failf "%s history (seed %d) violates quiescent consistency"
-            queue seed
-    end
+         histories; the QC check must never refute *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s history (seed %d) quiescently consistent" queue
+           seed)
+        true
+        (Pqcheck.Lincheck.quiescently_consistent h)
   done
 
 (* The paper calls SimpleLinear and SkipList linearizable.  The scan-based
@@ -197,20 +263,18 @@ let recorded_claim ~expect_lin queue () =
 let scan_queues_not_linearizable queue () =
   let refuted = ref false in
   for seed = 1 to 10 do
-    if not !refuted then begin
-      let h =
-        Pqcheck.History.record ~queue ~nprocs:5 ~npriorities:8 ~ops_per_proc:7
-          ~seed ()
-      in
-      (match Pqcheck.Lincheck.linearizable ~max_states:200_000 h with
+    let h =
+      Pqcheck.History.record ~queue ~nprocs:5 ~npriorities:8 ~ops_per_proc:7
+        ~seed ()
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s (seed %d): quiescent consistency holds" queue seed)
+      true
+      (Pqcheck.Lincheck.quiescently_consistent h);
+    if not !refuted then
+      match Pqcheck.Lincheck.linearizable ~max_states:200_000 h with
       | Pqcheck.Lincheck.Not_linearizable -> refuted := true
-      | Pqcheck.Lincheck.Linearizable | Pqcheck.Lincheck.Gave_up -> ());
-      match Pqcheck.Lincheck.quiescently_consistent ~max_states:200_000 h with
-      | Pqcheck.Lincheck.Not_linearizable ->
-          Alcotest.failf "%s (seed %d): quiescent consistency must hold" queue
-            seed
       | Pqcheck.Lincheck.Linearizable | Pqcheck.Lincheck.Gave_up -> ()
-    end
   done;
   Alcotest.(check bool)
     (queue ^ ": some history refutes the paper's linearizability claim")
@@ -238,10 +302,16 @@ let () =
           Alcotest.test_case "qc not trivial" `Quick
             test_qc_rejects_cross_quiescence;
           Alcotest.test_case "empty history" `Quick test_empty_history;
+          Alcotest.test_case "repeated element" `Quick test_repeated_element;
         ] );
       ( "checker-props",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_legal_histories_verify; prop_corrupted_histories_refuted ] );
+          [
+            prop_legal_histories_verify;
+            prop_corrupted_histories_refuted;
+            prop_qc_matches_reference;
+            prop_lin_matches_reference;
+          ] );
       ( "claims-linearizable",
         [
           Alcotest.test_case "SingleLock" `Quick

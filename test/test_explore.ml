@@ -123,6 +123,23 @@ let test_verdict_levels () =
     "inconsistent" "INCONSISTENT"
     (Verdict.level_to_string (Verdict.level (Verdict.classify inconsistent)))
 
+let test_refuted_qc_runs_no_search () =
+  (* not quiescently consistent, and a linearizability search would need
+     more than one state; at a one-state bound only a verdict that runs
+     no search can still read "not linearizable" *)
+  let h =
+    [
+      ev 0 (ins 5 1) 0 1;
+      ev 1 (ins 3 2) 0 1;
+      ev 2 (del (Some (5, 1))) 10 11;
+    ]
+  in
+  let v = Verdict.classify ~max_states:1 h in
+  check_bool "quiescent consistency refuted" true (Verdict.qc_violated v);
+  check_bool "hence linearizability refuted" true (Verdict.lin_violated v);
+  check_bool "a search at this bound gives up" true
+    (Pqcheck.Lincheck.linearizable ~max_states:1 h = Pqcheck.Lincheck.Gave_up)
+
 (* ------------------------------------------------------------------ *)
 (* shrinker *)
 
@@ -192,15 +209,8 @@ let explore_claim queue () =
   let expect_lin = List.mem queue [ "SingleLock"; "HuntEtAl" ] in
   let relaxed = List.mem queue Pqcore.Registry.names_relaxed in
   let budget = if relaxed then 40 else 24 in
-  let cfg =
-    (* refuting quiescent consistency is exhaustive per run, and relaxed
-       histories refute almost every run: a short script keeps each
-       refutation cheap while pick-2 still skips the minimum *)
-    if relaxed then Some (Driver.config ~nprocs:4 ~ops_per_proc:4 queue)
-    else None
-  in
   let r =
-    Explore.run ?cfg ~queue ~policy:Explore.default_random ~budget ~seed:7 ()
+    Explore.run ~queue ~policy:Explore.default_random ~budget ~seed:7 ()
   in
   check_int "budget consumed" budget r.Explore.runs;
   if relaxed then
@@ -299,7 +309,11 @@ let () =
           Alcotest.test_case "named schedules" `Quick test_named_schedules;
         ] );
       ( "verdict",
-        [ Alcotest.test_case "levels" `Quick test_verdict_levels ] );
+        [
+          Alcotest.test_case "levels" `Quick test_verdict_levels;
+          Alcotest.test_case "refuted QC runs no search" `Quick
+            test_refuted_qc_runs_no_search;
+        ] );
       ( "shrink",
         [
           Alcotest.test_case "greedy minimization" `Quick
