@@ -459,8 +459,7 @@ let chaos_cmd =
     in
     let buf = Buffer.create 4096 in
     let ppf = Format.formatter_of_buffer buf in
-    if verbose then Format.fprintf ppf "%a@." Pqchaos.Driver.pp_cells cells;
-    Format.fprintf ppf "%a@." Pqchaos.Driver.pp_summary cells;
+    Pqchaos.Driver.pp ~verbose ppf cells;
     let host_failures =
       if host then Pqchaos.Host.run ~verbose ppf cfg else []
     in

@@ -391,3 +391,7 @@ let pp_summary ppf cells =
       List.iter (fun (_, v) -> Format.fprintf ppf " %-16s" v) row;
       Format.fprintf ppf "@.")
     matrix
+
+let pp ~verbose ppf cells =
+  if verbose then Format.fprintf ppf "%a@." pp_cells cells;
+  Format.fprintf ppf "%a@." pp_summary cells

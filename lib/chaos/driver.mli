@@ -102,3 +102,7 @@ val to_json : config -> cell list -> Pqtrace.Json.t
 
 val pp_cells : Format.formatter -> cell list -> unit
 val pp_summary : Format.formatter -> cell list -> unit
+
+val pp : verbose:bool -> Format.formatter -> cell list -> unit
+(** the simulated part of [pqbench chaos]'s report: {!pp_cells} under
+    [verbose], then {!pp_summary} *)

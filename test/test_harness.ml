@@ -2,9 +2,11 @@
 
    The performance work (flat-array memory model, non-allocating event
    queue, domain-parallel sweeps) promises that nothing observable moved:
-   every quick-scale figure table, every BENCH.json series and every
-   JSONL trace is byte-for-byte what the pre-optimisation engine printed,
-   and independent of --jobs.  These tests pin that promise to checked-in
+   every quick-scale figure table, every BENCH.json series, every JSONL
+   trace and the exact report text `pqbench audit`, `pqbench chaos
+   --quick --verbose` and `pqbench adapt --quick` write with --report is
+   byte-for-byte what the pre-optimisation engine printed, and
+   independent of --jobs.  These tests pin that promise to checked-in
    SHA-256 fixtures (test/digests/golden.sha256).
 
    If a digest changes, the change is either a bug or an intentional
@@ -87,6 +89,22 @@ let trace_digest ~seed =
   Pqtrace.Sha256.digest_string
     (Pqtrace.Recorder.to_jsonl ~mem:r.Pqbenchlib.Workload.mem recorder)
 
+(* the text each gate command prints and writes with --report, built by
+   the same library calls the CLI makes with its default options *)
+let gate_digests ~jobs =
+  List.map
+    (fun (name, text) -> (name, Pqtrace.Sha256.digest_string text))
+    [
+      ("audit", Format.asprintf "%a" Pqanalysis.Audit.pp (Pqanalysis.Audit.run ~jobs));
+      ( "chaos-quick-verbose",
+        Format.asprintf "%a"
+          (Pqchaos.Driver.pp ~verbose:true)
+          (Pqchaos.Driver.run ~jobs Pqchaos.Driver.quick) );
+      ( "adapt-quick",
+        Pqadapt.Driver.report_to_string
+          (Pqadapt.Driver.run ~jobs Pqadapt.Driver.quick) );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* the tests *)
 
@@ -113,11 +131,17 @@ let golden () =
      being re-blessed *)
   Alcotest.(check string) "tables: --jobs 4 = --jobs 1" tables1 tables4;
   Alcotest.(check string) "BENCH series: --jobs 4 = --jobs 1" json1 json4;
+  let gates1 = gate_digests ~jobs:1 in
+  List.iter2
+    (fun (name, d1) (_, d4) ->
+      Alcotest.(check string) (name ^ " report: --jobs 4 = --jobs 1") d1 d4)
+    gates1 (gate_digests ~jobs:4);
   let traces = List.map (fun s -> (s, trace_digest ~seed:s)) [ 42; 1; 7 ] in
   let computed =
     ("figures-quick-tables", tables1)
     :: ("figures-quick-json", json1)
     :: List.map (fun (s, d) -> (Printf.sprintf "trace-s%d" s, d)) traces
+    @ List.map (fun (name, d) -> (name ^ "-report", d)) gates1
   in
   if blessing () then begin
     if not (Sys.file_exists (Filename.dirname fixture_path)) then
