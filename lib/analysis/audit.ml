@@ -57,12 +57,11 @@ type observed = {
 
 let run_cell cell =
   let races = Races.observer () and locks = Lockdep.observer () in
-  let monitor = Monitor.create ~npriorities ~nprocs in
-  let note ~proc ~time ~tag ~a ~b =
-    Lockdep.feed locks ~proc ~time ~tag ~a ~b;
-    Monitor.note monitor ~proc ~time ~tag ~a ~b
+  let probe =
+    Pqsim.Probe.make ~sink:(Races.sink races)
+      ~notes:{ note = Lockdep.feed locks }
+      ()
   in
-  let probe = Pqsim.Probe.make ~sink:(Races.sink races) ~notes:{ note } () in
   let o = run_sim ~probe cell in
   let aborted = Option.map Printexc.to_string o.aborted in
   {
@@ -77,7 +76,7 @@ let run_cell cell =
       Lockdep.analyze ~sched:(label cell)
         ?label:(Option.map Pqsim.Mem.name_of o.mem)
         ~quiescent:(aborted = None) locks;
-    monitor = Monitor.finalize monitor ~leftover:o.leftover;
+    monitor = o.monitor;
     aborted;
     check = o.check;
   }
@@ -146,11 +145,9 @@ let merge queue observed =
     failed_checks =
       (* an aborted run is already a finding; its checks are moot *)
       per_cell (fun o ->
-          if o.aborted <> None then []
-          else
-            List.filter_map
-              (function Ok () -> None | Error msg -> Some msg)
-              [ o.check; o.monitor.conservation ]);
+          match o.check with
+          | Error msg when o.aborted = None -> [ msg ]
+          | _ -> []);
     bound =
       Option.value ~default:0
         (Pqcore.Multi_queue.rank_bound_for queue ~nprocs);

@@ -6,13 +6,14 @@
     40 ops per processor, under each of {!schedules} for each of
     {!seeds}.  Each cell runs once through
     {!Pqbenchlib.Scenario.run_sim} with one probe: its event sink feeds
-    the {!Races} detector, and its note channel feeds both
-    {!Lockdep.feed} and the {!Pqcheck.Monitor} streaming monitor.
+    the {!Races} detector and its note channel feeds {!Lockdep.feed}.
+    Rank error and conservation come from the streaming
+    {!Pqcheck.Monitor} that [run_sim] runs itself.
 
     A queue passes ({!findings} empty) when, over all its cells, there
     are no data races, no lock-order cycles or discipline findings, no
-    aborted run, the scenario's own check and the monitor's
-    conservation both hold, and the worst rank error is within
+    aborted run, the scenario's check (which includes the monitor's
+    conservation) holds, and the worst rank error is within
     {!Pqcore.Multi_queue.rank_bound_for} (0 for strict queues and
     [Adaptive]).  Everything is deterministic per cell, so reports are
     byte-identical for any [jobs]. *)
@@ -49,13 +50,14 @@ type observed = {
   events : int;  (** probe events the race detector consumed *)
   races : Races.race list;
   locks : Lockdep.analysis;
-  monitor : Pqcheck.Monitor.report;
+  monitor : Pqcheck.Monitor.report;  (** {!Pqbenchlib.Scenario.outcome.monitor} *)
   aborted : string option;
   check : (unit, string) result;  (** {!Pqbenchlib.Scenario.outcome.check} *)
 }
 
 val run_cell : cell -> observed
-(** run a cell once with the composed probe and fold every analyzer *)
+(** run a cell once with the composed {!Races} and {!Lockdep} probe and
+    fold every analyzer *)
 
 type report = {
   queue : string;
@@ -67,7 +69,7 @@ type report = {
   locks : Lockdep.analysis;  (** {!Lockdep.merge} over cells *)
   aborted : (string * string) list;  (** cell label, exception *)
   failed_checks : (string * string) list;
-      (** cell label, scenario check or monitor conservation message *)
+      (** cell label, scenario check message *)
   bound : int;
   worst_rank : int;
   worst_cell : string;  (** where [worst_rank] was first reached *)

@@ -20,7 +20,6 @@
      bound, never an error. *)
 
 module Scenario = Pqbenchlib.Scenario
-module Monitor = Pqcheck.Monitor
 module Policy = Pqexplore.Policy
 
 type verdict =
@@ -158,30 +157,16 @@ let run_cell cfg ~queue ~scn_name ~scn ~plan ~sched ~seed ~baseline =
     | Some b -> Some (watchdog_for ~plan ~baseline:b)
     | None -> None (* the baseline cell itself: fault-free, terminating *)
   in
-  let monitor =
-    Monitor.create
-      ~npriorities:(Scenario.npriorities_for scn ~default:cfg.npriorities)
-      ~nprocs
-  in
-  let probe = Pqsim.Probe.make ~notes:(Monitor.notes monitor) () in
   let degrade =
     match plan with Some p -> Plan.degrade p | None -> fun _ -> ()
   in
   let o =
-    Scenario.run_sim ~probe ?policy ?watchdog ~track:false ~degrade ~queue
-      ~nprocs ~npriorities:cfg.npriorities
+    Scenario.run_sim ?policy ?watchdog ~degrade ~queue ~nprocs
+      ~npriorities:cfg.npriorities
       ~ops_per_proc:(cfg.ops_per_proc * cfg.soak)
       ~seed scn
   in
-  (* one crash-interrupted op can strand its whole in-hand batch: 1
-     element, plus anything the queue stages in per-op buffers *)
-  let slack_per_dangling =
-    match Pqcore.Multi_queue.config_of_name queue with
-    | Some cfg ->
-        1 + cfg.Pqrelaxed.Multiqueue.ins_buf + cfg.Pqrelaxed.Multiqueue.del_buf
-    | None -> 1
-  in
-  let m = Monitor.finalize ~slack_per_dangling monitor ~leftover:o.leftover in
+  let m = o.monitor in
   let bound =
     Option.value ~default:0 (Pqcore.Multi_queue.rank_bound_for queue ~nprocs)
     + m.dangling
@@ -194,15 +179,12 @@ let run_cell cfg ~queue ~scn_name ~scn ~plan ~sched ~seed ~baseline =
         let safety =
           match o.check with
           | Error msg -> Some msg
-          | Ok () -> (
-              match m.conservation with
-              | Error msg -> Some msg
-              | Ok () ->
-                  if m.rank.max_rank > bound then
-                    Some
-                      (Printf.sprintf "rank error %d exceeds bound %d"
-                         m.rank.max_rank bound)
-                  else None)
+          | Ok () ->
+              if m.rank.max_rank > bound then
+                Some
+                  (Printf.sprintf "rank error %d exceeds bound %d"
+                     m.rank.max_rank bound)
+              else None
         in
         match safety with
         | Some msg -> Safety_violation msg

@@ -20,6 +20,13 @@ let rank_bound_for name ~nprocs =
     (fun cfg -> Pqrelaxed.Multiqueue.rank_bound cfg ~nprocs)
     (config_of_name name)
 
+(* one crash-interrupted op can strand its whole in-hand batch: 1
+   element, plus anything the variant stages in per-op buffers *)
+let slack_per_dangling name =
+  match config_of_name name with
+  | Some cfg -> 1 + cfg.Pqrelaxed.Multiqueue.ins_buf + cfg.del_buf
+  | None -> 1
+
 (* Elem.pack's 24-bit payloads overflow at the paper's 256-processor
    workload scale (payload = pid * 100_000 + op); a slot key is one
    63-bit simulated word, so this family packs with 40 payload bits —

@@ -12,6 +12,12 @@ val rank_bound_for : string -> nprocs:int -> int option
 (** the rank-error bound the verification gate holds a variant to;
     [None] for non-MultiQueue names *)
 
+val slack_per_dangling : string -> int
+(** how many elements one crash-interrupted operation of queue [name]
+    can strand in local state — the [slack_per_dangling] a conservation
+    monitor allows per dangling operation: 1, plus a MultiQueue
+    variant's insertion and deletion buffer sizes *)
+
 val create : string -> Pqsim.Mem.t -> Pq_intf.params -> Pq_intf.t
 (** @raise Invalid_argument on unknown variant names *)
 

@@ -489,6 +489,23 @@ let rank_error scale =
     data )
 
 (* ------------------------------------------------------------------ *)
+(* one point of a scenario figure: a run that aborted or failed its
+   check raises instead of putting a wrong number in the table *)
+
+let checked what (o : Scenario.outcome) =
+  (match o.aborted with Some e -> raise e | None -> ());
+  match o.check with
+  | Ok () -> o
+  | Error e -> failwith (what ^ " figure: " ^ e)
+
+let scenario_point ?phase_timing what sc scale queue p =
+  progress "[bench] %s %s P=%d" what queue p;
+  checked what
+    (Scenario.run_sim ?phase_timing ~queue ~nprocs:p
+       ~npriorities:(Scenario.npriorities_for sc ~default:16)
+       ~ops_per_proc:scale.ops ~seed:42 sc)
+
+(* ------------------------------------------------------------------ *)
 (* the bursty-Zipf scenario as a figure family: per-phase latency on the
    paper's axes (concurrency sweep, cycles/access), one series per
    (queue, phase).  Phase 0 is the bursty half (Zipf producers vs
@@ -498,16 +515,12 @@ let rank_error scale =
 let burst_phase_labels = [| "burst"; "drain" |]
 
 let burst_phases scale =
-  let sc = Scenario.burst in
-  let npriorities = Scenario.npriorities_for sc ~default:16 in
   let rows =
     grid scale ~series:Pqcore.Registry.scalable_names
       ~points:(fun _ -> concurrencies scale [ 2; 4; 8; 16; 32; 64; 128; 256 ])
       ~run:(fun queue p ->
-        progress "[bench] burst %s P=%d" queue p;
         let o =
-          Scenario.run_sim ~phase_timing:true ~queue ~nprocs:p ~npriorities
-            ~ops_per_proc:scale.ops ~seed:42 sc
+          scenario_point ~phase_timing:true "burst" Scenario.burst scale queue p
         in
         ( p,
           Array.init
@@ -582,16 +595,12 @@ let hold_model scale =
      a prefilled queue — the event-scheduler workload the simulator's
      own ladder queue is built for, here measured on the simulated
      queues *)
-  let sc = Scenario.hold in
-  let npriorities = Scenario.npriorities_for sc ~default:16 in
   let data =
     grid scale ~series:Pqcore.Registry.scalable_names
       ~points:(fun _ -> concurrencies scale [ 2; 4; 8; 16; 32; 64; 128; 256 ])
       ~run:(fun queue p ->
-        progress "[bench] hold %s P=%d" queue p;
         let o =
-          Scenario.run_sim ~phase_timing:true ~queue ~nprocs:p ~npriorities
-            ~ops_per_proc:scale.ops ~seed:42 sc
+          scenario_point ~phase_timing:true "hold" Scenario.hold scale queue p
         in
         let mean =
           match Pqsim.Stats.summary o.Scenario.stats (Scenario.phase_key 0) with
@@ -611,22 +620,11 @@ let sssp_scaling scale =
      completion time, not a per-access latency, because SSSP's accesses
      are causally chained through the graph *)
   let sc = Scenario.sssp ~nodes:96 ~degree:3 ~max_weight:8 () in
-  let npriorities = Scenario.npriorities_for sc ~default:16 in
   let data =
     grid scale ~series:Pqcore.Registry.scalable_names
       ~points:(fun _ -> concurrencies scale [ 2; 4; 8; 16; 32; 64 ])
       ~run:(fun queue p ->
-        progress "[bench] sssp %s P=%d" queue p;
-        let o =
-          Scenario.run_sim ~queue ~nprocs:p ~npriorities
-            ~ops_per_proc:scale.ops ~seed:42 sc
-        in
-        (match o.Scenario.aborted with
-        | Some e -> raise e
-        | None -> ());
-        (match o.Scenario.check with
-        | Ok () -> ()
-        | Error e -> failwith ("sssp figure: " ^ e));
+        let o = scenario_point "sssp" sc scale queue p in
         (p, float_of_int o.Scenario.cycles))
       ~mk:series
   in

@@ -56,3 +56,9 @@ val run_all : scale -> unit
 val collect : scale -> Pqtrace.Bench_out.figure list
 (** run every catalogue entry, printing each table as usual, and return
     the results as BENCH.json figures in catalogue order *)
+
+val checked : string -> Scenario.outcome -> Scenario.outcome
+(** [checked what o] is [o] when the run completed and its check held:
+    the one gate every scenario figure's points (burst, hold, SSSP)
+    pass through.  It re-raises [o.aborted]'s exception, and raises
+    [Failure "<what> figure: <message>"] when [o.check] failed. *)

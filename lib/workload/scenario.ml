@@ -172,7 +172,10 @@ let fresh_payload ctx seq =
   incr seq;
   v
 
-let run_phases ?(local_work = 20) ctx ops ~seq phases =
+(* local-work cycles before each access, as in the paper's benchmark *)
+let local_work = 20
+
+let run_phases ctx ops ~seq phases =
   let insert ~pri = ignore (ops.insert ~pri ~payload:(fresh_payload ctx seq)) in
   List.iter
     (fun ph ->
@@ -235,15 +238,10 @@ let prefill_per_proc t = t.prefill_per_proc
 
 type outcome = {
   cycles : int;
-  inserts : int;
-  deletes : int;
-  empty_deletes : int;
-  rejects : int;
   leftover : (int * int) list;
-  faulted : int list;
   aborted : exn option;
   check : (unit, string) result;
-  npriorities : int;
+  monitor : Pqcheck.Monitor.report;
   stats : Stats.t;
   mem : Mem.t option;
 }
@@ -267,9 +265,27 @@ let params_of t ~nprocs ~npriorities ~ops_per_proc ~seed :
 
 let phase_key i = "phase" ^ string_of_int i
 
-let run_sim ?probe ?policy ?watchdog ?machine ?(track = true)
-    ?(degrade = fun (_ : Mem.t) -> ()) ?(local_work = 20) ?create
-    ?(phase_timing = false) ~queue ~nprocs ~npriorities ~ops_per_proc ~seed t =
+(* the caller's probe with [monitor] folding the op notes too; its
+   sink and metrics are kept *)
+let with_monitor monitor probe =
+  let mine = Pqcheck.Monitor.notes monitor in
+  let p = match probe with Some p -> p | None -> Probe.make () in
+  let notes =
+    match p.Probe.notes with
+    | None -> mine
+    | Some theirs ->
+        {
+          Probe.note =
+            (fun ~proc ~time ~tag ~a ~b ->
+              theirs.note ~proc ~time ~tag ~a ~b;
+              mine.note ~proc ~time ~tag ~a ~b);
+        }
+  in
+  { p with notes = Some notes }
+
+let run_sim ?probe ?policy ?watchdog ?(degrade = fun (_ : Mem.t) -> ())
+    ?create ?(phase_timing = false) ~queue ~nprocs ~npriorities ~ops_per_proc
+    ~seed t =
   let npriorities = npriorities_for t ~default:npriorities in
   let params = params_of t ~nprocs ~npriorities ~ops_per_proc ~seed in
   let create =
@@ -277,12 +293,7 @@ let run_sim ?probe ?policy ?watchdog ?machine ?(track = true)
     | Some f -> f
     | None -> fun mem params -> Pqcore.Registry.create queue mem params
   in
-  let ins_n = Array.make nprocs 0 in
-  let del_n = Array.make nprocs 0 in
-  let empty_n = Array.make nprocs 0 in
-  let rej_n = Array.make nprocs 0 in
-  let inserted = Array.make nprocs [] in
-  let deleted = Array.make nprocs [] in
+  let monitor = Pqcheck.Monitor.create ~npriorities ~nprocs in
   let captured = ref None in
   let sssp_state = ref None in
   let graph =
@@ -291,25 +302,19 @@ let run_sim ?probe ?policy ?watchdog ?machine ?(track = true)
     | Sssp { nodes; degree; max_weight } ->
         Some (Graph.generate ~degree ~max_weight ~seed:(seed lxor 0x6e0) ~nodes ())
   in
-  (* every queue access goes through this wrapper: host-side counters,
-     optional multiset tracking, and the probe-note stream the chaos
-     monitors fold online.  [progress_on_empty] distinguishes phased
-     scenarios (an empty delete is a completed operation) from SSSP
-     (spinning on an empty queue awaiting outstanding work must not
+  (* every queue access goes through this wrapper, which streams the op
+     notes the monitor folds online.  [progress_on_empty] distinguishes
+     phased scenarios (an empty delete is a completed operation) from
+     SSSP (spinning on an empty queue awaiting outstanding work must not
      feed the watchdog, or a crashed worker spins the run forever) *)
-  let noted_ops ~progress_on_empty (q : Pqcore.Pq_intf.t) pid =
+  let noted_ops ~progress_on_empty (q : Pqcore.Pq_intf.t) =
     let insert ~pri ~payload =
       Api.note Pqcheck.Monitor.Tag.ins_invoke pri payload;
       let ok = q.Pqcore.Pq_intf.insert ~pri ~payload in
-      if ok then begin
-        Api.note Pqcheck.Monitor.Tag.ins_ok pri payload;
-        ins_n.(pid) <- ins_n.(pid) + 1;
-        if track then inserted.(pid) <- (pri, payload) :: inserted.(pid)
-      end
-      else begin
-        Api.note Pqcheck.Monitor.Tag.ins_reject pri payload;
-        rej_n.(pid) <- rej_n.(pid) + 1
-      end;
+      Api.note
+        (if ok then Pqcheck.Monitor.Tag.ins_ok
+         else Pqcheck.Monitor.Tag.ins_reject)
+        pri payload;
       Api.progress ();
       ok
     in
@@ -318,13 +323,10 @@ let run_sim ?probe ?policy ?watchdog ?machine ?(track = true)
       match q.Pqcore.Pq_intf.delete_min () with
       | Some (pri, payload) as r ->
           Api.note Pqcheck.Monitor.Tag.del_some pri payload;
-          del_n.(pid) <- del_n.(pid) + 1;
-          if track then deleted.(pid) <- (pri, payload) :: deleted.(pid);
           Api.progress ();
           r
       | None ->
           Api.note Pqcheck.Monitor.Tag.del_none 0 0;
-          empty_n.(pid) <- empty_n.(pid) + 1;
           if progress_on_empty then Api.progress ();
           None
     in
@@ -333,7 +335,7 @@ let run_sim ?probe ?policy ?watchdog ?machine ?(track = true)
   let program (q, barrier) pid =
     match t.shape with
     | Phased role ->
-        let ops = noted_ops ~progress_on_empty:true q pid in
+        let ops = noted_ops ~progress_on_empty:true q in
         let seq = ref 0 in
         let ctx =
           { pid; nprocs; npriorities; rand = Api.rand; work = Api.work }
@@ -364,11 +366,11 @@ let run_sim ?probe ?policy ?watchdog ?machine ?(track = true)
                     (fun () -> Api.timed key (fun () -> ops.delete_min ()));
                 }
               in
-              run_phases ~local_work ctx tops ~seq [ ph ])
+              run_phases ctx tops ~seq [ ph ])
             phases
-        else run_phases ~local_work ctx ops ~seq phases
+        else run_phases ctx ops ~seq phases
     | Sssp _ ->
-        let ops = noted_ops ~progress_on_empty:false q pid in
+        let ops = noted_ops ~progress_on_empty:false q in
         let g, dist, outstanding =
           match !sssp_state with Some s -> s | None -> assert false
         in
@@ -416,7 +418,7 @@ let run_sim ?probe ?policy ?watchdog ?machine ?(track = true)
         loop ()
   in
   let run () =
-    Sim.run ?machine ?probe ?policy ?watchdog ~nprocs ~seed
+    Sim.run ~probe:(with_monitor monitor probe) ?policy ?watchdog ~nprocs ~seed
       ~setup:(fun mem ->
         degrade mem;
         let q = create mem params in
@@ -451,7 +453,11 @@ let run_sim ?probe ?policy ?watchdog ?machine ?(track = true)
     | Some (q, mem) -> q.Pqcore.Pq_intf.drain_now mem
     | None -> []
   in
-  let sum a = Array.fold_left ( + ) 0 a in
+  let monitor =
+    Pqcheck.Monitor.finalize
+      ~slack_per_dangling:(Pqcore.Multi_queue.slack_per_dangling queue)
+      monitor ~leftover
+  in
   let check =
     if aborted <> None then Ok ()
     else
@@ -459,19 +465,6 @@ let run_sim ?probe ?policy ?watchdog ?machine ?(track = true)
         match !captured with
         | Some (q, mem) when faulted = [] -> q.Pqcore.Pq_intf.check_now mem
         | _ -> Ok ()
-      in
-      let conservation () =
-        if (not track) || faulted <> [] then Ok ()
-        else
-          let sorted l = List.sort compare l in
-          let all_in = sorted (List.concat (Array.to_list inserted)) in
-          let all_out = List.concat (Array.to_list deleted) in
-          if all_in = sorted (all_out @ leftover) then Ok ()
-          else
-            Error
-              (Printf.sprintf "conservation violated (%d in, %d out, %d left)"
-                 (List.length all_in) (List.length all_out)
-                 (List.length leftover))
       in
       let distances () =
         match (!sssp_state, !captured) with
@@ -490,22 +483,15 @@ let run_sim ?probe ?policy ?watchdog ?machine ?(track = true)
                      u got want))
         | _ -> Ok ()
       in
-      match structural with
-      | Error _ as e -> e
-      | Ok () -> (
-          match conservation () with Error _ as e -> e | Ok () -> distances ())
+      Result.bind structural (fun () ->
+          Result.bind monitor.conservation distances)
   in
   {
     cycles;
-    inserts = sum ins_n;
-    deletes = sum del_n;
-    empty_deletes = sum empty_n;
-    rejects = sum rej_n;
     leftover;
-    faulted;
     aborted;
     check;
-    npriorities;
+    monitor;
     stats;
     mem = Option.map snd !captured;
   }

@@ -14,9 +14,9 @@
     queues ({!run_phases} with host-provided {!ctx}/{!ops}); SSSP needs
     simulated shared memory and is {!sim_only}.
 
-    Under a probe, every queue access additionally streams an
-    all-integer {!Pqsim.Api.note} record ({!Pqcheck.Monitor.Tag}) that
-    the streaming {!Pqcheck.Monitor} folds online — no trace
+    On the simulator every queue access streams an all-integer
+    {!Pqsim.Api.note} record ({!Pqcheck.Monitor.Tag}) that the run's
+    own streaming {!Pqcheck.Monitor} folds online — no trace
     buffering. *)
 
 (** One phase of a processor's life. *)
@@ -115,9 +115,10 @@ type ctx = {
   work : int -> unit;  (** local computation (no-op on host models) *)
 }
 
-val run_phases : ?local_work:int -> ctx -> ops -> seq:int ref -> phase list -> unit
-(** interpret a phase list; [seq] numbers this processor's inserts so
-    payloads ([pid + nprocs * seq]) are unique across the run *)
+val run_phases : ctx -> ops -> seq:int ref -> phase list -> unit
+(** interpret a phase list, with 20 cycles of [ctx.work] before each
+    access; [seq] numbers this processor's inserts so payloads
+    ([pid + nprocs * seq]) are unique across the run *)
 
 val phases_of : t -> nprocs:int -> pid:int -> ops_per_proc:int -> phase list
 (** @raise Invalid_argument on a non-phased scenario *)
@@ -128,20 +129,18 @@ val prefill_per_proc : t -> int
 
 type outcome = {
   cycles : int;  (** 0 when [aborted] *)
-  inserts : int;  (** accepted inserts (host-side count) *)
-  deletes : int;
-  empty_deletes : int;
-  rejects : int;
   leftover : (int * int) list;  (** drained after the run (even aborted) *)
-  faulted : int list;  (** crash-stopped processors ([] when aborted) *)
   aborted : exn option;
       (** the engine exception (deadlock, watchdog, spin/cycle limit)
           that ended the run early, if any *)
   check : (unit, string) result;
-      (** structural invariants + (when [track] and fault-free) multiset
-          conservation + (SSSP) reference-distance equality; [Ok ()]
-          when [aborted] — the caller judges aborts *)
-  npriorities : int;  (** effective range after the scenario override *)
+      (** structural invariants (fault-free runs), then [monitor]'s
+          conservation, then (SSSP, fault-free) reference-distance
+          equality; [Ok ()] when [aborted] — the caller judges aborts *)
+  monitor : Pqcheck.Monitor.report;
+      (** the run's streaming monitor, finalized against [leftover]
+          (also when [aborted]): rank error, conservation, dangling
+          operations and the live high-water mark *)
   stats : Pqsim.Stats.t;
       (** the run's recorded samples — per-phase latency under
           [phase_timing] (keys {!phase_key}); empty when [aborted] *)
@@ -159,10 +158,7 @@ val run_sim :
   ?probe:Pqsim.Probe.t ->
   ?policy:Pqsim.Sched.t ->
   ?watchdog:int ->
-  ?machine:Pqsim.Machine.t ->
-  ?track:bool ->
   ?degrade:(Pqsim.Mem.t -> unit) ->
-  ?local_work:int ->
   ?create:(Pqsim.Mem.t -> Pqcore.Pq_intf.params -> Pqcore.Pq_intf.t) ->
   ?phase_timing:bool ->
   queue:string ->
@@ -172,14 +168,17 @@ val run_sim :
   seed:int ->
   t ->
   outcome
-(** [run_sim ~queue ... t] runs scenario [t] on a registry queue.
-    [track] (default true) keeps host-side per-element multisets for
-    the exact conservation check; soak runs pass [~track:false] and
-    rely on the streaming monitors, keeping host memory bounded by the
-    live-element count.  Engine abort exceptions are caught and
-    returned in [aborted] with the queue drained regardless, so the
-    survivors of a crashed or hung run are still checked for
-    conservation.
+(** [run_sim ~queue ... t] runs scenario [t] on a registry queue and
+    judges it.  Every run folds its op notes into a
+    {!Pqcheck.Monitor}, so host memory stays bounded by the live
+    elements however long the run; the monitor is finalized with
+    {!Pqcore.Multi_queue.slack_per_dangling}[ queue] elements of slack
+    per operation a crash left dangling, and its conservation result
+    is part of [check].  A caller's [probe] sees every event, metric
+    and note as usual: its notes are composed with the monitor's.
+    Engine abort exceptions are caught and returned in [aborted] with
+    the queue drained regardless, so the survivors of a crashed or
+    hung run are still checked for conservation.
 
     [create] (default: {!Pqcore.Registry.create}[ queue]) overrides
     queue construction — how non-registry queues such as the

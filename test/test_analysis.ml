@@ -567,39 +567,33 @@ let test_audit_covers_registry () =
 
 let test_audit_probe_passive () =
   (* the composed probe observes exactly what each analyzer's solo probe
-     does, and none of them perturbs the run *)
+     does, and none of them perturbs the run: every run, probed or not,
+     reads the same cycles and the same run_sim monitor report *)
   List.iter
     (fun queue ->
       let cell = { Audit.queue; schedule = Pqexplore.Policy.Pct; seed = 7 } in
       let composed = Audit.run_cell cell in
-      let solo what probe =
-        let o = Audit.run_sim ~probe cell in
-        check_int (queue ^ " cycles under " ^ what) composed.cycles o.cycles;
+      let same what (o : Pqbenchlib.Scenario.outcome) =
+        check_int (queue ^ " cycles " ^ what) composed.cycles o.cycles;
+        check_bool (queue ^ " monitor " ^ what) true
+          (o.monitor = composed.monitor);
         o
       in
-      check_int (queue ^ " cycles unprobed") composed.cycles
-        (Audit.run_sim cell).cycles;
+      ignore (same "unprobed" (Audit.run_sim cell));
       let races = Races.observer () in
-      let o = solo "races" (Races.probe races) in
+      let o = same "under races" (Audit.run_sim ~probe:(Races.probe races) cell) in
       check_int (queue ^ " race events") composed.events (Races.events races);
       check_bool (queue ^ " races") true
         (Races.analyze ~mem:(Option.get o.mem) races = composed.races);
       let locks = Lockdep.observer () in
-      let o = solo "lockdep" (Lockdep.probe locks) in
+      let o =
+        same "under lockdep" (Audit.run_sim ~probe:(Lockdep.probe locks) cell)
+      in
       check_bool (queue ^ " lock analysis") true
         (Lockdep.analyze ~sched:(Audit.label cell)
            ~label:(Pqsim.Mem.name_of (Option.get o.mem))
            locks
-        = composed.locks);
-      let m =
-        Pqcheck.Monitor.create ~npriorities:Audit.npriorities
-          ~nprocs:Audit.nprocs
-      in
-      let o =
-        solo "monitor" (Pqsim.Probe.make ~notes:(Pqcheck.Monitor.notes m) ())
-      in
-      check_bool (queue ^ " monitor report") true
-        (Pqcheck.Monitor.finalize m ~leftover:o.leftover = composed.monitor))
+        = composed.locks))
     [ "SimpleTree"; "HuntEtAl"; "MultiQueue" ]
 
 let test_audit_exit_rule () =

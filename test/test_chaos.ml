@@ -230,7 +230,7 @@ let record ~queue ~scenario ~seed ~policy =
       ()
   in
   let o =
-    S.run_sim ~probe ?policy ~track:false ~queue ~nprocs:4 ~npriorities:16
+    S.run_sim ~probe ?policy ~queue ~nprocs:4 ~npriorities:16
       ~ops_per_proc:20 ~seed scenario
   in
   check_bool "fault-free run completed" true (o.S.aborted = None);
@@ -290,6 +290,7 @@ let equivalence_case ~queue ~scenario ~seed ~policy () =
     notes;
   let r = M.finalize m ~leftover:o.S.leftover in
   check_bool "stream conserved" true (Result.is_ok r.M.conservation);
+  check_bool "run_sim's own monitor agrees" true (r = o.S.monitor);
   check_same_rank (Rank.measure (history_of_notes notes)) r.M.rank
 
 let equivalence_cases =
@@ -339,6 +340,60 @@ let of_history_cases =
             Pqexplore.Policy.names)
         [ 42; 7 ])
     [ "MultiQueue"; "FunnelTree" ]
+
+(* ------------------------------------------------------------------ *)
+(* run_sim's own conservation verdict: a registry queue wrapped through
+   ~create to lose an accepted insert, or to hand one element out twice,
+   must fail its fault-free run's check; the queue unwrapped must pass *)
+
+let faulty_queue fault mem params =
+  let q = Pqcore.Registry.create "SkipList" mem params in
+  let inserts = ref 0 and replay = ref None in
+  match fault with
+  | `None -> q
+  | `Drop_insert ->
+      {
+        q with
+        Pqcore.Pq_intf.insert =
+          (fun ~pri ~payload ->
+            incr inserts;
+            !inserts = 3 || q.insert ~pri ~payload);
+      }
+  | `Return_twice ->
+      {
+        q with
+        Pqcore.Pq_intf.delete_min =
+          (fun () ->
+            match !replay with
+            | Some (`Pending e) ->
+                replay := Some `Done;
+                Some e
+            | _ -> (
+                match q.delete_min () with
+                | Some e as r when !replay = None ->
+                    replay := Some (`Pending e);
+                    r
+                | r -> r));
+      }
+
+let conservation_case (name, fault, ok) =
+  Alcotest.test_case name `Quick (fun () ->
+      let o =
+        S.run_sim ~create:(faulty_queue fault) ~queue:"SkipList" ~nprocs:4
+          ~npriorities:16 ~ops_per_proc:20 ~seed:42 S.hold
+      in
+      check_bool (name ^ ": completed") true (o.S.aborted = None);
+      check_bool (name ^ ": monitor conservation") ok
+        (Result.is_ok o.S.monitor.M.conservation);
+      check_bool (name ^ ": check") ok (Result.is_ok o.S.check))
+
+let conservation_cases =
+  List.map conservation_case
+    [
+      ("unwrapped queue conserves", `None, true);
+      ("dropped insert fails the check", `Drop_insert, false);
+      ("element returned twice fails the check", `Return_twice, false);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* the chaos driver *)
@@ -536,6 +591,7 @@ let () =
             test_monitor_rank_out_of_order;
         ] );
       ("monitor=oracle", equivalence_cases @ of_history_cases);
+      ("conservation", conservation_cases);
       ( "driver",
         [
           Alcotest.test_case "tiny matrix gates clean" `Quick

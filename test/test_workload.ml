@@ -337,6 +337,20 @@ let test_catalogue () =
     "collect returns the ids in catalogue order" ids
     (List.map (fun (f : Pqtrace.Bench_out.figure) -> f.id) figures)
 
+let test_figures_checked () =
+  (* a scenario figure must refuse a failed run, not plot it *)
+  let o =
+    Pqbenchlib.Scenario.run_sim ~queue:"SingleLock" ~nprocs:2 ~npriorities:4
+      ~ops_per_proc:4 ~seed:1 Pqbenchlib.Scenario.coinflip
+  in
+  let checked = Pqbenchlib.Figures.checked "hold" in
+  check_bool "a clean run passes through" true (checked o == o);
+  Alcotest.check_raises "an aborted run re-raises" (Failure "deadlock")
+    (fun () -> ignore (checked { o with aborted = Some (Failure "deadlock") }));
+  Alcotest.check_raises "a failed check raises"
+    (Failure "hold figure: conservation violated") (fun () ->
+      ignore (checked { o with check = Error "conservation violated" }))
+
 let () =
   Alcotest.run "pqbenchlib"
     [
@@ -381,5 +395,7 @@ let () =
         [
           Alcotest.test_case "tiny smoke" `Quick test_figures_smoke;
           Alcotest.test_case "catalogue" `Quick test_catalogue;
+          Alcotest.test_case "failed scenario points raise" `Quick
+            test_figures_checked;
         ] );
     ]
