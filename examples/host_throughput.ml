@@ -77,5 +77,5 @@ let () =
      and elimination stacks; the multiqueue trades exact minima for\n\
      independent slots.  A delete that finds an element allocates its\n\
      5-word Some (pri, v), so about 2.5 words/op is the floor here; the\n\
-     bin and tree queues add a 3-word cons cell per insert, and the tree\n\
-     queue the stack's Some v."
+     tree queue adds its elimination stack's 3-word cons cell per insert\n\
+     and its Some v."

@@ -23,13 +23,15 @@ let pick t =
 
 let spins = 64
 
-(* [b] is the operation's retry state, [None] until an attempt fails *)
-let rec push_retry b t v =
-  push_attempt
-    (Retry.failed ~max_attempts:t.max_attempts "Elim_stack.push" b)
+(* [failed] is the operation's failed attempts so far, [spin] its next
+   wait *)
+let rec push_retry failed spin t v =
+  let failed = failed + 1 in
+  push_attempt failed
+    (Retry.once ~max_attempts:t.max_attempts "Elim_stack.push" ~failed spin)
     t v
 
-and push_attempt b t v =
+and push_attempt failed spin t v =
   let cur = Atomic.get t.top in
   if Atomic.compare_and_set t.top cur (v :: cur) then ()
   else begin
@@ -42,7 +44,7 @@ and push_attempt b t v =
       let rec wait i =
         if Atomic.get s == Taken then Atomic.set s Empty (* consumed *)
         else if i = 0 then
-          if Atomic.compare_and_set s cell Empty then push_retry b t v
+          if Atomic.compare_and_set s cell Empty then push_retry failed spin t v
             (* withdrew unconsumed: retry on the stack *)
           else Atomic.set s Empty (* a pop took it at the last moment *)
         else begin
@@ -52,10 +54,10 @@ and push_attempt b t v =
       in
       wait spins
     end
-    else push_retry b t v
+    else push_retry failed spin t v
   end
 
-let push t v = push_attempt None t v
+let push t v = push_attempt 0 Retry.first t v
 
 let try_steal t =
   let s = t.slots.(pick t) in
@@ -63,7 +65,7 @@ let try_steal t =
   | Parked v as cell when Atomic.compare_and_set s cell Taken -> Some v
   | Parked _ | Empty | Taken -> None
 
-let rec pop_attempt b t =
+let rec pop_attempt failed spin t =
   match Atomic.get t.top with
   | [] -> try_steal t (* the stack looks empty; a parked push still counts *)
   | v :: rest as cur ->
@@ -72,12 +74,14 @@ let rec pop_attempt b t =
         match try_steal t with
         | Some _ as r -> r
         | None ->
-            pop_attempt
-              (Retry.failed ~max_attempts:t.max_attempts "Elim_stack.pop" b)
+            let failed = failed + 1 in
+            pop_attempt failed
+              (Retry.once ~max_attempts:t.max_attempts "Elim_stack.pop"
+                 ~failed spin)
               t
       end
 
-let pop t = pop_attempt None t
+let pop t = pop_attempt 0 Retry.first t
 
 let is_empty t = Atomic.get t.top = []
 let length t = List.length (Atomic.get t.top)

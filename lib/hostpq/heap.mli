@@ -8,6 +8,11 @@
 
 type 'a t
 
+val filler : unit -> 'a
+(** what a vacated payload slot holds: an immediate, so it keeps nothing
+    reachable, and not a float, so an array made with it is never a flat
+    float array.  {!Bin_pq}'s bins use it too. *)
+
 val create : unit -> 'a t
 val size : 'a t -> int
 

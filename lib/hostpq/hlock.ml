@@ -16,16 +16,15 @@ let backoff_limit = 512
 (* backoff rounds before a contender parks *)
 let spin_rounds = 16
 
-(* [state]: 0 free, 1 held, 2 held with a domain possibly parked.
-   [park] and [wake] are touched only by parking contenders and by an
-   unlock that read 2, never on the fast path. *)
+(* [state]: 0 free, 1 held, 2 held with a domain possibly parked.  A
+   lock's name is [base], or [base[index]] when [index] >= 0; it is
+   formatted only when a trace records the lock. *)
 type t = {
   state : int Atomic.t;
-  park : Mutex.t;
-  wake : Condition.t;
   id : int;
-  name : string option;
-  mutable epoch : int;  (* the trace that last recorded [name] *)
+  base : string option;
+  index : int;
+  mutable epoch : int;  (* the trace that last recorded the name *)
 }
 
 type tracer = {
@@ -39,18 +38,21 @@ type tracer = {
    makes. *)
 let next_id = Atomic.make 1
 
-let create ?name () =
+let create ?name ?(index = -1) () =
   {
     state = Atomic.make 0;
-    park = Mutex.create ();
-    wake = Condition.create ();
     id = Atomic.fetch_and_add next_id 1;
-    name;
+    base = name;
+    index;
     epoch = 0;
   }
 
 let id t = t.id
-let name t = t.name
+
+let name t =
+  match t.base with
+  | Some b when t.index >= 0 -> Some (Printf.sprintf "%s[%d]" b t.index)
+  | n -> n
 
 (* The tracer is global and off by default: untraced operations pay one
    load.  Emission is serialized under [trace_lock] with a shared tick,
@@ -94,7 +96,7 @@ let emit t tag b =
       | Some { trace } ->
           if t.epoch <> !epoch then begin
             t.epoch <- !epoch;
-            match t.name with
+            match name t with
             | Some n -> Hashtbl.replace names t.id n
             | None -> ()
           end;
@@ -107,21 +109,47 @@ let emit t tag b =
 (* test, then test-and-set: a held lock costs a load, not a write *)
 let try_raw t = Atomic.get t.state = 0 && Atomic.compare_and_set t.state 0 1
 
-(* Exchanging in 2 both tries the lock and tells the holder to wake
-   someone.  The exchange and the wait happen under [park], and an
-   unlock that reads 2 signals under [park] too, so its signal cannot
-   fall between a parker's failed exchange and its wait.  A woken
-   domain exchanges 2 in again before any further wait, so a domain
-   that took the lock by CAS while another slept leaves the state 2
-   when the sleeper goes back to waiting, and that holder's unlock
-   signals.  A domain that acquires here holds the lock in state 2:
-   others may still be parked. *)
+(* Parking happens in one of [buckets] shared (mutex, condition) pairs,
+   chosen by lock id, so a lock builds no OS object of its own.
+   Exchanging in 2 both tries the lock and tells the holder to wake
+   someone.  The exchange and the wait happen under the bucket's mutex,
+   and an unlock that reads 2 broadcasts under that mutex too, so its
+   wake-up cannot fall between a parker's failed exchange and its wait.
+   The bucket is shared by several locks, so the unlock wakes every
+   parker in it: a signal could wake a parker of another lock and leave
+   this lock's parkers asleep.  A woken domain exchanges 2 in again
+   before any further wait, so a parker of another lock, or one that
+   lost the lock to a domain that took it by CAS while it slept, leaves
+   that lock's state 2 when it goes back to waiting, and that holder's
+   unlock broadcasts.  A domain that acquires here holds the lock in
+   state 2: others may still be parked. *)
+let buckets = 64
+
+type bucket = { mutex : Mutex.t; cond : Condition.t }
+
+(* built by the first domain that parks, so a program whose locks never
+   park makes no OS object at all; an unlock that reads 2 follows a
+   parker, so it always finds the table built *)
+let table : bucket array Atomic.t = Atomic.make [||]
+
+let rec bucket t =
+  let a = Atomic.get table in
+  if Array.length a > 0 then a.(t.id mod buckets)
+  else begin
+    ignore
+      (Atomic.compare_and_set table a
+         (Array.init buckets (fun _ ->
+              { mutex = Mutex.create (); cond = Condition.create () })));
+    bucket t
+  end
+
 let park t =
-  Mutex.lock t.park;
+  let b = bucket t in
+  Mutex.lock b.mutex;
   while Atomic.exchange t.state 2 <> 0 do
-    Condition.wait t.wake t.park
+    Condition.wait b.cond b.mutex
   done;
-  Mutex.unlock t.park
+  Mutex.unlock b.mutex
 
 let rec relax n =
   if n > 0 then begin
@@ -157,7 +185,8 @@ let try_lock t =
 let unlock t =
   emit t tag_release 0;
   if Atomic.exchange t.state 0 = 2 then begin
-    Mutex.lock t.park;
-    Condition.signal t.wake;
-    Mutex.unlock t.park
+    let b = bucket t in
+    Mutex.lock b.mutex;
+    Condition.broadcast b.cond;
+    Mutex.unlock b.mutex
   end

@@ -10,16 +10,23 @@
     uniform random 1..window [Domain.cpu_relax] calls drawn from
     {!Local_rand}, the window doubling from {!backoff_first} to
     {!backoff_limit} as in [Pqsync.Backoff].  After a fixed number of
-    rounds the contender parks: under a per-lock [Mutex] it exchanges
-    the word to 2 and waits on a [Condition] until that exchange
-    returns 0.  {!unlock} exchanges the word to 0 and, only if it read
-    2, signals under the same [Mutex].  No wake-up is lost: a parker's
-    exchange and its wait both happen under the [Mutex], so an unlock's
-    signal cannot fall between them, and a woken domain that finds the
-    lock taken exchanges 2 back in before waiting again, so the next
-    holder's unlock signals.  The [Mutex] and [Condition] are never on
-    the fast path: untraced, an uncontended [lock]/[unlock] pair costs
-    one load and one CAS plus one exchange, and allocates nothing.
+    rounds the contender parks.  A lock builds no [Mutex] or
+    [Condition] of its own: parkers wait in one of {!buckets} shared
+    (mutex, condition) pairs, chosen by the lock's {!id} modulo
+    {!buckets} and built by the process's first parker.  Under the
+    bucket's mutex a parker exchanges the word to 2 and waits on the
+    bucket's condition until that exchange returns 0.
+    {!unlock} exchanges the word to 0 and, only if it read 2, broadcasts
+    under the same mutex.  No wake-up is lost: a parker's exchange and
+    its wait both happen under the mutex, so an unlock's broadcast
+    cannot fall between them.  The broadcast wakes every parker in the
+    bucket, since a bucket serves several locks and a signal could wake
+    only a parker of another lock.  A woken domain exchanges 2 back in
+    before waiting again, so a parker of another lock, or one whose lock
+    was taken again, leaves that lock's word at 2 and its next holder's
+    unlock broadcasts.  The buckets are never on the fast path:
+    untraced, an uncontended [lock]/[unlock] pair costs one load and one
+    CAS plus one exchange, and allocates nothing.
     The lock is not fair: a spinning domain may take it ahead of a
     parked one.
 
@@ -48,12 +55,20 @@ val backoff_first : int
 val backoff_limit : int
 (** the widest backoff window, 512 spins *)
 
-val create : ?name:string -> unit -> t
+val buckets : int
+(** the number of shared parking buckets; locks whose {!id}s are equal
+    modulo [buckets] park in the same one *)
+
+val create : ?name:string -> ?index:int -> unit -> t
 (** [name] is the symbol {!label_of} resolves the lock's {!id} to once
-    the lock has emitted a traced event *)
+    the lock has emitted a traced event; with [index] [i] the symbol is
+    [name ^ "[i]"].  Construction stores both as they are and formats
+    nothing: the symbol is built when a trace first records the lock. *)
 
 val id : t -> int
+
 val name : t -> string option
+(** the lock's symbol, formatted on each call *)
 
 val label_of : int -> string option
 (** resolve a lock {!id} back to its name — the [?label] argument for

@@ -14,7 +14,7 @@ let slots t = Array.length t.slot_arr
 
 let make_slot i =
   {
-    lock = Hlock.create ~name:(Printf.sprintf "%s.slot[%d]" name i) ();
+    lock = Hlock.create ~name:"multiqueue.slot" ~index:i ();
     top = Atomic.make max_int;
     heap = Heap.create ();
   }
@@ -49,8 +49,12 @@ let locked_extract s =
 
 let pick_attempts = 8
 
-(* attempt [n] of an insert; [retry] is [None] until an attempt fails *)
-let rec insert_from t ~pri v retry n =
+(* a failed pick backs off; [n] counts the operation's attempts, and the
+   budget is unbounded *)
+let backoff op n spin = Retry.once ~max_attempts:max_int op ~failed:n spin
+
+(* attempt [n] of an insert; [spin] is the next failure's wait *)
+let rec insert_from t ~pri v n spin =
   let s = pick t in
   if Hlock.try_lock s.lock then locked_insert s ~pri v
   else if n >= pick_attempts then begin
@@ -58,11 +62,13 @@ let rec insert_from t ~pri v retry n =
     Hlock.lock s.lock;
     locked_insert s ~pri v
   end
-  else insert_from t ~pri v (Retry.failed "Multi_pq.insert" retry) (n + 1)
+  else
+    let n = n + 1 in
+    insert_from t ~pri v n (backoff "Multi_pq.insert" n spin)
 
 let insert t ~pri v =
   if pri < 0 || pri >= t.npriorities then invalid_arg "Multi_pq.insert";
-  insert_from t ~pri v None 0
+  insert_from t ~pri v 0 Retry.first
 
 (* exhaustive fallback: only a blocking pass over every slot may answer
    None *)
@@ -79,16 +85,16 @@ let rec scan t start i =
       | None -> scan t start (i + 1)
     end
 
-(* attempt [n] of a pick-2 delete; [retry] is [None] until an attempt
-   fails *)
-let rec delete_from t retry n =
+(* attempt [n] of a pick-2 delete; [spin] is the next failure's wait *)
+let rec delete_from t n spin =
   if n >= pick_attempts then
     scan t (Local_rand.next () mod Array.length t.slot_arr) 0
   else
     let a = pick t and b = pick t in
     let ta = Atomic.get a.top and tb = Atomic.get b.top in
+    let n = n + 1 in
     if ta = max_int && tb = max_int then
-      delete_from t (Retry.failed "Multi_pq.delete_min" retry) (n + 1)
+      delete_from t n (backoff "Multi_pq.delete_min" n spin)
     else
       let s = if ta <= tb then a else b in
       if Hlock.try_lock s.lock then
@@ -96,10 +102,10 @@ let rec delete_from t retry n =
         | Some _ as r -> r
         | None ->
             (* raced with another deleter; the pick is stale *)
-            delete_from t retry (n + 1)
-      else delete_from t (Retry.failed "Multi_pq.delete_min" retry) (n + 1)
+            delete_from t n spin
+      else delete_from t n (backoff "Multi_pq.delete_min" n spin)
 
-let delete_min t = delete_from t None 0
+let delete_min t = delete_from t 0 Retry.first
 
 let length t =
   Array.fold_left

@@ -40,8 +40,9 @@ val machine : t -> Machine.t
 
 val set_probing : t -> bool -> unit
 (** [set_probing t b] switches the per-line traffic/invalidation
-    counters on or off for this memory.  Set by {!Sim.run} from its
-    [?probe] argument; a per-memory field (rather than a global flag) so
+    counters on or off for this memory.  Set by {!Sim.run}: on when its
+    [?probe] has an event sink or a metrics registry, off for a probe
+    that only takes notes; a per-memory field (rather than a global flag) so
     concurrent simulations in different domains don't observe each
     other's probes. *)
 
@@ -221,7 +222,8 @@ val hot_lines : t -> int -> (int * int) list
 (** {1 Per-line traffic (probe-gated)}
 
     Maintained only while this memory's {!set_probing} flag is set
-    (i.e. under a probed {!Sim.run}), so default runs pay nothing.  Traffic counts the
+    (i.e. under a {!Sim.run} whose probe has a sink or metrics), so
+    default and note-only runs pay nothing.  Traffic counts the
     coherence transactions a line caused (read misses + writes +
     atomics); invalidations count version bumps (cached copies killed). *)
 

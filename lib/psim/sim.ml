@@ -534,7 +534,10 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
   in
   let prev_active = Probe.active () in
   Probe.set_active (probe <> None);
-  Mem.set_probing mem (probe <> None);
+  (* the per-line tables serve event consumers and the metrics-fed
+     profile ([Profile.of_mem]); a probe that only takes notes leaves
+     them off *)
+  Mem.set_probing mem (Option.is_some sink || Option.is_some metrics);
   Mem.set_metrics mem metrics;
   (* a run nested inside another run's processor (or any host callback)
      hands the slot back exactly as it found it *)

@@ -208,10 +208,10 @@ let warm_workload_run queue () =
    the marginal rate between [n] and [2n] calls on freshly prepared
    state, after one untimed pass that does any lazy per-domain set-up.
    Single-domain calls never contend, so every count is exact.  An
-   insert allocates nothing but a cons cell where the queue keeps lists,
-   a delete_min nothing but its 5-word [Some (pri, v)] result, and a
-   retry step or an uncontended bounded-counter step nothing at all; the
-   rows say where a queue's own structure adds to that. *)
+   insert allocates nothing, a delete_min nothing but its 5-word
+   [Some (pri, v)] result, and a retry step or an uncontended
+   bounded-counter step nothing at all; the rows say where a queue's own
+   structure adds to that (Tree_pq's elimination stacks keep lists). *)
 
 let per_call ~prepare ~op () =
   let run n =
@@ -273,6 +273,22 @@ module Host_rows (Q : Hostpq.Host_intf.S) = struct
     ]
 end
 
+(* the minor words of building a 1,024-bin queue, the size pqperf's
+   host-hold workload builds every rep (measured 14,391 words).  A bin
+   costs its record, its lock, the lock's atomic and its boxed index; a
+   lock that made its own mutex and condition variable and formatted its
+   name cost 76,879 words a queue. *)
+let bin_pq_construction () =
+  let build () =
+    let w0 = Gc.minor_words () in
+    ignore
+      (Sys.opaque_identity
+         (Hostpq.Bin_pq.create ~npriorities:host_npriorities ()));
+    Gc.minor_words () -. w0
+  in
+  ignore (build ());
+  build ()
+
 (* a fixed slot count, so the fill covers every slot whatever the core
    count *)
 module Multi_pq4 = struct
@@ -288,9 +304,19 @@ let host_helper_rows =
       (exact_gate ~what ~expect (per_call ~prepare ~op))
   in
   [
+    (* a step deep into a retry loop, its wait carried between calls,
+       and the first failure of a fresh operation, which used to build
+       the retry state and its [Some] (7 words) *)
     row "Retry.once" 0.
-      ~prepare:(fun _ -> Retry.start "gate")
-      ~op:(fun r _ -> Retry.once r);
+      ~prepare:(fun _ -> ref Retry.first)
+      ~op:(fun spin failed ->
+        spin := Retry.once ~max_attempts:max_int "gate" ~failed !spin);
+    row "Retry.once (first failure)" 0.
+      ~prepare:ignore
+      ~op:(fun () _ ->
+        ignore
+          (Sys.opaque_identity
+             (Retry.once ~max_attempts:max_int "gate" ~failed:1 Retry.first)));
     row "Bounded_counter.inc (ceiling)" 0.
       ~prepare:(fun _ -> Bounded_counter.create ~ceil:max_int 0)
       ~op:(fun c _ -> ignore (Bounded_counter.inc c));
@@ -408,14 +434,21 @@ let () =
             (let module R = Host_rows (Hostpq.Locked_heap) in
              R.rows ~name:"Locked_heap" ~insert:0. ~delete:5. ~empty:0.)
             @ (let module R = Host_rows (Hostpq.Bin_pq) in
-               R.rows ~name:"Bin_pq" ~insert:3. ~delete:5. ~empty:0.)
-            (* an empty queue fails every pick-2 attempt: one retry
-               state (5 words) in its [Some] (2) *)
+               R.rows ~name:"Bin_pq" ~insert:0. ~delete:5. ~empty:0.)
+            (* an empty queue fails every pick-2 attempt; the retry
+               state is carried in immediates *)
             @ (let module R = Host_rows (Multi_pq4) in
-               R.rows ~name:"Multi_pq" ~insert:0. ~delete:5. ~empty:7.)
+               R.rows ~name:"Multi_pq" ~insert:0. ~delete:5. ~empty:0.)
             (* the elimination stack's cons cell on insert; its [Some v]
                under the queue's [Some (pri, v)] on delete *)
             @ (let module R = Host_rows (Hostpq.Tree_pq) in
                R.rows ~name:"Tree_pq" ~insert:3. ~delete:7. ~empty:0.)
-            @ host_helper_rows );
+            @ host_helper_rows
+            @ [
+                Alcotest.test_case "Bin_pq.create (1024 priorities)" `Quick
+                  (fun () ->
+                    gate ~what:"Bin_pq.create (1024 priorities)"
+                      ~unit:"words" ~bound:(1.1 *. 14391.)
+                      (bin_pq_construction ()));
+              ] );
         ])

@@ -217,6 +217,42 @@ let space_safety (module Q : QUEUE) () =
   (* the queue itself must outlive the check *)
   check_int "empty" 0 (Q.length q)
 
+(* emptied part way: every removed payload is unreachable while the
+   queue still holds the rest.  Here each bin stays within the 8 slots
+   that a bin keeps when it drains, and one bin keeps some of its
+   elements, so a popped slot that stays in a live array must be
+   overwritten (the case above drains bins 19 deep, whose arrays are
+   dropped whole) *)
+let space_safety_partial (module Q : QUEUE) () =
+  let n = 96 and npriorities = 16 and removed = 63 in
+  let q = Q.create ~npriorities () in
+  let tracked = Weak.create n in
+  let fill () =
+    for i = 0 to n - 1 do
+      let payload = ref i in
+      Weak.set tracked i (Some payload);
+      Q.insert q ~pri:(i mod npriorities) payload
+    done
+  in
+  fill ();
+  let gone = Array.make n false in
+  let remove () =
+    for _ = 1 to removed do
+      match Q.delete_min q with
+      | Some (_, payload) -> gone.(!payload) <- true
+      | None -> Alcotest.fail "the queue ran empty"
+    done
+  in
+  remove ();
+  Gc.full_major ();
+  Array.iteri
+    (fun i g ->
+      if g && Weak.check tracked i then
+        Alcotest.failf "removed payload %d is still reachable from the queue"
+          i)
+    gone;
+  check_int "the rest stay" (n - removed) (Q.length q)
+
 (* a float payload is stored boxed in the filler-initialised array and
    comes back intact *)
 let float_payloads (module Q : QUEUE) () =
@@ -370,37 +406,51 @@ let test_stack_two_domain_reps () =
 (* ------------------------------------------------------------------ *)
 (* retry budget *)
 
+module Retry = Hostpq.Retry
+
+(* [n] failed attempts of one operation, carried the way the library's
+   loops carry them; the wait the next failure would spin *)
+let retry_waits ?(max_attempts = max_int) op n =
+  let rec go failed spin =
+    if failed = n then spin
+    else
+      let failed = failed + 1 in
+      go failed (Retry.once ~max_attempts op ~failed spin)
+  in
+  go 0 Retry.first
+
 let test_retry_gives_up_on_budget () =
-  let b = Hostpq.Retry.start ~max_attempts:3 "unit" in
-  Hostpq.Retry.once b;
-  Hostpq.Retry.once b;
-  (match Hostpq.Retry.once b with
-  | exception Hostpq.Retry.Gave_up { op; attempts } ->
+  let attempts = ref 0 in
+  let rec go failed spin =
+    let failed = failed + 1 in
+    attempts := failed;
+    go failed (Retry.once ~max_attempts:3 "unit" ~failed spin)
+  in
+  (match go 0 Retry.first with
+  | exception Retry.Gave_up { op; attempts } ->
       Alcotest.(check string) "names the operation" "unit" op;
       check_int "at the budget" 3 attempts
-  | () -> Alcotest.fail "expected Gave_up at the attempt budget");
-  check_int "attempts counted" 3 (Hostpq.Retry.attempts b)
+  | _ -> Alcotest.fail "expected Gave_up at the attempt budget");
+  check_int "attempts counted" 3 !attempts
 
 let test_retry_default_never_gives_up () =
-  let b = Hostpq.Retry.start "unit" in
-  for _ = 1 to 1_000 do
-    Hostpq.Retry.once b
-  done;
-  check_int "still going" 1_000 (Hostpq.Retry.attempts b)
+  let attempts = ref 0 in
+  let rec go failed spin =
+    if failed < 1_000 then begin
+      let failed = failed + 1 in
+      attempts := failed;
+      go failed (Retry.once ~max_attempts:max_int "unit" ~failed spin)
+    end
+  in
+  go 0 Retry.first;
+  check_int "still going" 1_000 !attempts
 
 let test_retry_jitter_decorrelates () =
   (* losers of one collision must not stay in lockstep: after the same
      number of failed attempts, independent operations' next waits
      should be spread over the range, not equal *)
   let n = 256 and rounds = 6 in
-  let spins =
-    Array.init n (fun _ ->
-        let b = Hostpq.Retry.start "jitter" in
-        for _ = 1 to rounds do
-          Hostpq.Retry.once b
-        done;
-        Hostpq.Retry.spin b)
-  in
+  let spins = Array.init n (fun _ -> retry_waits "jitter" rounds) in
   Array.iter
     (fun s -> check_bool "wait within [1, cap]" true (s >= 1 && s <= 1024))
     spins;
@@ -418,20 +468,20 @@ let test_retry_jitter_decorrelates () =
   check_bool "mean backoff capped" true (mean <= 1024.)
 
 let test_retry_jitter_caps () =
-  let b = Hostpq.Retry.start "cap" in
-  for _ = 1 to 40 do
-    Hostpq.Retry.once b
-  done;
-  check_bool "wait never exceeds the cap" true (Hostpq.Retry.spin b <= 1024)
+  check_bool "wait never exceeds the cap" true (retry_waits "cap" 40 <= 1024)
 
 let test_retry_domains_differ () =
   (* waits are drawn from the domain's own stream: the first operations
      of two domains must not back off in lockstep *)
   let waits () =
-    let b = Hostpq.Retry.start "per-domain" in
-    List.init 8 (fun _ ->
-        Hostpq.Retry.once b;
-        Hostpq.Retry.spin b)
+    let rec go failed spin acc =
+      if failed = 8 then List.rev acc
+      else
+        let failed = failed + 1 in
+        let spin = Retry.once ~max_attempts:max_int "per-domain" ~failed spin in
+        go failed spin (spin :: acc)
+    in
+    go 0 Retry.first []
   in
   let first = Domain.join (Domain.spawn waits) in
   let second = Domain.join (Domain.spawn waits) in
@@ -510,6 +560,97 @@ let test_hlock_forced_parking () =
   check_int "all acquired" 3 (Atomic.get acquired);
   check_bool "free at the end" true (try_lock l);
   unlock l
+
+let test_hlock_shared_bucket () =
+  (* four locks whose ids share one parking bucket, each with a domain
+     parked behind a holder that keeps it 20 ms per parker.  The holder
+     releases them in the reverse of the parking order, so an unlock
+     whose wake-up reaches only one parker of the bucket (a signal, not
+     a broadcast) wakes another lock's parker first and strands its
+     own.  The join is timed: a stranded parker fails the test instead
+     of hanging it. *)
+  let open Hostpq.Hlock in
+  let k = 4 in
+  let first = create () in
+  let rec same_bucket acc n =
+    if n = k then List.rev acc
+    else
+      let l = create () in
+      if (id l - id first) mod buckets = 0 then same_bucket (l :: acc) (n + 1)
+      else same_bucket acc n
+  in
+  let locks = same_bucket [ first ] 1 in
+  List.iter lock locks;
+  let acquired = Atomic.make 0 and release = Atomic.make false in
+  let parkers =
+    List.map
+      (fun l ->
+        let d =
+          Domain.spawn (fun () ->
+              lock l;
+              Atomic.incr acquired;
+              while not (Atomic.get release) do
+                Unix.sleepf 0.001
+              done;
+              unlock l)
+        in
+        (* parked before the next parker starts *)
+        Unix.sleepf 0.02;
+        d)
+      locks
+  in
+  check_int "none acquired while held" 0 (Atomic.get acquired);
+  List.iter
+    (fun l ->
+      unlock l;
+      Unix.sleepf 0.005)
+    (List.rev locks);
+  let deadline = Unix.gettimeofday () +. 5. in
+  while Atomic.get acquired < k && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  let got = Atomic.get acquired in
+  Atomic.set release true;
+  if got < k then
+    Alcotest.failf "%d of %d parkers acquired within 5 s: a wake-up was lost"
+      got k;
+  List.iter Domain.join parkers;
+  List.iter
+    (fun l ->
+      check_bool "free at the end" true (try_lock l);
+      unlock l)
+    locks
+
+let test_hlock_queue_names () =
+  (* under a tracer, the queues' lock ids resolve to their full names,
+     [bin-pq.bin[i]] and [multiqueue.slot[i]] formatted from a base and
+     an index *)
+  let open Hostpq in
+  let acquired = ref [] in
+  Hlock.set_tracer
+    (Some
+       {
+         Hlock.trace =
+           (fun ~proc:_ ~time:_ ~tag ~a ~b:_ ->
+             if tag = Hlock.tag_acquire then acquired := a :: !acquired);
+       });
+  (* [length] locks every bin or slot once, in index order *)
+  ignore (Bin_pq.length (Bin_pq.create ~npriorities:3 ()));
+  ignore (Multi_pq.length (Multi_pq.create_sized ~npriorities:4 ~slots:2 ()));
+  ignore (Locked_heap.length (Locked_heap.create ~npriorities:2 ()));
+  Hlock.set_tracer None;
+  Alcotest.(check (list (option string)))
+    "labels"
+    (List.map Option.some
+       [
+         "bin-pq.bin[0]";
+         "bin-pq.bin[1]";
+         "bin-pq.bin[2]";
+         "multiqueue.slot[0]";
+         "multiqueue.slot[1]";
+         "locked-heap.lock";
+       ])
+    (List.rev_map Hlock.label_of !acquired)
 
 let test_hlock_try_lock () =
   let open Hostpq.Hlock in
@@ -627,6 +768,57 @@ let prop_bin_bitmap_model =
       let model = List.fold_left step [] ops in
       B.length q = List.length model)
 
+(* within a priority, the array-stack bins pop in the order of the
+   lists they replaced: last in, first out.  Payloads are distinct, and
+   bins over 3 priorities grow past 8 and 16 slots, drain, and refill *)
+let bin_order_gen =
+  let open QCheck.Gen in
+  let* n = oneofl [ 1; 2; 3; 16 ] in
+  let* inserts = int_range 1 4 in
+  let op =
+    frequency
+      [
+        (inserts, map (fun p -> Insert p) (int_bound (n - 1)));
+        (2, return Delete);
+      ]
+  in
+  let+ ops = list_size (int_range 0 400) op in
+  (n, ops)
+
+let prop_bin_order =
+  QCheck.Test.make ~name:"bin-pq pop order vs list bins" ~count:300
+    (QCheck.make ~print:bin_ops_print bin_order_gen)
+    (fun (n, ops) ->
+      let module B = Hostpq.Bin_pq in
+      let q = B.create ~npriorities:n () in
+      let model = Array.make n [] in
+      let rec model_pop i =
+        if i = n then None
+        else
+          match model.(i) with
+          | v :: rest ->
+              model.(i) <- rest;
+              Some (i, v)
+          | [] -> model_pop (i + 1)
+      in
+      List.iteri
+        (fun v op ->
+          match op with
+          | Insert p ->
+              B.insert q ~pri:p v;
+              model.(p) <- v :: model.(p)
+          | Delete ->
+              let got = B.delete_min q and want = model_pop 0 in
+              if got <> want then
+                let show = function
+                  | Some (p, v) -> Printf.sprintf "(%d, %d)" p v
+                  | None -> "None"
+                in
+                QCheck.Test.fail_reportf "delete_min gave %s, lists give %s"
+                  (show got) (show want))
+        ops;
+      B.length q = Array.fold_left (fun acc l -> acc + List.length l) 0 model)
+
 let test_bin_hold_stress () =
   (* Scenario.hold's rule on two domains over a prefilled 1,024-priority
      queue: every element deleted is reinserted, so the drain at the end
@@ -740,7 +932,12 @@ let () =
           List.map
             (fun (iname, m) ->
               Alcotest.test_case iname `Quick (space_safety m))
-            stores );
+            stores
+          @ List.map
+              (fun (iname, m) ->
+                Alcotest.test_case (iname ^ " partial drain") `Quick
+                  (space_safety_partial m))
+              stores );
         ( "float-payloads",
           List.map
             (fun (iname, m) ->
@@ -780,8 +977,12 @@ let () =
             Alcotest.test_case "try_lock" `Quick test_hlock_try_lock;
             Alcotest.test_case "contended flag" `Quick
               test_hlock_contended_flag;
+            Alcotest.test_case "shared parking bucket" `Quick
+              test_hlock_shared_bucket;
+            Alcotest.test_case "queue lock names" `Quick
+              test_hlock_queue_names;
           ] );
-        qsuite "bin-pq-bitmap" [ prop_bin_bitmap_model ];
+        qsuite "bin-pq-bitmap" [ prop_bin_bitmap_model; prop_bin_order ];
         ( "bin-pq-hold",
           [
             Alcotest.test_case "two-domain hold stress" `Quick
