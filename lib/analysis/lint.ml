@@ -285,7 +285,7 @@ let default_dirs =
   ]
 
 (* Engine files scanned individually, outside the simulated-algorithm
-   trees.  The event-arena keeps every mutable slot it owns enumerated
+   trees.  The event queue keeps every mutable slot it owns enumerated
    in the allowlist with its lifetime rule, so creeping mutable state
    (or a banned host module) in the hot path stays loud even though the
    rest of lib/psim is host code and unscannable. *)

@@ -38,7 +38,7 @@ val default_dirs : string list
 
 val default_extra_files : string list
 (** individual engine files scanned outside the directory walk —
-    currently the event arena [lib/psim/evq.ml], whose mutable slots
+    currently the event queue [lib/psim/evq.ml], whose mutable slots
     must each be enumerated (with a lifetime justification) in the
     allowlist even though the rest of lib/psim is host code *)
 

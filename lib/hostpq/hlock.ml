@@ -38,7 +38,9 @@ type tracer = {
    makes. *)
 let next_id = Atomic.make 1
 
-let create ?name ?(index = -1) () =
+let no_index = -1
+
+let create ?name ~index () =
   {
     state = Atomic.make 0;
     id = Atomic.fetch_and_add next_id 1;

@@ -59,11 +59,15 @@ val buckets : int
 (** the number of shared parking buckets; locks whose {!id}s are equal
     modulo [buckets] park in the same one *)
 
-val create : ?name:string -> ?index:int -> unit -> t
+val no_index : int
+(** the [index] of a lock that is not one of an array's *)
+
+val create : ?name:string -> index:int -> unit -> t
 (** [name] is the symbol {!label_of} resolves the lock's {!id} to once
-    the lock has emitted a traced event; with [index] [i] the symbol is
-    [name ^ "[i]"].  Construction stores both as they are and formats
-    nothing: the symbol is built when a trace first records the lock. *)
+    the lock has emitted a traced event; with an [index] [i >= 0] the
+    symbol is [name ^ "[i]"], and with {!no_index} it is [name].
+    Construction stores both as they are and formats nothing: the
+    symbol is built when a trace first records the lock. *)
 
 val id : t -> int
 

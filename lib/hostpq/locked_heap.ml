@@ -4,7 +4,11 @@ type 'a t = { lock : Hlock.t; heap : 'a Heap.t; npriorities : int }
 
 let create ~npriorities () =
   if npriorities <= 0 then invalid_arg "Locked_heap.create";
-  { lock = Hlock.create ~name:(name ^ ".lock") (); heap = Heap.create (); npriorities }
+  {
+    lock = Hlock.create ~name:(name ^ ".lock") ~index:Hlock.no_index ();
+    heap = Heap.create ();
+    npriorities;
+  }
 
 let insert t ~pri v =
   if pri < 0 || pri >= t.npriorities then invalid_arg "Locked_heap.insert";

@@ -10,7 +10,7 @@
      lives in bucket [t land mask]; since the window spans exactly
      [window] ticks, a bucket holds a single time value (plus clamped
      stragglers, below).  Buckets are intrusive singly-linked lists of
-     event ids kept sorted by the full (time, weight, seq) key — the
+     pids kept sorted by the full (time, weight, seq) key — the
      engine's weight-0 FIFO stream always appends at the tail in O(1),
      while adversarial same-cycle weights from the schedule explorer
      fall back to an insertion walk.
@@ -22,20 +22,20 @@
      are drained into their buckets, so each event moves through the
      far heap at most once.
 
-   Events live in an arena of parallel arrays indexed by event id:
-   [etime], [eweight], [eseq], [epid], [ev] and the bucket/freelist
-   link [enext] are int arrays, and the bucket heads and tails and the
-   far heap hold ids, so scheduling an event stores only immediates —
-   no pointer store, hence no GC write barrier.  The one pointer array,
-   [erun], is written only when a closure event is pushed.  Ids recycle
-   through the [enext] freelist the moment they pop: [pop_exn] copies
-   the event into the queue's single view record, so the caller may
-   read it — and push new events, which reuse the freed id — until the
-   next pop.  A freed id's [erun] slot keeps its thunk until a later
-   closure event reuses the slot or [reset] clears it.  The arena and
-   the far heap start empty and double from [first_capacity] on demand,
-   so a queue holds slots for about as many events as were ever pending
-   at once (the engine keeps at most one per processor).
+   The engine keeps at most one pending event per processor, so an
+   event lives in its processor's slot: parallel arrays indexed by pid
+   hold its key ([etime], [eweight], [eseq]), its resume value [ev],
+   its [ekind] and the bucket link [enext].  The bucket heads and tails
+   and the far heap hold pids, so scheduling an event stores only
+   immediates — no pointer store, hence no GC write barrier.  A slot is
+   pending while its [eseq] is set and free while it is [nil]: [push]
+   refuses a pid whose slot is pending, and [pop_exn] frees the slot
+   as it copies the event into the queue's single view record, so the
+   caller may read the popped event — and push that processor's next
+   one — until the next pop.  The slot arrays, and the far heap with
+   them, start empty and grow (at least doubling) to cover the highest
+   pid pushed, so a queue holds about as many slots as the run has
+   processors.
 
    A drained queue is reused rather than rebuilt: [reset] rewinds it to
    the state [create] returns, keeping its arrays.  The two 4,096-word
@@ -48,13 +48,15 @@
    the heap — the golden-digest gates check exactly that.  The old
    heap survives as the QCheck reference model in test/test_psim.ml. *)
 
+type kind = Resume | Check
+
 type event = {
   mutable time : int;
   mutable weight : int;
   mutable seq : int;
   mutable pid : int;
   mutable v : int;
-  mutable run : unit -> unit;
+  mutable kind : kind;
 }
 
 (* window parameters: [window] must be a power of two, and [slot_words]
@@ -63,31 +65,27 @@ let window = 4096
 let mask = window - 1
 let slot_words = window / 32
 
-(* the null event id: empty bucket, end of a chain or of the freelist *)
+(* the null pid: empty bucket or end of a chain; as an [eseq], a free
+   slot *)
 let nil = -1
 
 let first_capacity = 8
 
-let noop () = ()
-
 type t = {
-  (* the arena: event [id]'s fields at index [id] *)
+  (* the slots: processor [pid]'s pending event at index [pid] *)
   mutable etime : int array;
   mutable eweight : int array;
   mutable eseq : int array;
-  mutable epid : int array;
   mutable ev : int array;
+  mutable ekind : kind array;
   mutable enext : int array;
-  mutable erun : (unit -> unit) array;
-  mutable fresh : int; (* ids below [fresh] have been handed out *)
-  mutable free : int; (* freelist head, threaded through [enext] *)
   bhead : int array; (* bucket heads, [nil] when empty *)
   btail : int array;
   occ : int array; (* occupancy bitmap: bit (s land 31) of word (s lsr 5) *)
   occ_sum : int array; (* summary: bit w set iff occ.(w) <> 0 *)
   mutable cur : int; (* absolute-time cursor; never decreases while nonempty *)
   mutable in_window : int;
-  mutable far : int array; (* binary heap of events at time >= cur + window *)
+  mutable far : int array; (* binary heap of pids with time >= cur + window *)
   mutable far_size : int;
   mutable size : int;
   mutable next_seq : int;
@@ -100,12 +98,9 @@ let create () =
     etime = [||];
     eweight = [||];
     eseq = [||];
-    epid = [||];
     ev = [||];
+    ekind = [||];
     enext = [||];
-    erun = [||];
-    fresh = 0;
-    free = nil;
     bhead = Array.make window nil;
     btail = Array.make window nil;
     occ = Array.make slot_words 0;
@@ -117,11 +112,10 @@ let create () =
     size = 0;
     next_seq = 0;
     pops = 0;
-    view = { time = 0; weight = 0; seq = 0; pid = -1; v = 0; run = noop };
+    view = { time = 0; weight = 0; seq = 0; pid = nil; v = 0; kind = Resume };
   }
 
 let is_empty t = t.size = 0
-let length t = t.size
 let pops t = t.pops
 
 let before t a b =
@@ -180,45 +174,23 @@ let next_occupied t s0 =
     let nsum = Array.length t.occ_sum in
     next_block t nsum (w0 lsr 5) (-1 lsl ((w0 land 31) + 1)) (nsum + 1)
 
-let grow_array a fill =
-  let b = Array.make (max first_capacity (2 * Array.length a)) fill in
+let grow_array a n fill =
+  let b = Array.make n fill in
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* double every arena array; ids keep their indices *)
-let grow t =
-  t.etime <- grow_array t.etime 0;
-  t.eweight <- grow_array t.eweight 0;
-  t.eseq <- grow_array t.eseq 0;
-  t.epid <- grow_array t.epid 0;
-  t.ev <- grow_array t.ev 0;
-  t.enext <- grow_array t.enext nil;
-  t.erun <- grow_array t.erun noop
-
-(* a free event id with its key and payload set and its link cleared *)
-let alloc t ~time ~weight ~pid ~v =
-  let id = t.free in
-  let id =
-    if id <> nil then begin
-      t.free <- t.enext.(id);
-      id
-    end
-    else begin
-      let id = t.fresh in
-      if id = Array.length t.etime then grow t;
-      t.fresh <- id + 1;
-      id
-    end
-  in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  t.etime.(id) <- time;
-  t.eweight.(id) <- weight;
-  t.eseq.(id) <- seq;
-  t.epid.(id) <- pid;
-  t.ev.(id) <- v;
-  t.enext.(id) <- nil;
-  id
+(* widen every slot array to cover [pid]; slots keep their indices.  The
+   far heap grows with them: it holds at most one entry per pending
+   pid. *)
+let grow t pid =
+  let n = max (pid + 1) (max first_capacity (2 * Array.length t.etime)) in
+  t.etime <- grow_array t.etime n 0;
+  t.eweight <- grow_array t.eweight n 0;
+  t.eseq <- grow_array t.eseq n nil;
+  t.ev <- grow_array t.ev n 0;
+  t.ekind <- grow_array t.ekind n Resume;
+  t.enext <- grow_array t.enext n nil;
+  t.far <- grow_array t.far n nil
 
 (* insert event [e] into its window bucket, keeping the chain sorted by
    the full key.  The hot case — the engine's monotonically-sequenced
@@ -258,7 +230,7 @@ let bucket_insert t e =
   end;
   t.in_window <- t.in_window + 1
 
-(* far heap: plain binary min-heap of ids on the full key *)
+(* far heap: plain binary min-heap of pids on the full key *)
 
 let rec far_up t e i =
   if i = 0 then t.far.(0) <- e
@@ -271,7 +243,6 @@ let rec far_up t e i =
     else t.far.(i) <- e
 
 let far_push t e =
-  if t.far_size = Array.length t.far then t.far <- grow_array t.far nil;
   t.far_size <- t.far_size + 1;
   far_up t e (t.far_size - 1)
 
@@ -297,18 +268,25 @@ let far_pop t =
   if t.far_size > 0 then far_down t last 0;
   top
 
-let insert t e =
-  let time = t.etime.(e) in
+let push t ~kind ~time ~weight ~pid ~v =
+  if pid >= Array.length t.eseq then begin
+    if pid < 0 then invalid_arg "Evq.push: negative pid";
+    grow t pid
+  end;
+  if t.eseq.(pid) <> nil then invalid_arg "Evq.push: pid has a pending event";
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  t.etime.(pid) <- time;
+  t.eweight.(pid) <- weight;
+  t.eseq.(pid) <- seq;
+  t.ev.(pid) <- v;
+  t.ekind.(pid) <- kind;
+  t.enext.(pid) <- nil;
   if t.size = 0 then t.cur <- time;
   t.size <- t.size + 1;
-  if time >= t.cur + window then far_push t e else bucket_insert t e
+  if time >= t.cur + window then far_push t pid else bucket_insert t pid
 
-let push t ~time ?(weight = 0) run =
-  let e = alloc t ~time ~weight ~pid:(-1) ~v:0 in
-  t.erun.(e) <- run;
-  insert t e
-
-let push_resume t ~time ~pid ~v = insert t (alloc t ~time ~weight:0 ~pid ~v)
+let push_resume t ~time ~pid ~v = push t ~kind:Resume ~time ~weight:0 ~pid ~v
 
 exception Empty
 
@@ -335,38 +313,21 @@ let pop_exn t =
   t.size <- t.size - 1;
   t.pops <- t.pops + 1;
   let view = t.view in
-  let pid = t.epid.(e) in
   view.time <- t.etime.(e);
   view.weight <- t.eweight.(e);
   view.seq <- t.eseq.(e);
-  view.pid <- pid;
+  view.pid <- e;
   view.v <- t.ev.(e);
-  (* the one pointer store: made for a closure event, and for a resume
-     event only when a closure event's thunk must be dropped *)
-  if pid < 0 then view.run <- t.erun.(e)
-  else if view.run != noop then view.run <- noop;
-  (* the view holds the event now: its id is free for the next push *)
-  t.enext.(e) <- t.free;
-  t.free <- e;
+  view.kind <- t.ekind.(e);
+  (* the view holds the event now: the slot is free for the next push *)
+  t.eseq.(e) <- nil;
   view
 
-let pop t = if t.size = 0 then None else Some (pop_exn t)
-
-(* every bucket, bitmap word and far-heap slot is already [nil] or 0
-   once the queue is empty; what is left is the arena's ids, the
-   counters, and the thunks: a kept thunk would pin the finished run's
-   continuations for as long as the queue lives *)
+(* every bucket, bitmap word, far-heap slot and processor slot is
+   already [nil] or 0 once the queue is empty; what is left is the
+   counters *)
 let reset t =
   if t.size <> 0 then invalid_arg "Evq.reset: queue not empty";
-  Array.fill t.erun 0 t.fresh noop;
-  t.fresh <- 0;
-  t.free <- nil;
   t.cur <- 0;
   t.next_seq <- 0;
-  t.pops <- 0;
-  t.view.run <- noop
-
-let drain t f =
-  while t.size > 0 do
-    f (pop_exn t)
-  done
+  t.pops <- 0

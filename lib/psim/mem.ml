@@ -647,10 +647,6 @@ let read_t t ~proc ~now addr =
     served + latency t ~proc ~home
   end
 
-let read t ~proc ~now addr =
-  let completion = read_t t ~proc ~now addr in
-  (completion, t.out)
-
 (* every read-modify-write splits into [rmw_begin] (count, serve the
    line's directory) and [rmw_commit] (store the new value, park the old
    one in [out], return the completion time) with the new value computed
@@ -691,10 +687,6 @@ let swap_t t ~proc ~now addr v =
   let old = W.get t.data addr in
   rmw_commit t ~proc ~addr ~home ~served ~old v
 
-let swap t ~proc ~now addr v =
-  let completion = swap_t t ~proc ~now addr v in
-  (completion, t.out)
-
 let cas_t t ~proc ~now addr ~expected ~desired =
   touch t addr;
   let occ = t.machine.Machine.atomic_occupancy in
@@ -706,10 +698,6 @@ let cas_t t ~proc ~now addr ~expected ~desired =
   t.out <- (if old = expected then 1 else 0);
   completion
 
-let cas t ~proc ~now addr ~expected ~desired =
-  let completion = cas_t t ~proc ~now addr ~expected ~desired in
-  (completion, t.out <> 0)
-
 let faa_t t ~proc ~now addr delta =
   touch t addr;
   let occ = t.machine.Machine.atomic_occupancy in
@@ -717,10 +705,6 @@ let faa_t t ~proc ~now addr delta =
   let served = rmw_begin t ~proc ~now ~addr ~home ~occ in
   let old = W.get t.data addr in
   rmw_commit t ~proc ~addr ~home ~served ~old (old + delta)
-
-let faa t ~proc ~now addr delta =
-  let completion = faa_t t ~proc ~now addr delta in
-  (completion, t.out)
 
 let last_writer t addr =
   let w = W.get t.writer_by_line addr in

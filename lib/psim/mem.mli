@@ -143,12 +143,11 @@ val miss_latency : t -> proc:int -> addr:int -> int
 
 (** {1 Costed operations (engine only)}
 
-    Each operation comes in two shapes.  The [_t] variant returns only
-    the completion time and parks its secondary result (value read, old
-    value, CAS success as 1/0) in a slot read back with {!out} — the
-    engine's hot path, which must not box a tuple per memory access.
-    The tupled variant wraps it for ordinary callers and tests.  The
-    [out] slot is only valid until the next costed operation. *)
+    An operation with a secondary result (value read, old value, CAS
+    success as 1/0) returns only the completion time and parks that
+    result in a slot read back with {!out}, so the engine's hot path
+    boxes no tuple per memory access.  The [out] slot is only valid
+    until the next costed operation. *)
 
 val out : t -> int
 (** secondary result of the most recent [_t] operation *)
@@ -157,9 +156,6 @@ val read_t : t -> proc:int -> now:int -> int -> int
 (** [read_t t ~proc ~now addr] returns the completion time; the value
     read is in {!out}. *)
 
-val read : t -> proc:int -> now:int -> int -> int * int
-(** [read t ~proc ~now addr] returns [(completion_time, value)]. *)
-
 val write : t -> proc:int -> now:int -> int -> int -> int
 (** [write t ~proc ~now addr v] returns the completion time. *)
 
@@ -167,21 +163,12 @@ val swap_t : t -> proc:int -> now:int -> int -> int -> int
 (** register-to-memory swap; completion time returned, old value in
     {!out}. *)
 
-val swap : t -> proc:int -> now:int -> int -> int -> int * int
-(** register-to-memory swap; returns [(completion_time, old_value)]. *)
-
 val cas_t : t -> proc:int -> now:int -> int -> expected:int -> desired:int -> int
 (** compare-and-swap; completion time returned, success (1/0) in
     {!out}. *)
 
-val cas : t -> proc:int -> now:int -> int -> expected:int -> desired:int -> int * bool
-(** compare-and-swap; returns [(completion_time, success)]. *)
-
 val faa_t : t -> proc:int -> now:int -> int -> int -> int
 (** fetch-and-add; completion time returned, old value in {!out}. *)
-
-val faa : t -> proc:int -> now:int -> int -> int -> int * int
-(** fetch-and-add; returns [(completion_time, old_value)]. *)
 
 (** {1 Spin-wait assist}
 

@@ -16,6 +16,14 @@
    the engine writes before every [continue] and [match_with], so Api
    answers them with a plain call.
 
+   On the engine side, every event is a processor's: a processor that
+   performed a scheduling effect has exactly one pending event, either a
+   resume (continue it with an immediate value) or a wait check (its
+   [Wait_change] peek), and its continuation waits in the run's [konts]
+   array meanwhile.  Every policy verdict and every wait attempt pushes
+   one such event into the processor's slot of the event queue, which
+   refuses a second; none schedules a closure.
+
    The record also keeps the domain's spare event queues: a run takes one
    (or builds one if none is spare) and hands it back reset after a
    normal finish, so a sweep of short runs builds its queue once per
@@ -182,17 +190,18 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
      recording one costs two stores, not a tuple *)
   let last_op = Array.make nprocs Sched.Work in
   let last_addr = Array.make nprocs (-1) in
-  (* each processor has at most one outstanding continuation; on the
-     default-policy fast path it is stashed here and the matching
-     [Evq.push_resume] event carries only (pid, value) — no closure.
-     The [Obj.repr] is sound: slot [pid] is only ever [Obj.obj]'d back
-     at the continuation type it was stored at ([dispatch]'s [continue]
-     type-pretends [int], and every resumed value is an immediate). *)
+  (* each processor has at most one outstanding continuation, stashed
+     here while its event waits in [q]: a resume event carries only
+     (pid, value) and a wait check only the pid, so scheduling builds no
+     closure.  The [Obj.repr] is sound: slot [pid] is only ever
+     [Obj.obj]'d back at the continuation type it was stored at
+     ([dispatch]'s [continue] type-pretends [int], and every resumed
+     value is an immediate). *)
   let konts : Obj.t array = Array.make nprocs (Obj.repr 0) in
   (* per-processor wait-in-progress registers: the [Wait_change] state
      machine below keeps its whole context here (address, stale value,
-     current attempt's check time, wakeup count), so parking, waking and
-     re-arming allocate nothing *)
+     the time of the check that parked it, wakeup count), so parking,
+     waking and re-arming allocate nothing *)
   let wait_addr = Array.make nprocs (-1) in
   let wait_v0 = Array.make nprocs 0 in
   let wait_t = Array.make nprocs 0 in
@@ -253,17 +262,22 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
     incr faulted
   in
   (* Direct-handoff dispatch.  [dispatch] pops the next event and
-     tail-calls its continuation (a resume event) or its thunk (a
-     closure event); every handler, [retc], and every thunk ends by
-     tail-calling [dispatch] in turn, so control passes from processor
-     to processor without unwinding to a loop and the host stack stays
-     flat however long the run.  While [spawned] is false (the
-     processors are still being started, in pid order) it returns at
-     once, so each processor's first effect only schedules; [run] then
-     calls it once.  It returns when every processor has finished or
-     crashed. *)
+     tail-calls its processor's continuation (a resume event) or its
+     wait check (a check event); every handler, [retc], and the wait
+     check ends by tail-calling [dispatch] in turn, so control passes
+     from processor to processor without unwinding to a loop and the
+     host stack stays flat however long the run.  While [spawned] is
+     false (the processors are still being started, in pid order) it
+     returns at once, so each processor's first effect only schedules;
+     [run] then calls it once.  It returns when every processor has
+     finished or crashed.
+
+     The wait check, at the time [t] its attempt read the line, peeks:
+     it either resumes the continuation parked in [konts] with the new
+     value or parks the processor on the line's intrusive waiter
+     chain. *)
   let spawned = ref false in
-  let dispatch () =
+  let rec dispatch () =
     if !spawned && !running > !faulted then
       if Evq.is_empty q then
         if watchdog <> None || !faulted > 0 then
@@ -283,32 +297,16 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
             raise (Progress_failure (diagnose "watchdog expired"))
         | _ -> ());
         let pid = e.Evq.pid in
-        if pid >= 0 then begin
-          ptime.(pid) <- t;
-          slots.pid <- pid;
-          let k : (int, unit) Effect.Deep.continuation = Obj.obj konts.(pid) in
-          (Effect.Deep.continue [@tailcall]) k (Obj.magic e.Evq.v : int)
-        end
-        else (e.Evq.run [@tailcall]) ()
+        match e.Evq.kind with
+        | Evq.Resume ->
+            ptime.(pid) <- t;
+            slots.pid <- pid;
+            let k : (int, unit) Effect.Deep.continuation = Obj.obj konts.(pid) in
+            (Effect.Deep.continue [@tailcall]) k (Obj.magic e.Evq.v : int)
+        | Evq.Check -> (wait_check [@tailcall]) pid t
       end
-  in
-  let emit_mem pid kind addr ~issued ~finish =
-    match sink with
-    | None -> ()
-    | Some s ->
-        s.Probe.emit ~proc:pid ~time:finish
-          (Probe.Mem_op { kind; addr; node = home addr; issued })
-  in
-  (* Wait_change state machine, allocation-free: the effect handler
-     loads the per-processor wait registers and calls [wait_attempt];
-     each attempt reads the line (costed) and schedules the matching
-     preallocated check closure; the check peeks, then either resumes
-     the continuation parked in [konts] or parks the processor on the
-     line's intrusive waiter chain.  A line change re-enters
-     [wait_attempt] through the single waker callback. *)
-  let wait_check pid =
+  and wait_check pid t =
     let addr = wait_addr.(pid) in
-    let t = wait_t.(pid) in
     let current = Mem.peek mem addr in
     if current <> wait_v0.(pid) then begin
       ptime.(pid) <- t;
@@ -332,13 +330,49 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
           s.Probe.emit ~proc:pid ~time:t (Probe.Park { addr })
       | _ -> ());
       state.(pid) <- Parked;
+      wait_t.(pid) <- t;
       Mem.watch mem ~addr ~pid;
       (dispatch [@tailcall]) ()
     end
   in
-  let checks = Array.init nprocs (fun pid () -> wait_check pid) in
-  (* schedules the next check; never dispatches, as the waker calls it
-     from inside another processor's memory operation *)
+  let emit_mem pid kind addr ~issued ~finish =
+    match sink with
+    | None -> ()
+    | Some s ->
+        s.Probe.emit ~proc:pid ~time:finish
+          (Probe.Mem_op { kind; addr; node = home addr; issued })
+  in
+  (* the policy path's one step: ask the policy about [pid]'s next
+     event, due at [time] after an [op], then push it as [kind] at the
+     verdict's time and weight, or crash-stop the processor.  Only a
+     paused resume reports its stall. *)
+  let reschedule kind op pid time v =
+    let verdict = policy { Sched.proc = pid; time; step = !step; op } in
+    incr step;
+    match verdict with
+    | Sched.Stall_forever ->
+        (match sink with
+        | Some s -> s.Probe.emit ~proc:pid ~time Probe.Crash
+        | None -> ());
+        crash pid
+    | Sched.Pause n ->
+        let until = time + max 0 n in
+        (match sink with
+        | Some s when n > 0 && kind = Evq.Resume ->
+            s.Probe.emit ~proc:pid ~time (Probe.Stall { until })
+        | _ -> ());
+        Evq.push q ~kind ~time:until ~weight:0 ~pid ~v
+    | Sched.Run d ->
+        Evq.push q ~kind ~time:(time + max 0 d.Sched.delay)
+          ~weight:d.Sched.weight ~pid ~v
+  in
+  (* Wait_change state machine, allocation-free: the effect handler
+     loads the per-processor wait registers and calls [wait_attempt];
+     each attempt reads the line (costed) and schedules the processor's
+     wait check ([dispatch]'s [wait_check]).  A line change re-enters
+     [wait_attempt] through the single waker callback.  It schedules
+     only and never dispatches, as the waker calls it from inside
+     another processor's memory operation. *)
   let wait_attempt pid now =
     if wait_wakeups.(pid) > max_wait_wakeups then
       raise
@@ -351,29 +385,9 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
     if policy == Sched.fifo then begin
       (* same fast path as [resume_at] *)
       incr step;
-      wait_t.(pid) <- t;
-      Evq.push q ~time:t checks.(pid)
+      Evq.push q ~kind:Evq.Check ~time:t ~weight:0 ~pid ~v:0
     end
-    else
-      let verdict =
-        policy { Sched.proc = pid; time = t; step = !step; op = Sched.Wait }
-      in
-      incr step;
-      match verdict with
-      | Sched.Stall_forever ->
-          (match sink with
-          | Some s -> s.Probe.emit ~proc:pid ~time:t Probe.Crash
-          | None -> ());
-          crash pid
-      | Sched.Pause _ | Sched.Run _ ->
-          let t, weight =
-            match verdict with
-            | Sched.Pause n -> (t + max 0 n, 0)
-            | Sched.Run d -> (t + max 0 d.Sched.delay, d.Sched.weight)
-            | Sched.Stall_forever -> assert false
-          in
-          wait_t.(pid) <- t;
-          Evq.push q ~time:t ~weight checks.(pid)
+    else reschedule Evq.Check Sched.Wait pid t 0
   in
   Mem.set_waker mem (fun pid change ->
       wait_attempt pid (if change > wait_t.(pid) then change else wait_t.(pid)));
@@ -385,43 +399,19 @@ let run ?machine ?(seed = 1) ?(policy = Sched.fifo) ?probe
     let resume_at : type a.
         Sched.op -> int -> int -> (a, unit) continuation -> a -> unit =
      fun op pid time k v ->
+      (* the continuation parks in [konts] and the event carries (pid,
+         value); [dispatch] reconnects them.  Sound because every
+         effect's answer is an immediate. *)
+      konts.(pid) <- Obj.repr k;
+      let v = (Obj.magic v : int) in
       if policy == Sched.fifo then begin
         (* the default policy ignores its input and always answers
            [Run { delay = 0; weight = 0 }]: skip building the info
-           record and matching the verdict — and skip the resume
-           closure altogether.  The continuation parks in [konts] and
-           the event carries (pid, value); [dispatch] reconnects them.
-           Sound because every effect's answer is an immediate. *)
+           record and matching the verdict *)
         incr step;
-        konts.(pid) <- Obj.repr k;
-        Evq.push_resume q ~time ~pid ~v:(Obj.magic v : int)
+        Evq.push_resume q ~time ~pid ~v
       end
-      else begin
-        let verdict = policy { Sched.proc = pid; time; step = !step; op } in
-        incr step;
-        match verdict with
-        | Sched.Stall_forever ->
-            (match sink with
-            | Some s -> s.Probe.emit ~proc:pid ~time Probe.Crash
-            | None -> ());
-            crash pid
-        | Sched.Pause n ->
-            let until = time + max 0 n in
-            (match sink with
-            | Some s when n > 0 ->
-                s.Probe.emit ~proc:pid ~time (Probe.Stall { until })
-            | _ -> ());
-            Evq.push q ~time:until (fun () ->
-                ptime.(pid) <- until;
-                slots.pid <- pid;
-                (continue [@tailcall]) k v)
-        | Sched.Run d ->
-            let time = time + max 0 d.Sched.delay in
-            Evq.push q ~time ~weight:d.Sched.weight (fun () ->
-                ptime.(pid) <- time;
-                slots.pid <- pid;
-                (continue [@tailcall]) k v)
-      end;
+      else reschedule Evq.Resume op pid time v;
       (dispatch [@tailcall]) ()
     in
     (* one preallocated closure (and [Some] cell) per effect kind per

@@ -13,22 +13,19 @@ let check_bool = Alcotest.(check bool)
 
 let test_evq_weight_tiebreak () =
   let q = Pqsim.Evq.create () in
-  let out = ref [] in
-  Pqsim.Evq.push q ~time:5 ~weight:2 (fun () -> out := "w2" :: !out);
-  Pqsim.Evq.push q ~time:5 ~weight:0 (fun () -> out := "w0" :: !out);
-  Pqsim.Evq.push q ~time:5 ~weight:1 (fun () -> out := "w1" :: !out);
-  Pqsim.Evq.push q ~time:3 ~weight:9 (fun () -> out := "t3" :: !out);
-  let rec drain () =
-    match Pqsim.Evq.pop q with
-    | Some e ->
-        e.Pqsim.Evq.run ();
-        drain ()
-    | None -> ()
+  let push pid ~time ~weight =
+    Pqsim.Evq.push q ~kind:Pqsim.Evq.Resume ~time ~weight ~pid ~v:0
   in
-  drain ();
-  Alcotest.(check (list string))
-    "time first, then weight, then scheduling order"
-    [ "t3"; "w0"; "w1"; "w2" ] (List.rev !out)
+  push 2 ~time:5 ~weight:2;
+  push 0 ~time:5 ~weight:0;
+  push 1 ~time:5 ~weight:1;
+  push 3 ~time:3 ~weight:9;
+  let rec drain acc =
+    if Pqsim.Evq.is_empty q then List.rev acc
+    else drain ((Pqsim.Evq.pop_exn q).Pqsim.Evq.pid :: acc)
+  in
+  Alcotest.(check (list int))
+    "time first, then weight, then scheduling order" [ 3; 0; 1; 2 ] (drain [])
 
 let test_fifo_policy_is_identity () =
   let h = Pqcheck.History.record ~queue:"SimpleTree" ~nprocs:4 ~npriorities:8

@@ -6,8 +6,10 @@
    trace and the exact report text `pqbench audit`, `pqbench chaos
    --quick --verbose` and `pqbench adapt --quick` write with --report is
    byte-for-byte what the pre-optimisation engine printed, and
-   independent of --jobs.  These tests pin that promise to checked-in
-   SHA-256 fixtures (test/digests/golden.sha256).
+   independent of --jobs; so is the text `pqbench explore --queue all
+   --budget 64` prints under each exploration policy, since it was
+   first pinned.  These tests pin that promise to checked-in SHA-256
+   fixtures (test/digests/golden.sha256).
 
    If a digest changes, the change is either a bug or an intentional
    engine-semantics change; the latter must be blessed explicitly:
@@ -105,6 +107,30 @@ let gate_digests ~jobs =
           (Pqadapt.Driver.run ~jobs Pqadapt.Driver.quick) );
     ]
 
+(* the text `pqbench explore --queue all --budget 64 --policy P` prints
+   with its other options at their defaults (4 processors, 8 priorities,
+   5 operations each, seed 42): the one pin on schedule replay and the
+   dfs enumerator *)
+let explore_digests () =
+  List.map
+    (fun policy ->
+      let kind = Result.get_ok (Pqexplore.Explore.policy_kind_of_string policy) in
+      let text =
+        String.concat ""
+          (List.map
+             (fun queue ->
+               let cfg =
+                 Pqexplore.Driver.config ~nprocs:4 ~npriorities:8
+                   ~ops_per_proc:5 ~max_states:300_000 queue
+               in
+               Format.asprintf "%a@." Pqexplore.Explore.pp_report
+                 (Pqexplore.Explore.run ~cfg ~seed:42 ~queue ~policy:kind
+                    ~budget:64 ()))
+             Pqcore.Registry.names_paper)
+      in
+      ("explore-" ^ policy ^ "-report", Pqtrace.Sha256.digest_string text))
+    [ "random"; "pct"; "dfs" ]
+
 (* ------------------------------------------------------------------ *)
 (* the tests *)
 
@@ -142,6 +168,7 @@ let golden () =
     :: ("figures-quick-json", json1)
     :: List.map (fun (s, d) -> (Printf.sprintf "trace-s%d" s, d)) traces
     @ List.map (fun (name, d) -> (name ^ "-report", d)) gates1
+    @ explore_digests ()
   in
   if blessing () then begin
     if not (Sys.file_exists (Filename.dirname fixture_path)) then

@@ -494,10 +494,10 @@ let test_hlock_names_follow_traces () =
   (* names are recorded by traced events, so a program that creates
      locks untraced keeps no table that grows with them *)
   let open Hostpq.Hlock in
-  let quiet = create ~name:"quiet" () in
+  let quiet = create ~name:"quiet" ~index:no_index () in
   lock quiet;
   unlock quiet;
-  let traced = create ~name:"traced" () in
+  let traced = create ~name:"traced" ~index:no_index () in
   set_tracer (Some { trace = (fun ~proc:_ ~time:_ ~tag:_ ~a:_ ~b:_ -> ()) });
   lock traced;
   unlock traced;
@@ -523,7 +523,7 @@ let test_hlock_mutual_exclusion () =
      contenders exhaust their spin rounds and park; a plain counter
      incremented under the lock must still come out exact *)
   let open Hostpq.Hlock in
-  let l = create () in
+  let l = create ~index:no_index () in
   let counter = ref 0 in
   let ndomains = 6 and iters = 20_000 in
   List.init ndomains (fun _ ->
@@ -542,7 +542,7 @@ let test_hlock_forced_parking () =
      others wake to a taken lock and park again.  A lost wake-up hangs
      here. *)
   let open Hostpq.Hlock in
-  let l = create () in
+  let l = create ~index:no_index () in
   let acquired = Atomic.make 0 in
   lock l;
   let contenders =
@@ -571,11 +571,11 @@ let test_hlock_shared_bucket () =
      of hanging it. *)
   let open Hostpq.Hlock in
   let k = 4 in
-  let first = create () in
+  let first = create ~index:no_index () in
   let rec same_bucket acc n =
     if n = k then List.rev acc
     else
-      let l = create () in
+      let l = create ~index:no_index () in
       if (id l - id first) mod buckets = 0 then same_bucket (l :: acc) (n + 1)
       else same_bucket acc n
   in
@@ -654,7 +654,7 @@ let test_hlock_queue_names () =
 
 let test_hlock_try_lock () =
   let open Hostpq.Hlock in
-  let l = create () in
+  let l = create ~index:no_index () in
   lock l;
   check_bool "fails while held" false
     (Domain.join (Domain.spawn (fun () -> try_lock l)));
@@ -672,7 +672,7 @@ let test_hlock_contended_flag () =
      0 for an uncontended lock, 1 for a domain that called [lock] while
      another held it *)
   let open Hostpq.Hlock in
-  let l = create () in
+  let l = create ~index:no_index () in
   let events = ref [] in
   set_tracer
     (Some

@@ -161,61 +161,82 @@ let test_machine_hop_cost_split =
 (* ------------------------------------------------------------------ *)
 (* Evq *)
 
+(* events are keyed by processor: each test gives every pending event
+   its own pid *)
+let evq_push q ?(kind = Pqsim.Evq.Resume) ?(weight = 0) ?(v = 0) ~pid time =
+  Pqsim.Evq.push q ~kind ~time ~weight ~pid ~v
+
+(* pop every pending event, in order, as (time, weight, seq, pid) *)
+let evq_drain q =
+  let rec go acc =
+    if Pqsim.Evq.is_empty q then List.rev acc
+    else
+      let e = Pqsim.Evq.pop_exn q in
+      go Pqsim.Evq.((e.time, e.weight, e.seq, e.pid) :: acc)
+  in
+  go []
+
 let test_evq_order () =
   let q = Pqsim.Evq.create () in
-  let out = ref [] in
-  Pqsim.Evq.push q ~time:5 (fun () -> out := 5 :: !out);
-  Pqsim.Evq.push q ~time:1 (fun () -> out := 1 :: !out);
-  Pqsim.Evq.push q ~time:3 (fun () -> out := 3 :: !out);
-  let rec drain () =
-    match Pqsim.Evq.pop q with
-    | None -> ()
-    | Some e ->
-        e.Pqsim.Evq.run ();
-        drain ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "time order" [ 1; 3; 5 ] (List.rev !out)
+  evq_push q ~pid:0 5;
+  evq_push q ~pid:1 1;
+  evq_push q ~pid:2 3;
+  check_bool "reset refuses a queue with events pending" true
+    (match Pqsim.Evq.reset q with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check (list int))
+    "time order" [ 1; 2; 0 ]
+    (List.map (fun (_, _, _, pid) -> pid) (evq_drain q))
 
 let test_evq_fifo_ties () =
   let q = Pqsim.Evq.create () in
-  let out = ref [] in
-  for i = 0 to 9 do
-    Pqsim.Evq.push q ~time:7 (fun () -> out := i :: !out)
+  for pid = 0 to 9 do
+    evq_push q ~pid 7
   done;
-  let rec drain () =
-    match Pqsim.Evq.pop q with
-    | None -> ()
-    | Some e ->
-        e.Pqsim.Evq.run ();
-        drain ()
-  in
-  drain ();
   Alcotest.(check (list int))
     "fifo on equal time"
     [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (List.rev !out)
+    (List.map (fun (_, _, _, pid) -> pid) (evq_drain q))
+
+let test_evq_one_pending_per_pid () =
+  (* the engine keeps at most one pending event per processor; the
+     queue enforces it *)
+  let q = Pqsim.Evq.create () in
+  let raises f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  evq_push q ~pid:3 10;
+  check_bool "second pending event for a pid raises" true
+    (raises (fun () -> evq_push q ~kind:Pqsim.Evq.Check ~pid:3 20));
+  check_bool "negative pid raises" true (raises (fun () -> evq_push q ~pid:(-1) 5));
+  Alcotest.(check (list (pair int int)))
+    "the refused pushes left the first event alone" [ (10, 3) ]
+    (List.map (fun (t, _, _, pid) -> (t, pid)) (evq_drain q));
+  evq_push q ~pid:3 30;
+  Alcotest.(check (list (pair int int)))
+    "a popped pid takes its next event" [ (30, 3) ]
+    (List.map (fun (t, _, _, pid) -> (t, pid)) (evq_drain q))
 
 let test_evq_random_order =
   QCheck.Test.make ~name:"evq pops in nondecreasing time order" ~count:200
     QCheck.(list (int_bound 1000))
     (fun times ->
       let q = Pqsim.Evq.create () in
-      List.iter (fun t -> Pqsim.Evq.push q ~time:t ignore) times;
-      let rec drain last =
-        match Pqsim.Evq.pop q with
-        | None -> true
-        | Some e ->
-            let t = e.Pqsim.Evq.time in
-            t >= last && drain t
+      List.iteri (fun pid t -> evq_push q ~pid t) times;
+      let rec sorted last = function
+        | [] -> true
+        | (t, _, _, _) :: rest -> t >= last && sorted t rest
       in
-      drain min_int)
+      let popped = evq_drain q in
+      List.length popped = List.length times && sorted min_int popped)
 
 let test_evq_model =
-  (* the non-allocating pop_exn/drain path (what Sim.run uses) against a
+  (* the non-allocating pop_exn path (what Sim.run uses) against a
      reference sorted-list model under interleaved pushes and pops; the
-     total order is (time, weight, seq) ascending, seq = push order *)
-  QCheck.Test.make ~name:"evq pop_exn/drain matches sorted-list model"
+     total order is (time, weight, seq) ascending, seq = push order.
+     Each push takes a fresh pid, so it must come back with its event *)
+  QCheck.Test.make ~name:"evq pop_exn matches sorted-list model"
     ~count:300
     QCheck.(list (pair bool (pair (int_bound 50) (int_bound 3))))
     (fun script ->
@@ -238,19 +259,16 @@ let test_evq_model =
               | m :: rest, false ->
                   model := rest;
                   let e = Pqsim.Evq.pop_exn q in
-                  if (e.Pqsim.Evq.time, e.Pqsim.Evq.weight, e.Pqsim.Evq.seq) <> m
-                  then ok := false
+                  if Pqsim.Evq.(e.time, e.weight, e.seq, e.pid) <> m then
+                    ok := false
             end
             else begin
-              Pqsim.Evq.push q ~time ~weight ignore;
-              model := List.merge compare !model [ (time, weight, !seq) ];
+              evq_push q ~weight ~pid:!seq time;
+              model := List.merge compare !model [ (time, weight, !seq, !seq) ];
               incr seq
             end)
           script;
-        let rest = ref [] in
-        Pqsim.Evq.drain q (fun e ->
-            rest := (e.Pqsim.Evq.time, e.Pqsim.Evq.weight, e.Pqsim.Evq.seq) :: !rest);
-        !ok && List.rev !rest = !model
+        !ok && evq_drain q = !model
       in
       pass ()
       &&
@@ -264,29 +282,16 @@ let test_evq_total_stable_order =
     QCheck.(list (pair (int_bound 50) (int_bound 3)))
     (fun events ->
       let q = Pqsim.Evq.create () in
-      let out = ref [] in
-      List.iteri
-        (fun seq (time, weight) ->
-          Pqsim.Evq.push q ~time ~weight (fun () ->
-              out := (time, weight, seq) :: !out))
-        events;
-      let rec drain () =
-        match Pqsim.Evq.pop q with
-        | None -> ()
-        | Some e ->
-            e.Pqsim.Evq.run ();
-            drain ()
-      in
-      drain ();
-      let popped = List.rev !out in
+      List.iteri (fun pid (time, weight) -> evq_push q ~weight ~pid time) events;
+      let popped = List.map (fun (t, w, _, pid) -> (t, w, pid)) (evq_drain q) in
       List.length popped = List.length events
       && popped = List.sort compare popped)
 
-(* the original binary-heap Evq, kept verbatim as the reference model
-   for the ladder queue: same (time, weight, seq) total order, seq
-   assigned in push order *)
+(* the original binary-heap Evq, kept as the reference model for the
+   ladder queue: same (time, weight, seq) total order, seq assigned in
+   push order; an event carries its pid and value as payload *)
 module Heap_ref = struct
-  type event = { time : int; weight : int; seq : int }
+  type event = { time : int; weight : int; seq : int; pid : int; v : int }
 
   type t = {
     mutable heap : event array;
@@ -294,7 +299,7 @@ module Heap_ref = struct
     mutable next_seq : int;
   }
 
-  let dummy = { time = 0; weight = 0; seq = 0 }
+  let dummy = { time = 0; weight = 0; seq = 0; pid = -1; v = 0 }
   let create () = { heap = Array.make 256 dummy; size = 0; next_seq = 0 }
   let is_empty t = t.size = 0
 
@@ -308,9 +313,9 @@ module Heap_ref = struct
     Array.blit t.heap 0 heap 0 t.size;
     t.heap <- heap
 
-  let push t ~time ~weight =
+  let push t ~time ~weight ~pid ~v =
     if t.size = Array.length t.heap then grow t;
-    let e = { time; weight; seq = t.next_seq } in
+    let e = { time; weight; seq = t.next_seq; pid; v } in
     t.next_seq <- t.next_seq + 1;
     let rec up i =
       if i = 0 then t.heap.(0) <- e
@@ -409,10 +414,14 @@ let ladder_script_arb =
     ladder_script_gen
 
 let test_evq_ladder_vs_heap =
+  (* the engine's shape of stream: at most one pending event per pid, a
+     popped pid pushing again soon after (pids recycle LIFO, as a
+     processor rescheduling itself does), checks and resumes mixed *)
   QCheck.Test.make ~name:"evq ladder matches old binary heap" ~count:400
     ladder_script_arb (fun script ->
       let q = Pqsim.Evq.create () in
       let h = Heap_ref.create () in
+      let free = ref (List.init 48 Fun.id) in
       let ok = ref true in
       let pop_both () =
         match Pqsim.Evq.is_empty q, Heap_ref.is_empty h with
@@ -420,17 +429,31 @@ let test_evq_ladder_vs_heap =
         | false, false ->
             let e = Pqsim.Evq.pop_exn q in
             let m = Heap_ref.pop_exn h in
+            let kind =
+              if m.Heap_ref.v land 1 = 0 then Pqsim.Evq.Resume
+              else Pqsim.Evq.Check
+            in
             if
-              (e.Pqsim.Evq.time, e.Pqsim.Evq.weight, e.Pqsim.Evq.seq)
-              <> (m.Heap_ref.time, m.Heap_ref.weight, m.Heap_ref.seq)
-            then ok := false
+              Pqsim.Evq.(e.time, e.weight, e.seq, e.pid, e.v, e.kind)
+              <> Heap_ref.(m.time, m.weight, m.seq, m.pid, m.v, kind)
+            then ok := false;
+            free := e.Pqsim.Evq.pid :: !free
         | _ -> ok := false
       in
       List.iter
         (function
           | `Push (time, weight) ->
-              Pqsim.Evq.push q ~time ~weight ignore;
-              Heap_ref.push h ~time ~weight
+              if !free = [] then pop_both ();
+              (match !free with
+              | pid :: rest ->
+                  free := rest;
+                  let v = time + weight in
+                  let kind =
+                    if v land 1 = 0 then Pqsim.Evq.Resume else Pqsim.Evq.Check
+                  in
+                  evq_push q ~kind ~weight ~v ~pid time;
+                  Heap_ref.push h ~time ~weight ~pid ~v
+              | [] -> ok := false)
           | `Pop -> pop_both ()
           | `Drain_some ->
               for _ = 1 to 3 do
@@ -450,115 +473,90 @@ let test_evq_rung_rollover () =
   let times =
     [ 4095; 4096; 4097; 0; 1; 8191; 8192; 8193; 123_456; 12_288; 4095; 2 ]
   in
-  List.iter (fun time -> Pqsim.Evq.push q ~time ignore) times;
-  let out = ref [] in
-  Pqsim.Evq.drain q (fun e -> out := e.Pqsim.Evq.time :: !out);
+  List.iteri (fun pid time -> evq_push q ~pid time) times;
   Alcotest.(check (list int))
-    "rollover order" (List.sort compare times) (List.rev !out)
+    "rollover order" (List.sort compare times)
+    (List.map (fun (t, _, _, _) -> t) (evq_drain q))
 
 let test_evq_seq_monotone_recycle () =
-  (* regression: arena recycling must not disturb [next_seq] — a record
-     reused from the freelist still gets a fresh, strictly larger seq,
-     so same-(time, weight) batches pushed after heavy recycling still
-     pop in push order *)
+  (* regression: slot reuse must not disturb [next_seq] — a pid that
+     pushes again after its pop still gets a fresh, strictly larger seq,
+     so same-(time, weight) batches pushed after heavy reuse still pop
+     in push order *)
   let q = Pqsim.Evq.create () in
   let last_seq = ref (-1) in
   let ok = ref true in
   for round = 0 to 99 do
-    for _ = 0 to 9 do
-      (* same time, same weight: only seq orders these *)
-      Pqsim.Evq.push q ~time:(round * 17) ignore
+    for i = 0 to 9 do
+      (* same time, same weight: only seq orders these; the pids go in
+         a different order each round *)
+      evq_push q ~pid:((i + (3 * round)) mod 10) (round * 17)
     done;
-    for _ = 0 to 9 do
+    for i = 0 to 9 do
       let e = Pqsim.Evq.pop_exn q in
       if e.Pqsim.Evq.seq <= !last_seq then ok := false;
+      if e.Pqsim.Evq.pid <> (i + (3 * round)) mod 10 then ok := false;
       last_seq := e.Pqsim.Evq.seq
     done
   done;
-  Alcotest.(check bool) "seq strictly increases across recycling" true !ok;
-  Alcotest.(check int) "all events popped" 0 (Pqsim.Evq.length q);
+  Alcotest.(check bool) "seq strictly increases across slot reuse" true !ok;
+  check_bool "all events popped" true (Pqsim.Evq.is_empty q);
   Alcotest.(check int) "pop counter" 1000 (Pqsim.Evq.pops q)
 
 let test_evq_arena_growth =
-  (* the arena starts small and doubles: scripts that keep dozens of
-     events pending, closure events and resume events mixed, must pop
-     exactly as the sorted-list model says — key, kind and payload —
-     across every growth *)
-  QCheck.Test.make ~name:"evq arena growth, closures and resumes mixed"
+  (* the slot arrays start small and grow to cover the highest pid:
+     scripts that keep dozens of events pending, check events and resume
+     events mixed, must pop exactly as the sorted-list model says — key,
+     pid, kind and value — across every growth *)
+  QCheck.Test.make ~name:"evq slot growth, checks and resumes mixed"
     ~count:200
     QCheck.(
       list_of_size
         Gen.(int_range 0 400)
         (triple (int_bound 3) (int_bound 200) (int_bound 3)))
     (fun script ->
-      (* forty pushes first: the arena must have grown before the script *)
+      (* forty pushes first: the slots must have grown before the script *)
       let script = List.init 40 (fun i -> (1 + (i mod 2), 5 * i, i mod 3)) @ script in
       let q = Pqsim.Evq.create () in
       let model = ref [] and seq = ref 0 and ok = ref true in
-      let ran = ref (-1) in
+      (* each push takes the lowest pid with no pending event *)
+      let busy = Array.make 1000 false in
+      let rec free_pid p = if busy.(p) then free_pid (p + 1) else p in
       let pending = ref 0 and peak = ref 0 in
       let check_pop () =
         match !model with
         | [] -> ok := !ok && Pqsim.Evq.is_empty q
-        | ((time, weight, sq), kind) :: rest ->
+        | (key, payload) :: rest ->
             model := rest;
             decr pending;
             let e = Pqsim.Evq.pop_exn q in
-            let key = (e.Pqsim.Evq.time, e.Pqsim.Evq.weight, e.Pqsim.Evq.seq) in
-            let payload_ok =
-              match kind with
-              | `Resume (pid, v) -> e.Pqsim.Evq.pid = pid && e.Pqsim.Evq.v = v
-              | `Closure ->
-                  e.Pqsim.Evq.pid = -1
-                  &&
-                  (e.Pqsim.Evq.run ();
-                   !ran = sq)
-            in
-            ok := !ok && key = (time, weight, sq) && payload_ok
-      in
-      let add key kind =
-        model := List.merge compare !model [ (key, kind) ];
-        incr seq;
-        incr pending;
-        peak := max !peak !pending
+            busy.(e.Pqsim.Evq.pid) <- false;
+            ok :=
+              !ok
+              && Pqsim.Evq.((e.time, e.weight, e.seq), (e.pid, e.kind, e.v))
+                 = (key, payload)
       in
       List.iter
         (fun (op, time, weight) ->
-          match op with
-          | 0 -> check_pop ()
-          | 1 ->
-              let sq = !seq in
-              Pqsim.Evq.push q ~time ~weight (fun () -> ran := sq);
-              add (time, weight, sq) `Closure
-          | _ ->
-              let pid = weight and v = time * 7 in
-              Pqsim.Evq.push_resume q ~time ~pid ~v;
-              add (time, 0, !seq) (`Resume (pid, v)))
+          if op = 0 then check_pop ()
+          else begin
+            let pid = free_pid 0 in
+            busy.(pid) <- true;
+            let kind, weight, v =
+              if op = 1 then (Pqsim.Evq.Check, weight, 0)
+              else (Pqsim.Evq.Resume, 0, time * 7)
+            in
+            evq_push q ~kind ~weight ~v ~pid time;
+            model := List.merge compare !model [ ((time, weight, !seq), (pid, kind, v)) ];
+            incr seq;
+            incr pending;
+            peak := max !peak !pending
+          end)
         script;
       while !model <> [] do
         check_pop ()
       done;
       !ok && Pqsim.Evq.is_empty q && !peak >= 40)
-
-let test_evq_reset_drops_thunks () =
-  (* a popped closure's thunk stays in the arena and the view until
-     [reset]; after it, nothing the queue held keeps the thunk alive *)
-  let q = Pqsim.Evq.create () in
-  let w = Weak.create 1 in
-  (let payload = Bytes.make 64 'x' in
-   Weak.set w 0 (Some payload);
-   Pqsim.Evq.push q ~time:3 (fun () -> ignore (Sys.opaque_identity payload));
-   (Pqsim.Evq.pop_exn q).Pqsim.Evq.run ());
-  Gc.full_major ();
-  check_bool "held by the queue before reset" true (Weak.check w 0);
-  Pqsim.Evq.reset q;
-  Gc.full_major ();
-  check_bool "collectable after reset" false (Weak.check w 0);
-  Pqsim.Evq.push q ~time:1 ignore;
-  check_bool "reset refuses a queue with events pending" true
-    (match Pqsim.Evq.reset q with
-    | () -> false
-    | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Mem (host-side behaviour) *)
@@ -647,28 +645,25 @@ let test_mem_read_write () =
   let m = mk_mem 4 in
   let a = Pqsim.Mem.alloc m 1 in
   let t1 = Pqsim.Mem.write m ~proc:0 ~now:0 a 42 in
-  let t2, v = Pqsim.Mem.read m ~proc:1 ~now:t1 a in
-  check_int "value" 42 v;
+  let t2 = Pqsim.Mem.read_t m ~proc:1 ~now:t1 a in
+  check_int "value" 42 (Pqsim.Mem.out m);
   check_bool "time advances" true (t2 > t1)
 
 let test_mem_cache_hit_cheaper () =
   let m = mk_mem 4 in
   let a = Pqsim.Mem.alloc m 1 in
-  let t1, _ = Pqsim.Mem.read m ~proc:0 ~now:0 a in
-  let t2, _ = Pqsim.Mem.read m ~proc:0 ~now:t1 a in
+  let t1 = Pqsim.Mem.read_t m ~proc:0 ~now:0 a in
+  let t2 = Pqsim.Mem.read_t m ~proc:0 ~now:t1 a in
   check_bool "second read cheaper" true (t2 - t1 < t1)
 
 let test_mem_write_invalidates () =
   let m = mk_mem 4 in
   let a = Pqsim.Mem.alloc m 1 in
-  let t1, _ = Pqsim.Mem.read m ~proc:0 ~now:0 a in
-  let hit_cost =
-    let t2, _ = Pqsim.Mem.read m ~proc:0 ~now:t1 a in
-    t2 - t1
-  in
+  let t1 = Pqsim.Mem.read_t m ~proc:0 ~now:0 a in
+  let hit_cost = Pqsim.Mem.read_t m ~proc:0 ~now:t1 a - t1 in
   let t3 = Pqsim.Mem.write m ~proc:1 ~now:0 a 5 in
-  let t4, v = Pqsim.Mem.read m ~proc:0 ~now:t3 a in
-  check_int "sees new value" 5 v;
+  let t4 = Pqsim.Mem.read_t m ~proc:0 ~now:t3 a in
+  check_int "sees new value" 5 (Pqsim.Mem.out m);
   check_bool "invalidated: read is a miss" true (t4 - t3 > hit_cost)
 
 let test_mem_contention_serializes () =
@@ -677,9 +672,7 @@ let test_mem_contention_serializes () =
   (* many atomics issued at the same cycle must finish at distinct,
      increasing times *)
   let times =
-    List.init 8 (fun p ->
-        let t, _ = Pqsim.Mem.faa m ~proc:p ~now:0 a 1 in
-        t)
+    List.init 8 (fun p -> Pqsim.Mem.faa_t m ~proc:p ~now:0 a 1)
   in
   let sorted = List.sort_uniq compare times in
   check_int "distinct completion times" 8 (List.length sorted);
@@ -689,18 +682,20 @@ let test_mem_cas_semantics () =
   let m = mk_mem 2 in
   let a = Pqsim.Mem.alloc m 1 in
   Pqsim.Mem.poke m a 10;
-  let _, ok1 = Pqsim.Mem.cas m ~proc:0 ~now:0 a ~expected:10 ~desired:11 in
-  let _, ok2 = Pqsim.Mem.cas m ~proc:0 ~now:0 a ~expected:10 ~desired:12 in
-  check_bool "first cas wins" true ok1;
-  check_bool "second cas fails" false ok2;
+  let cas ~desired =
+    ignore (Pqsim.Mem.cas_t m ~proc:0 ~now:0 a ~expected:10 ~desired);
+    Pqsim.Mem.out m = 1
+  in
+  check_bool "first cas wins" true (cas ~desired:11);
+  check_bool "second cas fails" false (cas ~desired:12);
   check_int "final value" 11 (Pqsim.Mem.peek m a)
 
 let test_mem_swap () =
   let m = mk_mem 2 in
   let a = Pqsim.Mem.alloc m 1 in
   Pqsim.Mem.poke m a 3;
-  let _, old = Pqsim.Mem.swap m ~proc:0 ~now:0 a 9 in
-  check_int "old" 3 old;
+  ignore (Pqsim.Mem.swap_t m ~proc:0 ~now:0 a 9);
+  check_int "old" 3 (Pqsim.Mem.out m);
   check_int "new" 9 (Pqsim.Mem.peek m a)
 
 (* Reservation reuse.  A memory's tables go back to the registry when the
@@ -727,12 +722,12 @@ let test_mem_reuse_reads_fresh () =
    List.iter
      (fun a ->
        Pqsim.Mem.poke m a 5;
-       ignore (Pqsim.Mem.read m ~proc:0 ~now:0 a);
-       ignore (Pqsim.Mem.read m ~proc:65 ~now:0 a);
-       ignore (Pqsim.Mem.faa m ~proc:1 ~now:0 a 1);
-       ignore (Pqsim.Mem.faa m ~proc:2 ~now:0 a 1);
-       ignore (Pqsim.Mem.read m ~proc:3 ~now:0 a);
-       ignore (Pqsim.Mem.read m ~proc:66 ~now:0 a);
+       ignore (Pqsim.Mem.read_t m ~proc:0 ~now:0 a);
+       ignore (Pqsim.Mem.read_t m ~proc:65 ~now:0 a);
+       ignore (Pqsim.Mem.faa_t m ~proc:1 ~now:0 a 1);
+       ignore (Pqsim.Mem.faa_t m ~proc:2 ~now:0 a 1);
+       ignore (Pqsim.Mem.read_t m ~proc:3 ~now:0 a);
+       ignore (Pqsim.Mem.read_t m ~proc:66 ~now:0 a);
        Pqsim.Mem.watch m ~addr:a ~pid:4;
        Pqsim.Mem.declare_sync m ~addr:a ~len:1;
        check_bool "dirty: queued" true (Pqsim.Mem.line_wait m a > 0);
@@ -740,8 +735,8 @@ let test_mem_reuse_reads_fresh () =
        check_bool "dirty: traffic" true (Pqsim.Mem.line_traffic m a > 0))
      lines;
    (* a swap, a CAS and a write on lines of their own *)
-   ignore (Pqsim.Mem.swap m ~proc:5 ~now:0 250_001 9);
-   ignore (Pqsim.Mem.cas m ~proc:5 ~now:0 250_002 ~expected:0 ~desired:9);
+   ignore (Pqsim.Mem.swap_t m ~proc:5 ~now:0 250_001 9);
+   ignore (Pqsim.Mem.cas_t m ~proc:5 ~now:0 250_002 ~expected:0 ~desired:9);
    ignore (Pqsim.Mem.write m ~proc:5 ~now:0 250_003 9));
   Gc.full_major ();
   check_int "the dead memory's reservation is free" 1 (Pqsim.Mem.pooled ());
@@ -760,7 +755,7 @@ let test_mem_reuse_reads_fresh () =
       check_bool "not a sync line" false (Pqsim.Mem.is_sync m a);
       for proc = 0 to nprocs - 1 do
         let before = Pqsim.Mem.misses m in
-        ignore (Pqsim.Mem.read m ~proc ~now:0 a);
+        ignore (Pqsim.Mem.read_t m ~proc ~now:0 a);
         check_int "first read misses" (before + 1) (Pqsim.Mem.misses m)
       done;
       ignore (Pqsim.Mem.write m ~proc:0 ~now:0 a 1);
@@ -1293,8 +1288,8 @@ let () =
           Alcotest.test_case "rung rollover" `Quick test_evq_rung_rollover;
           Alcotest.test_case "seq monotone across recycling" `Quick
             test_evq_seq_monotone_recycle;
-          Alcotest.test_case "reset drops thunks" `Quick
-            test_evq_reset_drops_thunks;
+          Alcotest.test_case "one pending event per pid" `Quick
+            test_evq_one_pending_per_pid;
         ] );
       qsuite "evq-props"
         [

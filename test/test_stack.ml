@@ -1,21 +1,24 @@
 (* Stack-safety regression for the engine's direct-handoff dispatch.
 
-   Every handler, [retc] and event thunk of [Sim.run] ends by tail-calling
-   the dispatcher, which tail-calls the next continuation or thunk, so a
-   run's host stack stays flat however many events it executes.  A
-   dispatch call left out of tail position leaves one frame behind per
-   event; [dune runtest] therefore runs this program under a 16k-word
-   stack limit (OCAMLRUNPARAM=l=16k), where a million leftover frames
-   overflow at once.  It drives both kinds of event:
+   Every handler, [retc] and wait check of [Sim.run] ends by tail-calling
+   the dispatcher, which tail-calls the next processor's continuation or
+   wait check, so a run's host stack stays flat however many events it
+   executes.  A dispatch call left out of tail position leaves one frame
+   behind per event; [dune runtest] therefore runs this program under a
+   16k-word stack limit (OCAMLRUNPARAM=l=16k), where a million leftover
+   frames overflow at once.  It drives both kinds of event, under both
+   kinds of policy:
 
    - rounds on one flag word: one processor works, then bumps the flag,
      while the others wait for it with [Api.wait_change], so every round
      parks and wakes each of them (wait checks, resume events, the park
-     branch of the check);
+     branch of the check), once under the default policy and once under
+     a random-preemption policy, whose verdicts schedule the wait checks
+     too;
    - a shared counter under a random-preemption policy: every effect is
-     rescheduled through a policy thunk.
+     rescheduled through the policy's verdict.
 
-   Exits 1 if either run executes fewer than a million events or ends
+   Exits 1 if any run executes fewer than a million events or ends
    with the wrong result, or if the waiters park in fewer than half the
    flag rounds. *)
 
@@ -31,7 +34,8 @@ let check name ~events ok =
     exit 1
   end
 
-let () =
+(* rounds on one flag word, under [policy] *)
+let flag_rounds name ?policy () =
   let nprocs = 8 and rounds = 70_000 in
   let parks = ref 0 in
   let sink =
@@ -41,7 +45,7 @@ let () =
     }
   in
   let flag, r =
-    Sim.run ~nprocs ~probe:(Probe.make ~sink ())
+    Sim.run ~nprocs ?policy ~probe:(Probe.make ~sink ())
       ~setup:(fun mem -> Mem.alloc mem 1)
       ~program:(fun flag pid ->
         for round = 1 to rounds do
@@ -59,8 +63,15 @@ let () =
       ()
   in
   (* every waiter parks in (nearly) every round *)
-  check "flag rounds (wait_change)" ~events:r.Sim.events
+  check name ~events:r.Sim.events
     (Mem.peek r.Sim.mem flag = rounds && !parks >= (nprocs - 1) * rounds / 2)
+
+let () = flag_rounds "flag rounds (wait_change)" ()
+
+let () =
+  flag_rounds "flag rounds (wait_change, random preemption)"
+    ~policy:(Pqexplore.Policy.random ~seed:7 ())
+    ()
 
 let () =
   let nprocs = 4 and incs = 300_000 in
