@@ -73,14 +73,14 @@ let () =
      one fixed shape (independent of --scale, so the section is
      comparable across quick and full documents) *)
   let audit =
-    let reports = Pqanalysis.Audit.run ~jobs in
+    let reports = Pqanalysis.Audit.(run ~jobs config) in
     let failing =
       List.filter (fun r -> Pqanalysis.Audit.findings r <> []) reports
     in
     Printf.printf "\nAnalyzer audit (races, lock order, rank): %s\n"
       (if failing = [] then "pass" else "FAIL");
     Format.printf "%a@." Pqanalysis.Audit.pp reports;
-    Pqanalysis.Audit.to_json reports
+    Pqanalysis.Audit.(to_json config reports)
   in
   (* the chaos-matrix section: the `pqbench chaos` verdict table at its
      quick configuration, seed 42 only (a fixed shape independent of

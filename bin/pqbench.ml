@@ -251,42 +251,26 @@ let explore_cmd =
       & info [ "budget" ] ~docv:"N" ~doc:"Schedules to explore per queue.")
   in
   let max_states =
-    Arg.(
-      value & opt int 300_000
-      & info [ "max-states" ] ~docv:"M"
-          ~doc:
-            "State bound for each linearizability search (quiescent \
-             consistency is decided without a search).")
+    Terms.unset Arg.int
+      (Arg.info [ "max-states" ] ~docv:"M"
+         ~doc:
+           "State bound for each linearizability search (quiescent \
+            consistency is decided without a search).")
   in
-  let run queue policy budget procs priorities ops seed max_states =
+  let run queue policy budget nprocs npriorities ops_per_proc seed max_states =
     match Pqexplore.Explore.policy_kind_of_string policy with
     | Error e -> `Error (false, e)
     | Ok policy -> (
         match Terms.resolve_queues queue with
         | Error e -> `Error (false, e)
         | Ok queues ->
-            let reports =
-              List.map
-                (fun q ->
-                  let cfg =
-                    Pqexplore.Driver.config ~nprocs:procs
-                      ~npriorities:priorities ~ops_per_proc:ops ~max_states q
-                  in
-                  Pqexplore.Explore.run ~cfg ~seed ~queue:q ~policy ~budget ())
-                queues
+            let text, inconsistent =
+              Pqexplore.Explore.report ?nprocs ?npriorities ?ops_per_proc
+                ?max_states ?seed ~policy ~budget queues
             in
-            Terms.gate
-              (String.concat ""
-                 (List.map
-                    (Format.asprintf "%a@." Pqexplore.Explore.pp_report)
-                    reports))
+            Terms.gate text
               (Terms.failing "quiescent-consistency violation found: "
-                 (List.filter_map
-                    (fun (r : Pqexplore.Explore.report) ->
-                      if r.level = Pqexplore.Verdict.Inconsistent then
-                        Some r.queue
-                      else None)
-                    reports)))
+                 inconsistent))
   in
   Cmd.v
     (Cmd.info "explore"
@@ -298,13 +282,16 @@ let explore_cmd =
         (const run
         $ Terms.queue ~default:"all"
             ~doc:"Queue algorithm, or $(b,all) for the paper's seven."
-        $ policy $ budget $ Terms.procs ~default:4
-        $ Terms.priorities ~default:8 $ Terms.ops ~default:5 $ Terms.seed
+        $ policy $ budget
+        $ Terms.(unset positive procs_info)
+        $ Terms.(unset positive priorities_info)
+        $ Terms.(unset positive ops_info)
+        $ Terms.(unset Arg.int seed_info)
         $ max_states))
 
 let audit_cmd =
   let run report jobs =
-    let reports = Pqanalysis.Audit.run ~jobs in
+    let reports = Pqanalysis.Audit.(run ~jobs config) in
     Terms.gate ?report
       (Format.asprintf "%a" Pqanalysis.Audit.pp reports)
       (Terms.failing "audit findings in: "

@@ -4,17 +4,19 @@
    select a run — queue, processor count, priority range, accesses per
    processor, seed — are defined once here.  Defaults differ per command
    (an exploration run wants a tiny schedule space, a benchmark a
-   realistic one) and are passed in; the seed default is the one global:
-   every command, like Workload.spec, starts from [default_seed]. *)
+   realistic one) and are passed in, or left [unset] where the library
+   call the command makes owns them (explore); the seed default is
+   otherwise the one global: every command, like Workload.spec, starts
+   from [default_seed]. *)
 
 open Cmdliner
 
 let default_seed = 42
 
-let seed =
-  Arg.(
-    value & opt int default_seed
-    & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic simulation seed.")
+let seed_info =
+  Arg.info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic simulation seed."
+
+let seed = Arg.(value & opt int default_seed seed_info)
 
 (* a count of things (processors, priorities, accesses, schedules): zero
    or a negative value is a usage error that names the option *)
@@ -26,20 +28,20 @@ let positive =
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
-let procs ~default =
-  Arg.(
-    value & opt positive default
-    & info [ "procs"; "p" ] ~docv:"P" ~doc:"Simulated processors.")
+let procs_info =
+  Arg.info [ "procs"; "p" ] ~docv:"P" ~doc:"Simulated processors."
+let priorities_info =
+  Arg.info [ "priorities"; "n" ] ~docv:"N" ~doc:"Priority range."
+let ops_info =
+  Arg.info [ "ops" ] ~docv:"OPS" ~doc:"Queue accesses per processor."
 
-let priorities ~default =
-  Arg.(
-    value & opt positive default
-    & info [ "priorities"; "n" ] ~docv:"N" ~doc:"Priority range.")
+let procs ~default = Arg.(value & opt positive default procs_info)
+let priorities ~default = Arg.(value & opt positive default priorities_info)
+let ops ~default = Arg.(value & opt positive default ops_info)
 
-let ops ~default =
-  Arg.(
-    value & opt positive default
-    & info [ "ops" ] ~docv:"OPS" ~doc:"Queue accesses per processor.")
+(* an option whose default belongs to the library call that reads it:
+   [None] when not given *)
+let unset c i = Arg.(value & opt (some c) None i)
 
 let queue ~default ~doc =
   Arg.(value & opt string default & info [ "queue" ] ~docv:"NAME" ~doc)

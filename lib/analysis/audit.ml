@@ -1,97 +1,66 @@
 module Scenario = Pqbenchlib.Scenario
-module Monitor = Pqcheck.Monitor
+module Driver = Pqchaos.Driver
 module Policy = Pqexplore.Policy
 
-(* The matrix.  Seed-major cell order (per seed: default, random, pct)
-   fixes which witness Lockdep.merge keeps. *)
+(* The chaos driver runs each (queue, seed) group in [scheds] order,
+   default first; that order fixes which witness Lockdep.merge keeps. *)
+let config =
+  {
+    Driver.default with
+    queues = Pqcore.Registry.names @ [ "Adaptive" ];
+    scenarios = [ Scenario.name Scenario.coinflip ];
+    plans = [ None ];
+    scheds = Policy.[ Default; Random; Pct ];
+    seeds = [ 42; 1; 7 ];
+    nprocs = 16;
+    npriorities = 16;
+    ops_per_proc = 40;
+  }
 
-let queues = Pqcore.Registry.names @ [ "Adaptive" ]
-let nprocs = 16
-let npriorities = 16
-let ops_per_proc = 40
-let seeds = [ 42; 1; 7 ]
-
-let schedules = Policy.[ Default; Random; Pct ]
-
-type cell = { queue : string; schedule : Policy.name; seed : int }
-
-let cells =
-  List.concat_map
-    (fun queue ->
-      List.concat_map
-        (fun seed ->
-          List.map (fun schedule -> { queue; schedule; seed }) schedules)
-        seeds)
-    queues
-
-let label c = Printf.sprintf "%s/s%d" (Policy.string_of_name c.schedule) c.seed
-
-let run_sim ?probe c =
-  let create =
-    (* the meta-queue is not in the registry; build it over the same
-       memory via run_sim's construction hook, label unchanged *)
-    if String.equal c.queue "Adaptive" then
-      Some
-        (fun mem params ->
-          fst (Pqadapt.Meta.create Pqadapt.Meta.default mem params))
-    else None
-  in
-  Scenario.run_sim ?probe
-    ?policy:(Policy.named c.schedule ~seed:c.seed ~nprocs)
-    ?create ~queue:c.queue ~nprocs ~npriorities ~ops_per_proc ~seed:c.seed
-    Scenario.coinflip
+let label (c : Driver.cell) = Printf.sprintf "%s/s%d" c.sched c.seed
 
 (* ------------------------------------------------------------------ *)
-(* One cell, one probe, every analyzer.                                *)
+(* One probe per run, every analyzer.                                  *)
 
 type observed = {
-  cell : cell;
-  cycles : int;
   events : int;
   races : Races.race list;
   locks : Lockdep.analysis;
-  monitor : Monitor.report;
-  aborted : string option;
-  check : (unit, string) result;
+  delay : int;
 }
 
-let run_cell cell =
+let probe () =
   let races = Races.observer () and locks = Lockdep.observer () in
   let probe =
     Pqsim.Probe.make ~sink:(Races.sink races)
       ~notes:{ note = Lockdep.feed locks }
       ()
   in
-  let o = run_sim ~probe cell in
-  let aborted = Option.map Printexc.to_string o.aborted in
-  {
-    cell;
-    cycles = o.cycles;
-    events = Races.events races;
-    races =
-      (match o.mem with Some mem -> Races.analyze ~mem races | None -> []);
-    (* an aborted run ends mid-flight: leftover holds are the abort's
-       symptom, not a leak — judge quiescence only on completed runs *)
-    locks =
-      Lockdep.analyze ~sched:(label cell)
-        ?label:(Option.map Pqsim.Mem.name_of o.mem)
-        ~quiescent:(aborted = None) locks;
-    monitor = o.monitor;
-    aborted;
-    check = o.check;
-  }
+  let finish cell (o : Scenario.outcome) =
+    {
+      events = Races.events races;
+      races =
+        (match o.mem with Some mem -> Races.analyze ~mem races | None -> []);
+      (* an aborted run ends mid-flight: leftover holds are the abort's
+         symptom, not a leak — judge quiescence only on completed runs *)
+      locks =
+        Lockdep.analyze ~sched:(label cell)
+          ?label:(Option.map Pqsim.Mem.name_of o.mem)
+          ~quiescent:(o.aborted = None) locks;
+      delay = o.monitor.rank.max_delay;
+    }
+  in
+  (probe, finish)
 
 (* ------------------------------------------------------------------ *)
 (* Per-queue merge and the exit rule.                                  *)
 
 type report = {
   queue : string;
-  cells : int;
+  cells : Driver.cell list;
   events : int;
   races : Races.race list;
   locks : Lockdep.analysis;
-  aborted : (string * string) list;
-  failed_checks : (string * string) list;
   bound : int;
   worst_rank : int;
   worst_cell : string;
@@ -119,48 +88,40 @@ let merge_races observed =
   Hashtbl.fold (fun _ r acc -> r :: acc) merged []
   |> List.sort (fun a b -> compare (race_key a) (race_key b))
 
-let merge queue observed =
-  let per_cell f =
-    List.concat_map
-      (fun (o : observed) ->
-        List.map (fun msg -> (label o.cell, msg)) (f o))
-      observed
-  in
+let merge queue runs =
+  let cells = List.map fst runs and observed = List.filter_map snd runs in
   let worst =
     List.fold_left
-      (fun (w, _ as acc) (o : observed) ->
-        if o.monitor.rank.max_rank > w then
-          (o.monitor.rank.max_rank, label o.cell)
-        else acc)
-      (0, match observed with o :: _ -> label o.cell | [] -> "-")
-      observed
+      (fun (w, _ as acc) (c : Driver.cell) ->
+        if c.worst_rank > w then (c.worst_rank, label c) else acc)
+      (0, match cells with c :: _ -> label c | [] -> "-")
+      cells
   in
   {
     queue;
-    cells = List.length observed;
+    cells;
     events = List.fold_left (fun n (o : observed) -> n + o.events) 0 observed;
     races = merge_races observed;
     locks = Lockdep.merge (List.map (fun (o : observed) -> o.locks) observed);
-    aborted = per_cell (fun o -> Option.to_list o.aborted);
-    failed_checks =
-      (* an aborted run is already a finding; its checks are moot *)
-      per_cell (fun o ->
-          match o.check with
-          | Error msg when o.aborted = None -> [ msg ]
-          | _ -> []);
+    (* the queue's own bound: a dangling op widens only its cell's *)
     bound =
-      Option.value ~default:0
-        (Pqcore.Multi_queue.rank_bound_for queue ~nprocs);
+      List.fold_left (fun b (c : Driver.cell) -> min b c.bound) max_int cells;
     worst_rank = fst worst;
     worst_cell = snd worst;
     worst_delay =
-      List.fold_left
-        (fun m (o : observed) -> max m o.monitor.rank.max_delay)
-        0 observed;
+      List.fold_left (fun m (o : observed) -> max m o.delay) 0 observed;
   }
 
 let cycles r = Lockdep.cycles r.locks
 
+let count p r =
+  List.length (List.filter (fun (c : Driver.cell) -> p c.verdict) r.cells)
+
+let blocked = count (function Driver.Blocked _ -> true | _ -> false)
+let unsafe = count (function Driver.Safety_violation _ -> true | _ -> false)
+
+(* the audit's own findings, then the chaos gate's verdict on its cells:
+   aborted, failed check, rank over bound *)
 let findings r =
   List.map
     (fun (race : Races.race) ->
@@ -171,22 +132,14 @@ let findings r =
     r.races
   @ List.map (fun c -> "lock " ^ Lockdep.signature (Cycle c)) (cycles r)
   @ List.map (fun d -> "lock " ^ Lockdep.signature (Discipline d)) r.locks.disc
-  @ List.map (fun (c, e) -> Printf.sprintf "aborted %s: %s" c e) r.aborted
-  @ List.map (fun (c, e) -> Printf.sprintf "check %s: %s" c e) r.failed_checks
-  @
-  if r.worst_rank > r.bound then
-    [
-      Printf.sprintf "rank %d over bound %d at %s" r.worst_rank r.bound
-        r.worst_cell;
-    ]
-  else []
+  @ Driver.gate r.cells
 
-let run ~jobs =
-  let observed = Pqbenchlib.Pool.map ~jobs run_cell cells in
+let run ~jobs cfg =
+  let runs = Driver.observe ~jobs cfg probe in
   List.map
     (fun q ->
-      merge q (List.filter (fun (o : observed) -> o.cell.queue = q) observed))
-    queues
+      merge q (List.filter (fun ((c : Driver.cell), _) -> c.queue = q) runs))
+    cfg.queues
 
 (* ------------------------------------------------------------------ *)
 (* Report.                                                             *)
@@ -194,7 +147,8 @@ let run ~jobs =
 let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>== %s: %d cells, %d events, %d lock events (%d try-fails) ==@,"
-    r.queue r.cells r.events r.locks.events_seen r.locks.try_fails;
+    r.queue (List.length r.cells) r.events r.locks.events_seen
+    r.locks.try_fails;
   Format.fprintf ppf
     "races %d; locks %d, order edges %d, cycles %d, discipline %d; worst \
      rank %d at %s (bound %d), worst delay %d@,"
@@ -222,18 +176,18 @@ let pp ppf reports =
         (List.length r.locks.edges)
         (List.length (cycles r))
         (List.length r.locks.disc)
-        (List.length r.aborted) r.bound r.worst_rank r.worst_delay
+        (blocked r) r.bound r.worst_rank r.worst_delay
         (if findings r = [] then "pass" else "FAIL"))
     reports;
   Format.fprintf ppf "@]@."
 
-let to_json reports =
+let to_json cfg reports =
   let open Pqtrace.Json in
   let row r =
     let f = findings r in
     let counts =
       [
-        ("cells", r.cells);
+        ("cells", List.length r.cells);
         ("events", r.events);
         ("races", List.length r.races);
         ("lock_events", r.locks.events_seen);
@@ -242,8 +196,8 @@ let to_json reports =
         ("edges", List.length r.locks.edges);
         ("cycles", List.length (cycles r));
         ("discipline", List.length r.locks.disc);
-        ("aborted", List.length r.aborted);
-        ("failed_checks", List.length r.failed_checks);
+        ("aborted", blocked r);
+        ("failed_checks", unsafe r);
         ("bound", r.bound);
         ("worst_rank", r.worst_rank);
         ("worst_delay", r.worst_delay);
@@ -259,12 +213,13 @@ let to_json reports =
   in
   Obj
     [
-      ("nprocs", Int nprocs);
-      ("npriorities", Int npriorities);
-      ("ops_per_proc", Int ops_per_proc);
+      ("nprocs", Int cfg.Driver.nprocs);
+      ("npriorities", Int cfg.npriorities);
+      ("ops_per_proc", Int cfg.ops_per_proc);
       ( "schedules",
-        List (List.map (fun s -> String (Policy.string_of_name s)) schedules) );
-      ("seeds", List (List.map (fun s -> Int s) seeds));
+        List (List.map (fun s -> String (Policy.string_of_name s)) cfg.scheds)
+      );
+      ("seeds", List (List.map (fun s -> Int s) cfg.seeds));
       ("pass", Bool (List.for_all (fun r -> findings r = []) reports));
       ("queues", List (List.map row reports));
     ]

@@ -1,95 +1,73 @@
-(** The analyzer audit: one fixed cell matrix, one probe per run, every
-    analyzer fed from it.
+(** The analyzer audit: a probed slice of the chaos matrix, one probe
+    per run, every analyzer fed from it.
 
-    Every {!Pqcore.Registry.names} queue plus the [Pqadapt] meta-queue
-    (["Adaptive"]) runs {!Pqbenchlib.Scenario.coinflip} at P=16, N=16,
-    40 ops per processor, under each of {!schedules} for each of
-    {!seeds}.  Each cell runs once through
-    {!Pqbenchlib.Scenario.run_sim} with one probe: its event sink feeds
-    the {!Races} detector and its note channel feeds {!Lockdep.feed}.
-    Rank error and conservation come from the streaming
-    {!Pqcheck.Monitor} that [run_sim] runs itself.
+    {!config} is a {!Pqchaos.Driver.config}: every
+    {!Pqcore.Registry.names} queue plus the [Pqadapt] meta-queue
+    (["Adaptive"]) runs the coin-flip scenario without faults at P=16,
+    N=16, 40 ops per processor, under the default, random and PCT
+    schedules for seeds 42, 1 and 7.  {!Pqchaos.Driver.observe} runs
+    each cell once with the probe of {!probe}: its event sink feeds the
+    {!Races} detector and its note channel feeds {!Lockdep.feed}.  Each
+    cell's verdict is {!Pqchaos.Driver.judge}'s, from the streaming
+    {!Pqcheck.Monitor} that [Scenario.run_sim] runs itself.
 
     A queue passes ({!findings} empty) when, over all its cells, there
-    are no data races, no lock-order cycles or discipline findings, no
-    aborted run, the scenario's check (which includes the monitor's
-    conservation) holds, and the worst rank error is within
-    {!Pqcore.Multi_queue.rank_bound_for} (0 for strict queues and
-    [Adaptive]).  Everything is deterministic per cell, so reports are
-    byte-identical for any [jobs]. *)
+    are no data races, no lock-order cycles or discipline findings, and
+    {!Pqchaos.Driver.gate} passes its cells: no aborted run, no failed
+    check, no rank error over {!Pqcore.Multi_queue.rank_bound_for} (0
+    for strict queues and [Adaptive]).  Everything is deterministic per
+    cell, so reports are byte-identical for any [jobs]. *)
 
-val queues : string list
-(** {!Pqcore.Registry.names} followed by ["Adaptive"] *)
-
-val schedules : Pqexplore.Policy.name list
-(** [[Default; Random; Pct]]: every named schedule, in the cell order
-    that fixes which witness {!Lockdep.merge} keeps *)
-
-val seeds : int list
-(** [42; 1; 7] *)
-
-val nprocs : int
-val npriorities : int
-val ops_per_proc : int
-
-type cell = { queue : string; schedule : Pqexplore.Policy.name; seed : int }
-
-val cells : cell list
-(** the matrix: per queue (in {!queues} order), per seed, per schedule *)
-
-val label : cell -> string
-(** ["<schedule>/s<seed>"] *)
-
-val run_sim : ?probe:Pqsim.Probe.t -> cell -> Pqbenchlib.Scenario.outcome
-(** run one cell's scenario under [probe] — the same run {!run_cell}
-    observes, for analyzers' solo runs *)
+val config : Pqchaos.Driver.config
+(** the audit's matrix; tests run slices of it *)
 
 type observed = {
-  cell : cell;
-  cycles : int;  (** simulated cycles; 0 when aborted *)
   events : int;  (** probe events the race detector consumed *)
   races : Races.race list;
   locks : Lockdep.analysis;
-  monitor : Pqcheck.Monitor.report;  (** {!Pqbenchlib.Scenario.outcome.monitor} *)
-  aborted : string option;
-  check : (unit, string) result;  (** {!Pqbenchlib.Scenario.outcome.check} *)
+  delay : int;  (** the monitor's worst delay *)
 }
 
-val run_cell : cell -> observed
-(** run a cell once with the composed {!Races} and {!Lockdep} probe and
-    fold every analyzer *)
+val probe :
+  unit ->
+  Pqsim.Probe.t
+  * (Pqchaos.Driver.cell -> Pqbenchlib.Scenario.outcome -> observed)
+(** a fresh composed {!Races} and {!Lockdep} probe, and the fold of
+    every analyzer once the cell has run under it *)
 
 type report = {
   queue : string;
-  cells : int;
+  cells : Pqchaos.Driver.cell list;  (** the queue's cells, in run order *)
   events : int;
   races : Races.race list;
       (** merged over cells by (label, first direction, second
           direction), occurrence counts summed *)
   locks : Lockdep.analysis;  (** {!Lockdep.merge} over cells *)
-  aborted : (string * string) list;  (** cell label, exception *)
-  failed_checks : (string * string) list;
-      (** cell label, scenario check message *)
-  bound : int;
+  bound : int;  (** the least of the cells' bounds *)
   worst_rank : int;
-  worst_cell : string;  (** where [worst_rank] was first reached *)
+  worst_cell : string;
+      (** ["<schedule>/s<seed>"] where [worst_rank] was first reached *)
   worst_delay : int;
 }
 
-val merge : string -> observed list -> report
-(** fold one queue's cell results, in list order *)
+val merge :
+  string -> (Pqchaos.Driver.cell * observed option) list -> report
+(** fold one queue's cells, in list order; [None] for a cell not run *)
 
 val findings : report -> string list
-(** the exit rule: one line per finding; empty iff the queue passes *)
+(** the exit rule: one line per race, lock-order cycle and discipline
+    finding, then {!Pqchaos.Driver.gate} over the cells; empty iff the
+    queue passes *)
 
-val run : jobs:int -> report list
-(** run {!cells} across [jobs] domains, one report per queue in
-    {!queues} order *)
+val run : jobs:int -> Pqchaos.Driver.config -> report list
+(** {!Pqchaos.Driver.observe} a matrix across [jobs] domains under
+    {!probe}, one report per queue in the config's order *)
 
 val pp : Format.formatter -> report list -> unit
 (** per-queue evidence blocks, then the summary table *)
 
-val to_json : report list -> Pqtrace.Json.t
-(** the reports as BENCH.json's [audit] section: the matrix shape, then
-    one row per queue with its pass flag, {!findings} and the counts
-    behind them *)
+val to_json : Pqchaos.Driver.config -> report list -> Pqtrace.Json.t
+(** the reports of a run of a config as BENCH.json's [audit] section:
+    the matrix shape, then one row per queue with its pass flag,
+    {!findings} and the counts behind them ([aborted]: blocked cells,
+    [failed_checks]: cells with a safety violation) *)

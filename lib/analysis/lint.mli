@@ -1,7 +1,8 @@
 (** Static memory-discipline lint for simulated algorithm code.
 
-    Algorithm code under [lib/core], [lib/sync], [lib/funnel],
-    [lib/structures] and [lib/counters] must express all shared state
+    Algorithm code under {!default_dirs} ([lib/core], [lib/sync],
+    [lib/funnel], [lib/structures], [lib/counters], [lib/relaxed] and
+    [lib/adapt]) must express all shared state
     through the priced [Api]/[Mem] instruction set; host-level mutable
     state (module-scope [ref]s, [Hashtbl]/[Atomic]/[Mutex], mutable
     record fields) silently escapes the cost model and, worse, the race

@@ -16,8 +16,9 @@
      gate error: every algorithm must survive a pause or a slow module;
    - blocking under a crash fault is recorded, not gated: the paper's
      blocking algorithms are *expected* to die when a lock holder dies;
-   - slowdown beyond [degraded_ratio] is reported as degraded-with-
-     bound, never an error. *)
+   - slowdown beyond 5/4 of the baseline is reported as degraded, with
+     its ratio, never an error.
+   [judge] is this verdict, for the audit's cells too. *)
 
 module Scenario = Pqbenchlib.Scenario
 module Policy = Pqexplore.Policy
@@ -78,6 +79,7 @@ let default_queues =
   Pqcore.Registry.names_paper @ Pqcore.Registry.names_relaxed
 
 let plan_names = "none" :: List.map Plan.name Plan.all
+let plan_name = function Some p -> Plan.name p | None -> "none"
 
 let plan_of_string s =
   if s = "none" then Ok None
@@ -142,7 +144,27 @@ let compose fault sched : Pqsim.Sched.t =
   | (Pqsim.Sched.Stall_forever | Pqsim.Sched.Pause _) as v -> v
   | Pqsim.Sched.Run _ -> sched info
 
-let run_cell cfg ~queue ~scn_name ~scn ~plan ~sched ~seed ~baseline =
+(* the queue's rank bound, widened by one per op a crash left dangling *)
+let bound cfg queue (m : Pqcheck.Monitor.report) =
+  Option.value ~default:0
+    (Pqcore.Multi_queue.rank_bound_for queue ~nprocs:cfg.nprocs)
+  + m.dangling
+
+let judge cfg ~queue ~baseline (o : Scenario.outcome) =
+  let max_rank = o.monitor.rank.max_rank
+  and bound = bound cfg queue o.monitor
+  and baseline = Option.value baseline ~default:o.cycles in
+  match (o.aborted, o.check) with
+  | Some e, _ -> Blocked (abort_reason e)
+  | None, Error msg -> Safety_violation msg
+  | None, Ok () when max_rank > bound ->
+      Safety_violation
+        (Printf.sprintf "rank error %d exceeds bound %d" max_rank bound)
+  | None, Ok () when degraded ~baseline o.cycles ->
+      Degraded { ratio = float_of_int o.cycles /. float_of_int baseline }
+  | None, Ok () -> Healthy
+
+let run_cell ?probe cfg ~queue ~scenario ~plan ~sched ~seed ~baseline =
   let nprocs = cfg.nprocs in
   let armed = Option.map (fun p -> Plan.arm p ~seed ~nprocs) plan in
   let policy =
@@ -153,95 +175,83 @@ let run_cell cfg ~queue ~scn_name ~scn ~plan ~sched ~seed ~baseline =
     | Some a, Some s -> Some (compose a.Plan.policy s)
   in
   let watchdog =
-    match baseline with
-    | Some b -> Some (watchdog_for ~plan ~baseline:b)
-    | None -> None (* the baseline cell itself: fault-free, terminating *)
+    (* none for a baseline cell itself: fault-free, terminating *)
+    Option.map (fun b -> watchdog_for ~plan ~baseline:b) baseline
   in
   let degrade =
     match plan with Some p -> Plan.degrade p | None -> fun _ -> ()
   in
+  let create =
+    (* the meta-queue is not in the registry: build it over the run's
+       memory, label unchanged *)
+    if queue = "Adaptive" then
+      Some
+        (fun mem params ->
+          fst (Pqadapt.Meta.create Pqadapt.Meta.default mem params))
+    else None
+  in
   let o =
-    Scenario.run_sim ?policy ?watchdog ~degrade ~queue ~nprocs
+    Scenario.run_sim ?probe ?policy ?watchdog ~degrade ?create ~queue ~nprocs
       ~npriorities:cfg.npriorities
       ~ops_per_proc:(cfg.ops_per_proc * cfg.soak)
-      ~seed scn
+      ~seed (scenario_of cfg scenario)
   in
   let m = o.monitor in
-  let bound =
-    Option.value ~default:0 (Pqcore.Multi_queue.rank_bound_for queue ~nprocs)
-    + m.dangling
-  in
-  let baseline_cycles = match baseline with Some b -> b | None -> o.cycles in
-  let verdict =
-    match o.aborted with
-    | Some e -> Blocked (abort_reason e)
-    | None -> (
-        let safety =
-          match o.check with
-          | Error msg -> Some msg
-          | Ok () ->
-              if m.rank.max_rank > bound then
-                Some
-                  (Printf.sprintf "rank error %d exceeds bound %d"
-                     m.rank.max_rank bound)
-              else None
-        in
-        match safety with
-        | Some msg -> Safety_violation msg
-        | None ->
-            if degraded ~baseline:baseline_cycles o.cycles then
-              Degraded
-                { ratio = float_of_int o.cycles /. float_of_int baseline_cycles }
-            else Healthy)
-  in
-  {
-    queue;
-    scenario = scn_name;
-    plan = (match plan with Some p -> Plan.name p | None -> "none");
-    sched = Policy.string_of_name sched;
-    seed;
-    verdict;
-    cycles = o.cycles;
-    ops = m.inserts + m.rejects + m.rank.deletes + m.rank.empties;
-    worst_rank = m.rank.max_rank;
-    bound;
-    live_high_water = m.live_high_water;
-    dangling = m.dangling;
-  }
+  ( {
+      queue;
+      scenario;
+      plan = plan_name plan;
+      sched = Policy.string_of_name sched;
+      seed;
+      verdict = judge cfg ~queue ~baseline o;
+      cycles = o.cycles;
+      ops = m.inserts + m.rejects + m.rank.deletes + m.rank.empties;
+      worst_rank = m.rank.max_rank;
+      bound = bound cfg queue m;
+      live_high_water = m.live_high_water;
+      dangling = m.dangling;
+    },
+    o )
 
 (* one (queue, scenario, seed) group: baseline first, then every other
-   (plan, sched) cell against its cycle count.  A stuck baseline means
-   the fault-free run itself is broken; the group's remaining cells are
+   (plan, sched) cell against its cycle count, each under a fresh probe
+   from [observer] when there is one.  A stuck baseline means the
+   fault-free run itself is broken; the group's remaining cells are
    marked blocked rather than run without a degradation yardstick. *)
-let run_group cfg (queue, scn_name, seed) =
-  let scn = scenario_of cfg scn_name in
-  let base =
-    run_cell cfg ~queue ~scn_name ~scn ~plan:None ~sched:Policy.Default ~seed
-      ~baseline:None
+let run_group cfg observer (queue, scenario, seed) =
+  let cell ~plan ~sched ~baseline =
+    let probed = Option.map (fun make -> make ()) observer in
+    let c, o =
+      run_cell ?probe:(Option.map fst probed) cfg ~queue ~scenario ~plan
+        ~sched ~seed ~baseline
+    in
+    (c, Option.map (fun (_, finish) -> finish c o) probed)
   in
-  let rest = ref [] in
-  List.iter
-    (fun plan ->
-      List.iter
-        (fun sched ->
-          if not (plan = None && sched = Policy.Default) then
-            let cell =
-              if base.verdict = Healthy then
-                run_cell cfg ~queue ~scn_name ~scn ~plan ~sched ~seed
-                  ~baseline:(Some base.cycles)
-              else
-                {
-                  base with
-                  plan = (match plan with Some p -> Plan.name p | None -> "none");
-                  sched = Policy.string_of_name sched;
-                  verdict = Blocked "baseline cell unhealthy";
-                  cycles = 0;
-                }
-            in
-            rest := cell :: !rest)
-        cfg.scheds)
-    cfg.plans;
-  base :: List.rev !rest
+  let (base, _) as first =
+    cell ~plan:None ~sched:Policy.Default ~baseline:None
+  in
+  let rest =
+    List.concat_map
+      (fun plan ->
+        List.filter_map
+          (fun sched ->
+            if plan = None && sched = Policy.Default then None
+            else if base.verdict = Healthy then
+              Some (cell ~plan ~sched ~baseline:(Some base.cycles))
+            else
+              Some
+                ( {
+                    base with
+                    plan = plan_name plan;
+                    sched = Policy.string_of_name sched;
+                    verdict = Blocked "baseline cell unhealthy";
+                    cycles = 0;
+                  },
+                  None ))
+          cfg.scheds)
+      cfg.plans
+  in
+  first :: rest
 
 exception Invalid_config of { field : string; reason : string }
 
@@ -259,7 +269,7 @@ let validate cfg =
   check (cfg.ops_per_proc >= 1) "ops_per_proc" "must be at least 1";
   check (cfg.soak >= 1) "soak" "must be at least 1"
 
-let run ?(jobs = 1) cfg =
+let cells ?(jobs = 1) cfg observer =
   validate cfg;
   let groups =
     List.concat_map
@@ -269,7 +279,10 @@ let run ?(jobs = 1) cfg =
           cfg.scenarios)
       cfg.queues
   in
-  List.concat (Pqbenchlib.Pool.map ~jobs (run_group cfg) groups)
+  List.concat (Pqbenchlib.Pool.map ~jobs (run_group cfg observer) groups)
+
+let run ?jobs cfg = List.map fst (cells ?jobs cfg None)
+let observe ?jobs cfg make = cells ?jobs cfg (Some make)
 
 let plan_is_finite = function
   | "none" -> true

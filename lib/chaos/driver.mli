@@ -77,15 +77,55 @@ val watchdog_for : plan:Plan.t option -> baseline:int -> int
     plus the fault's own dead time (the pause length, or [factor *
     baseline] for a slow module) *)
 
+val judge :
+  config ->
+  queue:string ->
+  baseline:int option ->
+  Pqbenchlib.Scenario.outcome ->
+  verdict
+(** the one verdict of a gate cell's run: aborted is {!Blocked}; a
+    failed check, or a rank error above the queue's
+    {!Pqcore.Multi_queue.rank_bound_for} (0 for strict queues) widened
+    by one per dangling op, is a {!Safety_violation}; a safe run beyond
+    5/4 of [baseline]'s cycles (default: its own) is {!Degraded} *)
+
+val run_cell :
+  ?probe:Pqsim.Probe.t ->
+  config ->
+  queue:string ->
+  scenario:string ->
+  plan:Plan.t option ->
+  sched:Pqexplore.Policy.name ->
+  seed:int ->
+  baseline:int option ->
+  cell * Pqbenchlib.Scenario.outcome
+(** run one cell and {!judge} it: the fault plan armed and composed
+    with the named schedule, the {!watchdog_for} budget when
+    [baseline] (the group's fault-free default-schedule cycles) is
+    given, then {!Pqbenchlib.Scenario.run_sim}.  ["Adaptive"] names
+    [Pqadapt.Meta.default].  [probe] is passive: it changes no cycle,
+    verdict or monitor report.
+    @raise Invalid_argument on an unknown scenario *)
+
 exception Invalid_config of { field : string; reason : string }
 (** [field] names the rejected {!config} field *)
 
 val run : ?jobs:int -> config -> cell list
 (** the full cross product, domain-parallel over (queue, scenario,
-    seed) groups; output order and content are independent of [jobs].
+    seed) groups, each run in plan-major, schedule-minor order; output
+    order and content are independent of [jobs].
     @raise Invalid_config before running any cell when [queues],
     [scenarios] or [seeds] is empty, or [nprocs], [npriorities],
     [ops_per_proc] or [soak] is below 1 *)
+
+val observe :
+  ?jobs:int ->
+  config ->
+  (unit -> Pqsim.Probe.t * (cell -> Pqbenchlib.Scenario.outcome -> 'a)) ->
+  (cell * 'a option) list
+(** {!run}, each cell under the passive probe of a fresh [make ()],
+    whose finisher then sees the cell and its outcome; [None] for a
+    cell left unrun behind an unhealthy baseline *)
 
 val gate : cell list -> string list
 (** gate errors (empty means pass): every safety violation, plus every

@@ -1,22 +1,17 @@
 open Pqsim
 
 type policy_kind =
-  | Random of { freq : int; max_delay : int; max_weight : int }
-  | Pct of { depth : int; quantum : int }
+  | Named of Policy.name
   | Dfs of { horizon : int; branching : int; quantum : int }
 
-let default_random = Random { freq = 4; max_delay = 300; max_weight = 4 }
-let default_pct = Pct { depth = 3; quantum = 50 }
 let default_dfs = Dfs { horizon = 6; branching = 2; quantum = 120 }
 
-(* the random and pct generators go by their Policy names *)
 let policy_kind_name = function
-  | Random _ -> Policy.string_of_name Policy.Random
-  | Pct _ -> Policy.string_of_name Policy.Pct
+  | Named n -> Policy.string_of_name n
   | Dfs _ -> "dfs"
 
 let policy_kind_of_string s =
-  let kinds = [ default_random; default_pct; default_dfs ] in
+  let kinds = [ Named Policy.Random; Named Policy.Pct; default_dfs ] in
   match List.find_opt (fun k -> policy_kind_name k = s) kinds with
   | Some k -> Ok k
   | None ->
@@ -96,7 +91,7 @@ let run ?cfg ?(seed = 1) ?(shrink_budget = 400) ~queue ~policy ~budget () =
   let total =
     match policy with
     | Dfs { horizon; branching; _ } -> dfs_space ~horizon ~branching ~budget
-    | Random _ | Pct _ -> budget
+    | Named _ -> budget
   in
   let runs = ref 0 in
   let lin_violations = ref 0 in
@@ -108,17 +103,11 @@ let run ?cfg ?(seed = 1) ?(shrink_budget = 400) ~queue ~policy ~budget () =
     let wseed = seed + i in
     let schedule_of_run, engine_policy =
       match policy with
-      | Random { freq; max_delay; max_weight } ->
+      | Named n ->
           let rec_ =
             Policy.record ~seed:wseed
-              (Policy.random ~seed:wseed ~freq ~max_delay ~max_weight ())
-          in
-          (rec_.Policy.schedule, rec_.Policy.policy)
-      | Pct { depth; quantum } ->
-          let rec_ =
-            Policy.record ~seed:wseed
-              (Policy.pct ~seed:wseed ~nprocs:cfg.Driver.nprocs ~depth
-                 ~quantum ())
+              (Option.value ~default:Sched.fifo
+                 (Policy.named n ~seed:wseed ~nprocs:cfg.Driver.nprocs))
           in
           (rec_.Policy.schedule, rec_.Policy.policy)
       | Dfs { horizon; branching; quantum } ->
@@ -126,7 +115,7 @@ let run ?cfg ?(seed = 1) ?(shrink_budget = 400) ~queue ~policy ~budget () =
           ((fun () -> s), Schedule.replay s)
     in
     let wseed =
-      match policy with Dfs _ -> seed | Random _ | Pct _ -> wseed
+      match policy with Dfs _ -> seed | Named _ -> wseed
     in
     let h = Driver.history cfg ~policy:engine_policy ~seed:wseed in
     let v = Verdict.classify ~max_states:cfg.Driver.max_states h in
@@ -192,3 +181,19 @@ let pp_report ppf r =
     | Verdict.Quiescent | Verdict.Inconsistent -> "");
   Option.iter (pp_witness ppf) r.lin_witness;
   Option.iter (pp_witness ppf) r.qc_witness
+
+let report ?nprocs ?npriorities ?ops_per_proc ?max_states ?(seed = 42)
+    ~policy ~budget queues =
+  let reports =
+    List.map
+      (fun queue ->
+        let cfg =
+          Driver.config ?nprocs ?npriorities ?ops_per_proc ?max_states queue
+        in
+        run ~cfg ~seed ~queue ~policy ~budget ())
+      queues
+  in
+  ( String.concat "" (List.map (Format.asprintf "%a@." pp_report) reports),
+    List.filter_map
+      (fun r -> if r.level = Verdict.Inconsistent then Some r.queue else None)
+      reports )

@@ -6,24 +6,18 @@
 
 (** how schedules are generated *)
 type policy_kind =
-  | Random of { freq : int; max_delay : int; max_weight : int }
-      (** seeded preemption fuzzing, fresh seed per run
-          (see {!Policy.random}) *)
-  | Pct of { depth : int; quantum : int }
-      (** PCT-style priority schedules, fresh priorities per run
-          (see {!Policy.pct}) *)
+  | Named of Policy.name
+      (** a {!Policy.named} schedule, fresh seed per run: [Random] is
+          seeded preemption fuzzing, [Pct] PCT-style priority schedules *)
   | Dfs of { horizon : int; branching : int; quantum : int }
       (** bounded exhaustive enumeration: all [branching]^[horizon]
           delay vectors over the first [horizon] decision points, in
           lexicographic order, delays in multiples of [quantum].  Meant
           for tiny configs (2-3 processors, 4-8 ops). *)
 
-val default_random : policy_kind
-val default_pct : policy_kind
-val default_dfs : policy_kind
-
 val policy_kind_of_string : string -> (policy_kind, string) result
-(** ["random"], ["pct"] or ["dfs"], with the defaults above. *)
+(** ["random"], ["pct"] or ["dfs"] (over the first 6 decision points,
+    branching 2, quantum 120). *)
 
 val policy_kind_name : policy_kind -> string
 
@@ -69,3 +63,18 @@ val run :
 val pp_report : Format.formatter -> report -> unit
 (** human-readable report: counters, verdict, and for each witness the
     shrunk schedule plus the violating history it reproduces. *)
+
+val report :
+  ?nprocs:int ->
+  ?npriorities:int ->
+  ?ops_per_proc:int ->
+  ?max_states:int ->
+  ?seed:int ->
+  policy:policy_kind ->
+  budget:int ->
+  string list ->
+  string * string list
+(** what [pqbench explore] prints: {!run} each of [queues] in turn under
+    {!Driver.config} (its defaults for every option not given) from
+    [seed] (default 42), and return the {!pp_report} text of all of
+    them with the queues whose verdict is {!Verdict.Inconsistent} *)

@@ -551,81 +551,87 @@ let test_lockdep_head_audits_clean () =
   (* current HEAD must audit clean — the seed-42 cells here; the full
      matrix is the `pqbench audit` CI gate *)
   List.iter
-    (fun queue ->
-      let r =
-        Audit.merge queue
-          (List.filter_map
-             (fun (c : Audit.cell) ->
-               if c.queue = queue && c.seed = 42 then Some (Audit.run_cell c)
-               else None)
-             Audit.cells)
-      in
-      check_bool (queue ^ " saw lock traffic") true
+    (fun (r : Audit.report) ->
+      check_bool (r.queue ^ " saw lock traffic") true
         (r.locks.Lockdep.events_seen > 0);
-      Alcotest.(check (list string)) (queue ^ " findings") []
+      Alcotest.(check (list string)) (r.queue ^ " findings") []
         (Audit.findings r))
-    [ "HuntEtAl"; "SkipList"; "MultiQueue"; "Adaptive" ]
+    (Audit.run ~jobs:1
+       {
+         Audit.config with
+         queues = [ "HuntEtAl"; "SkipList"; "MultiQueue"; "Adaptive" ];
+         seeds = [ 42 ];
+       })
 
 (* ------------------------------------------------------------------ *)
 (* the audit: coverage, probe passivity, exit rule *)
 
+module Driver = Pqchaos.Driver
+
 let test_audit_covers_registry () =
-  (* by construction: a queue added to the registry is audited *)
+  (* by construction: a queue added to the registry is audited, in
+     every cell of the matrix *)
+  let cfg = Audit.config in
   List.iter
-    (fun q -> check_bool (q ^ " audited") true (List.mem q Audit.queues))
+    (fun q -> check_bool (q ^ " audited") true (List.mem q cfg.queues))
     (Pqcore.Registry.names @ [ "Adaptive" ]);
-  List.iter
-    (fun q ->
-      check_int (q ^ " cells") 9
-        (List.length
-           (List.filter (fun (c : Audit.cell) -> c.queue = q) Audit.cells)))
-    Audit.queues
+  check_int "cells per queue" 9
+    (List.length cfg.scenarios * List.length cfg.plans
+    * List.length cfg.scheds * List.length cfg.seeds);
+  check_bool "fault-free" true (cfg.plans = [ None ])
+
+(* one cell of the audit matrix, optionally under [probe] *)
+let run_cell ?probe ?(sched = Pqexplore.Policy.Default) ?(seed = 42) queue =
+  Driver.run_cell ?probe Audit.config ~queue ~scenario:"coinflip" ~plan:None
+    ~sched ~seed ~baseline:None
 
 let test_audit_probe_passive () =
   (* the composed probe observes exactly what each analyzer's solo probe
      does, and none of them perturbs the run: every run, probed or not,
-     reads the same cycles and the same run_sim monitor report *)
+     reads the same cycles, verdict and run_sim monitor report *)
   List.iter
     (fun queue ->
-      let cell = { Audit.queue; schedule = Pqexplore.Policy.Pct; seed = 7 } in
-      let composed = Audit.run_cell cell in
-      let same what (o : Pqbenchlib.Scenario.outcome) =
-        check_int (queue ^ " cycles " ^ what) composed.cycles o.cycles;
-        check_bool (queue ^ " monitor " ^ what) true
-          (o.monitor = composed.monitor);
-        o
+      let run_cell ?probe () =
+        run_cell ?probe ~sched:Pqexplore.Policy.Pct ~seed:7 queue
       in
-      ignore (same "unprobed" (Audit.run_sim cell));
+      let probe, finish = Audit.probe () in
+      let cell, o = run_cell ~probe () in
+      let composed = finish cell o in
+      let same what ((c : Driver.cell), (o' : Pqbenchlib.Scenario.outcome)) =
+        check_bool (queue ^ " cell " ^ what) true (c = cell);
+        check_bool (queue ^ " monitor " ^ what) true (o'.monitor = o.monitor);
+        o'
+      in
+      ignore (same "unprobed" (run_cell ()));
       let races = Races.observer () in
-      let o = same "under races" (Audit.run_sim ~probe:(Races.probe races) cell) in
+      let o = same "under races" (run_cell ~probe:(Races.probe races) ()) in
       check_int (queue ^ " race events") composed.events (Races.events races);
       check_bool (queue ^ " races") true
         (Races.analyze ~mem:(Option.get o.mem) races = composed.races);
       let locks = Lockdep.observer () in
-      let o =
-        same "under lockdep" (Audit.run_sim ~probe:(Lockdep.probe locks) cell)
-      in
+      let o = same "under lockdep" (run_cell ~probe:(Lockdep.probe locks) ()) in
       check_bool (queue ^ " lock analysis") true
-        (Lockdep.analyze ~sched:(Audit.label cell)
+        (Lockdep.analyze ~sched:"pct/s7"
            ~label:(Pqsim.Mem.name_of (Option.get o.mem))
            locks
         = composed.locks))
-    [ "SimpleTree"; "HuntEtAl"; "MultiQueue" ]
+    [ "SimpleTree"; "HuntEtAl"; "MultiQueue"; "Adaptive" ]
 
 let test_audit_exit_rule () =
-  (* each kind of finding on its own fails the queue *)
-  let clean =
-    Audit.merge "SingleLock"
-      [
-        Audit.run_cell
-          {
-            Audit.queue = "SingleLock";
-            schedule = Pqexplore.Policy.Default;
-            seed = 42;
-          };
-      ]
-  in
+  (* each kind of finding on its own fails the queue: the analyzers'
+     three by their reports, the run's three by re-judging a real run's
+     outcome through the chaos driver's one verdict *)
+  let probe, finish = Audit.probe () in
+  let cell, o = run_cell ~probe "SingleLock" in
+  let observed = finish cell o in
+  let clean = Audit.merge "SingleLock" [ (cell, Some observed) ] in
   Alcotest.(check (list string)) "clean" [] (Audit.findings clean);
+  let rejudged o =
+    let verdict =
+      Driver.judge Audit.config ~queue:"SingleLock" ~baseline:None o
+    in
+    Audit.merge "SingleLock" [ ({ cell with verdict }, Some observed) ]
+  in
   let access proc kind time = { Races.proc; kind; time; sync = false } in
   let race =
     {
@@ -648,6 +654,7 @@ let test_audit_exit_rule () =
     }
   in
   let locks = clean.locks in
+  let rank = o.monitor.rank in
   let cases =
     [
       ("race", { clean with races = [ race ] });
@@ -679,10 +686,19 @@ let test_audit_exit_rule () =
                 ];
             };
         } );
-      ("aborted run", { clean with aborted = [ ("pct/s7", "Deadlock") ] });
-      ( "failed check",
-        { clean with failed_checks = [ ("default/s1", "conservation") ] } );
-      ("rank over bound", { clean with worst_rank = clean.bound + 1 });
+      ( "aborted run",
+        rejudged { o with aborted = Some (Pqsim.Sim.Deadlock "synthetic") } );
+      ("failed check", rejudged { o with check = Error "conservation" });
+      ( "rank over bound",
+        rejudged
+          {
+            o with
+            monitor =
+              {
+                o.monitor with
+                rank = { rank with max_rank = clean.bound + 1 };
+              };
+          } );
     ]
   in
   List.iter

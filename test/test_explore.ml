@@ -186,7 +186,7 @@ let test_shrunk_witness_still_violates () =
   let cfg = Driver.config "SimpleLinear" in
   let r =
     Explore.run ~cfg ~seed:1 ~queue:"SimpleLinear"
-      ~policy:Explore.default_random ~budget:64 ()
+      ~policy:(Explore.Named Policy.Random) ~budget:64 ()
   in
   check_bool "explorer finds the scan violation" true (r.Explore.lin_violations > 0);
   match r.Explore.lin_witness with
@@ -207,7 +207,7 @@ let explore_claim queue () =
   let relaxed = List.mem queue Pqcore.Registry.names_relaxed in
   let budget = if relaxed then 40 else 24 in
   let r =
-    Explore.run ~queue ~policy:Explore.default_random ~budget ~seed:7 ()
+    Explore.run ~queue ~policy:(Explore.Named Policy.Random) ~budget ~seed:7 ()
   in
   check_int "budget consumed" budget r.Explore.runs;
   if relaxed then
@@ -241,8 +241,8 @@ let test_dfs_exhausts_bounded_space () =
 
 let test_pct_explores () =
   let r =
-    Explore.run ~queue:"FunnelTree" ~policy:Explore.default_pct ~budget:12
-      ~seed:3 ()
+    Explore.run ~queue:"FunnelTree" ~policy:(Explore.Named Policy.Pct)
+      ~budget:12 ~seed:3 ()
   in
   check_int "runs" 12 r.Explore.runs;
   check_bool "no quiescent violation" true

@@ -326,7 +326,31 @@ let test_gate_rejects_finite_plan_blockage () =
     (fun plan ->
       check_bool (plan ^ ": safety violation gated") true
         (gated plan (Driver.Safety_violation "synthetic loss")))
-    Driver.plan_names
+    Driver.plan_names;
+  (* and the verdict the gate reads: a real run, re-judged with its rank
+     error at and then one over the queue's bound *)
+  List.iter
+    (fun queue ->
+      let c, o =
+        Driver.run_cell Driver.quick ~queue ~scenario:"coinflip" ~plan:None
+          ~sched:Pqexplore.Policy.Default ~seed:1 ~baseline:None
+      in
+      let with_rank max_rank =
+        let rank = { o.monitor.rank with max_rank } in
+        let verdict =
+          Driver.judge Driver.quick ~queue ~baseline:None
+            { o with monitor = { o.monitor with rank } }
+        in
+        { c with verdict }
+      in
+      Alcotest.(check (list string))
+        (queue ^ " run passes") [] (Driver.gate [ c ]);
+      Alcotest.(check (list string))
+        (queue ^ " rank at bound passes") []
+        (Driver.gate [ with_rank c.bound ]);
+      check_bool (queue ^ " rank over bound gated") true
+        (Driver.gate [ with_rank (c.bound + 1) ] <> []))
+    [ "SingleLock"; "MultiQueue" ]
 
 let () =
   Alcotest.run "pqfault"

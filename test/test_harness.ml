@@ -97,7 +97,9 @@ let gate_digests ~jobs =
   List.map
     (fun (name, text) -> (name, Pqtrace.Sha256.digest_string text))
     [
-      ("audit", Format.asprintf "%a" Pqanalysis.Audit.pp (Pqanalysis.Audit.run ~jobs));
+      ( "audit",
+        Format.asprintf "%a" Pqanalysis.Audit.pp
+          Pqanalysis.Audit.(run ~jobs config) );
       ( "chaos-quick-verbose",
         Format.asprintf "%a"
           (Pqchaos.Driver.pp ~verbose:true)
@@ -107,26 +109,17 @@ let gate_digests ~jobs =
           (Pqadapt.Driver.run ~jobs Pqadapt.Driver.quick) );
     ]
 
-(* the text `pqbench explore --queue all --budget 64 --policy P` prints
-   with its other options at their defaults (4 processors, 8 priorities,
-   5 operations each, seed 42): the one pin on schedule replay and the
-   dfs enumerator *)
+(* the text `pqbench explore --queue all --budget 64 --policy P` prints,
+   by the library call the CLI makes: the one pin on schedule replay and
+   the dfs enumerator *)
 let explore_digests () =
   List.map
     (fun policy ->
-      let kind = Result.get_ok (Pqexplore.Explore.policy_kind_of_string policy) in
-      let text =
-        String.concat ""
-          (List.map
-             (fun queue ->
-               let cfg =
-                 Pqexplore.Driver.config ~nprocs:4 ~npriorities:8
-                   ~ops_per_proc:5 ~max_states:300_000 queue
-               in
-               Format.asprintf "%a@." Pqexplore.Explore.pp_report
-                 (Pqexplore.Explore.run ~cfg ~seed:42 ~queue ~policy:kind
-                    ~budget:64 ()))
-             Pqcore.Registry.names_paper)
+      let text, _ =
+        Pqexplore.Explore.report
+          ~policy:
+            (Result.get_ok (Pqexplore.Explore.policy_kind_of_string policy))
+          ~budget:64 Pqcore.Registry.names_paper
       in
       ("explore-" ^ policy ^ "-report", Pqtrace.Sha256.digest_string text))
     [ "random"; "pct"; "dfs" ]

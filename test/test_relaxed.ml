@@ -148,16 +148,12 @@ let mq_delete_only_none_when_empty (name, cfg) () =
     (List.sort compare !got);
   check_bool "then empty" true (!after = None)
 
-(* one queue's audit report over its cells of the audit matrix, optionally
-   for one seed only *)
+(* one queue's audit report over its slice of the audit matrix,
+   optionally for one seed only *)
 let audit ?seed queue =
-  let cells =
-    List.filter
-      (fun (c : Pqanalysis.Audit.cell) ->
-        c.queue = queue && Option.fold ~none:true ~some:(( = ) c.seed) seed)
-      Pqanalysis.Audit.cells
-  in
-  Pqanalysis.Audit.merge queue (List.map Pqanalysis.Audit.run_cell cells)
+  let cfg = Pqanalysis.Audit.config in
+  let seeds = Option.fold ~none:cfg.seeds ~some:(fun s -> [ s ]) seed in
+  List.hd (Pqanalysis.Audit.run ~jobs:1 { cfg with queues = [ queue ]; seeds })
 
 let check_clean (r : Pqanalysis.Audit.report) =
   Alcotest.(check (list string)) "no findings" [] (Pqanalysis.Audit.findings r)
@@ -167,7 +163,7 @@ let mq_race_audit (name, _) seed () =
      schedules: no data races at all (every race is a finding) and no
      other finding *)
   let r = audit ~seed name in
-  check_int "three schedules" 3 r.cells;
+  check_int "three schedules" 3 (List.length r.cells);
   check_int "no races" 0 (List.length r.races);
   check_clean r
 
@@ -246,7 +242,7 @@ let test_rank_multiqueue_bounded () =
   check_bool "within bound" true (r.worst_rank <= r.bound);
   check_clean r;
   (* three seeds x three schedules *)
-  check_int "cells" 9 r.cells
+  check_int "cells" 9 (List.length r.cells)
 
 let test_rank_deterministic () =
   let r1 = audit ~seed:42 "MultiQueueC4" in

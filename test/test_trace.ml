@@ -430,17 +430,24 @@ let test_bench_out_rejects_tampered () =
   | Ok () -> Alcotest.fail "validator accepted garbage"
   | Error _ -> ()
 
-(* one audit cell, merged into a one-row report *)
+(* the audit matrix's first cell, as a one-row report *)
+let audit_config =
+  let cfg = Pqanalysis.Audit.config in
+  {
+    cfg with
+    queues = [ List.hd cfg.queues ];
+    scheds = [ List.hd cfg.scheds ];
+    seeds = [ List.hd cfg.seeds ];
+  }
+
 let audit_report =
-  lazy
-    (let cell = List.hd Pqanalysis.Audit.cells in
-     Pqanalysis.Audit.merge cell.queue [ Pqanalysis.Audit.run_cell cell ])
+  lazy (List.hd (Pqanalysis.Audit.run ~jobs:1 audit_config))
 
 let with_audit report =
   match sample_doc () with
   | { Pqtrace.Bench_out.figures; _ } ->
       Pqtrace.Bench_out.make ~seed:42 ~scale:"tiny"
-        ~audit:(Pqanalysis.Audit.to_json [ report ])
+        ~audit:(Pqanalysis.Audit.to_json audit_config [ report ])
         figures
 
 let test_bench_out_audit_valid () =
@@ -454,7 +461,15 @@ let test_bench_out_audit_valid () =
   (* a failing row is representable: its finding clears both pass flags *)
   let failing =
     Pqtrace.Bench_out.to_json
-      (with_audit { r with aborted = [ ("default/s42", "Exit") ] })
+      (with_audit
+         {
+           r with
+           cells =
+             List.map
+               (fun (c : Pqchaos.Driver.cell) ->
+                 { c with verdict = Pqchaos.Driver.Blocked "Exit" })
+               r.cells;
+         })
   in
   (match Pqtrace.Bench_out.validate failing with
   | Ok () -> ()
@@ -543,7 +558,9 @@ let test_schema_matches_encoders () =
         Pqtrace.Bench_out.to_json
           (Pqtrace.Bench_out.make ~seed:42 ~scale:"tiny"
              ~metrics:[ ("m", Int 1) ]
-             ~audit:(Pqanalysis.Audit.to_json [ Lazy.force audit_report ])
+             ~audit:
+               (Pqanalysis.Audit.to_json audit_config
+                  [ Lazy.force audit_report ])
              ~chaos:
                (Pqchaos.Driver.to_json chaos_cfg
                   (Pqchaos.Driver.run ~jobs:1 chaos_cfg))
