@@ -69,45 +69,19 @@ let () =
           Pqtrace.Metrics.to_json r.Pqbenchlib.Profiler.derived ))
       [ "SingleLock"; "HuntEtAl"; "SimpleTree"; "FunnelTree" ]
   in
-  (* the analyzer audit section: the `pqbench audit` matrix, which has
-     one fixed shape (independent of --scale, so the section is
-     comparable across quick and full documents) *)
-  let audit =
-    let reports = Pqanalysis.Audit.(run ~jobs config) in
-    let failing =
-      List.filter (fun r -> Pqanalysis.Audit.findings r <> []) reports
-    in
-    Printf.printf "\nAnalyzer audit (races, lock order, rank): %s\n"
-      (if failing = [] then "pass" else "FAIL");
-    Format.printf "%a@." Pqanalysis.Audit.pp reports;
-    Pqanalysis.Audit.(to_json config reports)
-  in
-  (* the chaos-matrix section: the `pqbench chaos` verdict table at its
-     quick configuration, seed 42 only (a fixed shape independent of
-     --scale, like the audit section, so documents stay comparable) *)
-  let chaos =
-    let cfg = { Pqchaos.Driver.quick with seeds = [ 42 ] } in
-    let cells = Pqchaos.Driver.run ~jobs cfg in
-    Printf.printf "\nChaos matrix (quick, seed 42): %d cells, worst %s\n"
-      (List.length cells)
-      (Pqchaos.Driver.verdict_label (Pqchaos.Driver.worst cells));
-    Format.printf "%a@." Pqchaos.Driver.pp_summary cells;
-    Pqchaos.Driver.to_json cfg cells
-  in
-  (* the adaptive meta-queue gate: the `pqbench adapt` verdict at its
-     quick configuration (fixed shape independent of --scale, like the
-     audit and chaos sections) *)
-  let adapt =
-    let r = Pqadapt.Driver.run ~jobs Pqadapt.Driver.quick in
-    Printf.printf "\nAdaptive meta-queue gate (quick): %s\n%s"
-      (if Pqadapt.Driver.passed r then "pass" else "FAIL")
-      (Pqadapt.Driver.report_to_string r);
-    Pqadapt.Driver.to_json r
+  (* the gate sections: each gate's BENCH.json config, a fixed shape
+     independent of --scale, so documents stay comparable *)
+  let gates =
+    List.map
+      (fun (Pqanalysis.Gate.Gate g) ->
+        let r = g.run ~jobs g.bench in
+        Printf.printf "\n%s: %s\n%s" g.title r.summary r.report;
+        (g.name, r.json))
+      Pqanalysis.Gate.all
   in
   let doc =
-    Pqtrace.Bench_out.make ~seed:42
-      ~scale:(if quick then "quick" else "full")
-      ~metrics ~audit ~chaos ~adapt figures
+    let scale = if quick then "quick" else "full" in
+    { Pqtrace.Bench_out.seed = 42; scale; figures; metrics; gates }
   in
   let text = Pqtrace.Bench_out.to_string doc in
   (match Pqtrace.Bench_out.validate_string text with

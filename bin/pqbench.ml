@@ -64,13 +64,14 @@ let list_cmd =
       Pqadapt.Meta.default.Pqadapt.Meta.heavy;
     print_endline "experiments:";
     List.iter (fun (n, d, _) -> Printf.printf "  %-10s %s\n" n d) experiments;
-    print_endline
-      "\n\
-       every experiment above is an independent-point sweep: `run', \
-       `profile',\n\
-       `audit', `chaos' and `adapt' accept --jobs J (env PQBENCH_JOBS) to \
-       fan points\n\
-       across J domains; output is byte-identical for any J."
+    let gates =
+      List.map (fun (Pqanalysis.Gate.Gate g) -> g.name) Pqanalysis.Gate.all
+    in
+    Printf.printf
+      "\nevery experiment above is an independent-point sweep: run, profile,\n\
+       %s accept --jobs J (env PQBENCH_JOBS) to fan points across J\n\
+       domains; output is byte-identical for any J.\n"
+      (String.concat ", " gates)
   in
   Cmd.v (Cmd.info "list" ~doc:"List queues and experiments.")
     Term.(const run $ const ())
@@ -185,14 +186,8 @@ let trace_cmd =
             ~ops_per_proc:ops ~limit ~queue:q ~nprocs:procs ()
         in
         let mem = r.Pqbenchlib.Workload.mem in
-        let write path text =
-          let oc = open_out path in
-          output_string oc text;
-          close_out oc;
-          Printf.printf "wrote %s\n" path
-        in
-        write (out ^ ".json") (Pqtrace.Recorder.to_chrome ~mem recorder);
-        write (out ^ ".jsonl") (Pqtrace.Recorder.to_jsonl ~mem recorder);
+        Terms.write (out ^ ".json") (Pqtrace.Recorder.to_chrome ~mem recorder);
+        Terms.write (out ^ ".jsonl") (Pqtrace.Recorder.to_jsonl ~mem recorder);
         Printf.printf "%s  P=%d N=%d seed=%d: %d events (%d dropped), %d cycles\n"
           q procs priorities seed
           (Pqtrace.Recorder.length recorder)
@@ -250,12 +245,15 @@ let explore_cmd =
       value & opt Terms.positive 64
       & info [ "budget" ] ~docv:"N" ~doc:"Schedules to explore per queue.")
   in
+  (* the shape defaults are the library's: Driver.config's *)
+  let d = Pqexplore.Driver.config "" in
   let max_states =
-    Terms.unset Arg.int
-      (Arg.info [ "max-states" ] ~docv:"M"
-         ~doc:
-           "State bound for each linearizability search (quiescent \
-            consistency is decided without a search).")
+    Arg.(
+      value & opt int d.max_states
+      & info [ "max-states" ] ~docv:"M"
+          ~doc:
+            "State bound for each linearizability search (quiescent \
+             consistency is decided without a search).")
   in
   let run queue policy budget nprocs npriorities ops_per_proc seed max_states =
     match Pqexplore.Explore.policy_kind_of_string policy with
@@ -265,8 +263,10 @@ let explore_cmd =
         | Error e -> `Error (false, e)
         | Ok queues ->
             let text, inconsistent =
-              Pqexplore.Explore.report ?nprocs ?npriorities ?ops_per_proc
-                ?max_states ?seed ~policy ~budget queues
+              Pqexplore.Explore.report ~seed ~policy ~budget queues
+                ~cfg:
+                  (Pqexplore.Driver.config ~nprocs ~npriorities ~ops_per_proc
+                     ~max_states)
             in
             Terms.gate text
               (Terms.failing "quiescent-consistency violation found: "
@@ -283,275 +283,56 @@ let explore_cmd =
         $ Terms.queue ~default:"all"
             ~doc:"Queue algorithm, or $(b,all) for the paper's seven."
         $ policy $ budget
-        $ Terms.(unset positive procs_info)
-        $ Terms.(unset positive priorities_info)
-        $ Terms.(unset positive ops_info)
-        $ Terms.(unset Arg.int seed_info)
+        $ Terms.procs ~default:d.nprocs
+        $ Terms.priorities ~default:d.npriorities
+        $ Terms.ops ~default:d.ops_per_proc
+        $ Terms.seed
         $ max_states))
 
-let audit_cmd =
-  let run report jobs =
-    let reports = Pqanalysis.Audit.(run ~jobs config) in
-    Terms.gate ?report
-      (Format.asprintf "%a" Pqanalysis.Audit.pp reports)
-      (Terms.failing "audit findings in: "
-         (List.filter_map
-            (fun (r : Pqanalysis.Audit.report) ->
-              if Pqanalysis.Audit.findings r = [] then None else Some r.queue)
-            reports))
-  in
-  Cmd.v
-    (Cmd.info "audit"
-       ~doc:
-         "Audit every registry queue plus Adaptive under the default, \
-          random and PCT schedules x seeds 42, 1, 7 (coin-flip \
-          scenario, 16 processors, 40 ops each), running each cell once \
-          with one probe that feeds the race detector, the lock-order \
-          analyzer and the streaming rank/conservation monitor.  Any data \
-          race, lock-order cycle, discipline finding, aborted run, failed \
-          check or rank error over the queue's bound fails the command.")
-    Term.(ret (const run $ Terms.report $ Terms.jobs))
-
-let chaos_cmd =
-  let scenarios =
-    Arg.(
-      value & opt string "all"
-      & info [ "scenarios" ] ~docv:"S1,S2,.."
-          ~doc:
-            (Printf.sprintf "Comma-separated scenarios (%s) or $(b,all)."
-               (Terms.bold_list Pqbenchlib.Scenario.names)))
-  in
-  let plans =
-    Arg.(
-      value & opt string "all"
-      & info [ "plans" ] ~docv:"PLANS"
-          ~doc:
-            (Printf.sprintf
-               "Comma-separated fault plans (%s) or $(b,all); $(b,none) is \
-                the fault-free arm."
-               (Terms.bold_list Pqchaos.Driver.plan_names)))
-  in
-  let scheds =
-    Arg.(
-      value & opt string "default,pct"
-      & info [ "sched" ] ~docv:"P1,P2,.."
-          ~doc:
-            (Printf.sprintf
-               "Comma-separated schedule policies (%s) or $(b,all)."
-               (Terms.bold_list
-                  (List.map Pqexplore.Policy.string_of_name
-                     Pqexplore.Policy.names))))
-  in
-  let seeds =
-    Arg.(
-      value & opt string "42,1,7"
-      & info [ "seeds" ] ~docv:"S1,S2,.."
-          ~doc:"Comma-separated workload seeds; each seeds a full matrix.")
-  in
-  let soak =
-    Arg.(
-      value & opt int 1
-      & info [ "soak" ] ~docv:"K"
-          ~doc:
-            "Soak multiplier: scales ops per processor (and the SSSP graph) \
-             by $(docv); monitors stream, so memory stays flat.")
-  in
-  let ops =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "ops" ] ~docv:"N"
-          ~doc:"Operations per processor before soak scaling.")
-  in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"Smaller per-cell workloads (the CI smoke configuration).")
-  in
-  let host =
-    Arg.(
-      value & flag
-      & info [ "host" ]
-          ~doc:
-            "Also soak the host-level queues (real domains) through the \
-             phased scenarios and gate their conservation.")
-  in
-  let verbose =
-    Arg.(
-      value & flag
-      & info [ "verbose"; "v" ]
-          ~doc:
-            "Print every cell, and each host soak's operation counts \
-             (these vary with the domains' interleaving).")
-  in
-  let parse_scenarios =
-    Terms.parse_list ~all:Pqbenchlib.Scenario.names ~of_string:(fun x ->
-        if List.mem x Pqbenchlib.Scenario.names then Ok x
-        else
-          Error
-            (Printf.sprintf "unknown scenario %S (known: %s)" x
-               (String.concat ", " Pqbenchlib.Scenario.names)))
-  in
-  let run queue scenarios plans scheds procs priorities ops seeds soak quick
-      host verbose report jobs =
-    (* every error here is a bad option value: report it with usage *)
-    let ( let* ) r f =
-      match r with Error e -> `Error (true, e) | Ok v -> f v
-    in
-    let* queues =
-      if queue = "all" then Ok Pqchaos.Driver.default_queues
-      else Terms.resolve_queues queue
-    in
-    let* scenarios = parse_scenarios scenarios in
-    let* plans =
-      Terms.parse_list
-        ~all:(None :: List.map Option.some Pqchaos.Plan.all)
-        ~of_string:Pqchaos.Driver.plan_of_string plans
-    in
-    let* scheds =
-      Terms.parse_list ~all:Pqexplore.Policy.names
-        ~of_string:Pqexplore.Policy.name_of_string scheds
-    in
-    let* seeds =
-      Terms.parse_list seeds ~of_string:(fun x ->
-          Option.to_result ~none:(Printf.sprintf "bad --seeds %S" seeds)
-            (int_of_string_opt x))
-    in
-    let base =
-      if quick then Pqchaos.Driver.quick else Pqchaos.Driver.default
-    in
-    let cfg =
-      {
-        base with
-        Pqchaos.Driver.queues;
-        scenarios;
-        plans;
-        scheds;
-        seeds;
-        nprocs = procs;
-        npriorities = priorities;
-        ops_per_proc =
-          Option.value ops ~default:base.Pqchaos.Driver.ops_per_proc;
-        soak;
-      }
-    in
-    let* cells =
-      match Pqchaos.Driver.run ~jobs cfg with
-      | cells -> Ok cells
-      | exception Pqchaos.Driver.Invalid_config { field; reason } ->
-          (* --procs and --priorities are already positive (Terms) *)
-          let option = if field = "ops_per_proc" then "ops" else field in
-          Error (Printf.sprintf "--%s: %s" option reason)
-    in
-    let buf = Buffer.create 4096 in
-    let ppf = Format.formatter_of_buffer buf in
-    Pqchaos.Driver.pp ~verbose ppf cells;
-    let host_failures =
-      if host then Pqchaos.Host.run ~verbose ppf cfg else []
-    in
-    Format.pp_print_flush ppf ();
-    Terms.gate ?report (Buffer.contents buf)
-      (Pqchaos.Driver.gate cells @ host_failures)
-      ~pass_line:
-        (Printf.sprintf "chaos: %d cells, worst verdict %s\n"
-           (List.length cells)
-           (Pqchaos.Driver.verdict_label (Pqchaos.Driver.worst cells)))
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Soak every queue through the scenario x fault x schedule matrix \
-          under streaming invariant monitors, and classify each cell as \
-          healthy, degraded, blocked or a safety violation. Safety \
-          violations — and blockage without a crash fault — fail the \
-          command.")
-    Term.(
-      ret
-        (const run
-        $ Terms.queue ~default:"all"
-            ~doc:
-              "Queue algorithm, or $(b,all) for the paper's seven plus every \
-               MultiQueue variant."
-        $ scenarios $ plans $ scheds $ Terms.procs ~default:4
-        $ Terms.priorities ~default:16 $ ops $ seeds $ soak $ quick $ host
-        $ verbose $ Terms.report $ Terms.jobs))
-
-let adapt_cmd =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"Smaller per-phase workloads (the CI gate configuration).")
-  in
-  let backends =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "backends" ] ~docv:"LIGHT,HEAVY"
-          ~doc:
-            "Backend pair as $(docv): the queue used under the light regime \
-             and under the heavy regime (default SingleLock,FunnelTree).")
-  in
-  let ops =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "ops" ] ~docv:"N" ~doc:"Operations per processor per phase.")
-  in
-  let factor =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "factor" ] ~docv:"F"
-          ~doc:"Allowed per-phase latency ratio to the best static backend.")
-  in
-  let run quick backends procs priorities ops seed factor report jobs =
-    let base =
-      if quick then Pqadapt.Driver.quick else Pqadapt.Driver.default
-    in
-    let meta =
-      match backends with
-      | None -> Ok base.Pqadapt.Driver.meta
-      | Some s -> (
-          match String.split_on_char ',' s |> List.map String.trim with
-          | [ light; heavy ] ->
-              let m = { base.Pqadapt.Driver.meta with Pqadapt.Meta.light; heavy } in
-              (try
-                 Pqadapt.Meta.validate m;
-                 Ok m
-               with Invalid_argument e -> Error e)
-          | _ -> Error (Printf.sprintf "bad --backends %S (want LIGHT,HEAVY)" s))
-    in
-    match meta with
-    | Error e -> `Error (false, e)
-    | Ok meta ->
-        let cfg =
-          Pqadapt.Driver.make ~nprocs:procs ~npriorities:priorities
-            ~phase_ops:
-              (Option.value ops ~default:base.Pqadapt.Driver.phase_ops)
-            ~seed
-            ~factor:(Option.value factor ~default:base.Pqadapt.Driver.factor)
-            ~meta ()
+(* one command per gate (Pqanalysis.Gate): --quick and each field of
+   the gate, every default shown as printed from its config, then
+   --report and --jobs; a bad value is a usage error naming its flag *)
+let gate_cmd (Pqanalysis.Gate.Gate g) =
+  let open Pqanalysis.Gate in
+  let term f =
+    let given v = [ (List.hd f.names, v) ] in
+    match f.arg with
+    | Flag _ ->
+        Term.(
+          const (fun b -> if b then given "" else [])
+          $ Arg.(value & flag & info f.names ~doc:f.doc))
+    | Value { docv; print; _ } ->
+        let absent =
+          match g.quick with
+          | Some q when print q <> print g.default ->
+              Printf.sprintf "%s; %s with --quick" (print g.default) (print q)
+          | _ -> print g.default
         in
-        let r = Pqadapt.Driver.run ~jobs cfg in
-        Terms.gate ?report
-          (Pqadapt.Driver.report_to_string r)
-          r.Pqadapt.Driver.errors
+        let i = Arg.info f.names ~docv ~doc:f.doc ~absent in
+        Term.(
+          const (Option.fold ~none:[] ~some:given)
+          $ Arg.(value & opt (some string) None i))
   in
-  Cmd.v
-    (Cmd.info "adapt"
-       ~doc:
-         "Run the adaptive meta-queue against its static backends on the \
-          phase-shifted workload (uniform-heavy, skewed-low, uniform-heavy) \
-          and gate it: at least one backend switch per direction, per-phase \
-          mean latency within --factor of the best static backend and \
-          strictly better than the worst, conservation green.")
-    Term.(
-      ret
-        (const run $ quick $ backends $ Terms.procs ~default:16
-        $ Terms.priorities ~default:256 $ ops $ Terms.seed $ factor
-        $ Terms.report $ Terms.jobs))
+  let quick =
+    let doc = "Smaller workloads: the quick configuration CI gates on." in
+    { names = [ "quick" ]; doc; arg = Flag Fun.id }
+  in
+  let args =
+    List.fold_right
+      (fun f acc -> Term.(const ( @ ) $ term f $ acc))
+      ((if Option.is_none g.quick then [] else [ quick ]) @ g.fields)
+      (Term.const [])
+  in
+  let run args report jobs =
+    match configure g args with
+    | Error e -> `Error (true, e)
+    | Ok cfg ->
+        let r = g.run ~jobs cfg in
+        Terms.gate ?report r.report r.errors
+          ~pass_line:(Printf.sprintf "%s: %s\n" g.name r.summary)
+  in
+  Cmd.v (Cmd.info g.name ~doc:g.doc)
+    Term.(ret (const run $ args $ Terms.report $ Terms.jobs))
 
 let lint_cmd =
   let root =
@@ -608,8 +389,8 @@ let () =
     (Cmd.eval
        (Cmd.group
           (Cmd.info "pqbench" ~doc)
-          [
-            list_cmd; run_cmd; bench_cmd; profile_cmd; trace_cmd; validate_cmd;
-            explore_cmd; audit_cmd; chaos_cmd;
-            adapt_cmd; lint_cmd;
-          ]))
+          ([
+             list_cmd; run_cmd; bench_cmd; profile_cmd; trace_cmd; validate_cmd;
+             explore_cmd; lint_cmd;
+           ]
+          @ List.map gate_cmd Pqanalysis.Gate.all)))

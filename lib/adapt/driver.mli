@@ -29,23 +29,11 @@ val classifier_for : nprocs:int -> Classifier.config
     the global completion rate); contention thresholds from
     {!Classifier.default} *)
 
-val make :
-  ?nprocs:int ->
-  ?npriorities:int ->
-  ?phase_ops:int ->
-  ?seed:int ->
-  ?gap:int ->
-  ?skew:float ->
-  ?bias:int ->
-  ?factor:float ->
-  ?meta:Meta.config ->
-  unit ->
-  config
-(** defaults: 16 procs, 256 priorities, 150 ops/proc/phase, seed 42,
-    gap 6000, skew 1.2, bias 40, factor 1.5, {!Meta.default} backends
-    with {!classifier_for} thresholds starting Heavy *)
-
 val default : config
+(** 16 procs, 256 priorities, 150 ops/proc/phase, seed 42, gap 6000,
+    skew 1.2, bias 40, factor 1.5, {!Meta.default} backends with
+    {!classifier_for} thresholds starting Heavy.  Another [nprocs] needs
+    its own classifier: [Pqanalysis.Gate.adapt]'s [procs] sets both. *)
 
 val quick : config
 (** CI scale: 100 ops/proc/phase *)
@@ -88,8 +76,6 @@ val run : ?jobs:int -> config -> report
 
 val judge : report -> string list
 (** re-derive the gate verdicts from a report (ignores its [errors]) *)
-
-val passed : report -> bool
 
 val to_json : report -> Pqtrace.Json.t
 (** the report as BENCH.json's [adapt] section (judged pass flag,

@@ -246,5 +246,3 @@ let create ?metrics config mem (params : Pqcore.Pq_intf.params) =
       check_now;
     },
     st )
-
-let current_regime st = Classifier.regime st.classifier

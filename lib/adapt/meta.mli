@@ -70,5 +70,3 @@ val flips : state -> int
 
 val windows : state -> int
 (** classifier decision windows evaluated *)
-
-val current_regime : state -> Classifier.regime

@@ -313,11 +313,3 @@ let pp_edge ppf e =
     e.src e.dst e.count
     (if e.count = 1 then "" else "s")
     e.witness.proc e.witness.time e.witness.held_since e.witness.sched
-
-let pp_finding ppf f =
-  match f with
-  | Cycle _ -> Format.fprintf ppf "%s" (signature f)
-  | Discipline d ->
-      Format.fprintf ppf "%s first @@%d, %d occurrence%s" (signature f) d.time
-        d.occurrences
-        (if d.occurrences = 1 then "" else "s")

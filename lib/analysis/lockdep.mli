@@ -115,4 +115,3 @@ val signature : finding -> string
 (** {1 Reporting} *)
 
 val pp_edge : Format.formatter -> edge -> unit
-val pp_finding : Format.formatter -> finding -> unit

@@ -73,6 +73,8 @@ type config = {
   ops_per_proc : int;
   soak : int;  (* multiplies ops_per_proc and the SSSP graph size *)
   sssp_nodes : int;
+  host : bool;  (* the chaos command's report options; [run] ignores them *)
+  verbose : bool;
 }
 
 let default_queues =
@@ -104,6 +106,8 @@ let default =
     ops_per_proc = 30;
     soak = 1;
     sssp_nodes = 24;
+    host = false;
+    verbose = false;
   }
 
 let quick = { default with ops_per_proc = 12; sssp_nodes = 16 }

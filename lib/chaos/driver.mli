@@ -54,6 +54,8 @@ type config = {
   ops_per_proc : int;
   soak : int;  (** multiplies [ops_per_proc] and the SSSP graph size *)
   sssp_nodes : int;
+  host : bool;  (** [pqbench chaos --host]: also run {!Host.run} *)
+  verbose : bool;  (** [--verbose]: {!pp} every cell; {!run} ignores both *)
 }
 
 val default_queues : string list
@@ -140,9 +142,6 @@ val summary_matrix : cell list -> (string * (string * string) list) list
 val to_json : config -> cell list -> Pqtrace.Json.t
 (** the cells of a run of [config] as BENCH.json's [chaos] section *)
 
-val pp_cells : Format.formatter -> cell list -> unit
-val pp_summary : Format.formatter -> cell list -> unit
-
 val pp : verbose:bool -> Format.formatter -> cell list -> unit
-(** the simulated part of [pqbench chaos]'s report: {!pp_cells} under
-    [verbose], then {!pp_summary} *)
+(** the simulated part of [pqbench chaos]'s report: one line per cell
+    under [verbose], then the {!summary_matrix} *)

@@ -149,7 +149,7 @@ let soak ~queue ~scenario:scn ~nprocs ~npriorities ~ops_per_proc ~seed =
     conserved;
   }
 
-let run ~verbose ppf (cfg : Driver.config) =
+let run ppf (cfg : Driver.config) =
   let scenarios =
     List.filter_map
       (fun name ->
@@ -174,7 +174,7 @@ let run ~verbose ppf (cfg : Driver.config) =
                   if Result.is_ok o.conserved then "conserved" else "VIOLATED"
                 in
                 (* the counts depend on how the domains interleaved *)
-                if verbose then
+                if cfg.verbose then
                   Format.fprintf ppf
                     "%-16s %-9s seed=%-4d ins=%-6d del=%-6d left=%-5d %s@,"
                     queue name seed o.inserts o.deletes o.leftover verdict

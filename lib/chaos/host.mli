@@ -34,12 +34,12 @@ val soak :
     @raise Invalid_argument on a {!Pqbenchlib.Scenario.sim_only}
     scenario *)
 
-val run : verbose:bool -> Format.formatter -> Driver.config -> string list
+val run : Format.formatter -> Driver.config -> string list
 (** the chaos command's [--host] arm: {!soak} every host queue through
     each of the config's phased scenarios x seeds on [nprocs] domains
     ([ops_per_proc * soak] ops each), print one line per soak, and
     return one gate error per soak that broke conservation.  A line
     names the queue, scenario, seed and conservation verdict, which do
     not depend on how the domains interleaved, so the report is the
-    same from run to run; [verbose] adds the soak's insert, delete and
-    leftover counts, which do. *)
+    same from run to run; [cfg.verbose] adds the soak's insert, delete
+    and leftover counts, which do. *)

@@ -182,15 +182,10 @@ let pp_report ppf r =
   Option.iter (pp_witness ppf) r.lin_witness;
   Option.iter (pp_witness ppf) r.qc_witness
 
-let report ?nprocs ?npriorities ?ops_per_proc ?max_states ?(seed = 42)
-    ~policy ~budget queues =
+let report ~cfg ~seed ~policy ~budget queues =
   let reports =
     List.map
-      (fun queue ->
-        let cfg =
-          Driver.config ?nprocs ?npriorities ?ops_per_proc ?max_states queue
-        in
-        run ~cfg ~seed ~queue ~policy ~budget ())
+      (fun queue -> run ~cfg:(cfg queue) ~seed ~queue ~policy ~budget ())
       queues
   in
   ( String.concat "" (List.map (Format.asprintf "%a@." pp_report) reports),

@@ -65,16 +65,12 @@ val pp_report : Format.formatter -> report -> unit
     shrunk schedule plus the violating history it reproduces. *)
 
 val report :
-  ?nprocs:int ->
-  ?npriorities:int ->
-  ?ops_per_proc:int ->
-  ?max_states:int ->
-  ?seed:int ->
+  cfg:(string -> Driver.config) ->
+  seed:int ->
   policy:policy_kind ->
   budget:int ->
   string list ->
   string * string list
 (** what [pqbench explore] prints: {!run} each of [queues] in turn under
-    {!Driver.config} (its defaults for every option not given) from
-    [seed] (default 42), and return the {!pp_report} text of all of
+    its [cfg] from [seed], and return the {!pp_report} text of all of
     them with the queues whose verdict is {!Verdict.Inconsistent} *)

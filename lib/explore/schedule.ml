@@ -16,9 +16,6 @@ let is_perturbed (d : Pqsim.Sched.decision) = d.delay > 0 || d.weight <> 0
 let perturbations t =
   Array.fold_left (fun n d -> if is_perturbed d then n + 1 else n) 0 t.decisions
 
-let total_delay t =
-  Array.fold_left (fun n (d : Pqsim.Sched.decision) -> n + d.delay) 0 t.decisions
-
 let pp ppf t =
   Format.fprintf ppf "seed=%d steps=%d {" t.seed (length t);
   let first = ref true in

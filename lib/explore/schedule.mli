@@ -32,9 +32,6 @@ val perturbations : t -> int
     {!Pqsim.Sched.continue_} — the schedule's size in the shrinking
     order. *)
 
-val total_delay : t -> int
-(** sum of injected stall cycles. *)
-
 val pp : Format.formatter -> t -> unit
 (** compact, reproducible rendering: the seed plus every perturbed step
     as [step:+delay/weight]. *)

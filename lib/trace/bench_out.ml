@@ -16,15 +16,10 @@ type t = {
   scale : string;
   figures : figure list;
   metrics : (string * Json.t) list; (* free-form extras, e.g. per-queue derived metrics *)
-  audit : Json.t option; (* races, lock order and rank (pqbench audit) *)
-  chaos : Json.t option; (* chaos-matrix verdicts (pqbench chaos) *)
-  adapt : Json.t option; (* adaptive meta-queue gate (pqbench adapt) *)
+  gates : (string * Json.t) list; (* gate sections, in document order *)
 }
 
 let paper = "shavit-zemach-podc99"
-
-let make ?(metrics = []) ?audit ?chaos ?adapt ~seed ~scale figures =
-  { seed; scale; figures; metrics; audit; chaos; adapt }
 
 let series_to_json s =
   Json.Obj
@@ -48,7 +43,6 @@ let figure_to_json f =
     ]
 
 let to_json t =
-  let section key = Option.map (fun j -> (key, j)) in
   Json.Obj
     ([
        ("schema_version", Json.Int schema_version);
@@ -57,13 +51,8 @@ let to_json t =
        ("scale", Json.String t.scale);
        ("figures", Json.List (List.map figure_to_json t.figures));
      ]
-    @ List.filter_map Fun.id
-        [
-          (if t.metrics = [] then None else Some ("metrics", Json.Obj t.metrics));
-          section "audit" t.audit;
-          section "chaos" t.chaos;
-          section "adapt" t.adapt;
-        ])
+    @ (if t.metrics = [] then [] else [ ("metrics", Json.Obj t.metrics) ])
+    @ t.gates)
 
 let to_string t = Json.to_string (to_json t)
 

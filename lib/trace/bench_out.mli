@@ -26,22 +26,12 @@ type t = {
   scale : string;  (** "quick" | "full" | "tiny" — informational *)
   figures : figure list;
   metrics : (string * Json.t) list;  (** free-form extras *)
-  audit : Json.t option;  (** [Pqanalysis.Audit.to_json] *)
-  chaos : Json.t option;  (** [Pqchaos.Driver.to_json] *)
-  adapt : Json.t option;  (** [Pqadapt.Driver.to_json] *)
+  gates : (string * Json.t) list;
+      (** [(section, json)] in document order: [Pqanalysis.Gate]'s
+          [audit], [chaos] and [adapt] sections *)
 }
 (** one document; each gate section arrives already encoded by the
     driver that judged it *)
-
-val make :
-  ?metrics:(string * Json.t) list ->
-  ?audit:Json.t ->
-  ?chaos:Json.t ->
-  ?adapt:Json.t ->
-  seed:int ->
-  scale:string ->
-  figure list ->
-  t
 
 val sections : string list
 (** the top-level keys the schema defines, in document order *)

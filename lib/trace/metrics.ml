@@ -126,12 +126,6 @@ let window ~prev ~cur =
     w_remote_share = ratio remote (remote + local);
   }
 
-let pp_window ppf w =
-  Format.fprintf ppf
-    "cas %d (fail %.2f) locks %d (wait %.1f) traffic %d (remote %.2f)" w.w_cas
-    w.w_cas_fail_rate w.w_lock_acquires w.w_lock_wait_mean w.w_traffic
-    w.w_remote_share
-
 let to_json d =
   Json.Obj
     [

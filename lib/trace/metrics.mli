@@ -79,5 +79,3 @@ type window = {
 val window : prev:sample -> cur:sample -> window
 (** rates over the half-open interval [(prev, cur]]; an empty window
     (equal samples) yields all-zero counts and 0.0 rates, never NaN *)
-
-val pp_window : Format.formatter -> window -> unit

@@ -203,7 +203,7 @@ let test_driver_gate_and_jobs_invariance () =
   let r2 = D.run ~jobs:3 D.quick in
   check_string "reports byte-identical across jobs"
     (D.report_to_string r1) (D.report_to_string r2);
-  check_bool "quick gate passes" true (D.passed r1);
+  check_bool "quick gate passes" true (r1.D.errors = []);
   check_bool "switched into the light backend" true (r1.D.to_light >= 1);
   check_bool "switched into the heavy backend" true (r1.D.to_heavy >= 1);
   List.iter
@@ -242,7 +242,13 @@ let test_bench_out_round_trip () =
   in
   let doc adapt =
     Pqtrace.Bench_out.to_string
-      (Pqtrace.Bench_out.make ~adapt ~seed:42 ~scale:"test" [ fig ])
+      {
+        Pqtrace.Bench_out.seed = 42;
+        scale = "test";
+        figures = [ fig ];
+        metrics = [];
+        gates = [ ("adapt", adapt) ];
+      }
   in
   (match Pqtrace.Bench_out.validate_string (doc (D.to_json r)) with
   | Ok () -> ()
@@ -274,6 +280,25 @@ let test_bench_out_round_trip () =
   in
   check_bool "inconsistent phase rejected" true
     (Result.is_error (Pqtrace.Bench_out.validate_string (doc bad)))
+
+(* `pqbench adapt --quick --procs 8` must run the classifier the
+   library scales to 8 processors, not quick's P=16 thresholds *)
+let test_procs_sets_classifier () =
+  match
+    Pqanalysis.Gate.(configure adapt) [ ("quick", ""); ("procs", "8") ]
+  with
+  | Error e -> Alcotest.fail e
+  | Ok c ->
+      let k = c.D.meta.M.classifier in
+      check_int "procs" 8 c.D.nprocs;
+      Alcotest.(check (float 1e-9)) "heavy_rate" 2.56 k.C.heavy_rate;
+      Alcotest.(check (float 1e-9)) "light_rate" 1.76 k.C.light_rate;
+      Alcotest.(check (float 1e-9)) "lock_wait_heavy" 1600. k.C.lock_wait_heavy;
+      check_bool "classifier_for ~nprocs:8" true
+        (k = D.classifier_for ~nprocs:8);
+      let classifier = D.quick.meta.classifier in
+      check_bool "every other field is quick's" true
+        ({ c with nprocs = 16; meta = { c.meta with classifier } } = D.quick)
 
 let () =
   Alcotest.run "pqadapt"
@@ -310,5 +335,7 @@ let () =
             `Slow test_driver_gate_and_jobs_invariance;
           Alcotest.test_case "BENCH.json adapt round-trip" `Slow
             test_bench_out_round_trip;
+          Alcotest.test_case "--procs sets the classifier" `Quick
+            test_procs_sets_classifier;
         ] );
     ]

@@ -76,10 +76,15 @@ let figures_digests ~jobs =
   in
   let json =
     Pqtrace.Bench_out.to_string
-      (Pqtrace.Bench_out.make ~seed:42 ~scale:"quick" figures)
+      {
+        Pqtrace.Bench_out.seed = 42;
+        scale = "quick";
+        figures;
+        metrics = [];
+        gates = [];
+      }
   in
-  ( Pqtrace.Sha256.digest_string tables,
-    Pqtrace.Sha256.digest_string json )
+  (Sha256.digest_string tables, Sha256.digest_string json)
 
 (* the sample JSONL trace, with `pqbench trace`'s defaults: the digest
    here is the digest of the PREFIX.jsonl file that command writes *)
@@ -88,26 +93,29 @@ let trace_digest ~seed =
     Pqbenchlib.Profiler.trace_queue ~queue:"FunnelTree" ~nprocs:8
       ~npriorities:16 ~ops_per_proc:10 ~seed ~limit:1_000_000 ()
   in
-  Pqtrace.Sha256.digest_string
+  Sha256.digest_string
     (Pqtrace.Recorder.to_jsonl ~mem:r.Pqbenchlib.Workload.mem recorder)
 
-(* the text each gate command prints and writes with --report, built by
-   the same library calls the CLI makes with its default options *)
+(* the text each gate command prints and writes with --report, built
+   from Pqanalysis.Gate as the CLI builds it: the gate's config after
+   --quick and --verbose where it has them, keyed by that command line
+   ("chaos-quick-verbose-report") *)
+let pinned_flags (g : _ Pqanalysis.Gate.spec) =
+  let has f = List.exists (fun (d : _ Pqanalysis.Gate.field) -> List.hd d.names = f) in
+  List.filter
+    (fun f -> (f = "quick" && Option.is_some g.quick) || has f g.fields)
+    [ "quick"; "verbose" ]
+
+let gate_key (Pqanalysis.Gate.Gate g) =
+  String.concat "-" ((g.name :: pinned_flags g) @ [ "report" ])
+
 let gate_digests ~jobs =
   List.map
-    (fun (name, text) -> (name, Pqtrace.Sha256.digest_string text))
-    [
-      ( "audit",
-        Format.asprintf "%a" Pqanalysis.Audit.pp
-          Pqanalysis.Audit.(run ~jobs config) );
-      ( "chaos-quick-verbose",
-        Format.asprintf "%a"
-          (Pqchaos.Driver.pp ~verbose:true)
-          (Pqchaos.Driver.run ~jobs Pqchaos.Driver.quick) );
-      ( "adapt-quick",
-        Pqadapt.Driver.report_to_string
-          (Pqadapt.Driver.run ~jobs Pqadapt.Driver.quick) );
-    ]
+    (fun (Pqanalysis.Gate.Gate g as gate) ->
+      let args = List.map (fun f -> (f, "")) (pinned_flags g) in
+      let cfg = Result.get_ok (Pqanalysis.Gate.configure g args) in
+      (gate_key gate, Sha256.digest_string (g.run ~jobs cfg).report))
+    Pqanalysis.Gate.all
 
 (* the text `pqbench explore --queue all --budget 64 --policy P` prints,
    by the library call the CLI makes: the one pin on schedule replay and
@@ -116,12 +124,13 @@ let explore_digests () =
   List.map
     (fun policy ->
       let text, _ =
-        Pqexplore.Explore.report
+        Pqexplore.Explore.report ~seed:42
+          ~cfg:(fun queue -> Pqexplore.Driver.config queue)
           ~policy:
             (Result.get_ok (Pqexplore.Explore.policy_kind_of_string policy))
           ~budget:64 Pqcore.Registry.names_paper
       in
-      ("explore-" ^ policy ^ "-report", Pqtrace.Sha256.digest_string text))
+      ("explore-" ^ policy ^ "-report", Sha256.digest_string text))
     [ "random"; "pct"; "dfs" ]
 
 (* ------------------------------------------------------------------ *)
@@ -132,15 +141,15 @@ let test_sha256_vectors () =
   Alcotest.(check string)
     "sha256(\"\")"
     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    (Pqtrace.Sha256.digest_string "");
+    (Sha256.digest_string "");
   Alcotest.(check string)
     "sha256(abc)"
     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    (Pqtrace.Sha256.digest_string "abc");
+    (Sha256.digest_string "abc");
   Alcotest.(check string)
     "sha256(two-block vector)"
     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-    (Pqtrace.Sha256.digest_string
+    (Sha256.digest_string
        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")
 
 let golden () =
@@ -153,14 +162,14 @@ let golden () =
   let gates1 = gate_digests ~jobs:1 in
   List.iter2
     (fun (name, d1) (_, d4) ->
-      Alcotest.(check string) (name ^ " report: --jobs 4 = --jobs 1") d1 d4)
+      Alcotest.(check string) (name ^ ": --jobs 4 = --jobs 1") d1 d4)
     gates1 (gate_digests ~jobs:4);
   let traces = List.map (fun s -> (s, trace_digest ~seed:s)) [ 42; 1; 7 ] in
   let computed =
     ("figures-quick-tables", tables1)
     :: ("figures-quick-json", json1)
     :: List.map (fun (s, d) -> (Printf.sprintf "trace-s%d" s, d)) traces
-    @ List.map (fun (name, d) -> (name ^ "-report", d)) gates1
+    @ gates1
     @ explore_digests ()
   in
   if blessing () then begin
@@ -183,6 +192,23 @@ let golden () =
         | None -> Alcotest.failf "no fixture for %s (re-bless?)" k)
       computed
 
+(* the report files test/dune has the CLI write, each named by its
+   fixture key (`pqbench chaos --quick --verbose --jobs 2 --report
+   chaos-quick-verbose-report.txt'): this pins the command line's own
+   defaults, which the library digests above cannot see *)
+let cli_reports () =
+  let fixtures = read_fixtures () in
+  List.iter
+    (fun gate ->
+      let key = gate_key gate in
+      let ic = open_in_bin (key ^ ".txt") in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check (option string))
+        (key ^ ".txt") (List.assoc_opt key fixtures)
+        (Some (Sha256.digest_string text)))
+    Pqanalysis.Gate.all
+
 let () =
   Alcotest.run "harness"
     [
@@ -190,5 +216,7 @@ let () =
         [
           Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "golden digests, jobs 1 = jobs 4" `Slow golden;
+          Alcotest.test_case "CLI report files match the digests" `Quick
+            cli_reports;
         ] );
     ]

@@ -1170,7 +1170,7 @@ let annotation_digest queue =
          (Pqbenchlib.Workload.spec ~queue ~nprocs:16 ~npriorities:8) with
          seed = 3;
        });
-  Pqtrace.Sha256.digest_string (Buffer.contents buf)
+  Sha256.digest_string (Buffer.contents buf)
 
 (* digests of the streams the effect-based queries produced, recorded
    with the engine that performed them *)

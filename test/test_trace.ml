@@ -353,16 +353,22 @@ let test_json_accessors () =
 (* BENCH.json writer + validator *)
 
 let sample_doc () =
-  Pqtrace.Bench_out.make ~seed:42 ~scale:"tiny"
-    [
-      {
-        Pqtrace.Bench_out.id = "fig6";
-        title = "t";
-        xlabel = "P";
-        series =
-          [ { Pqtrace.Bench_out.name = "SingleLock"; points = [ (2, 10.5) ] } ];
-      };
-    ]
+  {
+    Pqtrace.Bench_out.seed = 42;
+    scale = "tiny";
+    metrics = [];
+    gates = [];
+    figures =
+      [
+        {
+          Pqtrace.Bench_out.id = "fig6";
+          title = "t";
+          xlabel = "P";
+          series =
+            [ { Pqtrace.Bench_out.name = "SingleLock"; points = [ (2, 10.5) ] } ];
+        };
+      ];
+  }
 
 let test_bench_out_valid () =
   let text = Pqtrace.Bench_out.to_string (sample_doc ()) in
@@ -444,11 +450,11 @@ let audit_report =
   lazy (List.hd (Pqanalysis.Audit.run ~jobs:1 audit_config))
 
 let with_audit report =
-  match sample_doc () with
-  | { Pqtrace.Bench_out.figures; _ } ->
-      Pqtrace.Bench_out.make ~seed:42 ~scale:"tiny"
-        ~audit:(Pqanalysis.Audit.to_json audit_config [ report ])
-        figures
+  {
+    (sample_doc ()) with
+    Pqtrace.Bench_out.gates =
+      [ ("audit", Pqanalysis.Audit.to_json audit_config [ report ]) ];
+  }
 
 let test_bench_out_audit_valid () =
   let r = Lazy.force audit_report in
@@ -553,19 +559,21 @@ let test_schema_matches_encoders () =
   check_bool "adapt switched (its switch objects are checked)" true
     (adapt.Pqadapt.Driver.switches <> []);
   let doc =
-    match sample_doc () with
-    | { Pqtrace.Bench_out.figures; _ } ->
-        Pqtrace.Bench_out.to_json
-          (Pqtrace.Bench_out.make ~seed:42 ~scale:"tiny"
-             ~metrics:[ ("m", Int 1) ]
-             ~audit:
-               (Pqanalysis.Audit.to_json audit_config
-                  [ Lazy.force audit_report ])
-             ~chaos:
-               (Pqchaos.Driver.to_json chaos_cfg
-                  (Pqchaos.Driver.run ~jobs:1 chaos_cfg))
-             ~adapt:(Pqadapt.Driver.to_json adapt)
-             figures)
+    Pqtrace.Bench_out.to_json
+      {
+        (sample_doc ()) with
+        Pqtrace.Bench_out.metrics = [ ("m", Int 1) ];
+        gates =
+          [
+            ( "audit",
+              Pqanalysis.Audit.to_json audit_config [ Lazy.force audit_report ]
+            );
+            ( "chaos",
+              Pqchaos.Driver.to_json chaos_cfg
+                (Pqchaos.Driver.run ~jobs:1 chaos_cfg) );
+            ("adapt", Pqadapt.Driver.to_json adapt);
+          ];
+      }
   in
   let keys = function Obj kvs -> List.map fst kvs | _ -> [] in
   let sorted l = List.sort compare l in
