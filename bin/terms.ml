@@ -18,8 +18,9 @@ let seed =
     value & opt int default_seed
     & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic simulation seed.")
 
-(* a count of things (processors, priorities, accesses, schedules): zero
-   or a negative value is a usage error that names the option *)
+(* a count of things (processors, priorities, accesses, schedules, host
+   domains): zero or a negative value is a usage error that names the
+   option *)
 let positive = Arg.conv' (Pqanalysis.Gate.positive, Format.pp_print_int)
 
 let count names ~docv ~doc ~default =
@@ -34,7 +35,7 @@ let queue ~default ~doc =
 
 let jobs =
   Arg.(
-    value & opt int 1
+    value & opt positive 1
     & info [ "jobs"; "j" ] ~docv:"J"
         ~env:(Cmd.Env.info "PQBENCH_JOBS")
         ~doc:

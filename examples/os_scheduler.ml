@@ -28,7 +28,6 @@ let run queue_name =
           {
             (Pqcore.Pq_intf.default_params ~nprocs ~npriorities) with
             capacity = (nprocs * tasks_per_proc) + 1;
-            bin_capacity = (nprocs * tasks_per_proc) + 1;
             ops_per_proc = tasks_per_proc * (npriorities + 1);
           }
         in

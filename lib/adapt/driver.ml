@@ -16,9 +16,6 @@ type config = {
   npriorities : int;
   phase_ops : int;  (** per-processor ops in each of the three phases *)
   seed : int;
-  gap : int;  (** extra local work per access in the skewed-low phase *)
-  skew : float;  (** Zipf exponent of the skewed-low phase *)
-  bias : int;  (** insert percentage, both phases *)
   factor : float;  (** allowed ratio to the best static backend *)
   meta : Meta.config;
 }
@@ -43,9 +40,6 @@ let default =
     npriorities = 256;
     phase_ops = 150;
     seed = 42;
-    gap = 6000;
-    skew = 1.2;
-    bias = 40;
     factor = 1.5;
     meta =
       {
@@ -60,15 +54,20 @@ let quick = { default with phase_ops = 100 }
 let nphases = 3
 let phase_names = [| "uniform-heavy"; "skewed-low"; "uniform-heavy'" |]
 
-let workload c =
+(* the skewed-low phase's extra local work per access and Zipf
+   exponent, and both phases' insert percentage *)
+let gap = 6000
+let skew = 1.2
+let bias = 40
+
+let workload =
   Scenario.phased ~name:"adapt-shift"
     ~descr:"uniform-heavy -> skewed-low -> uniform-heavy"
     (fun ~nprocs:_ ~pid:_ ~ops_per_proc ->
       [
-        Scenario.Mixed { ops = ops_per_proc; bias = c.bias };
-        Scenario.Trickle
-          { ops = ops_per_proc; bias = c.bias; skew = c.skew; gap = c.gap };
-        Scenario.Mixed { ops = ops_per_proc; bias = c.bias };
+        Scenario.Mixed { ops = ops_per_proc; bias };
+        Scenario.Trickle { ops = ops_per_proc; bias; skew; gap };
+        Scenario.Mixed { ops = ops_per_proc; bias };
       ])
 
 type phase_stat = { ph_mean : float; ph_count : int }
@@ -110,7 +109,7 @@ let mk_run label (o : Scenario.outcome) =
 let run_sim_with c ?probe ?create ~queue () =
   Scenario.run_sim ?probe ?create ~phase_timing:true ~queue ~nprocs:c.nprocs
     ~npriorities:c.npriorities ~ops_per_proc:c.phase_ops ~seed:c.seed
-    (workload c)
+    workload
 
 let run_adaptive c =
   let metrics = Stats.create () in
@@ -250,8 +249,8 @@ let pp_report ppf (r : report) =
   fprintf ppf
     "config: procs %d, priorities %d, %d ops/proc/phase, seed %d, gap %d, \
      skew %.2f, factor %.2fx@,"
-    r.cfg.nprocs r.cfg.npriorities r.cfg.phase_ops r.cfg.seed r.cfg.gap
-    r.cfg.skew r.cfg.factor;
+    r.cfg.nprocs r.cfg.npriorities r.cfg.phase_ops r.cfg.seed gap skew
+    r.cfg.factor;
   fprintf ppf "@,%-28s" "phase";
   fprintf ppf "%16s" r.adaptive.r_queue;
   List.iter (fun s -> fprintf ppf "%16s" s.r_queue) r.statics;

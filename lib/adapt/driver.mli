@@ -17,9 +17,6 @@ type config = {
   npriorities : int;
   phase_ops : int;  (** per-processor ops in each of the three phases *)
   seed : int;
-  gap : int;  (** extra local work per access in the skewed-low phase *)
-  skew : float;  (** Zipf exponent of the skewed-low phase *)
-  bias : int;  (** insert percentage, both phases *)
   factor : float;  (** allowed ratio to the best static backend *)
   meta : Meta.config;
 }
@@ -30,10 +27,10 @@ val classifier_for : nprocs:int -> Classifier.config
     {!Classifier.default} *)
 
 val default : config
-(** 16 procs, 256 priorities, 150 ops/proc/phase, seed 42, gap 6000,
-    skew 1.2, bias 40, factor 1.5, {!Meta.default} backends with
-    {!classifier_for} thresholds starting Heavy.  Another [nprocs] needs
-    its own classifier: [Pqanalysis.Gate.adapt]'s [procs] sets both. *)
+(** 16 procs, 256 priorities, 150 ops/proc/phase, seed 42, factor 1.5,
+    {!Meta.default} backends with {!classifier_for} thresholds starting
+    Heavy.  Another [nprocs] needs its own classifier:
+    [Pqanalysis.Gate.adapt]'s [procs] sets both. *)
 
 val quick : config
 (** CI scale: 100 ops/proc/phase *)
@@ -44,9 +41,12 @@ val nphases : int
 val phase_names : string array
 (** length {!nphases}: ["uniform-heavy"; "skewed-low"; "uniform-heavy'"] *)
 
-val workload : config -> Pqbenchlib.Scenario.t
+val workload : Pqbenchlib.Scenario.t
 (** the phase-shifted scenario, via {!Pqbenchlib.Scenario.phased} —
-    outside the chaos catalogue *)
+    outside the chaos catalogue: both uniform-heavy phases insert 40% of
+    the time, and the skewed-low phase adds 6000 cycles (± 25%) of local
+    work before each access, inserts 40% of the time at Zipf priorities
+    of exponent 1.2 *)
 
 type phase_stat = { ph_mean : float; ph_count : int }
 

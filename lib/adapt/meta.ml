@@ -13,7 +13,6 @@ module Registry = Pqcore.Registry
 type config = {
   light : string;
   heavy : string;
-  epoch_ops : int;
   classifier : Classifier.config;
   initial : Classifier.regime;
 }
@@ -22,7 +21,6 @@ let default =
   {
     light = "SingleLock";
     heavy = "FunnelTree";
-    epoch_ops = 1;
     classifier = Classifier.default;
     initial = Classifier.Light;
   }
@@ -41,7 +39,6 @@ let validate c =
   check_backend "heavy" c.heavy;
   if c.light = c.heavy then
     invalid_arg "Pqadapt.Meta: light and heavy backends must differ";
-  if c.epoch_ops < 1 then invalid_arg "Pqadapt.Meta: epoch_ops must be >= 1";
   Classifier.validate c.classifier
 
 type switch = {
@@ -101,7 +98,6 @@ let create ?metrics config mem (params : Pqcore.Pq_intf.params) =
       ops = 0;
     }
   in
-  let done_per_proc = Array.make nprocs 0 in
   (* Per-processor announce flags.  On real hardware each thread's flag
      sits in its own cache line in M state, so the owner's entry/exit
      stores are L1 hits — effectively free — while a migrator scanning
@@ -194,16 +190,14 @@ let create ?metrics config mem (params : Pqcore.Pq_intf.params) =
     end
     (* a concurrent migrator beat us to it: our next epoch re-evaluates *)
   in
+  (* a classifier decision point after every operation *)
   let epoch pid =
     st.ops <- st.ops + 1;
-    done_per_proc.(pid) <- done_per_proc.(pid) + 1;
-    if done_per_proc.(pid) mod config.epoch_ops = 0 then begin
-      let r =
-        Classifier.observe st.classifier ~stats:metrics ~now:(Api.now ())
-          ~ops:st.ops
-      in
-      if regime_index r <> Api.read cur then migrate pid r
-    end
+    let r =
+      Classifier.observe st.classifier ~stats:metrics ~now:(Api.now ())
+        ~ops:st.ops
+    in
+    if regime_index r <> Api.read cur then migrate pid r
   in
   let insert ~pri ~payload =
     let pid = Api.self () in

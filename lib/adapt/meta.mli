@@ -15,15 +15,14 @@
 type config = {
   light : string;  (** backend under the Light regime *)
   heavy : string;  (** backend under the Heavy regime *)
-  epoch_ops : int;  (** per-processor ops between classifier decisions *)
   classifier : Classifier.config;
   initial : Classifier.regime;  (** starting regime/backend *)
 }
 
 val default : config
-(** SingleLock under Light, FunnelTree under Heavy, a classifier
-    decision point after every op ([epoch_ops = 1]; the classifier's
-    [min_window] is what actually spaces samples out) *)
+(** SingleLock under Light, FunnelTree under Heavy.  The meta-queue
+    reaches a classifier decision point after every op; the
+    classifier's [min_window] is what actually spaces samples out. *)
 
 val backends : config -> string list
 (** [[light; heavy]] *)
@@ -31,7 +30,7 @@ val backends : config -> string list
 val validate : config -> unit
 (** @raise Invalid_argument on an unknown backend — the message names
     the valid backend set (sorted), mirroring {!Pqcore.Registry} — on
-    identical backends, or on a bad epoch/classifier config *)
+    identical backends, or on a bad classifier config *)
 
 (** one completed migration *)
 type switch = {

@@ -298,8 +298,7 @@ let read_file path =
   close_in ic;
   s
 
-let scan_dirs ?(dirs = default_dirs) ?(extra_files = default_extra_files)
-    ?(allow = []) ~root () =
+let scan_dirs ?(allow = []) ~root () =
   let out = ref [] in
   List.iter
     (fun dir ->
@@ -329,7 +328,7 @@ let scan_dirs ?(dirs = default_dirs) ?(extra_files = default_extra_files)
           (let a = Sys.readdir abs in
            Array.sort compare a;
            a))
-    dirs;
+    default_dirs;
   List.iter
     (fun rel ->
       let path = Filename.concat root rel in
@@ -349,5 +348,5 @@ let scan_dirs ?(dirs = default_dirs) ?(extra_files = default_extra_files)
             :: !out;
         out := scan_string ~file:rel ~allow (read_file path) @ !out
       end)
-    extra_files;
+    default_extra_files;
   List.sort (fun a b -> compare (a.file, a.line) (b.file, b.line)) !out

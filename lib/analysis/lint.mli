@@ -44,12 +44,6 @@ val default_extra_files : string list
     allowlist even though the rest of lib/psim is host code *)
 
 val scan_dirs :
-  ?dirs:string list ->
-  ?extra_files:string list ->
-  ?allow:(string * string) list ->
-  root:string ->
-  unit ->
-  violation list
-(** walk [dirs] (default {!default_dirs}) under [root], scanning every
-    [.ml] and checking mli coverage, then scan each of [extra_files]
-    (default {!default_extra_files}) the same way *)
+  ?allow:(string * string) list -> root:string -> unit -> violation list
+(** walk {!default_dirs} under [root], scanning every [.ml] and checking
+    mli coverage, then scan each of {!default_extra_files} the same way *)

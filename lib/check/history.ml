@@ -17,7 +17,6 @@ let record ~queue ~nprocs ~npriorities ~ops_per_proc ?(seed = 42)
           {
             (Pqcore.Pq_intf.default_params ~nprocs ~npriorities) with
             capacity = (nprocs * ops_per_proc) + 1;
-            bin_capacity = (nprocs * ops_per_proc) + 1;
             ops_per_proc = ops_per_proc + 1;
           })
       ~program:(fun q pid ->

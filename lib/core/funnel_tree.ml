@@ -20,8 +20,7 @@ let create mem (p : Pq_intf.params) =
           Funnel
             (Pqfunnel.Fcounter.create
                ~name:(Index (Root "FunnelTree.counter", n))
-               mem ~nprocs:p.nprocs ~config ~elim:p.funnel_elim ~floor:0
-               ~init:0 ())
+               mem ~nprocs:p.nprocs ~config ~floor:0 ~init:0 ())
         end
         else
           Locked
@@ -36,8 +35,7 @@ let create mem (p : Pq_intf.params) =
     Array.init p.npriorities (fun pri ->
         Pqfunnel.Fstack.create
           ~name:(Index (Root "FunnelTree.stack", pri))
-          mem ~nprocs:p.nprocs ?config:p.funnel_config ~elim:p.funnel_elim
-          ~pool ())
+          mem ~nprocs:p.nprocs ?config:p.funnel_config ~pool ())
   in
   let counter_inc n =
     match counters.(n) with

@@ -10,7 +10,7 @@ type fbin = {
 let stack_bin ~name mem (p : Pq_intf.params) pool =
   let s =
     Pqfunnel.Fstack.create ~name mem ~nprocs:p.nprocs ?config:p.funnel_config
-      ~elim:p.funnel_elim ~pool ()
+      ~pool ()
   in
   {
     fb_push = Pqfunnel.Fstack.push s;

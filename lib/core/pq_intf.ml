@@ -24,12 +24,12 @@ type t = {
 type params = {
   nprocs : int;
   npriorities : int;
-  capacity : int;  (** max simultaneous elements, for the heap queues *)
-  bin_capacity : int;  (** per-bin element bound, for the bin queues *)
+  capacity : int;
+      (** element bound: simultaneous elements in a heap queue, elements
+          in one bin of a bin queue *)
   seed : int;  (** structure-level randomness (skip list levels) *)
   ops_per_proc : int;  (** upper bound, sizes funnel-stack node pools *)
   funnel_config : Pqfunnel.Engine.config option;  (** None = defaults *)
-  funnel_elim : bool;  (** elimination in funnel structures *)
   funnel_cutoff : int;  (** FunnelTree: tree levels (from root) using funnels *)
 }
 
@@ -37,7 +37,6 @@ let validate (p : params) =
   let bad = ref [] in
   let need_pos name v = if v < 1 then bad := Printf.sprintf "%s = %d (want >= 1)" name v :: !bad in
   need_pos "ops_per_proc" p.ops_per_proc;
-  need_pos "bin_capacity" p.bin_capacity;
   need_pos "capacity" p.capacity;
   need_pos "npriorities" p.npriorities;
   need_pos "nprocs" p.nprocs;
@@ -52,10 +51,8 @@ let default_params ~nprocs ~npriorities =
     nprocs;
     npriorities;
     capacity = 2048;
-    bin_capacity = 2048;
     seed = 7;
     ops_per_proc = 4096;
     funnel_config = None;
-    funnel_elim = true;
     funnel_cutoff = 4;
   }

@@ -24,20 +24,19 @@ type t = {
 type params = {
   nprocs : int;
   npriorities : int;
-  capacity : int;  (** max simultaneous elements, for the heap queues *)
-  bin_capacity : int;  (** per-bin element bound, for the bin queues *)
+  capacity : int;
+      (** element bound: simultaneous elements in a heap queue, elements
+          in one bin of a bin queue *)
   seed : int;  (** structure-level randomness (skip list levels) *)
   ops_per_proc : int;  (** upper bound, sizes funnel-stack node pools *)
   funnel_config : Pqfunnel.Engine.config option;  (** None = defaults *)
-  funnel_elim : bool;  (** elimination in funnel structures *)
   funnel_cutoff : int;  (** FunnelTree: tree levels (from root) using funnels *)
 }
 
 val validate : params -> unit
 (** @raise Invalid_argument naming every field that is out of range
-    ([nprocs], [npriorities], [capacity], [bin_capacity] and
-    [ops_per_proc] must all be >= 1).  {!Registry.create} calls this
-    before construction so every queue family rejects bad parameters
-    the same way. *)
+    ([nprocs], [npriorities], [capacity] and [ops_per_proc] must all be
+    >= 1).  {!Registry.create} calls this before construction so every
+    queue family rejects bad parameters the same way. *)
 
 val default_params : nprocs:int -> npriorities:int -> params

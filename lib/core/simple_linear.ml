@@ -13,7 +13,7 @@ let create mem (p : Pq_intf.params) =
     Array.init p.npriorities (fun pri ->
         Pqstruct.Bin.create
           ~name:(Index (Root "SimpleLinear.bin", pri))
-          mem ~nprocs:p.nprocs ~cap:p.bin_capacity)
+          mem ~nprocs:p.nprocs ~cap:p.capacity)
   in
   let insert ~pri ~payload = Pqstruct.Bin.insert bins.(pri) payload in
   let delete_min () = scan bins 0 in

@@ -83,7 +83,7 @@ and advance s db =
 let create mem (p : Pq_intf.params) =
   let base =
     Pqstruct.Skipbase.create ~name:(Root "SkipList") mem ~nprocs:p.nprocs
-      ~npriorities:p.npriorities ~bin_cap:p.bin_capacity ~seed:p.seed
+      ~npriorities:p.npriorities ~bin_cap:p.capacity ~seed:p.seed
   in
   let delbin = Mem.alloc mem 1 in
   Mem.label mem ~addr:delbin ~len:1 (Root "SkipList.delbin");

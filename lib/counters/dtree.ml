@@ -7,13 +7,15 @@ let diffracted = -3
 
 type node = { toggle : int; prism : int; prism_width : int }
 
-let create mem ~nprocs ?depth ?(attempts = 2) ?(spin = 12) () =
+(* prism pairing attempts per balancer, and cycles of waiting for a
+   partner per attempt *)
+let attempts = 2
+let spin = 12
+
+let create mem ~nprocs =
   let depth =
-    match depth with
-    | Some d -> d
-    | None ->
-        let rec log2 v acc = if v <= 1 then acc else log2 (v / 2) (acc + 1) in
-        max 1 (log2 nprocs 0 / 2)
+    let rec log2 v acc = if v <= 1 then acc else log2 (v / 2) (acc + 1) in
+    max 1 (log2 nprocs 0 / 2)
   in
   let nleaves = 1 lsl depth in
   (* nodes in heap order 1 .. nleaves-1; prisms shrink with depth *)

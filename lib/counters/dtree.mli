@@ -12,13 +12,6 @@
     fetch-and-increment required for our priority queues" — this module
     exists to back that comparison with numbers. *)
 
-val create :
-  Pqsim.Mem.t ->
-  nprocs:int ->
-  ?depth:int ->
-  ?attempts:int ->
-  ?spin:int ->
-  unit ->
-  Ctr_intf.t
-(** [depth] defaults to roughly half of log2(nprocs), the sweet spot the
+val create : Pqsim.Mem.t -> nprocs:int -> Ctr_intf.t
+(** a tree of depth roughly half of log2(nprocs), the sweet spot the
     diffracting-tree paper reports *)

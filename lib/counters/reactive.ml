@@ -5,7 +5,13 @@ open Pqsim
    Ctr_intf. *)
 let name_prefix = "reactive@"
 
-let create mem ~nprocs ?(up_after = 1) ?(down_after = 8) () =
+(* hysteresis: switch up after [up_after] consecutive busy lock
+   acquisitions (two or more failed tries each), down after [down_after]
+   consecutive un-combined climbs *)
+let up_after = 1
+let down_after = 8
+
+let create mem ~nprocs =
   let central = Mem.alloc mem 1 in
   let mode = Mem.alloc mem 1 in
   Mem.label mem ~addr:central ~len:1 (Root "reactive.central");

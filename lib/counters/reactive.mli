@@ -14,13 +14,10 @@
     wholesale switch needs global agreement the funnel's local adaption
     avoids. *)
 
-val create :
-  Pqsim.Mem.t ->
-  nprocs:int ->
-  ?up_after:int ->
-  ?down_after:int ->
-  unit ->
-  Ctr_intf.t
+val create : Pqsim.Mem.t -> nprocs:int -> Ctr_intf.t
+(** switches up as soon as one lock acquisition fails twice before it
+    succeeds, and down after 8 consecutive un-combined climbs by one
+    processor *)
 
 val mode_now : Pqsim.Mem.t -> Ctr_intf.t -> int
 (** 0 = lock-based, 1 = combining tree; for tests.  Only valid on

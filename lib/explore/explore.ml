@@ -52,10 +52,9 @@ let violates cfg kind (s : Schedule.t) =
         (Verdict.classify ~max_states:cfg.Driver.max_states h)
   | `Qc -> not (Pqcheck.Lincheck.quiescently_consistent h)
 
-let make_witness cfg ~shrink_budget kind original =
+let make_witness cfg kind original =
   let schedule, shrink_runs =
-    Shrink.shrink ~max_runs:shrink_budget ~violates:(violates cfg kind)
-      original
+    Shrink.shrink ~violates:(violates cfg kind) original
   in
   let history =
     Driver.history cfg ~policy:(Schedule.replay schedule)
@@ -86,7 +85,7 @@ let dfs_space ~horizon ~branching ~budget =
   in
   min budget (go 1 0)
 
-let run ?cfg ?(seed = 1) ?(shrink_budget = 400) ~queue ~policy ~budget () =
+let run ?cfg ?(seed = 1) ~queue ~policy ~budget () =
   let cfg = match cfg with Some c -> c | None -> Driver.config queue in
   let total =
     match policy with
@@ -125,13 +124,13 @@ let run ?cfg ?(seed = 1) ?(shrink_budget = 400) ~queue ~policy ~budget () =
       incr lin_violations;
       if !lin_witness = None then
         lin_witness :=
-          Some (make_witness cfg ~shrink_budget `Lin (schedule_of_run ()))
+          Some (make_witness cfg `Lin (schedule_of_run ()))
     end;
     if Verdict.qc_violated v then begin
       incr qc_violations;
       if !qc_witness = None then
         qc_witness :=
-          Some (make_witness cfg ~shrink_budget `Qc (schedule_of_run ()))
+          Some (make_witness cfg `Qc (schedule_of_run ()))
     end
   done;
   let level =

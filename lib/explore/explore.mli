@@ -47,7 +47,6 @@ type report = {
 val run :
   ?cfg:Driver.config ->
   ?seed:int ->
-  ?shrink_budget:int ->
   queue:string ->
   policy:policy_kind ->
   budget:int ->
@@ -55,10 +54,10 @@ val run :
   report
 (** [run ~queue ~policy ~budget ()] executes up to [budget] schedules
     ([cfg] defaults to {!Driver.config}[ queue]; [seed], default 1,
-    varies the workload and policy streams; [shrink_budget], default
-    400, bounds each witness minimization).  Every schedule that
+    varies the workload and policy streams).  Every schedule that
     exposes a violation is kept; the first of each kind is shrunk into
-    a witness.  DFS stops early once the bounded space is exhausted. *)
+    a witness by {!Shrink.shrink}.  DFS stops early once the bounded
+    space is exhausted. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** human-readable report: counters, verdict, and for each witness the

@@ -22,20 +22,28 @@ let record ~seed (inner : Sched.t) =
   in
   { policy; schedule }
 
-let random ~seed ?(freq = 4) ?(max_delay = 300) ?(max_weight = 4) () :
-    Sched.t =
-  if freq < 1 then invalid_arg "Policy.random: freq must be >= 1";
+(* random: stall one step in [freq] for 1..[max_delay] cycles; weights
+   0..[max_weight]-1 *)
+let freq = 4
+let max_delay = 300
+let max_weight = 4
+
+let random ~seed : Sched.t =
   let rng = Rng.make (seed lxor 0x5eed_f00d) in
   fun _info ->
-    let weight = if max_weight > 0 then Rng.int rng max_weight else 0 in
+    let weight = Rng.int rng max_weight in
     let delay =
-      if max_delay > 0 && Rng.int rng freq = 0 then 1 + Rng.int rng max_delay
-      else 0
+      if Rng.int rng freq = 0 then 1 + Rng.int rng max_delay else 0
     in
     Sched.Run { Sched.delay; weight }
 
-let pct ~seed ~nprocs ?(depth = 3) ?(quantum = 50) ?(horizon = 256) () :
-    Sched.t =
+(* pct: [depth]-1 change points within the first [horizon] steps,
+   [quantum] cycles of stall per rank *)
+let depth = 3
+let quantum = 50
+let horizon = 256
+
+let pct ~seed ~nprocs : Sched.t =
   if nprocs < 1 then invalid_arg "Policy.pct: nprocs must be >= 1";
   let rng = Rng.make (seed lxor 0x9c7_ca5e) in
   (* random permutation: prio.(p) is p's priority, higher runs sooner *)
@@ -47,8 +55,7 @@ let pct ~seed ~nprocs ?(depth = 3) ?(quantum = 50) ?(horizon = 256) () :
     prio.(j) <- t
   done;
   let change_points = Hashtbl.create 8 in
-  let horizon = max 1 horizon in
-  for _ = 1 to max 0 (depth - 1) do
+  for _ = 1 to depth - 1 do
     Hashtbl.replace change_points (Rng.int rng horizon) ()
   done;
   (* demotions push below every existing priority *)
@@ -84,5 +91,5 @@ let name_of_string s =
 let named name ~seed ~nprocs =
   match name with
   | Default -> None
-  | Pct -> Some (pct ~seed ~nprocs ())
-  | Random -> Some (random ~seed ())
+  | Pct -> Some (pct ~seed ~nprocs)
+  | Random -> Some (random ~seed)

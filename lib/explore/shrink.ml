@@ -13,7 +13,9 @@ let trim (s : Schedule.t) =
   if !last = n - 1 then s
   else { s with decisions = Array.sub s.decisions 0 (!last + 1) }
 
-let shrink ?(max_runs = 400) ~violates (s0 : Schedule.t) =
+let max_runs = 400
+
+let shrink ~violates (s0 : Schedule.t) =
   let runs = ref 0 in
   let try_ s =
     if !runs >= max_runs then false

@@ -8,12 +8,8 @@
     each edit and keeping edits that preserve the violation, until a
     fixpoint (or the run budget) is reached. *)
 
-val shrink :
-  ?max_runs:int ->
-  violates:(Schedule.t -> bool) ->
-  Schedule.t ->
-  Schedule.t * int
+val shrink : violates:(Schedule.t -> bool) -> Schedule.t -> Schedule.t * int
 (** [shrink ~violates s] assumes [violates s] already holds and returns
     [(s', runs_spent)] with [violates s'] still true and [s'] no larger
-    than [s] (usually far smaller).  [max_runs] (default 400) bounds the
-    number of predicate evaluations, i.e. re-runs of the simulator. *)
+    than [s] (usually far smaller).  At most 400 predicate evaluations,
+    i.e. re-runs of the simulator, are spent. *)

@@ -2,8 +2,10 @@ open Pqsim
 
 type mode = Faa | Bounded of { elim : bool }
 
-let run ~mode ~nprocs ~dec_percent ?(ops_per_proc = 60) ?(local_work = 10)
-    ?(seed = 42) () =
+let local_work = 10
+let seed = 42
+
+let run ~mode ~nprocs ~dec_percent ~ops_per_proc =
   let init = nprocs * ops_per_proc in
   (* start high enough that bounded decrements rarely hit the floor: the
      figure measures funnel mechanics, not boundary effects *)

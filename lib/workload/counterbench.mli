@@ -9,12 +9,6 @@ type mode =
       (** homogeneous inc / bounded-dec (floor 0), optional elimination *)
 
 val run :
-  mode:mode ->
-  nprocs:int ->
-  dec_percent:int ->
-  ?ops_per_proc:int ->
-  ?local_work:int ->
-  ?seed:int ->
-  unit ->
-  float
-(** average latency in cycles per counter operation *)
+  mode:mode -> nprocs:int -> dec_percent:int -> ops_per_proc:int -> float
+(** average latency in cycles per counter operation, each operation
+    after 10 cycles of local work, on engine seed 42 *)

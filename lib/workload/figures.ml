@@ -74,7 +74,7 @@ let fig5_left scale =
         progress "[bench] fig5L %s P=%d" label p;
         ( p,
           Counterbench.run ~mode ~nprocs:p ~dec_percent:50
-            ~ops_per_proc:scale.ops () ))
+            ~ops_per_proc:scale.ops ))
       ~mk:(fun (name, _) -> series name)
   in
   ( "Figure 5 (left): funnel counter latency, 50/50 inc/dec (cycles/op)",
@@ -95,7 +95,7 @@ let fig5_right scale =
         progress "[bench] fig5R %s dec%%=%d" label pc;
         ( pc,
           Counterbench.run ~mode ~nprocs:p ~dec_percent:pc
-            ~ops_per_proc:scale.ops () ))
+            ~ops_per_proc:scale.ops ))
       ~mk:(fun (name, _) -> series name)
   in
   ( Printf.sprintf
@@ -299,12 +299,12 @@ let counter_shootout scale =
       ("mcs", Pqcounters.Adapters.mcs);
       ( "combtree",
         fun mem ~nprocs -> Pqcounters.Combtree.create mem ~nprocs () );
-      ("dtree", fun mem ~nprocs -> Pqcounters.Dtree.create mem ~nprocs ());
+      ("dtree", fun mem ~nprocs -> Pqcounters.Dtree.create mem ~nprocs);
       ( "bitonic8",
         fun mem ~nprocs ->
           ignore nprocs;
           Pqcounters.Bitonic.create mem ~width:8 );
-      ("reactive", fun mem ~nprocs -> Pqcounters.Reactive.create mem ~nprocs ());
+      ("reactive", fun mem ~nprocs -> Pqcounters.Reactive.create mem ~nprocs);
       ("funnel", Pqcounters.Adapters.funnel);
     ]
   in
@@ -619,7 +619,7 @@ let sssp_scaling scale =
      metric is the makespan of settling the whole graph — a whole-run
      completion time, not a per-access latency, because SSSP's accesses
      are causally chained through the graph *)
-  let sc = Scenario.sssp ~nodes:96 ~degree:3 ~max_weight:8 () in
+  let sc = Scenario.sssp ~nodes:96 () in
   let data =
     grid scale ~series:Pqcore.Registry.scalable_names
       ~points:(fun _ -> concurrencies scale [ 2; 4; 8; 16; 32; 64 ])

@@ -1,19 +1,13 @@
-type t = {
-  nodes : int;
-  adj : (int * int) array array;
-  nedges : int;
-  max_weight : int;
-}
+type t = { nodes : int; adj : (int * int) array array; nedges : int }
 
+let degree = 3
+let max_weight = 8
 let nodes t = t.nodes
 let nedges t = t.nedges
-let max_weight t = t.max_weight
 let edges t u = t.adj.(u)
 
-let generate ?(degree = 3) ?(max_weight = 8) ~seed ~nodes () =
+let generate ~seed ~nodes =
   if nodes <= 0 then invalid_arg "Graph.generate: nodes must be >= 1";
-  if degree < 1 then invalid_arg "Graph.generate: degree must be >= 1";
-  if max_weight < 1 then invalid_arg "Graph.generate: max_weight must be >= 1";
   let rng = Pqsim.Rng.make (seed lxor 0x6eaf1) in
   let adj = Array.make nodes [] in
   let nedges = ref 0 in
@@ -29,7 +23,7 @@ let generate ?(degree = 3) ?(max_weight = 8) ~seed ~nodes () =
     let u = Pqsim.Rng.int rng v in
     add u v (1 + Pqsim.Rng.int rng max_weight)
   done;
-  (* densify toward the requested average degree; parallel edges and
+  (* densify toward the average degree; parallel edges and
      the occasional rejected self-loop are harmless for SSSP *)
   let extra = max 0 ((nodes * degree / 2) - (nodes - 1)) in
   for _ = 1 to extra do
@@ -41,10 +35,9 @@ let generate ?(degree = 3) ?(max_weight = 8) ~seed ~nodes () =
     nodes;
     adj = Array.map (fun l -> Array.of_list (List.rev l)) adj;
     nedges = !nedges;
-    max_weight;
   }
 
-let max_path_length t = (t.nodes - 1) * t.max_weight
+let max_path_length t = (t.nodes - 1) * max_weight
 
 (* textbook Dijkstra over a sorted (dist, node) set — host-side
    reference answer, independent of any queue under test *)

@@ -4,20 +4,22 @@
     Generation is deterministic per seed and connected by construction:
     a random recursive tree is laid down first (node [v] attaches to a
     uniform earlier node), then extra edges densify the graph toward
-    the requested average degree.  All weights are in
-    [1 .. max_weight] — strictly positive, as Dijkstra requires. *)
+    average degree {!degree}.  All weights are in [1 .. max_weight] —
+    strictly positive, as Dijkstra requires. *)
 
 type t
 
-val generate :
-  ?degree:int -> ?max_weight:int -> seed:int -> nodes:int -> unit -> t
-(** [generate ~seed ~nodes ()] builds an undirected connected graph.
-    [degree] (default 3) is the target average degree; [max_weight]
-    (default 8) the inclusive weight cap. *)
+val degree : int
+(** the target average degree: 3 *)
+
+val max_weight : int
+(** the inclusive weight cap: 8 *)
+
+val generate : seed:int -> nodes:int -> t
+(** [generate ~seed ~nodes] builds an undirected connected graph. *)
 
 val nodes : t -> int
 val nedges : t -> int
-val max_weight : t -> int
 
 val edges : t -> int -> (int * int) array
 (** [(neighbour, weight)] pairs of a node *)

@@ -12,7 +12,17 @@ let default_jobs () =
                 | _ -> 1)
   | None -> 1
 
-let map ~jobs f items =
+(* up to [k] helpers running [worker], each as the join of its spawn.
+   The runtime caps live domains (128 in OCaml 5.1), and a spawn past
+   the cap fails: the map then runs with the helpers it was granted. *)
+let rec spawn_helpers ~spawn worker k =
+  if k <= 0 then []
+  else
+    match spawn worker with
+    | join -> join :: spawn_helpers ~spawn worker (k - 1)
+    | exception Failure _ -> []
+
+let map_with ~spawn ~jobs f items =
   if jobs <= 1 then List.map f items
   else
     match items with
@@ -35,13 +45,9 @@ let map ~jobs f items =
                   err.(i) <- Some (e, Printexc.get_raw_backtrace ())
           done
         in
-        let helpers =
-          List.init
-            (min (jobs - 1) (n - 1))
-            (fun _ -> Domain.spawn worker)
-        in
+        let helpers = spawn_helpers ~spawn worker (min (jobs - 1) (n - 1)) in
         worker ();
-        List.iter Domain.join helpers;
+        List.iter (fun join -> join ()) helpers;
         (* deterministic failure: re-raise the first error in point
            order, whichever domain hit it *)
         Array.iter
@@ -53,3 +59,9 @@ let map ~jobs f items =
           (Array.map
              (function Some v -> v | None -> assert false)
              out)
+
+let domain worker =
+  let d = Domain.spawn worker in
+  fun () -> Domain.join d
+
+let map ~jobs f items = map_with ~spawn:domain ~jobs f items

@@ -14,7 +14,22 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     over the list) and returns the results in item order.  [jobs <= 1]
     runs [List.map f items] in the calling domain.  If any [f] raises,
     the remaining items still run and the first exception in {e item}
-    order is re-raised — deterministic regardless of scheduling. *)
+    order is re-raised — deterministic regardless of scheduling.
+
+    The runtime caps the live domains (128 in OCaml 5.1).  When a spawn
+    fails at the cap, [map] stops spawning and runs with the helpers it
+    was granted, so any [jobs] is safe. *)
+
+val map_with :
+  spawn:((unit -> unit) -> unit -> unit) ->
+  jobs:int ->
+  ('a -> 'b) ->
+  'a list ->
+  'b list
+(** {!map} with [spawn worker] in place of [Domain.spawn]: it returns
+    the join of what it started, or raises [Failure] as [Domain.spawn]
+    does at the cap.  Tests substitute one that fails after a few
+    calls. *)
 
 val default_jobs : unit -> int
 (** The [PQBENCH_JOBS] environment variable (a positive integer), or 1.

@@ -12,7 +12,7 @@ type role = nprocs:int -> pid:int -> ops_per_proc:int -> phase list
 
 type shape =
   | Phased of role
-  | Sssp of { nodes : int; degree : int; max_weight : int }
+  | Sssp of { nodes : int }
 
 type t = { name : string; descr : string; prefill_per_proc : int; shape : shape }
 
@@ -68,23 +68,23 @@ let burst =
             ]);
   }
 
-let sssp ?(nodes = 24) ?(degree = 3) ?(max_weight = 8) () =
+let sssp ?(nodes = 24) () =
   {
     name = "sssp";
     descr =
       Printf.sprintf
         "concurrent Dijkstra over a seeded random graph (%d nodes, ~degree \
          %d); safety = distances equal the sequential reference"
-        nodes degree;
+        nodes Graph.degree;
     prefill_per_proc = 0;
-    shape = Sssp { nodes; degree; max_weight };
+    shape = Sssp { nodes };
   }
 
 (* out-of-catalogue construction: subsystems (pqadapt's phase-shifted
    workload) compose their own phased scenarios without widening [all] —
    and thus without widening the chaos matrix or its golden outputs *)
-let phased ~name ~descr ?(prefill_per_proc = 0) role =
-  { name; descr; prefill_per_proc; shape = Phased role }
+let phased ~name ~descr role =
+  { name; descr; prefill_per_proc = 0; shape = Phased role }
 
 let all = [ coinflip; hold; burst; sssp () ]
 let names = List.sort compare (List.map name all)
@@ -117,9 +117,9 @@ let sum_phases f phases = List.fold_left (fun a p -> a + f p) 0 phases
 let npriorities_for t ~default =
   match t.shape with
   | Phased _ -> default
-  | Sssp { nodes; max_weight; degree = _ } ->
+  | Sssp { nodes } ->
       (* every inserted key is a simple-path length *)
-      ((nodes - 1) * max_weight) + 1
+      ((nodes - 1) * Graph.max_weight) + 1
 
 let capacity_for t ~nprocs ~ops_per_proc =
   match t.shape with
@@ -130,7 +130,7 @@ let capacity_for t ~nprocs ~ops_per_proc =
           !total + sum_phases insert_count (role ~nprocs ~pid ~ops_per_proc)
       done;
       !total + 1
-  | Sssp { nodes; degree; _ } -> (nodes * degree * 4) + (4 * nprocs) + 64
+  | Sssp { nodes } -> (nodes * Graph.degree * 4) + (4 * nprocs) + 64
 
 let ops_bound_for t ~nprocs ~ops_per_proc =
   match t.shape with
@@ -140,7 +140,7 @@ let ops_bound_for t ~nprocs ~ops_per_proc =
         m := max !m (sum_phases op_count (role ~nprocs ~pid ~ops_per_proc))
       done;
       !m + t.prefill_per_proc + 2
-  | Sssp { nodes; degree; _ } -> (nodes * degree * 8) + 64
+  | Sssp { nodes } -> (nodes * Graph.degree * 8) + 64
 
 let total_ops t ~nprocs ~ops_per_proc =
   match t.shape with
@@ -150,7 +150,7 @@ let total_ops t ~nprocs ~ops_per_proc =
         total := !total + sum_phases op_count (role ~nprocs ~pid ~ops_per_proc)
       done;
       !total
-  | Sssp { nodes; degree; _ } -> nodes * degree * 2
+  | Sssp { nodes } -> nodes * Graph.degree * 2
 
 (* ---- the generic interpreter (sim- and host-runnable) ----------- *)
 
@@ -250,16 +250,13 @@ let sssp_inf = max_int / 4
 
 let params_of t ~nprocs ~npriorities ~ops_per_proc ~seed :
     Pqcore.Pq_intf.params =
-  let capacity = capacity_for t ~nprocs ~ops_per_proc in
   {
     nprocs;
     npriorities;
-    capacity;
-    bin_capacity = capacity;
+    capacity = capacity_for t ~nprocs ~ops_per_proc;
     seed = seed lxor 0x51ee9;
     ops_per_proc = ops_bound_for t ~nprocs ~ops_per_proc;
     funnel_config = None;
-    funnel_elim = true;
     funnel_cutoff = 4;
   }
 
@@ -299,8 +296,7 @@ let run_sim ?probe ?policy ?watchdog ?(degrade = fun (_ : Mem.t) -> ())
   let graph =
     match t.shape with
     | Phased _ -> None
-    | Sssp { nodes; degree; max_weight } ->
-        Some (Graph.generate ~degree ~max_weight ~seed:(seed lxor 0x6e0) ~nodes ())
+    | Sssp { nodes } -> Some (Graph.generate ~seed:(seed lxor 0x6e0) ~nodes)
   in
   (* every queue access goes through this wrapper, which streams the op
      notes the monitor folds online.  [progress_on_empty] distinguishes

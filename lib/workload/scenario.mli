@@ -59,14 +59,17 @@ val hold : t
 val burst : t
 (** Zipf producers vs delete-heavy consumers, ending in a drain storm *)
 
-val sssp : ?nodes:int -> ?degree:int -> ?max_weight:int -> unit -> t
-(** concurrent Dijkstra (defaults: 24 nodes, degree 3, weights 1-8) *)
+val sssp : ?nodes:int -> unit -> t
+(** concurrent Dijkstra over a {!Graph} of [nodes] (default 24) nodes,
+    average degree {!Graph.degree} (3) and weights 1 to
+    {!Graph.max_weight} (8) *)
 
-val phased : name:string -> descr:string -> ?prefill_per_proc:int -> role -> t
-(** a custom phased scenario, outside the {!all} catalogue (and hence
-    outside the chaos matrix): how subsystems such as [Pqadapt] compose
-    bespoke workloads — e.g. the phase-shifted uniform-heavy →
-    skewed-low run — while reusing the interpreter, sizing and runner *)
+val phased : name:string -> descr:string -> role -> t
+(** a custom phased scenario with no prefill, outside the {!all}
+    catalogue (and hence outside the chaos matrix): how subsystems such
+    as [Pqadapt] compose bespoke workloads — e.g. the phase-shifted
+    uniform-heavy → skewed-low run — while reusing the interpreter,
+    sizing and runner *)
 
 val all : t list
 (** [coinflip; hold; burst; sssp ()] *)

@@ -8,7 +8,6 @@ type spec = {
   local_work : int;
   insert_bias : int;
   seed : int;
-  elim : bool;
   adaptive : bool;
   cutoff : int;
   machine : Pqsim.Machine.t option;
@@ -24,7 +23,6 @@ let spec ~queue ~nprocs ~npriorities =
     local_work = 20;
     insert_bias = 50;
     seed = 42;
-    elim = true;
     adaptive = true;
     cutoff = 4;
     machine = None;
@@ -60,11 +58,9 @@ let params_of (s : spec) : Pqcore.Pq_intf.params =
     nprocs = s.nprocs;
     npriorities = s.npriorities;
     capacity = total_ops + 1;
-    bin_capacity = total_ops + 1;
     seed = s.seed lxor 0x51ee9;
     ops_per_proc = s.ops_per_proc + (s.prefill / s.nprocs) + 2;
     funnel_config = config;
-    funnel_elim = s.elim;
     funnel_cutoff = s.cutoff;
   }
 

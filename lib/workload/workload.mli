@@ -18,7 +18,6 @@ type spec = {
   local_work : int;
   insert_bias : int;  (** percentage of accesses that are inserts, 0-100 *)
   seed : int;
-  elim : bool;  (** funnel elimination (ablation hook) *)
   adaptive : bool;  (** funnel adaption (ablation hook) *)
   cutoff : int;  (** FunnelTree funnel depth (ablation hook) *)
   machine : Pqsim.Machine.t option;  (** cost-model override (sensitivity) *)
@@ -29,7 +28,9 @@ type spec = {
 }
 
 val spec : queue:string -> nprocs:int -> npriorities:int -> spec
-(** paper defaults: 50/50 mix, small constant local work *)
+(** paper defaults: 50/50 mix, small constant local work.  Funnel
+    elimination is always on in the queues; Figure 5's elimination
+    ablation runs on the bare counters ({!Counterbench}). *)
 
 type result = {
   latency_all : float;  (** cycles per access, the paper's headline metric *)
@@ -49,7 +50,9 @@ type result = {
 exception Verification_failure of string
 
 val params_of : spec -> Pqcore.Pq_intf.params
-(** the construction parameters {!run} builds [spec]'s queue with *)
+(** the construction parameters {!run} builds [spec]'s queue with; its
+    [capacity] is one more than the elements the run can insert, which
+    bounds a heap and each bin alike *)
 
 (** The conservation ledger {!run} keeps: which (priority, payload)
     elements each processor inserted and deleted, in flat per-processor

@@ -183,8 +183,6 @@ let test_meta_validate () =
   M.validate M.default;
   raises_invalid "identical backends" (fun () ->
       M.validate { M.default with M.light = M.default.M.heavy });
-  raises_invalid "zero epoch" (fun () ->
-      M.validate { M.default with M.epoch_ops = 0 });
   match M.validate { M.default with M.light = "NoSuchQueue" } with
   | exception Invalid_argument msg ->
       check_bool "unknown-backend error names the valid set" true

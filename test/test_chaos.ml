@@ -19,12 +19,12 @@ let prop_graph_connected_positive =
     ~count:40
     QCheck.(pair (int_bound 10_000) (int_range 2 80))
     (fun (seed, nodes) ->
-      let g = Pqbenchlib.Graph.generate ~seed ~nodes () in
+      let g = Pqbenchlib.Graph.generate ~seed ~nodes in
       let weights_ok = ref true in
       for v = 0 to nodes - 1 do
         Array.iter
           (fun (u, w) ->
-            if u < 0 || u >= nodes || w < 1 || w > Pqbenchlib.Graph.max_weight g
+            if u < 0 || u >= nodes || w < 1 || w > Pqbenchlib.Graph.max_weight
             then weights_ok := false)
           (Pqbenchlib.Graph.edges g v)
       done;
@@ -56,8 +56,8 @@ let prop_graph_deterministic =
     ~count:20
     QCheck.(pair (int_bound 10_000) (int_range 2 60))
     (fun (seed, nodes) ->
-      let g1 = Pqbenchlib.Graph.generate ~seed ~nodes ()
-      and g2 = Pqbenchlib.Graph.generate ~seed ~nodes () in
+      let g1 = Pqbenchlib.Graph.generate ~seed ~nodes
+      and g2 = Pqbenchlib.Graph.generate ~seed ~nodes in
       Pqbenchlib.Graph.nedges g1 = Pqbenchlib.Graph.nedges g2
       && Pqbenchlib.Graph.dijkstra g1 ~src:0
          = Pqbenchlib.Graph.dijkstra g2 ~src:0)
@@ -309,7 +309,7 @@ let equivalence_cases =
                 [
                   ("default", None);
                   ( "fuzzed",
-                    Some (Pqexplore.Policy.random ~seed:(seed + 5) ()) );
+                    Some (Pqexplore.Policy.random ~seed:(seed + 5)) );
                 ])
             [ 42; 1 ])
         [ ("coinflip", S.coinflip); ("hold", S.hold); ("burst", S.burst) ])

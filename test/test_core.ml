@@ -290,6 +290,46 @@ let test_capacity_rejection () =
   in
   ()
 
+(* the bin queues read the same bound per bin: a full bin rejects, and
+   the queue still drains the accepted elements and checks clean *)
+let test_bin_capacity_rejection queue () =
+  let accepted = ref [] and drained = ref [] in
+  let q, result =
+    Sim.run ~nprocs:1
+      ~setup:(fun mem ->
+        Pqcore.Registry.create queue mem
+          {
+            (Pqcore.Pq_intf.default_params ~nprocs:1 ~npriorities:4) with
+            capacity = 2;
+          })
+      ~program:(fun q _ ->
+        List.iter
+          (fun (pri, payload) ->
+            accepted :=
+              q.Pqcore.Pq_intf.insert ~pri ~payload :: !accepted)
+          [ (1, 1); (1, 2); (1, 3); (2, 4) ];
+        let rec drain () =
+          match q.Pqcore.Pq_intf.delete_min () with
+          | Some e ->
+              drained := e :: !drained;
+              drain ()
+          | None -> ()
+        in
+        drain ())
+      ()
+  in
+  Alcotest.(check (list bool))
+    "the third insert at one priority is rejected, another bin accepts"
+    [ true; true; false; true ] (List.rev !accepted);
+  Alcotest.(check (list (pair int int)))
+    "drains the accepted elements"
+    [ (1, 1); (1, 2); (2, 4) ]
+    (List.sort compare !drained);
+  Alcotest.(check (list (pair int int)))
+    "nothing left" [] (q.Pqcore.Pq_intf.drain_now result.Sim.mem);
+  check_bool "check_now clean" true
+    (q.Pqcore.Pq_intf.check_now result.Sim.mem = Ok ())
+
 let test_registry_unknown () =
   let raised =
     try
@@ -346,7 +386,7 @@ let test_hunt_random_preemption_seed123 () =
   in
   let r =
     Pqbenchlib.Workload.run ~watchdog:2_000_000
-      ~policy:(Pqexplore.Policy.random ~seed:123 ())
+      ~policy:(Pqexplore.Policy.random ~seed:123)
       spec
   in
   Alcotest.(check bool) "run completed" true (r.Pqbenchlib.Workload.cycles > 0)
@@ -450,6 +490,15 @@ let () =
             Alcotest.test_case "tree shape" `Quick test_treeshape;
             Alcotest.test_case "capacity rejection" `Quick
               test_capacity_rejection;
+          ]
+          @ List.map
+              (fun queue ->
+                Alcotest.test_case
+                  (queue ^ " bin capacity rejection")
+                  `Quick
+                  (test_bin_capacity_rejection queue))
+              [ "SimpleLinear"; "SimpleTree"; "SkipList" ]
+          @ [
             Alcotest.test_case "registry unknown" `Quick test_registry_unknown;
             Alcotest.test_case "hunt random preemption seed 123" `Quick
               test_hunt_random_preemption_seed123;

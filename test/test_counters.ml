@@ -12,7 +12,7 @@ type maker = Mem.t -> nprocs:int -> Pqcounters.Ctr_intf.t
 
 let makers : (string * maker) list =
   [
-    ("dtree", fun mem ~nprocs -> Pqcounters.Dtree.create mem ~nprocs ());
+    ("dtree", fun mem ~nprocs -> Pqcounters.Dtree.create mem ~nprocs);
     ( "bitonic4",
       fun mem ~nprocs ->
         ignore nprocs;
@@ -22,7 +22,7 @@ let makers : (string * maker) list =
         ignore nprocs;
         Pqcounters.Bitonic.create mem ~width:8 );
     ("combtree", fun mem ~nprocs -> Pqcounters.Combtree.create mem ~nprocs ());
-    ("reactive", fun mem ~nprocs -> Pqcounters.Reactive.create mem ~nprocs ());
+    ("reactive", fun mem ~nprocs -> Pqcounters.Reactive.create mem ~nprocs);
     ("cas", fun mem ~nprocs -> ignore nprocs; Pqcounters.Adapters.cas mem);
     ("mcs", Pqcounters.Adapters.mcs);
     ("funnel", Pqcounters.Adapters.funnel);
@@ -90,7 +90,7 @@ let test_bitonic_bad_width () =
 let test_dtree_depth_default_positive () =
   let _ =
     Sim.run ~nprocs:64
-      ~setup:(fun mem -> Pqcounters.Dtree.create mem ~nprocs:64 ())
+      ~setup:(fun mem -> Pqcounters.Dtree.create mem ~nprocs:64)
       ~program:(fun c _ -> ignore (c.Pqcounters.Ctr_intf.inc ()))
       ()
   in
@@ -123,7 +123,7 @@ let test_reactive_switches_modes () =
   let end_mode nprocs iters =
     let c, result =
       Sim.run ~nprocs ~seed:7
-        ~setup:(fun mem -> Pqcounters.Reactive.create mem ~nprocs ())
+        ~setup:(fun mem -> Pqcounters.Reactive.create mem ~nprocs)
         ~program:(fun c _ ->
           for _ = 1 to iters do
             ignore (c.Pqcounters.Ctr_intf.inc ());
@@ -162,7 +162,7 @@ let test_scaling_shapes () =
            cas)
         true (l < cas))
     [
-      ("dtree", fun mem ~nprocs -> Pqcounters.Dtree.create mem ~nprocs ());
+      ("dtree", fun mem ~nprocs -> Pqcounters.Dtree.create mem ~nprocs);
       ( "bitonic8",
         fun mem ~nprocs ->
           ignore nprocs;

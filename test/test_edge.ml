@@ -11,11 +11,7 @@ let check_bool = Alcotest.(check bool)
 let all_queues = Pqcore.Registry.names
 
 let params ~nprocs ~npriorities =
-  {
-    (Pqcore.Pq_intf.default_params ~nprocs ~npriorities) with
-    capacity = 256;
-    bin_capacity = 256;
-  }
+  { (Pqcore.Pq_intf.default_params ~nprocs ~npriorities) with capacity = 256 }
 
 (* a queue with one priority degenerates to a bag; everything must still
    conserve elements *)

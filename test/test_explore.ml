@@ -49,7 +49,7 @@ let test_fifo_policy_is_identity () =
 let test_record_replay_fidelity () =
   let cfg = Driver.config "FunnelTree" in
   let seed = 11 in
-  let rec_ = Policy.record ~seed (Policy.random ~seed ()) in
+  let rec_ = Policy.record ~seed (Policy.random ~seed) in
   let h = Driver.history cfg ~policy:rec_.Policy.policy ~seed in
   let s = rec_.Policy.schedule () in
   check_bool "trace is non-trivial" true (Schedule.perturbations s > 0);
@@ -62,15 +62,15 @@ let test_policies_deterministic () =
     List.init 40 (fun step ->
         p { Pqsim.Sched.proc = step mod 4; time = step * 10; step; op = Read })
   in
-  let r () = Policy.random ~seed:5 () in
+  let r () = Policy.random ~seed:5 in
   check_bool "random" true (sample r = sample r);
-  let p () = Policy.pct ~seed:5 ~nprocs:4 () in
+  let p () = Policy.pct ~seed:5 ~nprocs:4 in
   check_bool "pct" true (sample p = sample p)
 
 let test_pct_ranks_procs () =
   (* with no change points hit, one proc is never delayed and some proc
      always is (nprocs > 1) *)
-  let p = Policy.pct ~seed:2 ~nprocs:3 ~quantum:10 () in
+  let p = Policy.pct ~seed:2 ~nprocs:3 in
   let ds =
     List.init 30 (fun step ->
         let delay =
@@ -263,10 +263,10 @@ let test_named_schedules () =
   check_bool "default is the engine's order" true (named Policy.Default = None);
   check_bool "pct decides as Policy.pct" true
     (decisions (Option.get (named Policy.Pct))
-    = decisions (Policy.pct ~seed ~nprocs:4 ()));
+    = decisions (Policy.pct ~seed ~nprocs:4));
   check_bool "random decides as Policy.random" true
     (decisions (Option.get (named Policy.Random))
-    = decisions (Policy.random ~seed ()));
+    = decisions (Policy.random ~seed));
   check_bool "pct and random differ" false
     (decisions (Option.get (named Policy.Pct))
     = decisions (Option.get (named Policy.Random)));

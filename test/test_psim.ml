@@ -1138,6 +1138,33 @@ let test_pool_jobs_identical () =
     (Pqbenchlib.Pool.map ~jobs:1 run points
     = Pqbenchlib.Pool.map ~jobs:4 run points)
 
+(* a spawn that grants [k] domains, then fails as Domain.spawn does at
+   the runtime's domain cap: the map must stop spawning, join every
+   helper it was granted and still return every result in item order *)
+let test_pool_domain_cap () =
+  let items = List.init 50 Fun.id in
+  List.iter
+    (fun k ->
+      let calls = ref 0 and started = ref 0 and joined = Atomic.make 0 in
+      let spawn worker =
+        incr calls;
+        if !started >= k then failwith "failed to allocate domain";
+        incr started;
+        let d = Domain.spawn worker in
+        fun () ->
+          Domain.join d;
+          Atomic.incr joined
+      in
+      let got =
+        Pqbenchlib.Pool.map_with ~spawn ~jobs:200 (fun i -> i * i) items
+      in
+      let what = Printf.sprintf "granted %d: " k in
+      check_bool (what ^ "results in item order") true
+        (got = List.map (fun i -> i * i) items);
+      check_int (what ^ "no spawn after the failed one") (k + 1) !calls;
+      check_int (what ^ "every helper joined") k (Atomic.get joined))
+    [ 0; 2 ]
+
 (* the probe's annotation stream for one probed run: every Mark and Span
    from the sink and every note, with processor and timestamp *)
 let annotation_digest queue =
@@ -1345,6 +1372,8 @@ let () =
             test_nested_run_restores_context;
           Alcotest.test_case "pool jobs 4 = jobs 1" `Quick
             test_pool_jobs_identical;
+          Alcotest.test_case "pool runs with the domains granted" `Quick
+            test_pool_domain_cap;
           Alcotest.test_case "annotation stream pinned" `Quick
             test_annotation_stream_pinned;
           Alcotest.test_case "nested run takes its own queue" `Quick

@@ -269,7 +269,6 @@ let test_validate_rejects () =
   rejects "nprocs" { base with nprocs = 0 };
   rejects "npriorities" { base with npriorities = 0 };
   rejects "capacity" { base with capacity = -1 };
-  rejects "bin_capacity" { base with bin_capacity = 0 };
   rejects "ops_per_proc" { base with ops_per_proc = 0 };
   Pqcore.Pq_intf.validate base
 

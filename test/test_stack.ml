@@ -70,14 +70,14 @@ let () = flag_rounds "flag rounds (wait_change)" ()
 
 let () =
   flag_rounds "flag rounds (wait_change, random preemption)"
-    ~policy:(Pqexplore.Policy.random ~seed:7 ())
+    ~policy:(Pqexplore.Policy.random ~seed:7)
     ()
 
 let () =
   let nprocs = 4 and incs = 300_000 in
   let counter, r =
     Sim.run ~nprocs
-      ~policy:(Pqexplore.Policy.random ~seed:7 ())
+      ~policy:(Pqexplore.Policy.random ~seed:7)
       ~setup:(fun mem -> Mem.alloc mem 1)
       ~program:(fun counter _ ->
         for _ = 1 to incs do

@@ -226,7 +226,7 @@ let test_contention_grows_with_procs () =
 let test_counterbench_runs () =
   let l =
     Pqbenchlib.Counterbench.run ~mode:Pqbenchlib.Counterbench.Faa ~nprocs:8
-      ~dec_percent:50 ~ops_per_proc:20 ()
+      ~dec_percent:50 ~ops_per_proc:20
   in
   check_bool "positive latency" true (l > 0.)
 
@@ -234,7 +234,7 @@ let test_counterbench_elim_helps_at_scale () =
   let l elim =
     Pqbenchlib.Counterbench.run
       ~mode:(Pqbenchlib.Counterbench.Bounded { elim })
-      ~nprocs:64 ~dec_percent:50 ~ops_per_proc:25 ()
+      ~nprocs:64 ~dec_percent:50 ~ops_per_proc:25
   in
   check_bool "elimination cheaper at 64 procs" true (l true < l false)
 
