@@ -27,19 +27,7 @@ let slack_per_dangling name =
   | Some cfg -> 1 + cfg.Pqrelaxed.Multiqueue.ins_buf + cfg.del_buf
   | None -> 1
 
-(* Elem.pack's 24-bit payloads overflow at the paper's 256-processor
-   workload scale (payload = pid * 100_000 + op); a slot key is one
-   63-bit simulated word, so this family packs with 40 payload bits —
-   same ordering (priority first, then payload), more headroom *)
-let payload_bits = 40
-let max_payload = 1 lsl payload_bits
-
-let pack ~pri ~payload =
-  if payload < 0 || payload >= max_payload then
-    invalid_arg "Multi_queue: payload out of range";
-  (pri lsl payload_bits) lor payload
-
-let unpack e = (e lsr payload_bits, e land (max_payload - 1))
+let unpack e = (Pqstruct.Elem.pri e, Pqstruct.Elem.payload e)
 
 let create_named name cfg mem (p : Pq_intf.params) =
   let q =
@@ -51,7 +39,8 @@ let create_named name cfg mem (p : Pq_intf.params) =
     Pq_intf.name;
     npriorities = p.npriorities;
     insert =
-      (fun ~pri ~payload -> Pqrelaxed.Multiqueue.insert q (pack ~pri ~payload));
+      (fun ~pri ~payload ->
+        Pqrelaxed.Multiqueue.insert q (Pqstruct.Elem.pack ~pri ~payload));
     delete_min =
       (fun () ->
         let e = Pqrelaxed.Multiqueue.delete_min q in

@@ -20,17 +20,3 @@ val slack_per_dangling : string -> int
 
 val create : string -> Pqsim.Mem.t -> Pq_intf.params -> Pq_intf.t
 (** @raise Invalid_argument on unknown variant names *)
-
-(** {1 Element packing}
-
-    This family packs (priority, payload) into one slot key itself
-    rather than through {!Pqstruct.Elem}: Elem's 24-bit payloads
-    overflow at the 256-processor workload scale, so these use 40
-    payload bits.  Priority-major, so key order is element order. *)
-
-val max_payload : int
-
-val pack : pri:int -> payload:int -> int
-(** @raise Invalid_argument when [payload] is negative or >= {!max_payload} *)
-
-val unpack : int -> int * int

@@ -3,15 +3,15 @@ let table =
     ("SingleLock", Single_lock.create);
     ("HuntEtAl", Hunt.create);
     ("SkipList", Skiplist.create);
-    ("SimpleLinear", Simple_linear.create);
-    ("SimpleTree", Simple_tree.create);
-    ("LinearFunnels", Linear_funnels.create);
-    ("FunnelTree", Funnel_tree.create);
+    ("SimpleLinear", Bin_queues.simple_linear);
+    ("SimpleTree", Bin_queues.simple_tree);
+    ("LinearFunnels", Bin_queues.linear_funnels);
+    ("FunnelTree", Bin_queues.funnel_tree);
     (* variants beyond the paper's seven: the no-precheck ablation and the
        Section 3.2 fairness alternatives *)
-    ("LinearFunnelsNoCheck", Linear_funnels.create_no_precheck);
-    ("LinearFunnelsFifo", Linear_funnels.create_fifo);
-    ("LinearFunnelsHybrid", Linear_funnels.create_hybrid);
+    ("LinearFunnelsNoCheck", Bin_queues.linear_funnels_no_check);
+    ("LinearFunnelsFifo", Bin_queues.linear_funnels_fifo);
+    ("LinearFunnelsHybrid", Bin_queues.linear_funnels_hybrid);
   ]
   (* the relaxed MultiQueue family (pqrelax): not queues from the paper,
      but the comparison points the rank-error subsystem quantifies *)

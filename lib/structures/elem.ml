@@ -1,4 +1,7 @@
-let bits = 24
+(* 40 payload bits: the workloads' payloads (pid * 100_000 + op) pass
+   2^24 from 168 processors on, and a priority above the payload still
+   leaves 22 bits of a 63-bit word *)
+let bits = 40
 let max_payload = 1 lsl bits
 
 let pack ~pri ~payload =

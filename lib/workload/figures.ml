@@ -559,7 +559,7 @@ let scale1k_procs = [ 64; 128; 256; 512; 1024 ]
 let scale1k_npriorities = 1024
 
 let scale1k scale =
-  let height = Pqcore.Treeshape.height ~npriorities:scale1k_npriorities in
+  let height = Pqcore.Bin_queues.height ~npriorities:scale1k_npriorities in
   let data =
     grid scale ~series:Pqcore.Registry.scalable_names
       ~points:(fun _ -> concurrencies scale scale1k_procs)

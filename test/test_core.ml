@@ -264,12 +264,15 @@ let test_bitrev_permutation () =
   done
 
 let test_treeshape () =
-  check_int "leaves rounds up" 16 (Pqcore.Treeshape.leaves_for 9);
-  check_int "leaves exact power" 8 (Pqcore.Treeshape.leaves_for 8);
-  check_int "depth of root" 0 (Pqcore.Treeshape.depth_of 1);
-  check_int "depth of 5" 2 (Pqcore.Treeshape.depth_of 5);
-  check_bool "left child" true (Pqcore.Treeshape.is_left_child 4);
-  check_bool "right child" false (Pqcore.Treeshape.is_left_child 5)
+  check_int "leaves rounds up" 16 (Pqcore.Bin_queues.leaves_for 9);
+  check_int "leaves exact power" 8 (Pqcore.Bin_queues.leaves_for 8);
+  check_int "depth of root" 0 (Pqcore.Bin_queues.depth_of 1);
+  check_int "depth of 5" 2 (Pqcore.Bin_queues.depth_of 5);
+  check_bool "left child" true (Pqcore.Bin_queues.is_left_child 4);
+  check_bool "right child" false (Pqcore.Bin_queues.is_left_child 5);
+  check_int "height N=16" 4 (Pqcore.Bin_queues.height ~npriorities:16);
+  check_int "height N=9" 4 (Pqcore.Bin_queues.height ~npriorities:9);
+  check_int "height N=1024" 10 (Pqcore.Bin_queues.height ~npriorities:1024)
 
 let test_capacity_rejection () =
   (* SingleLock with tiny capacity must reject, not corrupt *)
@@ -329,6 +332,38 @@ let test_bin_capacity_rejection queue () =
     "nothing left" [] (q.Pqcore.Pq_intf.drain_now result.Sim.mem);
   check_bool "check_now clean" true
     (q.Pqcore.Pq_intf.check_now result.Sim.mem = Ok ())
+
+(* the tree queues' check compares every counter with the elements of
+   its left subtree: after a quiescent run that left elements in both
+   halves, one counter word (found by its label) raised by one must fail
+   it, whether that counter is locked or a funnel *)
+let test_tree_check_catches queue ~label ~node () =
+  let q, result =
+    Sim.run ~nprocs:4
+      ~setup:(fun mem ->
+        Pqcore.Registry.create queue mem (mk_params ~nprocs:4 ~npriorities:32))
+      ~program:(fun q pid ->
+        for j = 0 to 7 do
+          let pri = ((pid * 8) + j) mod 32 in
+          assert (q.Pqcore.Pq_intf.insert ~pri ~payload:pri)
+        done)
+      ()
+  in
+  let mem = result.Sim.mem in
+  check_bool "clean at quiescence" true
+    (q.Pqcore.Pq_intf.check_now mem = Ok ());
+  let addr =
+    List.find
+      (fun a -> Mem.name_of mem a = Some label)
+      (List.init (Mem.words_allocated mem) Fun.id)
+  in
+  Mem.poke mem addr (Mem.peek mem addr + 1);
+  match q.Pqcore.Pq_intf.check_now mem with
+  | Error msg ->
+      let prefix = Printf.sprintf "counter at node %d is " node in
+      check_bool (msg ^ " names the node") true
+        (String.starts_with ~prefix msg)
+  | Ok () -> Alcotest.failf "%s: check_now passed a poked %s" queue label
 
 let test_registry_unknown () =
   let raised =
@@ -499,6 +534,15 @@ let () =
                   (test_bin_capacity_rejection queue))
               [ "SimpleLinear"; "SimpleTree"; "SkipList" ]
           @ [
+            Alcotest.test_case "check: SimpleTree node 1" `Quick
+              (test_tree_check_catches "SimpleTree"
+                 ~label:"SimpleTree.counter[1].value" ~node:1);
+            Alcotest.test_case "check: FunnelTree node 1" `Quick
+              (test_tree_check_catches "FunnelTree"
+                 ~label:"FunnelTree.counter[1].central" ~node:1);
+            Alcotest.test_case "check: FunnelTree node 16" `Quick
+              (test_tree_check_catches "FunnelTree"
+                 ~label:"FunnelTree.counter[16].value" ~node:16);
             Alcotest.test_case "registry unknown" `Quick test_registry_unknown;
             Alcotest.test_case "hunt random preemption seed 123" `Quick
               test_hunt_random_preemption_seed123;

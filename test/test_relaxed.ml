@@ -330,22 +330,45 @@ let test_rank_bound_for () =
       | None -> Alcotest.failf "%s has no bound" n)
     Pqcore.Multi_queue.names
 
-let test_pack_roundtrip () =
+(* the family packs (priority, payload) with Pqstruct.Elem: every member
+   hands back the elements it took, payloads at the 256-processor
+   workload scale included, and refuses an oversized payload *)
+let test_element_packing () =
+  let elems =
+    [ (0, 25_600_000); (7, 1); (15, Pqstruct.Elem.max_payload - 1); (3, 0) ]
+  in
   List.iter
-    (fun (pri, payload) ->
-      let e = Pqcore.Multi_queue.pack ~pri ~payload in
-      Alcotest.(check (pair int int))
-        "roundtrip" (pri, payload)
-        (Pqcore.Multi_queue.unpack e))
-    [ (0, 0); (7, 1); (255, 25_600_000); (1023, Pqcore.Multi_queue.max_payload - 1) ];
-  (* packing orders by priority first: the slot key comparison is the
-     element comparison *)
-  check_bool "priority-major order" true
-    (Pqcore.Multi_queue.pack ~pri:1 ~payload:Pqcore.Multi_queue.(max_payload - 1)
-    < Pqcore.Multi_queue.pack ~pri:2 ~payload:0);
-  match Pqcore.Multi_queue.pack ~pri:0 ~payload:Pqcore.Multi_queue.max_payload with
-  | _ -> Alcotest.fail "oversized payload accepted"
-  | exception Invalid_argument _ -> ()
+    (fun queue ->
+      let got = ref [] and rejected = ref false in
+      let _ =
+        Pqsim.Sim.run ~nprocs:1
+          ~setup:(fun mem ->
+            Pqcore.Registry.create queue mem { base with nprocs = 1 })
+          ~program:(fun q _pid ->
+            List.iter
+              (fun (pri, payload) ->
+                check_bool "inserted" true (q.Pqcore.Pq_intf.insert ~pri ~payload))
+              elems;
+            (try
+               ignore
+                 (q.Pqcore.Pq_intf.insert ~pri:0
+                    ~payload:Pqstruct.Elem.max_payload)
+             with Invalid_argument _ -> rejected := true);
+            let rec drain () =
+              match q.Pqcore.Pq_intf.delete_min () with
+              | Some e ->
+                  got := e :: !got;
+                  drain ()
+              | None -> ()
+            in
+            drain ())
+          ()
+      in
+      Alcotest.(check (list (pair int int)))
+        (queue ^ " roundtrip") (List.sort compare elems)
+        (List.sort compare !got);
+      check_bool (queue ^ " oversized payload rejected") true !rejected)
+    Pqcore.Multi_queue.names
 
 (* ------------------------------------------------------------------ *)
 (* the host-side MultiQueue port *)
@@ -476,7 +499,7 @@ let () =
             test_registry_unknown_name_sorted;
           Alcotest.test_case "names_relaxed" `Quick test_names_relaxed;
           Alcotest.test_case "rank_bound_for" `Quick test_rank_bound_for;
-          Alcotest.test_case "element packing" `Quick test_pack_roundtrip;
+          Alcotest.test_case "element packing" `Quick test_element_packing;
         ] );
       ( "host-multiqueue",
         [

@@ -14,7 +14,22 @@ let test_elem_roundtrip () =
       let e = Pqstruct.Elem.pack ~pri:p ~payload:v in
       check_int "pri" p (Pqstruct.Elem.pri e);
       check_int "payload" v (Pqstruct.Elem.payload e))
-    [ (0, 0); (1, 42); (511, 12345); (512, Pqstruct.Elem.max_payload - 1) ]
+    [
+      (0, 0);
+      (1, 42);
+      (511, 12345);
+      (512, Pqstruct.Elem.max_payload - 1);
+      (* the workloads' payload pid * 100_000 + op at P=256 *)
+      (255, 25_600_000);
+      (1023, Pqstruct.Elem.max_payload - 1);
+    ];
+  (* priority-major: the word comparison is the element comparison *)
+  check_bool "priority-major order" true
+    (Pqstruct.Elem.pack ~pri:1 ~payload:(Pqstruct.Elem.max_payload - 1)
+    < Pqstruct.Elem.pack ~pri:2 ~payload:0);
+  match Pqstruct.Elem.pack ~pri:0 ~payload:Pqstruct.Elem.max_payload with
+  | _ -> Alcotest.fail "oversized payload accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_elem_order =
   QCheck.Test.make ~name:"elem order follows priority order" ~count:500

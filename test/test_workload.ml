@@ -48,6 +48,20 @@ let test_all_queues_verify_under_workload () =
            (Pqbenchlib.Workload.spec ~queue ~nprocs:10 ~npriorities:8)))
     Pqcore.Registry.names
 
+(* the heap queues pack (priority, payload) into one word; the payload
+   pid * 100_000 + op passes 2^24 from P=168 on, so P=256 needs the
+   element's full payload width *)
+let test_heap_queues_verify_at_256 () =
+  List.iter
+    (fun queue ->
+      let r =
+        Pqbenchlib.Workload.run ~ops_per_proc:3
+          (Pqbenchlib.Workload.spec ~queue ~nprocs:256 ~npriorities:16)
+      in
+      check_int (queue ^ " ops accounted") (256 * 3)
+        (r.inserts + r.deletes + r.empty_deletes))
+    [ "SingleLock"; "HuntEtAl" ]
+
 let test_insert_bias_extremes () =
   let all_inserts =
     Pqbenchlib.Workload.run ~ops_per_proc:10
@@ -362,6 +376,8 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_run_seed_sensitivity;
           Alcotest.test_case "all queues verify" `Quick
             test_all_queues_verify_under_workload;
+          Alcotest.test_case "heap queues verify at P=256" `Quick
+            test_heap_queues_verify_at_256;
           Alcotest.test_case "insert bias extremes" `Quick
             test_insert_bias_extremes;
           Alcotest.test_case "contention grows" `Quick
