@@ -40,14 +40,13 @@ let next_id = Atomic.make 1
 
 let no_index = -1
 
-let create ?name ~index () =
-  {
-    state = Atomic.make 0;
-    id = Atomic.fetch_and_add next_id 1;
-    base = name;
-    index;
-    epoch = 0;
-  }
+let make state ?name ~index () =
+  { state; id = Atomic.fetch_and_add next_id 1; base = name; index; epoch = 0 }
+
+let create ?name ~index () = make (Atomic.make 0) ?name ~index ()
+
+let create_padded ?name ~index () =
+  make (Padded.copy (Atomic.make 0)) ?name ~index ()
 
 let id t = t.id
 

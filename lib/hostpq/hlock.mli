@@ -69,6 +69,13 @@ val create : ?name:string -> index:int -> unit -> t
     Construction stores both as they are and formats nothing: the
     symbol is built when a trace first records the lock. *)
 
+val create_padded : ?name:string -> index:int -> unit -> t
+(** {!create}, with the lock's state word in a {!Padded} block of its
+    own, so no other datum shares its cache lines.  It costs 17 words
+    more than {!create}.  {!Multi_pq}'s slots use it: there are a few of
+    them and each is hot.  {!Bin_pq}'s 1,024 bins keep the compact
+    lock. *)
+
 val id : t -> int
 
 val name : t -> string option

@@ -1,5 +1,5 @@
-(** The brute-force reference the test suite holds {!Pqcheck.Lincheck}
-    to: try every order of a history's operations that respects a given
+(** The brute-force references the test suite holds {!Pqcheck.Lincheck}
+    and {!Rank} to.  For Lincheck: try every order of a history's operations that respects a given
     precedence, one operation at a time, against the sequential
     priority-queue specification.  No memoisation and no epoch algebra,
     so it shares no reasoning with the checker; its cost is factorial,
@@ -24,3 +24,16 @@ val quiescent :
     consistency).  Times are integers and an operation covers the closed
     interval [\[t0, t1\]], so such an instant exists iff some midpoint
     [k + 1/2] between them is uncovered. *)
+
+val rank_samples : Pqcheck.History.t -> int list * int list
+(** {!Rank.samples} by its definition, with no epochs and no counting
+    structure: the sorted rank errors of every delete and delays of
+    every returned element.  [a] is certainly ordered before [b] when
+    some whole cycle strictly between them is covered by no operation.
+    A delete's rank error counts the accepted inserts whose response is
+    ordered before its invocation and whose first remover (if any) is
+    invoked ordered after its response, and whose priority is below the
+    answer's (any priority, for [None]).  A returned element's delay
+    counts the deletes ordered after its last insert's response and
+    before its remover's invocation that returned a larger priority.
+    Quadratic and worse: keep histories to a few dozen operations. *)

@@ -71,32 +71,94 @@ let busy_intervals (h : History.t) =
       in
       Array.of_list (List.rev (last :: merged))
 
-(* the first quiescent instant at or after [a]: [a] itself when idle,
-   else the cycle after the covering busy interval ends *)
-let quiescent_after ivs a =
-  let n = Array.length ivs in
+(* the epoch of cycle [x]: the index of the first busy interval that
+   ends at or after it, which for an operation's [t0] or [t1] is the
+   interval holding the operation.  A response [a] is ordered before an
+   invocation [b] (some whole idle cycle lies between them) exactly when
+   [epoch a < epoch b]. *)
+let epoch_of ivs x =
   let rec go lo hi =
-    (* smallest interval with end >= a *)
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if snd ivs.(mid) >= a then go lo mid else go (mid + 1) hi
+      if snd ivs.(mid) >= x then go lo mid else go (mid + 1) hi
   in
-  let i = go 0 n in
-  if i >= n then a
-  else
-    let s, e = ivs.(i) in
-    if a < s then a else e + 1
+  go 0 (Array.length ivs)
 
-(* a definitely-live element: insert responded at [born], its remover (if
-   any) was invoked at [removed] *)
-type elem = { pri : int; born : int; removed : int option }
+(* counts over a fixed set of priorities, compressed to their ranks *)
+module Fenwick = struct
+  type t = { keys : int array; counts : int array }
 
-let measure (h : History.t) =
+  let create keys = { keys; counts = Array.make (Array.length keys + 1) 0 }
+
+  (* how many keys are strictly below [p] *)
+  let below t p =
+    let rec go lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if t.keys.(mid) < p then go (mid + 1) hi else go lo mid
+    in
+    go 0 (Array.length t.keys)
+
+  let add t p d =
+    let i = ref (below t p + 1) in
+    while !i < Array.length t.counts do
+      t.counts.(!i) <- t.counts.(!i) + d;
+      i := !i + (!i land - !i)
+    done
+
+  (* the count over the first [i] keys *)
+  let prefix t i =
+    let i = ref i and acc = ref 0 in
+    while !i > 0 do
+      acc := !acc + t.counts.(!i);
+      i := !i - (!i land - !i)
+    done;
+    !acc
+
+  let total t = prefix t (Array.length t.keys)
+
+  (* the counts of priorities strictly below and strictly above [p] *)
+  let count_below t p = prefix t (below t p)
+
+  let count_above t p =
+    let i = below t p in
+    let at = if i < Array.length t.keys && t.keys.(i) = p then 1 else 0 in
+    total t - prefix t (i + at)
+end
+
+(* An offline sweep over epochs in increasing order.  [updates] are
+   (epoch, priority, delta), applied before any query of that epoch or a
+   later one; [queries] are (epoch, f), and [f] reads the counts as they
+   stand then. *)
+let sweep keys updates queries =
+  let fw = Fenwick.create keys in
+  let updates = Array.of_list updates and queries = Array.of_list queries in
+  let by_epoch a b = compare (fst a) (fst b) in
+  Array.stable_sort (fun (a, _, _) (b, _, _) -> compare a b) updates;
+  Array.stable_sort by_epoch queries;
+  let u = ref 0 in
+  Array.iter
+    (fun (k, f) ->
+      while
+        !u < Array.length updates
+        &&
+        let e, _, _ = updates.(!u) in
+        e <= k
+      do
+        let _, p, d = updates.(!u) in
+        Fenwick.add fw p d;
+        incr u
+      done;
+      f fw)
+    queries
+
+(* every delete's rank error, every returned element's delay, and the
+   count of deletes that returned None *)
+let samples_of (h : History.t) =
   let ivs = busy_intervals h in
-  (* [a] happens before [b] in every quiescently consistent order: some
-     whole idle cycle lies between response [a] and invocation [b] *)
-  let ordered a b = quiescent_after ivs a <= b in
+  let epoch = epoch_of ivs in
   (* index removals by (pri, payload): payloads are unique per insert in
      the recorded workload, but keying on the pair keeps the oracle
      honest about bag semantics if that ever changes *)
@@ -107,82 +169,108 @@ let measure (h : History.t) =
       | History.Delete_min (Some pv) ->
           (* first remover wins; a duplicate return is an element-loss
              bug for Lincheck, not this oracle *)
-          if not (Hashtbl.mem removal pv) then Hashtbl.add removal pv e.t0
+          if not (Hashtbl.mem removal pv) then Hashtbl.add removal pv (epoch e.t0)
       | _ -> ())
     h;
   let births = Hashtbl.create 64 in
-  let elems =
-    List.filter_map
+  let pris = ref [] in
+  (* An accepted insert [y] is certainly in the queue across a delete in
+     epoch [k] when its insert is ordered before the delete and its
+     removal (if any) after: [born y < k < removed y].  It counts from
+     epoch [born + 1] and stops counting at its remover's epoch. *)
+  let lives =
+    List.concat_map
       (fun (e : History.event) ->
         match e.op with
         | History.Insert { pri; payload; accepted = true } ->
-            Hashtbl.replace births (pri, payload) e.t1;
-            Some
-              {
-                pri;
-                born = e.t1;
-                removed = Hashtbl.find_opt removal (pri, payload);
-              }
+            let born = epoch e.t1 in
+            Hashtbl.replace births (pri, payload) born;
+            pris := pri :: !pris;
+            let from = born + 1 in
+            (match Hashtbl.find_opt removal (pri, payload) with
+            | None -> [ (from, pri, 1) ]
+            | Some r when r > from -> [ (from, pri, 1); (r, pri, -1) ]
+            | Some _ -> [])
+        | _ -> [])
+      h
+  in
+  List.iter
+    (fun (e : History.event) ->
+      match e.op with
+      | History.Delete_min (Some (p, _)) -> pris := p :: !pris
+      | _ -> ())
+    h;
+  let keys = Array.of_list (List.sort_uniq compare !pris) in
+  let empties = ref 0 in
+  let ranks = ref [] and delays = ref [] in
+  (* for a delete returning [p], the live elements below [p]; for one
+     returning None, all of them *)
+  let rank_queries =
+    List.filter_map
+      (fun (d : History.event) ->
+        match d.op with
+        | History.Delete_min ret ->
+            let count =
+              match ret with
+              | Some (p, _) -> fun fw -> Fenwick.count_below fw p
+              | None ->
+                  incr empties;
+                  Fenwick.total
+            in
+            Some (epoch d.t0, fun fw -> ranks := count fw :: !ranks)
+        | History.Insert _ -> None)
+      h
+  in
+  sweep keys lives rank_queries;
+  (* The delay of an element of priority [p] born in epoch [b] and
+     removed by a delete in epoch [k]: the deletes in epochs strictly
+     between [b] and [k] that returned a priority above [p], as the
+     count before epoch [k] less the count before epoch [b + 1]. *)
+  let answers =
+    List.filter_map
+      (fun (e : History.event) ->
+        match e.op with
+        | History.Delete_min (Some (p, _)) -> Some (epoch e.t0 + 1, p, 1)
         | _ -> None)
       h
   in
-  (* [y] is certainly in the queue across a delete at [d0, d1]: its
-     insert is ordered before the delete, and its removal (if any) is
-     ordered after *)
-  let live_across d0 d1 y =
-    ordered y.born d0
-    && match y.removed with None -> true | Some r -> ordered d1 r
+  let delay_queries =
+    List.concat_map
+      (fun (d : History.event) ->
+        match d.op with
+        | History.Delete_min (Some ((p, _) as pv)) -> (
+            match Hashtbl.find_opt births pv with
+            | None -> []
+            | Some b ->
+                let k = epoch d.t0 in
+                if k <= b + 1 then [ (k, fun _ -> delays := 0 :: !delays) ]
+                else
+                  let before = ref 0 in
+                  [
+                    (b + 1, fun fw -> before := Fenwick.count_above fw p);
+                    ( k,
+                      fun fw ->
+                        delays := (Fenwick.count_above fw p - !before) :: !delays
+                    );
+                  ])
+        | _ -> [])
+      h
   in
-  let ranks = ref [] and empties = ref 0 in
-  let delays = ref [] in
-  let deletes = ref 0 in
-  List.iter
-    (fun (d : History.event) ->
-      match d.op with
-      | History.Delete_min ret ->
-          incr deletes;
-          let rank =
-            match ret with
-            | Some (p, _) ->
-                List.length
-                  (List.filter
-                     (fun y -> y.pri < p && live_across d.t0 d.t1 y)
-                     elems)
-            | None ->
-                incr empties;
-                List.length (List.filter (live_across d.t0 d.t1) elems)
-          in
-          ranks := rank :: !ranks;
-          (match ret with
-          | Some ((p, _) as pv) ->
-              (* how many earlier deletes certainly overtook this
-                 element: ordered after its birth, ordered before this
-                 delete (its remover), yet returning a strictly larger
-                 priority *)
-              Option.iter
-                (fun born ->
-                  let overtakes =
-                    List.length
-                      (List.filter
-                         (fun (e : History.event) ->
-                           match e.op with
-                           | History.Delete_min (Some (p', _)) ->
-                               p' > p && ordered born e.t0
-                               && ordered e.t1 d.t0
-                           | _ -> false)
-                         h)
-                  in
-                  delays := overtakes :: !delays)
-                (Hashtbl.find_opt births pv)
-          | None -> ())
-      | History.Insert _ -> ())
-    h;
-  let ranks = Array.of_list !ranks and delays = Array.of_list !delays in
+  sweep keys answers delay_queries;
+  (Array.of_list !ranks, Array.of_list !delays, !empties)
+
+let samples h =
+  let ranks, delays, _ = samples_of h in
+  let sorted a = List.sort compare (Array.to_list a) in
+  (sorted ranks, sorted delays)
+
+let measure h =
+  let ranks, delays, empties = samples_of h in
   let max_rank, mean_rank, p99_rank = summary ranks in
   let max_delay, mean_delay, p99_delay = summary delays in
   {
-    deletes = !deletes;
-    empties = !empties;
+    deletes = Array.length ranks;
+    empties;
     max_rank;
     mean_rank;
     p99_rank;

@@ -51,5 +51,14 @@ type stats = {
 }
 
 val measure : Pqcheck.History.t -> stats
+(** An offline sweep over the history's quiescent epochs, counting live
+    elements by priority in a Fenwick tree: O(n log n) in the history's
+    length, so a recorded run of tens of thousands of operations
+    measures in well under a second.  {!Brute.rank_samples} is the
+    definition it is held to. *)
+
+val samples : Pqcheck.History.t -> int list * int list
+(** the sorted rank errors of every delete and delays of every returned
+    element that {!measure} summarizes *)
 
 val pp : Format.formatter -> stats -> unit

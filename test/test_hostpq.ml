@@ -906,6 +906,29 @@ let test_tree_pq_counters_settle () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* a padded atomic is still an atomic: two domains each make [n]
+   fetch-and-add and [n] compare-and-set increments on one, and none is
+   lost *)
+let test_padded_atomic () =
+  let a = Hostpq.Padded.copy (Atomic.make 0) in
+  check_bool "padded to 16 words" true
+    (Obj.size (Obj.repr a) >= 16 && Hostpq.Padded.words = 16);
+  let n = 100_000 in
+  let rec cas_incr () =
+    let v = Atomic.get a in
+    if not (Atomic.compare_and_set a v (v + 1)) then cas_incr ()
+  in
+  let work () =
+    for _ = 1 to n do
+      ignore (Atomic.fetch_and_add a 1);
+      cas_incr ()
+    done
+  in
+  let d = Domain.spawn work in
+  work ();
+  Domain.join d;
+  check_int "every increment counted" (4 * n) (Atomic.get a)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -981,6 +1004,11 @@ let () =
               test_hlock_shared_bucket;
             Alcotest.test_case "queue lock names" `Quick
               test_hlock_queue_names;
+          ] );
+        ( "padded",
+          [
+            Alcotest.test_case "two-domain atomic increments" `Quick
+              test_padded_atomic;
           ] );
         qsuite "bin-pq-bitmap" [ prop_bin_bitmap_model; prop_bin_order ];
         ( "bin-pq-hold",

@@ -228,6 +228,32 @@ let test_rank_conservative_overlap () =
   check_int "empties" 1 s.Rank.empties;
   check_int "max rank" 0 s.max_rank
 
+(* the sweep against the oracle's definition, on small arbitrary
+   histories: intervals overlap and touch, priorities tie, elements
+   repeat, some inserts are rejected, and a delete may return an element
+   that was never inserted or answer None on a nonempty queue *)
+let prop_rank_matches_reference =
+  let open QCheck.Gen in
+  let op =
+    map3
+      (fun k pri payload ->
+        if k < 4 then
+          Pqcheck.History.Insert { pri; payload; accepted = k > 0 }
+        else if k = 4 then Pqcheck.History.Delete_min None
+        else Pqcheck.History.Delete_min (Some (pri, payload)))
+      (int_bound 7) (int_bound 5) (int_bound 3)
+  in
+  let event =
+    map3
+      (fun op t0 len -> { Pqcheck.History.proc = 0; op; t0; t1 = t0 + len })
+      op (int_bound 40) (int_bound 3)
+  in
+  QCheck.Test.make ~name:"rank sweep = rank by definition" ~count:2000
+    (QCheck.make
+       ~print:(Format.asprintf "%a" Pqcheck.History.pp)
+       (int_range 1 30 >>= fun n -> list_repeat n event))
+    (fun h -> Rank.samples h = Brute.rank_samples h)
+
 let test_rank_strict_queues_zero () =
   (* one representative strict queue over its audit cells: the gate
      property itself (every nonzero would be a real ordering violation) *)
@@ -448,6 +474,108 @@ let test_host_payloads () =
   check_bool "payloads intact" true
     (List.sort compare got = [ Some (1, "one"); Some (3, "three") ])
 
+(* A domain's sticky choice belongs to one queue: one domain interleaves
+   calls on a 2-slot and an 8-slot queue, so a choice drawn for the
+   larger one would index past the smaller one's slots if it were kept.
+   Both multisets are conserved, and neither queue answers None while it
+   holds an element. *)
+let test_host_sticky_two_queues () =
+  let small = H.create_sized ~npriorities:32 ~slots:2 ()
+  and large = H.create_sized ~npriorities:32 ~slots:8 () in
+  let rng = Random.State.make [| 5 |] in
+  let held = [| 0; 0 |] and ins = [| []; [] |] and del = [| []; [] |] in
+  for i = 1 to 4_000 do
+    let k = Random.State.int rng 2 in
+    let q = if k = 0 then small else large in
+    if Random.State.int rng 3 > 0 then begin
+      H.insert q ~pri:(Random.State.int rng 32) i;
+      held.(k) <- held.(k) + 1;
+      ins.(k) <- i :: ins.(k)
+    end
+    else
+      match H.delete_min q with
+      | Some (_, v) ->
+          held.(k) <- held.(k) - 1;
+          del.(k) <- v :: del.(k)
+      | None -> if held.(k) > 0 then Alcotest.fail "None from a nonempty queue"
+  done;
+  let rec drain q acc =
+    match H.delete_min q with Some (_, v) -> drain q (v :: acc) | None -> acc
+  in
+  List.iteri
+    (fun k q ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d-slot multiset" (H.slots q))
+        (List.sort compare ins.(k))
+        (List.sort compare (drain q del.(k))))
+    [ small; large ]
+
+(* rank error of the host queues: one domain runs pqperf's host-hold mix
+   (delete_min, then reinsert at p + 1 + rand 64, over 1,024 priorities)
+   on a 4,096-element prefill, and the calls are recorded as a sequential
+   history, call [i] at cycles [3i, 3i + 1], so every call is its own
+   quiescent epoch and the oracle's rank is the exact rank *)
+let host_hold_history (module Q : Hostpq.Host_intf.S) =
+  let npriorities = 1024 and prefill = 4096 and pairs = 20_000 in
+  let q = Q.create ~npriorities () in
+  let rng = Random.State.make [| 42 |] in
+  let events = ref [] and clock = ref 0 in
+  let record op =
+    let t0 = 3 * !clock in
+    incr clock;
+    events := { Pqcheck.History.proc = 0; op; t0; t1 = t0 + 1 } :: !events
+  in
+  let payload = ref 0 in
+  let insert pri =
+    Q.insert q ~pri !payload;
+    record (Pqcheck.History.Insert { pri; payload = !payload; accepted = true });
+    incr payload
+  in
+  for _ = 1 to prefill do
+    insert (Random.State.int rng npriorities)
+  done;
+  for _ = 1 to pairs do
+    let r = Q.delete_min q in
+    record (Pqcheck.History.Delete_min r);
+    match r with
+    | Some (p, _) -> insert ((p + 1 + Random.State.int rng 64) mod npriorities)
+    | None -> Alcotest.fail "None from a prefilled queue"
+  done;
+  List.rev !events
+
+(* the bound on Multi_pq's rank at 4 slots: about twice the mean and the
+   p99 measured at its stickiness of 16 (16.5-17.8 and 104-139 over four
+   offsets of the domain's random stream).  Stickiness 64 measures a
+   mean of 64-157 and fails it. *)
+let host_rank_mean_bound = 35.
+let host_rank_p99_bound = 240
+
+(* a fixed slot count, the default on two domains *)
+module H4 = struct
+  include H
+
+  let create ~npriorities () = create_sized ~npriorities ~slots:4 ()
+end
+
+let test_host_rank () =
+  let exact (module Q : Hostpq.Host_intf.S) =
+    let s = Rank.measure (host_hold_history (module Q)) in
+    check_int (Q.name ^ " max rank") 0 s.max_rank
+  in
+  exact (module Hostpq.Locked_heap);
+  exact (module Hostpq.Bin_pq);
+  let s = Rank.measure (host_hold_history (module H4)) in
+  Format.printf "Multi_pq, 4 slots: %a" Rank.pp s;
+  check_int "deletes" 20_000 s.deletes;
+  check_bool
+    (Printf.sprintf "mean rank %.1f <= %.0f" s.mean_rank host_rank_mean_bound)
+    true
+    (s.mean_rank <= host_rank_mean_bound);
+  check_bool
+    (Printf.sprintf "p99 rank %d <= %d" s.p99_rank host_rank_p99_bound)
+    true
+    (s.p99_rank <= host_rank_p99_bound)
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -456,6 +584,7 @@ let () =
   Alcotest.run "relaxed"
     [
       ("slot-model", qsuite [ test_slot_model ]);
+      ("rank-reference", qsuite [ prop_rank_matches_reference ]);
       ( "multiqueue-sim",
         List.concat_map
           (fun ((name, _) as v) ->
@@ -509,5 +638,8 @@ let () =
           Alcotest.test_case "concurrent conservation" `Quick
             test_host_concurrent_conservation;
           Alcotest.test_case "payloads" `Quick test_host_payloads;
+          Alcotest.test_case "sticky choice per queue" `Quick
+            test_host_sticky_two_queues;
+          Alcotest.test_case "hold-mix rank error" `Quick test_host_rank;
         ] );
     ]
