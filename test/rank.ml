@@ -135,9 +135,8 @@ end
 let sweep keys updates queries =
   let fw = Fenwick.create keys in
   let updates = Array.of_list updates and queries = Array.of_list queries in
-  let by_epoch a b = compare (fst a) (fst b) in
   Array.stable_sort (fun (a, _, _) (b, _, _) -> compare a b) updates;
-  Array.stable_sort by_epoch queries;
+  Array.stable_sort (fun (a, _) (b, _) -> compare a b) queries;
   let u = ref 0 in
   Array.iter
     (fun (k, f) ->
