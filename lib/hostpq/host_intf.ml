@@ -12,7 +12,12 @@ module type S = sig
   val name : string
 
   val create : npriorities:int -> unit -> 'a t
-  (** priorities range over [0, npriorities) *)
+  (** priorities range over [0, npriorities).  The heap queues
+      ({!Locked_heap}, {!Multi_pq}) pack a priority into 31 bits of a
+      heap entry ({!Heap.key_limit}), so they take at most [2^31]
+      priorities.
+      @raise Invalid_argument if [npriorities] is not positive, or is
+      above [2^31] for a heap queue *)
 
   val insert : 'a t -> pri:int -> 'a -> unit
   (** @raise Invalid_argument if [pri] is out of range *)

@@ -3,7 +3,8 @@ let name = "locked-heap"
 type 'a t = { lock : Hlock.t; heap : 'a Heap.t; npriorities : int }
 
 let create ~npriorities () =
-  if npriorities <= 0 then invalid_arg "Locked_heap.create";
+  if npriorities <= 0 || npriorities > Heap.key_limit then
+    invalid_arg "Locked_heap.create";
   {
     lock = Hlock.create ~name:(name ^ ".lock") ~index:Hlock.no_index ();
     heap = Heap.create ();

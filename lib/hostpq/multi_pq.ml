@@ -10,11 +10,20 @@ type 'a slot = {
   heap : 'a Heap.t;
 }
 
-(* [tag] names the queue in a domain's sticky choice: a fresh block,
-   compared by physical equality *)
-type 'a t = { slot_arr : 'a slot array; npriorities : int; tag : unit ref }
+(* [perm] maps positions to slots: a permutation of the slot indices
+   whenever no swap is in flight, and [vacant] at a position whose swap
+   is.  [seats] counts the seats taken; it is also the queue's tag in a
+   domain's seat record, compared by physical equality. *)
+type 'a t = {
+  slot_arr : 'a slot array;
+  perm : int Atomic.t array;
+  seats : int Atomic.t;
+  npriorities : int;
+}
 
+let vacant = -1
 let slots t = Array.length t.slot_arr
+let assignment t = Array.map Atomic.get t.perm
 
 let make_slot i =
   {
@@ -24,52 +33,53 @@ let make_slot i =
   }
 
 let create_sized ~npriorities ~slots () =
-  if npriorities <= 0 || slots <= 0 then invalid_arg "Multi_pq.create_sized";
-  { slot_arr = Array.init slots make_slot; npriorities; tag = ref () }
+  if npriorities <= 0 || npriorities > Heap.key_limit || slots <= 0 then
+    invalid_arg "Multi_pq.create_sized";
+  {
+    slot_arr = Array.init slots make_slot;
+    perm = Array.init slots (fun i -> Padded.copy (Atomic.make i));
+    seats = Atomic.make 0;
+    npriorities;
+  }
 
 let create ~npriorities () =
   create_sized ~npriorities
     ~slots:(max 2 (2 * Domain.recommended_domain_count ()))
     ()
 
-(* A domain keeps its insert slot for [stickiness] inserts and its
-   pick-2 pair for [stickiness] deletes, as Williams & Sanders'
-   "Engineering MultiQueues" does, so two domains stop meeting on fresh
-   random slots every call.  A choice is dropped at once when its lock
-   is busy, when both slots of the pair read empty, or when the pick
-   proved stale.  The choice is the domain's own, in [Domain.DLS], and
-   [owner] is the tag of the queue it was drawn for: a domain that calls
-   another queue drops it, so it never indexes one queue by a choice
-   drawn for another's slot count. *)
+(* Swapping stickiness, after Williams & Sanders' "Engineering
+   MultiQueues": on its first call on a queue a domain takes a seat, and
+   seat [k] owns positions [2k] and [2k + 1] of [perm] (modulo the slot
+   count).  Inserts go to the slots at the owned positions, in turn, and
+   deletes take the better of their two tops, so while there are two
+   positions per domain no two domains' sticky slots meet.  Every
+   [stickiness] calls the domain swaps one owned position's slot with a
+   random position's, so every slot keeps being drained.  The seat is
+   the domain's own, in [Domain.DLS], and [owner] is the [seats] word of
+   the queue it was taken in: a domain that calls another queue takes a
+   seat there, so it never indexes one queue by another's positions. *)
 let stickiness = 16
 
-type sticky = {
-  mutable owner : unit ref;
-  mutable ins : int;
-  mutable ins_left : int;
-  mutable del_a : int;
-  mutable del_b : int;
-  mutable del_left : int;
+type seat = {
+  mutable owner : int Atomic.t;
+  mutable own0 : int;
+  mutable own1 : int;
+  mutable calls : int;
 }
 
-let sticky_key =
+let seat_key =
   Domain.DLS.new_key (fun () ->
-      {
-        owner = ref ();
-        ins = 0;
-        ins_left = 0;
-        del_a = 0;
-        del_b = 0;
-        del_left = 0;
-      })
+      { owner = Atomic.make 0; own0 = 0; own1 = 0; calls = 0 })
 
-(* the calling domain's choice, dropped if drawn for another queue *)
-let sticky t =
-  let st = Domain.DLS.get sticky_key in
-  if st.owner != t.tag then begin
-    st.owner <- t.tag;
-    st.ins_left <- 0;
-    st.del_left <- 0
+(* the calling domain's seat in [t], taken on its first call there *)
+let seat t =
+  let st = Domain.DLS.get seat_key in
+  if st.owner != t.seats then begin
+    let k = Atomic.fetch_and_add t.seats 1 and n = Array.length t.perm in
+    st.owner <- t.seats;
+    st.own0 <- 2 * k mod n;
+    st.own1 <- ((2 * k) + 1) mod n;
+    st.calls <- 0
   end;
   st
 
@@ -77,24 +87,35 @@ let sticky t =
    over the slots without writing a shared word *)
 let draw t = Local_rand.next () mod Array.length t.slot_arr
 
-let pick_ins t st =
-  if st.ins_left > 0 then st.ins_left <- st.ins_left - 1
-  else begin
-    st.ins <- draw t;
-    st.ins_left <- stickiness - 1
-  end;
-  t.slot_arr.(st.ins)
-
-(* two independent draws, which may name one slot twice.  Drawing two
-   distinct slots cut the hold mix's mean rank by half but left two
-   domains slower than one (EXPERIMENTS.md, stickyhost). *)
-let pick_pair t st =
-  if st.del_left > 0 then st.del_left <- st.del_left - 1
-  else begin
-    st.del_a <- draw t;
-    st.del_b <- draw t;
-    st.del_left <- stickiness - 1
+(* Move the slot at owned position [i] to a random position [j] and
+   [j]'s slot to [i].  [i] is first marked [vacant] by a CAS from the
+   slot [a] it holds; while it is, no other swap can read or write it,
+   since each CASes a position only from a slot index.  Then one CAS
+   moves [a] into [j] only if [j] still holds the [b] read, and [b] is
+   stored into [i].  Every slot index leaves a position only by the CAS
+   that puts another in its place, or into the marked [i] that only its
+   marker writes, so no swap loses or repeats an index: at rest [perm]
+   is a permutation.  A swap that meets a marked position or loses a
+   race gives up and restores [i]. *)
+let swap t i =
+  let j = draw t in
+  if j <> i then begin
+    let pi = t.perm.(i) and pj = t.perm.(j) in
+    let a = Atomic.get pi in
+    if a <> vacant && Atomic.compare_and_set pi a vacant then begin
+      let b = Atomic.get pj in
+      Atomic.set pi
+        (if b <> vacant && Atomic.compare_and_set pj b a then b else a)
+    end
   end
+
+(* count a call; every [stickiness]th swaps one owned position, the two
+   in turn *)
+let tick t st =
+  let c = st.calls + 1 in
+  st.calls <- c;
+  if c land (stickiness - 1) = 0 then
+    swap t (if c land stickiness = 0 then st.own0 else st.own1)
 
 (* sequential heap ops under [s.lock], which they release *)
 
@@ -121,25 +142,34 @@ let pick_attempts = 8
    budget is unbounded *)
 let backoff op n spin = Retry.once ~max_attempts:max_int op ~failed:n spin
 
-(* attempt [n] of an insert; [spin] is the next failure's wait *)
-let rec insert_from t st ~pri v n spin =
-  let s = pick_ins t st in
+(* the slot at position [p], or a random one while [p] is mid-swap *)
+let slot_at t p =
+  let k = Atomic.get t.perm.(p) in
+  t.slot_arr.(if k = vacant then draw t else k)
+
+(* attempt [n] of an insert, into [s]; [spin] is the next failure's
+   wait.  A busy slot is dropped for a random one. *)
+let rec insert_into t s ~pri v n spin =
   if Hlock.try_lock s.lock then locked_insert s ~pri v
-  else begin
-    st.ins_left <- 0;
-    if n >= pick_attempts then begin
-      (* contended enough that waiting beats re-picking *)
-      Hlock.lock s.lock;
-      locked_insert s ~pri v
-    end
-    else
-      let n = n + 1 in
-      insert_from t st ~pri v n (backoff "Multi_pq.insert" n spin)
+  else if n >= pick_attempts then begin
+    (* contended enough that waiting beats re-picking *)
+    Hlock.lock s.lock;
+    locked_insert s ~pri v
   end
+  else
+    let n = n + 1 in
+    insert_into t t.slot_arr.(draw t) ~pri v n
+      (backoff "Multi_pq.insert" n spin)
 
 let insert t ~pri v =
   if pri < 0 || pri >= t.npriorities then invalid_arg "Multi_pq.insert";
-  insert_from t (sticky t) ~pri v 0 Retry.first
+  let st = seat t in
+  tick t st;
+  (* the owned slots in turn by bit 1 of the call count, which turns
+     every other insert both when inserts come in runs and when they
+     alternate with deletes *)
+  let p = if st.calls land 2 = 0 then st.own0 else st.own1 in
+  insert_into t (slot_at t p) ~pri v 0 Retry.first
 
 (* exhaustive fallback: only a blocking pass over every slot may answer
    None *)
@@ -156,34 +186,34 @@ let rec scan t start i =
       | None -> scan t start (i + 1)
     end
 
-(* attempt [n] of a pick-2 delete; [spin] is the next failure's wait *)
-let rec delete_from t st n spin =
-  if n >= pick_attempts then scan t (draw t) 0
-  else begin
-    pick_pair t st;
-    let a = t.slot_arr.(st.del_a) and b = t.slot_arr.(st.del_b) in
-    let ta = Atomic.get a.top and tb = Atomic.get b.top in
-    let n = n + 1 in
-    if ta = max_int && tb = max_int then begin
-      st.del_left <- 0;
-      delete_from t st n (backoff "Multi_pq.delete_min" n spin)
-    end
-    else
-      let s = if ta <= tb then a else b in
-      if Hlock.try_lock s.lock then (
-        match locked_extract s with
-        | Some _ as r -> r
-        | None ->
-            (* raced with another deleter; the pick is stale *)
-            st.del_left <- 0;
-            delete_from t st n spin)
-      else begin
-        st.del_left <- 0;
-        delete_from t st n (backoff "Multi_pq.delete_min" n spin)
-      end
-  end
+(* attempt [n] of a pick-2 delete, over [a] and [b]; [spin] is the next
+   failure's wait.  When both read empty, the better one is busy, or
+   the pick proved stale, the next attempt draws two random slots
+   (independently, so they may be one slot), and after [pick_attempts]
+   the scan answers. *)
+let rec pick2 t a b n spin =
+  let ta = Atomic.get a.top and tb = Atomic.get b.top in
+  if ta = max_int && tb = max_int then
+    redraw t n (backoff "Multi_pq.delete_min" n spin)
+  else
+    let s = if ta <= tb then a else b in
+    if Hlock.try_lock s.lock then (
+      match locked_extract s with
+      | Some _ as r -> r
+      | None ->
+          (* raced with another deleter; the pick is stale *)
+          redraw t n spin)
+    else redraw t n (backoff "Multi_pq.delete_min" n spin)
 
-let delete_min t = delete_from t (sticky t) 0 Retry.first
+and redraw t n spin =
+  if n >= pick_attempts then scan t (draw t) 0
+  else pick2 t t.slot_arr.(draw t) t.slot_arr.(draw t) (n + 1) spin
+
+(* the owned pair is the first attempt *)
+let delete_min t =
+  let st = seat t in
+  tick t st;
+  pick2 t (slot_at t st.own0) (slot_at t st.own1) 1 Retry.first
 
 let length t =
   Array.fold_left

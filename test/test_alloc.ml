@@ -279,16 +279,28 @@ end
    index, boxed at each call, cost 14,391 words a queue, and a lock that
    made its own mutex and condition variable and formatted its name
    cost 76,879. *)
-let bin_pq_construction () =
+let construction create =
   let build () =
     let w0 = Gc.minor_words () in
-    ignore
-      (Sys.opaque_identity
-         (Hostpq.Bin_pq.create ~npriorities:host_npriorities ()));
+    ignore (Sys.opaque_identity (create ()));
     Gc.minor_words () -. w0
   in
   ignore (build ());
   build ()
+
+let bin_pq_construction () =
+  construction (fun () -> Hostpq.Bin_pq.create ~npriorities:host_npriorities ())
+
+(* the heap queues' construction words.  Locked_heap's 57 are its
+   record, lock and heap, whose two 16-entry arrays (packed entries and
+   payload slab) come with it.  Multi_pq's 509 at 4 slots are, per slot,
+   a padded lock state, published minimum and heap record, the heap's
+   arrays, and a padded permutation entry; a heap record with a free
+   slot index adds a word to each, and the permutation 86 words a queue
+   over the 423 of a queue without one. *)
+let construction_row what ~measured create =
+  Alcotest.test_case what `Quick (fun () ->
+      gate ~what ~unit:"words" ~bound:(1.1 *. measured) (construction create))
 
 (* a fixed slot count, so the fill covers every slot whatever the core
    count *)
@@ -451,5 +463,11 @@ let () =
                     gate ~what:"Bin_pq.create (1024 priorities)"
                       ~unit:"words" ~bound:(1.1 *. 12343.)
                       (bin_pq_construction ()));
+                construction_row "Locked_heap.create" ~measured:57.
+                  (fun () ->
+                    Hostpq.Locked_heap.create ~npriorities:host_npriorities ());
+                construction_row "Multi_pq.create_sized (4 slots)"
+                  ~measured:509. (fun () ->
+                    Multi_pq4.create ~npriorities:host_npriorities ());
               ] );
         ])

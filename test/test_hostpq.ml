@@ -267,6 +267,97 @@ let float_payloads (module Q : QUEUE) () =
     (List.sort compare (drain []))
 
 (* ------------------------------------------------------------------ *)
+(* the packed heap against the payload-moving reference heap *)
+
+type heap_op = Push of int | Pop
+
+(* a fill of [fill] pushes, then [mixed] pushes and pops, then (in the
+   property) a full drain.  Key ranges run from one key, where every
+   push ties, to the whole packed range; fills pass the 16-entry initial
+   capacity and the 1,024-entry one. *)
+let heap_ops_gen =
+  let open QCheck.Gen in
+  let* range = oneofl [ 1; 3; 16; 1024; Hostpq.Heap.key_limit ] in
+  let* fill = oneofl [ 0; 5; 17; 300; 1100 ] in
+  let* mixed = int_range 0 400 in
+  let* pop_pct = int_range 0 70 in
+  let push = map (fun k -> Push k) (int_bound (range - 1)) in
+  let op =
+    let* r = int_bound 99 in
+    if r < pop_pct then return Pop else push
+  in
+  let* pushes = list_repeat fill push in
+  let* ops = list_repeat mixed op in
+  return (range, pushes @ ops)
+
+let heap_ops_print (range, ops) =
+  Printf.sprintf "keys < %d, %d ops, %d pops" range (List.length ops)
+    (List.length (List.filter (( = ) Pop) ops))
+
+(* both heaps pop the same (key, payload) pairs, and agree on size and
+   least key after every operation *)
+let prop_heap_reference =
+  QCheck.Test.make ~name:"heap pops = reference heap pops" ~count:300
+    (QCheck.make ~print:heap_ops_print heap_ops_gen)
+    (fun (_, ops) ->
+      let module H = Hostpq.Heap in
+      let h = H.create () and r = Ref_heap.create () in
+      let same () =
+        H.size h = Ref_heap.size r && H.min_key h = Ref_heap.min_key r
+      in
+      let show = function
+        | Some (k, v) -> Printf.sprintf "(%d, %d)" k v
+        | None -> "None"
+      in
+      let pop () =
+        let got = H.pop h and want = Ref_heap.pop r in
+        if got <> want then
+          QCheck.Test.fail_reportf "popped %s, reference popped %s" (show got)
+            (show want);
+        got
+      in
+      List.iteri
+        (fun v op ->
+          (match op with
+          | Push k ->
+              H.push h k v;
+              Ref_heap.push r k v
+          | Pop -> ignore (pop ()));
+          if not (same ()) then
+            QCheck.Test.fail_reportf "size or least key differs after op %d" v)
+        ops;
+      let rec drain () = match pop () with Some _ -> drain () | None -> () in
+      drain ();
+      same ())
+
+(* priorities pack into 31 bits of a heap entry: the heap queues refuse
+   more than 2^31 of them, and the top one comes back whole *)
+let test_key_range () =
+  let open Hostpq in
+  let over = Heap.key_limit + 1 in
+  let rejects what f =
+    check_bool (what ^ " rejects 2^31 + 1 priorities") true
+      (try ignore (f ()); false with Invalid_argument _ -> true)
+  in
+  rejects "Locked_heap.create" (fun () ->
+      Locked_heap.create ~npriorities:over ());
+  rejects "Multi_pq.create" (fun () -> Multi_pq.create ~npriorities:over ());
+  rejects "Multi_pq.create_sized" (fun () ->
+      Multi_pq.create_sized ~npriorities:over ~slots:2 ());
+  let top = Heap.key_limit - 1 in
+  let q = Locked_heap.create ~npriorities:Heap.key_limit () in
+  Locked_heap.insert q ~pri:top "top";
+  Locked_heap.insert q ~pri:0 "bottom";
+  Alcotest.(check (list (option (pair int string))))
+    "2^31 priorities: both ends come back whole"
+    [ Some (0, "bottom"); Some (top, "top"); None ]
+    (List.init 3 (fun _ -> Locked_heap.delete_min q));
+  let m = Multi_pq.create_sized ~npriorities:Heap.key_limit ~slots:2 () in
+  Multi_pq.insert m ~pri:top "top";
+  check_bool "Multi_pq at the top priority" true
+    (Multi_pq.delete_min m = Some (top, "top"))
+
+(* ------------------------------------------------------------------ *)
 (* elimination stack *)
 
 let test_stack_sequential () =
@@ -961,6 +1052,12 @@ let () =
                 Alcotest.test_case (iname ^ " partial drain") `Quick
                   (space_safety_partial m))
               stores );
+        qsuite "heap-reference" [ prop_heap_reference ];
+        ( "key-range",
+          [
+            Alcotest.test_case "npriorities above 2^31 rejected" `Quick
+              test_key_range;
+          ] );
         ( "float-payloads",
           List.map
             (fun (iname, m) ->

@@ -432,6 +432,14 @@ let test_host_bad_priority () =
   in
   check_bool "zero slots rejected" true raised
 
+(* at rest, the positions hold every slot once: no swap lost or
+   repeated a slot *)
+let check_permutation q =
+  Alcotest.(check (list int))
+    (Printf.sprintf "%d-slot assignment is a permutation" (H.slots q))
+    (List.init (H.slots q) Fun.id)
+    (List.sort compare (Array.to_list (H.assignment q)))
+
 let test_host_concurrent_conservation () =
   let ndomains = 4 and iters = 2_000 and npriorities = 16 in
   let q = H.create ~npriorities () in
@@ -464,7 +472,8 @@ let test_host_concurrent_conservation () =
   let sorted = List.sort compare in
   Alcotest.(check (list int))
     "multiset conservation" (sorted inserted)
-    (sorted (deleted @ drain []))
+    (sorted (deleted @ drain []));
+  check_permutation q
 
 let test_host_payloads () =
   let q = H.create_sized ~npriorities:8 ~slots:2 () in
@@ -474,9 +483,9 @@ let test_host_payloads () =
   check_bool "payloads intact" true
     (List.sort compare got = [ Some (1, "one"); Some (3, "three") ])
 
-(* A domain's sticky choice belongs to one queue: one domain interleaves
-   calls on a 2-slot and an 8-slot queue, so a choice drawn for the
-   larger one would index past the smaller one's slots if it were kept.
+(* A domain's seat belongs to one queue: one domain interleaves calls on
+   a 2-slot and an 8-slot queue, so positions taken in the larger one
+   could index past the smaller one's if they were kept.
    Both multisets are conserved, and neither queue answers None while it
    holds an element. *)
 let test_host_sticky_two_queues () =
@@ -509,6 +518,57 @@ let test_host_sticky_two_queues () =
         (List.sort compare ins.(k))
         (List.sort compare (drain q del.(k))))
     [ small; large ]
+
+(* A domain that alternates between a 2-slot and an 8-slot queue takes
+   a fresh seat on every switch and swaps from each seat every 16 calls.
+   It runs on a fresh domain after two others took the 8-slot queue's
+   first two seats, so its first seat there owns positions 4 and 5:
+   kept into the 2-slot queue, that seat would index past its two
+   positions.  Each queue's assignment stays a permutation of its own
+   slots, and both multisets are conserved. *)
+let test_host_reseat_permutation () =
+  let small = H.create_sized ~npriorities:16 ~slots:2 ()
+  and large = H.create_sized ~npriorities:16 ~slots:8 () in
+  for _ = 1 to 2 do
+    Domain.join
+      (Domain.spawn (fun () ->
+           check_bool "empty" true (H.delete_min large = None)))
+  done;
+  let alternate () =
+    let rng = Random.State.make [| 9 |] in
+    let held = [| 0; 0 |] and k = ref 0 and left = ref 0 in
+    for i = 1 to 4_000 do
+      (* runs of 1 to 40 calls on one queue, the large one first, so
+         some seats swap and some are given up before their first
+         swap *)
+      if !left = 0 then begin
+        k := 1 - !k;
+        left := 1 + Random.State.int rng 40
+      end;
+      decr left;
+      let k = !k in
+      let q = if k = 0 then small else large in
+      if Random.State.bool rng then begin
+        H.insert q ~pri:(Random.State.int rng 16) i;
+        held.(k) <- held.(k) + 1
+      end
+      else
+        match H.delete_min q with
+        | Some _ -> held.(k) <- held.(k) - 1
+        | None ->
+            if held.(k) > 0 then Alcotest.fail "None from a nonempty queue"
+    done;
+    held
+  in
+  let held = Domain.join (Domain.spawn alternate) in
+  List.iteri
+    (fun k q ->
+      check_permutation q;
+      check_int (Printf.sprintf "%d-slot length" (H.slots q)) held.(k)
+        (H.length q))
+    [ small; large ];
+  check_bool "the 8-slot queue's seats swapped" true
+    (H.assignment large <> Array.init 8 Fun.id)
 
 (* rank error of the host queues: one domain runs pqperf's host-hold mix
    (delete_min, then reinsert at p + 1 + rand 64, over 1,024 priorities)
@@ -576,6 +636,118 @@ let test_host_rank () =
     true
     (s.p99_rank <= host_rank_p99_bound)
 
+(* The two-domain logged rank: two domains run the same hold mix at
+   once on one queue, prefilled from the first.  Each logs every call's
+   invocation and response time, read from one monotonic clock, into
+   arrays made before the run, so logging allocates nothing and never
+   waits on the other domain.  The logs then merge into one history.
+   Both domains read the same clock, so a response logged before another
+   call's invocation happened before it, and the oracle's quiescent
+   points are real ones. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
+type call_log = {
+  kind : int array;  (* 0 insert, 1 delete with a result, 2 delete None *)
+  pri : int array;
+  payload : int array;
+  t0 : int array;
+  t1 : int array;
+  mutable n : int;
+}
+
+let call_log n =
+  let a () = Array.make n 0 in
+  { kind = a (); pri = a (); payload = a (); t0 = a (); t1 = a (); n = 0 }
+
+let log l kind pri payload t0 t1 =
+  let i = l.n in
+  l.kind.(i) <- kind;
+  l.pri.(i) <- pri;
+  l.payload.(i) <- payload;
+  l.t0.(i) <- t0;
+  l.t1.(i) <- t1;
+  l.n <- i + 1
+
+let log_events proc l =
+  List.init l.n (fun i ->
+      let op =
+        match l.kind.(i) with
+        | 0 ->
+            Pqcheck.History.Insert
+              { pri = l.pri.(i); payload = l.payload.(i); accepted = true }
+        | 1 -> Pqcheck.History.Delete_min (Some (l.pri.(i), l.payload.(i)))
+        | _ -> Pqcheck.History.Delete_min None
+      in
+      { Pqcheck.History.proc; op; t0 = l.t0.(i); t1 = l.t1.(i) })
+
+let two_domain_hold_history (module Q : Hostpq.Host_intf.S) =
+  let npriorities = 1024 and prefill = 4096 and pairs = 20_000 in
+  let q = Q.create ~npriorities () in
+  let rng = Random.State.make [| 42 |] in
+  let pre = call_log prefill in
+  for payload = 0 to prefill - 1 do
+    let pri = Random.State.int rng npriorities in
+    let t0 = now_ns () in
+    Q.insert q ~pri payload;
+    log pre 0 pri payload t0 (now_ns ())
+  done;
+  let ready = Atomic.make 0 and go = Atomic.make false in
+  let work d () =
+    let rng = Random.State.make [| 42; d |] in
+    let l = call_log (2 * pairs) in
+    Atomic.incr ready;
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    for i = 0 to pairs - 1 do
+      let t0 = now_ns () in
+      let r = Q.delete_min q in
+      let t1 = now_ns () in
+      let pri =
+        match r with
+        | Some (p, v) ->
+            log l 1 p v t0 t1;
+            (p + 1 + Random.State.int rng 64) mod npriorities
+        | None ->
+            log l 2 0 0 t0 t1;
+            Random.State.int rng npriorities
+      in
+      let payload = prefill + (2 * i) + d in
+      let t0 = now_ns () in
+      Q.insert q ~pri payload;
+      log l 0 pri payload t0 (now_ns ())
+    done;
+    l
+  in
+  let helper = Domain.spawn (work 1) in
+  while Atomic.get ready < 1 do
+    Domain.cpu_relax ()
+  done;
+  Atomic.set go true;
+  let l0 = work 0 () in
+  let l1 = Domain.join helper in
+  log_events 0 pre @ log_events 0 l0 @ log_events 1 l1
+
+(* the bound on Multi_pq's two-domain rank at 4 slots: about twice the
+   worst mean and p99 of repeated runs *)
+let two_domain_mean_bound = 270.
+let two_domain_p99_bound = 1400
+
+let test_host_two_domain_rank () =
+  let s = Rank.measure (two_domain_hold_history (module Hostpq.Locked_heap)) in
+  check_int "Locked_heap max rank" 0 s.max_rank;
+  let s = Rank.measure (two_domain_hold_history (module H4)) in
+  Format.printf "Multi_pq, 4 slots, 2 domains: %a" Rank.pp s;
+  check_int "deletes" 40_000 s.deletes;
+  check_bool
+    (Printf.sprintf "mean rank %.1f <= %.0f" s.mean_rank two_domain_mean_bound)
+    true
+    (s.mean_rank <= two_domain_mean_bound);
+  check_bool
+    (Printf.sprintf "p99 rank %d <= %d" s.p99_rank two_domain_p99_bound)
+    true
+    (s.p99_rank <= two_domain_p99_bound)
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -641,5 +813,9 @@ let () =
           Alcotest.test_case "sticky choice per queue" `Quick
             test_host_sticky_two_queues;
           Alcotest.test_case "hold-mix rank error" `Quick test_host_rank;
+          Alcotest.test_case "re-taken seats keep a permutation" `Quick
+            test_host_reseat_permutation;
+          Alcotest.test_case "two-domain logged rank" `Quick
+            test_host_two_domain_rank;
         ] );
     ]
