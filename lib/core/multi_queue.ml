@@ -7,8 +7,7 @@ let configs =
     ("MultiQueue", Pqrelaxed.Multiqueue.default);
     ("MultiQueueC4", { Pqrelaxed.Multiqueue.default with c = 4 });
     ("MultiQueueSticky", { Pqrelaxed.Multiqueue.default with stickiness = 8 });
-    ( "MultiQueueBuffered",
-      { Pqrelaxed.Multiqueue.default with ins_buf = 8; del_buf = 8 } );
+    ("MultiQueueBuffered", { Pqrelaxed.Multiqueue.default with buf = 8 });
   ]
 
 let names = List.map fst configs
@@ -24,7 +23,7 @@ let rank_bound_for name ~nprocs =
    element, plus anything the variant stages in per-op buffers *)
 let slack_per_dangling name =
   match config_of_name name with
-  | Some cfg -> 1 + cfg.Pqrelaxed.Multiqueue.ins_buf + cfg.del_buf
+  | Some cfg -> 1 + (2 * cfg.Pqrelaxed.Multiqueue.buf)
   | None -> 1
 
 let unpack e = (Pqstruct.Elem.pri e, Pqstruct.Elem.payload e)

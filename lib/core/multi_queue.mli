@@ -1,6 +1,6 @@
 (** {!Pqrelaxed.Multiqueue} behind the {!Pq_intf} face, with the
     registry's ablation variants: base pick-2 ("MultiQueue"), more slots
-    ("MultiQueueC4"), slot reuse ("MultiQueueSticky") and per-slot
+    ("MultiQueueC4"), swapping stickiness ("MultiQueueSticky") and per-slot
     insertion/deletion buffers ("MultiQueueBuffered"). *)
 
 val names : string list
@@ -16,7 +16,7 @@ val slack_per_dangling : string -> int
 (** how many elements one crash-interrupted operation of queue [name]
     can strand in local state — the [slack_per_dangling] a conservation
     monitor allows per dangling operation: 1, plus a MultiQueue
-    variant's insertion and deletion buffer sizes *)
+    variant's insertion and deletion buffers *)
 
 val create : string -> Pqsim.Mem.t -> Pq_intf.params -> Pq_intf.t
 (** @raise Invalid_argument on unknown variant names *)

@@ -87,16 +87,11 @@ let seat t =
    over the slots without writing a shared word *)
 let draw t = Local_rand.next () mod Array.length t.slot_arr
 
-(* Move the slot at owned position [i] to a random position [j] and
-   [j]'s slot to [i].  [i] is first marked [vacant] by a CAS from the
-   slot [a] it holds; while it is, no other swap can read or write it,
-   since each CASes a position only from a slot index.  Then one CAS
-   moves [a] into [j] only if [j] still holds the [b] read, and [b] is
-   stored into [i].  Every slot index leaves a position only by the CAS
-   that puts another in its place, or into the marked [i] that only its
-   marker writes, so no swap loses or repeats an index: at rest [perm]
-   is a permutation.  A swap that meets a marked position or loses a
-   race gives up and restores [i]. *)
+(* The swap of owned position [i] with a random position [j], stated
+   with its lost-update argument in DESIGN.md §5 for both this queue and
+   the simulated MultiQueueSticky: CAS [i] from its slot [a] to
+   [vacant], CAS [j] from the slot [b] read there to [a], then store [b]
+   into [i], or [a] back if [j] was marked or moved. *)
 let swap t i =
   let j = draw t in
   if j <> i then begin

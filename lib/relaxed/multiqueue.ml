@@ -1,100 +1,121 @@
 open Pqsim
 
-type config = {
-  c : int;
-  min_slots : int;
-  stickiness : int;
-  ins_buf : int;
-  del_buf : int;
-  pick_attempts : int;
-}
+type config = { c : int; stickiness : int; buf : int }
 
-let default =
-  { c = 2; min_slots = 2; stickiness = 1; ins_buf = 0; del_buf = 0;
-    pick_attempts = 4 }
+let default = { c = 2; stickiness = 1; buf = 0 }
+
+(* the slot-count floor, for tiny [nprocs], and the try-lock/pick rounds
+   before a delete falls back to the full scan and an insert to a
+   blocking acquire *)
+let min_slots = 2
+let pick_attempts = 4
 
 type slot = { lock : Pqsync.Tas.t; pq : Slot.t }
 
 let empty = Slot.empty_top
 
+(* what a position of [perm] holds while a swap of it is in flight *)
+let vacant = -1
+
 type t = {
   slots : slot array;  (* host-immutable after setup *)
   nslots : int;
   stickiness : int;
-  pick_attempts : int;
-  (* per-processor stickiness state: one private word per processor, so
-     only processor [pid] ever touches index [pid] *)
-  ins_slot : int;  (* addr of nprocs words *)
-  ins_left : int;
-  del_a : int;
-  del_b : int;
-  del_left : int;
+  (* swapping stickiness (DESIGN.md §5), both 0 when [stickiness = 1]:
+     [perm] is the addr of [nslots] words mapping positions to slots,
+     [calls] of one call count per processor, touched only by it *)
+  perm : int;
+  calls : int;
 }
 
 let nslots t = t.nslots
 
 let rank_bound cfg ~nprocs =
-  let slots = max cfg.min_slots (cfg.c * nprocs) in
+  let slots = max min_slots (cfg.c * nprocs) in
   (slots * 8 * max 1 cfg.stickiness) + 64
 
 let create ?(name = Mem.Root "MultiQueue") mem ~nprocs ~capacity cfg =
-  if cfg.c < 1 || cfg.min_slots < 1 || cfg.stickiness < 1
-     || cfg.pick_attempts < 1 || cfg.ins_buf < 0 || cfg.del_buf < 0
-  then invalid_arg "Multiqueue.create: bad config";
+  if cfg.c < 1 || cfg.stickiness < 1 || cfg.buf < 0 then
+    invalid_arg "Multiqueue.create: bad config";
   if nprocs < 1 || capacity < 1 then invalid_arg "Multiqueue.create";
-  let nslots = max cfg.min_slots (cfg.c * nprocs) in
+  let nslots = max min_slots (cfg.c * nprocs) in
   (* proportional share with generous slack: random imbalance must not
      cause spurious rejections at benchmark scales *)
   let per_slot =
-    min capacity (((capacity * 4) / nslots) + 32 + cfg.ins_buf + cfg.del_buf)
+    min capacity (((capacity * 4) / nslots) + 32 + (2 * cfg.buf))
   in
   let slots =
     Array.init nslots (fun i ->
         {
           lock = Pqsync.Tas.create ~name:(Numbered (name, "lock", i)) mem;
           pq =
-            Slot.create ~name:(Numbered (name, "slot", i)) mem
-              ~cap:per_slot ~ins_cap:cfg.ins_buf ~del_cap:cfg.del_buf;
+            Slot.create ~name:(Numbered (name, "slot", i)) mem ~cap:per_slot
+              ~buf:cfg.buf;
         })
   in
-  let priv label =
-    let a = Mem.alloc mem nprocs in
-    Mem.label mem ~addr:a ~len:nprocs (Field (name, label));
-    a
+  let words label len =
+    if cfg.stickiness = 1 then 0
+    else begin
+      let a = Mem.alloc mem len in
+      Mem.label mem ~addr:a ~len (Field (name, label));
+      a
+    end
   in
-  {
-    slots;
-    nslots;
-    stickiness = cfg.stickiness;
-    pick_attempts = cfg.pick_attempts;
-    ins_slot = priv "sticky.ins";
-    ins_left = priv "sticky.insleft";
-    del_a = priv "sticky.a";
-    del_b = priv "sticky.b";
-    del_left = priv "sticky.left";
-  }
+  let perm = words "perm" nslots in
+  let calls = words "calls" nprocs in
+  if perm <> 0 then begin
+    for p = 0 to nslots - 1 do
+      Mem.poke mem (perm + p) p
+    done;
+    (* read optimistically and swapped by CAS, like a lock word *)
+    Mem.declare_sync mem ~addr:perm ~len:nslots
+  end;
+  { slots; nslots; stickiness = cfg.stickiness; perm; calls }
 
 (* ------------------------------------------------------------------ *)
-(* insert *)
+(* swapping stickiness: processor [pid] owns positions [2 pid] and
+   [2 pid + 1] of [perm] (mod the slot count) *)
 
-let pick_ins_slot t pid =
-  if t.stickiness <= 1 then Api.rand t.nslots
-  else begin
-    let left = Api.read (t.ins_left + pid) in
-    if left > 0 then begin
-      Api.write (t.ins_left + pid) (left - 1);
-      Api.read (t.ins_slot + pid)
-    end
-    else begin
-      let s = Api.rand t.nslots in
-      Api.write (t.ins_slot + pid) s;
-      Api.write (t.ins_left + pid) (t.stickiness - 1);
-      s
+let own t pid k = ((2 * pid) + k) mod t.nslots
+
+(* the slot at position [p], or a random one while [p] is mid-swap *)
+let slot_at t p =
+  let s = Api.read (t.perm + p) in
+  if s = vacant then Api.rand t.nslots else s
+
+(* The swap of owned position [i] with a random position [j], stated
+   with its lost-update argument in DESIGN.md §5 for both this queue and
+   the host's Multi_pq: CAS [i] from its slot [a] to [vacant], CAS [j]
+   from the slot [b] read there to [a], then store [b] into [i], or [a]
+   back if [j] was marked or moved *)
+let swap t i =
+  let j = Api.rand t.nslots in
+  if j <> i then begin
+    let a = Api.read (t.perm + i) in
+    if a <> vacant && Api.cas (t.perm + i) ~expected:a ~desired:vacant then begin
+      let b = Api.read (t.perm + j) in
+      Api.write (t.perm + i)
+        (if b <> vacant && Api.cas (t.perm + j) ~expected:b ~desired:a then b
+         else a)
     end
   end
 
-let reset_ins_sticky t pid =
-  if t.stickiness > 1 then Api.write (t.ins_left + pid) 0
+(* count a call of [pid]; every [stickiness]th swaps one owned position,
+   the two in turn.  The new count. *)
+let tick t pid =
+  let c = Api.read (t.calls + pid) + 1 in
+  Api.write (t.calls + pid) c;
+  if c mod t.stickiness = 0 then swap t (own t pid ((c / t.stickiness) land 1));
+  c
+
+(* every failed try-lock counts; a sticky queue's first attempt is the
+   owned pick *)
+let lock_fail t attempts =
+  Api.count "mq.lock_fail" 1;
+  if attempts = 0 && t.perm <> 0 then Api.count "mq.owned_lock_fail" 1
+
+(* ------------------------------------------------------------------ *)
+(* insert *)
 
 (* exhaustive fallback once the picked slot rejected the key: only a
    full pass over every slot may declare the queue full *)
@@ -111,77 +132,44 @@ let rec insert_scan t key i n =
     if ok then true else insert_scan t key (i + 1) n
   end
 
+(* the insert into slot [s], whose lock is held; a full slot sends the
+   key to the scan *)
+let locked_insert t key s =
+  let ok = Slot.insert t.slots.(s).pq key in
+  Pqsync.Tas.release t.slots.(s).lock;
+  ok || insert_scan t key 0 (s + 1)
+
 (* try-lock rounds from slot [s]; top level, with every operand an
    argument, so an insert allocates no closure *)
-let rec insert_at t key pid attempts s window =
-  if Pqsync.Tas.try_acquire t.slots.(s).lock then begin
-    let ok = Slot.insert t.slots.(s).pq key in
-    Pqsync.Tas.release t.slots.(s).lock;
-    if ok then true
-    else begin
-      reset_ins_sticky t pid;
-      insert_scan t key 0 (s + 1)
-    end
-  end
+let rec insert_at t key attempts s window =
+  if Pqsync.Tas.try_acquire t.slots.(s).lock then locked_insert t key s
   else begin
-    reset_ins_sticky t pid;
-    Api.count "mq.lock_fail" 1;
-    if attempts >= t.pick_attempts then begin
+    lock_fail t attempts;
+    if attempts >= pick_attempts then begin
       (* contended enough that waiting beats re-picking *)
       Pqsync.Tas.acquire t.slots.(s).lock;
-      let ok = Slot.insert t.slots.(s).pq key in
-      Pqsync.Tas.release t.slots.(s).lock;
-      if ok then true else insert_scan t key 0 (s + 1)
+      locked_insert t key s
     end
     else begin
       let window = Pqsync.Backoff.pause window in
-      insert_at t key pid (attempts + 1) (Api.rand t.nslots) window
+      insert_at t key (attempts + 1) (Api.rand t.nslots) window
     end
   end
 
+(* a sticky insert takes the owned slots in turn, by bit 1 of the call
+   count, as the host's does *)
 let insert t key =
-  let pid = Api.self () in
-  insert_at t key pid 0 (pick_ins_slot t pid) Pqsync.Backoff.first
+  let s =
+    if t.perm = 0 then Api.rand t.nslots
+    else
+      let pid = Api.self () in
+      let c = tick t pid in
+      slot_at t (own t pid ((c lsr 1) land 1))
+  in
+  insert_at t key 0 s Pqsync.Backoff.first
 
 (* ------------------------------------------------------------------ *)
 (* delete_min *)
-
-(* A picked pair of slot indices travels packed in one immediate,
-   [a] above [b], so picking allocates no tuple. *)
-let pair_bits = 30
-let pair a b = (a lsl pair_bits) lor b
-let pair_a p = p lsr pair_bits
-let pair_b p = p land ((1 lsl pair_bits) - 1)
-
-let fresh_pair t =
-  let a = Api.rand t.nslots in
-  let b0 = if t.nslots < 2 then a else Api.rand (t.nslots - 1) in
-  let b = if t.nslots < 2 then a else if b0 >= a then b0 + 1 else b0 in
-  pair a b
-
-let pick_pair t pid =
-  if t.stickiness <= 1 then fresh_pair t
-  else begin
-    let left = Api.read (t.del_left + pid) in
-    if left > 0 then begin
-      Api.write (t.del_left + pid) (left - 1);
-      (* [b]'s word is read before [a]'s: the order is part of the
-         simulated schedule *)
-      let b = Api.read (t.del_b + pid) in
-      let a = Api.read (t.del_a + pid) in
-      pair a b
-    end
-    else begin
-      let p = fresh_pair t in
-      Api.write (t.del_a + pid) (pair_a p);
-      Api.write (t.del_b + pid) (pair_b p);
-      Api.write (t.del_left + pid) (t.stickiness - 1);
-      p
-    end
-  end
-
-let reset_del_sticky t pid =
-  if t.stickiness > 1 then Api.write (t.del_left + pid) 0
 
 (* after the pick rounds ran dry: one full pass over every slot's
    published minimum; only after that pass may delete_min report empty *)
@@ -201,41 +189,48 @@ let rec delete_scan t i start =
     else delete_scan t (i + 1) start
   end
 
-let rec delete_from t pid attempts window =
-  if attempts >= t.pick_attempts then begin
+(* attempt [attempts] on two fresh distinct random slots, or the scan *)
+let rec delete_from t attempts window =
+  if attempts >= pick_attempts then begin
     Api.count "mq.scan" 1;
     delete_scan t 0 (Api.rand t.nslots)
   end
   else begin
-    let p = pick_pair t pid in
-    let a = pair_a p and bs = pair_b p in
-    let ta = Api.read (Slot.top_addr t.slots.(a).pq) in
-    let tb = Api.read (Slot.top_addr t.slots.(bs).pq) in
-    if ta = Slot.empty_top && tb = Slot.empty_top then begin
-      reset_del_sticky t pid;
-      delete_from t pid (attempts + 1) window
+    let a = Api.rand t.nslots in
+    let b = Api.rand (t.nslots - 1) in
+    delete_pair t a (if b >= a then b + 1 else b) attempts window
+  end
+
+(* pick-2 over slots [a] and [b]: extract from the smaller published
+   minimum *)
+and delete_pair t a b attempts window =
+  let ta = Api.read (Slot.top_addr t.slots.(a).pq) in
+  let tb = Api.read (Slot.top_addr t.slots.(b).pq) in
+  if ta = Slot.empty_top && tb = Slot.empty_top then
+    delete_from t (attempts + 1) window
+  else begin
+    let s = if ta <= tb then a else b in
+    if Pqsync.Tas.try_acquire t.slots.(s).lock then begin
+      let r = Slot.extract t.slots.(s).pq in
+      Pqsync.Tas.release t.slots.(s).lock;
+      (* an empty answer: raced with another deleter; the pick is stale *)
+      if r <> empty then r else delete_from t (attempts + 1) window
     end
     else begin
-      let s = if ta <= tb then a else bs in
-      if Pqsync.Tas.try_acquire t.slots.(s).lock then begin
-        let r = Slot.extract t.slots.(s).pq in
-        Pqsync.Tas.release t.slots.(s).lock;
-        if r <> empty then r
-        else begin
-          (* raced with another deleter; the pick is stale *)
-          reset_del_sticky t pid;
-          delete_from t pid (attempts + 1) window
-        end
-      end
-      else begin
-        reset_del_sticky t pid;
-        Api.count "mq.lock_fail" 1;
-        delete_from t pid (attempts + 1) (Pqsync.Backoff.pause window)
-      end
+      lock_fail t attempts;
+      delete_from t (attempts + 1) (Pqsync.Backoff.pause window)
     end
   end
 
-let delete_min t = delete_from t (Api.self ()) 0 Pqsync.Backoff.first
+(* a sticky delete's first pair is the owned pair *)
+let delete_min t =
+  if t.perm = 0 then delete_from t 0 Pqsync.Backoff.first
+  else begin
+    let pid = Api.self () in
+    ignore (tick t pid);
+    let a = slot_at t (own t pid 0) in
+    delete_pair t a (slot_at t (own t pid 1)) 0 Pqsync.Backoff.first
+  end
 
 (* ------------------------------------------------------------------ *)
 (* host-side *)
@@ -243,9 +238,20 @@ let delete_min t = delete_from t (Api.self ()) 0 Pqsync.Backoff.first
 let drain_now mem t =
   Array.to_list t.slots |> List.concat_map (fun s -> Slot.peek_all mem s.pq)
 
+(* at quiescence no swap is in flight, so [perm] is a permutation *)
+let check_perm mem t =
+  if t.perm = 0 then Ok ()
+  else
+    let held = List.init t.nslots (fun p -> Mem.peek mem (t.perm + p)) in
+    if List.sort compare held = List.init t.nslots Fun.id then Ok ()
+    else
+      Error
+        ("perm is not a permutation: "
+        ^ String.concat " " (List.map string_of_int held))
+
 let check_now mem t =
   let rec go i =
-    if i >= t.nslots then Ok ()
+    if i >= t.nslots then check_perm mem t
     else
       match Slot.check mem t.slots.(i).pq with
       | Ok () -> go (i + 1)

@@ -11,9 +11,10 @@
     is a random variable bounded in expectation by O(slots).
 
     Variants (the registry's ablation surface):
-    - {b stickiness}: a processor reuses its picked slots for
-      [stickiness] consecutive operations, trading rank error for cache
-      affinity and fewer pick rounds;
+    - {b stickiness}: each processor owns two positions of a permutation
+      of the slots and operates on their slots first, and every
+      [stickiness] calls swaps one of them with a random position, the
+      swapping MultiQueue of [Hostpq.Multi_pq] (DESIGN.md §5);
     - {b buffering}: per-slot insertion/deletion buffers
       ({!Slot}) amortise heap traffic.
 
@@ -22,18 +23,16 @@
     in simulated memory. *)
 
 type config = {
-  c : int;  (** slots per processor (>= 1) *)
-  min_slots : int;  (** slot-count floor, for tiny [nprocs] *)
-  stickiness : int;  (** operations per slot (re)pick; 1 = repick always *)
-  ins_buf : int;  (** per-slot insertion-buffer capacity; 0 = none *)
-  del_buf : int;  (** per-slot deletion-buffer capacity; 0 = none *)
-  pick_attempts : int;
-      (** try-lock/pick rounds before falling back to a full scan
-          (delete) or a blocking acquire (insert) *)
+  c : int;  (** slots per processor (>= 1); at least 2 slots in all *)
+  stickiness : int;
+      (** calls per swap of an owned position; 1 = no owned positions,
+          every pick random *)
+  buf : int;  (** per-slot insertion- and deletion-buffer capacity; 0 = none *)
 }
 
 val default : config
-(** c = 2, no stickiness, no buffers, 4 pick rounds *)
+(** c = 2, no stickiness, no buffers.  Every variant tries 4 picks
+    before a delete scans every slot or an insert waits for its lock. *)
 
 type t
 
@@ -48,7 +47,8 @@ val create :
     gets a proportional share (with generous slack, so random imbalance
     does not cause spurious rejections).  [?name] (default
     [Root "MultiQueue"]) labels slot [i]'s lock [name.lock<i>] and its
-    heap [name.slot<i>], and the sticky per-processor words. *)
+    heap [name.slot<i>], and a sticky queue's permutation [name.perm] and
+    per-processor call counts [name.calls]. *)
 
 val nslots : t -> int
 
@@ -73,4 +73,5 @@ val drain_now : Pqsim.Mem.t -> t -> int list
 (** host-side: every key still in the structure *)
 
 val check_now : Pqsim.Mem.t -> t -> (unit, string) result
-(** host-side: every slot's {!Slot.check} at quiescence *)
+(** host-side: every slot's {!Slot.check} at quiescence, and a sticky
+    queue's position map is a permutation of the slots *)

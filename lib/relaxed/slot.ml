@@ -13,17 +13,16 @@ type t = {
   heap : Pqstruct.Seqheap.t;
   top : int;  (* addr: current minimum key, or [empty_top] *)
   cap : int;  (* total element bound (heap + buffers) *)
-  ins_buf : int;  (* addr of [ins_cap] words, 0 when unbuffered *)
+  buf : int;  (* each buffer's capacity, 0 when unbuffered *)
+  ins_buf : int;  (* addr of [buf] words *)
   ins_len : int;  (* addr *)
-  ins_cap : int;
-  del_buf : int;  (* addr of [del_cap] words, ascending, 0 when unbuffered *)
+  del_buf : int;  (* addr of [buf] words, ascending *)
   del_head : int;  (* addr: index of the buffer front *)
   del_len : int;  (* addr *)
-  del_cap : int;
 }
 
-let create ?name mem ~cap ~ins_cap ~del_cap =
-  if cap < 1 || ins_cap < 0 || del_cap < 0 then invalid_arg "Slot.create";
+let create ?name mem ~cap ~buf =
+  if cap < 1 || buf < 0 then invalid_arg "Slot.create";
   let heap = Pqstruct.Seqheap.create ?name mem ~cap in
   let top = Mem.alloc mem 1 in
   Mem.poke mem top empty_top;
@@ -33,32 +32,27 @@ let create ?name mem ~cap ~ins_cap ~del_cap =
   (match name with
   | Some n -> Mem.label mem ~addr:top ~len:1 (Field (n, "top"))
   | None -> ());
-  let ins_buf = if ins_cap > 0 then Mem.alloc mem ins_cap else 0 in
-  let ins_len = if ins_cap > 0 then Mem.alloc mem 1 else 0 in
-  let del_buf = if del_cap > 0 then Mem.alloc mem del_cap else 0 in
-  let del_head = if del_cap > 0 then Mem.alloc mem 1 else 0 in
-  let del_len = if del_cap > 0 then Mem.alloc mem 1 else 0 in
+  let ins_buf = if buf > 0 then Mem.alloc mem buf else 0 in
+  let ins_len = if buf > 0 then Mem.alloc mem 1 else 0 in
+  let del_buf = if buf > 0 then Mem.alloc mem buf else 0 in
+  let del_head = if buf > 0 then Mem.alloc mem 1 else 0 in
+  let del_len = if buf > 0 then Mem.alloc mem 1 else 0 in
   (match name with
-  | Some n ->
-      if ins_cap > 0 then begin
-        Mem.label mem ~addr:ins_buf ~len:ins_cap (Field (n, "insbuf"));
-        Mem.label mem ~addr:ins_len ~len:1 (Field (n, "inslen"))
-      end;
-      if del_cap > 0 then begin
-        Mem.label mem ~addr:del_buf ~len:del_cap (Field (n, "delbuf"));
-        Mem.label mem ~addr:del_head ~len:1 (Field (n, "delhead"));
-        Mem.label mem ~addr:del_len ~len:1 (Field (n, "dellen"))
-      end
-  | None -> ());
-  { heap; top; cap; ins_buf; ins_len; ins_cap; del_buf; del_head; del_len;
-    del_cap }
+  | Some n when buf > 0 ->
+      Mem.label mem ~addr:ins_buf ~len:buf (Field (n, "insbuf"));
+      Mem.label mem ~addr:ins_len ~len:1 (Field (n, "inslen"));
+      Mem.label mem ~addr:del_buf ~len:buf (Field (n, "delbuf"));
+      Mem.label mem ~addr:del_head ~len:1 (Field (n, "delhead"));
+      Mem.label mem ~addr:del_len ~len:1 (Field (n, "dellen"))
+  | _ -> ());
+  { heap; top; cap; buf; ins_buf; ins_len; del_buf; del_head; del_len }
 
 let top_addr t = t.top
 
 let size t =
   Pqstruct.Seqheap.size t.heap
-  + (if t.ins_cap > 0 then Api.read t.ins_len else 0)
-  + if t.del_cap > 0 then Api.read t.del_len else 0
+  + (if t.buf > 0 then Api.read t.ins_len else 0)
+  + if t.buf > 0 then Api.read t.del_len else 0
 
 (* heap capacity equals the slot capacity, so once [size t < cap] holds a
    heap insert cannot be rejected *)
@@ -67,7 +61,7 @@ let heap_insert t key =
     invalid_arg "Slot: heap rejected an in-capacity insert"
 
 let flush_ins t =
-  if t.ins_cap > 0 then begin
+  if t.buf > 0 then begin
     let il = Api.read t.ins_len in
     if il > 0 then begin
       for k = 0 to il - 1 do
@@ -80,9 +74,9 @@ let flush_ins t =
 (* route a key to the insertion buffer (flushing a full one) or, when
    unbuffered, straight to the heap *)
 let push_back t key =
-  if t.ins_cap > 0 then begin
+  if t.buf > 0 then begin
     let il = Api.read t.ins_len in
-    if il < t.ins_cap then begin
+    if il < t.buf then begin
       Api.write (t.ins_buf + il) key;
       Api.write t.ins_len (il + 1)
     end
@@ -124,7 +118,7 @@ let rec shift t key i =
 let del_buf_insert t key =
   compact_del t;
   let dl = Api.read t.del_len in
-  let evict = dl = t.del_cap in
+  let evict = dl = t.buf in
   let stop = if evict then dl - 2 else dl - 1 in
   (if evict then
      let last = Api.read (t.del_buf + dl - 1) in
@@ -137,7 +131,7 @@ let rec ins_min t il k m =
   if k >= il then m else ins_min t il (k + 1) (min m (Api.read (t.ins_buf + k)))
 
 let refresh_top t =
-  let dl = if t.del_cap > 0 then Api.read t.del_len else 0 in
+  let dl = if t.buf > 0 then Api.read t.del_len else 0 in
   let m =
     if dl > 0 then Api.read (t.del_buf + Api.read t.del_head)
     else begin
@@ -145,7 +139,7 @@ let refresh_top t =
         let v = Pqstruct.Seqheap.peek_min t.heap in
         if v = Pqstruct.Seqheap.none then empty_top else v
       in
-      if t.ins_cap > 0 then ins_min t (Api.read t.ins_len) 0 m0 else m0
+      if t.buf > 0 then ins_min t (Api.read t.ins_len) 0 m0 else m0
     end
   in
   Api.write t.top m
@@ -154,7 +148,7 @@ let insert t key =
   if key >= empty_top then invalid_arg "Slot.insert: key out of range";
   if size t >= t.cap then false
   else begin
-    (if t.del_cap > 0 then begin
+    (if t.buf > 0 then begin
        let dl = Api.read t.del_len in
        if dl > 0 then begin
          let head = Api.read t.del_head in
@@ -171,7 +165,7 @@ let insert t key =
 (* move the heap's smallest keys into the deletion buffer from index [k]
    until it is full or the heap is empty; the count moved so far *)
 let rec refill t k =
-  if k >= t.del_cap then k
+  if k >= t.buf then k
   else
     let v = Pqstruct.Seqheap.extract_min t.heap in
     if v = Pqstruct.Seqheap.none then k
@@ -182,7 +176,7 @@ let rec refill t k =
 
 let extract t =
   let r =
-    if t.del_cap > 0 then begin
+    if t.buf > 0 then begin
       let dl = Api.read t.del_len in
       if dl > 0 then begin
         let head = Api.read t.del_head in
@@ -194,7 +188,7 @@ let extract t =
       end
       else begin
         (* refill: everything buffered joins the heap, then the heap's
-           [del_cap] smallest move into the buffer *)
+           [buf] smallest move into the buffer *)
         flush_ins t;
         let n = refill t 0 in
         if n = 0 then empty_top
@@ -222,12 +216,12 @@ let extract t =
 let peek_all mem t =
   let heap = Pqstruct.Seqheap.peek_list mem t.heap in
   let ins =
-    if t.ins_cap > 0 then
+    if t.buf > 0 then
       List.init (Mem.peek mem t.ins_len) (fun k -> Mem.peek mem (t.ins_buf + k))
     else []
   in
   let del =
-    if t.del_cap > 0 then
+    if t.buf > 0 then
       let head = Mem.peek mem t.del_head in
       List.init (Mem.peek mem t.del_len) (fun k ->
           Mem.peek mem (t.del_buf + head + k))
@@ -238,9 +232,9 @@ let peek_all mem t =
 let check mem t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let heap = Array.of_list (Pqstruct.Seqheap.peek_list mem t.heap) in
-  let il = if t.ins_cap > 0 then Mem.peek mem t.ins_len else 0 in
-  let dl = if t.del_cap > 0 then Mem.peek mem t.del_len else 0 in
-  let head = if t.del_cap > 0 then Mem.peek mem t.del_head else 0 in
+  let il = if t.buf > 0 then Mem.peek mem t.ins_len else 0 in
+  let dl = if t.buf > 0 then Mem.peek mem t.del_len else 0 in
+  let head = if t.buf > 0 then Mem.peek mem t.del_head else 0 in
   let del = List.init dl (fun k -> Mem.peek mem (t.del_buf + head + k)) in
   let ins = List.init il (fun k -> Mem.peek mem (t.ins_buf + k)) in
   let total = Array.length heap + il + dl in
@@ -249,8 +243,8 @@ let check mem t =
     |> Seq.find (fun (i, v) -> i > 0 && heap.((i - 1) / 2) > v)
   in
   if total > t.cap then err "slot over capacity (%d > %d)" total t.cap
-  else if il > t.ins_cap then err "insertion buffer overflow"
-  else if dl < 0 || head < 0 || head + dl > max t.del_cap 0 then
+  else if il > t.buf then err "insertion buffer overflow"
+  else if dl < 0 || head < 0 || head + dl > t.buf then
     err "deletion buffer indices out of range (head %d len %d)" head dl
   else
     match bad_heap with

@@ -27,11 +27,10 @@ val create :
   ?name:Pqsim.Mem.name ->
   Pqsim.Mem.t ->
   cap:int ->
-  ins_cap:int ->
-  del_cap:int ->
+  buf:int ->
   t
 (** [cap] bounds the elements simultaneously in the slot (across heap and
-    both buffers); [ins_cap]/[del_cap] of 0 disable that buffer. *)
+    both buffers); [buf] is each buffer's capacity, and 0 disables both. *)
 
 val top_addr : t -> int
 (** address of the published minimum, for pick-2 reads ({!Pqsim.Api.read}) *)

@@ -400,7 +400,7 @@ let () =
                 ("SimpleTree", 1562.);
                 ("LinearFunnels", 3234.);
                 ("FunnelTree", 5082.);
-                ("MultiQueue", 2151.);
+                ("MultiQueue", 2076.);
               ] );
           ( "counts",
             List.map

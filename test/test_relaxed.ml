@@ -26,16 +26,14 @@ let test_slot_model =
      must come only from slot choice, never from inside a slot) *)
   QCheck.Test.make ~name:"slot matches sorted-list model across buffer configs"
     ~count:150
-    QCheck.(
-      triple (int_bound 3) (int_bound 3)
-        (list (pair bool (int_bound 100))))
-    (fun (ins_cap, del_cap, script) ->
+    QCheck.(pair (int_bound 3) (list (pair bool (int_bound 100))))
+    (fun (buf, script) ->
       let cap = 8 in
       let results = ref [] in
       let (mem, slot), _ =
         Pqsim.Sim.run ~nprocs:1 ~seed:5
           ~setup:(fun mem ->
-            (mem, Pqrelaxed.Slot.create mem ~cap ~ins_cap ~del_cap))
+            (mem, Pqrelaxed.Slot.create mem ~cap ~buf))
           ~program:(fun (_, slot) _pid ->
             List.iter
               (fun (is_extract, key) ->
@@ -147,6 +145,103 @@ let mq_delete_only_none_when_empty (name, cfg) () =
     (List.init n (fun i -> i + 1))
     (List.sort compare !got);
   check_bool "then empty" true (!after = None)
+
+(* the address of [mem]'s word labelled [label] *)
+let find_label mem label =
+  let rec go a = if Pqsim.Mem.name_of mem a = Some label then a else go (a + 1) in
+  go 0
+
+(* the sticky queue's check_now holds its positions to a permutation:
+   after a clean run, one slot index poked over another is an error *)
+let test_sticky_perm_checked () =
+  let name = "MultiQueueSticky" and nprocs = 3 in
+  let cfg = Option.get (Pqcore.Multi_queue.config_of_name name) in
+  let (mem, q), _ =
+    Pqsim.Sim.run ~nprocs ~seed:5
+      ~setup:(fun mem ->
+        ( mem,
+          Pqrelaxed.Multiqueue.create ~name:(Root name) mem ~nprocs
+            ~capacity:64 cfg ))
+      ~program:(fun (_, q) pid ->
+        for i = 0 to 23 do
+          ignore (Pqrelaxed.Multiqueue.insert q ((pid * 100) + i));
+          if i mod 2 = 1 then ignore (delete_min q);
+          Pqsim.Api.progress ()
+        done)
+      ()
+  in
+  (match Pqrelaxed.Multiqueue.check_now mem q with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let perm = find_label mem (name ^ ".perm") in
+  Pqsim.Mem.poke mem (perm + 1) (Pqsim.Mem.peek mem perm);
+  check_bool "duplicate slot index caught" true
+    (Result.is_error (Pqrelaxed.Multiqueue.check_now mem q))
+
+(* a crash between a swap's mark and its store leaves the owned position
+   vacant for good: the survivors still finish and conserve, since the
+   random picks and the scan walk slots, not positions *)
+let test_sticky_crash_mid_swap () =
+  let perm = ref None in
+  let create mem p =
+    let q = Pqcore.Registry.create "MultiQueueSticky" mem p in
+    perm := Some (mem, find_label mem "MultiQueueSticky.perm");
+    q
+  in
+  (* processor 0 owns positions 0 and 1, and only its own swap marks
+     them, so a CAS of processor 0 that leaves one vacant is its mark *)
+  let marked (info : Pqsim.Sched.info) =
+    match !perm with
+    | Some (mem, a) when info.proc = 0 && info.op = Cas ->
+        Pqsim.Mem.peek mem a = -1 || Pqsim.Mem.peek mem (a + 1) = -1
+    | _ -> false
+  in
+  let o =
+    Pqbenchlib.Scenario.run_sim
+      ~policy:(fun info ->
+        if marked info then Pqsim.Sched.Stall_forever else Pqsim.Sched.run_)
+      ~create ~queue:"MultiQueueSticky" ~nprocs:4 ~npriorities:16
+      ~ops_per_proc:48 ~seed:42 Pqbenchlib.Scenario.coinflip
+  in
+  check_bool "survivors finished" true (o.aborted = None);
+  check_int "one dangling operation" 1 o.monitor.dangling;
+  (match o.check with Ok () -> () | Error e -> Alcotest.fail e);
+  let mem, a = Option.get !perm in
+  let held = List.init 8 (fun p -> Pqsim.Mem.peek mem (a + p)) in
+  check_int "one position vacant" 1 (List.length (List.filter (( = ) (-1)) held))
+
+(* the swap race, deterministically: MultiQueueSticky swaps an owned
+   position every 8 calls, and every fault-free run's check includes
+   check_now's permutation test.  A swap of plain reads and writes
+   loses or repeats a slot index under these schedules. *)
+let test_sticky_swap_race () =
+  List.iter
+    (fun scenario ->
+      List.iter
+        (fun nprocs ->
+          List.iter
+            (fun sched ->
+              List.iter
+                (fun seed ->
+                  let o =
+                    Pqbenchlib.Scenario.run_sim
+                      ?policy:(Pqexplore.Policy.named sched ~seed ~nprocs)
+                      ~queue:"MultiQueueSticky" ~nprocs ~npriorities:16
+                      ~ops_per_proc:96 ~seed scenario
+                  in
+                  let where =
+                    Printf.sprintf "%s P=%d %s seed %d"
+                      (Pqbenchlib.Scenario.name scenario) nprocs
+                      (Pqexplore.Policy.string_of_name sched) seed
+                  in
+                  check_bool (where ^ " completed") true (o.aborted = None);
+                  match o.check with
+                  | Ok () -> ()
+                  | Error e -> Alcotest.failf "%s: %s" where e)
+                [ 42; 1; 7; 3 ])
+            [ Pqexplore.Policy.Random; Pct ])
+        [ 2; 3; 4 ])
+    Pqbenchlib.Scenario.[ coinflip; hold ]
 
 (* one queue's audit report over its slice of the audit matrix,
    optionally for one seed only *)
@@ -766,7 +861,14 @@ let () =
               Alcotest.test_case (name ^ " drains to empty") `Quick
                 (mq_delete_only_none_when_empty v);
             ])
-          variants );
+          variants
+        @ [
+            Alcotest.test_case "sticky check_now holds a permutation" `Quick
+              test_sticky_perm_checked;
+            Alcotest.test_case "sticky swap race" `Quick test_sticky_swap_race;
+            Alcotest.test_case "sticky crash mid-swap" `Quick
+              test_sticky_crash_mid_swap;
+          ] );
       ( "race-audit",
         List.concat_map
           (fun ((name, _) as v) ->
